@@ -30,7 +30,6 @@
 #include "core/adaptive_store.h"
 #include "core/crack_kernels.h"
 #include "core/cracker_index.h"
-#include "core/oid_set_ops.h"
 #include "core/simd_dispatch.h"
 #include "core/sorted_column.h"
 #include "util/rng.h"
@@ -130,58 +129,6 @@ void BM_CrackerIndexQuerySequence(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 64);
 }
 BENCHMARK(BM_CrackerIndexQuerySequence)->Arg(1 << 18)->Arg(1 << 20);
-
-/// `n` ascending oids sampled from [0, universe) without duplicates.
-std::vector<Oid> RandomOidList(size_t n, Oid universe, uint64_t seed) {
-  Pcg32 rng(seed);
-  std::vector<Oid> out;
-  out.reserve(n);
-  // Stride sampling keeps the list uniform and strictly ascending.
-  Oid stride = universe / static_cast<Oid>(n);
-  Oid at = 0;
-  for (size_t i = 0; i < n && at < universe; ++i) {
-    at += 1 + rng.NextBounded(static_cast<uint32_t>(
-                   std::max<Oid>(1, 2 * stride - 1)));
-    out.push_back(at);
-  }
-  return out;
-}
-
-/// The conjunction intersect at a given size skew: small = large / ratio.
-/// ratio 1 exercises the linear merge, larger ratios the galloping search
-/// (IntersectSorted switches at kGallopRatio).
-void BM_IntersectSorted(benchmark::State& state) {
-  size_t large_n = 1 << 20;
-  size_t ratio = static_cast<size_t>(state.range(0));
-  size_t small_n = large_n / ratio;
-  Oid universe = static_cast<Oid>(large_n) * 4;
-  std::vector<Oid> small = RandomOidList(small_n, universe, 17);
-  std::vector<Oid> large = RandomOidList(large_n, universe, 23);
-  for (auto _ : state) {
-    std::vector<Oid> out = IntersectSorted(small, large);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(small_n + large_n));
-}
-BENCHMARK(BM_IntersectSorted)->Arg(1)->Arg(8)->Arg(64)->Arg(1024)->Arg(16384);
-
-/// The linear merge at the same skews — the baseline galloping replaces.
-void BM_IntersectLinear(benchmark::State& state) {
-  size_t large_n = 1 << 20;
-  size_t ratio = static_cast<size_t>(state.range(0));
-  size_t small_n = large_n / ratio;
-  Oid universe = static_cast<Oid>(large_n) * 4;
-  std::vector<Oid> small = RandomOidList(small_n, universe, 17);
-  std::vector<Oid> large = RandomOidList(large_n, universe, 23);
-  for (auto _ : state) {
-    std::vector<Oid> out = IntersectSortedLinear(small, large);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(small_n + large_n));
-}
-BENCHMARK(BM_IntersectLinear)->Arg(1)->Arg(8)->Arg(64)->Arg(1024)->Arg(16384);
 
 void BM_SortedColumnQuery(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));

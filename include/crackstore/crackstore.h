@@ -22,7 +22,7 @@
 #include "core/join_cracker.h"            // ^
 #include "core/lineage.h"                 // piece lineage DAG (Figs. 5-6)
 #include "core/merge_policy.h"            // piece fusion + delta-merge policies
-#include "core/oid_set_ops.h"             // sorted-oid intersection (galloping)
+#include "core/oid_set_ops.h"             // span-set interval algebra
 #include "core/projection_cracker.h"      // Ψ
 #include "core/range_bounds.h"            // range predicates
 #include "core/sorted_column.h"           // the sort baseline

@@ -20,34 +20,19 @@ namespace crackstore {
 
 namespace {
 
-/// Intersects per-conjunct oid lists smallest-first (galloping when the
-/// sizes are skewed), charging the intersection reads to `result->io`.
-/// Shared by the serial and concurrent conjunction paths.
-void IntersectConjunctionLegs(std::vector<std::vector<Oid>> per_column,
-                              Delivery delivery, QueryResult* result) {
-  std::sort(per_column.begin(), per_column.end(),
-            [](const std::vector<Oid>& a, const std::vector<Oid>& b) {
-              return a.size() < b.size();
-            });
-  std::vector<Oid> survivors = std::move(per_column.front());
-  for (size_t c = 1; c < per_column.size() && !survivors.empty(); ++c) {
-    // Galloping kicks in when the survivor set is already much smaller than
-    // the next list (the common shape: one tight predicate prunes the
-    // rest); it touches O(m log(n/m)) tuples instead of the merge's n + m.
-    size_t small = std::min(survivors.size(), per_column[c].size());
-    size_t large = std::max(survivors.size(), per_column[c].size());
-    if (ShouldGallop(small, large)) {
-      uint64_t log_ratio = 1;
-      for (size_t r = large / small; r > 1; r >>= 1) ++log_ratio;
-      result->io.tuples_read += small * log_ratio;
-    } else {
-      result->io.tuples_read += small + large;
-    }
-    survivors = IntersectSorted(survivors, per_column[c]);
-  }
-  result->count = survivors.size();
-  if (delivery == Delivery::kView) {
-    result->scan_oids = std::move(survivors);
+/// Splits a conjunction into one leg per column (its first conjunct) and
+/// the conjuncts on already-answered columns, which are probed per row: a
+/// second crack of a column would reshuffle its first answer's span.
+void SplitLegs(const std::vector<AdaptiveStore::ColumnRange>& conjuncts,
+               std::vector<const AdaptiveStore::ColumnRange*>* legs,
+               std::vector<const AdaptiveStore::ColumnRange*>* probes) {
+  for (const AdaptiveStore::ColumnRange& c : conjuncts) {
+    bool answered =
+        std::any_of(legs->begin(), legs->end(),
+                    [&c](const AdaptiveStore::ColumnRange* leg) {
+                      return leg->column == c.column;
+                    });
+    (answered ? probes : legs)->push_back(&c);
   }
 }
 
@@ -288,11 +273,41 @@ SnapshotView AdaptiveStore::ViewForColumn(const std::string& table,
   return vt->ViewFor(snap, column, /*force_active=*/options_.concurrent);
 }
 
-Result<SnapshotView> AdaptiveStore::ReadView(const std::string& table,
-                                             const std::string& column,
-                                             TxnId txn) const {
+Result<const SnapshotColumn*> AdaptiveStore::BaseReadScope::Column(
+    const std::string& column) {
+  auto it = columns_.find(column);
+  if (it != columns_.end()) return it->second.get();
+  CRACK_ASSIGN_OR_RETURN(std::shared_ptr<Bat> bat, rel_->column(column));
+  auto values = std::make_unique<SnapshotColumn>(
+      std::move(bat), store_->ViewForColumn(table_, column, snap_));
+  const SnapshotColumn* out = values.get();
+  columns_.emplace(column, std::move(values));
+  return out;
+}
+
+Result<std::unique_ptr<AdaptiveStore::BaseReadScope>>
+AdaptiveStore::OpenBaseScope(const std::string& table, const Snapshot& snap,
+                             bool lock_global) const {
+  CRACK_ASSIGN_OR_RETURN(std::shared_ptr<Relation> rel, this->table(table));
+  std::unique_ptr<BaseReadScope> scope(new BaseReadScope());
+  if (options_.concurrent) {
+    if (lock_global) {
+      scope->global_ = std::shared_lock<std::shared_mutex>(global_mu_);
+    }
+    scope->base_ =
+        std::shared_lock<std::shared_mutex>(TableStateFor(table)->base_latch);
+  }
+  scope->store_ = this;
+  scope->table_ = table;
+  scope->rel_ = std::move(rel);
+  scope->snap_ = snap;
+  return scope;
+}
+
+Result<std::unique_ptr<AdaptiveStore::BaseReadScope>> AdaptiveStore::ReadBase(
+    const std::string& table, TxnId txn) const {
   CRACK_ASSIGN_OR_RETURN(Snapshot snap, ReadSnapshot(txn));
-  return ViewForColumn(table, column, snap);
+  return OpenBaseScope(table, snap, /*lock_global=*/true);
 }
 
 Result<TxnId> AdaptiveStore::Begin() {
@@ -761,39 +776,47 @@ Result<QueryResult> AdaptiveStore::SelectConjunctionLocked(
   WallTimer timer;
   obs::TraceSpan trace_span("conjunction(shared)", table, &result.io);
 
+  std::vector<const ColumnRange*> leg_ranges;
+  std::vector<const ColumnRange*> probes;
+  SplitLegs(conjuncts, &leg_ranges, &probes);
+
   // Fan the conjunction legs across the task pool: each leg latches only
   // its own column, so legs over different columns crack concurrently.
   struct Leg {
     Status status;
-    IoStats io;
-    std::vector<Oid> oids;
+    QueryResult answer;
   };
-  std::vector<Leg> legs(conjuncts.size());
+  std::vector<Leg> legs(leg_ranges.size());
   std::vector<std::function<void()>> tasks;
-  tasks.reserve(conjuncts.size());
-  for (size_t i = 0; i < conjuncts.size(); ++i) {
-    tasks.emplace_back([this, &table, &conjuncts, &legs, &snap, i] {
-      auto qr = SelectRangeConcurrent(table, conjuncts[i].column,
-                                      conjuncts[i].range, Delivery::kView,
+  tasks.reserve(leg_ranges.size());
+  for (size_t i = 0; i < leg_ranges.size(); ++i) {
+    tasks.emplace_back([this, &table, &leg_ranges, &legs, &snap, i] {
+      auto qr = SelectRangeConcurrent(table, leg_ranges[i]->column,
+                                      leg_ranges[i]->range, Delivery::kView,
                                       snap);
       if (!qr.ok()) {
         legs[i].status = qr.status();
         return;
       }
-      legs[i].io = qr->io;
-      legs[i].oids = std::move(*qr).CollectOids();
+      legs[i].answer = std::move(*qr);
     });
   }
   TaskPool::Global()->RunBatch(std::move(tasks));
 
-  std::vector<std::vector<Oid>> per_column;
-  per_column.reserve(legs.size());
-  for (Leg& leg : legs) {
-    CRACK_RETURN_NOT_OK(leg.status);
-    result.io += leg.io;
-    per_column.push_back(std::move(leg.oids));
+  size_t pick = 0;
+  for (size_t i = 0; i < legs.size(); ++i) {
+    CRACK_RETURN_NOT_OK(legs[i].status);
+    result.io += legs[i].answer.io;
+    if (legs[i].answer.count < legs[pick].answer.count) pick = i;
   }
-  IntersectConjunctionLegs(std::move(per_column), delivery, &result);
+  for (size_t i = 0; i < legs.size(); ++i) {
+    if (i != pick) probes.push_back(leg_ranges[i]);
+  }
+  // The legs' oid lists are ascending and outlive every latch; the probe
+  // reads the other columns under the table's base latch.
+  CRACK_RETURN_NOT_OK(ProbeConjunction(table, snap, probes, delivery,
+                                       std::move(legs[pick].answer),
+                                       &result));
 
   result.seconds = timer.ElapsedSeconds();
   AddIo(result.io);
@@ -1085,11 +1108,18 @@ Result<QueryResult> AdaptiveStore::SelectRange(const std::string& table,
   }
 
   SnapshotView view = ViewForColumn(table, column, snap);
+  // kSpans keeps span answers as they are; only paths whose fuzzy answers
+  // exist solely as oid lists (coarse and progressive cracking) gather.
+  const CrackPolicy policy = accel->path->config().policy.policy;
+  const bool want_oids =
+      delivery == Delivery::kSpans
+          ? is_crack && (policy == CrackPolicy::kCoarse ||
+                         policy == CrackPolicy::kProgressive)
+          : delivery != Delivery::kCount;
   CRACK_ASSIGN_OR_RETURN(
       AccessSelection sel,
-      accel->path->SelectTyped(
-          range, /*want_oids=*/delivery != Delivery::kCount, &result.io,
-          view.active() ? &view : nullptr));
+      accel->path->SelectTyped(range, want_oids, &result.io,
+                               view.active() ? &view : nullptr));
   result.count = sel.count;
   if (sel.contiguous) {
     result.selection = sel.view;
@@ -1237,168 +1267,152 @@ Result<QueryResult> AdaptiveStore::SelectConjunction(
   WallTimer timer;
   obs::TraceSpan trace_span("conjunction", table, &result.io);
 
-  // The stateless scan strategy has a cheaper shape for all-numeric
-  // conjunctions: one fused pass over the referenced columns, no per-column
-  // oid materialization. Stateful paths (crack/sort) go per-column anyway —
-  // each conjunct is advice for its own column's accelerator — and
-  // string-typed conjuncts route per-column too, where the dictionary
-  // encoding lives.
-  bool all_numeric = true;
-  for (const ColumnRange& c : conjuncts) all_numeric &= !c.range.has_string();
-  // The fused pass reads current base values with no visibility filter, so
-  // it only runs while the table has no version state at all (no DML yet);
-  // any stamp routes the conjunction per-column, where the SnapshotView
+  CRACK_ASSIGN_OR_RETURN(Snapshot snap, ReadSnapshot(txn));
+  // The stateless scan strategy needs no legs at all while the table has no
+  // version state (no DML yet, so every base row is visible at every
+  // snapshot): one fused pass probes every conjunct against every row. Any
+  // stamp routes the conjunction per-column, where the SnapshotView
   // applies.
-  VersionedTable* fused_vt = VersionsIfAny(table);
-  bool version_free = fused_vt == nullptr || fused_vt->empty();
-  if (options_.strategy == AccessStrategy::kScan && all_numeric &&
-      version_free) {
-    auto rel_result = this->table(table);
-    if (!rel_result.ok()) return rel_result.status();
-    std::shared_ptr<Relation> rel = *rel_result;
-    struct TypedColumn {
-      const int32_t* d32 = nullptr;
-      const int64_t* d64 = nullptr;
-      const double* f64 = nullptr;
-      RangeBounds range;
-    };
-    std::vector<TypedColumn> cols;
-    cols.reserve(conjuncts.size());
-    bool fusable = true;
-    for (const ColumnRange& c : conjuncts) {
-      auto bat = rel->column(c.column);
-      if (!bat.ok()) return bat.status();
-      TypedColumn col;
-      col.range = c.range.ToNumericBounds();
-      switch ((*bat)->tail_type()) {
-        case ValueType::kInt64:
-          col.d64 = (*bat)->TailData<int64_t>();
-          break;
-        case ValueType::kInt32:
-          col.d32 = (*bat)->TailData<int32_t>();
-          break;
-        case ValueType::kFloat64:
-          col.f64 = (*bat)->TailData<double>();
-          break;
-        default:
-          // A numeric bound on a string column: let the per-column path
-          // report the TypeMismatch uniformly.
-          fusable = false;
-          break;
-      }
-      if (!fusable) break;
-      cols.push_back(col);
-    }
-    if (fusable) {
-      size_t n = rel->num_rows();
-      Oid base = BaseOid(*rel);
-      for (size_t i = 0; i < n; ++i) {
-        bool all = true;
-        for (size_t c = 0; c < cols.size() && all; ++c) {
-          if (cols[c].f64 != nullptr) {
-            // Doubles compare in their own domain (int64 bounds widen).
-            const RangeBounds& r = cols[c].range;
-            double v = cols[c].f64[i];
-            double lo = static_cast<double>(r.lo);
-            double hi = static_cast<double>(r.hi);
-            all = !(r.lo_incl ? v < lo : v <= lo) &&
-                  !(r.hi_incl ? v > hi : v >= hi);
-          } else {
-            int64_t v = cols[c].d32 != nullptr
-                            ? static_cast<int64_t>(cols[c].d32[i])
-                            : cols[c].d64[i];
-            all = cols[c].range.Contains(v);
-          }
-        }
-        if (all) {
-          ++result.count;
-          if (delivery == Delivery::kView) {
-            result.scan_oids.push_back(base + i);
-          }
-        }
-      }
-      result.io.tuples_read += n * conjuncts.size();
-      result.seconds = timer.ElapsedSeconds();
-      AddIo(result.io);
-      return result;
-    }
+  VersionedTable* vt = VersionsIfAny(table);
+  if (options_.strategy == AccessStrategy::kScan &&
+      (vt == nullptr || vt->empty())) {
+    CRACK_ASSIGN_OR_RETURN(std::shared_ptr<Relation> rel, this->table(table));
+    QueryResult all_rows;
+    all_rows.count = rel->num_rows();
+    all_rows.has_span_set = true;
+    all_rows.span_set.BindIdentity(BaseOid(*rel));
+    all_rows.span_set.AddSpan(0, rel->num_rows());
+    std::vector<const ColumnRange*> probes;
+    for (const ColumnRange& c : conjuncts) probes.push_back(&c);
+    CRACK_RETURN_NOT_OK(ProbeConjunction(table, snap, probes, delivery,
+                                         std::move(all_rows), &result));
+    result.seconds = timer.ElapsedSeconds();
+    AddIo(result.io);
+    return result;
   }
 
-  // Answer each conjunct through its column's access path, then intersect.
-  // Scan-strategy legs (versioned or string-typed conjunctions land here)
-  // are asked for kCount only: their answers carry identity span sets, so
-  // clean legs intersect as interval algebra — no per-leg oid gather, no
-  // per-leg sort. Stateful legs (crack/sort answer over a permuted layout)
-  // keep the materialized smallest-first intersection.
-  std::vector<std::vector<Oid>> per_column;
-  per_column.reserve(conjuncts.size());
-  bool have_folded = false;
-  OidSpanSet folded;
-  for (const ColumnRange& c : conjuncts) {
-    const Delivery leg_delivery = options_.strategy == AccessStrategy::kScan
-                                      ? Delivery::kCount
-                                      : Delivery::kView;
+  // Answer each column once through its access path (every conjunct is
+  // still advice to crack), keeping the answer in its own shape: spans over
+  // the accelerator, or the oid list a fuzzy coarse/progressive answer
+  // gathers.
+  std::vector<const ColumnRange*> leg_ranges;
+  std::vector<const ColumnRange*> probes;
+  SplitLegs(conjuncts, &leg_ranges, &probes);
+  std::vector<QueryResult> legs;
+  for (const ColumnRange* c : leg_ranges) {
     CRACK_ASSIGN_OR_RETURN(
         QueryResult qr,
-        SelectRange(table, c.column, c.range, leg_delivery, txn));
+        SelectRange(table, c->column, c->range, Delivery::kSpans, txn));
     result.io += qr.io;
-    if (leg_delivery == Delivery::kCount) {
-      if (qr.has_span_set && SpanSetIntersectable(qr.span_set) &&
-          qr.span_set.exceptions() == 0 && qr.span_set.extras() == 0) {
-        // Interval-algebra leg: only span boundaries are touched.
-        result.io.tuples_read += qr.span_set.num_spans();
-        if (!have_folded) {
-          folded = std::move(qr.span_set);
-          have_folded = true;
-        } else {
-          folded = IntersectIdentitySpanSets(folded, qr.span_set);
-        }
-        continue;
-      }
-      if (qr.has_span_set) {
-        // Overlayed span answer (delta inserts / snapshot extras): this leg
-        // materializes, the others still intersect as intervals.
-        obs::RecordMaterializedOids(qr.count);
-        per_column.push_back(qr.span_set.ToOids());
-        continue;
-      }
-      // No span set came back (scans are stateless, so the re-ask answers
-      // the identical question): fetch the oid list.
-      CRACK_ASSIGN_OR_RETURN(
-          qr, SelectRange(table, c.column, c.range, Delivery::kView, txn));
-      result.io += qr.io;
-    }
-    per_column.push_back(std::move(qr).CollectOids());
+    legs.push_back(std::move(qr));
   }
-  if (per_column.empty()) {
-    // Every leg stayed an interval set: the conjunction's answer is itself
-    // a span set. kView enumerates the survivors once — the only oids this
-    // statement ever wrote down.
-    result.count = folded.count();
-    result.has_span_set = true;
-    if (delivery == Delivery::kView && result.count > 0) {
-      obs::RecordMaterializedOids(result.count);
-      result.scan_oids = folded.ToOids();
+  // Scan legs answer over the identity layout: clean ones intersect as
+  // interval algebra, touching only span boundaries.
+  OidSpanSet folded;
+  std::vector<bool> in_fold(legs.size(), false);
+  bool have_folded = false;
+  for (size_t i = 0; i < legs.size(); ++i) {
+    OidSpanSet& set = legs[i].span_set;
+    if (!legs[i].has_span_set || !SpanSetIntersectable(set) ||
+        set.exceptions() != 0 || set.extras() != 0) {
+      continue;
     }
-    result.span_set = std::move(folded);
-    obs::RecordSpanAnswer(result.span_set.num_spans(), result.count);
+    result.io.tuples_read += set.num_spans();
+    folded = have_folded ? IntersectIdentitySpanSets(folded, set)
+                         : std::move(set);
+    have_folded = true;
+    in_fold[i] = true;
+  }
+  // Walk the smallest answer; every conjunct it does not cover is probed
+  // per row against snapshot-visible values.
+  size_t pick = legs.size();
+  uint64_t smallest = have_folded ? folded.count() : UINT64_MAX;
+  for (size_t i = 0; i < legs.size(); ++i) {
+    if (!in_fold[i] && legs[i].count < smallest) {
+      smallest = legs[i].count;
+      pick = i;
+    }
+  }
+  QueryResult walk;
+  if (pick == legs.size()) {
+    walk.count = folded.count();
+    walk.has_span_set = true;
+    walk.span_set = std::move(folded);
   } else {
-    if (have_folded) {
-      // Reduce the smallest materialized leg through the folded intervals
-      // before the list×list passes.
-      std::sort(per_column.begin(), per_column.end(),
-                [](const std::vector<Oid>& a, const std::vector<Oid>& b) {
-                  return a.size() < b.size();
-                });
-      result.io.tuples_read += per_column.front().size();
-      per_column.front() = IntersectWithIdentitySpans(per_column.front(), folded);
-    }
-    IntersectConjunctionLegs(std::move(per_column), delivery, &result);
+    walk = std::move(legs[pick]);
   }
+  for (size_t i = 0; i < legs.size(); ++i) {
+    bool covered = pick == legs.size() ? in_fold[i] : i == pick;
+    if (!covered) probes.push_back(leg_ranges[i]);
+  }
+  CRACK_RETURN_NOT_OK(
+      ProbeConjunction(table, snap, probes, delivery, std::move(walk),
+                       &result));
 
   result.seconds = timer.ElapsedSeconds();
   AddIo(result.io);
   return result;
+}
+
+Status AdaptiveStore::ProbeConjunction(
+    const std::string& table, const Snapshot& snap,
+    const std::vector<const ColumnRange*>& probes, Delivery delivery,
+    QueryResult walk, QueryResult* result) {
+  obs::TraceSpan probe_span("probe", table, &result->io);
+  // Compiling every probe first also type-checks conjuncts that never
+  // reached an access path, even when the walked answer is empty.
+  CRACK_ASSIGN_OR_RETURN(std::unique_ptr<BaseReadScope> base,
+                         OpenBaseScope(table, snap, /*lock_global=*/false));
+  std::vector<RowProbe> tests;
+  tests.reserve(probes.size());
+  for (const ColumnRange* c : probes) {
+    CRACK_ASSIGN_OR_RETURN(const SnapshotColumn* column,
+                           base->Column(c->column));
+    CRACK_ASSIGN_OR_RETURN(RowProbe test, RowProbe::Make(column, c->range));
+    tests.push_back(test);
+  }
+  // No early exit and no branch on the outcome (here or in the consumers
+  // below): the rows' random base reads stay independent and overlap.
+  auto keep = [&tests](Oid oid) {
+    bool pass = true;
+    for (const RowProbe& test : tests) pass &= test.Test(oid);
+    return pass;
+  };
+  result->io.tuples_read += walk.count * tests.size();
+  if (delivery == Delivery::kCount) {
+    uint64_t survivors = tests.empty() ? walk.count : 0;
+    if (!tests.empty()) {
+      walk.ForEachOid([&](Oid oid) { survivors += keep(oid); });
+    }
+    result->count = survivors;
+    return Status::OK();
+  }
+  if (delivery == Delivery::kSpans && walk.has_span_set) {
+    walk.span_set.Retain(keep);
+    result->count = walk.span_set.count();
+    result->has_span_set = true;
+    result->span_set = std::move(walk.span_set);
+    return Status::OK();
+  }
+  // kView, or an answer that only exists as a list: only the survivors are
+  // written down, and sorted when the walk was not in oid order.
+  std::vector<Oid> survivors(walk.count);
+  size_t kept = 0;
+  walk.ForEachOid([&](Oid oid) {
+    if (kept == survivors.size()) survivors.resize(2 * kept + 1);
+    survivors[kept] = oid;
+    kept += keep(oid);
+  });
+  survivors.resize(kept);
+  if (!std::is_sorted(survivors.begin(), survivors.end())) {
+    std::sort(survivors.begin(), survivors.end());
+  }
+  if (delivery == Delivery::kView) {
+    obs::RecordMaterializedOids(survivors.size());
+  }
+  result->count = survivors.size();
+  result->scan_oids = std::move(survivors);
+  return Status::OK();
 }
 
 Result<QueryResult> AdaptiveStore::Insert(const std::string& table,

@@ -33,6 +33,7 @@
 #include "core/merge_policy.h"
 #include "core/projection_cracker.h"
 #include "core/range_bounds.h"
+#include "core/snapshot_column.h"
 #include "core/txn_manager.h"
 #include "durability/checkpoint.h"
 #include "durability/manifest.h"
@@ -49,6 +50,11 @@ enum class Delivery : uint8_t {
   kCount = 0,        ///< only the qualifying-tuple count
   kView = 1,         ///< oids of qualifying tuples (zero-copy when cracked)
   kMaterialize = 2,  ///< a fresh Relation holding the qualifying rows
+  /// The qualifying rows in whatever shape the answer has — span set,
+  /// contiguous view or oid list, in no particular order — for one pass
+  /// through QueryResult::ForEachOid. No oid list is gathered or sorted
+  /// when the answer has spans (aggregate sinks).
+  kSpans = 3,
 };
 
 /// Store-wide options.
@@ -162,6 +168,21 @@ struct QueryResult {
   /// overload moves the scan list out instead of copying.
   std::vector<Oid> CollectOids() const&;
   std::vector<Oid> CollectOids() &&;
+
+  /// Invokes fn(oid) for every qualifying row without building a list: the
+  /// span set when there is one, else the contiguous view, else the oid
+  /// list. Layout order, not oid order.
+  template <typename Fn>
+  void ForEachOid(Fn&& fn) const {
+    if (has_span_set) {
+      span_set.ForEachOid(fn);
+    } else if (has_selection) {
+      const Oid* oids = selection.oids.data<Oid>();
+      for (size_t i = 0; i < selection.count(); ++i) fn(oids[i]);
+    } else {
+      for (Oid oid : scan_oids) fn(oid);
+    }
+  }
 };
 
 /// See file comment.
@@ -279,12 +300,35 @@ class AdaptiveStore {
 
   const TxnManager& txn_manager() const { return txn_mgr_; }
 
-  /// The MVCC read filter of (table, column) at `txn`'s snapshot (latest
-  /// committed when kNoTxn) — executor support for materializing
-  /// snapshot-correct values.
-  Result<SnapshotView> ReadView(const std::string& table,
-                                const std::string& column,
-                                TxnId txn = kNoTxn) const;
+  /// Snapshot-visible base reads of one table: the single door through
+  /// which the executor (projections, aggregate sinks) and the conjunction
+  /// probe read base columns by oid. Each column's override lookup is built
+  /// once, on first use. Concurrent stores hold the store latch and the
+  /// table's base latch shared for the scope's lifetime, so a concurrent
+  /// append cannot reallocate a column mid-read; holders must not call back
+  /// into the store.
+  class BaseReadScope {
+   public:
+    /// The snapshot-visible values of `column`.
+    Result<const SnapshotColumn*> Column(const std::string& column);
+
+   private:
+    friend class AdaptiveStore;
+    BaseReadScope() = default;
+
+    const AdaptiveStore* store_ = nullptr;
+    std::string table_;
+    std::shared_ptr<Relation> rel_;
+    Snapshot snap_;
+    std::shared_lock<std::shared_mutex> global_;
+    std::shared_lock<std::shared_mutex> base_;
+    std::map<std::string, std::unique_ptr<SnapshotColumn>> columns_;
+  };
+
+  /// Opens a BaseReadScope over `table` at `txn`'s snapshot (latest
+  /// committed when kNoTxn).
+  Result<std::unique_ptr<BaseReadScope>> ReadBase(const std::string& table,
+                                                  TxnId txn = kNoTxn) const;
 
   /// σ/Ξ: range selection over a column, cracking per the strategy. The
   /// predicate is typed: numeric RangeBounds convert implicitly, string
@@ -316,11 +360,14 @@ class AdaptiveStore {
   };
 
   /// σ over a conjunction of range predicates (WHERE a IN r1 AND b IN r2
-  /// ...). Every referenced column is answered by its own access path —
-  /// under kCrack "each and every query initiates breaking the database
-  /// further into pieces" (§2.2) — and the per-column oid sets are
-  /// intersected (galloping when the list sizes are skewed). Returns the
-  /// qualifying count and (for kView) the oids.
+  /// ...). Every referenced column is answered once by its own access path
+  /// — under kCrack "each and every query initiates breaking the database
+  /// further into pieces" (§2.2); further conjuncts on an answered column
+  /// are tested per row, never cracked a second time. The answer with the
+  /// smallest count is walked and every other conjunct is probed against
+  /// each row's snapshot-visible value (clean scan legs first intersect as
+  /// intervals). Returns the qualifying count, the ascending oids for
+  /// kView, and the narrowed answer for kSpans.
   Result<QueryResult> SelectConjunction(
       const std::string& table, const std::vector<ColumnRange>& conjuncts,
       Delivery delivery = Delivery::kCount, TxnId txn = kNoTxn);
@@ -677,6 +724,18 @@ class AdaptiveStore {
   Result<QueryResult> SelectConjunctionLocked(
       const std::string& table, const std::vector<ColumnRange>& conjuncts,
       Delivery delivery, const Snapshot& snap);
+  /// The conjunction filter both conjunction paths end in: walks `walk` (the
+  /// smallest leg's answer) once and keeps the rows whose snapshot-visible
+  /// values satisfy every range in `probes`. kCount builds no list, kSpans
+  /// narrows a span answer in place, kView sorts only the survivors.
+  Status ProbeConjunction(const std::string& table, const Snapshot& snap,
+                          const std::vector<const ColumnRange*>& probes,
+                          Delivery delivery, QueryResult walk,
+                          QueryResult* result);
+  /// ReadBase at a fixed snapshot. `lock_global` = false when the caller
+  /// already holds global_mu_ shared (concurrent mode).
+  Result<std::unique_ptr<BaseReadScope>> OpenBaseScope(
+      const std::string& table, const Snapshot& snap, bool lock_global) const;
   Result<QueryResult> InsertConcurrent(const std::string& table,
                                        std::vector<Value> values,
                                        const WriteScope& scope);

@@ -94,16 +94,32 @@ void CrackerIndex<T>::CrackRegionFor(T v, bool want_incl, size_t* begin,
 }
 
 template <typename T>
+void CrackerIndex<T>::RefCut(size_t pos, int delta) {
+  if (pos == 0 || pos >= n_) return;
+  if (delta > 0) {
+    ++cut_refs_[pos];
+    return;
+  }
+  auto it = cut_refs_.find(pos);
+  CRACK_DCHECK(it != cut_refs_.end());
+  if (it != cut_refs_.end() && --it->second == 0) cut_refs_.erase(it);
+}
+
+template <typename T>
+void CrackerIndex<T>::SetCutSide(Bound* b, bool incl, size_t pos) {
+  bool& has = incl ? b->has_incl : b->has_excl;
+  size_t& at = incl ? b->pos_incl : b->pos_excl;
+  if (has) RefCut(at, -1);
+  has = true;
+  at = pos;
+  RefCut(pos, +1);
+}
+
+template <typename T>
 void CrackerIndex<T>::RegisterCut(T v, bool want_incl, size_t pos) {
   Bound& b = bounds_[v];
   if (b.created == 0) b.created = clock_;
-  if (want_incl) {
-    b.has_incl = true;
-    b.pos_incl = pos;
-  } else {
-    b.has_excl = true;
-    b.pos_excl = pos;
-  }
+  SetCutSide(&b, want_incl, pos);
   Touch(&b);
 }
 
@@ -521,31 +537,17 @@ CrackSelection CrackerIndex<T>::Select(T lo, bool lo_incl, T hi, bool hi_incl,
       // Point query: both cuts decorate the same boundary value.
       Bound& b = bounds_[lo];
       if (b.created == 0) b.created = created_clock;
-      b.has_excl = true;
-      b.pos_excl = cut_lo;
-      b.has_incl = true;
-      b.pos_incl = cut_hi;
+      SetCutSide(&b, /*incl=*/false, cut_lo);
+      SetCutSide(&b, /*incl=*/true, cut_hi);
       Touch(&b);
     } else {
       Bound& bl = bounds_[lo];
       if (bl.created == 0) bl.created = created_clock;
-      if (lo_incl) {
-        bl.has_excl = true;
-        bl.pos_excl = cut_lo;
-      } else {
-        bl.has_incl = true;
-        bl.pos_incl = cut_lo;
-      }
+      SetCutSide(&bl, /*incl=*/!lo_incl, cut_lo);
       Touch(&bl);
       Bound& bh = bounds_[hi];
       if (bh.created == 0) bh.created = created_clock;
-      if (hi_incl) {
-        bh.has_incl = true;
-        bh.pos_incl = cut_hi;
-      } else {
-        bh.has_excl = true;
-        bh.pos_excl = cut_hi;
-      }
+      SetCutSide(&bh, /*incl=*/hi_incl, cut_hi);
       Touch(&bh);
     }
   } else {
@@ -618,12 +620,7 @@ CrackSelection CrackerIndex<T>::SelectAll() const {
 template <typename T>
 size_t CrackerIndex<T>::num_pieces() const {
   std::lock_guard<std::mutex> lk(map_mu_);
-  std::set<size_t> cuts;
-  for (const auto& [value, b] : bounds_) {
-    if (b.has_excl && b.pos_excl > 0 && b.pos_excl < n_) cuts.insert(b.pos_excl);
-    if (b.has_incl && b.pos_incl > 0 && b.pos_incl < n_) cuts.insert(b.pos_incl);
-  }
-  return cuts.size() + 1;
+  return cut_refs_.size() + 1;
 }
 
 template <typename T>
@@ -700,6 +697,8 @@ Status CrackerIndex<T>::RemoveBound(T value) {
   if (it == bounds_.end()) {
     return Status::NotFound("no boundary at requested value");
   }
+  if (it->second.has_excl) RefCut(it->second.pos_excl, -1);
+  if (it->second.has_incl) RefCut(it->second.pos_incl, -1);
   bounds_.erase(it);
   // Fusing pieces invalidates the piece geometry every carried frontier
   // was keyed against; drop them all (their partial partitions stay

@@ -22,7 +22,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -235,6 +234,8 @@ class CrackerIndex {
   size_t size() const { return n_; }
 
   /// Number of pieces currently delimited (distinct cut positions + 1).
+  /// O(1): the distinct interior cuts are counted as they are registered
+  /// and removed.
   size_t num_pieces() const;
 
   /// Number of registered boundary values.
@@ -298,6 +299,13 @@ class CrackerIndex {
   /// boundary's usage clock.
   void RegisterCut(T v, bool want_incl, size_t pos);
 
+  /// Sets one side of `b` to `pos`, keeping cut_refs_ in step.
+  void SetCutSide(Bound* b, bool incl, size_t pos);
+
+  /// Adds `delta` (+1/-1) references to the cut position `pos`; positions
+  /// at the column edges delimit no piece and are not tracked.
+  void RefCut(size_t pos, int delta);
+
   /// FindCut that refreshes the usage clock on a hit (CutConcurrent's
   /// fast path; callers hold map_mu_).
   bool FindCutAndTouch(T v, bool want_incl, size_t* pos);
@@ -329,6 +337,10 @@ class CrackerIndex {
   void InvalidateProgressive(size_t begin) { progressive_.erase(begin); }
 
   std::map<T, Bound> bounds_;
+  /// Interior cut positions -> how many bound sides sit there. Its size is
+  /// the number of distinct cuts, so num_pieces() is O(1). Guarded like
+  /// bounds_ (map_mu_ on the concurrent path).
+  std::map<size_t, uint32_t> cut_refs_;
   /// Progressive frontiers, keyed by their piece's begin slot (one job per
   /// piece). Guarded by map_mu_ on the concurrent path.
   std::map<size_t, ProgressiveJob> progressive_;

@@ -3,102 +3,10 @@
 #include "core/oid_set_ops.h"
 
 #include <algorithm>
-#include <iterator>
 
 namespace crackstore {
 
-std::vector<Oid> IntersectSortedLinear(const std::vector<Oid>& a,
-                                       const std::vector<Oid>& b) {
-  std::vector<Oid> out;
-  out.reserve(std::min(a.size(), b.size()));
-  std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
-                        std::back_inserter(out));
-  return out;
-}
-
-std::vector<Oid> IntersectSortedGalloping(const std::vector<Oid>& small,
-                                          const std::vector<Oid>& large) {
-  std::vector<Oid> out;
-  out.reserve(small.size());
-  size_t cursor = 0;
-  size_t n = large.size();
-  for (Oid probe : small) {
-    if (cursor >= n) break;
-    // Exponential search: double the step until large[cursor+step] >= probe
-    // (or the end), establishing the window (cursor+step/2, cursor+step].
-    size_t step = 1;
-    while (cursor + step < n && large[cursor + step] < probe) step <<= 1;
-    size_t window_lo = cursor + step / 2;
-    size_t window_hi = std::min(cursor + step + 1, n);
-    const Oid* first = large.data() + window_lo;
-    const Oid* last = large.data() + window_hi;
-    const Oid* hit = std::lower_bound(first, last, probe);
-    cursor = static_cast<size_t>(hit - large.data());
-    if (cursor < n && large[cursor] == probe) {
-      out.push_back(probe);
-      ++cursor;  // oid lists are duplicate-free; move past the match
-    }
-  }
-  return out;
-}
-
-bool ShouldGallop(size_t a_size, size_t b_size) {
-  size_t small = std::min(a_size, b_size);
-  size_t large = std::max(a_size, b_size);
-  return small > 0 && large / small >= kGallopRatio;
-}
-
-std::vector<Oid> IntersectSorted(const std::vector<Oid>& a,
-                                 const std::vector<Oid>& b) {
-  const std::vector<Oid>& small = a.size() <= b.size() ? a : b;
-  const std::vector<Oid>& large = a.size() <= b.size() ? b : a;
-  if (small.empty()) return {};
-  if (ShouldGallop(small.size(), large.size())) {
-    return IntersectSortedGalloping(small, large);
-  }
-  return IntersectSortedLinear(small, large);
-}
-
 bool SpanSetIntersectable(const OidSpanSet& set) { return set.identity(); }
-
-std::vector<Oid> IntersectWithIdentitySpans(const std::vector<Oid>& sorted,
-                                            const OidSpanSet& set) {
-  std::vector<Oid> out;
-  out.reserve(std::min<uint64_t>(sorted.size(), set.count()));
-  const Oid base = set.identity_base();
-  size_t cursor = 0;
-  size_t concat = 0;  // concatenated span position of each span's begin
-  for (const OidSpan& s : set.spans()) {
-    if (cursor >= sorted.size()) break;
-    const Oid span_lo = base + s.begin;
-    const Oid span_hi = base + s.end;
-    const Oid* first = sorted.data() + cursor;
-    const Oid* last = sorted.data() + sorted.size();
-    cursor = static_cast<size_t>(std::lower_bound(first, last, span_lo) -
-                                 sorted.data());
-    while (cursor < sorted.size() && sorted[cursor] < span_hi) {
-      const Oid oid = sorted[cursor];
-      if (!set.IsException(concat + static_cast<size_t>(oid - span_lo))) {
-        out.push_back(oid);
-      }
-      ++cursor;
-    }
-    concat += s.size();
-  }
-  if (set.extras() > 0) {
-    std::vector<Oid> extras = set.extra_oids();
-    std::sort(extras.begin(), extras.end());
-    std::vector<Oid> hits = IntersectSorted(sorted, extras);
-    if (!hits.empty()) {
-      // Extras (delta inserts, override re-admissions) can fall below the
-      // span oids; one merge keeps the result ascending.
-      size_t mid = out.size();
-      out.insert(out.end(), hits.begin(), hits.end());
-      std::inplace_merge(out.begin(), out.begin() + mid, out.end());
-    }
-  }
-  return out;
-}
 
 OidSpanSet IntersectIdentitySpanSets(const OidSpanSet& a,
                                      const OidSpanSet& b) {

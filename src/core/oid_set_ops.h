@@ -1,76 +1,28 @@
 // Copyright 2026 The CrackStore Authors
 //
-// Sorted-oid set operations for multi-predicate selections. The conjunction
-// path intersects per-column qualifying oid lists; when one list is much
-// smaller than the other — a tight predicate against a loose one — a linear
-// merge wastes a pass over the big list. Galloping (exponential search from
-// a moving cursor, Bentley & Yao) costs O(m log(n/m)) instead of O(n + m),
-// the classic win for skewed list sizes (ROADMAP: "Galloping conjunction
-// intersection").
+// Interval algebra over identity-layout span sets. A scan-strategy
+// conjunction leg answers as spans whose positions ARE ascending oid
+// ranges, so two clean legs intersect by interval overlap alone —
+// O(spans_a + spans_b), no per-row work and no oid list.
 
 #ifndef CRACKSTORE_CORE_OID_SET_OPS_H_
 #define CRACKSTORE_CORE_OID_SET_OPS_H_
-
-#include <vector>
 
 #include "core/oid_span_set.h"
 #include "storage/types.h"
 
 namespace crackstore {
 
-/// Size ratio (larger/smaller) above which IntersectSorted switches from
-/// the linear merge to galloping. The microbench (micro_crack_kernels,
-/// BM_IntersectSorted vs BM_IntersectLinear) puts the crossover between 8x
-/// and 64x on this hardware; 32 keeps the merge for near-balanced lists and
-/// the exponential search for the skewed shapes it wins outright.
-inline constexpr size_t kGallopRatio = 32;
-
-/// Classic two-cursor linear merge. O(|a| + |b|).
-std::vector<Oid> IntersectSortedLinear(const std::vector<Oid>& a,
-                                       const std::vector<Oid>& b);
-
-/// For each probe, exponential search forward in `large` from a moving
-/// cursor, then binary search inside the located 2^k window.
-/// O(|small| log(|large|/|small|)). Requires both inputs ascending; callers
-/// may pass the operands in either order.
-std::vector<Oid> IntersectSortedGalloping(const std::vector<Oid>& small,
-                                          const std::vector<Oid>& large);
-
-/// True when IntersectSorted would gallop for these list sizes (the size
-/// skew exceeds kGallopRatio). Exposed so callers can mirror the choice in
-/// their cost accounting.
-bool ShouldGallop(size_t a_size, size_t b_size);
-
-/// Intersection of two ascending oid lists, picking the merge algorithm by
-/// size skew: galloping when one side is >= kGallopRatio times the other,
-/// the linear merge otherwise.
-std::vector<Oid> IntersectSorted(const std::vector<Oid>& a,
-                                 const std::vector<Oid>& b);
-
-// ---------------------------------------------------------------------------
-// Span-aware intersections: conjunction legs that answered with an
-// OidSpanSet intersect without materializing their oid lists first.
-// ---------------------------------------------------------------------------
-
 /// True when `set` can be consumed as sorted oid *intervals* directly:
-/// identity layout (spans ARE ascending oid ranges). Exception bits and
-/// extras are handled by the helpers below; a permuted layout is not (its
-/// spans are unordered in oid space), so it materializes instead.
+/// identity layout (spans ARE ascending oid ranges). A permuted layout is
+/// not (its spans are unordered in oid space).
 bool SpanSetIntersectable(const OidSpanSet& set);
-
-/// Intersects an ascending oid list with an identity-layout span set:
-/// gallops the list across the spans (lower_bound per span from a moving
-/// cursor), tests the exception overlay per hit, then merges the qualifying
-/// extras in. O(spans log n + hits + extras). Requires
-/// SpanSetIntersectable(set).
-std::vector<Oid> IntersectWithIdentitySpans(const std::vector<Oid>& sorted,
-                                            const OidSpanSet& set);
 
 /// Intersects two identity-layout span sets by interval overlap, producing
 /// a third identity span set over *absolute* oids (identity base 0) —
-/// O(spans_a + spans_b), no per-row work at all. Exceptions and extras on
-/// either input degrade to the list paths; this helper requires both sets
-/// to carry none (callers check exceptions() == 0 && extras() == 0).
+/// O(spans_a + spans_b), no per-row work at all. Requires both sets to
+/// carry no exceptions or extras (callers check exceptions() == 0 &&
+/// extras() == 0).
 OidSpanSet IntersectIdentitySpanSets(const OidSpanSet& a,
                                      const OidSpanSet& b);
 

@@ -21,6 +21,7 @@
 #ifndef CRACKSTORE_CORE_OID_SPAN_SET_H_
 #define CRACKSTORE_CORE_OID_SPAN_SET_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <utility>
@@ -105,14 +106,49 @@ class OidSpanSet {
   void ForEachOid(Fn&& fn) const {
     const Oid* map =
         oid_map_ ? oid_map_->TailData<Oid>() : nullptr;
+    const bool filtered = exception_count_ > 0;
     size_t concat = 0;
     for (const OidSpan& s : spans_) {
+      if (map != nullptr && !filtered) {
+        // The hot shape (a clean cracked piece): a straight pass over the
+        // oid map.
+        for (size_t p = s.begin; p < s.end; ++p) fn(map[p]);
+        concat += s.size();
+        continue;
+      }
       for (size_t p = s.begin; p < s.end; ++p, ++concat) {
-        if (IsException(concat)) continue;
+        if (filtered && IsException(concat)) continue;
         fn(map ? map[p] : identity_base_ + p);
       }
     }
     for (Oid oid : extras_) fn(oid);
+  }
+
+  /// Narrows the set to the rows for which keep(oid) holds: failing span
+  /// rows become exception bits and failing extras drop out, so a filtered
+  /// answer still builds no oid list.
+  template <typename Keep>
+  void Retain(Keep&& keep) {
+    const Oid* map = oid_map_ ? oid_map_->TailData<Oid>() : nullptr;
+    exceptions_.resize(std::max(exceptions_.size(), (span_rows_ + 63) / 64));
+    size_t concat = 0;
+    for (const OidSpan& s : spans_) {
+      for (size_t p = s.begin; p < s.end; ++p, ++concat) {
+        // Branch-free on keep's outcome (see RowProbe::Test).
+        uint64_t& word = exceptions_[concat >> 6];
+        const uint64_t bit = uint64_t{1} << (concat & 63);
+        const uint64_t drop =
+            bit & (uint64_t{0} - !keep(map ? map[p] : identity_base_ + p));
+        exception_count_ += (drop & ~word) != 0;
+        word |= drop;
+      }
+    }
+    size_t kept = 0;
+    for (Oid oid : extras_) {
+      extras_[kept] = oid;
+      kept += keep(oid);
+    }
+    extras_.resize(kept);
   }
 
   /// Materializes the qualifying oids, ascending. The lazy boundary — call

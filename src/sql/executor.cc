@@ -3,7 +3,6 @@
 #include "sql/executor.h"
 
 #include <algorithm>
-#include <unordered_map>
 #include <utility>
 
 #include "obs/instruments.h"
@@ -36,17 +35,15 @@ Result<AggKind> ToAggKind(AggFunc func) {
 
 /// Materializes the rows named by `oids` (source positions) from `rel`,
 /// keeping only `columns` (empty = all, in schema order). Snapshot-correct:
-/// cells whose physical value postdates `txn`'s snapshot materialize the
-/// value the snapshot reads (the version log's override).
+/// every cell is read through the store's base-read scope, which serves the
+/// value `txn`'s snapshot reads.
 Result<std::shared_ptr<Relation>> MaterializeRows(
     AdaptiveStore* store, const std::shared_ptr<Relation>& rel,
     const std::vector<Oid>& oids, const std::vector<std::string>& columns,
     TxnId txn, IoStats* io) {
   std::vector<ColumnDef> defs;
-  std::vector<size_t> sources;
   if (columns.empty()) {
     defs = rel->schema().columns();
-    for (size_t i = 0; i < defs.size(); ++i) sources.push_back(i);
   } else {
     for (const std::string& name : columns) {
       int idx = rel->schema().FieldIndex(name);
@@ -54,63 +51,170 @@ Result<std::shared_ptr<Relation>> MaterializeRows(
         return Status::NotFound("no column '" + name + "' in " + rel->name());
       }
       defs.push_back(rel->schema().column(static_cast<size_t>(idx)));
-      sources.push_back(static_cast<size_t>(idx));
     }
   }
   CRACK_ASSIGN_OR_RETURN(std::shared_ptr<Relation> out,
                          Relation::Create(rel->name() + "_result",
-                                          Schema(std::move(defs))));
-  for (size_t c = 0; c < sources.size(); ++c) {
-    const std::shared_ptr<Bat>& src = rel->column(sources[c]);
-    const std::shared_ptr<Bat>& dst = out->column(c);
-    const std::string& name = rel->schema().column(sources[c]).name;
-    CRACK_ASSIGN_OR_RETURN(SnapshotView view,
-                           store->ReadView(rel->name(), name, txn));
-    std::unordered_map<Oid, const Value*> overridden;
-    for (const auto& [oid, value] : view.overrides()) {
-      overridden.emplace(oid, &value);
-    }
-    Oid base = src->head_base();
-    for (Oid oid : oids) {
-      auto ov = overridden.find(oid);
-      Status st =
-          ov != overridden.end()
-              ? dst->AppendValue(*ov->second)
-              : dst->AppendValue(src->GetValue(static_cast<size_t>(
-                    oid - base)));
-      if (!st.ok()) return st;
-    }
+                                          Schema(defs)));
+  CRACK_ASSIGN_OR_RETURN(std::unique_ptr<AdaptiveStore::BaseReadScope> base,
+                         store->ReadBase(rel->name(), txn));
+  for (size_t c = 0; c < defs.size(); ++c) {
+    CRACK_ASSIGN_OR_RETURN(const SnapshotColumn* src,
+                           base->Column(defs[c].name));
+    Bat* dst = out->column(c).get();
+    dst->Reserve(oids.size());
+    for (Oid oid : oids) CRACK_RETURN_NOT_OK(src->AppendTo(oid, dst));
   }
-  io->tuples_read += oids.size() * sources.size();
-  io->tuples_written += oids.size() * sources.size();
+  io->tuples_read += oids.size() * defs.size();
+  io->tuples_written += oids.size() * defs.size();
   return out;
 }
 
-/// Rewrites parsed predicates into the facade's conjunct shape.
-std::vector<AdaptiveStore::ColumnRange> ToConjuncts(
-    const std::vector<Predicate>& where) {
-  std::vector<AdaptiveStore::ColumnRange> conjuncts;
-  conjuncts.reserve(where.size());
-  for (const Predicate& p : where) {
-    conjuncts.push_back({p.column, p.range});
-  }
-  return conjuncts;
+/// The kind shared by every bounded endpoint of a range: kNone when it is
+/// unbounded, kMixed when its endpoints differ or are not comparable.
+enum class EndKind : uint8_t { kNone, kInt, kDouble, kString, kMixed };
+
+EndKind KindOf(const Value& v) {
+  if (v.is_null()) return EndKind::kNone;
+  if (v.is_int32() || v.is_int64()) return EndKind::kInt;
+  if (v.is_double()) return EndKind::kDouble;
+  if (v.is_string()) return EndKind::kString;
+  return EndKind::kMixed;
 }
 
-/// Collects the qualifying oids of a WHERE clause. Every predicate routes
-/// through the referenced column's access path (cracking it under the crack
-/// strategy); the answer shape (contiguous piece vs oid list) is erased by
-/// QueryResult::CollectOids.
-Result<std::vector<Oid>> WhereOids(AdaptiveStore* store,
-                                   const std::string& table,
-                                   const std::vector<Predicate>& where,
-                                   TxnId txn, IoStats* io) {
-  CRACK_ASSIGN_OR_RETURN(
-      QueryResult qr,
-      store->SelectConjunction(table, ToConjuncts(where), Delivery::kView,
-                               txn));
-  *io += qr.io;
-  return std::move(qr).CollectOids();
+EndKind RangeKind(const TypedRange& r) {
+  EndKind lo = KindOf(r.lo);
+  EndKind hi = KindOf(r.hi);
+  if (lo == EndKind::kNone) return hi;
+  return hi == EndKind::kNone || hi == lo ? lo : EndKind::kMixed;
+}
+
+/// Three-way comparison of two endpoints of one kind. Numeric endpoints
+/// compare as every store consumer lowers them (TypedRange::
+/// ToNumericBounds), so a merged range means exactly what its conjuncts
+/// meant together.
+int CompareEnds(const Value& a, const Value& b) {
+  if (a.is_string()) {
+    int c = a.AsString().compare(b.AsString());
+    return (c > 0) - (c < 0);
+  }
+  int64_t x = a.ToInt64();
+  int64_t y = b.ToInt64();
+  return (x > y) - (x < y);
+}
+
+/// Tightens `into` by `r` (same kind): the tighter bound wins per side and
+/// an exclusive bound wins a tie.
+void MergeInto(const TypedRange& r, TypedRange* into) {
+  if (!r.unbounded_lo()) {
+    int c = into->unbounded_lo() ? 1 : CompareEnds(r.lo, into->lo);
+    if (c > 0 || (c == 0 && !r.lo_incl)) {
+      into->lo = r.lo;
+      into->lo_incl = r.lo_incl;
+    }
+  }
+  if (!r.unbounded_hi()) {
+    int c = into->unbounded_hi() ? -1 : CompareEnds(r.hi, into->hi);
+    if (c < 0 || (c == 0 && !r.hi_incl)) {
+      into->hi = r.hi;
+      into->hi_incl = r.hi_incl;
+    }
+  }
+}
+
+/// Normalizes a WHERE clause into the store's conjunct shape. Conjuncts on
+/// one column merge into one range when their endpoints compare exactly
+/// (integer with integer, double with double, string with string), so a
+/// half-open pair reaches the store as one range. A conjunct that cannot
+/// merge (an integer/double mix, say) follows the merged ranges; the store
+/// tests it per row and never cracks its column a second time.
+std::vector<AdaptiveStore::ColumnRange> Normalize(
+    const std::vector<Predicate>& where) {
+  std::vector<AdaptiveStore::ColumnRange> merged;
+  std::vector<AdaptiveStore::ColumnRange> filters;
+  for (const Predicate& p : where) {
+    auto group = std::find_if(merged.begin(), merged.end(),
+                              [&p](const AdaptiveStore::ColumnRange& c) {
+                                return c.column == p.column;
+                              });
+    if (group == merged.end()) {
+      merged.push_back({p.column, p.range});
+      continue;
+    }
+    EndKind have = RangeKind(group->range);
+    EndKind kind = RangeKind(p.range);
+    if (have == EndKind::kNone || kind == EndKind::kNone ||
+        (have == kind && kind != EndKind::kMixed)) {
+      MergeInto(p.range, &group->range);
+    } else {
+      filters.push_back({p.column, p.range});
+    }
+  }
+  merged.insert(merged.end(), filters.begin(), filters.end());
+  return merged;
+}
+
+/// The aggregate sink: SUM/MIN/MAX/COUNT of `column` over the rows `where`
+/// selects. A range on the aggregated column itself (or no WHERE) pushes
+/// down to AggregateRange's span kernels; every other shape, and every
+/// pushdown refusal, walks the answer once and reduces the column's
+/// snapshot-visible values — no oid list, no sort.
+Result<int64_t> AggregateSink(
+    AdaptiveStore* store, const std::string& table, AggFunc func,
+    const std::string& column,
+    const std::vector<AdaptiveStore::ColumnRange>& where, TxnId txn,
+    IoStats* io) {
+  ColumnAggregates agg;
+  bool pushed = false;
+  if (where.empty() || (where.size() == 1 && where[0].column == column)) {
+    Result<ColumnAggregates> pushdown = store->AggregateRange(
+        table, column, where.empty() ? TypedRange::All() : where[0].range,
+        txn);
+    if (pushdown.ok()) {
+      agg = *pushdown;
+      *io += agg.io;
+      pushed = true;
+    }
+  }
+  if (!pushed) {
+    QueryResult answer;
+    if (where.empty()) {
+      CRACK_ASSIGN_OR_RETURN(answer.scan_oids, store->LiveOids(table, txn));
+    } else {
+      CRACK_ASSIGN_OR_RETURN(
+          answer,
+          store->SelectConjunction(table, where, Delivery::kSpans, txn));
+      *io += answer.io;
+    }
+    obs::TraceSpan gather_span("gather", table + "." + column, io);
+    CRACK_ASSIGN_OR_RETURN(std::unique_ptr<AdaptiveStore::BaseReadScope> base,
+                           store->ReadBase(table, txn));
+    CRACK_ASSIGN_OR_RETURN(const SnapshotColumn* values, base->Column(column));
+    uint64_t sum = 0;  // wraps mod 2^64, like the pushdown kernels
+    answer.ForEachOid([&](Oid oid) {
+      int64_t v = values->IntAt(oid);
+      sum += static_cast<uint64_t>(v);
+      if (!agg.has_minmax || v < agg.min) agg.min = v;
+      if (!agg.has_minmax || v > agg.max) agg.max = v;
+      agg.has_minmax = true;
+      ++agg.rows;
+    });
+    agg.sum = static_cast<int64_t>(sum);
+    io->tuples_read += agg.rows;
+  }
+  switch (func) {
+    case AggFunc::kCount:
+      return static_cast<int64_t>(agg.rows);
+    case AggFunc::kSum:
+      return agg.sum;
+    case AggFunc::kMin:
+      return agg.has_minmax ? agg.min : 0;
+    case AggFunc::kMax:
+      return agg.has_minmax ? agg.max : 0;
+    case AggFunc::kNone:
+      break;
+  }
+  return Status::InvalidArgument("not an aggregate");
 }
 
 }  // namespace
@@ -191,27 +295,20 @@ Result<QueryOutput> Execute(AdaptiveStore* store, const SelectStatement& stmt,
     return out;
   }
 
-  // --- Plain selection: the Ξ cracker path. ----------------------------
+  // --- Plain selection: normalize -> select -> sink (the Ξ cracker path).
   CRACK_ASSIGN_OR_RETURN(std::shared_ptr<Relation> rel,
                          store->table(stmt.table));
+  const std::vector<AdaptiveStore::ColumnRange> where = Normalize(stmt.where);
 
-  // COUNT(*).
+  // Count sink.
   if (stmt.count_star) {
     plan_span.Close();
-    if (stmt.where.empty()) {
+    if (where.empty()) {
       CRACK_ASSIGN_OR_RETURN(out.count, store->LiveRowCount(stmt.table, txn));
-    } else if (stmt.where.size() == 1) {
-      CRACK_ASSIGN_OR_RETURN(
-          QueryResult qr,
-          store->SelectRange(stmt.table, stmt.where[0].column,
-                             stmt.where[0].range, Delivery::kCount, txn));
-      out.count = qr.count;
-      out.io += qr.io;
     } else {
       CRACK_ASSIGN_OR_RETURN(
           QueryResult qr,
-          store->SelectConjunction(stmt.table, ToConjuncts(stmt.where),
-                                   Delivery::kCount, txn));
+          store->SelectConjunction(stmt.table, where, Delivery::kCount, txn));
       out.count = qr.count;
       out.io += qr.io;
     }
@@ -220,113 +317,30 @@ Result<QueryOutput> Execute(AdaptiveStore* store, const SelectStatement& stmt,
     return out;
   }
 
-  // Single aggregate without GROUP BY: SELECT SUM(c) FROM t [WHERE ...].
+  // Aggregate sink: SELECT SUM(c) FROM t [WHERE ...].
   if (stmt.items.size() == 1 && stmt.items[0].agg != AggFunc::kNone) {
+    const SelectItem& item = stmt.items[0];
     CRACK_ASSIGN_OR_RETURN(std::shared_ptr<Bat> agg_col,
-                           rel->column(stmt.items[0].column));
+                           rel->column(item.column));
     if (agg_col->tail_type() != ValueType::kInt64 &&
         agg_col->tail_type() != ValueType::kInt32) {
       return Status::Unimplemented("aggregates need integer columns");
     }
     plan_span.Close();
-    // Aggregate pushdown: a WHERE-less aggregate, or one whose single
-    // conjunct predicates the aggregated column itself, reduces over the
-    // cracked spans directly — no oid list, no value gather. Paths that
-    // cannot push down (progressive budgets, string predicates) report
-    // Unimplemented and the select-based loop below remains the oracle.
-    const bool pushable =
-        stmt.where.empty() || (stmt.where.size() == 1 &&
-                               stmt.where[0].column == stmt.items[0].column);
-    if (pushable) {
-      TypedRange agg_range =
-          stmt.where.empty() ? TypedRange::All() : stmt.where[0].range;
-      Result<ColumnAggregates> agg = store->AggregateRange(
-          stmt.table, stmt.items[0].column, agg_range, txn);
-      if (agg.ok()) {
-        int64_t acc = 0;
-        switch (stmt.items[0].agg) {
-          case AggFunc::kCount:
-            acc = static_cast<int64_t>(agg->rows);
-            break;
-          case AggFunc::kSum:
-            acc = agg->sum;
-            break;
-          case AggFunc::kMin:
-            acc = agg->has_minmax ? agg->min : 0;
-            break;
-          case AggFunc::kMax:
-            acc = agg->has_minmax ? agg->max : 0;
-            break;
-          case AggFunc::kNone:
-            break;
-        }
-        out.io += agg->io;
-        out.kind = OutputKind::kGroups;  // a single (global, value) row
-        out.groups.push_back(GroupAggregate{0, acc});
-        out.count = 1;
-        out.group_column = "<all>";
-        out.agg_description = StrFormat(
-            "%s(%s)", AggFuncName(stmt.items[0].agg),
-            stmt.items[0].column.c_str());
-        out.seconds = timer.ElapsedSeconds();
-        return out;
-      }
-    }
-    std::vector<Oid> oids;
-    if (stmt.where.empty()) {
-      CRACK_ASSIGN_OR_RETURN(oids, store->LiveOids(stmt.table, txn));
-    } else {
-      CRACK_ASSIGN_OR_RETURN(
-          oids, WhereOids(store, stmt.table, stmt.where, txn, &out.io));
-    }
-    // Aggregate the values the snapshot reads, not the physical ones.
-    CRACK_ASSIGN_OR_RETURN(
-        SnapshotView agg_view,
-        store->ReadView(stmt.table, stmt.items[0].column, txn));
-    std::unordered_map<Oid, int64_t> agg_overrides;
-    for (const auto& [oid, value] : agg_view.overrides()) {
-      agg_overrides.emplace(oid, value.ToInt64());
-    }
-    bool is32 = agg_col->tail_type() == ValueType::kInt32;
-    Oid base = agg_col->head_base();
-    int64_t acc = 0;
-    bool first = true;
-    for (Oid oid : oids) {
-      size_t row = static_cast<size_t>(oid - base);
-      int64_t v = is32 ? agg_col->Get<int32_t>(row)
-                       : agg_col->Get<int64_t>(row);
-      auto ov = agg_overrides.find(oid);
-      if (ov != agg_overrides.end()) v = ov->second;
-      switch (stmt.items[0].agg) {
-        case AggFunc::kCount:
-          ++acc;
-          break;
-        case AggFunc::kSum:
-          acc += v;
-          break;
-        case AggFunc::kMin:
-          acc = first ? v : std::min(acc, v);
-          break;
-        case AggFunc::kMax:
-          acc = first ? v : std::max(acc, v);
-          break;
-        case AggFunc::kNone:
-          break;
-      }
-      first = false;
-    }
-    out.io.tuples_read += oids.size();
+    CRACK_ASSIGN_OR_RETURN(int64_t value,
+                           AggregateSink(store, stmt.table, item.agg,
+                                         item.column, where, txn, &out.io));
     out.kind = OutputKind::kGroups;  // a single (global, value) row
-    out.groups.push_back(GroupAggregate{0, acc});
+    out.groups.push_back(GroupAggregate{0, value});
     out.count = 1;
     out.group_column = "<all>";
-    out.agg_description = StrFormat("%s(%s)", AggFuncName(stmt.items[0].agg),
-                                    stmt.items[0].column.c_str());
+    out.agg_description =
+        StrFormat("%s(%s)", AggFuncName(item.agg), item.column.c_str());
     out.seconds = timer.ElapsedSeconds();
     return out;
   }
 
-  // SELECT * / SELECT cols: materialize qualifying rows.
+  // Project sink: SELECT * / SELECT cols, rows in ascending oid order.
   std::vector<std::string> projection;
   if (!stmt.select_star) {
     for (const SelectItem& item : stmt.items) {
@@ -339,11 +353,14 @@ Result<QueryOutput> Execute(AdaptiveStore* store, const SelectStatement& stmt,
   }
   plan_span.Close();
   std::vector<Oid> oids;
-  if (stmt.where.empty()) {
+  if (where.empty()) {
     CRACK_ASSIGN_OR_RETURN(oids, store->LiveOids(stmt.table, txn));
   } else {
     CRACK_ASSIGN_OR_RETURN(
-        oids, WhereOids(store, stmt.table, stmt.where, txn, &out.io));
+        QueryResult qr,
+        store->SelectConjunction(stmt.table, where, Delivery::kView, txn));
+    out.io += qr.io;
+    oids = std::move(qr).CollectOids();
   }
   {
     obs::TraceSpan mat_span("materialize", stmt.table, &out.io);
@@ -380,7 +397,7 @@ Result<QueryOutput> Execute(AdaptiveStore* store, const Statement& stmt,
       QueryOutput out;
       CRACK_ASSIGN_OR_RETURN(
           QueryResult qr,
-          store->Delete(stmt.del.table, ToConjuncts(stmt.del.where), txn));
+          store->Delete(stmt.del.table, Normalize(stmt.del.where), txn));
       out.kind = OutputKind::kAffected;
       out.count = qr.count;
       out.io += qr.io;
@@ -397,7 +414,7 @@ Result<QueryOutput> Execute(AdaptiveStore* store, const Statement& stmt,
       CRACK_ASSIGN_OR_RETURN(
           QueryResult qr,
           store->Update(stmt.update.table, sets,
-                        ToConjuncts(stmt.update.where), txn));
+                        Normalize(stmt.update.where), txn));
       out.kind = OutputKind::kAffected;
       out.count = qr.count;
       out.io += qr.io;

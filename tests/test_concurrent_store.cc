@@ -27,6 +27,7 @@
 #include "core/latch.h"
 #include "core/task_pool.h"
 #include "engine/colstore_engine.h"
+#include "sql/executor.h"
 #include "storage/relation.h"
 #include "util/rng.h"
 #include "workload/tapestry.h"
@@ -878,6 +879,98 @@ TEST(ConcurrentStore, StringColumnUnderContention) {
   auto full = store->SelectRange("p", "s", all, Delivery::kCount);
   ASSERT_TRUE(full.ok());
   EXPECT_EQ(full->count, *live);
+}
+
+// ---------------------------------------------------------------------------
+// Executor-side base reads race appends: projections, the aggregate sink and
+// the conjunction probe read base columns by oid while inserts grow (and
+// reallocate) them. Every such read goes through the store's base-read
+// scope, which holds the table's base latch shared — TSan flags any read
+// that bypasses it. Every row keeps c1 == 2 * c0, so a torn or stale read
+// also shows up as a wrong row.
+// ---------------------------------------------------------------------------
+
+TEST(ConcurrentStore, ProjectionsRaceInserts) {
+  const uint64_t seed = TestSeed(4242);
+  SCOPED_TRACE("seed=" + std::to_string(seed));
+  auto rel = *Relation::Create(
+      "t", Schema({{"c0", ValueType::kInt64}, {"c1", ValueType::kInt64}}));
+  for (int64_t i = 1; i <= 64; ++i) {
+    ASSERT_TRUE(rel->AppendRow({Value(i), Value(2 * i)}).ok());
+  }
+  auto store = MakeConcurrentStore({AccessStrategy::kCrack,
+                                    CrackPolicy::kStandard,
+                                    DeltaMergePolicy::kThreshold});
+  ASSERT_TRUE(store->AddTable(rel).ok());
+
+  constexpr int64_t kInserts = 1500;
+  std::atomic<bool> failed{false};
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    for (int64_t i = 65; i <= 64 + kInserts && !failed; ++i) {
+      auto r = store->Insert("t", {Value(i), Value(2 * i)});
+      if (!r.ok()) {
+        ADD_FAILURE() << "insert: " << r.status().ToString();
+        failed = true;
+      }
+    }
+    done = true;
+  });
+  std::vector<std::thread> readers;
+  for (int k = 0; k < 2; ++k) {
+    readers.emplace_back([&, k] {
+      Pcg32 rng(seed + 7 * k);
+      while (!done.load(std::memory_order_acquire) && !failed) {
+        int64_t lo = rng.NextInRange(1, 64 + kInserts);
+        int64_t hi = lo + rng.NextInRange(0, 200);
+        std::string between = " BETWEEN " + std::to_string(lo) + " AND " +
+                              std::to_string(hi);
+        auto rows = sql::ExecuteSql(
+            store.get(), "SELECT c0, c1 FROM t WHERE c0" + between);
+        auto probe = sql::ExecuteSql(
+            store.get(), "SELECT c1 FROM t WHERE c0" + between +
+                             " AND c1 >= " + std::to_string(2 * lo));
+        auto sum = sql::ExecuteSql(store.get(),
+                                   "SELECT SUM(c0) FROM t WHERE c1" + between);
+        if (!rows.ok() || !probe.ok() || !sum.ok()) {
+          ADD_FAILURE() << "reader statement failed";
+          failed = true;
+          return;
+        }
+        for (size_t r = 0; r < rows->rows->num_rows(); ++r) {
+          std::vector<Value> row = rows->rows->GetRow(r);
+          int64_t c0 = row[0].ToInt64();
+          if (c0 < lo || c0 > hi || row[1].ToInt64() != 2 * c0) {
+            ADD_FAILURE() << "bad row c0=" << c0 << " c1=" << row[1].ToInt64();
+            failed = true;
+            return;
+          }
+        }
+        // Inserts only add rows, so the later probe sees at least as many.
+        if (probe->count < rows->count) {
+          ADD_FAILURE() << "probe kept " << probe->count << " of "
+                        << rows->count << " rows";
+          failed = true;
+          return;
+        }
+        for (size_t r = 0; r < probe->rows->num_rows(); ++r) {
+          int64_t c1 = probe->rows->GetRow(r)[0].ToInt64();
+          if (c1 < 2 * lo || c1 > 2 * hi || c1 % 2 != 0) {
+            ADD_FAILURE() << "bad probed row c1=" << c1;
+            failed = true;
+            return;
+          }
+        }
+      }
+    });
+  }
+  writer.join();
+  for (auto& t : readers) t.join();
+  ASSERT_FALSE(failed);
+  auto all = sql::ExecuteSql(store.get(), "SELECT SUM(c1) FROM t WHERE c0 > 0");
+  ASSERT_TRUE(all.ok());
+  const int64_t n = 64 + kInserts;
+  EXPECT_EQ(all->groups[0].value, n * (n + 1));
 }
 
 }  // namespace

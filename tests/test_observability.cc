@@ -308,6 +308,58 @@ TEST_F(ObservabilitySqlTest, NestedExplainAnalyzeParses) {
   EXPECT_EQ(out.count, 4000u);
 }
 
+// A cross-column SUM under a half-open pair: the pair normalizes into one
+// range, so c0 is cracked once, and the aggregate sink walks the span answer
+// without materializing oids. The statement span must be explained by its
+// children (plan, select, gather), cold and warm.
+TEST(ObservabilityPlanTest, HalfOpenCrossSumIsOneSelectAndAGather) {
+  AdaptiveStore store;
+  TapestryOptions topts;
+  topts.num_rows = 200000;
+  topts.num_columns = 2;
+  topts.seed = 5;
+  ASSERT_TRUE(store.AddTable(*BuildTapestry("R", topts)).ok());
+  sql::Statement stmt = *sql::ParseStatement(
+      "SELECT SUM(c1) FROM R WHERE c0 >= 100 AND c0 < 90000");
+  for (const char* run : {"cold", "warm"}) {
+    SCOPED_TRACE(run);
+    obs::QueryTrace trace;
+    obs::ExecContext ctx;
+    ctx.trace = &trace;
+    auto out = sql::Execute(&store, stmt, ctx);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    ASSERT_EQ(out->groups.size(), 1u);
+
+    std::vector<obs::QueryTrace::Span> spans = trace.Spans();
+    size_t stmt_idx = spans.size();
+    std::vector<std::string> selects;
+    for (size_t i = 0; i < spans.size(); ++i) {
+      if (spans[i].name.rfind("select-stmt", 0) == 0) stmt_idx = i;
+      if (spans[i].name.rfind("select ", 0) == 0) {
+        selects.push_back(spans[i].name);
+      }
+    }
+    ASSERT_LT(stmt_idx, spans.size());
+    EXPECT_EQ(selects, std::vector<std::string>{"select R.c0"});
+    double children = 0.0;
+    bool saw_gather = false;
+    for (size_t i = stmt_idx + 1;
+         i < spans.size() && spans[i].depth > spans[stmt_idx].depth; ++i) {
+      if (spans[i].depth != spans[stmt_idx].depth + 1) continue;
+      children += spans[i].seconds;
+      saw_gather |= spans[i].name == "gather R.c1";
+    }
+    EXPECT_TRUE(saw_gather);
+    EXPECT_GE(children, 0.9 * spans[stmt_idx].seconds)
+        << trace.Render(out->io, out->seconds);
+    if (obs::kMetricsEnabled) {
+      std::string report = trace.Render(out->io, out->seconds);
+      EXPECT_NE(report.find("materialized oids=0,"), std::string::npos)
+          << report;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Self-driving policy instruments: policy.switches must count exactly the
 // runtime switches the access paths performed (cross-checked against the

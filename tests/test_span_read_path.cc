@@ -99,10 +99,6 @@ TEST(OidSpanSetTest, IdentityIntersections) {
   b.AddSpan(40, 90);
   OidSpanSet both = IntersectIdentitySpanSets(a, b);
   EXPECT_EQ(both.count(), 10u + 10u);  // [40,50) + [80,90)
-  std::vector<Oid> list{5, 45, 60, 85, 119, 200};
-  std::vector<Oid> hits = IntersectWithIdentitySpans(list, a);
-  std::vector<Oid> expect{5, 45, 85, 119};
-  EXPECT_EQ(hits, expect);
 }
 
 // ---------------------------------------------------------------------------

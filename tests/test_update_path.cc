@@ -594,43 +594,5 @@ TEST(UpdateFacadeTest, MarkDeletedSurvivesStoreHandOver) {
   EXPECT_EQ(qr->count, 7u);
 }
 
-// ---------------------------------------------------------------------------
-// Galloping intersection.
-// ---------------------------------------------------------------------------
-
-TEST(OidSetOpsTest, GallopingMatchesLinearOnRandomLists) {
-  Pcg32 rng(99);
-  for (int round = 0; round < 30; ++round) {
-    std::vector<Oid> a, b;
-    size_t na = 1 + rng.NextBounded(40);
-    size_t nb = 1 + rng.NextBounded(4000);
-    Oid at = 0;
-    for (size_t i = 0; i < na; ++i) a.push_back(at += 1 + rng.NextBounded(200));
-    at = 0;
-    for (size_t i = 0; i < nb; ++i) b.push_back(at += 1 + rng.NextBounded(4));
-    std::vector<Oid> linear = IntersectSortedLinear(a, b);
-    EXPECT_EQ(IntersectSortedGalloping(a, b), linear) << "round " << round;
-    EXPECT_EQ(IntersectSorted(a, b), linear) << "round " << round;
-    EXPECT_EQ(IntersectSorted(b, a), linear) << "round " << round;
-  }
-}
-
-TEST(OidSetOpsTest, EdgeCases) {
-  std::vector<Oid> empty;
-  std::vector<Oid> some{1, 5, 9};
-  EXPECT_TRUE(IntersectSorted(empty, some).empty());
-  EXPECT_TRUE(IntersectSorted(some, empty).empty());
-  EXPECT_EQ(IntersectSorted(some, some), some);
-  EXPECT_TRUE(IntersectSortedGalloping(std::vector<Oid>{100},
-                                       std::vector<Oid>{1, 2, 3})
-                  .empty());
-  EXPECT_EQ(IntersectSortedGalloping(std::vector<Oid>{3},
-                                     std::vector<Oid>{1, 2, 3}),
-            (std::vector<Oid>{3}));
-  EXPECT_TRUE(ShouldGallop(1, 100));
-  EXPECT_FALSE(ShouldGallop(50, 100));
-  EXPECT_FALSE(ShouldGallop(0, 100));
-}
-
 }  // namespace
 }  // namespace crackstore
