@@ -10,9 +10,11 @@
 // supported kernel tier (scalar / predicated / avx2 / neon) cracks 1M rows
 // per element type and selectivity, and the medians land in PATH as JSON —
 // plus an aggregate-pushdown comparison (SUM over a warmed cracked int32
-// column via span kernels vs materialize-then-loop). CI's bench-smoke lane
-// reads `dispatched_vs_scalar_int32` and
-// `agg_pushdown_vs_materialize_int32` from that file.
+// column via span kernels and piece summaries vs materialize-then-loop) and
+// the piece-summary walk's worst case (`agg_fine_pieces_vs_scan`). CI's
+// bench-smoke lane reads `dispatched_vs_scalar_int32`,
+// `agg_pushdown_vs_materialize_int32` and `agg_repeat_tuples_read` from
+// that file.
 
 #include <benchmark/benchmark.h>
 
@@ -189,12 +191,15 @@ struct AggCompare {
   double pushdown_ns = 0.0;     ///< median AggregateRange wall time
   double materialize_ns = 0.0;  ///< median SelectRange(kView)+loop wall time
   double ratio = 0.0;           ///< materialize / pushdown (higher = better)
+  uint64_t repeat_tuples_read = 0;  ///< tuples the timed AggregateRanges read
 };
 
-/// SUM over a warmed cracked int32 column: the span-kernel pushdown path
-/// against the materialize-then-loop oracle (collect the oid view, gather
-/// each value from the base column, accumulate). CI's bench-smoke lane
-/// gates `agg_pushdown_vs_materialize_int32` from this at >= 2x.
+/// SUM over a warmed cracked int32 column: the pushdown path (after the
+/// warm-up rep every piece of the range answers from its summary) against
+/// the materialize-then-loop oracle (collect the oid view, gather each value
+/// from the base column, accumulate). CI's bench-smoke lane gates
+/// `agg_pushdown_vs_materialize_int32` from this at >= 2x and
+/// `agg_repeat_tuples_read` at 0.
 AggCompare MeasureAggPushdown(size_t n, int reps) {
   AggCompare out;
   AdaptiveStoreOptions opts;  // defaults: crack strategy, standard policy
@@ -231,6 +236,7 @@ AggCompare MeasureAggPushdown(size_t n, int reps) {
     auto t1 = std::chrono::steady_clock::now();
     if (!agg.ok()) return out;
     push_sum = agg->sum;
+    if (r > 0) out.repeat_tuples_read += agg->io.tuples_read;
     auto t2 = std::chrono::steady_clock::now();
     auto qr = store.SelectRange("B", "k", range, Delivery::kView);
     if (!qr.ok()) return out;
@@ -260,6 +266,59 @@ AggCompare MeasureAggPushdown(size_t n, int reps) {
   out.pushdown_ns = push_times[push_times.size() / 2];
   out.materialize_ns = mat_times[mat_times.size() / 2];
   if (out.pushdown_ns > 0.0) out.ratio = out.materialize_ns / out.pushdown_ns;
+  return out;
+}
+
+struct FinePieces {
+  size_t pieces = 0;
+  double reduce_ns = 0.0;  ///< median warm ReducePieces over the span
+  double scan_ns = 0.0;    ///< median AggregateSpan over the same slots
+  double ratio = 0.0;      ///< reduce / scan (lower = better)
+};
+
+/// The summary walk's worst case: a permutation of 1..1M (int64) cracked by
+/// 65,536 random point queries (~123k pieces of ~8 rows), then a warm
+/// reduction over 80% of the domain through CrackerIndex::ReducePieces
+/// against one AggregateSpan over the same slots, interleaved in one
+/// process. Reported as `agg_fine_pieces_vs_scan`, not gated.
+FinePieces MeasureFinePieces(size_t n, int reps) {
+  FinePieces out;
+  CrackerIndex<int64_t> index(BuildPermutationColumn(n, 7, "fine"));
+  const int64_t domain = static_cast<int64_t>(n);
+  Pcg32 rng(4242);
+  for (int q = 0; q < 65536; ++q) {
+    (void)index.SelectEquals(rng.NextInRange(1, domain));
+  }
+  out.pieces = index.num_pieces();
+  CrackSelection sel =
+      index.Select(domain / 10, true, domain - domain / 10, false);
+  const size_t begin = sel.values.offset();
+  const size_t end = begin + sel.values.size();
+  const int64_t* data = index.values()->TailData<int64_t>();
+  (void)index.ReducePieces(begin, end);  // warm-up keeps the summaries
+  std::vector<double> reduce_times, scan_times;
+  for (int r = 0; r < reps; ++r) {
+    auto t0 = std::chrono::steady_clock::now();
+    SpanAggregates walked = index.ReducePieces(begin, end);
+    auto t1 = std::chrono::steady_clock::now();
+    SpanAggregates scanned = AggregateSpan(data + begin, end - begin);
+    auto t2 = std::chrono::steady_clock::now();
+    if (walked.sum_i != scanned.sum_i || walked.count != scanned.count) {
+      std::fprintf(stderr, "fine-piece reduction mismatch\n");
+      return out;
+    }
+    reduce_times.push_back(static_cast<double>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
+            .count()));
+    scan_times.push_back(static_cast<double>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(t2 - t1)
+            .count()));
+  }
+  std::sort(reduce_times.begin(), reduce_times.end());
+  std::sort(scan_times.begin(), scan_times.end());
+  out.reduce_ns = reduce_times[reduce_times.size() / 2];
+  out.scan_ns = scan_times[scan_times.size() / 2];
+  if (out.scan_ns > 0.0) out.ratio = out.reduce_ns / out.scan_ns;
   return out;
 }
 
@@ -304,6 +363,7 @@ int RunTierComparison(const std::string& path) {
       pairs > 0 ? std::exp(log_sum / pairs) : 1.0;
 
   const AggCompare agg = MeasureAggPushdown(kRows, kReps);
+  const FinePieces fine = MeasureFinePieces(1000000, 101);
 
   std::ofstream out(path);
   if (!out) {
@@ -319,6 +379,11 @@ int RunTierComparison(const std::string& path) {
   out << "  \"agg_pushdown_median_ns\": " << agg.pushdown_ns << ",\n";
   out << "  \"agg_materialize_median_ns\": " << agg.materialize_ns << ",\n";
   out << "  \"agg_pushdown_vs_materialize_int32\": " << agg.ratio << ",\n";
+  out << "  \"agg_repeat_tuples_read\": " << agg.repeat_tuples_read << ",\n";
+  out << "  \"agg_fine_pieces\": " << fine.pieces << ",\n";
+  out << "  \"agg_fine_reduce_median_ns\": " << fine.reduce_ns << ",\n";
+  out << "  \"agg_fine_scan_median_ns\": " << fine.scan_ns << ",\n";
+  out << "  \"agg_fine_pieces_vs_scan\": " << fine.ratio << ",\n";
   out << "  \"results\": [\n";
   for (size_t i = 0; i < rows.size(); ++i) {
     const TierRow& r = rows[i];
@@ -337,6 +402,11 @@ int RunTierComparison(const std::string& path) {
               dispatched_vs_scalar);
   std::printf("agg pushdown vs materialize (int32 SUM, warmed crack): %.2fx\n",
               agg.ratio);
+  std::printf("agg repeat tuples read: %llu\n",
+              static_cast<unsigned long long>(agg.repeat_tuples_read));
+  std::printf("fine pieces (%zu): ReducePieces %.0fns vs AggregateSpan %.0fns "
+              "(%.3fx)\n",
+              fine.pieces, fine.reduce_ns, fine.scan_ns, fine.ratio);
   std::printf("wrote %s\n", path.c_str());
   return 0;
 }

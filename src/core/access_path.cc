@@ -313,14 +313,17 @@ SpanAggregates ReduceSpan(const T* vals, const Oid* oid_data, size_t n,
 /// pending inserts and snapshot override re-admissions — into the
 /// int64-widened aggregate answer. The corrections are purely additive:
 /// VisibleMask already excluded every overridden and hidden row from the
-/// span reduction, which is what makes MIN/MAX pushable at all.
+/// span reduction, which is what makes MIN/MAX pushable at all. `span_read`
+/// of the `span_n` span rows were read by a kernel; piece summaries answered
+/// the rest.
 template <typename T>
-void FoldAggregates(const SpanAggregates& agg, size_t span_n,
+void FoldAggregates(const SpanAggregates& agg, size_t span_n, size_t span_read,
                     const std::vector<std::pair<T, Oid>>& pending, T lo,
                     bool lo_incl, T hi, bool hi_incl, const SnapshotView* view,
                     IoStats* stats, ColumnAggregates* out) {
   bool versioned = ViewActive(view);
   out->pushdown_rows = span_n;
+  out->summary_rows = span_n - span_read;
   out->rows = agg.count;
   // Wrapping uint64 matches both the kernel contract and the executor's
   // scalar int64 accumulator (two's complement).
@@ -354,7 +357,7 @@ void FoldAggregates(const SpanAggregates& agg, size_t span_n,
   out->has_minmax = have;
   out->min = mn;
   out->max = mx;
-  if (stats != nullptr) stats->tuples_read += span_n + pending.size();
+  if (stats != nullptr) stats->tuples_read += span_read + pending.size();
 }
 
 /// Shared empty-range probe for the aggregate entry points.
@@ -931,18 +934,26 @@ class CrackAccessPath : public ColumnAccessPath {
   }
 
   /// Reduces the value-exact cracked span [pos, pos + n) plus the delta and
-  /// override corrections into `out`. Shared-latch callers hold the range
+  /// override corrections into `out`. When nothing can hide a row the span
+  /// is whole pieces, reduced through their summaries; otherwise every row
+  /// goes through the visibility mask. Shared-latch callers hold the range
   /// lock over the span and the delta latch; serial callers need neither.
   void AccumulateSpan(CrackerIndex<T>* inner, size_t pos, size_t n, T lo,
                       bool lo_incl, T hi, bool hi_incl,
                       const SnapshotView* view, IoStats* stats,
                       ColumnAggregates* out) {
-    const T* vals = inner->values()->template TailData<T>() + pos;
-    const Oid* oid_data = inner->oids()->template TailData<Oid>() + pos;
-    SpanAggregates agg = ReduceSpan<T>(
-        vals, oid_data, n, updatable_->pending_deletes(),
-        [this](Oid oid) { return updatable_->IsDeleted(oid); }, view);
-    FoldAggregates<T>(agg, n, updatable_->pending(), lo, lo_incl, hi,
+    SpanAggregates agg;
+    size_t read = n;
+    if (!ViewActive(view) && updatable_->pending_deletes() == 0) {
+      agg = inner->ReducePieces(pos, pos + n, &read);
+    } else {
+      agg = ReduceSpan<T>(
+          inner->values()->template TailData<T>() + pos,
+          inner->oids()->template TailData<Oid>() + pos, n,
+          updatable_->pending_deletes(),
+          [this](Oid oid) { return updatable_->IsDeleted(oid); }, view);
+    }
+    FoldAggregates<T>(agg, n, read, updatable_->pending(), lo, lo_incl, hi,
                       hi_incl, view, stats, out);
   }
 
@@ -1305,7 +1316,7 @@ class SortAccessPath : public ColumnAccessPath {
       SpanAggregates agg = ReduceSpan<T>(
           vals, oid_data, n, deleted_.size(),
           [this](Oid oid) { return deleted_.count(oid) > 0; }, view);
-      FoldAggregates<T>(agg, n, pending_, lo, lo_incl, hi, hi_incl, view,
+      FoldAggregates<T>(agg, n, n, pending_, lo, lo_incl, hi, hi_incl, view,
                         stats, &out);
       return out;
     }
@@ -1671,7 +1682,7 @@ class ScanAccessPath : public ColumnAccessPath {
         }
       }
       SpanAggregates agg = AggregateSpanMasked(data, n, match.data());
-      FoldAggregates<T>(agg, n, {}, lo, lo_incl, hi, hi_incl, view, stats,
+      FoldAggregates<T>(agg, n, n, {}, lo, lo_incl, hi, hi_incl, view, stats,
                         &out);
       return out;
     }

@@ -145,7 +145,8 @@ struct AccessSelection {
 /// 2^64 exactly like the executor's scalar accumulator.
 struct ColumnAggregates {
   uint64_t rows = 0;           ///< qualifying rows (COUNT of the range)
-  uint64_t pushdown_rows = 0;  ///< rows reduced by span kernels
+  uint64_t pushdown_rows = 0;  ///< rows answered by the pushdown
+  uint64_t summary_rows = 0;   ///< of those, rows taken from piece summaries
   int64_t sum = 0;             ///< wrapping sum over qualifying rows
   bool has_minmax = false;     ///< rows > 0
   int64_t min = 0;

@@ -752,7 +752,7 @@ Result<ColumnAggregates> AdaptiveStore::AggregateRangeConcurrent(
   }
   if (!out.ok()) return out.status();
   out->io = io;
-  obs::RecordAggPushdown(out->pushdown_rows);
+  obs::RecordAggPushdown(out->pushdown_rows, out->summary_rows);
   AddIo(io);
   return out;
 }
@@ -1236,7 +1236,7 @@ Result<ColumnAggregates> AdaptiveStore::AggregateRange(
   }
 
   out.io = io;
-  obs::RecordAggPushdown(out.pushdown_rows);
+  obs::RecordAggPushdown(out.pushdown_rows, out.summary_rows);
   AddIo(io);
   return out;
 }

@@ -4,6 +4,9 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
+#include <limits>
+#include <type_traits>
 
 #include "obs/instruments.h"
 #include "util/string_util.h"
@@ -97,12 +100,12 @@ template <typename T>
 void CrackerIndex<T>::RefCut(size_t pos, int delta) {
   if (pos == 0 || pos >= n_) return;
   if (delta > 0) {
-    ++cut_refs_[pos];
+    ++cut_refs_[pos].refs;
     return;
   }
   auto it = cut_refs_.find(pos);
   CRACK_DCHECK(it != cut_refs_.end());
-  if (it != cut_refs_.end() && --it->second == 0) cut_refs_.erase(it);
+  if (it != cut_refs_.end() && --it->second.refs == 0) cut_refs_.erase(it);
 }
 
 template <typename T>
@@ -623,6 +626,127 @@ size_t CrackerIndex<T>::num_pieces() const {
   return cut_refs_.size() + 1;
 }
 
+namespace {
+
+/// Folds one reduction into a running one, in AggregateSpan's integer
+/// contract (wrapping sum; min/max meaningful once count > 0).
+void FoldInto(SpanAggregates* acc, uint64_t count, int64_t sum, int64_t mn,
+              int64_t mx) {
+  if (count == 0) return;
+  acc->sum_i = static_cast<int64_t>(static_cast<uint64_t>(acc->sum_i) +
+                                    static_cast<uint64_t>(sum));
+  acc->min_i = acc->count == 0 ? mn : std::min(acc->min_i, mn);
+  acc->max_i = acc->count == 0 ? mx : std::max(acc->max_i, mx);
+  acc->count += count;
+}
+
+}  // namespace
+
+template <typename T>
+SpanAggregates CrackerIndex<T>::ReducePieces(size_t begin, size_t end,
+                                             size_t* rows_read) {
+  CRACK_DCHECK(begin <= end && end <= n_);
+  if constexpr (std::is_floating_point_v<T>) {
+    if (rows_read != nullptr) *rows_read = end - begin;
+    return AggregateSpan(raw_values_ + begin, end - begin);
+  } else {
+    // Slot runs a kernel must read; `keep` marks a run between two cuts
+    // whose reduction becomes the summary kept at its first cut.
+    struct Run {
+      size_t begin;
+      size_t end;
+      bool keep;
+    };
+    std::vector<Run> runs;
+    SpanAggregates acc;
+    acc.min_i = std::numeric_limits<T>::max();
+    acc.max_i = std::numeric_limits<T>::min();
+    {
+      std::lock_guard<std::mutex> lk(map_mu_);
+      size_t pos = begin;
+      auto it = cut_refs_.lower_bound(pos);  // first cut at or after pos
+      auto pos_of = [this](auto i) {
+        return i == cut_refs_.end() ? n_ : i->first;
+      };
+      while (pos < end) {
+        // The piece holding pos ends at the first cut after it; only a run
+        // that starts at pos (slot 0 or a cut) can carry a summary.
+        PieceSummary* slot = nullptr;
+        auto next = it;
+        if (pos == 0) {
+          slot = &head_summary_;
+        } else if (it != cut_refs_.end() && it->first == pos) {
+          slot = &it->second.summary;
+          ++next;
+        }
+        const size_t piece_end = pos_of(next);
+        if (piece_end > end) {  // the answer ends inside this piece
+          runs.push_back({pos, end, false});
+          break;
+        }
+        if (slot != nullptr && slot->end >= piece_end && slot->end <= end) {
+          // The summary covers [pos, slot->end): still exact if that end is
+          // still a cut (free to check when it is the next one).
+          auto to = slot->end == piece_end ? next : cut_refs_.find(slot->end);
+          if (pos_of(to) == slot->end) {
+            FoldInto(&acc, slot->end - pos, slot->sum, slot->min, slot->max);
+            pos = slot->end;
+            it = to;
+            continue;
+          }
+        }
+        auto to = next;
+        if (piece_end - pos < kSummaryMinRows && next != cut_refs_.end()) {
+          // A small piece: extend the run with one lookup instead of a step
+          // per piece. The cut before `far` lies below pos + kSummaryMinRows,
+          // so every piece left of it is small; the piece it starts may not
+          // be, and then the run stops there.
+          auto far = cut_refs_.lower_bound(pos + kSummaryMinRows);
+          to = std::prev(far);
+          if (pos_of(far) - to->first < kSummaryMinRows) to = far;
+        }
+        size_t stop = pos_of(to);
+        if (stop > end) {  // clipped: keep it only if `end` is a cut
+          to = cut_refs_.lower_bound(end);
+          stop = end;
+        }
+        runs.push_back({pos, stop,
+                        slot != nullptr && pos_of(to) == stop &&
+                            stop - pos >= kSummaryMinRows});
+        pos = stop;
+        it = to;
+      }
+    }
+
+    size_t read = 0;
+    std::vector<std::pair<size_t, PieceSummary>> fresh;
+    for (const Run& r : runs) {
+      SpanAggregates a = AggregateSpan(raw_values_ + r.begin, r.end - r.begin);
+      FoldInto(&acc, a.count, a.sum_i, a.min_i, a.max_i);
+      read += r.end - r.begin;
+      if (r.keep) {
+        fresh.push_back({r.begin, PieceSummary{r.end, a.sum_i, a.min_i,
+                                               a.max_i}});
+      }
+    }
+    if (rows_read != nullptr) *rows_read = read;
+    if (!fresh.empty()) {
+      // Re-find each slot: a shared caller's map may have grown meanwhile.
+      // The runs themselves did not change (the caller holds the range lock
+      // over them), and a summary stays exact while both its cuts exist.
+      std::lock_guard<std::mutex> lk(map_mu_);
+      for (const auto& [b, s] : fresh) {
+        if (b == 0) {
+          head_summary_ = s;
+        } else if (auto c = cut_refs_.find(b); c != cut_refs_.end()) {
+          c->second.summary = s;
+        }
+      }
+    }
+    return acc;
+  }
+}
+
 template <typename T>
 std::vector<CrackPiece<T>> CrackerIndex<T>::Pieces() const {
   // Event list: (position, value, is_incl). A pos_excl event at value v says
@@ -746,6 +870,23 @@ Status CrackerIndex<T>::Validate() const {
     if (b.has_excl && b.has_incl && b.pos_excl > b.pos_incl) {
       return Status::Internal("pos_excl > pos_incl");
     }
+  }
+  // Every summary ReducePieces would reuse (its end is still a cut) must
+  // match the rows it covers.
+  auto check = [&](size_t from, const PieceSummary& s) {
+    if (s.end == 0 || (s.end != n_ && cut_refs_.count(s.end) == 0)) {
+      return Status::OK();
+    }
+    SpanAggregates a = AggregateSpan(d + from, s.end - from);
+    if (a.sum_i != s.sum || a.min_i != s.min || a.max_i != s.max) {
+      return Status::Internal(
+          StrFormat("stale summary for slots [%zu, %zu)", from, s.end));
+    }
+    return Status::OK();
+  };
+  CRACK_RETURN_NOT_OK(check(0, head_summary_));
+  for (const auto& [pos, ref] : cut_refs_) {
+    CRACK_RETURN_NOT_OK(check(pos, ref.summary));
   }
   return Status::OK();
 }

@@ -8,7 +8,8 @@
 //   * a decorated search tree over *piece boundaries*: value v -> position p
 //     such that everything left of p is < v (exclusive bound) or <= v
 //     (inclusive bound). Pieces are the maximal runs between boundaries; the
-//     tree stores their (min,max) knowledge, sizes and usage clocks.
+//     tree stores their (min,max) knowledge, sizes and usage clocks, and the
+//     integer summaries pushed-down aggregates leave behind (ReducePieces).
 //
 // Each range selection first navigates the tree, cracks at most the two
 // pieces at the predicate boundaries (crack-in-three when both ends fall in
@@ -238,6 +239,31 @@ class CrackerIndex {
   /// and removed.
   size_t num_pieces() const;
 
+  /// Pieces smaller than this get no summary of their own: ReducePieces
+  /// covers a run of them with one map lookup and one summary instead of a
+  /// step per piece (a lookup costs about what scanning a few hundred rows
+  /// does).
+  static constexpr size_t kSummaryMinRows = 4096;
+
+  /// Reduces the cracker column over [begin, end), an answer of whole
+  /// pieces. Each cut keeps one summary (sum, min, max) of the rows from it
+  /// to a later cut: a piece of at least kSummaryMinRows rows, or a run of
+  /// at least that many rows of smaller pieces. The walk reuses every
+  /// summary inside the answer and scans, then summarizes, the rest. Equal
+  /// to AggregateSpan over the same slots in every integer field;
+  /// `*rows_read` (optional) is set to the rows a kernel actually read.
+  ///
+  /// Summaries never go stale: a registered cut at p means slots [0, p)
+  /// hold the p smallest values, so the rows between two registered cuts
+  /// are a fixed multiset for the index's lifetime, whatever cracks,
+  /// progressive passes or fusions did in between; a summary is exact for
+  /// as long as both of its cuts exist. Double columns are scanned whole
+  /// (their sums depend on the order of addition). Callers sharing the
+  /// index hold LockRangeShared over the span; the piece table is read and
+  /// written under map_mu_, the kernels run outside it.
+  SpanAggregates ReducePieces(size_t begin, size_t end,
+                              size_t* rows_read = nullptr);
+
   /// Number of registered boundary values.
   size_t num_bounds() const { return bounds_.size(); }
 
@@ -336,11 +362,29 @@ class CrackerIndex {
   /// piece, which invalidates the frontier's invariant.
   void InvalidateProgressive(size_t begin) { progressive_.erase(begin); }
 
+  /// Integer reduction of the slots from a cut to the later cut `end`
+  /// (0: none kept); exact for as long as `end` is still a cut.
+  struct PieceSummary {
+    size_t end = 0;
+    int64_t sum = 0;  ///< wrapping
+    int64_t min = 0;
+    int64_t max = 0;
+  };
+
+  /// One interior cut position: how many bound sides sit there, and the
+  /// summary kept for the rows starting at it.
+  struct CutRef {
+    uint32_t refs = 0;
+    PieceSummary summary;
+  };
+
   std::map<T, Bound> bounds_;
-  /// Interior cut positions -> how many bound sides sit there. Its size is
-  /// the number of distinct cuts, so num_pieces() is O(1). Guarded like
-  /// bounds_ (map_mu_ on the concurrent path).
-  std::map<size_t, uint32_t> cut_refs_;
+  /// Interior cut positions -> CutRef. Its size is the number of distinct
+  /// cuts, so num_pieces() is O(1). Guarded like bounds_ (map_mu_ on the
+  /// concurrent path).
+  std::map<size_t, CutRef> cut_refs_;
+  /// Summary kept for the rows starting at slot 0 (no cut_refs_ entry).
+  PieceSummary head_summary_;
   /// Progressive frontiers, keyed by their piece's begin slot (one job per
   /// piece). Guarded by map_mu_ on the concurrent path.
   std::map<size_t, ProgressiveJob> progressive_;

@@ -190,13 +190,18 @@ void RecordMaterializedOids(uint64_t rows) {
   }
 }
 
-void RecordAggPushdown(uint64_t rows) {
+void RecordAggPushdown(uint64_t rows, uint64_t summary_rows) {
   if (rows == 0) return;
   static Counter* c = Reg().GetCounter(
-      "agg.pushdown_rows", "rows reduced by pushed-down aggregate kernels");
+      "agg.pushdown_rows", "rows answered by pushed-down aggregates");
+  static Counter* s = Reg().GetCounter(
+      "agg.summary_rows", "pushed-down aggregate rows read from summaries");
   c->Add(rows);
+  if (summary_rows) s->Add(summary_rows);
   if (QueryTrace* t = CurrentTrace()) {
     t->live.agg_pushdown_rows.fetch_add(rows, std::memory_order_relaxed);
+    t->live.agg_summary_rows.fetch_add(summary_rows,
+                                       std::memory_order_relaxed);
   }
 }
 

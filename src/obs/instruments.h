@@ -22,7 +22,7 @@
 //   merge.folds / merge.rows
 //   snapshot.rows_filtered / snapshot.override_hits
 //   select.spans / select.span_rows / select.materialized_oids
-//   agg.pushdown_rows
+//   agg.pushdown_rows / agg.summary_rows
 //   simd.calls.{scalar,predicated,avx2,neon}
 //   io.* (mirrored from every IoStats delta the facade accumulates)
 //   sql.statements
@@ -63,7 +63,7 @@ inline void RecordSnapshotFiltered(uint64_t) {}
 inline void RecordSnapshotOverride(uint64_t) {}
 inline void RecordSpanAnswer(uint64_t, uint64_t) {}
 inline void RecordMaterializedOids(uint64_t) {}
-inline void RecordAggPushdown(uint64_t) {}
+inline void RecordAggPushdown(uint64_t, uint64_t) {}
 inline void RecordSimdCall(int) {}
 inline void MirrorIo(const IoStats&) {}
 inline void RecordSqlStatement() {}
@@ -118,9 +118,10 @@ void RecordSpanAnswer(uint64_t spans, uint64_t rows);
 /// for oids, span set unavailable, or a permuted-layout intersection).
 void RecordMaterializedOids(uint64_t rows);
 
-/// `rows` reduced by the horizontal aggregate kernels instead of a
-/// materialize-then-loop pass.
-void RecordAggPushdown(uint64_t rows);
+/// `rows` answered by a pushed-down aggregate instead of a
+/// materialize-then-loop pass; `summary_rows` of them came from piece
+/// summaries rather than a kernel.
+void RecordAggPushdown(uint64_t rows, uint64_t summary_rows);
 
 /// One dispatched crack kernel call on the given SimdTier (0..3).
 void RecordSimdCall(int tier);

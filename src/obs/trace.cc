@@ -82,6 +82,7 @@ TraceCounters QueryTrace::LiveSnapshot() const {
       live.select_materialized.load(std::memory_order_relaxed);
   c.agg_pushdown_rows =
       live.agg_pushdown_rows.load(std::memory_order_relaxed);
+  c.agg_summary_rows = live.agg_summary_rows.load(std::memory_order_relaxed);
   return c;
 }
 
@@ -165,11 +166,12 @@ std::string QueryTrace::Render(const IoStats& statement_io,
       totals.agg_pushdown_rows > 0) {
     out += StrFormat(
         "read path: spans=%llu (rows=%llu), materialized oids=%llu, "
-        "agg pushdown rows=%llu\n",
+        "agg pushdown rows=%llu, summary rows=%llu\n",
         static_cast<unsigned long long>(totals.select_spans),
         static_cast<unsigned long long>(totals.select_span_rows),
         static_cast<unsigned long long>(totals.select_materialized),
-        static_cast<unsigned long long>(totals.agg_pushdown_rows));
+        static_cast<unsigned long long>(totals.agg_pushdown_rows),
+        static_cast<unsigned long long>(totals.agg_summary_rows));
   }
   return out;
 }

@@ -43,7 +43,8 @@ struct TraceCounters {
   uint64_t select_spans = 0;          ///< spans answered without oid gathers
   uint64_t select_span_rows = 0;      ///< rows covered by span answers
   uint64_t select_materialized = 0;   ///< oids materialized into lists
-  uint64_t agg_pushdown_rows = 0;     ///< rows reduced by aggregate kernels
+  uint64_t agg_pushdown_rows = 0;     ///< rows answered by aggregate pushdown
+  uint64_t agg_summary_rows = 0;      ///< of those, from piece summaries
 
   TraceCounters operator-(const TraceCounters& o) const {
     TraceCounters d;
@@ -61,6 +62,7 @@ struct TraceCounters {
     d.select_span_rows = select_span_rows - o.select_span_rows;
     d.select_materialized = select_materialized - o.select_materialized;
     d.agg_pushdown_rows = agg_pushdown_rows - o.agg_pushdown_rows;
+    d.agg_summary_rows = agg_summary_rows - o.agg_summary_rows;
     return d;
   }
 
@@ -106,6 +108,7 @@ class QueryTrace {
     std::atomic<uint64_t> select_span_rows{0};
     std::atomic<uint64_t> select_materialized{0};
     std::atomic<uint64_t> agg_pushdown_rows{0};
+    std::atomic<uint64_t> agg_summary_rows{0};
   };
 
   /// Opens a span; returns its index for CloseSpan. `watch` (optional) is an

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
 #include <tuple>
 #include <vector>
@@ -424,6 +425,162 @@ INSTANTIATE_TEST_SUITE_P(
         SweepCase{1, 5, 4, 20},            // single element
         SweepCase{2000, 1000000000, 5, 60},  // sparse domain
         SweepCase{500, 1, 6, 40}));        // two-valued column
+
+// ---------------------------------------------------------------------------
+// Piece summaries: ReducePieces over any two registered cuts must equal a
+// direct reduction of the same slots, through random cracks, point cuts and
+// fusions, and a repeated call may only rescan rows of small pieces.
+// ---------------------------------------------------------------------------
+
+template <typename T>
+class PieceSummaryTest : public ::testing::Test {};
+using SummaryTypes = ::testing::Types<int32_t, int64_t>;
+TYPED_TEST_SUITE(PieceSummaryTest, SummaryTypes);
+
+TYPED_TEST(PieceSummaryTest, ReducePiecesMatchesDirectReduction) {
+  using T = TypeParam;
+  const size_t kMin = CrackerIndex<T>::kSummaryMinRows;
+  const int64_t kMax = std::numeric_limits<T>::max();
+  // Shapes: spread values, a duplicate-heavy column, and values at the top
+  // of the domain (the int64 sums wrap).
+  for (int shape = 0; shape < 3; ++shape) {
+    SCOPED_TRACE("shape " + std::to_string(shape));
+    Pcg32 rng(1400 + shape + sizeof(T));
+    const size_t n = 10 * kMin + rng.NextBounded(static_cast<uint32_t>(kMin));
+    const int64_t width = shape == 1 ? 40 : static_cast<int64_t>(4 * n);
+    const int64_t low = shape == 2 ? kMax - width : -width / 2;
+    std::vector<T> data(n);
+    for (T& v : data) v = static_cast<T>(low + rng.NextInRange(0, width));
+    CrackerIndex<T> index(Bat::FromVector(data, "col"));
+    const T* slots = index.values()->template TailData<T>();
+    auto random_value = [&] {
+      return static_cast<T>(low + rng.NextInRange(-2, width + 2));
+    };
+
+    for (int step = 0; step < 80; ++step) {
+      const uint32_t op = rng.NextBounded(10);
+      if (op < 4) {
+        T a = random_value();
+        T b = random_value();
+        (void)index.Select(std::min(a, b), rng.NextBounded(2) == 0,
+                           std::max(a, b), rng.NextBounded(2) == 0);
+      } else if (op < 6) {
+        // Both an exclusive and an inclusive cut on one value.
+        (void)index.SelectEquals(data[rng.NextBounded(static_cast<uint32_t>(n))]);
+      } else if (op < 8) {
+        (void)index.SelectLessThan(random_value(), rng.NextBounded(2) == 0);
+      } else {
+        // Fuse pieces, then re-crack near the dropped boundary.
+        std::vector<CrackBound<T>> bounds = index.Bounds();
+        if (bounds.empty()) continue;
+        const T v =
+            bounds[rng.NextBounded(static_cast<uint32_t>(bounds.size()))].value;
+        ASSERT_TRUE(index.RemoveBound(v).ok());
+        if (rng.NextBounded(2) == 0) {
+          (void)index.SelectLessThan(v, rng.NextBounded(2) == 0);
+        }
+      }
+      ASSERT_TRUE(index.Validate().ok()) << "step " << step;
+
+      std::vector<size_t> cuts = {0, n};
+      for (const CrackBound<T>& b : index.Bounds()) {
+        if (b.has_excl) cuts.push_back(b.pos_excl);
+        if (b.has_incl) cuts.push_back(b.pos_incl);
+      }
+      std::vector<CrackPiece<T>> pieces = index.Pieces();
+      for (int pair = 0; pair < 6; ++pair) {
+        size_t a = cuts[rng.NextBounded(static_cast<uint32_t>(cuts.size()))];
+        size_t b = cuts[rng.NextBounded(static_cast<uint32_t>(cuts.size()))];
+        if (a > b) std::swap(a, b);
+        const SpanAggregates want =
+            AggregateSpanTier(slots + a, b - a, SimdTier::kScalar);
+        size_t small_rows = 0;
+        for (const CrackPiece<T>& p : pieces) {
+          if (p.begin >= a && p.end <= b && p.size() < kMin) {
+            small_rows += p.size();
+          }
+        }
+        for (int call = 0; call < 2; ++call) {
+          size_t read = 0;
+          const SpanAggregates got = index.ReducePieces(a, b, &read);
+          ASSERT_EQ(got.count, want.count) << "[" << a << "," << b << ")";
+          ASSERT_EQ(got.sum_i, want.sum_i) << "[" << a << "," << b << ")";
+          if (want.count > 0) {
+            ASSERT_EQ(got.min_i, want.min_i) << "[" << a << "," << b << ")";
+            ASSERT_EQ(got.max_i, want.max_i) << "[" << a << "," << b << ")";
+          }
+          ASSERT_LE(read, b - a);
+          if (call == 1) {
+            ASSERT_LE(read, small_rows) << "[" << a << "," << b << ")";
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(CrackerIndexTest, LargePiecesAnswerFromSummaries) {
+  const size_t kMin = CrackerIndex<int64_t>::kSummaryMinRows;
+  const size_t n = 8 * kMin;
+  std::vector<int64_t> data(n);
+  for (size_t i = 0; i < n; ++i) data[i] = static_cast<int64_t>((i * 7919) % n);
+  CrackerIndex<int64_t> index(MakeColumn(data));
+  // Pieces of 2*kMin rows each: every piece is summarizable.
+  for (int64_t v = 2 * kMin; v < static_cast<int64_t>(n); v += 2 * kMin) {
+    (void)index.SelectLessThan(v, /*inclusive=*/false);
+  }
+  size_t read = 0;
+  SpanAggregates first = index.ReducePieces(0, n, &read);
+  EXPECT_EQ(read, n);
+  SpanAggregates again = index.ReducePieces(0, n, &read);
+  EXPECT_EQ(read, 0u);
+  EXPECT_EQ(again.sum_i, first.sum_i);
+  EXPECT_EQ(again.count, n);
+  // A crack inside a summarized piece leaves its summary usable for any
+  // answer that still covers the whole piece.
+  (void)index.SelectLessThan(static_cast<int64_t>(3 * kMin), false);
+  again = index.ReducePieces(0, n, &read);
+  EXPECT_EQ(read, 0u);
+  EXPECT_EQ(again.sum_i, first.sum_i);
+  // A double column has no summaries: every call scans.
+  std::vector<double> dv(n, 0.5);
+  CrackerIndex<double> dindex(Bat::FromVector(dv, "d"));
+  (void)dindex.ReducePieces(0, n);
+  (void)dindex.ReducePieces(0, n, &read);
+  EXPECT_EQ(read, n);
+}
+
+// A summary outlives its piece only while its end is still a cut. After that
+// cut is fused away, the scalar crack-in-three (one Dutch-flag pass) sends
+// rows above its range to the fused piece's far end, across the dropped
+// position, so the rows the summary covered are no longer the rows there.
+// (The vector tiers crack in three as two Hoare passes, which keep rows on
+// their side; CI's quick lane also runs this under CRACKSTORE_SIMD=scalar.)
+TEST(CrackerIndexTest, SummaryEndingAtADroppedCutIsNotReused) {
+  const int64_t k = CrackerIndex<int64_t>::kSummaryMinRows;
+  const size_t n = static_cast<size_t>(8 * k);
+  CrackerIndex<int64_t> index(BuildPermutationColumn(n, 3, "perm"));
+  for (int64_t v : {2 * k, 4 * k, 6 * k}) {
+    (void)index.SelectLessThan(v, /*inclusive=*/false);
+  }
+  (void)index.ReducePieces(0, n);
+  // Split the summarized [2k, 4k): its summary now ends past the next cut.
+  (void)index.SelectLessThan(3 * k, /*inclusive=*/false);
+  size_t read = 0;
+  (void)index.ReducePieces(0, n, &read);
+  EXPECT_EQ(read, 0u);
+  ASSERT_TRUE(index.RemoveBound(4 * k).ok());
+  (void)index.Select(3 * k + k / 2, true, 3 * k + 3 * k / 4, true);
+  ASSERT_TRUE(index.Validate().ok());
+  const int64_t* slots = index.values()->TailData<int64_t>();
+  for (size_t begin : {size_t{0}, static_cast<size_t>(2 * k)}) {
+    const SpanAggregates want =
+        AggregateSpanTier(slots + begin, n - begin, SimdTier::kScalar);
+    const SpanAggregates got = index.ReducePieces(begin, n, &read);
+    EXPECT_EQ(got.sum_i, want.sum_i) << "from " << begin;
+    EXPECT_EQ(got.count, want.count) << "from " << begin;
+  }
+}
 
 }  // namespace
 }  // namespace crackstore

@@ -360,6 +360,41 @@ TEST(ObservabilityPlanTest, HalfOpenCrossSumIsOneSelectAndAGather) {
   }
 }
 
+// A same-column SUM pushes down to the cracker index. Its second run cracks
+// nothing and answers every row from piece summaries: the trace reports them
+// as summary rows and the statement reads no tuples.
+TEST(ObservabilityPlanTest, RepeatedPushdownAnswersFromSummaries) {
+  AdaptiveStore store;
+  TapestryOptions topts;
+  topts.num_rows = 200000;
+  topts.num_columns = 1;
+  topts.seed = 6;
+  ASSERT_TRUE(store.AddTable(*BuildTapestry("R", topts)).ok());
+  sql::Statement stmt = *sql::ParseStatement(
+      "SELECT SUM(c0) FROM R WHERE c0 BETWEEN 1000 AND 150000");
+  for (const char* run : {"cold", "warm"}) {
+    SCOPED_TRACE(run);
+    const bool warm = run[0] == 'w';
+    obs::QueryTrace trace;
+    obs::ExecContext ctx;
+    ctx.trace = &trace;
+    auto out = sql::Execute(&store, stmt, ctx);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    if (warm) {
+      EXPECT_EQ(out->io.tuples_read, 0u);
+    }
+    if (obs::kMetricsEnabled) {
+      const obs::TraceCounters live = trace.LiveSnapshot();
+      EXPECT_EQ(live.agg_pushdown_rows, 149001u);
+      EXPECT_EQ(live.agg_summary_rows, warm ? 149001u : 0u);
+      std::string report = trace.Render(out->io, out->seconds);
+      EXPECT_NE(report.find(warm ? "summary rows=149001" : "summary rows=0"),
+                std::string::npos)
+          << report;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Self-driving policy instruments: policy.switches must count exactly the
 // runtime switches the access paths performed (cross-checked against the

@@ -13,6 +13,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -365,6 +366,250 @@ TEST(SpanReadPathSnapshotTest, AggregatePushdownHonorsSnapshots) {
   EXPECT_EQ(agg_all->rows, 90u);
   EXPECT_EQ(agg_all->max, 1000);
   ASSERT_TRUE(store.Commit(old_snap).ok());
+}
+
+// ---------------------------------------------------------------------------
+// Piece summaries under the pushdown. The clean branch (no active view, no
+// tombstones) answers from the cracker index's piece summaries; masked
+// answers never do; a delta merge starts a fresh index without any. Every
+// phase keeps bit parity with the row oracle.
+// ---------------------------------------------------------------------------
+
+/// Oracle for one int64 column: live oid -> value.
+ColumnAggregates OracleAggregates(const std::map<Oid, int64_t>& live,
+                                  const RangeBounds& r) {
+  ColumnAggregates agg;
+  for (const auto& [oid, v] : live) {
+    if (!r.Contains(v)) continue;
+    ++agg.rows;
+    agg.sum = static_cast<int64_t>(static_cast<uint64_t>(agg.sum) +
+                                   static_cast<uint64_t>(v));
+    agg.min = agg.has_minmax ? std::min(agg.min, v) : v;
+    agg.max = agg.has_minmax ? std::max(agg.max, v) : v;
+    agg.has_minmax = true;
+  }
+  return agg;
+}
+
+void ExpectSameAnswer(const ColumnAggregates& got,
+                      const ColumnAggregates& want, const std::string& what) {
+  EXPECT_EQ(got.rows, want.rows) << what;
+  EXPECT_EQ(got.sum, want.sum) << what;
+  ASSERT_EQ(got.has_minmax, want.has_minmax) << what;
+  if (want.has_minmax) {
+    EXPECT_EQ(got.min, want.min) << what;
+    EXPECT_EQ(got.max, want.max) << what;
+  }
+  EXPECT_LE(got.summary_rows, got.pushdown_rows) << what;
+}
+
+class PushdownSummaryTest
+    : public ::testing::TestWithParam<std::tuple<CrackPolicy, MergePolicyKind>> {
+};
+
+TEST_P(PushdownSummaryTest, PhasesKeepParityAndSummaryRules) {
+  auto [policy, budget] = GetParam();
+  uint64_t seed = TestSeed(1407) + static_cast<uint64_t>(policy) * 13 +
+                  static_cast<uint64_t>(budget);
+  SCOPED_TRACE("seed=" + std::to_string(seed) +
+               " (rerun with CRACKSTORE_TEST_SEED)");
+  const size_t n = 12 * CrackerIndex<int64_t>::kSummaryMinRows;
+  const int64_t domain = 4 * static_cast<int64_t>(n);
+  Pcg32 rng(seed);
+  std::vector<int64_t> base(n);
+  std::map<Oid, int64_t> live;
+  for (size_t i = 0; i < n; ++i) {
+    base[i] = rng.NextInRange(0, domain);
+    live[i] = base[i];
+  }
+  AccessPathConfig config;
+  config.policy.policy = policy;
+  config.merge_budget.kind = budget;
+  config.merge_budget.max_bounds = 16;
+  auto made = CreateColumnAccessPath(Bat::FromVector(base, "c0"), config);
+  ASSERT_TRUE(made.ok());
+  ColumnAccessPath& path = **made;
+
+  auto aggregate = [&](const RangeBounds& r, const std::string& what,
+                       IoStats* io) {
+    auto got = path.AggregateRange(r, io);
+    EXPECT_TRUE(got.ok()) << what << ": " << got.status().ToString();
+    if (!got.ok()) return ColumnAggregates{};
+    ExpectSameAnswer(*got, OracleAggregates(live, r), what);
+    return *got;
+  };
+  auto random_range = [&] {
+    int64_t lo = rng.NextInRange(-10, domain);
+    return RangeBounds::Closed(lo, lo + rng.NextInRange(0, domain / 2));
+  };
+  const RangeBounds wide = RangeBounds::Closed(domain / 8, domain - domain / 8);
+
+  // Clean: aggregates between selections (and fusions under the budget).
+  // When an immediate repeat cracks nothing (a budget may have fused one of
+  // its bounds), the rows it reports read are exactly those no summary
+  // covered.
+  for (int q = 0; q < 40; ++q) {
+    RangeBounds r = q % 8 == 7 ? wide : random_range();
+    if (rng.NextBounded(3) == 0) (void)path.Select(random_range(), false, nullptr);
+    IoStats io;
+    (void)aggregate(r, "clean " + std::to_string(q), &io);
+    IoStats again_io;
+    ColumnAggregates again =
+        aggregate(r, "clean repeat " + std::to_string(q), &again_io);
+    const uint64_t scanned = again.pushdown_rows - again.summary_rows;
+    if (again_io.cracks == 0) {
+      EXPECT_EQ(again_io.tuples_read, scanned) << "clean repeat " << q;
+    } else {
+      EXPECT_GT(again_io.tuples_read, scanned) << "clean repeat " << q;
+    }
+  }
+  EXPECT_GT(aggregate(wide, "clean wide", nullptr).summary_rows, 0u);
+
+  // Tombstones (updates leave the old row tombstoned and its new value
+  // pending): every answer goes through the mask, never a summary.
+  for (int i = 0; i < 20; ++i) {
+    Oid oid = rng.NextBounded(static_cast<uint32_t>(n));
+    int64_t v = live[oid] + 1;
+    ASSERT_TRUE(path.Update(oid, Value(v)).ok());
+    live[oid] = v;
+  }
+  ASSERT_GT(path.pending_deletes(), 0u);
+  for (int q = 0; q < 15; ++q) {
+    RangeBounds r = q % 5 == 0 ? wide : random_range();
+    EXPECT_EQ(aggregate(r, "tombstones " + std::to_string(q), nullptr)
+                  .summary_rows,
+              0u)
+        << "tombstones " << q;
+  }
+
+  // A delta merge builds a new index: it starts with no summaries, even
+  // where the +1 updates left every piece the same size.
+  ASSERT_TRUE(path.FlushDeltas().ok());
+  ASSERT_EQ(path.pending_deletes() + path.pending_inserts(), 0u);
+  EXPECT_EQ(aggregate(wide, "after merge", nullptr).summary_rows, 0u);
+  EXPECT_GT(aggregate(wide, "after merge, repeat", nullptr).summary_rows, 0u);
+
+  // Pending inserts alone keep the clean branch; the pending fold adds them.
+  Oid next = n;
+  for (int i = 0; i < 30; ++i) {
+    int64_t v = rng.NextInRange(0, domain);
+    ASSERT_TRUE(path.Insert(Value(v), next).ok());
+    live[next++] = v;
+  }
+  ASSERT_GT(path.pending_inserts(), 0u);
+  ASSERT_EQ(path.pending_deletes(), 0u);
+  EXPECT_GT(aggregate(wide, "pending", nullptr).summary_rows, 0u);
+  for (int q = 0; q < 15; ++q) {
+    (void)aggregate(random_range(), "pending " + std::to_string(q), nullptr);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Matrix, PushdownSummaryTest,
+    ::testing::Combine(::testing::Values(CrackPolicy::kStandard,
+                                         CrackPolicy::kStochastic,
+                                         CrackPolicy::kCoarse),
+                       ::testing::Values(MergePolicyKind::kNone,
+                                         MergePolicyKind::kLeastRecentlyUsed,
+                                         MergePolicyKind::kSmallestPieces)));
+
+TEST(SpanReadPathSummaryTest, ActiveViewsNeverUseSummaries) {
+  const size_t n = 12 * CrackerIndex<int64_t>::kSummaryMinRows;
+  for (bool concurrent : {false, true}) {
+    SCOPED_TRACE(concurrent ? "concurrent" : "serial");
+    AdaptiveStoreOptions opts;
+    opts.concurrent = concurrent;
+    AdaptiveStore store(opts);
+    auto rel = *Relation::Create("R", Schema({{"c0", ValueType::kInt64}}));
+    std::map<Oid, int64_t> live;
+    Pcg32 rng(1408);
+    for (size_t i = 0; i < n; ++i) {
+      int64_t v = rng.NextInRange(0, 4 * static_cast<int64_t>(n));
+      ASSERT_TRUE(rel->AppendRow({Value(v)}).ok());
+      live[i] = v;
+    }
+    ASSERT_TRUE(store.AddTable(rel).ok());
+    const RangeBounds wide = RangeBounds::Closed(static_cast<int64_t>(n) / 2,
+                                                 static_cast<int64_t>(3 * n));
+    for (int q = 0; q < 2; ++q) {
+      auto agg = store.AggregateRange("R", "c0", wide);
+      ASSERT_TRUE(agg.ok()) << agg.status().ToString();
+      ExpectSameAnswer(*agg, OracleAggregates(live, wide), "before writes");
+      // A concurrent store's view is always active.
+      if (concurrent || q == 0) {
+        EXPECT_EQ(agg->summary_rows, 0u);
+      } else {
+        EXPECT_GT(agg->summary_rows, 0u);
+      }
+    }
+    // After the first write every statement reads through an active view.
+    TxnId old_snap = *store.Begin();
+    ASSERT_TRUE(store.Insert("R", {Value(int64_t{2 * n})}).ok());
+    std::map<Oid, int64_t> old_live = live;
+    live[n] = static_cast<int64_t>(2 * n);
+    for (int q = 0; q < 2; ++q) {
+      auto agg = store.AggregateRange("R", "c0", wide);
+      ASSERT_TRUE(agg.ok()) << agg.status().ToString();
+      ExpectSameAnswer(*agg, OracleAggregates(live, wide), "after a write");
+      EXPECT_EQ(agg->summary_rows, 0u);
+      auto old_agg = store.AggregateRange("R", "c0", wide, old_snap);
+      ASSERT_TRUE(old_agg.ok()) << old_agg.status().ToString();
+      ExpectSameAnswer(*old_agg, OracleAggregates(old_live, wide),
+                       "older snapshot");
+      EXPECT_EQ(old_agg->summary_rows, 0u);
+    }
+    ASSERT_TRUE(store.Commit(old_snap).ok());
+  }
+}
+
+TEST(SpanReadPathSummaryTest, SharedLatchCallersReduceThroughSummaries) {
+  const size_t n = 16 * CrackerIndex<int64_t>::kSummaryMinRows;
+  const int64_t domain = 4 * static_cast<int64_t>(n);
+  std::vector<int64_t> base(n);
+  std::map<Oid, int64_t> live;
+  Pcg32 rng(1409);
+  for (size_t i = 0; i < n; ++i) {
+    base[i] = rng.NextInRange(0, domain);
+    live[i] = base[i];
+  }
+  AccessPathConfig config;
+  config.concurrent = true;
+  auto made = CreateColumnAccessPath(Bat::FromVector(base, "c0"), config);
+  ASSERT_TRUE(made.ok());
+  ColumnAccessPath& path = **made;
+  // The owner builds the accelerator under its exclusive latch; after that
+  // aggregates run under the shared one, beside cracking selections.
+  (void)path.Select(RangeBounds::Closed(0, domain / 2), false, nullptr);
+  ASSERT_TRUE(path.SharedSelectReady());
+  std::vector<RangeBounds> ranges;
+  std::vector<ColumnAggregates> want;
+  for (int i = 0; i < 8; ++i) {
+    int64_t lo = rng.NextInRange(0, domain / 2);
+    ranges.push_back(RangeBounds::Closed(lo, lo + domain / 3));
+    want.push_back(OracleAggregates(live, ranges.back()));
+  }
+  std::vector<std::thread> threads;
+  std::vector<uint64_t> summary_rows(4, 0);
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      Pcg32 local(1410 + t);
+      for (int q = 0; q < 40; ++q) {
+        size_t i = local.NextBounded(static_cast<uint32_t>(ranges.size()));
+        if (t == 0 && q % 4 == 0) {
+          int64_t lo = local.NextInRange(0, domain);
+          (void)path.Select(RangeBounds::Closed(lo, lo + 1000), false, nullptr);
+        }
+        auto agg = path.AggregateRange(ranges[i], nullptr);
+        ASSERT_TRUE(agg.ok()) << agg.status().ToString();
+        ExpectSameAnswer(*agg, want[i], "shared " + std::to_string(q));
+        summary_rows[t] += agg->summary_rows;
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  uint64_t total = 0;
+  for (uint64_t s : summary_rows) total += s;
+  EXPECT_GT(total, 0u);
 }
 
 }  // namespace
