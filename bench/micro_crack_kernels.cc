@@ -11,10 +11,11 @@
 // per element type and selectivity, and the medians land in PATH as JSON —
 // plus an aggregate-pushdown comparison (SUM over a warmed cracked int32
 // column via span kernels and piece summaries vs materialize-then-loop) and
-// the piece-summary walk's worst case (`agg_fine_pieces_vs_scan`). CI's
-// bench-smoke lane reads `dispatched_vs_scalar_int32`,
-// `agg_pushdown_vs_materialize_int32` and `agg_repeat_tuples_read` from
-// that file.
+// the piece-summary walk's worst case (`agg_fine_pieces_vs_scan`), and the
+// snapshot filter's probe count on a column with scattered versions
+// (`mvcc_marked_rows` / `mvcc_version_probes`). CI's bench-smoke lane reads
+// `dispatched_vs_scalar_int32`, `agg_pushdown_vs_materialize_int32`,
+// `agg_repeat_tuples_read` and the two mvcc counts from that file.
 
 #include <benchmark/benchmark.h>
 
@@ -34,6 +35,7 @@
 #include "core/cracker_index.h"
 #include "core/simd_dispatch.h"
 #include "core/sorted_column.h"
+#include "obs/metrics.h"
 #include "util/rng.h"
 #include "workload/tapestry.h"
 
@@ -322,6 +324,67 @@ FinePieces MeasureFinePieces(size_t n, int reps) {
   return out;
 }
 
+struct MvccProbes {
+  uint64_t marked_rows = 0;     ///< answer rows carrying version state
+  uint64_t version_probes = 0;  ///< rows the COUNT looked up in version maps
+  uint64_t answer_rows = 0;     ///< rows the COUNT's span covered
+  double ns_per_row = 0.0;      ///< median warm COUNT time per span row
+};
+
+/// A 1M-row int64 crack column with 1,000 committed single-row UPDATEs (of
+/// a sibling column) and 1,000 committed single-row DELETEs spread over the
+/// domain, no vacuum, then a warm COUNT over 10% of the domain. The
+/// snapshot filter must send only the marked answer rows to the version
+/// maps: CI asserts `mvcc_version_probes == mvcc_marked_rows` (a filter
+/// probing every answer row would report ~100k).
+MvccProbes MeasureMvccProbes(size_t n, int reps) {
+  MvccProbes out;
+  AdaptiveStore store;  // defaults: crack strategy, lineage on, no vacuum
+  TapestryOptions topts;
+  topts.num_rows = n;
+  topts.num_columns = 2;
+  topts.seed = 31;
+  auto rel = BuildTapestry("M", topts);
+  if (!rel.ok() || !store.AddTable(*rel).ok()) return out;
+  const int64_t domain = static_cast<int64_t>(n);
+  const int64_t lo = domain / 2;
+  const int64_t hi = lo + domain / 10 - 1;
+  for (int64_t k = 0; k < 2000; ++k) {
+    // Evenly spread keys: even k updates the row, odd k deletes it.
+    const int64_t key = 1 + k * (domain / 2000) + 7;
+    std::vector<AdaptiveStore::ColumnRange> where{
+        {"c0", RangeBounds::Equal(key)}};
+    const bool ok =
+        k % 2 == 0
+            ? store.Update("M", {{"c1", Value(int64_t{0})}}, where).ok()
+            : store.Delete("M", where).ok();
+    if (!ok) return out;
+    if (key >= lo && key <= hi) ++out.marked_rows;
+  }
+  const RangeBounds range = RangeBounds::Closed(lo, hi);
+  if (!store.SelectRange("M", "c0", range).ok()) return out;  // cold crack
+  obs::Counter* probes =
+      obs::MetricsRegistry::Global().GetCounter("snapshot.version_probes");
+  std::vector<double> times;
+  for (int r = 0; r < reps; ++r) {
+    const uint64_t before = probes->Value();
+    auto t0 = std::chrono::steady_clock::now();
+    auto qr = store.SelectRange("M", "c0", range);
+    auto t1 = std::chrono::steady_clock::now();
+    if (!qr.ok()) return out;
+    if (r == 0) {
+      out.version_probes = probes->Value() - before;
+      out.answer_rows = static_cast<uint64_t>(hi - lo + 1);
+    }
+    times.push_back(static_cast<double>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
+            .count()));
+  }
+  std::sort(times.begin(), times.end());
+  out.ns_per_row = times[times.size() / 2] / static_cast<double>(hi - lo + 1);
+  return out;
+}
+
 int RunTierComparison(const std::string& path) {
   const size_t kRows = 1 << 20;
   const int kReps = 7;
@@ -364,6 +427,7 @@ int RunTierComparison(const std::string& path) {
 
   const AggCompare agg = MeasureAggPushdown(kRows, kReps);
   const FinePieces fine = MeasureFinePieces(1000000, 101);
+  const MvccProbes mvcc = MeasureMvccProbes(1000000, 21);
 
   std::ofstream out(path);
   if (!out) {
@@ -384,6 +448,10 @@ int RunTierComparison(const std::string& path) {
   out << "  \"agg_fine_reduce_median_ns\": " << fine.reduce_ns << ",\n";
   out << "  \"agg_fine_scan_median_ns\": " << fine.scan_ns << ",\n";
   out << "  \"agg_fine_pieces_vs_scan\": " << fine.ratio << ",\n";
+  out << "  \"mvcc_marked_rows\": " << mvcc.marked_rows << ",\n";
+  out << "  \"mvcc_version_probes\": " << mvcc.version_probes << ",\n";
+  out << "  \"mvcc_answer_rows\": " << mvcc.answer_rows << ",\n";
+  out << "  \"mvcc_count_ns_per_row\": " << mvcc.ns_per_row << ",\n";
   out << "  \"results\": [\n";
   for (size_t i = 0; i < rows.size(); ++i) {
     const TierRow& r = rows[i];
@@ -407,6 +475,12 @@ int RunTierComparison(const std::string& path) {
   std::printf("fine pieces (%zu): ReducePieces %.0fns vs AggregateSpan %.0fns "
               "(%.3fx)\n",
               fine.pieces, fine.reduce_ns, fine.scan_ns, fine.ratio);
+  std::printf("mvcc warm COUNT: %llu version probes for %llu marked of "
+              "%llu answer rows, %.2f ns/row\n",
+              static_cast<unsigned long long>(mvcc.version_probes),
+              static_cast<unsigned long long>(mvcc.marked_rows),
+              static_cast<unsigned long long>(mvcc.answer_rows),
+              mvcc.ns_per_row);
   std::printf("wrote %s\n", path.c_str());
   return 0;
 }

@@ -8,13 +8,13 @@
 #include <limits>
 #include <mutex>
 #include <type_traits>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "obs/instruments.h"
 
 #include "core/latch.h"
+#include "core/oid_bit_table.h"
 #include "core/sorted_column.h"
 #include "core/task_pool.h"
 #include "core/updatable_cracker_index.h"
@@ -125,7 +125,7 @@ std::string ExplainPieces(const std::vector<PieceInfo>& pieces) {
 /// the path, so the base size bounds every oid ever issued — one check for
 /// all strategies, independent of build timing.
 Status CheckDeletableOid(const Bat& column, Oid oid) {
-  if (oid >= column.head_base() + column.size()) {
+  if (oid < column.head_base() || oid >= column.head_base() + column.size()) {
     return Status::NotFound(
         StrFormat("oid %llu was never inserted",
                   static_cast<unsigned long long>(oid)));
@@ -187,16 +187,37 @@ void ReadmitOverrides(const SnapshotView* view, T lo, bool lo_incl, T hi,
   }
 }
 
+/// The rows of the answer span [oid_data, oid_data + n) that neither a
+/// tombstone nor the caller's snapshot hides, as a bitmap of
+/// BitmapWords(n) words: one batch visibility mask (a single version-log
+/// latch for the whole span) with tombstones cleared bit-wise.
+std::vector<uint64_t> SurvivorMask(const Oid* oid_data, size_t n,
+                                   const OidBitTable& tombstones,
+                                   const SnapshotView* view) {
+  std::vector<uint64_t> bm(BitmapWords(n));
+  if (ViewActive(view)) {
+    view->VisibleMask(oid_data, n, bm.data());
+  } else {
+    BitmapFill(bm.data(), n);
+  }
+  if (!tombstones.empty()) {
+    for (size_t i = 0; i < n; ++i) {
+      if (tombstones.Test(oid_data[i])) BitmapClearBit(bm.data(), i);
+    }
+  }
+  return bm;
+}
+
 /// Applies a path's pending write deltas — and the caller's MVCC read
 /// filter — to a base answer: physically tombstoned and snapshot-invisible
 /// rows drop out, qualifying pending inserts join in, and overridden rows
 /// re-enter per their value at the snapshot. When the answer is touched at
 /// all it degrades from a contiguous view to an (ascending) oid list — the
 /// price of reading through an unmerged delta or an unvacuumed version.
-template <typename T, typename IsDeletedFn>
+template <typename T>
 void OverlayDeltaAnswer(const std::vector<std::pair<T, Oid>>& pending,
-                        size_t num_tombstones, IsDeletedFn&& is_deleted, T lo,
-                        bool lo_incl, T hi, bool hi_incl, bool want_oids,
+                        const OidBitTable& tombstones, T lo, bool lo_incl,
+                        T hi, bool hi_incl, bool want_oids,
                         const SnapshotView* view, IoStats* stats,
                         AccessSelection* out) {
   bool versioned = ViewActive(view);
@@ -207,16 +228,15 @@ void OverlayDeltaAnswer(const std::vector<std::pair<T, Oid>>& pending,
   if (stats != nullptr && !pending.empty()) {
     stats->tuples_read += pending.size();
   }
-  if (num_tombstones == 0 && delta_hits == 0 && !versioned) {
+  if (tombstones.empty() && delta_hits == 0 && !versioned) {
     return;  // clean answer
   }
 
   auto hidden = [&](Oid oid) {
-    if (num_tombstones > 0 && is_deleted(oid)) return true;
-    return versioned && view->Hides(oid);
+    return tombstones.Test(oid) || (versioned && view->Hides(oid));
   };
 
-  if (!out->contiguous && num_tombstones == 0 && !versioned) {
+  if (!out->contiguous && tombstones.empty() && !versioned) {
     // Oid-list base answer with nothing to subtract: the base count stands
     // even when the caller skipped the oid gather (count-only coarse
     // selects); just add the qualifying pending inserts.
@@ -234,28 +254,25 @@ void OverlayDeltaAnswer(const std::vector<std::pair<T, Oid>>& pending,
   std::vector<Oid> oids;
   if (want_oids) oids.reserve(static_cast<size_t>(out->count) + delta_hits);
   if (out->contiguous) {
-    // Contiguous crack answers filter through a batch visibility bitmap:
-    // one version-log latch acquisition for the whole span instead of a
-    // per-row Hides() probe.
+    // Contiguous crack answers filter through one survivor bitmap instead
+    // of a per-row Hides() probe.
     size_t span = out->view.oids.size();
     const Oid* oid_ptr = out->view.oids.template data<Oid>();
-    std::vector<uint64_t> vis;
-    if (versioned) {
-      vis.resize(BitmapWords(span));
-      view->VisibleMask(oid_ptr, span, vis.data());
-    }
-    for (size_t i = 0; i < span; ++i) {
-      Oid oid = oid_ptr[i];
-      bool drop = (num_tombstones > 0 && is_deleted(oid)) ||
-                  (versioned && !BitmapTest(vis.data(), i));
-      if (drop) {
-        // The span survives the delta: a dropped row becomes an exception
-        // bit instead of forcing the whole answer into an oid list.
-        if (out->has_span_set) out->span_set.MarkException(i);
-        continue;
+    std::vector<uint64_t> keep = SurvivorMask(oid_ptr, span, tombstones, view);
+    count = BitmapCount(keep.data(), span);
+    for (size_t w = 0; w < keep.size(); ++w) {
+      const size_t left = span - (w << 6);
+      uint64_t dropped = ~keep[w];
+      if (left < 64) dropped &= (uint64_t{1} << left) - 1;
+      // The span survives the delta: a dropped row becomes an exception
+      // bit instead of forcing the whole answer into an oid list.
+      for (; out->has_span_set && dropped != 0; dropped &= dropped - 1) {
+        out->span_set.MarkException((w << 6) +
+                                    size_t(__builtin_ctzll(dropped)));
       }
-      ++count;
-      if (want_oids) oids.push_back(oid);
+      for (uint64_t m = want_oids ? keep[w] : 0; m != 0; m &= m - 1) {
+        oids.push_back(oid_ptr[(w << 6) + size_t(__builtin_ctzll(m))]);
+      }
     }
     if (stats != nullptr) stats->tuples_read += span;
   } else {
@@ -285,27 +302,13 @@ void OverlayDeltaAnswer(const std::vector<std::pair<T, Oid>>& pending,
 
 /// Reduces the value span [vals, vals + n) with the optional visibility /
 /// tombstone filters: the unmasked kernel runs when nothing can hide a row,
-/// otherwise one batch visibility mask (a single version-log latch for the
-/// whole span) with tombstones cleared bit-wise feeds the masked kernel.
-template <typename T, typename IsDeletedFn>
+/// otherwise the survivor mask feeds the masked kernel.
+template <typename T>
 SpanAggregates ReduceSpan(const T* vals, const Oid* oid_data, size_t n,
-                          size_t num_tombstones, IsDeletedFn&& is_deleted,
+                          const OidBitTable& tombstones,
                           const SnapshotView* view) {
-  bool versioned = ViewActive(view);
-  if (!versioned && num_tombstones == 0) return AggregateSpan(vals, n);
-  std::vector<uint64_t> bm(BitmapWords(n));
-  if (versioned) {
-    view->VisibleMask(oid_data, n, bm.data());
-  } else {
-    BitmapFill(bm.data(), n);
-  }
-  if (num_tombstones > 0) {
-    for (size_t i = 0; i < n; ++i) {
-      if (BitmapTest(bm.data(), i) && is_deleted(oid_data[i])) {
-        BitmapClearBit(bm.data(), i);
-      }
-    }
-  }
+  if (!ViewActive(view) && tombstones.empty()) return AggregateSpan(vals, n);
+  std::vector<uint64_t> bm = SurvivorMask(oid_data, n, tombstones, view);
   return AggregateSpanMasked(vals, n, bm.data());
 }
 
@@ -372,7 +375,10 @@ template <typename T>
 class CrackAccessPath : public ColumnAccessPath {
  public:
   CrackAccessPath(std::shared_ptr<Bat> column, const AccessPathConfig& config)
-      : column_(std::move(column)), config_(config), engine_(config.policy) {}
+      : column_(std::move(column)),
+        config_(config),
+        engine_(config.policy),
+        pre_build_deletes_(column_->head_base()) {}
 
   AccessStrategy strategy() const override { return AccessStrategy::kCrack; }
   const AccessPathConfig& config() const override { return config_; }
@@ -479,10 +485,9 @@ class CrackAccessPath : public ColumnAccessPath {
                            out.view.oids.offset() + out.view.oids.size());
       out.has_span_set = true;
     }
-    OverlayDeltaAnswer<T>(
-        updatable_->pending(), updatable_->pending_deletes(),
-        [this](Oid oid) { return updatable_->IsDeleted(oid); }, lo, lo_incl,
-        hi, hi_incl, want_oids, view, stats, &out);
+    OverlayDeltaAnswer<T>(updatable_->pending(), updatable_->tombstones(),
+                          lo, lo_incl, hi, hi_incl, want_oids, view, stats,
+                          &out);
 
     if (!config_.merge_budget.unlimited()) {
       out.bounds_dropped =
@@ -568,9 +573,7 @@ class CrackAccessPath : public ColumnAccessPath {
       CRACK_RETURN_NOT_OK(CheckDeletableOid(*column_, oid));
       std::unique_lock<std::mutex> dl(delta_mu_, std::defer_lock);
       if (config_.concurrent) dl.lock();
-      if (!pre_build_deletes_.insert(oid).second) {
-        return AlreadyDeletedError(oid);
-      }
+      if (!pre_build_deletes_.Set(oid)) return AlreadyDeletedError(oid);
       return Status::OK();
     }
     {
@@ -612,7 +615,7 @@ class CrackAccessPath : public ColumnAccessPath {
   size_t pending_deletes() const override {
     std::unique_lock<std::mutex> dl(delta_mu_, std::defer_lock);
     if (config_.concurrent) dl.lock();
-    return updatable_ == nullptr ? pre_build_deletes_.size()
+    return updatable_ == nullptr ? pre_build_deletes_.count()
                                  : updatable_->pending_deletes();
   }
   size_t merges_performed() const override {
@@ -645,6 +648,11 @@ class CrackAccessPath : public ColumnAccessPath {
 
   size_t NumPieces() const override {
     return updatable_ == nullptr ? 1 : updatable_->num_pieces();
+  }
+
+  size_t CutsSince(size_t cursor, std::vector<size_t>* out) const override {
+    return updatable_ == nullptr ? cursor
+                                 : updatable_->index().CutsSince(cursor, out);
   }
 
   Status ApplyPolicy(const PivotChoice& choice, IoStats* stats) override {
@@ -684,7 +692,7 @@ class CrackAccessPath : public ColumnAccessPath {
     if (updatable_ == nullptr) {
       if (!pre_build_deletes_.empty()) {
         out += StrFormat("deltas: %zu tombstones buffered pre-build\n",
-                         pre_build_deletes_.size());
+                         pre_build_deletes_.count());
       }
       return out + "no accelerator yet (never queried)\n";
     }
@@ -737,12 +745,12 @@ class CrackAccessPath : public ColumnAccessPath {
             : 0.0;
     updatable_ =
         std::make_unique<UpdatableCrackerIndex<T>>(column_, stats, opts);
-    for (Oid oid : pre_build_deletes_) {
+    pre_build_deletes_.ForEach([this](Oid oid) {
       Status st = updatable_->Delete(oid);
       CRACK_DCHECK(st.ok());
       (void)st;
-    }
-    pre_build_deletes_.clear();
+    });
+    pre_build_deletes_.ClearAll();
     if (config_.delta_merge.policy == DeltaMergePolicy::kImmediate &&
         updatable_->pending_deletes() > 0) {
       (void)updatable_->Merge(stats);
@@ -910,7 +918,7 @@ class CrackAccessPath : public ColumnAccessPath {
       for (size_t i = 0; i < span_n; ++i) {
         Oid oid = oid_data[cut_lo + i];
         if (!exact && !BitmapTest(match.data(), i)) continue;
-        if (tombstones > 0 && updatable_->IsDeleted(oid)) continue;
+        if (updatable_->IsDeleted(oid)) continue;
         if (versioned && !BitmapTest(vis.data(), i)) continue;
         ++out.count;
         if (want_oids) out.oids.push_back(oid);
@@ -947,11 +955,9 @@ class CrackAccessPath : public ColumnAccessPath {
     if (!ViewActive(view) && updatable_->pending_deletes() == 0) {
       agg = inner->ReducePieces(pos, pos + n, &read);
     } else {
-      agg = ReduceSpan<T>(
-          inner->values()->template TailData<T>() + pos,
-          inner->oids()->template TailData<Oid>() + pos, n,
-          updatable_->pending_deletes(),
-          [this](Oid oid) { return updatable_->IsDeleted(oid); }, view);
+      agg = ReduceSpan<T>(inner->values()->template TailData<T>() + pos,
+                          inner->oids()->template TailData<Oid>() + pos, n,
+                          updatable_->tombstones(), view);
     }
     FoldAggregates<T>(agg, n, read, updatable_->pending(), lo, lo_incl, hi,
                       hi_incl, view, stats, out);
@@ -1201,7 +1207,7 @@ class CrackAccessPath : public ColumnAccessPath {
   /// selects (Pcg32 is not thread-safe). Serial callers bypass it.
   std::mutex engine_mu_;
   std::unique_ptr<UpdatableCrackerIndex<T>> updatable_;
-  std::unordered_set<Oid> pre_build_deletes_;  ///< tombstones before build
+  OidBitTable pre_build_deletes_;  ///< tombstones before build
   // Concurrent-mode state (inert in serial mode).
   std::atomic<bool> built_{false};     ///< updatable_ is safe to dereference
   mutable std::mutex delta_mu_;        ///< guards the delta structures
@@ -1215,7 +1221,10 @@ template <typename T>
 class SortAccessPath : public ColumnAccessPath {
  public:
   SortAccessPath(std::shared_ptr<Bat> column, const AccessPathConfig& config)
-      : column_(std::move(column)), config_(config) {}
+      : column_(std::move(column)),
+        config_(config),
+        deleted_(column_->head_base()),
+        purged_(column_->head_base()) {}
 
   AccessStrategy strategy() const override { return AccessStrategy::kSort; }
   const AccessPathConfig& config() const override { return config_; }
@@ -1271,10 +1280,8 @@ class SortAccessPath : public ColumnAccessPath {
     {
       std::unique_lock<std::mutex> dl(delta_mu_, std::defer_lock);
       if (shared_mode) dl.lock();
-      OverlayDeltaAnswer<T>(
-          pending_, deleted_.size(),
-          [this](Oid oid) { return deleted_.count(oid) > 0; }, lo, lo_incl,
-          hi, hi_incl, want_oids, view, stats, &out);
+      OverlayDeltaAnswer<T>(pending_, deleted_, lo, lo_incl, hi, hi_incl,
+                            want_oids, view, stats, &out);
     }
     // A clean answer stays a contiguous view: unlike a cracker column, the
     // sorted copy never shuffles under shared readers, so the view is
@@ -1313,9 +1320,7 @@ class SortAccessPath : public ColumnAccessPath {
       size_t n = sel.values.size();
       std::unique_lock<std::mutex> dl(delta_mu_, std::defer_lock);
       if (shared_mode) dl.lock();
-      SpanAggregates agg = ReduceSpan<T>(
-          vals, oid_data, n, deleted_.size(),
-          [this](Oid oid) { return deleted_.count(oid) > 0; }, view);
+      SpanAggregates agg = ReduceSpan<T>(vals, oid_data, n, deleted_, view);
       FoldAggregates<T>(agg, n, n, pending_, lo, lo_incl, hi, hi_incl, view,
                         stats, &out);
       return out;
@@ -1338,18 +1343,18 @@ class SortAccessPath : public ColumnAccessPath {
     CRACK_RETURN_NOT_OK(CheckDeletableOid(*column_, oid));
     std::unique_lock<std::mutex> dl(delta_mu_, std::defer_lock);
     if (config_.concurrent) dl.lock();
-    if (purged_.count(oid) > 0) return AlreadyDeletedError(oid);
+    if (purged_.Test(oid)) return AlreadyDeletedError(oid);
     auto it = std::find_if(pending_.begin(), pending_.end(),
                            [oid](const auto& p) { return p.second == oid; });
     if (it != pending_.end()) {
       // Cancel the pending insert; the oid joins the physically-gone set so
       // a later Update()/Delete() sees a dead row, not a merged tuple.
       pending_.erase(it);
-      purged_.insert(oid);
+      purged_.Set(oid);
       SyncDirty();
       return Status::OK();
     }
-    if (!deleted_.insert(oid).second) return AlreadyDeletedError(oid);
+    if (!deleted_.Set(oid)) return AlreadyDeletedError(oid);
     SyncDirty();
     if (sorted_ == nullptr) return Status::OK();  // filtered until a merge
     if (dl.owns_lock()) dl.unlock();
@@ -1358,6 +1363,7 @@ class SortAccessPath : public ColumnAccessPath {
 
   Status Update(Oid oid, const Value& value, IoStats* stats) override {
     if (sorted_ == nullptr) return Status::OK();  // base slot overwritten
+    CRACK_RETURN_NOT_OK(CheckDeletableOid(*column_, oid));
     {
       std::unique_lock<std::mutex> dl(delta_mu_, std::defer_lock);
       if (config_.concurrent) dl.lock();
@@ -1367,12 +1373,11 @@ class SortAccessPath : public ColumnAccessPath {
         it->first = CastValue<T>(value);
         return Status::OK();
       }
-      if (purged_.count(oid) > 0 || deleted_.count(oid) > 0) {
+      if (purged_.Test(oid) || !deleted_.Set(oid)) {
         return Status::NotFound(
             StrFormat("oid %llu is deleted",
                       static_cast<unsigned long long>(oid)));
       }
-      deleted_.insert(oid);
       pending_.emplace_back(CastValue<T>(value), oid);
       SyncDirty();
     }
@@ -1400,7 +1405,7 @@ class SortAccessPath : public ColumnAccessPath {
   size_t pending_deletes() const override {
     std::unique_lock<std::mutex> dl(delta_mu_, std::defer_lock);
     if (config_.concurrent) dl.lock();
-    return deleted_.size();
+    return deleted_.count();
   }
   size_t merges_performed() const override { return merges_; }
 
@@ -1432,7 +1437,7 @@ class SortAccessPath : public ColumnAccessPath {
     out += "sorted copy present (binary-search access)\n";
     out += StrFormat("deltas: %zu pending inserts, %zu tombstones, "
                      "%zu merges\n",
-                     pending_.size(), deleted_.size(), merges_);
+                     pending_.size(), deleted_.count(), merges_);
     return out;
   }
 
@@ -1441,7 +1446,7 @@ class SortAccessPath : public ColumnAccessPath {
   /// exclusive column latch; a no-op in serial mode.
   void SyncDirty() {
     if (!config_.concurrent) return;
-    dirty_count_.store(pending_.size() + deleted_.size(),
+    dirty_count_.store(pending_.size() + deleted_.count(),
                        std::memory_order_relaxed);
   }
 
@@ -1473,7 +1478,7 @@ class SortAccessPath : public ColumnAccessPath {
   bool OverThreshold() const {
     double fraction = config_.delta_merge.threshold_fraction;
     if (fraction <= 0 || sorted_ == nullptr) return false;
-    return pending_.size() + deleted_.size() >
+    return pending_.size() + deleted_.count() >
            static_cast<size_t>(fraction *
                                static_cast<double>(sorted_->size()));
   }
@@ -1498,7 +1503,7 @@ class SortAccessPath : public ColumnAccessPath {
     size_t w = 0;
     size_t p = 0;
     for (size_t i = 0; i < old_n; ++i) {
-      if (!deleted_.empty() && deleted_.count(src_o[i]) > 0) continue;
+      if (deleted_.Test(src_o[i])) continue;
       while (p < pending_.size() && pending_[p].first < src_v[i]) {
         vd[w] = pending_[p].first;
         od[w] = pending_[p].second;
@@ -1524,14 +1529,10 @@ class SortAccessPath : public ColumnAccessPath {
                                                 std::move(oids));
     // Only tombstones without a pending rebirth (an Update leaves both) are
     // physically gone; remember them so later writes report the row dead.
-    std::unordered_set<Oid> reborn;
-    reborn.reserve(pending_.size());
-    for (const auto& [value, oid] : pending_) reborn.insert(oid);
-    for (Oid oid : deleted_) {
-      if (reborn.count(oid) == 0) purged_.insert(oid);
-    }
+    for (const auto& [value, oid] : pending_) deleted_.Clear(oid);
+    deleted_.ForEach([this](Oid oid) { purged_.Set(oid); });
     pending_.clear();
-    deleted_.clear();
+    deleted_.ClearAll();
     ++merges_;
     obs::RecordMerge(w);
     SyncDirty();
@@ -1543,8 +1544,8 @@ class SortAccessPath : public ColumnAccessPath {
   AccessPathConfig config_;
   std::unique_ptr<SortedColumn<T>> sorted_;
   std::vector<std::pair<T, Oid>> pending_;  ///< inserts since the last merge
-  std::unordered_set<Oid> deleted_;         ///< tombstones since the last merge
-  std::unordered_set<Oid> purged_;  ///< oids physically gone (merged away)
+  OidBitTable deleted_;  ///< tombstones since the last merge
+  OidBitTable purged_;   ///< oids physically gone (merged away)
   size_t merges_ = 0;
   // Concurrent-mode state (inert in serial mode).
   std::atomic<bool> built_{false};      ///< sorted_ is safe to dereference
@@ -1559,7 +1560,9 @@ template <typename T>
 class ScanAccessPath : public ColumnAccessPath {
  public:
   ScanAccessPath(std::shared_ptr<Bat> column, const AccessPathConfig& config)
-      : column_(std::move(column)), config_(config) {}
+      : column_(std::move(column)),
+        config_(config),
+        deleted_(column_->head_base()) {}
 
   AccessStrategy strategy() const override { return AccessStrategy::kScan; }
   const AccessPathConfig& config() const override { return config_; }
@@ -1579,40 +1582,15 @@ class ScanAccessPath : public ColumnAccessPath {
     bool lo_incl, hi_incl;
     ClampRange<T>(range, &lo, &lo_incl, &hi, &hi_incl);
     AccessSelection out;
-    bool versioned = ViewActive(view);
-    // Concurrent mode: snapshot the tombstone set under the delta latch,
-    // then scan latch-free — holding the latch across the O(n) loop would
-    // serialize every concurrent scan on this column (the base data itself
-    // is covered by the owner's table base latch).
-    std::unordered_set<Oid> snapshot;
-    const std::unordered_set<Oid>* tombs = &deleted_;
-    if (config_.concurrent) {
-      std::lock_guard<std::mutex> dl(delta_mu_);
-      snapshot = deleted_;
-      tombs = &snapshot;
-    }
     const T* data = column_->TailData<T>();
     size_t n = column_->size();
     Oid base = column_->head_base();
     // Branchless scan: one vectorized range bitmap, AND-ed with one batch
     // visibility bitmap (a single version-log latch acquisition instead of
-    // one per row), tombstones cleared bit-wise — then popcount for the
+    // one per row), tombstones cleared word-wise — then popcount for the
     // count and bit-iterate for the oid gather.
-    std::vector<uint64_t> match(BitmapWords(n));
-    RangeMatchMask<T>(data, n, /*has_lo=*/true, lo, lo_incl, /*has_hi=*/true,
-                      hi, hi_incl, match.data());
-    if (versioned) {
-      std::vector<uint64_t> vis(BitmapWords(n));
-      view->VisibleRangeMask(base, n, vis.data());
-      for (size_t w = 0; w < match.size(); ++w) match[w] &= vis[w];
-    }
-    if (!tombs->empty()) {
-      for (Oid oid : *tombs) {
-        if (oid >= base && oid - base < n) {
-          BitmapClearBit(match.data(), size_t(oid - base));
-        }
-      }
-    }
+    std::vector<uint64_t> match = MatchMask(data, n, base, lo, lo_incl, hi,
+                                            hi_incl, view);
     out.count = BitmapCount(match.data(), n);
     // Runs of matching rows become identity spans (oid = base + position):
     // clustered data scans to a handful of spans, and downstream consumers
@@ -1631,7 +1609,9 @@ class ScanAccessPath : public ColumnAccessPath {
       }
     }
     ReadmitOverrides<T>(view, lo, lo_incl, hi, hi_incl, want_oids, &out);
-    if (versioned && want_oids) std::sort(out.oids.begin(), out.oids.end());
+    if (ViewActive(view) && want_oids) {
+      std::sort(out.oids.begin(), out.oids.end());
+    }
     if (stats != nullptr) {
       stats->tuples_read += n;
       if (want_oids) stats->tuples_written += out.count;
@@ -1654,33 +1634,13 @@ class ScanAccessPath : public ColumnAccessPath {
       ClampRange<T>(range, &lo, &lo_incl, &hi, &hi_incl);
       ColumnAggregates out;
       if (EmptyRange(lo, lo_incl, hi, hi_incl)) return out;
-      std::unordered_set<Oid> snapshot;
-      const std::unordered_set<Oid>* tombs = &deleted_;
-      if (config_.concurrent) {
-        std::lock_guard<std::mutex> dl(delta_mu_);
-        snapshot = deleted_;
-        tombs = &snapshot;
-      }
       const T* data = column_->TailData<T>();
       size_t n = column_->size();
-      Oid base = column_->head_base();
-      bool versioned = ViewActive(view);
-      // Same branchless mask pipeline as Select, but the finished bitmap
-      // feeds the masked reduction kernel instead of a bit-iterate oid
-      // gather — the whole column is the pushdown span.
-      std::vector<uint64_t> match(BitmapWords(n));
-      RangeMatchMask<T>(data, n, /*has_lo=*/true, lo, lo_incl,
-                        /*has_hi=*/true, hi, hi_incl, match.data());
-      if (versioned) {
-        std::vector<uint64_t> vis(BitmapWords(n));
-        view->VisibleRangeMask(base, n, vis.data());
-        for (size_t w = 0; w < match.size(); ++w) match[w] &= vis[w];
-      }
-      for (Oid oid : *tombs) {
-        if (oid >= base && oid - base < n) {
-          BitmapClearBit(match.data(), size_t(oid - base));
-        }
-      }
+      // Same mask pipeline as Select, but the finished bitmap feeds the
+      // masked reduction kernel instead of a bit-iterate oid gather — the
+      // whole column is the pushdown span.
+      std::vector<uint64_t> match = MatchMask(
+          data, n, column_->head_base(), lo, lo_incl, hi, hi_incl, view);
       SpanAggregates agg = AggregateSpanMasked(data, n, match.data());
       FoldAggregates<T>(agg, n, n, {}, lo, lo_incl, hi, hi_incl, view, stats,
                         &out);
@@ -1702,7 +1662,7 @@ class ScanAccessPath : public ColumnAccessPath {
     CRACK_RETURN_NOT_OK(CheckDeletableOid(*column_, oid));
     std::unique_lock<std::mutex> dl(delta_mu_, std::defer_lock);
     if (config_.concurrent) dl.lock();
-    if (!deleted_.insert(oid).second) return AlreadyDeletedError(oid);
+    if (!deleted_.Set(oid)) return AlreadyDeletedError(oid);
     return Status::OK();
   }
 
@@ -1722,7 +1682,7 @@ class ScanAccessPath : public ColumnAccessPath {
   size_t pending_deletes() const override {
     std::unique_lock<std::mutex> dl(delta_mu_, std::defer_lock);
     if (config_.concurrent) dl.lock();
-    return deleted_.size();
+    return deleted_.count();
   }
   size_t merges_performed() const override { return 0; }
 
@@ -1743,15 +1703,35 @@ class ScanAccessPath : public ColumnAccessPath {
         "access path: scan\nno auxiliary structure (full scan per query)\n";
     if (!deleted_.empty()) {
       out += StrFormat("deltas: %zu tombstones filtered per scan\n",
-                       deleted_.size());
+                       deleted_.count());
     }
     return out;
   }
 
  private:
+  /// The scan's answer bitmap over all n base rows: the range predicate,
+  /// AND the snapshot's visibility, AND-NOT the tombstones. Concurrent mode
+  /// holds the delta latch only for the AND-NOT, one word per 64 rows.
+  std::vector<uint64_t> MatchMask(const T* data, size_t n, Oid base, T lo,
+                                  bool lo_incl, T hi, bool hi_incl,
+                                  const SnapshotView* view) const {
+    std::vector<uint64_t> match(BitmapWords(n));
+    RangeMatchMask<T>(data, n, /*has_lo=*/true, lo, lo_incl, /*has_hi=*/true,
+                      hi, hi_incl, match.data());
+    if (ViewActive(view)) {
+      std::vector<uint64_t> vis(BitmapWords(n));
+      view->VisibleRangeMask(base, n, vis.data());
+      for (size_t w = 0; w < match.size(); ++w) match[w] &= vis[w];
+    }
+    std::unique_lock<std::mutex> dl(delta_mu_, std::defer_lock);
+    if (config_.concurrent) dl.lock();
+    deleted_.ClearMembers(base, n, match.data());
+    return match;
+  }
+
   std::shared_ptr<Bat> column_;
   AccessPathConfig config_;
-  std::unordered_set<Oid> deleted_;
+  OidBitTable deleted_;
   mutable std::mutex delta_mu_;  ///< guards deleted_ (concurrent mode only)
 };
 
@@ -1784,7 +1764,10 @@ class DictStringAccessPath : public ColumnAccessPath {
  public:
   DictStringAccessPath(std::shared_ptr<Bat> column,
                        const AccessPathConfig& config)
-      : column_(std::move(column)), config_(config), inner_config_(config) {
+      : column_(std::move(column)),
+        config_(config),
+        inner_config_(config),
+        deleted_(column_->head_base()) {
     // The wrapper is exclusive-only under concurrency (the dictionary has
     // no internal locking and a gap-exhaustion remap swaps the whole inner
     // path), so the inner numeric path keeps serial semantics — its inline
@@ -1871,10 +1854,10 @@ class DictStringAccessPath : public ColumnAccessPath {
     // The all-time tombstone set is the wrapper's own: the shadow code
     // column is append-only, so a rebuilt inner path must re-learn every
     // historical delete.
-    if (!deleted_.insert(oid).second) return AlreadyDeletedError(oid);
+    if (!deleted_.Set(oid)) return AlreadyDeletedError(oid);
     if (inner_ == nullptr) return Status::OK();
     Status st = inner_->Delete(oid, stats);
-    if (!st.ok()) deleted_.erase(oid);  // keep the replay set replayable
+    if (!st.ok()) deleted_.Clear(oid);  // keep the replay set replayable
     return st;
   }
 
@@ -1901,7 +1884,7 @@ class DictStringAccessPath : public ColumnAccessPath {
     return inner_ == nullptr ? 0 : inner_->pending_inserts();
   }
   size_t pending_deletes() const override {
-    return inner_ == nullptr ? deleted_.size() : inner_->pending_deletes();
+    return inner_ == nullptr ? deleted_.count() : inner_->pending_deletes();
   }
   size_t merges_performed() const override {
     return merges_carry_ +
@@ -1919,6 +1902,9 @@ class DictStringAccessPath : public ColumnAccessPath {
   size_t NumPieces() const override {
     return inner_ == nullptr ? 1 : inner_->NumPieces();
   }
+  size_t CutsSince(size_t cursor, std::vector<size_t>* out) const override {
+    return inner_ == nullptr ? cursor : inner_->CutsSince(cursor, out);
+  }
 
   Status ApplyPolicy(const PivotChoice& choice, IoStats* stats) override {
     EnsureEncoded(stats);
@@ -1932,7 +1918,7 @@ class DictStringAccessPath : public ColumnAccessPath {
     if (inner_ == nullptr) {
       if (!deleted_.empty()) {
         out += StrFormat("deltas: %zu tombstones buffered pre-encode\n",
-                         deleted_.size());
+                         deleted_.count());
       }
       return out + "no code column yet (never queried)\n";
     }
@@ -2065,11 +2051,11 @@ class DictStringAccessPath : public ColumnAccessPath {
   void RebuildInner(IoStats* stats) {
     (void)stats;
     inner_ = MakePath<int64_t>(codes_, inner_config_);
-    for (Oid oid : deleted_) {
+    deleted_.ForEach([this](Oid oid) {
       Status st = inner_->Delete(oid);
       CRACK_DCHECK(st.ok());
       (void)st;
-    }
+    });
   }
 
   std::shared_ptr<Bat> column_;  ///< the kString base (append-only)
@@ -2078,7 +2064,7 @@ class DictStringAccessPath : public ColumnAccessPath {
   std::unique_ptr<StringDictionary> dict_;
   std::shared_ptr<Bat> codes_;  ///< int64 shadow, row-parallel to the base
   std::unique_ptr<ColumnAccessPath> inner_;
-  std::unordered_set<Oid> deleted_;  ///< all-time tombstones (replayable)
+  OidBitTable deleted_;  ///< all-time tombstones (replayable)
   size_t merges_carry_ = 0;  ///< merges of discarded inner paths (+rebuilds)
 };
 

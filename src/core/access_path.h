@@ -285,6 +285,16 @@ class ColumnAccessPath {
   /// Number of pieces (cheaper than Pieces().size()).
   virtual size_t NumPieces() const = 0;
 
+  /// The piece table's cut log (CrackerIndex::CutsSince): appends the
+  /// interior cut positions registered since `cursor` to *out and returns
+  /// the new cursor. A rebuilt accelerator (merges_performed() moves) or a
+  /// fusion (AccessSelection::bounds_dropped) restarts the log; readers then
+  /// resume from cursor 0. Paths without a piece table log nothing.
+  virtual size_t CutsSince(size_t cursor, std::vector<size_t>* out) const {
+    (void)out;
+    return cursor;
+  }
+
   /// Applies an explicit pivot: cracks the column at `choice` outside any
   /// query. Unimplemented for paths without a piece table (sort, scan).
   virtual Status ApplyPolicy(const PivotChoice& choice,

@@ -113,7 +113,7 @@ std::vector<Oid> QueryResult::CollectOids() && {
 
 AdaptiveStore::AdaptiveStore(AdaptiveStoreOptions options)
     : options_(options) {
-  // Lineage bookkeeping diffs whole piece tables after every select, which
+  // Lineage bookkeeping splits leaves at the cuts a statement logged, which
   // cannot be kept consistent while neighbors crack pieces concurrently;
   // concurrent mode trades the DAG away (README "Concurrency model").
   if (options_.concurrent) options_.track_lineage = false;
@@ -1102,10 +1102,6 @@ Result<QueryResult> AdaptiveStore::SelectRange(const std::string& table,
 
   CRACK_ASSIGN_OR_RETURN(ColumnAccel * accel, Accel(table, column, bat));
   bool is_crack = accel->path->strategy() == AccessStrategy::kCrack;
-  if (is_crack && options_.track_lineage && accel->root == kInvalidPieceId) {
-    accel->root = lineage_.AddRoot(table + "." + column, bat->size());
-    accel->piece_nodes[{0, bat->size()}] = accel->root;
-  }
 
   SnapshotView view = ViewForColumn(table, column, snap);
   // kSpans keeps span answers as they are; only paths whose fuzzy answers
@@ -1137,21 +1133,7 @@ Result<QueryResult> AdaptiveStore::SelectRange(const std::string& table,
   }
 
   if (is_crack && options_.track_lineage) {
-    size_t merges_now = accel->path->merges_performed();
-    if (sel.bounds_dropped > 0 || merges_now != accel->merges_seen) {
-      // Fused pieces (or a delta merge's rebuilt cracker column) no longer
-      // tile the registered nodes; apply the inverse operation to the
-      // column's subtree (§3.2: "trimming the graph") and re-register the
-      // surviving partitioning from the root.
-      (void)lineage_.TrimDescendants(accel->root);
-      accel->piece_nodes.clear();
-      std::vector<PieceInfo> pieces = accel->path->Pieces();
-      size_t span_end =
-          pieces.empty() ? accel->path->size() : pieces.back().end;
-      accel->piece_nodes[{0, span_end}] = accel->root;
-      accel->merges_seen = merges_now;
-    }
-    UpdateLineage(table, column, accel);
+    UpdateLineage(table, column, accel, sel.bounds_dropped > 0);
   }
 
   if (delivery == Delivery::kMaterialize) {
@@ -1206,10 +1188,6 @@ Result<ColumnAggregates> AdaptiveStore::AggregateRange(
     // caller fall back to the select-based loop, which reports it.
     return Status::Unimplemented("aggregate pushdown: budgeted merge lineage");
   }
-  if (is_crack && options_.track_lineage && accel->root == kInvalidPieceId) {
-    accel->root = lineage_.AddRoot(table + "." + column, bat->size());
-    accel->piece_nodes[{0, bat->size()}] = accel->root;
-  }
 
   IoStats io;
   obs::TraceSpan trace_span("aggregate", table + "." + column, &io);
@@ -1220,19 +1198,8 @@ Result<ColumnAggregates> AdaptiveStore::AggregateRange(
                                   view.active() ? &view : nullptr));
 
   if (is_crack && options_.track_lineage) {
-    // The aggregate's cuts crack the column exactly like a select's; the
-    // same piece-diff keeps the Ξ DAG current.
-    size_t merges_now = accel->path->merges_performed();
-    if (merges_now != accel->merges_seen) {
-      (void)lineage_.TrimDescendants(accel->root);
-      accel->piece_nodes.clear();
-      std::vector<PieceInfo> pieces = accel->path->Pieces();
-      size_t span_end =
-          pieces.empty() ? accel->path->size() : pieces.back().end;
-      accel->piece_nodes[{0, span_end}] = accel->root;
-      accel->merges_seen = merges_now;
-    }
-    UpdateLineage(table, column, accel);
+    // The aggregate's cuts crack the column exactly like a select's.
+    UpdateLineage(table, column, accel, /*fused=*/false);
   }
 
   out.io = io;
@@ -2078,38 +2045,54 @@ std::vector<AdaptiveStore::ColumnPolicy> AdaptiveStore::PolicyReport() const {
 
 void AdaptiveStore::UpdateLineage(const std::string& table,
                                   const std::string& column,
-                                  ColumnAccel* accel) {
-  std::vector<PieceInfo> pieces = accel->path->Pieces();
-  std::string prefix = table + "." + column;
-  // Every current piece lies inside exactly one registered node (cuts only
-  // ever subdivide). Group new pieces by enclosing registered range and log
-  // one Ξ application per split node.
-  std::map<std::pair<size_t, size_t>, std::vector<PieceInfo>> by_parent;
-  for (const PieceInfo& p : pieces) {
-    std::pair<size_t, size_t> self{p.begin, p.end};
-    if (accel->piece_nodes.count(self) > 0) continue;  // unchanged piece
-    // Find the enclosing registered node.
-    for (const auto& [range, node] : accel->piece_nodes) {
-      if (range.first <= p.begin && p.end <= range.second) {
-        by_parent[range].push_back(p);
-        break;
-      }
-    }
+                                  ColumnAccel* accel, bool fused) {
+  obs::TraceSpan span("lineage");
+  // The root holds the accelerator's rows; nothing is cracked before the
+  // accelerator exists.
+  const size_t n = accel->path->accel_tuples();
+  if (n == 0) return;
+  const size_t merges = accel->path->merges_performed();
+  const bool fresh = accel->root == kInvalidPieceId;
+  if (fresh) accel->root = lineage_.AddRoot(table + "." + column, n);
+  if (fresh || fused || merges != accel->merges_seen) {
+    // Fused pieces (or a delta merge's rebuilt cracker column) no longer
+    // tile the registered nodes; apply the inverse operation to the
+    // column's subtree (§3.2: "trimming the graph") and re-register the
+    // surviving partitioning — the path's whole cut log — from a root
+    // sized to the accelerator.
+    (void)lineage_.Reroot(accel->root, n);
+    accel->leaves.clear();
+    accel->leaves.emplace(0, std::make_pair(n, accel->root));
+    accel->cut_cursor = 0;
+    accel->merges_seen = merges;
   }
-  for (const auto& [range, children] : by_parent) {
-    PieceId parent = accel->piece_nodes[range];
+  std::vector<size_t> cuts;
+  accel->cut_cursor = accel->path->CutsSince(accel->cut_cursor, &cuts);
+  std::sort(cuts.begin(), cuts.end());
+  const std::string prefix = table + "." + column;
+  // Every new cut lies inside exactly one leaf (cuts only ever subdivide).
+  // Log one Ξ per split leaf: the leaf cut at every new position inside it.
+  for (size_t i = 0; i < cuts.size();) {
+    auto leaf = std::prev(accel->leaves.upper_bound(cuts[i]));
+    const size_t end = leaf->second.first;
+    const PieceId parent = leaf->second.second;
+    std::vector<size_t> edges{leaf->first};
+    for (; i < cuts.size() && cuts[i] < end; ++i) {
+      if (cuts[i] > edges.back()) edges.push_back(cuts[i]);
+    }
+    if (edges.size() == 1) continue;  // already a leaf boundary
+    edges.push_back(end);
     std::vector<std::pair<std::string, uint64_t>> outputs;
-    outputs.reserve(children.size());
-    for (const PieceInfo& p : children) {
-      outputs.emplace_back(
-          StrFormat("%s[%zu,%zu)", prefix.c_str(), p.begin, p.end),
-          p.size());
+    outputs.reserve(edges.size() - 1);
+    for (size_t k = 0; k + 1 < edges.size(); ++k) {
+      outputs.emplace_back(StrFormat("%s[%zu,%zu)", prefix.c_str(), edges[k],
+                                     edges[k + 1]),
+                           edges[k + 1] - edges[k]);
     }
     auto ids = lineage_.AddCrack(CrackOp::kXi, {parent}, outputs);
     CRACK_DCHECK(ids.ok());
-    accel->piece_nodes.erase(range);
-    for (size_t i = 0; i < children.size(); ++i) {
-      accel->piece_nodes[{children[i].begin, children[i].end}] = (*ids)[i];
+    for (size_t k = 0; k + 1 < edges.size(); ++k) {
+      accel->leaves[edges[k]] = {edges[k + 1], (*ids)[k]};
     }
   }
 }

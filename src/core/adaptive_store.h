@@ -300,6 +300,12 @@ class AdaptiveStore {
 
   const TxnManager& txn_manager() const { return txn_mgr_; }
 
+  /// The version log of `table` — what every snapshot view filters by —
+  /// or nullptr for an unknown table (test support).
+  const VersionedTable* versions(const std::string& table) const {
+    return VersionsIfAny(table);
+  }
+
   /// Snapshot-visible base reads of one table: the single door through
   /// which the executor (projections, aggregate sinks) and the conjunction
   /// probe read base columns by oid. Each column's override lookup is built
@@ -531,8 +537,12 @@ class AdaptiveStore {
     /// The per-column reader/writer latch (concurrent mode only).
     mutable std::shared_mutex latch;
     PieceId root = kInvalidPieceId;
-    /// Lineage piece nodes keyed by their [begin, end) slot range.
-    std::map<std::pair<size_t, size_t>, PieceId> piece_nodes;
+    /// The root's current leaves, keyed by begin slot: {end slot, node}.
+    /// They tile the accelerator exactly like its piece table does.
+    std::map<size_t, std::pair<size_t, PieceId>> leaves;
+    /// How far into the path's cut log (ColumnAccessPath::CutsSince) the
+    /// leaves have been split.
+    size_t cut_cursor = 0;
     /// Delta merges folded when the lineage was last synced; a change means
     /// the accelerator was rebuilt and the piece subtree must re-root.
     size_t merges_seen = 0;
@@ -591,10 +601,12 @@ class AdaptiveStore {
                              const std::string& column,
                              const std::shared_ptr<Bat>& bat);
 
-  /// Records Ξ piece splits into the lineage after a crack (diffs the piece
-  /// table against the registered nodes).
+  /// Records the Ξ piece splits of a crack statement into the lineage: the
+  /// cuts the path logged since the last sync split the leaves containing
+  /// them. `fused`: the statement dropped boundaries (merge budget), so the
+  /// subtree re-roots, as it does after a delta merge.
   void UpdateLineage(const std::string& table, const std::string& column,
-                     ColumnAccel* accel);
+                     ColumnAccel* accel, bool fused);
 
   // --- MVCC machinery -------------------------------------------------------
 

@@ -100,12 +100,25 @@ template <typename T>
 void CrackerIndex<T>::RefCut(size_t pos, int delta) {
   if (pos == 0 || pos >= n_) return;
   if (delta > 0) {
-    ++cut_refs_[pos].refs;
+    if (cut_refs_[pos].refs++ == 0) cut_log_.push_back(pos);
     return;
   }
   auto it = cut_refs_.find(pos);
   CRACK_DCHECK(it != cut_refs_.end());
-  if (it != cut_refs_.end() && --it->second.refs == 0) cut_refs_.erase(it);
+  if (it != cut_refs_.end() && --it->second.refs == 0) {
+    cut_refs_.erase(it);
+    cut_log_.erase(std::find(cut_log_.begin(), cut_log_.end(), pos));
+  }
+}
+
+template <typename T>
+size_t CrackerIndex<T>::CutsSince(size_t cursor,
+                                  std::vector<size_t>* out) const {
+  std::lock_guard<std::mutex> lk(map_mu_);
+  if (cursor < cut_log_.size()) {
+    out->insert(out->end(), cut_log_.begin() + cursor, cut_log_.end());
+  }
+  return cut_log_.size();
 }
 
 template <typename T>

@@ -264,6 +264,14 @@ class CrackerIndex {
   SpanAggregates ReducePieces(size_t begin, size_t end,
                               size_t* rows_read = nullptr);
 
+  /// The cut log: appends to *out every interior cut position registered
+  /// since `cursor` (a position in the log), in registration order, and
+  /// returns the new cursor. Registered positions never move; a fused cut
+  /// (RemoveBound) is struck from the log, so a reader that saw a fusion
+  /// restarts from cursor 0 and reads exactly the live cuts. A rebuilt
+  /// index (delta merge) starts with a fresh log. Thread-safe.
+  size_t CutsSince(size_t cursor, std::vector<size_t>* out) const;
+
   /// Number of registered boundary values.
   size_t num_bounds() const { return bounds_.size(); }
 
@@ -385,6 +393,9 @@ class CrackerIndex {
   std::map<size_t, CutRef> cut_refs_;
   /// Summary kept for the rows starting at slot 0 (no cut_refs_ entry).
   PieceSummary head_summary_;
+  /// The keys of cut_refs_ in registration order (see CutsSince). Guarded
+  /// like cut_refs_.
+  std::vector<size_t> cut_log_;
   /// Progressive frontiers, keyed by their piece's begin slot (one job per
   /// piece). Guarded by map_mu_ on the concurrent path.
   std::map<size_t, ProgressiveJob> progressive_;

@@ -102,6 +102,15 @@ Status LineageGraph::TrimDescendants(PieceId id) {
   return Status::OK();
 }
 
+Status LineageGraph::Reroot(PieceId id, uint64_t size) {
+  if (id >= pieces_.size() || !pieces_[id].is_root) {
+    return Status::InvalidArgument("reroot needs a root piece");
+  }
+  CRACK_RETURN_NOT_OK(TrimDescendants(id));
+  pieces_[id].size = size;
+  return Status::OK();
+}
+
 Status LineageGraph::CheckLossless(PieceId root) const {
   if (root >= pieces_.size()) return Status::NotFound("unknown root");
   // Walk down; every horizontally cracked piece must have children sizes

@@ -72,6 +72,12 @@ class LineageGraph {
   /// Models piece fusion — the data of the descendants has been reabsorbed.
   Status TrimDescendants(PieceId id);
 
+  /// Trims every descendant of root `id` and resizes it to `size`: an
+  /// accelerator rebuilt by a delta merge restarts its partitioning from a
+  /// root that holds the merged rows (inserts folded in, deletes folded out),
+  /// so the loss-less invariant keeps holding.
+  Status Reroot(PieceId id, uint64_t size);
+
   /// Graphviz rendering of the DAG (Figs. 5-6 style).
   std::string ToDot() const;
 

@@ -35,34 +35,87 @@ bool SnapshotView::RowVisible(Oid oid) const {
     return false;
   }
   if (all_below_horizon_visible_) return true;
-  bool visible = table_->RowVisibleAt(oid, snap_);
+  std::shared_lock<std::shared_mutex> lock(table_->mu_);
+  if (!table_->marks_.Test(oid)) return true;
+  obs::RecordVersionProbes(1);
+  bool visible = table_->MarkedRowVisibleLocked(oid, snap_);
   if (!visible) obs::RecordSnapshotFiltered(1);
   return visible;
 }
 
+bool SnapshotView::Hides(Oid oid) const {
+  if (!active()) return false;
+  if (oid >= horizon_) {
+    obs::RecordSnapshotFiltered(1);
+    return true;
+  }
+  if (all_below_horizon_visible_ && overridden_.empty()) return false;
+  std::shared_lock<std::shared_mutex> lock(table_->mu_);
+  if (!table_->marks_.Test(oid)) return false;
+  obs::RecordVersionProbes(1);
+  if (overridden_.count(oid) > 0) return true;
+  if (all_below_horizon_visible_) return false;
+  bool visible = table_->MarkedRowVisibleLocked(oid, snap_);
+  if (!visible) obs::RecordSnapshotFiltered(1);
+  return !visible;
+}
+
+namespace {
+
+/// Sets bit i of `bm` (BitmapWords(n) words) iff keep(oids[i]), one word
+/// assembled in a register at a time.
+template <typename Keep>
+void FillMask(const Oid* oids, size_t n, uint64_t* bm, Keep&& keep) {
+  for (size_t w = 0; w < BitmapWords(n); ++w) {
+    const size_t first = w << 6;
+    const size_t m = std::min<size_t>(64, n - first);
+    uint64_t word = 0;
+    for (size_t j = 0; j < m; ++j) {
+      word |= uint64_t(keep(oids[first + j])) << j;
+    }
+    bm[w] = word;
+  }
+}
+
+}  // namespace
+
 void SnapshotView::VisibleMask(const Oid* oids, size_t n, uint64_t* bm) const {
-  size_t words = BitmapWords(n);
   if (!active()) {
     BitmapFill(bm, n);
     return;
   }
-  for (size_t w = 0; w < words; ++w) bm[w] = 0;
+  const Oid horizon = horizon_;
   if (all_below_horizon_visible_ && overridden_.empty()) {
-    for (size_t i = 0; i < n; ++i) {
-      bm[i >> 6] |= uint64_t(oids[i] < horizon_) << (i & 63);
-    }
+    FillMask(oids, n, bm, [horizon](Oid oid) { return oid < horizon; });
     return;
   }
-  // General case: one shared latch acquisition for the whole batch (the
-  // per-row Hides() path re-locks per probe).
+  // One shared latch acquisition for the whole batch (the per-row Hides()
+  // path re-locks per probe). An unmarked oid below the horizon is visible
+  // with its physical value; the first pass settles those, the second
+  // sends the marked ones on to the override set and the version maps.
   std::shared_lock<std::shared_mutex> lock(table_->mu_);
-  for (size_t i = 0; i < n; ++i) {
-    Oid oid = oids[i];
-    bool ok = oid < horizon_ && overridden_.count(oid) == 0 &&
-              (all_below_horizon_visible_ ||
-               table_->RowVisibleLocked(oid, snap_));
-    bm[i >> 6] |= uint64_t(ok) << (i & 63);
+  const OidBitTable& marks = table_->marks_;
+  FillMask(oids, n, bm, [horizon, &marks](Oid oid) {
+    return oid < horizon && !marks.Test(oid);
+  });
+  uint64_t probes = 0;
+  for (size_t w = 0; w < BitmapWords(n); ++w) {
+    const size_t left = n - (w << 6);
+    uint64_t rest = ~bm[w];
+    if (left < 64) rest &= (uint64_t{1} << left) - 1;
+    for (; rest != 0; rest &= rest - 1) {
+      const size_t i = (w << 6) + size_t(__builtin_ctzll(rest));
+      const Oid oid = oids[i];
+      if (oid >= horizon) continue;
+      ++probes;
+      if (overridden_.count(oid) == 0 &&
+          (all_below_horizon_visible_ ||
+           table_->MarkedRowVisibleLocked(oid, snap_))) {
+        BitmapSet(bm, i);
+      }
+    }
   }
+  obs::RecordVersionProbes(probes);
   obs::RecordSnapshotFiltered(n - BitmapCount(bm, n));
 }
 
@@ -71,25 +124,23 @@ void SnapshotView::VisibleRangeMask(Oid first, size_t n, uint64_t* bm) const {
     BitmapFill(bm, n);
     return;
   }
-  if (all_below_horizon_visible_ && overridden_.empty()) {
-    // Contiguous oids against a horizon: a single clip point.
-    size_t visible = first >= horizon_
-                         ? 0
-                         : std::min<size_t>(n, size_t(horizon_ - first));
-    BitmapFill(bm, visible);
-    for (size_t w = BitmapWords(visible); w < BitmapWords(n); ++w) bm[w] = 0;
-    obs::RecordSnapshotFiltered(n - visible);
-    return;
-  }
-  size_t words = BitmapWords(n);
-  for (size_t w = 0; w < words; ++w) bm[w] = 0;
-  std::shared_lock<std::shared_mutex> lock(table_->mu_);
-  for (size_t i = 0; i < n; ++i) {
-    Oid oid = first + i;
-    bool ok = oid < horizon_ && overridden_.count(oid) == 0 &&
-              (all_below_horizon_visible_ ||
-               table_->RowVisibleLocked(oid, snap_));
-    bm[i >> 6] |= uint64_t(ok) << (i & 63);
+  // Contiguous oids against a horizon: a single clip point.
+  size_t visible =
+      first >= horizon_ ? 0 : std::min<size_t>(n, size_t(horizon_ - first));
+  BitmapFill(bm, visible);
+  for (size_t w = BitmapWords(visible); w < BitmapWords(n); ++w) bm[w] = 0;
+  if (!all_below_horizon_visible_ || !overridden_.empty()) {
+    std::shared_lock<std::shared_mutex> lock(table_->mu_);
+    uint64_t probes = 0;
+    table_->marks_.ForEachIn(first, visible, [&](size_t i) {
+      ++probes;
+      Oid oid = first + i;
+      bool ok = overridden_.count(oid) == 0 &&
+                (all_below_horizon_visible_ ||
+                 table_->MarkedRowVisibleLocked(oid, snap_));
+      if (!ok) BitmapClearBit(bm, i);
+    });
+    obs::RecordVersionProbes(probes);
   }
   obs::RecordSnapshotFiltered(n - BitmapCount(bm, n));
 }
@@ -112,7 +163,10 @@ void VersionedTable::NoteInsert(Oid oid, Ts stamp) {
   // A re-used oid can only come from a failed physical append whose stamp
   // was rolled back (or vacuumed): reset the slot wholesale.
   purged_.erase(oid);
-  if (rows_.count(oid) == 0) obs::AddVersionRows(1);
+  if (rows_.count(oid) == 0) {
+    obs::AddVersionRows(1);
+    marks_.Set(oid);
+  }
   RowVersion v;
   v.begin = stamp;
   v.write_ts = IsTxnStamp(stamp) ? 0 : stamp;
@@ -132,6 +186,7 @@ VersionedTable::Admission VersionedTable::AdmitWrite(
     v.writer = writer;
     rows_.emplace(oid, v);
     obs::AddVersionRows(1);
+    marks_.Set(oid);
     return Admission::kOk;
   }
   RowVersion& v = it->second;
@@ -165,7 +220,10 @@ VersionedTable::Admission VersionedTable::AdmitWrite(
 
 void VersionedTable::StampDelete(Oid oid, Ts stamp) {
   std::unique_lock<std::shared_mutex> lock(mu_);
-  if (rows_.count(oid) == 0) obs::AddVersionRows(1);
+  if (rows_.count(oid) == 0) {
+    obs::AddVersionRows(1);
+    marks_.Set(oid);
+  }
   RowVersion& v = rows_[oid];
   v.end = stamp;
   if (!IsTxnStamp(stamp)) {
@@ -179,6 +237,7 @@ void VersionedTable::StampUpdate(Oid oid, const std::string& column,
   std::unique_lock<std::shared_mutex> lock(mu_);
   chains_[column][oid].push_back(ValueVersion{std::move(old_value), stamp});
   obs::AddVersionChainEntries(1);
+  marks_.Set(oid);
   if (!IsTxnStamp(stamp)) {
     if (rows_.count(oid) == 0) obs::AddVersionRows(1);
     RowVersion& v = rows_[oid];
@@ -302,7 +361,8 @@ SnapshotView VersionedTable::ViewFor(const Snapshot& snap,
   return view;
 }
 
-bool VersionedTable::RowVisibleLocked(Oid oid, const Snapshot& snap) const {
+bool VersionedTable::MarkedRowVisibleLocked(Oid oid,
+                                            const Snapshot& snap) const {
   if (purged_.count(oid) > 0) return false;
   auto it = rows_.find(oid);
   if (it == rows_.end()) return oid < horizon_;
@@ -389,6 +449,11 @@ VersionedTable::VacuumResult VersionedTable::Vacuum(Ts low_water) {
     }
     ++it;
   }
+  // 3. Re-mark exactly the oids that still have an entry.
+  marks_.ClearAll();
+  for (const auto& [oid, v] : rows_) marks_.Set(oid);
+  for (Oid oid : purged_) marks_.Set(oid);
+  for (Oid oid : chained) marks_.Set(oid);
   std::sort(result.purged.begin(), result.purged.end());
   obs::AddVersionChainEntries(
       -static_cast<int64_t>(result.chain_entries_dropped));

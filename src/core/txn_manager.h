@@ -53,6 +53,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "core/oid_bit_table.h"
 #include "storage/types.h"
 #include "util/result.h"
 
@@ -142,19 +143,19 @@ class SnapshotView {
   /// True when `oid` must be dropped from a path's physical answer: either
   /// the row is invisible, or its value at this snapshot differs from the
   /// physical one (the caller re-admits it through overrides()).
-  bool Hides(Oid oid) const {
-    if (!active()) return false;
-    return overridden_.count(oid) > 0 || !RowVisible(oid);
-  }
+  bool Hides(Oid oid) const;
 
   /// Batch visibility: sets bit i of `bm` iff !Hides(oids[i]). Takes the
   /// version-log latch once for the whole batch instead of once per row —
-  /// the branchless sibling of the per-row Hides() probe. `bm` must hold
-  /// BitmapWords(n) words; tail bits of the last word are zeroed.
+  /// the branchless sibling of the per-row Hides() probe — and sends only
+  /// the rows the table has marked (see VersionedTable) on to the version
+  /// maps. `bm` must hold BitmapWords(n) words; tail bits of the last word
+  /// are zeroed.
   void VisibleMask(const Oid* oids, size_t n, uint64_t* bm) const;
 
   /// VisibleMask for the contiguous oid run [first, first + n) — the shape
-  /// every base-column scan has (oid = base + slot).
+  /// every base-column scan has (oid = base + slot): a horizon clip, then
+  /// one probe per marked oid of the run, found 64 oids at a time.
   void VisibleRangeMask(Oid first, size_t n, uint64_t* bm) const;
 
   /// The value this snapshot reads for `oid`, when it differs from the
@@ -197,12 +198,20 @@ class SnapshotView {
 /// Per-table MVCC state: row version stamps, per-column superseded-value
 /// logs, and the vacuum-purged set. All methods thread-safe; the internal
 /// latch is a leaf lock.
+///
+/// A bit table marks every oid that has a row stamp, a purged entry or a
+/// superseded value in any column: the marks are a superset of the oids the
+/// version maps know, so a reader that finds an oid unmarked answers from
+/// the horizon alone and never probes a map. Writers set the bit under the
+/// unique latch as the oid gains its first entry; nothing clears it until
+/// Vacuum rebuilds the table from the entries that survive (vacuum runs
+/// quiesced, so no open view can miss an override it still holds).
 class VersionedTable {
  public:
   /// `initial_rows` / `base_oid` describe the rows present at registration
   /// (they stay implicitly visible-to-all until a write stamps them).
   VersionedTable(Oid base_oid, size_t initial_rows)
-      : horizon_(base_oid + initial_rows) {}
+      : marks_(base_oid), horizon_(base_oid + initial_rows) {}
   CRACK_DISALLOW_COPY_AND_ASSIGN(VersionedTable);
 
   /// Registers a freshly allocated row. Call *before* the physical base
@@ -296,7 +305,13 @@ class VersionedTable {
  private:
   friend class SnapshotView;
 
-  bool RowVisibleLocked(Oid oid, const Snapshot& snap) const;
+  bool RowVisibleLocked(Oid oid, const Snapshot& snap) const {
+    return marks_.Test(oid) ? MarkedRowVisibleLocked(oid, snap)
+                            : oid < horizon_;
+  }
+
+  /// RowVisibleLocked for an oid known to be marked: probes the maps.
+  bool MarkedRowVisibleLocked(Oid oid, const Snapshot& snap) const;
 
   mutable std::shared_mutex mu_;
   std::unordered_map<Oid, RowVersion> rows_;
@@ -304,6 +319,8 @@ class VersionedTable {
   std::map<std::string, std::unordered_map<Oid, std::vector<ValueVersion>>>
       chains_;
   std::unordered_set<Oid> purged_;
+  /// Superset of the oids in rows_, purged_ and chains_ (see class comment).
+  OidBitTable marks_;
   /// One past the highest oid ever registered (insert stamps move it).
   Oid horizon_;
 };

@@ -3,6 +3,7 @@
 #include "core/updatable_cracker_index.h"
 
 #include <algorithm>
+#include <unordered_set>
 
 #include "obs/instruments.h"
 #include "util/string_util.h"
@@ -17,7 +18,10 @@ UpdatableCrackerIndex<T>::UpdatableCrackerIndex(
       index_(std::make_unique<CrackerIndex<T>>(source, stats,
                                                options.index_options)),
       merged_size_(source->size()),
-      next_fresh_oid_(source->head_base() + source->size()) {}
+      next_fresh_oid_(source->head_base() + source->size()),
+      base_oid_(source->head_base()),
+      deleted_(source->head_base()),
+      purged_(source->head_base()) {}
 
 template <typename T>
 Status UpdatableCrackerIndex<T>::Insert(T value, Oid oid) {
@@ -34,7 +38,7 @@ Status UpdatableCrackerIndex<T>::Insert(T value, Oid oid) {
 
 template <typename T>
 Status UpdatableCrackerIndex<T>::Delete(Oid oid) {
-  if (oid >= next_fresh_oid_) {
+  if (oid < base_oid_ || oid >= next_fresh_oid_) {
     return Status::NotFound(
         StrFormat("oid %llu was never inserted",
                   static_cast<unsigned long long>(oid)));
@@ -46,15 +50,14 @@ Status UpdatableCrackerIndex<T>::Delete(Oid oid) {
                          [oid](const auto& p) { return p.second == oid; });
   if (it != pending_.end()) {
     pending_.erase(it);
-    purged_.insert(oid);
+    purged_.Set(oid);
     return Status::OK();
   }
-  if (purged_.count(oid) > 0 || deleted_.count(oid) > 0) {
+  if (purged_.Test(oid) || !deleted_.Set(oid)) {
     return Status::AlreadyExists(
         StrFormat("oid %llu already deleted",
                   static_cast<unsigned long long>(oid)));
   }
-  deleted_.insert(oid);
   return Status::OK();
 }
 
@@ -72,7 +75,7 @@ Status UpdatableCrackerIndex<T>::Update(T value, Oid oid) {
   // re-checks the whole tombstone set against the fold
   // ("tombstone set references missing oids"), so a stale entry can never
   // silently drop rows.
-  if (oid >= next_fresh_oid_) {
+  if (oid < base_oid_ || oid >= next_fresh_oid_) {
     return Status::NotFound(
         StrFormat("oid %llu was never inserted",
                   static_cast<unsigned long long>(oid)));
@@ -84,14 +87,14 @@ Status UpdatableCrackerIndex<T>::Update(T value, Oid oid) {
     it->first = value;
     return Status::OK();
   }
-  if (purged_.count(oid) > 0 || deleted_.count(oid) > 0) {
+  if (purged_.Test(oid) || deleted_.Test(oid)) {
     return Status::NotFound(
         StrFormat("oid %llu is deleted",
                   static_cast<unsigned long long>(oid)));
   }
   // Merged tuple: tombstone the old value, re-enter the new one under the
   // same oid. Merge() folds both sides, leaving one live copy.
-  deleted_.insert(oid);
+  deleted_.Set(oid);
   pending_.emplace_back(value, oid);
   return Status::OK();
 }
@@ -112,7 +115,7 @@ UpdatableSelection<T> UpdatableCrackerIndex<T>::Select(T lo, bool lo_incl,
     const Oid* oids =
         index_->oids()->template TailData<Oid>() + out.base.oids.offset();
     for (size_t i = 0; i < out.base.oids.size(); ++i) {
-      out.deleted_in_base += deleted_.count(oids[i]);
+      out.deleted_in_base += deleted_.Test(oids[i]) ? 1 : 0;
     }
     if (stats != nullptr) stats->tuples_read += out.base.oids.size();
   }
@@ -134,7 +137,7 @@ void UpdatableCrackerIndex<T>::ForEach(
     const std::function<void(T, Oid)>& fn) const {
   for (size_t i = 0; i < selection.base.count(); ++i) {
     Oid oid = selection.base.oids.template Get<Oid>(i);
-    if (!deleted_.empty() && deleted_.count(oid) > 0) continue;
+    if (deleted_.Test(oid)) continue;
     fn(selection.base.values.template Get<T>(i), oid);
   }
   for (const auto& [value, oid] : selection.delta) fn(value, oid);
@@ -160,13 +163,13 @@ Status UpdatableCrackerIndex<T>::Merge(IoStats* stats) {
   const Oid* src_o = index_->oids()->template TailData<Oid>();
   size_t w = 0;
   for (size_t i = 0; i < old_n; ++i) {
-    if (!deleted_.empty() && deleted_.count(src_o[i]) > 0) continue;
+    if (deleted_.Test(src_o[i])) continue;
     vd[w] = src_v[i];
     od[w] = src_o[i];
     ++w;
   }
   size_t survivors = w;
-  if (survivors + deleted_.size() != old_n) {
+  if (survivors + deleted_.count() != old_n) {
     return Status::Internal("tombstone set references missing oids");
   }
   for (const auto& [value, oid] : pending_) {
@@ -208,13 +211,9 @@ Status UpdatableCrackerIndex<T>::Merge(IoStats* stats) {
   // An Update() leaves its oid both tombstoned (old value) and pending (new
   // value): the fold keeps that row alive, so only tombstones without a
   // pending rebirth are physically gone.
-  std::unordered_set<Oid> reborn;
-  reborn.reserve(pending_.size());
-  for (const auto& [value, oid] : pending_) reborn.insert(oid);
-  for (Oid oid : deleted_) {
-    if (reborn.count(oid) == 0) purged_.insert(oid);
-  }
-  deleted_.clear();
+  for (const auto& [value, oid] : pending_) deleted_.Clear(oid);
+  deleted_.ForEach([this](Oid oid) { purged_.Set(oid); });
+  deleted_.ClearAll();
   pending_.clear();
   ++merges_performed_;
   obs::RecordMerge(w);
@@ -229,13 +228,13 @@ Status UpdatableCrackerIndex<T>::Validate() const {
   }
   // Tombstones must reference oids that exist in the cracker column.
   if (!deleted_.empty()) {
-    std::unordered_set<Oid> live;
     const Oid* oids = index_->oids()->template TailData<Oid>();
-    for (size_t i = 0; i < index_->size(); ++i) live.insert(oids[i]);
-    for (Oid oid : deleted_) {
-      if (live.count(oid) == 0) {
-        return Status::Internal("tombstone references unknown oid");
-      }
+    size_t found = 0;
+    for (size_t i = 0; i < index_->size(); ++i) {
+      found += deleted_.Test(oids[i]) ? 1 : 0;
+    }
+    if (found != deleted_.count()) {
+      return Status::Internal("tombstone references unknown oid");
     }
   }
   // Pending oids must be fresh and unique.

@@ -20,11 +20,11 @@
 
 #include <functional>
 #include <memory>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "core/cracker_index.h"
+#include "core/oid_bit_table.h"
 #include "obs/query_stats.h"
 #include "util/result.h"
 
@@ -92,11 +92,11 @@ class UpdatableCrackerIndex {
 
   /// Live tuple count (source − deleted + inserted).
   size_t size() const {
-    return merged_size_ - deleted_.size() + pending_.size();
+    return merged_size_ - deleted_.count() + pending_.size();
   }
 
   size_t pending_inserts() const { return pending_.size(); }
-  size_t pending_deletes() const { return deleted_.size(); }
+  size_t pending_deletes() const { return deleted_.count(); }
   size_t num_pieces() const { return index_->num_pieces(); }
 
   /// Number of Merge() folds performed (manual + automatic).
@@ -118,12 +118,15 @@ class UpdatableCrackerIndex {
   const std::vector<std::pair<T, Oid>>& pending() const { return pending_; }
 
   /// True iff `oid` is tombstoned against the merged area.
-  bool IsDeleted(Oid oid) const { return deleted_.count(oid) > 0; }
+  bool IsDeleted(Oid oid) const { return deleted_.Test(oid); }
+
+  /// The tombstones against the merged area.
+  const OidBitTable& tombstones() const { return deleted_; }
 
   /// True when the delta has outgrown options().auto_merge_fraction.
   bool ShouldAutoMerge() const {
     if (options_.auto_merge_fraction <= 0) return false;
-    size_t delta = pending_.size() + deleted_.size();
+    size_t delta = pending_.size() + deleted_.count();
     return delta > static_cast<size_t>(options_.auto_merge_fraction *
                                        static_cast<double>(merged_size_));
   }
@@ -137,8 +140,9 @@ class UpdatableCrackerIndex {
   size_t merged_size_ = 0;   ///< tuples inside the cracker column
   Oid next_fresh_oid_ = 0;   ///< lowest oid never seen (insert validation)
   std::vector<std::pair<T, Oid>> pending_;
-  std::unordered_set<Oid> deleted_;  ///< tombstones against merged tuples
-  std::unordered_set<Oid> purged_;   ///< oids physically removed by merges
+  Oid base_oid_ = 0;         ///< lowest oid of the source column
+  OidBitTable deleted_;      ///< tombstones against merged tuples
+  OidBitTable purged_;       ///< oids physically removed by merges
   size_t merges_performed_ = 0;
 };
 

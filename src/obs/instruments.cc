@@ -166,6 +166,16 @@ void RecordSnapshotOverride(uint64_t hits) {
   }
 }
 
+void RecordVersionProbes(uint64_t rows) {
+  if (rows == 0) return;
+  static Counter* c = Reg().GetCounter(
+      "snapshot.version_probes", "answer rows looked up in the version maps");
+  c->Add(rows);
+  if (QueryTrace* t = CurrentTrace()) {
+    t->live.snap_version_probes.fetch_add(rows, std::memory_order_relaxed);
+  }
+}
+
 void RecordSpanAnswer(uint64_t spans, uint64_t rows) {
   if (spans == 0) return;
   static Counter* c = Reg().GetCounter(

@@ -20,7 +20,7 @@
 //   versions.rows / versions.chain_entries (gauges) / vacuum.runs /
 //   vacuum.purged_rows
 //   merge.folds / merge.rows
-//   snapshot.rows_filtered / snapshot.override_hits
+//   snapshot.rows_filtered / snapshot.override_hits / snapshot.version_probes
 //   select.spans / select.span_rows / select.materialized_oids
 //   agg.pushdown_rows / agg.summary_rows
 //   simd.calls.{scalar,predicated,avx2,neon}
@@ -61,6 +61,7 @@ inline void RecordVacuum(uint64_t) {}
 inline void RecordMerge(uint64_t) {}
 inline void RecordSnapshotFiltered(uint64_t) {}
 inline void RecordSnapshotOverride(uint64_t) {}
+inline void RecordVersionProbes(uint64_t) {}
 inline void RecordSpanAnswer(uint64_t, uint64_t) {}
 inline void RecordMaterializedOids(uint64_t) {}
 inline void RecordAggPushdown(uint64_t, uint64_t) {}
@@ -109,6 +110,10 @@ void RecordMerge(uint64_t rows);
 
 void RecordSnapshotFiltered(uint64_t rows);
 void RecordSnapshotOverride(uint64_t hits);
+
+/// `rows` answer rows a snapshot filter looked up in the version maps (the
+/// rows the table had marked; every other row is decided by the horizon).
+void RecordVersionProbes(uint64_t rows);
 
 /// One selection answered as an OidSpanSet: `spans` contiguous pieces
 /// covering `rows` qualifying rows, zero oids materialized.

@@ -68,6 +68,8 @@ TraceCounters QueryTrace::LiveSnapshot() const {
       live.snap_rows_filtered.load(std::memory_order_relaxed);
   c.snap_override_hits =
       live.snap_override_hits.load(std::memory_order_relaxed);
+  c.snap_version_probes =
+      live.snap_version_probes.load(std::memory_order_relaxed);
   for (int i = 0; i < 4; ++i) {
     c.simd_calls[i] = live.simd_calls[i].load(std::memory_order_relaxed);
   }
@@ -163,15 +165,16 @@ std::string QueryTrace::Render(const IoStats& statement_io,
         static_cast<unsigned long long>(totals.progressive_deferred));
   }
   if (totals.select_spans > 0 || totals.select_materialized > 0 ||
-      totals.agg_pushdown_rows > 0) {
+      totals.agg_pushdown_rows > 0 || totals.snap_version_probes > 0) {
     out += StrFormat(
         "read path: spans=%llu (rows=%llu), materialized oids=%llu, "
-        "agg pushdown rows=%llu, summary rows=%llu\n",
+        "agg pushdown rows=%llu, summary rows=%llu, version probes=%llu\n",
         static_cast<unsigned long long>(totals.select_spans),
         static_cast<unsigned long long>(totals.select_span_rows),
         static_cast<unsigned long long>(totals.select_materialized),
         static_cast<unsigned long long>(totals.agg_pushdown_rows),
-        static_cast<unsigned long long>(totals.agg_summary_rows));
+        static_cast<unsigned long long>(totals.agg_summary_rows),
+        static_cast<unsigned long long>(totals.snap_version_probes));
   }
   return out;
 }

@@ -35,6 +35,7 @@ struct TraceCounters {
   uint64_t latch_wait_ns = 0;      ///< total blocked time
   uint64_t snap_rows_filtered = 0; ///< rows hidden by snapshot visibility
   uint64_t snap_override_hits = 0; ///< value overrides served to a snapshot
+  uint64_t snap_version_probes = 0; ///< answer rows probed in version maps
   uint64_t simd_calls[4] = {0, 0, 0, 0};  ///< crack kernel calls per tier
   uint64_t tasks_run = 0;
   uint64_t task_batches = 0;
@@ -53,6 +54,7 @@ struct TraceCounters {
     d.latch_wait_ns = latch_wait_ns - o.latch_wait_ns;
     d.snap_rows_filtered = snap_rows_filtered - o.snap_rows_filtered;
     d.snap_override_hits = snap_override_hits - o.snap_override_hits;
+    d.snap_version_probes = snap_version_probes - o.snap_version_probes;
     for (int i = 0; i < 4; ++i) d.simd_calls[i] = simd_calls[i] - o.simd_calls[i];
     d.tasks_run = tasks_run - o.tasks_run;
     d.task_batches = task_batches - o.task_batches;
@@ -99,6 +101,7 @@ class QueryTrace {
     std::atomic<uint64_t> latch_wait_ns{0};
     std::atomic<uint64_t> snap_rows_filtered{0};
     std::atomic<uint64_t> snap_override_hits{0};
+    std::atomic<uint64_t> snap_version_probes{0};
     std::atomic<uint64_t> simd_calls[4] = {};
     std::atomic<uint64_t> tasks_run{0};
     std::atomic<uint64_t> task_batches{0};

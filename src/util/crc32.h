@@ -1,7 +1,9 @@
 // Copyright 2026 The CrackStore Authors
 //
-// CRC-32 (ISO 3309 / zlib polynomial), table-driven. Used by the journal to
-// checksum redo records the way real WAL implementations do — both as
+// CRC-32 (ISO 3309 / zlib polynomial, reflected 0xEDB88320), slice-by-8:
+// eight table lookups fold eight bytes per step on little-endian hosts, with
+// a byte loop for the tail (and for big-endian hosts). Used by the journal,
+// checkpoints and the MANIFEST to checksum what they write — both as
 // corruption detection and as the honest CPU cost of durable logging.
 
 #ifndef CRACKSTORE_UTIL_CRC32_H_

@@ -6,10 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "core/access_path.h"
 #include "core/adaptive_store.h"
 #include "util/rng.h"
 #include "engine/colstore_engine.h"
@@ -259,6 +262,239 @@ TEST(IntegrationTest, MergeBudgetSessionKeepsLineageConsistent) {
   }
   EXPECT_EQ(leaf_sum, 10000u);
 }
+
+// The root lineage node labelled `label` ("table.column").
+PieceId RootNamed(const LineageGraph& g, const std::string& label) {
+  for (size_t i = 0; i < g.num_pieces(); ++i) {
+    const LineagePiece& p = g.piece(static_cast<PieceId>(i));
+    if (p.is_root && p.label == label) return p.id;
+  }
+  return kInvalidPieceId;
+}
+
+using SlotRanges = std::vector<std::pair<size_t, size_t>>;
+
+// The [begin, end) slot ranges of `root`'s leaves, ascending. Ξ outputs
+// carry their range in the label ("R.c0[3,17)"); an uncracked root covers
+// its whole size.
+SlotRanges LeafRanges(const LineageGraph& g, PieceId root) {
+  SlotRanges out;
+  for (PieceId id : g.Leaves(root)) {
+    const LineagePiece& p = g.piece(id);
+    if (id == root) {
+      out.emplace_back(0, p.size);
+      continue;
+    }
+    size_t open = p.label.rfind('[');
+    size_t comma = p.label.find(',', open);
+    size_t begin = std::stoull(p.label.substr(open + 1));
+    size_t end = std::stoull(p.label.substr(comma + 1));
+    EXPECT_EQ(end - begin, p.size) << p.label;
+    out.emplace_back(begin, end);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+// After a crack statement on (table, column), the column's lineage leaves
+// tile the accelerator exactly like its piece table, and the DAG is
+// loss-less.
+void ExpectLineageMatchesPieces(const AdaptiveStore& store,
+                                const std::string& table,
+                                const std::string& column) {
+  const LineageGraph& g = store.lineage();
+  PieceId root = RootNamed(g, table + "." + column);
+  ASSERT_NE(root, kInvalidPieceId);
+  Status lossless = g.CheckLossless(root);
+  ASSERT_TRUE(lossless.ok()) << lossless.ToString();
+  auto path = store.AccessPathFor(table, column);
+  ASSERT_TRUE(path.ok());
+  SlotRanges pieces;
+  for (const PieceInfo& p : (*path)->Pieces()) {
+    pieces.emplace_back(p.begin, p.end);
+  }
+  EXPECT_EQ(g.piece(root).size, (*path)->accel_tuples());
+  ASSERT_EQ(LeafRanges(g, root), pieces);
+}
+
+// A delta merge rebuilds the cracker column at a new size; the re-rooted
+// subtree must hold the merged rows, not the rows of the first load — after
+// inserts merge in and after vacuumed deletes merge out.
+TEST(IntegrationTest, LineageRerootsAtTheMergedSize) {
+  auto rel = Tapestry(10000);
+  AdaptiveStoreOptions opts;
+  opts.strategy = AccessStrategy::kCrack;
+  opts.track_lineage = true;
+  opts.delta_merge.policy = DeltaMergePolicy::kImmediate;
+  AdaptiveStore store(opts);
+  ASSERT_TRUE(store.AddTable(rel).ok());
+  Pcg32 rng(15);
+  auto select = [&] {
+    int64_t lo = rng.NextInRange(1, 9000);
+    auto r = store.SelectRange("R", "c0", RangeBounds::Closed(lo, lo + 700));
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+  };
+  for (int q = 0; q < 5; ++q) select();
+  for (int64_t i = 1; i <= 50; ++i) {
+    ASSERT_TRUE(
+        store.Insert("R", {Value(int64_t{10000} + i), Value(-i)}).ok());
+  }
+  select();
+  Status lossless = store.lineage().CheckLossless(0);
+  ASSERT_TRUE(lossless.ok()) << lossless.ToString();
+  EXPECT_EQ(store.lineage().piece(0).size, 10050u);
+  ExpectLineageMatchesPieces(store, "R", "c0");
+
+  auto removed = store.Delete(
+      "R", {{"c0", TypedRange::Closed(Value(int64_t{1}), Value(int64_t{30}))}});
+  ASSERT_TRUE(removed.ok());
+  ASSERT_EQ(removed->count, 30u);
+  auto vac = store.Vacuum();
+  ASSERT_TRUE(vac.ok());
+  ASSERT_EQ(vac->rows_purged, 30u);
+  select();
+  EXPECT_EQ(store.lineage().piece(0).size, 10020u);
+  ExpectLineageMatchesPieces(store, "R", "c0");
+}
+
+// Seeded select/aggregate streams with inserts, deletes, vacuums, pivot
+// injections between statements and a dictionary-encoded string column:
+// after every crack statement the lineage leaves equal the piece table.
+struct LineageStreamCase {
+  CrackPolicy policy;
+  bool merge_budget;
+  DeltaMergePolicy delta;
+};
+
+class LineageStreamTest : public ::testing::TestWithParam<LineageStreamCase> {};
+
+TEST_P(LineageStreamTest, LeavesEqualThePieceTable) {
+  const LineageStreamCase& c = GetParam();
+  const int64_t n = 6000;
+  Schema schema({{"c0", ValueType::kInt64}, {"s", ValueType::kString}});
+  auto rel = *Relation::Create("R", schema);
+  Pcg32 data_rng(7);
+  auto word = [](Pcg32* rng) {
+    std::string w;
+    for (int k = 0; k < 3; ++k) {
+      w += static_cast<char>('a' + rng->NextInRange(0, 25));
+    }
+    return w;
+  };
+  for (int64_t i = 0; i < n; ++i) {
+    ASSERT_TRUE(
+        rel->AppendRow({Value((i * 7919) % n + 1), Value(word(&data_rng))})
+            .ok());
+  }
+  AdaptiveStoreOptions opts;
+  opts.strategy = AccessStrategy::kCrack;
+  opts.track_lineage = true;
+  opts.policy.policy = c.policy;
+  opts.policy.min_piece_size = 64;
+  opts.delta_merge.policy = c.delta;
+  opts.delta_merge.threshold_fraction = 0.005;
+  if (c.merge_budget) {
+    opts.merge_budget = MergeBudget{MergePolicyKind::kLeastRecentlyUsed, 8};
+  }
+  AdaptiveStore store(opts);
+  ASSERT_TRUE(store.AddTable(rel).ok());
+
+  Pcg32 rng(1000 + static_cast<uint64_t>(c.policy) * 10 +
+            (c.merge_budget ? 1 : 0));
+  int64_t next_key = n + 1;
+  for (int step = 0; step < 160; ++step) {
+    SCOPED_TRACE(step);
+    const int64_t lo = rng.NextInRange(1, n);
+    const int64_t hi = lo + rng.NextInRange(0, 600);
+    switch (rng.NextInRange(0, 9)) {
+      case 0:
+      case 1:
+      case 2: {
+        auto r = store.SelectRange("R", "c0", RangeBounds::Closed(lo, hi));
+        ASSERT_TRUE(r.ok()) << r.status().ToString();
+        ExpectLineageMatchesPieces(store, "R", "c0");
+        break;
+      }
+      case 3: {
+        auto r = store.AggregateRange(
+            "R", "c0",
+            TypedRange::Closed(Value(lo), Value(hi)));
+        if (!r.ok()) {
+          ASSERT_TRUE(r.status().IsUnimplemented()) << r.status().ToString();
+          break;
+        }
+        ExpectLineageMatchesPieces(store, "R", "c0");
+        break;
+      }
+      case 4: {
+        std::string a = word(&rng), b = word(&rng);
+        if (b < a) std::swap(a, b);
+        auto r = store.SelectRange("R", "s",
+                                   TypedRange::Closed(Value(a), Value(b)));
+        ASSERT_TRUE(r.ok()) << r.status().ToString();
+        ExpectLineageMatchesPieces(store, "R", "s");
+        break;
+      }
+      case 5:
+      case 6: {
+        // Unseen strings may exhaust a dictionary code gap and re-encode
+        // the column under a fresh inner path.
+        std::string w = word(&rng) + "x";
+        ASSERT_TRUE(store.Insert("R", {Value(next_key++), Value(w)}).ok());
+        break;
+      }
+      case 7: {
+        auto r = store.Delete(
+            "R", {{"c0", TypedRange::Closed(Value(lo), Value(lo + 3))}});
+        ASSERT_TRUE(r.ok()) << r.status().ToString();
+        ExpectLineageMatchesPieces(store, "R", "c0");
+        if (rng.NextInRange(0, 1) == 0) {
+          ASSERT_TRUE(store.Vacuum().ok());
+        }
+        break;
+      }
+      case 8:
+      case 9: {
+        // A pivot injected between statements is picked up by the next
+        // statement's lineage sync.
+        for (const char* col : {"c0", "s"}) {
+          auto path = store.AccessPathFor("R", col);
+          if (!path.ok()) continue;
+          PivotChoice choice;
+          choice.value = col[0] == 'c' ? lo : rng.NextInRange(0, 1 << 20);
+          choice.after_duplicates = rng.NextInRange(0, 1) == 1;
+          ASSERT_TRUE((*path)->ApplyPolicy(choice).ok());
+        }
+        break;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Policies, LineageStreamTest,
+    ::testing::Values(
+        LineageStreamCase{CrackPolicy::kStandard, false,
+                          DeltaMergePolicy::kImmediate},
+        LineageStreamCase{CrackPolicy::kStandard, true,
+                          DeltaMergePolicy::kThreshold},
+        LineageStreamCase{CrackPolicy::kStochastic, false,
+                          DeltaMergePolicy::kThreshold},
+        LineageStreamCase{CrackPolicy::kStochastic, true,
+                          DeltaMergePolicy::kRippleOnSelect},
+        LineageStreamCase{CrackPolicy::kCoarse, false,
+                          DeltaMergePolicy::kRippleOnSelect},
+        LineageStreamCase{CrackPolicy::kCoarse, true,
+                          DeltaMergePolicy::kImmediate},
+        LineageStreamCase{CrackPolicy::kProgressive, false,
+                          DeltaMergePolicy::kThreshold},
+        LineageStreamCase{CrackPolicy::kProgressive, true,
+                          DeltaMergePolicy::kImmediate}),
+    [](const auto& info) {
+      return std::string(CrackPolicyName(info.param.policy)) +
+             (info.param.merge_budget ? "_budget_" : "_") +
+             DeltaMergePolicyName(info.param.delta);
+    });
 
 TEST(IntegrationTest, SimAgreesWithRealStoreOnTouchedTuples) {
   // The §2.2 simulation and the real cracker must tell the same story: the

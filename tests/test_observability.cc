@@ -395,6 +395,37 @@ TEST(ObservabilityPlanTest, RepeatedPushdownAnswersFromSummaries) {
   }
 }
 
+// A warm COUNT over a range holding k rows with version state: the snapshot
+// filter sends exactly those k rows to the version maps (every other answer
+// row is settled by the table's marks), and EXPLAIN ANALYZE reports them.
+TEST(ObservabilityPlanTest, WarmCountProbesOnlyMarkedRows) {
+  AdaptiveStore store;
+  TapestryOptions topts;
+  topts.num_rows = 50000;
+  topts.num_columns = 2;
+  topts.seed = 8;
+  ASSERT_TRUE(store.AddTable(*BuildTapestry("R", topts)).ok());
+  // 10 deleted rows and 5 rows with a superseded c1: 15 marked rows, all
+  // inside the counted range.
+  ASSERT_TRUE(
+      sql::ExecuteSql(&store, "DELETE FROM R WHERE c0 >= 1000 AND c0 < 1010")
+          .ok());
+  ASSERT_TRUE(sql::ExecuteSql(&store,
+                              "UPDATE R SET c1 = 0 WHERE c0 >= 2000 AND "
+                              "c0 < 2005")
+                  .ok());
+  const char* count = "SELECT COUNT(*) FROM R WHERE c0 BETWEEN 500 AND 30000";
+  ASSERT_EQ(sql::ExecuteSql(&store, count)->count, 29491u);  // cold: cracks
+  auto out = *sql::ExecuteSql(&store, std::string("EXPLAIN ANALYZE ") + count);
+  EXPECT_EQ(out.count, 29491u);
+  if (obs::kMetricsEnabled) {
+    EXPECT_NE(out.message.find("version probes=15\n"), std::string::npos)
+        << out.message;
+    EXPECT_NE(out.message.find("rows filtered=10,"), std::string::npos)
+        << out.message;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Self-driving policy instruments: policy.switches must count exactly the
 // runtime switches the access paths performed (cross-checked against the

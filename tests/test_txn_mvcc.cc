@@ -747,6 +747,245 @@ TEST(SnapshotViewBatchTest, OverrideForFindsSnapshotValues) {
 }
 
 // ---------------------------------------------------------------------------
+// Bit-table marks: the view's filters test a per-oid mark before probing the
+// version maps. Whatever the table went through, they must answer exactly
+// what a reference built without the marks answers: InvisibleOids, plus the
+// view's override oids, plus every oid at or past the horizon.
+// ---------------------------------------------------------------------------
+
+void ExpectViewMatchesReference(const VersionedTable& vt, Oid base,
+                                const Snapshot& snap, const char* what) {
+  SCOPED_TRACE(std::string(what) + " read_ts=" + std::to_string(snap.read_ts) +
+               " txn=" + std::to_string(snap.txn));
+  const Oid horizon = vt.horizon();
+  const size_t total = static_cast<size_t>(horizon - base) + 70;
+  SnapshotView view = vt.ViewFor(snap, "v", /*force_active=*/true);
+  ASSERT_TRUE(view.active());
+  std::vector<bool> invisible(total, false);
+  for (Oid oid : vt.InvisibleOids(snap, base, total)) {
+    invisible[oid - base] = true;
+  }
+  std::vector<bool> hidden = invisible;
+  for (const auto& [oid, value] : view.overrides()) hidden[oid - base] = true;
+  for (size_t i = static_cast<size_t>(horizon - base); i < total; ++i) {
+    invisible[i] = hidden[i] = true;
+  }
+
+  for (size_t i = 0; i < total; ++i) {
+    ASSERT_EQ(view.Hides(base + i), hidden[i]) << "Hides oid " << base + i;
+    ASSERT_EQ(view.RowVisible(base + i), !invisible[i])
+        << "RowVisible oid " << base + i;
+  }
+  // VisibleMask over every oid in a scattered order.
+  std::vector<Oid> oids(total);
+  for (size_t i = 0; i < total; ++i) oids[i] = base + (i * 37) % total;
+  if (total % 37 == 0) {
+    for (size_t i = 0; i < total; ++i) oids[i] = base + i;
+  }
+  std::vector<uint64_t> bm(BitmapWords(total), ~uint64_t{0});
+  view.VisibleMask(oids.data(), total, bm.data());
+  for (size_t i = 0; i < total; ++i) {
+    ASSERT_EQ(BitmapTest(bm.data(), i), !hidden[oids[i] - base])
+        << "VisibleMask oid " << oids[i];
+  }
+  ASSERT_EQ(BitmapCount(bm.data(), total),
+            static_cast<size_t>(std::count(hidden.begin(), hidden.end(),
+                                           false)));
+  // VisibleRangeMask over runs starting at assorted word offsets.
+  for (size_t start : {size_t{0}, size_t{1}, size_t{63}, size_t{64},
+                       size_t{65}, size_t{130}}) {
+    if (start >= total) continue;
+    const size_t n = total - start;
+    std::vector<uint64_t> rm(BitmapWords(n), ~uint64_t{0});
+    view.VisibleRangeMask(base + start, n, rm.data());
+    for (size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(BitmapTest(rm.data(), i), !hidden[start + i])
+          << "VisibleRangeMask oid " << base + start + i;
+    }
+    if (n % 64 != 0) {
+      ASSERT_EQ(rm.back() >> (n % 64), 0u);
+    }
+  }
+}
+
+// Seeded INSERT/UPDATE/DELETE/BEGIN/COMMIT/ROLLBACK/VACUUM streams through
+// serial and concurrent stores; after every step the latest snapshot, an
+// older open reader and the open writer's own snapshot are checked.
+TEST(SnapshotViewMarksTest, StoreStreamsMatchTheReference) {
+  const uint64_t base_seed = TestSeed(4711);
+  for (bool concurrent : {false, true}) {
+    for (AccessStrategy strategy :
+         {AccessStrategy::kCrack, AccessStrategy::kScan}) {
+      const uint64_t seed = base_seed + (concurrent ? 100 : 0) +
+                            static_cast<uint64_t>(strategy);
+      SCOPED_TRACE(std::string(concurrent ? "concurrent " : "serial ") +
+                   AccessStrategyName(strategy) + " seed=" +
+                   std::to_string(seed) + " (rerun with CRACKSTORE_TEST_SEED)");
+      Pcg32 rng(seed);
+      auto store = MakeStore({strategy, CrackPolicy::kStandard}, concurrent);
+      auto rel = *Relation::Create("t", Schema({{"v", ValueType::kInt64}}));
+      for (int i = 0; i < 300; ++i) {
+        ASSERT_TRUE(rel->AppendRow({Value(rng.NextInRange(1, 200))}).ok());
+      }
+      ASSERT_TRUE(store->AddTable(rel).ok());
+      const VersionedTable* vt = store->versions("t");
+      ASSERT_NE(vt, nullptr);
+      TxnId reader = kNoTxn;
+      TxnId writer = kNoTxn;
+      for (int step = 0; step < 150; ++step) {
+        SCOPED_TRACE("step " + std::to_string(step));
+        // Writes go to the open transaction half the time.
+        TxnId txn = writer != kNoTxn && rng.NextBounded(2) == 0 ? writer
+                                                                : kNoTxn;
+        const Oid horizon = vt->horizon();
+        const Oid oid = rng.NextBounded(static_cast<uint32_t>(horizon));
+        const int64_t v = rng.NextInRange(1, 200);
+        switch (rng.NextBounded(10)) {
+          case 0:
+          case 1:
+            ASSERT_TRUE(store->Insert("t", {Value(v)}, txn).ok());
+            break;
+          case 2:
+          case 3: {
+            // Conflicts with the open writer are legal outcomes here.
+            auto r = store->DeleteOids("t", {oid}, txn);
+            ASSERT_TRUE(r.ok() || r.status().IsAborted())
+                << r.status().ToString();
+            break;
+          }
+          case 4:
+          case 5: {
+            auto r = store->Update("t", {{"v", Value(v)}},
+                                   {{"v", RangeBounds::Equal(
+                                             rng.NextInRange(1, 200))}},
+                                   txn);
+            ASSERT_TRUE(r.ok() || r.status().IsAborted())
+                << r.status().ToString();
+            break;
+          }
+          case 6:
+            if (writer == kNoTxn) {
+              writer = *store->Begin();
+            } else if (rng.NextBounded(2) == 0) {
+              (void)store->Commit(writer);
+              writer = kNoTxn;
+            } else {
+              ASSERT_TRUE(store->Rollback(writer).ok());
+              writer = kNoTxn;
+            }
+            break;
+          case 7:
+            if (reader != kNoTxn) {
+              ASSERT_TRUE(store->Commit(reader).ok());
+            }
+            reader = *store->Begin();
+            break;
+          case 8:
+            ASSERT_TRUE(store->Vacuum().ok());
+            break;
+          case 9: {
+            auto r = store->SelectRange("t", "v",
+                                        RangeBounds::Closed(v, v + 40),
+                                        Delivery::kCount, txn);
+            ASSERT_TRUE(r.ok());
+            break;
+          }
+        }
+        ExpectViewMatchesReference(
+            *vt, 0, store->txn_manager().LatestSnapshot(), "latest");
+        if (reader != kNoTxn) {
+          ExpectViewMatchesReference(
+              *vt, 0, *store->txn_manager().SnapshotOf(reader), "reader");
+        }
+        if (writer != kNoTxn) {
+          ExpectViewMatchesReference(
+              *vt, 0, *store->txn_manager().SnapshotOf(writer), "writer");
+        }
+      }
+      if (writer != kNoTxn) {
+        ASSERT_TRUE(store->Rollback(writer).ok());
+      }
+      if (reader != kNoTxn) {
+        ASSERT_TRUE(store->Commit(reader).ok());
+      }
+    }
+  }
+}
+
+// The same check against a version log driven directly, including the
+// replay-style stamps recovery writes (committed stamps with no prior
+// admission) and a base oid above zero.
+TEST(SnapshotViewMarksTest, DirectVersionLogStreamsMatchTheReference) {
+  const uint64_t seed = TestSeed(8088);
+  SCOPED_TRACE("seed=" + std::to_string(seed) +
+               " (rerun with CRACKSTORE_TEST_SEED)");
+  Pcg32 rng(seed);
+  const Oid base = 1000;
+  VersionedTable vt(base, /*initial_rows=*/260);
+  Ts next_ts = 1;
+  TxnId next_txn = 1;
+  TxnId open_txn = kNoTxn;
+  Snapshot open_snap;
+  std::vector<Oid> touched;
+  for (int step = 0; step < 400; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    const Oid oid =
+        base + rng.NextBounded(static_cast<uint32_t>(vt.horizon() - base));
+    const bool in_txn = open_txn != kNoTxn && rng.NextBounded(2) == 0;
+    const Ts stamp = in_txn ? TxnStamp(open_txn) : next_ts++;
+    const Snapshot snap = in_txn ? open_snap : Snapshot{next_ts - 1, kNoTxn};
+    switch (rng.NextBounded(8)) {
+      case 0:
+        vt.NoteInsert(vt.horizon(), stamp);
+        if (in_txn) touched.push_back(vt.horizon() - 1);
+        break;
+      case 1:
+        if (vt.AdmitWrite(oid, snap, in_txn ? open_txn : 0, nullptr) ==
+            VersionedTable::Admission::kOk) {
+          if (in_txn) {
+            touched.push_back(oid);
+          } else {
+            vt.CommitTxn(0, stamp, {oid});
+          }
+        }
+        break;
+      case 2:
+        vt.StampDelete(oid, stamp);
+        if (in_txn) touched.push_back(oid);
+        break;
+      case 3:
+      case 4:
+        vt.StampUpdate(oid, "v", Value(static_cast<int64_t>(step)), stamp);
+        if (in_txn) touched.push_back(oid);
+        break;
+      case 5:
+        if (open_txn == kNoTxn) {
+          open_txn = next_txn++;
+          open_snap = Snapshot{next_ts - 1, open_txn};
+          touched.clear();
+        } else if (rng.NextBounded(2) == 0) {
+          vt.CommitTxn(open_txn, next_ts++, touched);
+          open_txn = kNoTxn;
+        } else {
+          vt.RollbackTxn(open_txn, touched);
+          open_txn = kNoTxn;
+        }
+        break;
+      case 6:
+      case 7:
+        (void)vt.Vacuum(open_txn != kNoTxn ? open_snap.read_ts : next_ts - 1);
+        break;
+    }
+    for (Ts ts : {Ts{0}, (next_ts - 1) / 2, next_ts - 1}) {
+      ExpectViewMatchesReference(vt, base, Snapshot{ts, kNoTxn}, "committed");
+    }
+    if (open_txn != kNoTxn) {
+      ExpectViewMatchesReference(vt, base, open_snap, "open txn");
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Transactional join / group-by: snapshot views thread through the ^ and Ω
 // crackers, and the caches rebuild on version churn.
 // ---------------------------------------------------------------------------

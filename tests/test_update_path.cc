@@ -15,12 +15,16 @@
 #include <algorithm>
 #include <cstdlib>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "core/access_path.h"
 #include "core/adaptive_store.h"
+#include "core/oid_bit_table.h"
 #include "core/oid_set_ops.h"
+#include "core/simd_dispatch.h"
+#include "core/updatable_cracker_index.h"
 #include "storage/bat.h"
 #include "util/rng.h"
 #include "workload/tapestry.h"
@@ -178,6 +182,245 @@ TEST(UpdatePathTest, MixedWorkloadParityAllStrategiesAndMergePolicies) {
   uint64_t seed = TestSeed(31);
   for (const AccessPathConfig& config : AllWriteConfigs()) {
     RunMixedSession(config, seed++);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Tombstone tables: every path keeps its tombstones as an oid bit table. The
+// tombstones that Delete, Update and Merge leave behind must agree with a
+// reference set — the path's pending_deletes(), its select counts, and (for
+// the cracker's updatable index) IsDeleted on every oid.
+// ---------------------------------------------------------------------------
+
+/// The tombstones and pending inserts a delta-carrying path should hold,
+/// derived from the documented write semantics; a merge folds both.
+struct TombstoneReference {
+  std::set<Oid> tombstones;
+  std::set<Oid> pending;
+  std::set<Oid> purged;
+
+  void Insert(Oid oid) { pending.insert(oid); }
+  void Delete(Oid oid) {
+    if (pending.erase(oid) > 0) {
+      purged.insert(oid);  // a pending insert is cancelled, not tombstoned
+    } else {
+      tombstones.insert(oid);
+    }
+  }
+  void Update(Oid oid) {
+    if (pending.count(oid) > 0) return;  // rewritten in place
+    tombstones.insert(oid);
+    pending.insert(oid);
+  }
+  void Merge() {
+    for (Oid oid : tombstones) {
+      if (pending.count(oid) == 0) purged.insert(oid);
+    }
+    tombstones.clear();
+    pending.clear();
+  }
+};
+
+TEST(TombstoneTableTest, PathsAgreeWithAReferenceSet) {
+  uint64_t seed = TestSeed(5150);
+  for (const AccessPathConfig& config : AllWriteConfigs()) {
+    SCOPED_TRACE("config=" + ConfigName(config) +
+                 " seed=" + std::to_string(seed) +
+                 " (rerun with CRACKSTORE_TEST_SEED)");
+    Pcg32 rng(seed++);
+    const int64_t domain = 1000;
+    std::vector<int64_t> initial(800);
+    for (auto& v : initial) v = rng.NextInRange(1, domain);
+    auto bat = Bat::FromVector(initial, "c");
+    Model model;
+    for (size_t i = 0; i < initial.size(); ++i) model[i] = initial[i];
+    auto path_result = CreateColumnAccessPath(bat, config);
+    ASSERT_TRUE(path_result.ok());
+    ColumnAccessPath* path = path_result->get();
+    const bool scan = config.strategy == AccessStrategy::kScan;
+    TombstoneReference ref;
+    bool built = false;  // crack/sort absorb inserts and updates until built
+    size_t merges = 0;
+
+    auto random_live = [&] {
+      auto it = model.begin();
+      std::advance(it, rng.NextBounded(static_cast<uint32_t>(model.size())));
+      return it;
+    };
+    for (int op = 0; op < 300; ++op) {
+      SCOPED_TRACE("op " + std::to_string(op));
+      // The first ops delete before any select: pre-build tombstones.
+      const uint32_t dice = op < 5 ? 50 : rng.NextBounded(100);
+      if (dice < 30) {
+        int64_t lo = rng.NextInRange(1, domain);
+        RangeBounds range =
+            RangeBounds::Closed(lo, lo + rng.NextInRange(0, 300));
+        AccessSelection sel = path->Select(range, /*want_oids=*/false, nullptr);
+        ASSERT_EQ(sel.count, ModelOids(model, range).size());
+        built = true;
+      } else if (dice < 45) {
+        int64_t value = rng.NextInRange(1, domain);
+        bat->Append<int64_t>(value);
+        Oid oid = bat->size() - 1;
+        ASSERT_TRUE(path->Insert(Value(value), oid).ok());
+        model[oid] = value;
+        if (built && !scan) ref.Insert(oid);
+      } else if (dice < 75) {
+        if (model.empty()) continue;
+        auto it = random_live();
+        ASSERT_TRUE(path->Delete(it->first).ok());
+        // Deleting twice is refused, whatever the strategy.
+        EXPECT_TRUE(path->Delete(it->first).IsAlreadyExists());
+        if (scan) {
+          ref.tombstones.insert(it->first);
+        } else {
+          ref.Delete(it->first);
+        }
+        model.erase(it);
+      } else if (dice < 95) {
+        if (model.empty()) continue;
+        auto it = random_live();
+        int64_t value = rng.NextInRange(1, domain);
+        ASSERT_TRUE(
+            bat->SetNumeric(static_cast<size_t>(it->first), value).ok());
+        ASSERT_TRUE(path->Update(it->first, Value(value)).ok());
+        it->second = value;
+        if (built && !scan) ref.Update(it->first);
+      } else {
+        ASSERT_TRUE(path->FlushDeltas().ok());
+        built = true;
+      }
+      if (path->merges_performed() != merges) {
+        merges = path->merges_performed();
+        ref.Merge();
+      }
+      ASSERT_EQ(path->pending_deletes(), ref.tombstones.size());
+      if (!scan) {
+        ASSERT_EQ(path->pending_inserts(), ref.pending.size());
+      }
+    }
+  }
+}
+
+TEST(TombstoneTableTest, UpdatableIndexIsDeletedMatchesAReferenceSet) {
+  const uint64_t seed = TestSeed(6160);
+  SCOPED_TRACE("seed=" + std::to_string(seed) +
+               " (rerun with CRACKSTORE_TEST_SEED)");
+  Pcg32 rng(seed);
+  const int64_t domain = 700;
+  std::vector<int64_t> initial(600);
+  for (auto& v : initial) v = rng.NextInRange(1, domain);
+  auto bat = Bat::FromVector(initial, "c");
+  bat->set_head_base(5000);  // tombstones are kept relative to the base oid
+  UpdatableCrackerIndexOptions opts;
+  opts.auto_merge_fraction = 0.08;
+  UpdatableCrackerIndex<int64_t> index(bat, nullptr, opts);
+  Model model;
+  for (size_t i = 0; i < initial.size(); ++i) model[5000 + i] = initial[i];
+  Oid next_oid = 5000 + initial.size();
+  TombstoneReference ref;
+  size_t merges = 0;
+  EXPECT_TRUE(index.Delete(4999).IsNotFound());  // below the base oid
+  for (int op = 0; op < 500; ++op) {
+    SCOPED_TRACE("op " + std::to_string(op));
+    const uint32_t dice = rng.NextBounded(100);
+    if (dice < 25) {
+      int64_t lo = rng.NextInRange(1, domain);
+      RangeBounds range = RangeBounds::Closed(lo, lo + rng.NextInRange(0, 200));
+      UpdatableSelection<int64_t> sel =
+          index.Select(range.lo, true, range.hi, true);
+      ASSERT_EQ(sel.count(), ModelOids(model, range).size());
+    } else if (dice < 45) {
+      int64_t value = rng.NextInRange(1, domain);
+      ASSERT_TRUE(index.Insert(value, next_oid).ok());
+      model[next_oid] = value;
+      ref.Insert(next_oid++);
+    } else if (dice < 70) {
+      if (model.empty()) continue;
+      auto it = model.begin();
+      std::advance(it, rng.NextBounded(static_cast<uint32_t>(model.size())));
+      ASSERT_TRUE(index.Delete(it->first).ok());
+      ref.Delete(it->first);
+      model.erase(it);
+    } else if (dice < 95) {
+      if (model.empty()) continue;
+      auto it = model.begin();
+      std::advance(it, rng.NextBounded(static_cast<uint32_t>(model.size())));
+      int64_t value = rng.NextInRange(1, domain);
+      ASSERT_TRUE(index.Update(value, it->first).ok());
+      it->second = value;
+      ref.Update(it->first);
+    } else {
+      ASSERT_TRUE(index.Merge().ok());
+    }
+    if (index.merges_performed() != merges) {
+      merges = index.merges_performed();
+      ref.Merge();
+    }
+    ASSERT_EQ(index.pending_deletes(), ref.tombstones.size());
+    ASSERT_EQ(index.pending_inserts(), ref.pending.size());
+    for (Oid oid = 4990; oid < next_oid + 10; ++oid) {
+      ASSERT_EQ(index.IsDeleted(oid), ref.tombstones.count(oid) > 0)
+          << "oid " << oid;
+    }
+    // Purged rows stay dead: deleting or updating them again is refused.
+    if (!ref.purged.empty()) {
+      Oid dead = *ref.purged.begin();
+      ASSERT_FALSE(index.Delete(dead).ok());
+      ASSERT_TRUE(index.Update(1, dead).IsNotFound());
+    }
+    ASSERT_TRUE(index.Validate().ok());
+  }
+}
+
+// The bit table's word-wise walks agree with a std::set at every alignment
+// of the run against the table's words.
+TEST(TombstoneTableTest, BitTableWalksMatchASet) {
+  Pcg32 rng(42);
+  for (Oid base : {Oid{0}, Oid{3}, Oid{64}, Oid{1000}}) {
+    SCOPED_TRACE("base " + std::to_string(base));
+    OidBitTable table(base);
+    std::set<Oid> ref;
+    EXPECT_FALSE(table.Test(base));
+    for (int k = 0; k < 300; ++k) {
+      Oid oid = base + rng.NextBounded(700);
+      EXPECT_EQ(table.Set(oid), ref.insert(oid).second);
+      if (rng.NextBounded(4) == 0) {
+        Oid gone = base + rng.NextBounded(700);
+        EXPECT_EQ(table.Clear(gone), ref.erase(gone) > 0);
+      }
+    }
+    ASSERT_EQ(table.count(), ref.size());
+    std::vector<Oid> walked;
+    table.ForEach([&](Oid oid) { walked.push_back(oid); });
+    EXPECT_EQ(walked, std::vector<Oid>(ref.begin(), ref.end()));
+    EXPECT_FALSE(base > 0 && table.Test(base - 1));
+    for (size_t start : {size_t{0}, size_t{1}, size_t{63}, size_t{64},
+                         size_t{200}, size_t{690}, size_t{900}}) {
+      for (size_t n : {size_t{0}, size_t{5}, size_t{64}, size_t{130},
+                       size_t{1000}}) {
+        std::vector<uint64_t> bm(BitmapWords(n));
+        BitmapFill(bm.data(), n);
+        table.ClearMembers(base + start, n, bm.data());
+        std::vector<size_t> in_run;
+        table.ForEachIn(base + start, n,
+                        [&](size_t i) { in_run.push_back(i); });
+        std::vector<size_t> want;
+        for (size_t i = 0; i < n; ++i) {
+          const bool member = ref.count(base + start + i) > 0;
+          ASSERT_EQ(BitmapTest(bm.data(), i), !member)
+              << "start " << start << " n " << n << " i " << i;
+          if (member) want.push_back(i);
+        }
+        ASSERT_EQ(in_run, want) << "start " << start << " n " << n;
+        if (n % 64 != 0) {
+          ASSERT_EQ(bm.back() >> (n % 64), 0u);
+        }
+      }
+    }
+    table.ClearAll();
+    EXPECT_TRUE(table.empty());
+    EXPECT_FALSE(table.Test(*ref.begin()));
   }
 }
 
