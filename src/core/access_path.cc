@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <functional>
 #include <limits>
 #include <mutex>
 #include <type_traits>
@@ -16,7 +15,6 @@
 #include "core/latch.h"
 #include "core/oid_bit_table.h"
 #include "core/sorted_column.h"
-#include "core/task_pool.h"
 #include "core/updatable_cracker_index.h"
 #include "storage/dictionary.h"
 #include "util/string_util.h"
@@ -386,12 +384,9 @@ class CrackAccessPath : public ColumnAccessPath {
 
   PathConcurrency concurrency() const override {
     // Cracking parallelizes across pieces: every shuffle is covered by a
-    // range lock, and all three policies can steer under the shared latch —
-    // standard cuts at the query bounds, stochastic draws auxiliary pivots
-    // through the concurrent primitives (PieceSpanForConcurrent + a cell
-    // lock on the drawn slot), and coarse filters fuzzy edges under the
-    // shared span lock. Only merge budgets still need the exclusive latch:
-    // they rewrite the boundary map on every select.
+    // range lock inside the cracker index, and every policy steers through
+    // the index's thread-safe primitives. Only merge budgets need the
+    // exclusive latch: they rewrite the boundary map on every select.
     return config_.merge_budget.unlimited() ? PathConcurrency::kSharedReads
                                             : PathConcurrency::kExclusiveOnly;
   }
@@ -415,80 +410,74 @@ class CrackAccessPath : public ColumnAccessPath {
     T lo, hi;
     bool lo_incl, hi_incl;
     ClampRange<T>(range, &lo, &lo_incl, &hi, &hi_incl);
-
     AccessSelection out;
     // Provably-empty range: answer before paying the O(n) index build
     // (nothing — not even an override — can satisfy an empty range).
-    if (lo > hi || (lo == hi && !(lo_incl && hi_incl))) return out;
-
-    // kAuto: one detector sample per query — the clamped range midpoint
-    // (averaged in halves so extreme integer bounds cannot overflow).
-    if (engine_.policy() == CrackPolicy::kAuto) {
-      const double mid =
-          0.5 * static_cast<double>(lo) + 0.5 * static_cast<double>(hi);
-      if (config_.concurrent) {
-        std::lock_guard<std::mutex> lk(engine_mu_);
-        engine_.Observe(mid);
-      } else {
-        engine_.Observe(mid);
-      }
-    }
-
-    if (config_.concurrent &&
-        concurrency() == PathConcurrency::kSharedReads &&
-        built_.load(std::memory_order_acquire)) {
-      return SelectShared(lo, lo_incl, hi, hi_incl, want_oids, stats, view);
-    }
-
+    if (EmptyRange(lo, lo_incl, hi, hi_incl)) return out;
+    // Pin the policy once: under kAuto a detector switch may land
+    // mid-select, and the two bounds must run the same discipline.
+    const CrackPolicy policy = Observe(lo, hi);
     EnsureBuilt(stats);
-    // Concurrent mode defers delta folds to the owner's maintenance hook
-    // (exclusive latch); a raced-in delta is overlaid below instead.
-    if (!config_.concurrent) MaybeMergeOnSelect(stats);
+    MaybeMergeOnSelect(stats);
     CrackerIndex<T>* inner = updatable_->mutable_index();
-    // Tombstones (and snapshot filters) force the coarse path to gather
-    // oids: an answer spanning uncracked edges cannot subtract hidden rows
-    // without naming them.
-    bool gather = want_oids || updatable_->pending_deletes() > 0 ||
-                  ViewActive(view);
-    out.contiguous = true;
-    switch (engine_.effective()) {
-      case CrackPolicy::kStandard:
-      case CrackPolicy::kAuto:  // effective() never reports kAuto; defensive
-        out.view = inner->Select(lo, lo_incl, hi, hi_incl, stats);
-        out.count = out.view.count();
-        break;
+    size_t cut_lo = 0;
+    size_t cut_hi = 0;
+    bool exact = true;
+    switch (policy) {
       case CrackPolicy::kStochastic:
         // DDC: shrink the pieces the bounds land in with random pivots
         // first, so progress is made even when the bounds themselves follow
         // a pathological (e.g. sequential) pattern.
         StochasticShrink(lo, /*want_incl=*/!lo_incl, stats);
         StochasticShrink(hi, /*want_incl=*/hi_incl, stats);
-        out.view = inner->Select(lo, lo_incl, hi, hi_incl, stats);
-        out.count = out.view.count();
+        [[fallthrough]];
+      case CrackPolicy::kStandard:
+      case CrackPolicy::kAuto: {  // effective() never reports kAuto
+        CrackSelection sel = inner->Select(lo, lo_incl, hi, hi_incl, stats);
+        cut_lo = sel.values.offset();
+        cut_hi = cut_lo + sel.count();
         break;
+      }
       case CrackPolicy::kCoarse:
-        CoarseSelect(lo, lo_incl, hi, hi_incl, gather, stats, &out);
+        exact = CoarseCuts(lo, lo_incl, hi, hi_incl, stats, &cut_lo, &cut_hi);
         break;
       case CrackPolicy::kProgressive:
-        ProgressiveSelect(lo, lo_incl, hi, hi_incl, gather, stats, &out);
+        exact = ProgressiveCuts(lo, lo_incl, hi, hi_incl, stats, &cut_lo,
+                                &cut_hi);
         break;
     }
-    // Zero-materialization answer: a contiguous piece of the cracked column
-    // is one span over its permuted oid map. The overlay below keeps the
-    // span and degrades deltas into exception bits / extras instead of
-    // forcing an oid-list materialization. Serial statements only — shared
-    // readers go through SelectShared, whose spans would not survive the
-    // range locks dropping.
-    if (out.contiguous && out.view.oids.bat() != nullptr) {
-      out.span_set.BindOidMap(out.view.oids.bat());
-      out.span_set.AddSpan(out.view.oids.offset(),
-                           out.view.oids.offset() + out.view.oids.size());
-      out.has_span_set = true;
+    {
+      // The answer is formed while the span holds still (no shuffle inside
+      // it) and the delta latch keeps the pending list and tombstones
+      // stable. Cut positions themselves never move once registered.
+      RangeLockGuard span = inner->LockRangeShared(cut_lo, cut_hi);
+      std::lock_guard<std::mutex> dl(delta_mu_);
+      if (exact) {
+        // Zero-materialization answer: a contiguous piece of the cracked
+        // column is one span over its permuted oid map. The overlay below
+        // keeps the span and degrades deltas into exception bits / extras
+        // instead of forcing an oid-list materialization.
+        out.contiguous = true;
+        out.view = CrackSelection{
+            BatView(inner->values(), cut_lo, cut_hi - cut_lo),
+            BatView(inner->oids(), cut_lo, cut_hi - cut_lo)};
+        out.count = out.view.count();
+        out.span_set.BindOidMap(inner->oids());
+        out.span_set.AddSpan(cut_lo, cut_hi);
+        out.has_span_set = true;
+      } else {
+        // Tombstones (and snapshot filters) force the fuzzy span to gather
+        // oids: an answer spanning uncracked edges cannot subtract hidden
+        // rows without naming them.
+        FilterSpan(inner, cut_lo, cut_hi, lo, lo_incl, hi, hi_incl,
+                   want_oids || !updatable_->tombstones().empty() ||
+                       ViewActive(view),
+                   stats, &out);
+      }
+      OverlayDeltaAnswer<T>(updatable_->pending(), updatable_->tombstones(),
+                            lo, lo_incl, hi, hi_incl, want_oids, view, stats,
+                            &out);
     }
-    OverlayDeltaAnswer<T>(updatable_->pending(), updatable_->tombstones(),
-                          lo, lo_incl, hi, hi_incl, want_oids, view, stats,
-                          &out);
-
     if (!config_.merge_budget.unlimited()) {
       out.bounds_dropped =
           EnforceMergeBudget(inner, config_.merge_budget, stats);
@@ -512,31 +501,17 @@ class CrackAccessPath : public ColumnAccessPath {
       ColumnAggregates out;
       if (EmptyRange(lo, lo_incl, hi, hi_incl)) return out;
       // The aggregate is still a query, so it still advises the detector.
-      if (engine_.policy() == CrackPolicy::kAuto) {
-        const double mid =
-            0.5 * static_cast<double>(lo) + 0.5 * static_cast<double>(hi);
-        if (config_.concurrent) {
-          std::lock_guard<std::mutex> lk(engine_mu_);
-          engine_.Observe(mid);
-        } else {
-          engine_.Observe(mid);
-        }
-      }
-      if (config_.concurrent &&
-          concurrency() == PathConcurrency::kSharedReads &&
-          built_.load(std::memory_order_acquire)) {
-        return AggregateShared(lo, lo_incl, hi, hi_incl, stats, view);
-      }
-      if (engine_.effective() == CrackPolicy::kProgressive) {
+      const CrackPolicy policy = Observe(lo, hi);
+      if (policy == CrackPolicy::kProgressive) {
         // A budgeted crack may leave open frontiers; cutting exactly here
         // would blow the write budget the policy promises to honor.
         return Status::Unimplemented(
             "aggregate pushdown: progressive cracks stay budgeted");
       }
       EnsureBuilt(stats);
-      if (!config_.concurrent) MaybeMergeOnSelect(stats);
+      MaybeMergeOnSelect(stats);
       CrackerIndex<T>* inner = updatable_->mutable_index();
-      if (engine_.effective() == CrackPolicy::kStochastic) {
+      if (policy == CrackPolicy::kStochastic) {
         StochasticShrink(lo, /*want_incl=*/!lo_incl, stats);
         StochasticShrink(hi, /*want_incl=*/hi_incl, stats);
       }
@@ -545,8 +520,13 @@ class CrackAccessPath : public ColumnAccessPath {
       // trim fuzzy edges in. kCoarse therefore cracks finer here than its
       // select threshold would — a documented deviation.
       CrackSelection sel = inner->Select(lo, lo_incl, hi, hi_incl, stats);
-      AccumulateSpan(inner, sel.values.offset(), sel.values.size(), lo,
-                     lo_incl, hi, hi_incl, view, stats, &out);
+      {
+        const size_t pos = sel.values.offset();
+        RangeLockGuard span = inner->LockRangeShared(pos, pos + sel.count());
+        std::lock_guard<std::mutex> dl(delta_mu_);
+        AccumulateSpan(inner, pos, sel.count(), lo, lo_incl, hi, hi_incl,
+                       view, stats, &out);
+      }
       if (!config_.merge_budget.unlimited()) {
         (void)EnforceMergeBudget(inner, config_.merge_budget, stats);
       }
@@ -557,8 +537,7 @@ class CrackAccessPath : public ColumnAccessPath {
   Status Insert(const Value& value, Oid oid, IoStats* stats) override {
     if (updatable_ == nullptr) return Status::OK();  // lazy build reads base
     {
-      std::unique_lock<std::mutex> dl(delta_mu_, std::defer_lock);
-      if (config_.concurrent) dl.lock();
+      std::lock_guard<std::mutex> dl(delta_mu_);
       CRACK_RETURN_NOT_OK(updatable_->Insert(CastValue<T>(value), oid));
       SyncDirty();
     }
@@ -571,14 +550,12 @@ class CrackAccessPath : public ColumnAccessPath {
       // Mirror the built path's validation so the answer does not depend on
       // build timing (and so EnsureBuilt's replay cannot fail).
       CRACK_RETURN_NOT_OK(CheckDeletableOid(*column_, oid));
-      std::unique_lock<std::mutex> dl(delta_mu_, std::defer_lock);
-      if (config_.concurrent) dl.lock();
+      std::lock_guard<std::mutex> dl(delta_mu_);
       if (!pre_build_deletes_.Set(oid)) return AlreadyDeletedError(oid);
       return Status::OK();
     }
     {
-      std::unique_lock<std::mutex> dl(delta_mu_, std::defer_lock);
-      if (config_.concurrent) dl.lock();
+      std::lock_guard<std::mutex> dl(delta_mu_);
       CRACK_RETURN_NOT_OK(updatable_->Delete(oid));
       SyncDirty();
     }
@@ -588,8 +565,7 @@ class CrackAccessPath : public ColumnAccessPath {
   Status Update(Oid oid, const Value& value, IoStats* stats) override {
     if (updatable_ == nullptr) return Status::OK();  // base slot overwritten
     {
-      std::unique_lock<std::mutex> dl(delta_mu_, std::defer_lock);
-      if (config_.concurrent) dl.lock();
+      std::lock_guard<std::mutex> dl(delta_mu_);
       CRACK_RETURN_NOT_OK(updatable_->Update(CastValue<T>(value), oid));
       SyncDirty();
     }
@@ -608,13 +584,11 @@ class CrackAccessPath : public ColumnAccessPath {
   }
 
   size_t pending_inserts() const override {
-    std::unique_lock<std::mutex> dl(delta_mu_, std::defer_lock);
-    if (config_.concurrent) dl.lock();
+    std::lock_guard<std::mutex> dl(delta_mu_);
     return updatable_ == nullptr ? 0 : updatable_->pending_inserts();
   }
   size_t pending_deletes() const override {
-    std::unique_lock<std::mutex> dl(delta_mu_, std::defer_lock);
-    if (config_.concurrent) dl.lock();
+    std::lock_guard<std::mutex> dl(delta_mu_);
     return updatable_ == nullptr ? pre_build_deletes_.count()
                                  : updatable_->pending_deletes();
   }
@@ -623,8 +597,7 @@ class CrackAccessPath : public ColumnAccessPath {
   }
 
   size_t accel_tuples() const override {
-    std::unique_lock<std::mutex> dl(delta_mu_, std::defer_lock);
-    if (config_.concurrent) dl.lock();
+    std::lock_guard<std::mutex> dl(delta_mu_);
     return updatable_ == nullptr ? 0 : updatable_->index().size();
   }
 
@@ -666,7 +639,7 @@ class CrackAccessPath : public ColumnAccessPath {
           static_cast<int64_t>(std::numeric_limits<T>::min()),
           static_cast<int64_t>(std::numeric_limits<T>::max())));
     }
-    updatable_->mutable_index()->ForceCut(
+    updatable_->mutable_index()->Cut(
         pivot, /*want_incl=*/choice.after_duplicates, stats);
     return Status::OK();
   }
@@ -716,18 +689,15 @@ class CrackAccessPath : public ColumnAccessPath {
     status.samples = engine_.observed_samples();
     status.progressive_budget = engine_.options().progressive_budget;
     status.crack = true;
-    const bool ready = config_.concurrent
-                           ? built_.load(std::memory_order_acquire)
-                           : updatable_ != nullptr;
-    if (ready) {
+    if (built_.load(std::memory_order_acquire)) {
       status.progressive_pending = updatable_->index().progressive_pending();
     }
     return status;
   }
 
   Status SetPolicyOptions(const CrackPolicyOptions& options) override {
-    // Concurrent mode: the owner holds the exclusive column latch, so no
-    // select is mid-flight through the engine while it re-arms.
+    // The owner holds the exclusive column latch, so no select is
+    // mid-flight through the engine while it re-arms.
     config_.policy = options;
     engine_.Reset(options);
     return Status::OK();
@@ -756,196 +726,40 @@ class CrackAccessPath : public ColumnAccessPath {
       (void)updatable_->Merge(stats);
     }
     SyncDirty();
-    // Publish readiness last: shared-mode readers may dereference
+    // Publish readiness last: shared-latch readers may dereference
     // updatable_ as soon as they observe built_.
     built_.store(true, std::memory_order_release);
   }
 
   /// Mirrors the delta/accelerator sizes into the latch-free counters the
   /// owner's maintenance poll reads. Callers hold the delta latch or the
-  /// exclusive column latch; a no-op in serial mode.
+  /// exclusive column latch.
   void SyncDirty() {
-    if (!config_.concurrent || updatable_ == nullptr) return;
+    if (updatable_ == nullptr) return;
     dirty_count_.store(
         updatable_->pending_inserts() + updatable_->pending_deletes(),
         std::memory_order_relaxed);
     accel_size_.store(updatable_->index().size(), std::memory_order_relaxed);
   }
 
-  /// Shared-latch selection for the standard policy: concurrent cuts under
-  /// piece-granular range locks, answer materialized (never a view — the
-  /// data behind a view may be shuffled by a neighbor the moment the span
-  /// lock drops).
-  AccessSelection SelectShared(T lo, bool lo_incl, T hi, bool hi_incl,
-                               bool want_oids, IoStats* stats,
-                               const SnapshotView* view) {
-    AccessSelection out;
-    out.contiguous = false;
-    bool versioned = ViewActive(view);
-    // Pin the policy once: under kAuto a detector switch may land
-    // mid-select, and the two bounds must run the same discipline.
-    const CrackPolicy eff = engine_.effective();
-    // Stable under the shared latch: swapping the index needs the
-    // exclusive latch (Merge/FlushDeltas).
-    CrackerIndex<T>* inner = updatable_->mutable_index();
-    if (eff == CrackPolicy::kStochastic) {
-      // DDC under the shared latch: shrink the enclosing pieces with random
-      // pivots before cutting at the bounds, same as the serial path.
-      StochasticShrinkConcurrent(lo, /*want_incl=*/!lo_incl, stats);
-      StochasticShrinkConcurrent(hi, /*want_incl=*/hi_incl, stats);
+  /// kAuto: one detector sample per query — the clamped range midpoint
+  /// (averaged in halves so extreme integer bounds cannot overflow).
+  /// Returns the policy the query then runs.
+  CrackPolicy Observe(T lo, T hi) {
+    if (engine_.policy() == CrackPolicy::kAuto) {
+      const double mid =
+          0.5 * static_cast<double>(lo) + 0.5 * static_cast<double>(hi);
+      std::lock_guard<std::mutex> lk(engine_mu_);
+      engine_.Observe(mid);
     }
-    size_t cut_lo = 0;
-    size_t cut_hi = 0;
-    // Probe first: in steady state both cuts are registered and the select
-    // must not pay batch scheduling for two map lookups.
-    bool lo_exact = inner->FindCutConcurrent(lo, !lo_incl, &cut_lo);
-    bool hi_exact = inner->FindCutConcurrent(hi, hi_incl, &cut_hi);
-    bool crack_lo = !lo_exact;
-    bool crack_hi = !hi_exact;
-    if (eff == CrackPolicy::kProgressive && (crack_lo || crack_hi)) {
-      // Budgeted cuts under the shared latch: each bound advances its
-      // piece's carried frontier by at most the shared per-query pool. A
-      // non-exact frontier stands in as a conservative span edge and the
-      // value filter below trims it (the !exact path), exactly like a
-      // coarse fuzzy edge.
-      std::pair<size_t, size_t> span_lo =
-          crack_lo ? inner->PieceSpanForConcurrent(lo)
-                   : std::make_pair<size_t, size_t>(0, 0);
-      std::pair<size_t, size_t> span_hi =
-          crack_hi ? inner->PieceSpanForConcurrent(hi)
-                   : std::make_pair<size_t, size_t>(0, 0);
-      size_t pool = ProgressivePool(span_lo.second - span_lo.first,
-                                    span_hi.second - span_hi.first);
-      if (crack_lo) {
-        IoStats local;
-        ProgressiveCut cut =
-            inner->CutProgressiveConcurrent(lo, !lo_incl, pool, &local);
-        pool -= std::min(pool, static_cast<size_t>(local.kernel_writes));
-        if (stats != nullptr) *stats += local;
-        cut_lo = cut.lo;  // conservative: include the open frontier
-        lo_exact = cut.exact;
-      }
-      if (crack_hi) {
-        IoStats local;
-        ProgressiveCut cut =
-            inner->CutProgressiveConcurrent(hi, hi_incl, pool, &local);
-        if (stats != nullptr) *stats += local;
-        cut_hi = cut.exact ? cut.lo : cut.hi;
-        hi_exact = cut.exact;
-      }
-      crack_lo = crack_hi = false;
-    }
-    if (eff == CrackPolicy::kCoarse) {
-      // DD1C: bounds inside pieces at or below the threshold stay uncracked;
-      // the conservative piece edge stands in and the span is filtered by
-      // value below. The edge is a registered cut (or 0/n), so it never
-      // moves even if a neighbor subdivides the piece meanwhile.
-      if (crack_lo) {
-        std::pair<size_t, size_t> span = inner->PieceSpanForConcurrent(lo);
-        if (!engine_.ShouldCrack(span.second - span.first)) {
-          cut_lo = span.first;
-          crack_lo = false;
-        }
-      }
-      if (crack_hi) {
-        std::pair<size_t, size_t> span = inner->PieceSpanForConcurrent(hi);
-        if (!engine_.ShouldCrack(span.second - span.first)) {
-          cut_hi = span.second;
-          crack_hi = false;
-        }
-      }
-    }
-    TaskPool* pool = TaskPool::Global();
-    if (crack_lo && crack_hi && pool->num_threads() > 1) {
-      // Fan the two crack kernels out across pieces: once the column holds
-      // more than one piece the bounds usually land in different pieces,
-      // whose shuffles the range locks let proceed concurrently.
-      IoStats lo_stats, hi_stats;
-      std::vector<std::function<void()>> cuts;
-      cuts.emplace_back(
-          [&] { cut_lo = inner->CutConcurrent(lo, !lo_incl, &lo_stats); });
-      cuts.emplace_back(
-          [&] { cut_hi = inner->CutConcurrent(hi, hi_incl, &hi_stats); });
-      pool->RunBatch(std::move(cuts));
-      if (stats != nullptr) {
-        *stats += lo_stats;
-        *stats += hi_stats;
-      }
-      lo_exact = hi_exact = true;
-    } else {
-      if (crack_lo) {
-        cut_lo = inner->CutConcurrent(lo, /*want_incl=*/!lo_incl, stats);
-        lo_exact = true;
-      }
-      if (crack_hi) {
-        cut_hi = inner->CutConcurrent(hi, /*want_incl=*/hi_incl, stats);
-        hi_exact = true;
-      }
-    }
-    if (cut_hi < cut_lo) cut_hi = cut_lo;
-    // Coarse fuzzy edges widen the span past the answer by at most two
-    // small pieces; a value filter under the span lock trims them.
-    bool exact = lo_exact && hi_exact;
-
-    // Hold the answer span still (no concurrent shuffle inside it) and the
-    // delta latch (stable pending list / tombstones) while forming the
-    // answer. Cut positions themselves never move once registered.
-    RangeLockGuard span = inner->LockRangeShared(cut_lo, cut_hi);
-    std::lock_guard<std::mutex> dl(delta_mu_);
-    size_t tombstones = updatable_->pending_deletes();
-    if (exact && tombstones == 0 && !versioned && !want_oids) {
-      out.count = cut_hi - cut_lo;  // positions alone answer the count
-    } else {
-      const Oid* oid_data = inner->oids()->template TailData<Oid>();
-      size_t span_n = cut_hi - cut_lo;
-      // Batch the predicate on fuzzy (coarse) edges and the snapshot
-      // filter: one RangeMatchMask pass / one version-log latch for the
-      // span instead of per-row probes.
-      std::vector<uint64_t> match;
-      if (!exact) {
-        const T* val_data = inner->values()->template TailData<T>();
-        match.resize(BitmapWords(span_n));
-        RangeMatchMask<T>(val_data + cut_lo, span_n, /*has_lo=*/true, lo,
-                          lo_incl, /*has_hi=*/true, hi, hi_incl,
-                          match.data());
-      }
-      std::vector<uint64_t> vis;
-      if (versioned) {
-        vis.resize(BitmapWords(span_n));
-        view->VisibleMask(oid_data + cut_lo, span_n, vis.data());
-      }
-      if (want_oids) out.oids.reserve(span_n);
-      for (size_t i = 0; i < span_n; ++i) {
-        Oid oid = oid_data[cut_lo + i];
-        if (!exact && !BitmapTest(match.data(), i)) continue;
-        if (updatable_->IsDeleted(oid)) continue;
-        if (versioned && !BitmapTest(vis.data(), i)) continue;
-        ++out.count;
-        if (want_oids) out.oids.push_back(oid);
-      }
-      if (stats != nullptr) stats->tuples_read += span_n;
-    }
-    for (const auto& [value, oid] : updatable_->pending()) {
-      if (!InRange(value, lo, lo_incl, hi, hi_incl)) continue;
-      // Snapshot filter only: an updated row is tombstoned at its old
-      // position and pending at its new value.
-      if (versioned && view->Hides(oid)) continue;
-      ++out.count;
-      if (want_oids) out.oids.push_back(oid);
-    }
-    if (stats != nullptr && !updatable_->pending().empty()) {
-      stats->tuples_read += updatable_->pending().size();
-    }
-    ReadmitOverrides<T>(view, lo, lo_incl, hi, hi_incl, want_oids, &out);
-    if (want_oids) std::sort(out.oids.begin(), out.oids.end());
-    return out;
+    return engine_.effective();
   }
 
   /// Reduces the value-exact cracked span [pos, pos + n) plus the delta and
   /// override corrections into `out`. When nothing can hide a row the span
   /// is whole pieces, reduced through their summaries; otherwise every row
-  /// goes through the visibility mask. Shared-latch callers hold the range
-  /// lock over the span and the delta latch; serial callers need neither.
+  /// goes through the visibility mask. Callers hold the range lock over the
+  /// span and the delta latch.
   void AccumulateSpan(CrackerIndex<T>* inner, size_t pos, size_t n, T lo,
                       bool lo_incl, T hi, bool hi_incl,
                       const SnapshotView* view, IoStats* stats,
@@ -961,42 +775,6 @@ class CrackAccessPath : public ColumnAccessPath {
     }
     FoldAggregates<T>(agg, n, read, updatable_->pending(), lo, lo_incl, hi,
                       hi_incl, view, stats, out);
-  }
-
-  /// Shared-latch aggregate pushdown: concurrent value-exact cuts, then the
-  /// span reduction under the range lock (span held still) and the delta
-  /// latch (stable pending list / tombstones).
-  Result<ColumnAggregates> AggregateShared(T lo, bool lo_incl, T hi,
-                                           bool hi_incl, IoStats* stats,
-                                           const SnapshotView* view) {
-    const CrackPolicy eff = engine_.effective();
-    if (eff == CrackPolicy::kCoarse || eff == CrackPolicy::kProgressive) {
-      // Both answer with fuzzy spans under the shared latch; forcing exact
-      // cuts here would crack below the coarse threshold or blow the
-      // progressive budget. Callers fall back to the materialized loop.
-      return Status::Unimplemented(
-          "aggregate pushdown: concurrent coarse/progressive pieces");
-    }
-    CrackerIndex<T>* inner = updatable_->mutable_index();
-    if (eff == CrackPolicy::kStochastic) {
-      StochasticShrinkConcurrent(lo, /*want_incl=*/!lo_incl, stats);
-      StochasticShrinkConcurrent(hi, /*want_incl=*/hi_incl, stats);
-    }
-    size_t cut_lo = 0;
-    size_t cut_hi = 0;
-    if (!inner->FindCutConcurrent(lo, !lo_incl, &cut_lo)) {
-      cut_lo = inner->CutConcurrent(lo, /*want_incl=*/!lo_incl, stats);
-    }
-    if (!inner->FindCutConcurrent(hi, hi_incl, &cut_hi)) {
-      cut_hi = inner->CutConcurrent(hi, /*want_incl=*/hi_incl, stats);
-    }
-    if (cut_hi < cut_lo) cut_hi = cut_lo;
-    ColumnAggregates out;
-    RangeLockGuard span = inner->LockRangeShared(cut_lo, cut_hi);
-    std::lock_guard<std::mutex> dl(delta_mu_);
-    AccumulateSpan(inner, cut_lo, cut_hi - cut_lo, lo, lo_incl, hi, hi_incl,
-                   view, stats, &out);
-    return out;
   }
 
   Status MaybeMergeOnWrite(IoStats* stats) {
@@ -1017,6 +795,7 @@ class CrackAccessPath : public ColumnAccessPath {
   }
 
   void MaybeMergeOnSelect(IoStats* stats) {
+    if (config_.concurrent) return;  // the owner's maintenance step folds
     bool dirty =
         updatable_->pending_inserts() + updatable_->pending_deletes() > 0;
     switch (config_.delta_merge.policy) {
@@ -1036,31 +815,14 @@ class CrackAccessPath : public ColumnAccessPath {
   /// Cracks the piece enclosing `v` at randomly drawn elements until it is
   /// at or below the policy threshold (or no pivot makes progress, e.g. all
   /// duplicates). Skipped when the cut for `v` is already registered.
+  /// Races are benign: any element read under the cell lock is a valid
+  /// pivot, and a neighbour subdividing the same piece just leaves less
+  /// auxiliary work — the span re-probe observes their cuts too.
   void StochasticShrink(T v, bool want_incl, IoStats* stats) {
     CrackerIndex<T>* inner = updatable_->mutable_index();
     size_t pos;
     if (inner->FindCut(v, want_incl, &pos)) return;
     std::pair<size_t, size_t> span = inner->PieceSpanFor(v);
-    while (engine_.WantsAuxiliaryPivot(span.second - span.first)) {
-      T pivot = inner->values()->template TailData<T>()[engine_.DrawSlot(
-          span.first, span.second)];
-      inner->ForceCut(pivot, /*want_incl=*/false, stats);
-      std::pair<size_t, size_t> next = inner->PieceSpanFor(v);
-      if (next == span) break;  // pivot was the piece minimum: no progress
-      span = next;
-    }
-  }
-
-  /// StochasticShrink through the concurrent primitives only (shared-latch
-  /// mode). Races are benign: any element read under the cell lock is a
-  /// valid pivot (shuffles only permute tuples within a piece), and a
-  /// neighbor subdividing the same piece just leaves less auxiliary work
-  /// for this thread — the span re-probe observes their cuts too.
-  void StochasticShrinkConcurrent(T v, bool want_incl, IoStats* stats) {
-    CrackerIndex<T>* inner = updatable_->mutable_index();
-    size_t pos;
-    if (inner->FindCutConcurrent(v, want_incl, &pos)) return;
-    std::pair<size_t, size_t> span = inner->PieceSpanForConcurrent(v);
     while (engine_.WantsAuxiliaryPivot(span.second - span.first)) {
       size_t slot;
       {
@@ -1068,74 +830,37 @@ class CrackAccessPath : public ColumnAccessPath {
         std::lock_guard<std::mutex> lk(engine_mu_);
         slot = engine_.DrawSlot(span.first, span.second);
       }
-      T pivot = inner->ValueAtConcurrent(slot);
-      inner->CutConcurrent(pivot, /*want_incl=*/false, stats);
-      std::pair<size_t, size_t> next = inner->PieceSpanForConcurrent(v);
+      inner->Cut(inner->ValueAt(slot), /*want_incl=*/false, stats);
+      std::pair<size_t, size_t> next = inner->PieceSpanFor(v);
       if (next == span) break;  // pivot was the piece minimum: no progress
       span = next;
     }
   }
 
-  /// DD1C selection: bounds landing in pieces above the threshold crack as
-  /// usual; bounds inside small pieces stay uncracked and the enclosing
-  /// span is filtered instead.
-  void CoarseSelect(T lo, bool lo_incl, T hi, bool hi_incl, bool want_oids,
-                    IoStats* stats, AccessSelection* out) {
+  /// DD1C cuts: bounds landing in pieces above the threshold crack as
+  /// usual; a bound inside a small piece stays uncracked and the enclosing
+  /// piece's edge stands in. The edge is a registered cut (or 0/n), so it
+  /// never moves even if a neighbour subdivides the piece meanwhile.
+  /// Returns true when both cuts are exact.
+  bool CoarseCuts(T lo, bool lo_incl, T hi, bool hi_incl, IoStats* stats,
+                  size_t* cut_lo, size_t* cut_hi) {
     CrackerIndex<T>* inner = updatable_->mutable_index();
-    size_t cut_lo = 0;
-    bool lo_exact = inner->FindCut(lo, /*want_incl=*/!lo_incl, &cut_lo);
-    if (lo_exact) {
-      inner->TouchBound(lo);  // keep LRU merge budgets honest
-    } else {
+    bool lo_exact = inner->FindCut(lo, /*want_incl=*/!lo_incl, cut_lo);
+    if (!lo_exact) {
       std::pair<size_t, size_t> span = inner->PieceSpanFor(lo);
-      if (engine_.ShouldCrack(span.second - span.first)) {
-        cut_lo = inner->ForceCut(lo, /*want_incl=*/!lo_incl, stats);
-        lo_exact = true;
-      } else {
-        cut_lo = span.first;  // conservative: keep the whole piece
-      }
+      lo_exact = engine_.ShouldCrack(span.second - span.first);
+      *cut_lo = lo_exact ? inner->Cut(lo, /*want_incl=*/!lo_incl, stats)
+                         : span.first;  // conservative: keep the piece
     }
-    size_t cut_hi = 0;
-    bool hi_exact = inner->FindCut(hi, /*want_incl=*/hi_incl, &cut_hi);
-    if (hi_exact) {
-      inner->TouchBound(hi);
-    } else {
+    bool hi_exact = inner->FindCut(hi, /*want_incl=*/hi_incl, cut_hi);
+    if (!hi_exact) {
       std::pair<size_t, size_t> span = inner->PieceSpanFor(hi);
-      if (engine_.ShouldCrack(span.second - span.first)) {
-        cut_hi = inner->ForceCut(hi, /*want_incl=*/hi_incl, stats);
-        hi_exact = true;
-      } else {
-        cut_hi = span.second;  // conservative: keep the whole piece
-      }
+      hi_exact = engine_.ShouldCrack(span.second - span.first);
+      *cut_hi = hi_exact ? inner->Cut(hi, /*want_incl=*/hi_incl, stats)
+                         : span.second;  // conservative: keep the piece
     }
-    if (cut_hi < cut_lo) cut_hi = cut_lo;  // empty result
-
-    if (lo_exact && hi_exact) {
-      out->view = CrackSelection{BatView(inner->values(), cut_lo,
-                                         cut_hi - cut_lo),
-                                 BatView(inner->oids(), cut_lo,
-                                         cut_hi - cut_lo)};
-      out->count = out->view.count();
-      return;
-    }
-
-    // At least one fuzzy edge: filter the conservative span. Interior
-    // tuples are known-qualifying, but one predicate pass over the span is
-    // simpler and the span exceeds the answer by at most two small pieces.
-    out->contiguous = false;
-    const T* data = inner->values()->template TailData<T>();
-    const Oid* oids = inner->oids()->template TailData<Oid>();
-    for (size_t i = cut_lo; i < cut_hi; ++i) {
-      if (InRange(data[i], lo, lo_incl, hi, hi_incl)) {
-        ++out->count;
-        if (want_oids) out->oids.push_back(oids[i]);
-      }
-    }
-    if (want_oids) std::sort(out->oids.begin(), out->oids.end());
-    if (stats != nullptr) {
-      stats->tuples_read += cut_hi - cut_lo;
-      if (want_oids) stats->tuples_written += out->count;
-    }
+    if (*cut_hi < *cut_lo) *cut_hi = *cut_lo;  // empty result
+    return lo_exact && hi_exact;
   }
 
   /// The per-query progressive write pool: a budgeted fraction of the
@@ -1151,13 +876,12 @@ class CrackAccessPath : public ColumnAccessPath {
     return std::max(pool, kMinProgressiveWrites);
   }
 
-  /// Progressive selection (serial): both bounds advance their pieces'
-  /// carried frontiers within one shared write pool; open frontiers answer
-  /// conservatively via a value filter, mirroring the coarse fuzzy-edge
-  /// shape.
-  void ProgressiveSelect(T lo, bool lo_incl, T hi, bool hi_incl,
-                         bool want_oids, IoStats* stats,
-                         AccessSelection* out) {
+  /// Progressive cuts: both bounds advance their pieces' carried frontiers
+  /// within one shared write pool; an open frontier stands in as a
+  /// conservative span edge, like a coarse fuzzy edge. Returns true when
+  /// both cuts are exact.
+  bool ProgressiveCuts(T lo, bool lo_incl, T hi, bool hi_incl, IoStats* stats,
+                       size_t* cut_lo, size_t* cut_hi) {
     CrackerIndex<T>* inner = updatable_->mutable_index();
     std::pair<size_t, size_t> span_lo = inner->PieceSpanFor(lo);
     std::pair<size_t, size_t> span_hi = inner->PieceSpanFor(hi);
@@ -1170,20 +894,19 @@ class CrackAccessPath : public ColumnAccessPath {
     ProgressiveCut phi =
         inner->CutProgressive(hi, /*want_incl=*/hi_incl, pool, &local);
     if (stats != nullptr) *stats += local;
+    *cut_lo = plo.lo;  // conservative: open frontiers stay included
+    *cut_hi = phi.exact ? phi.lo : phi.hi;
+    if (*cut_hi < *cut_lo) *cut_hi = *cut_lo;
+    return plo.exact && phi.exact;
+  }
 
-    size_t cut_lo = plo.lo;  // conservative: open frontiers stay included
-    size_t cut_hi = phi.exact ? phi.lo : phi.hi;
-    if (cut_hi < cut_lo) cut_hi = cut_lo;
-
-    if (plo.exact && phi.exact) {
-      out->view = CrackSelection{
-          BatView(inner->values(), cut_lo, cut_hi - cut_lo),
-          BatView(inner->oids(), cut_lo, cut_hi - cut_lo)};
-      out->count = out->view.count();
-      return;
-    }
-
-    // At least one open frontier: filter the conservative span by value.
+  /// Answers a conservative span [cut_lo, cut_hi) — one with a fuzzy coarse
+  /// edge or an open progressive frontier — by filtering it by value; the
+  /// span exceeds the answer by at most the two edge pieces. Callers hold
+  /// the range lock over the span.
+  void FilterSpan(CrackerIndex<T>* inner, size_t cut_lo, size_t cut_hi, T lo,
+                  bool lo_incl, T hi, bool hi_incl, bool want_oids,
+                  IoStats* stats, AccessSelection* out) {
     out->contiguous = false;
     const T* data = inner->values()->template TailData<T>();
     const Oid* oids = inner->oids()->template TailData<Oid>();
@@ -1203,12 +926,11 @@ class CrackAccessPath : public ColumnAccessPath {
   std::shared_ptr<Bat> column_;
   AccessPathConfig config_;
   CrackPolicyEngine engine_;
-  /// Serializes the policy engine's pivot stream among shared-latch
-  /// selects (Pcg32 is not thread-safe). Serial callers bypass it.
+  /// Serializes the policy engine's detector and pivot stream (Pcg32 is not
+  /// thread-safe).
   std::mutex engine_mu_;
   std::unique_ptr<UpdatableCrackerIndex<T>> updatable_;
   OidBitTable pre_build_deletes_;  ///< tombstones before build
-  // Concurrent-mode state (inert in serial mode).
   std::atomic<bool> built_{false};     ///< updatable_ is safe to dereference
   mutable std::mutex delta_mu_;        ///< guards the delta structures
   std::atomic<size_t> dirty_count_{0};  ///< pending inserts + tombstones
@@ -1250,14 +972,8 @@ class SortAccessPath : public ColumnAccessPath {
   AccessSelection Select(const RangeBounds& range, bool want_oids,
                          IoStats* stats,
                          const SnapshotView* view = nullptr) override {
-    bool shared_mode =
-        config_.concurrent && built_.load(std::memory_order_acquire);
-    if (sorted_ == nullptr) {
-      sorted_ = std::make_unique<SortedColumn<T>>(column_, stats);
-      accel_size_.store(sorted_->size(), std::memory_order_relaxed);
-      built_.store(true, std::memory_order_release);
-    }
-    if (!config_.concurrent) MaybeMergeOnSelect(stats);
+    EnsureBuilt(stats);
+    MaybeMergeOnSelect(stats);
     T lo, hi;
     bool lo_incl, hi_incl;
     ClampRange<T>(range, &lo, &lo_incl, &hi, &hi_incl);
@@ -1278,8 +994,7 @@ class SortAccessPath : public ColumnAccessPath {
       out.has_span_set = true;
     }
     {
-      std::unique_lock<std::mutex> dl(delta_mu_, std::defer_lock);
-      if (shared_mode) dl.lock();
+      std::lock_guard<std::mutex> dl(delta_mu_);
       OverlayDeltaAnswer<T>(pending_, deleted_, lo, lo_incl, hi, hi_incl,
                             want_oids, view, stats, &out);
     }
@@ -1304,22 +1019,15 @@ class SortAccessPath : public ColumnAccessPath {
       ClampRange<T>(range, &lo, &lo_incl, &hi, &hi_incl);
       ColumnAggregates out;
       if (EmptyRange(lo, lo_incl, hi, hi_incl)) return out;
-      bool shared_mode =
-          config_.concurrent && built_.load(std::memory_order_acquire);
-      if (sorted_ == nullptr) {
-        sorted_ = std::make_unique<SortedColumn<T>>(column_, stats);
-        accel_size_.store(sorted_->size(), std::memory_order_relaxed);
-        built_.store(true, std::memory_order_release);
-      }
-      if (!config_.concurrent) MaybeMergeOnSelect(stats);
+      EnsureBuilt(stats);
+      MaybeMergeOnSelect(stats);
       // Binary search bounds the answer span; the reduction reads the
       // sorted copy, which only the exclusive latch replaces.
       CrackSelection sel = sorted_->Select(lo, lo_incl, hi, hi_incl, stats);
       const T* vals = sel.values.template data<T>();
       const Oid* oid_data = sel.oids.template data<Oid>();
       size_t n = sel.values.size();
-      std::unique_lock<std::mutex> dl(delta_mu_, std::defer_lock);
-      if (shared_mode) dl.lock();
+      std::lock_guard<std::mutex> dl(delta_mu_);
       SpanAggregates agg = ReduceSpan<T>(vals, oid_data, n, deleted_, view);
       FoldAggregates<T>(agg, n, n, pending_, lo, lo_incl, hi, hi_incl, view,
                         stats, &out);
@@ -1330,8 +1038,7 @@ class SortAccessPath : public ColumnAccessPath {
   Status Insert(const Value& value, Oid oid, IoStats* stats) override {
     if (sorted_ == nullptr) return Status::OK();  // lazy build reads base
     {
-      std::unique_lock<std::mutex> dl(delta_mu_, std::defer_lock);
-      if (config_.concurrent) dl.lock();
+      std::lock_guard<std::mutex> dl(delta_mu_);
       pending_.emplace_back(CastValue<T>(value), oid);
       SyncDirty();
     }
@@ -1341,8 +1048,7 @@ class SortAccessPath : public ColumnAccessPath {
 
   Status Delete(Oid oid, IoStats* stats) override {
     CRACK_RETURN_NOT_OK(CheckDeletableOid(*column_, oid));
-    std::unique_lock<std::mutex> dl(delta_mu_, std::defer_lock);
-    if (config_.concurrent) dl.lock();
+    std::unique_lock<std::mutex> dl(delta_mu_);
     if (purged_.Test(oid)) return AlreadyDeletedError(oid);
     auto it = std::find_if(pending_.begin(), pending_.end(),
                            [oid](const auto& p) { return p.second == oid; });
@@ -1357,7 +1063,7 @@ class SortAccessPath : public ColumnAccessPath {
     if (!deleted_.Set(oid)) return AlreadyDeletedError(oid);
     SyncDirty();
     if (sorted_ == nullptr) return Status::OK();  // filtered until a merge
-    if (dl.owns_lock()) dl.unlock();
+    dl.unlock();
     return MaybeMergeOnWrite(stats);
   }
 
@@ -1365,8 +1071,7 @@ class SortAccessPath : public ColumnAccessPath {
     if (sorted_ == nullptr) return Status::OK();  // base slot overwritten
     CRACK_RETURN_NOT_OK(CheckDeletableOid(*column_, oid));
     {
-      std::unique_lock<std::mutex> dl(delta_mu_, std::defer_lock);
-      if (config_.concurrent) dl.lock();
+      std::lock_guard<std::mutex> dl(delta_mu_);
       auto it = std::find_if(pending_.begin(), pending_.end(),
                              [oid](const auto& p) { return p.second == oid; });
       if (it != pending_.end()) {
@@ -1389,29 +1094,22 @@ class SortAccessPath : public ColumnAccessPath {
     if (sorted_ == nullptr && pending_.empty() && deleted_.empty()) {
       return Status::OK();
     }
-    if (sorted_ == nullptr) {
-      sorted_ = std::make_unique<SortedColumn<T>>(column_, stats);
-      accel_size_.store(sorted_->size(), std::memory_order_relaxed);
-      built_.store(true, std::memory_order_release);
-    }
+    EnsureBuilt(stats);
     return MergeDeltas(stats);
   }
 
   size_t pending_inserts() const override {
-    std::unique_lock<std::mutex> dl(delta_mu_, std::defer_lock);
-    if (config_.concurrent) dl.lock();
+    std::lock_guard<std::mutex> dl(delta_mu_);
     return pending_.size();
   }
   size_t pending_deletes() const override {
-    std::unique_lock<std::mutex> dl(delta_mu_, std::defer_lock);
-    if (config_.concurrent) dl.lock();
+    std::lock_guard<std::mutex> dl(delta_mu_);
     return deleted_.count();
   }
   size_t merges_performed() const override { return merges_; }
 
   size_t accel_tuples() const override {
-    std::unique_lock<std::mutex> dl(delta_mu_, std::defer_lock);
-    if (config_.concurrent) dl.lock();
+    std::lock_guard<std::mutex> dl(delta_mu_);
     return sorted_ == nullptr ? 0 : sorted_->size();
   }
 
@@ -1442,10 +1140,17 @@ class SortAccessPath : public ColumnAccessPath {
   }
 
  private:
+  /// Builds the sorted copy on first use (exclusive column latch).
+  void EnsureBuilt(IoStats* stats) {
+    if (sorted_ != nullptr) return;
+    sorted_ = std::make_unique<SortedColumn<T>>(column_, stats);
+    accel_size_.store(sorted_->size(), std::memory_order_relaxed);
+    built_.store(true, std::memory_order_release);
+  }
+
   /// See CrackAccessPath::SyncDirty. Callers hold the delta latch or the
-  /// exclusive column latch; a no-op in serial mode.
+  /// exclusive column latch.
   void SyncDirty() {
-    if (!config_.concurrent) return;
     dirty_count_.store(pending_.size() + deleted_.count(),
                        std::memory_order_relaxed);
   }
@@ -1463,6 +1168,7 @@ class SortAccessPath : public ColumnAccessPath {
   }
 
   void MaybeMergeOnSelect(IoStats* stats) {
+    if (config_.concurrent) return;  // the owner's maintenance step folds
     bool dirty = !pending_.empty() || !deleted_.empty();
     if (!dirty) return;
     // kImmediate also folds here: tombstones buffered before the lazy build
@@ -1547,7 +1253,6 @@ class SortAccessPath : public ColumnAccessPath {
   OidBitTable deleted_;  ///< tombstones since the last merge
   OidBitTable purged_;   ///< oids physically gone (merged away)
   size_t merges_ = 0;
-  // Concurrent-mode state (inert in serial mode).
   std::atomic<bool> built_{false};      ///< sorted_ is safe to dereference
   mutable std::mutex delta_mu_;         ///< guards the delta structures
   std::atomic<size_t> dirty_count_{0};  ///< pending inserts + tombstones
@@ -1660,8 +1365,7 @@ class ScanAccessPath : public ColumnAccessPath {
   Status Delete(Oid oid, IoStats* stats) override {
     (void)stats;
     CRACK_RETURN_NOT_OK(CheckDeletableOid(*column_, oid));
-    std::unique_lock<std::mutex> dl(delta_mu_, std::defer_lock);
-    if (config_.concurrent) dl.lock();
+    std::lock_guard<std::mutex> dl(delta_mu_);
     if (!deleted_.Set(oid)) return AlreadyDeletedError(oid);
     return Status::OK();
   }
@@ -1680,8 +1384,7 @@ class ScanAccessPath : public ColumnAccessPath {
 
   size_t pending_inserts() const override { return 0; }
   size_t pending_deletes() const override {
-    std::unique_lock<std::mutex> dl(delta_mu_, std::defer_lock);
-    if (config_.concurrent) dl.lock();
+    std::lock_guard<std::mutex> dl(delta_mu_);
     return deleted_.count();
   }
   size_t merges_performed() const override { return 0; }
@@ -1710,8 +1413,8 @@ class ScanAccessPath : public ColumnAccessPath {
 
  private:
   /// The scan's answer bitmap over all n base rows: the range predicate,
-  /// AND the snapshot's visibility, AND-NOT the tombstones. Concurrent mode
-  /// holds the delta latch only for the AND-NOT, one word per 64 rows.
+  /// AND the snapshot's visibility, AND-NOT the tombstones. The delta latch
+  /// is held only for the AND-NOT, one word per 64 rows.
   std::vector<uint64_t> MatchMask(const T* data, size_t n, Oid base, T lo,
                                   bool lo_incl, T hi, bool hi_incl,
                                   const SnapshotView* view) const {
@@ -1723,8 +1426,7 @@ class ScanAccessPath : public ColumnAccessPath {
       view->VisibleRangeMask(base, n, vis.data());
       for (size_t w = 0; w < match.size(); ++w) match[w] &= vis[w];
     }
-    std::unique_lock<std::mutex> dl(delta_mu_, std::defer_lock);
-    if (config_.concurrent) dl.lock();
+    std::lock_guard<std::mutex> dl(delta_mu_);
     deleted_.ClearMembers(base, n, match.data());
     return match;
   }
@@ -1732,7 +1434,7 @@ class ScanAccessPath : public ColumnAccessPath {
   std::shared_ptr<Bat> column_;
   AccessPathConfig config_;
   OidBitTable deleted_;
-  mutable std::mutex delta_mu_;  ///< guards deleted_ (concurrent mode only)
+  mutable std::mutex delta_mu_;  ///< guards deleted_
 };
 
 template <typename T>

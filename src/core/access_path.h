@@ -68,12 +68,12 @@ struct AccessPathConfig {
   CrackPolicyOptions policy;  ///< pivot discipline (crack strategy only)
   MergeBudget merge_budget;   ///< piece-fusion budget (crack strategy only)
   DeltaMergeOptions delta_merge;  ///< when write deltas fold back
-  /// Concurrent mode: the owner (AdaptiveStore) coordinates callers via a
-  /// per-column reader/writer latch; the path guards its delta structures
-  /// with an internal delta latch, answers shared-mode selections through
-  /// piece-granular range locks, and defers every delta merge to the
-  /// owner's maintenance hook (WantsMaintenance -> FlushDeltas under the
-  /// exclusive latch). Off by default: the serial paths take no locks.
+  /// Defers every delta merge to the owner's maintenance step
+  /// (WantsMaintenance -> FlushDeltas under the exclusive column latch)
+  /// instead of folding inline on writes and selects. A concurrent owner
+  /// sets it, because inline folds swap the accelerator under readers that
+  /// hold only the shared latch. Locking does not depend on it: every path
+  /// takes its delta latch and range locks unconditionally.
   bool concurrent = false;
 };
 
@@ -131,9 +131,10 @@ struct AccessSelection {
   /// `span_set` fully describes the qualifying rows (spans over the
   /// accelerator layout, exception overlay for hidden/tombstoned rows,
   /// extras for delta inserts and override re-admissions) — independent of
-  /// whether `oids` was also gathered. Serial paths only: the spans borrow
-  /// the accelerator layout, which concurrent statements may reshuffle
-  /// after the answering range locks drop.
+  /// whether `oids` was also gathered. Like `view`, the spans borrow the
+  /// accelerator layout, which a neighbouring crack may reshuffle once
+  /// Select returns; a caller sharing the path with other threads reads
+  /// `oids` instead (gathered under the answer's range lock).
   bool has_span_set = false;
   OidSpanSet span_set;
 };
@@ -202,8 +203,8 @@ class ColumnAccessPath {
   /// hidden rows from the span reduction, so re-admissions only add.
   /// Returns Unimplemented when this path cannot push the aggregate down
   /// (non-integer domains; budgeted progressive cracks, which must not
-  /// exceed their write budget; concurrent coarse pieces) — callers fall
-  /// back to the materialize-then-loop path.
+  /// exceed their write budget) — callers fall back to the
+  /// materialize-then-loop path.
   virtual Result<ColumnAggregates> AggregateRange(const RangeBounds& range,
                                                   IoStats* stats,
                                                   const SnapshotView* view =
@@ -242,17 +243,19 @@ class ColumnAccessPath {
 
   /// Folds all pending deltas into the accelerator now, regardless of the
   /// configured DeltaMergePolicy. No-op for paths without pending state.
-  /// Concurrent mode: requires the exclusive column latch.
+  /// Requires the exclusive column latch.
   virtual Status FlushDeltas(IoStats* stats = nullptr) = 0;
 
-  // --- concurrency contract (concurrent mode only) --------------------------
+  // --- concurrency contract ---------------------------------------------------
   // The owner serializes via a per-column std::shared_mutex. A path whose
-  // concurrency() is kSharedReads accepts Select and DML calls under the
-  // *shared* latch once SharedSelectReady() is true (readiness is
-  // monotonic); builds, flushes and kExclusiveOnly paths need the exclusive
-  // latch. Paths never merge deltas inline in concurrent mode — the owner
+  // concurrency() is kSharedReads accepts Select, AggregateRange and DML
+  // calls under the *shared* latch once SharedSelectReady() is true
+  // (readiness is monotonic); builds, flushes and kExclusiveOnly paths need
+  // the exclusive latch. Every answer is formed while the path holds the
+  // answer span's shared range lock and its delta latch. With
+  // config().concurrent the path never merges deltas inline — the owner
   // polls WantsMaintenance() and calls FlushDeltas under the exclusive
-  // latch instead, so shared-mode readers only ever overlay deltas.
+  // latch instead, so shared-latch readers only ever overlay deltas.
 
   /// The latch mode this path's operations need (see above). Constant for
   /// the path's lifetime.
@@ -318,7 +321,7 @@ class ColumnAccessPath {
   /// Re-arms the path's policy engine with fresh options at runtime (SET
   /// POLICY). No-op success for strategies without a policy engine, so a
   /// store-wide policy change never errors on scan/sort columns.
-  /// Concurrent mode: requires the exclusive column latch.
+  /// Requires the exclusive column latch.
   virtual Status SetPolicyOptions(const CrackPolicyOptions& options) {
     (void)options;
     return Status::OK();

@@ -6,7 +6,6 @@
 #include <functional>
 #include <iterator>
 #include <limits>
-#include <numeric>
 
 #include "core/oid_set_ops.h"
 #include "core/task_pool.h"
@@ -38,7 +37,7 @@ void SplitLegs(const std::vector<AdaptiveStore::ColumnRange>& conjuncts,
 
 /// Validates every SET clause of an UPDATE up front so a bad column name, a
 /// mistyped value or an overflowing literal cannot leave the statement
-/// half-applied. Shared by the serial and concurrent write paths.
+/// half-applied.
 Status ValidateAssignments(const Relation& rel,
                            const std::vector<AdaptiveStore::Assignment>& sets) {
   for (const AdaptiveStore::Assignment& set : sets) {
@@ -124,7 +123,7 @@ AdaptiveStore::AdaptiveStore(AdaptiveStoreOptions options)
   db_options_.merge_budget = options_.merge_budget;
   db_options_.delta_merge = options_.delta_merge;
   db_options_.track_lineage = options_.track_lineage;
-  db_options_.concurrent = options_.concurrent;
+  db_options_.concurrent = options.concurrent;
   db_options_.autovacuum_version_threshold = 0;  // legacy: explicit VACUUM
 }
 
@@ -134,11 +133,9 @@ AdaptiveStore::~AdaptiveStore() {
 }
 
 Status AdaptiveStore::AddTable(std::shared_ptr<Relation> relation) {
-  std::unique_lock<std::shared_mutex> g(global_mu_, std::defer_lock);
-  if (options_.concurrent) g.lock();
+  std::unique_lock<std::shared_mutex> g(global_mu_);
   if (relation == nullptr) return Status::InvalidArgument("null relation");
-  std::unique_lock<std::mutex> rl(registry_mu_, std::defer_lock);
-  if (options_.concurrent) rl.lock();
+  std::unique_lock<std::mutex> rl(registry_mu_);
   if (tables_.count(relation->name()) > 0) {
     return Status::AlreadyExists("table exists: " + relation->name());
   }
@@ -148,7 +145,7 @@ Status AdaptiveStore::AddTable(std::shared_ptr<Relation> relation) {
   const Relation* rel = relation.get();
   tables_.emplace(name, std::move(relation));
   versions_.emplace(name, std::make_unique<VersionedTable>(base, rows));
-  if (rl.owns_lock()) rl.unlock();
+  rl.unlock();
   if (wal_ != nullptr && !replaying_) {
     // A table created after the last checkpoint must survive a crash: log
     // its full image (schema + rows) through the checkpoint codec.
@@ -165,16 +162,14 @@ Status AdaptiveStore::AddTable(std::shared_ptr<Relation> relation) {
 
 Result<std::shared_ptr<Relation>> AdaptiveStore::table(
     const std::string& name) const {
-  std::unique_lock<std::mutex> rl(registry_mu_, std::defer_lock);
-  if (options_.concurrent) rl.lock();
+  std::lock_guard<std::mutex> rl(registry_mu_);
   auto it = tables_.find(name);
   if (it == tables_.end()) return Status::NotFound("no table: " + name);
   return it->second;
 }
 
 std::vector<std::string> AdaptiveStore::TableNames() const {
-  std::unique_lock<std::mutex> rl(registry_mu_, std::defer_lock);
-  if (options_.concurrent) rl.lock();
+  std::lock_guard<std::mutex> rl(registry_mu_);
   std::vector<std::string> out;
   out.reserve(tables_.size());
   for (const auto& [name, rel] : tables_) out.push_back(name);
@@ -200,35 +195,10 @@ AccessPathConfig AdaptiveStore::PathConfigFor(const std::string& key) const {
   return config;
 }
 
-Result<AdaptiveStore::ColumnAccel*> AdaptiveStore::Accel(
-    const std::string& table, const std::string& column,
-    const std::shared_ptr<Bat>& bat) {
-  const std::string key = table + "." + column;
-  ColumnAccel& accel = accels_[key];
-  if (accel.path == nullptr) {
-    CRACK_ASSIGN_OR_RETURN(accel.path,
-                           CreateColumnAccessPath(bat, PathConfigFor(key)));
-    // A path born after a vacuum must not resurrect purged rows: the lazy
-    // accelerator build reads the append-only base, which still holds them
-    // physically. (Versioned-but-unpurged deletes need no replay — the
-    // SnapshotView filters them at read time.)
-    VersionedTable* vt = VersionsIfAny(table);
-    if (vt != nullptr) {
-      for (Oid oid : vt->PurgedOids()) {
-        Status st = accel.path->Delete(oid);
-        CRACK_DCHECK(st.ok() || st.IsNotFound());
-        (void)st;
-      }
-    }
-  }
-  return &accel;
-}
-
 // --- MVCC machinery ---------------------------------------------------------
 
 VersionedTable* AdaptiveStore::VersionsFor(const std::string& table) const {
-  std::unique_lock<std::mutex> rl(registry_mu_, std::defer_lock);
-  if (options_.concurrent) rl.lock();
+  std::lock_guard<std::mutex> rl(registry_mu_);
   auto it = versions_.find(table);
   if (it == versions_.end()) {
     Oid base = 0;
@@ -246,8 +216,7 @@ VersionedTable* AdaptiveStore::VersionsFor(const std::string& table) const {
 }
 
 VersionedTable* AdaptiveStore::VersionsIfAny(const std::string& table) const {
-  std::unique_lock<std::mutex> rl(registry_mu_, std::defer_lock);
-  if (options_.concurrent) rl.lock();
+  std::lock_guard<std::mutex> rl(registry_mu_);
   auto it = versions_.find(table);
   return it == versions_.end() ? nullptr : it->second.get();
 }
@@ -290,13 +259,11 @@ AdaptiveStore::OpenBaseScope(const std::string& table, const Snapshot& snap,
                              bool lock_global) const {
   CRACK_ASSIGN_OR_RETURN(std::shared_ptr<Relation> rel, this->table(table));
   std::unique_ptr<BaseReadScope> scope(new BaseReadScope());
-  if (options_.concurrent) {
-    if (lock_global) {
-      scope->global_ = std::shared_lock<std::shared_mutex>(global_mu_);
-    }
-    scope->base_ =
-        std::shared_lock<std::shared_mutex>(TableStateFor(table)->base_latch);
+  if (lock_global) {
+    scope->global_ = std::shared_lock<std::shared_mutex>(global_mu_);
   }
+  scope->base_ =
+      std::shared_lock<std::shared_mutex>(TableStateFor(table)->base_latch);
   scope->store_ = this;
   scope->table_ = table;
   scope->rel_ = std::move(rel);
@@ -484,10 +451,9 @@ Status AdaptiveStore::Rollback(TxnId txn) {
     state = std::move(it->second);
     txn_states_.erase(it);
   }
-  // Physical value restores need the store quiesced in concurrent mode
-  // (they bypass the per-column latch protocol).
-  std::unique_lock<std::shared_mutex> g(global_mu_, std::defer_lock);
-  if (options_.concurrent) g.lock();
+  // Physical value restores need the store quiesced (they bypass the
+  // per-column latch protocol).
+  std::unique_lock<std::shared_mutex> g(global_mu_);
   return RollbackLocked(txn, &state);
 }
 
@@ -512,15 +478,9 @@ Status AdaptiveStore::RollbackLocked(TxnId txn, TxnState* state) {
     if (!st.ok()) result = st;
     ColumnAccessPath* path = nullptr;
     {
-      std::unique_lock<std::mutex> rl(registry_mu_, std::defer_lock);
-      if (options_.concurrent) rl.lock();
+      std::lock_guard<std::mutex> rl(registry_mu_);
       auto ait = accels_.find(it->table + "." + it->column);
-      if (ait != accels_.end() &&
-          (options_.concurrent
-               ? ait->second.has_path.load(std::memory_order_acquire)
-               : ait->second.path != nullptr)) {
-        path = ait->second.path.get();
-      }
+      if (ait != accels_.end()) path = ait->second.PathIfAny();
     }
     if (path != nullptr) {
       st = path->Update(it->oid, it->old_value);
@@ -574,14 +534,12 @@ Result<uint64_t> AdaptiveStore::StampDeletes(const std::string& table,
   return removed;
 }
 
-// --- concurrent-mode machinery ---------------------------------------------
+// --- statement machinery ---------------------------------------------------
 
-void AdaptiveStore::ConcurrentEntries(const std::string& table,
-                                      const std::string& column,
-                                      ColumnAccel** accel, TableState** ts) {
+AdaptiveStore::ColumnAccel* AdaptiveStore::AccelFor(const std::string& table,
+                                                    const std::string& column) {
   std::lock_guard<std::mutex> rl(registry_mu_);
-  *accel = &accels_[table + "." + column];
-  *ts = &table_states_[table];
+  return &accels_[table + "." + column];
 }
 
 AdaptiveStore::TableState* AdaptiveStore::TableStateFor(
@@ -590,19 +548,18 @@ AdaptiveStore::TableState* AdaptiveStore::TableStateFor(
   return &table_states_[table];
 }
 
-Status AdaptiveStore::CreatePathLocked(const std::string& table,
-                                       const std::string& column,
-                                       ColumnAccel* accel,
-                                       const std::shared_ptr<Bat>& bat,
-                                       TableState* ts) {
-  if (accel->has_path.load(std::memory_order_acquire)) return Status::OK();
-  (void)ts;
+Status AdaptiveStore::CreatePath(const std::string& table,
+                                 const std::string& column, ColumnAccel* accel,
+                                 const std::shared_ptr<Bat>& bat) {
+  if (accel->PathIfAny() != nullptr) return Status::OK();
   CRACK_ASSIGN_OR_RETURN(
       accel->path,
       CreateColumnAccessPath(bat, PathConfigFor(table + "." + column)));
-  // A path born after a vacuum must not resurrect purged rows: replay them
-  // before publishing the path (versioned deletes are filtered by the
-  // SnapshotView at read time and need no replay).
+  // A path born after a vacuum must not resurrect purged rows: the lazy
+  // accelerator build reads the append-only base, which still holds them
+  // physically, so replay them before publishing the path. (Versioned but
+  // unpurged deletes need no replay — the SnapshotView filters them at read
+  // time.)
   VersionedTable* vt = VersionsIfAny(table);
   if (vt != nullptr) {
     for (Oid oid : vt->PurgedOids()) {
@@ -617,147 +574,198 @@ Status AdaptiveStore::CreatePathLocked(const std::string& table,
 
 Status AdaptiveStore::MaintainColumn(ColumnAccel* accel, TableState* ts,
                                      IoStats* stats) {
-  if (!accel->has_path.load(std::memory_order_acquire)) return Status::OK();
-  if (!accel->path->WantsMaintenance()) return Status::OK();
+  ColumnAccessPath* path = accel->PathIfAny();
+  if (path == nullptr || !path->WantsMaintenance()) return Status::OK();
   std::unique_lock<std::shared_mutex> col(accel->latch);
   std::shared_lock<std::shared_mutex> base(ts->base_latch);
-  return accel->path->FlushDeltas(stats);
+  return path->FlushDeltas(stats);
 }
 
-Status AdaptiveStore::FinishSelectConcurrent(const std::string& table,
-                                             const std::string& column,
-                                             AccessSelection sel,
-                                             Delivery delivery,
-                                             QueryResult* result) {
-  result->count = sel.count;
-  if (sel.contiguous) {
-    // Never let a zero-copy view escape the latch scope: the data behind it
-    // may be shuffled by a neighbor's crack the moment the latch drops.
-    if (delivery != Delivery::kCount) {
-      result->scan_oids.reserve(sel.view.oids.size());
-      for (size_t i = 0; i < sel.view.oids.size(); ++i) {
-        result->scan_oids.push_back(sel.view.oids.Get<Oid>(i));
-      }
-      std::sort(result->scan_oids.begin(), result->scan_oids.end());
-      obs::RecordMaterializedOids(result->scan_oids.size());
+Status AdaptiveStore::LatchColumn(const std::string& table,
+                                  const std::string& column,
+                                  const std::shared_ptr<Bat>& bat,
+                                  IoStats* stats, ColumnLatch* latch) {
+  latch->accel = AccelFor(table, column);
+  TableState* ts = TableStateFor(table);
+  // Fold the deltas a shared-latch read must not (ripple / threshold /
+  // immediate folds all run here, under the exclusive latch).
+  CRACK_RETURN_NOT_OK(MaintainColumn(latch->accel, ts, stats));
+  ColumnAccessPath* path = latch->accel->PathIfAny();
+  if (path != nullptr &&
+      path->concurrency() == PathConcurrency::kSharedReads &&
+      path->SharedSelectReady()) {
+    latch->shared = std::shared_lock<std::shared_mutex>(latch->accel->latch);
+  } else {
+    latch->exclusive =
+        std::unique_lock<std::shared_mutex>(latch->accel->latch);
+  }
+  latch->base = std::shared_lock<std::shared_mutex>(ts->base_latch);
+  return CreatePath(table, column, latch->accel, bat);
+}
+
+void AdaptiveStore::LatchForWrite(std::vector<ColumnAccel*> columns,
+                                  WriteLatches* latches) {
+  // One order for every writer: ascending slot address (slots never move).
+  // Duplicates collapse, so no thread locks one latch twice.
+  std::sort(columns.begin(), columns.end());
+  columns.erase(std::unique(columns.begin(), columns.end()), columns.end());
+  latches->shared.reserve(columns.size());
+  for (ColumnAccel* accel : columns) {
+    ColumnAccessPath* path = accel->PathIfAny();
+    if (path != nullptr &&
+        path->concurrency() == PathConcurrency::kSharedReads) {
+      latches->shared.emplace_back(accel->latch);
+    } else {
+      latches->exclusive.emplace_back(accel->latch);
     }
+  }
+}
+
+void AdaptiveStore::FinishSelect(AccessSelection sel, Delivery delivery,
+                                 QueryResult* result) const {
+  result->count = sel.count;
+  if (options_.concurrent) {
+    // Spans and views borrow the accelerator layout, which a neighbour's
+    // crack may reshuffle once the latch drops, so they stay behind. A
+    // concurrent store's snapshot views are always active, so crack answers
+    // arrive as oid lists the path gathered under the answer span's range
+    // lock; only a sorted copy, which no shared reader reshuffles, can still
+    // answer with a view.
+    if (sel.contiguous && delivery != Delivery::kCount) {
+      const Oid* oids = sel.view.oids.data<Oid>();
+      sel.oids.assign(oids, oids + sel.view.oids.size());
+      std::sort(sel.oids.begin(), sel.oids.end());
+    }
+    sel.contiguous = false;
+    sel.has_span_set = false;
+  }
+  if (sel.contiguous) {
+    result->selection = sel.view;
+    result->has_selection = true;
   } else {
     result->scan_oids = std::move(sel.oids);
     obs::RecordMaterializedOids(result->scan_oids.size());
   }
-  // Span sets never escape here either: they pin the permuted oid map by
-  // shared_ptr, but its contents reshuffle once the latch drops.
-  if (delivery == Delivery::kMaterialize) {
-    auto rel = this->table(table);
-    if (!rel.ok()) return rel.status();
-    auto out = Relation::Create(table + "_" + column + "_result",
-                                (*rel)->schema());
-    if (!out.ok()) return out.status();
-    for (Oid oid : result->scan_oids) {
-      CRACK_RETURN_NOT_OK(
-          (*out)->AppendRow((*rel)->GetRow(static_cast<size_t>(oid))));
-      result->io.tuples_read += (*rel)->num_columns();
-      result->io.tuples_written += (*rel)->num_columns();
-    }
-    result->materialized = *out;
+  if (sel.has_span_set) {
+    // Zero-materialization shape rides along: consumers that can work on
+    // spans (conjunction intersection, lazy CollectOids) never gather.
+    result->has_span_set = true;
+    result->span_set = std::move(sel.span_set);
+    obs::RecordSpanAnswer(result->span_set.num_spans(),
+                          result->span_set.count());
   }
+}
+
+Status AdaptiveStore::MaterializeAnswer(const std::string& table,
+                                        const std::string& column,
+                                        const Snapshot& snap,
+                                        QueryResult* result) const {
+  obs::TraceSpan mat_span("materialize", &result->io);
+  // Rows are gathered by oid at the statement's snapshot: a row a later
+  // commit rewrote keeps the value the snapshot reads.
+  CRACK_ASSIGN_OR_RETURN(std::unique_ptr<BaseReadScope> base,
+                         OpenBaseScope(table, snap, /*lock_global=*/false));
+  const Schema& schema = base->rel_->schema();
+  CRACK_ASSIGN_OR_RETURN(
+      std::shared_ptr<Relation> out,
+      Relation::Create(table + "_" + column + "_result", schema));
+  const std::vector<Oid> oids = result->CollectOids();
+  for (size_t c = 0; c < schema.num_columns(); ++c) {
+    CRACK_ASSIGN_OR_RETURN(const SnapshotColumn* src,
+                           base->Column(schema.column(c).name));
+    Bat* dst = out->column(c).get();
+    dst->Reserve(oids.size());
+    for (Oid oid : oids) CRACK_RETURN_NOT_OK(src->AppendTo(oid, dst));
+  }
+  result->io.tuples_read += oids.size() * schema.num_columns();
+  result->io.tuples_written += oids.size() * schema.num_columns();
+  result->materialized = std::move(out);
   return Status::OK();
 }
 
-Result<QueryResult> AdaptiveStore::SelectRangeConcurrent(
-    const std::string& table, const std::string& column,
-    const TypedRange& range, Delivery delivery, const Snapshot& snap) {
-  auto bat_result = ResolveColumn(table, column);
-  if (!bat_result.ok()) return bat_result.status();
-  std::shared_ptr<Bat> bat = *bat_result;
-
+Result<QueryResult> AdaptiveStore::SelectRangeAt(const std::string& table,
+                                                 const std::string& column,
+                                                 const TypedRange& range,
+                                                 Delivery delivery,
+                                                 const Snapshot& snap) {
+  CRACK_ASSIGN_OR_RETURN(std::shared_ptr<Bat> bat,
+                         ResolveColumn(table, column));
   QueryResult result;
   WallTimer timer;
-  obs::TraceSpan trace_span("select(shared)", table + "." + column,
-                            &result.io);
-  ColumnAccel* accel;
-  TableState* ts;
-  ConcurrentEntries(table, column, &accel, &ts);
-
-  // The MVCC read filter, captured before any latch: its horizon hides
-  // rows appended after this point, so the filter needs no base latch.
+  obs::TraceSpan trace_span("select", table + "." + column, &result.io);
+  // The MVCC read filter, captured before any latch: its horizon hides rows
+  // appended after this point, so the filter needs no base latch.
   SnapshotView view = ViewForColumn(table, column, snap);
-  const SnapshotView* view_ptr = view.active() ? &view : nullptr;
-
-  // Fold deltas the shared path must not (ripple / threshold / immediate
-  // folds all run here, under the exclusive latch).
-  CRACK_RETURN_NOT_OK(MaintainColumn(accel, ts, &result.io));
-
-  bool want_oids = delivery != Delivery::kCount;
-  bool shared_mode =
-      accel->has_path.load(std::memory_order_acquire) &&
-      accel->path->concurrency() == PathConcurrency::kSharedReads &&
-      accel->path->SharedSelectReady();
-  if (shared_mode) {
-    std::shared_lock<std::shared_mutex> col(accel->latch);
-    std::shared_lock<std::shared_mutex> base(ts->base_latch);
+  {
+    ColumnLatch latch;
+    CRACK_RETURN_NOT_OK(LatchColumn(table, column, bat, &result.io, &latch));
+    ColumnAccessPath* path = latch.accel->path.get();
+    const bool is_crack = path->strategy() == AccessStrategy::kCrack;
+    // kSpans keeps span answers as they are; only paths whose fuzzy answers
+    // exist solely as oid lists (coarse and progressive cracking) gather —
+    // and every path of a concurrent store, whose answers leave as oid
+    // lists.
+    const CrackPolicy policy = path->config().policy.policy;
+    const bool want_oids =
+        delivery == Delivery::kSpans
+            ? options_.concurrent ||
+                  (is_crack && (policy == CrackPolicy::kCoarse ||
+                                policy == CrackPolicy::kProgressive))
+            : delivery != Delivery::kCount;
     CRACK_ASSIGN_OR_RETURN(
         AccessSelection sel,
-        accel->path->SelectTyped(range, want_oids, &result.io, view_ptr));
-    CRACK_RETURN_NOT_OK(FinishSelectConcurrent(table, column, std::move(sel),
-                                               delivery, &result));
-  } else {
-    std::unique_lock<std::shared_mutex> col(accel->latch);
-    std::shared_lock<std::shared_mutex> base(ts->base_latch);
-    CRACK_RETURN_NOT_OK(CreatePathLocked(table, column, accel, bat, ts));
-    CRACK_ASSIGN_OR_RETURN(
-        AccessSelection sel,
-        accel->path->SelectTyped(range, want_oids, &result.io, view_ptr));
-    CRACK_RETURN_NOT_OK(FinishSelectConcurrent(table, column, std::move(sel),
-                                               delivery, &result));
+        path->SelectTyped(range, want_oids, &result.io,
+                          view.active() ? &view : nullptr));
+    const bool fused = sel.bounds_dropped > 0;
+    FinishSelect(std::move(sel), delivery, &result);
+    if (is_crack && options_.track_lineage) {
+      UpdateLineage(table, column, latch.accel, fused);
+    }
   }
-
+  if (delivery == Delivery::kMaterialize) {
+    CRACK_RETURN_NOT_OK(MaterializeAnswer(table, column, snap, &result));
+  }
   result.seconds = timer.ElapsedSeconds();
   AddIo(result.io);
   return result;
 }
 
-Result<ColumnAggregates> AdaptiveStore::AggregateRangeConcurrent(
+Result<ColumnAggregates> AdaptiveStore::AggregateRangeAt(
     const std::string& table, const std::string& column,
     const RangeBounds& bounds, const Snapshot& snap) {
-  auto bat_result = ResolveColumn(table, column);
-  if (!bat_result.ok()) return bat_result.status();
-  std::shared_ptr<Bat> bat = *bat_result;
-
-  IoStats io;
-  obs::TraceSpan trace_span("aggregate(shared)", table + "." + column, &io);
-  ColumnAccel* accel;
-  TableState* ts;
-  ConcurrentEntries(table, column, &accel, &ts);
-
-  SnapshotView view = ViewForColumn(table, column, snap);
-  const SnapshotView* view_ptr = view.active() ? &view : nullptr;
-
-  CRACK_RETURN_NOT_OK(MaintainColumn(accel, ts, &io));
-
-  bool shared_mode =
-      accel->has_path.load(std::memory_order_acquire) &&
-      accel->path->concurrency() == PathConcurrency::kSharedReads &&
-      accel->path->SharedSelectReady();
-  Result<ColumnAggregates> out = ColumnAggregates{};
-  if (shared_mode) {
-    std::shared_lock<std::shared_mutex> col(accel->latch);
-    std::shared_lock<std::shared_mutex> base(ts->base_latch);
-    out = accel->path->AggregateRange(bounds, &io, view_ptr);
-  } else {
-    std::unique_lock<std::shared_mutex> col(accel->latch);
-    std::shared_lock<std::shared_mutex> base(ts->base_latch);
-    CRACK_RETURN_NOT_OK(CreatePathLocked(table, column, accel, bat, ts));
-    out = accel->path->AggregateRange(bounds, &io, view_ptr);
+  CRACK_ASSIGN_OR_RETURN(std::shared_ptr<Bat> bat,
+                         ResolveColumn(table, column));
+  if (options_.strategy == AccessStrategy::kCrack && options_.track_lineage &&
+      !options_.merge_budget.unlimited()) {
+    // A budgeted merge inside the aggregate can fuse pieces without
+    // reporting bounds_dropped here, leaving the lineage DAG stale; let the
+    // caller fall back to the select-based loop, which reports it.
+    return Status::Unimplemented("aggregate pushdown: budgeted merge lineage");
   }
-  if (!out.ok()) return out.status();
-  out->io = io;
-  obs::RecordAggPushdown(out->pushdown_rows, out->summary_rows);
+  IoStats io;
+  obs::TraceSpan trace_span("aggregate", table + "." + column, &io);
+  SnapshotView view = ViewForColumn(table, column, snap);
+  ColumnAggregates out;
+  {
+    ColumnLatch latch;
+    CRACK_RETURN_NOT_OK(LatchColumn(table, column, bat, &io, &latch));
+    ColumnAccessPath* path = latch.accel->path.get();
+    CRACK_ASSIGN_OR_RETURN(
+        out,
+        path->AggregateRange(bounds, &io, view.active() ? &view : nullptr));
+    if (path->strategy() == AccessStrategy::kCrack &&
+        options_.track_lineage) {
+      // The aggregate's cuts crack the column exactly like a select's.
+      UpdateLineage(table, column, latch.accel, /*fused=*/false);
+    }
+  }
+  out.io = io;
+  obs::RecordAggPushdown(out.pushdown_rows, out.summary_rows);
   AddIo(io);
   return out;
 }
 
-Result<QueryResult> AdaptiveStore::SelectConjunctionLocked(
+Result<QueryResult> AdaptiveStore::SelectConjunctionAt(
     const std::string& table, const std::vector<ColumnRange>& conjuncts,
     Delivery delivery, const Snapshot& snap) {
   if (conjuncts.empty()) {
@@ -765,484 +773,25 @@ Result<QueryResult> AdaptiveStore::SelectConjunctionLocked(
   }
   if (delivery == Delivery::kMaterialize) {
     return Status::Unimplemented(
-        "materialize a conjunction via kView + MaterializeSelection");
+        "materialize a conjunction via kView and ReadBase");
   }
   if (conjuncts.size() == 1) {
-    return SelectRangeConcurrent(table, conjuncts[0].column,
-                                 conjuncts[0].range, delivery, snap);
-  }
-
-  QueryResult result;
-  WallTimer timer;
-  obs::TraceSpan trace_span("conjunction(shared)", table, &result.io);
-
-  std::vector<const ColumnRange*> leg_ranges;
-  std::vector<const ColumnRange*> probes;
-  SplitLegs(conjuncts, &leg_ranges, &probes);
-
-  // Fan the conjunction legs across the task pool: each leg latches only
-  // its own column, so legs over different columns crack concurrently.
-  struct Leg {
-    Status status;
-    QueryResult answer;
-  };
-  std::vector<Leg> legs(leg_ranges.size());
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(leg_ranges.size());
-  for (size_t i = 0; i < leg_ranges.size(); ++i) {
-    tasks.emplace_back([this, &table, &leg_ranges, &legs, &snap, i] {
-      auto qr = SelectRangeConcurrent(table, leg_ranges[i]->column,
-                                      leg_ranges[i]->range, Delivery::kView,
-                                      snap);
-      if (!qr.ok()) {
-        legs[i].status = qr.status();
-        return;
-      }
-      legs[i].answer = std::move(*qr);
-    });
-  }
-  TaskPool::Global()->RunBatch(std::move(tasks));
-
-  size_t pick = 0;
-  for (size_t i = 0; i < legs.size(); ++i) {
-    CRACK_RETURN_NOT_OK(legs[i].status);
-    result.io += legs[i].answer.io;
-    if (legs[i].answer.count < legs[pick].answer.count) pick = i;
-  }
-  for (size_t i = 0; i < legs.size(); ++i) {
-    if (i != pick) probes.push_back(leg_ranges[i]);
-  }
-  // The legs' oid lists are ascending and outlive every latch; the probe
-  // reads the other columns under the table's base latch.
-  CRACK_RETURN_NOT_OK(ProbeConjunction(table, snap, probes, delivery,
-                                       std::move(legs[pick].answer),
-                                       &result));
-
-  result.seconds = timer.ElapsedSeconds();
-  AddIo(result.io);
-  return result;
-}
-
-Result<QueryResult> AdaptiveStore::InsertConcurrent(const std::string& table,
-                                                    std::vector<Value> values,
-                                                    const WriteScope& scope) {
-  auto rel_result = this->table(table);
-  if (!rel_result.ok()) return rel_result.status();
-  std::shared_ptr<Relation> rel = *rel_result;
-
-  QueryResult result;
-  WallTimer timer;
-  obs::TraceSpan trace_span("insert(shared)", table, &result.io);
-  CRACK_RETURN_NOT_OK(CoerceRow(rel->schema(), &values));
-
-  size_t ncols = rel->num_columns();
-  std::vector<ColumnAccel*> accels(ncols);
-  TableState* ts;
-  {
-    std::lock_guard<std::mutex> rl(registry_mu_);
-    for (size_t c = 0; c < ncols; ++c) {
-      accels[c] = &accels_[table + "." + rel->schema().column(c).name];
-    }
-    ts = &table_states_[table];
-  }
-  VersionedTable* vt = VersionsFor(table);
-  // Latch acquisition in key (= column-name) order; pathless columns take
-  // the exclusive latch so no path can be created (and built from a
-  // half-appended base) while the row lands.
-  std::vector<size_t> order(ncols);
-  std::iota(order.begin(), order.end(), size_t{0});
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return rel->schema().column(a).name < rel->schema().column(b).name;
-  });
-
-  Oid oid = 0;
-  {
-    std::vector<std::shared_lock<std::shared_mutex>> shared_locks;
-    std::vector<std::unique_lock<std::shared_mutex>> unique_locks;
-    for (size_t idx : order) {
-      ColumnAccel* accel = accels[idx];
-      bool shared = accel->has_path.load(std::memory_order_acquire) &&
-                    accel->path->concurrency() ==
-                        PathConcurrency::kSharedReads;
-      if (shared) {
-        shared_locks.emplace_back(accel->latch);
-      } else {
-        unique_locks.emplace_back(accel->latch);
-      }
-    }
-    std::unique_lock<std::shared_mutex> base(ts->base_latch);
-
-    // Stamp before the physical append: any reader that can observe the
-    // row physically must find its (uncommitted) version stamp.
-    oid = BaseOid(*rel) + rel->num_rows();
-    vt->NoteInsert(oid, TxnStamp(scope.txn));
-    Touch(scope, table, oid);  // with the stamp: rollback must revert it
-    CRACK_RETURN_NOT_OK(rel->AppendRow(values));
-    result.io.tuples_written += ncols;
-    for (size_t c = 0; c < ncols; ++c) {
-      // Re-read under the held latch: a path that appeared since the mode
-      // snapshot sits behind our exclusive latch and gets notified; one
-      // that never appeared will lazy-build from the appended base.
-      if (!accels[c]->has_path.load(std::memory_order_acquire)) continue;
-      CRACK_RETURN_NOT_OK(
-          accels[c]->path->Insert(values[c], oid, &result.io));
-    }
-  }
-  if (wal_ != nullptr) {
-    durability::WalOp op;
-    op.kind = durability::WalOpKind::kInsert;
-    op.table = table;
-    op.oid = oid;
-    op.row = values;  // post-coercion: replay appends them verbatim
-    PushRedo(scope, std::move(op));
-  }
-  // Post-statement folds (immediate / threshold) outside the DML latches.
-  for (size_t c = 0; c < ncols; ++c) {
-    CRACK_RETURN_NOT_OK(MaintainColumn(accels[c], ts, &result.io));
-  }
-
-  result.count = 1;
-  result.inserted_oid = oid;
-  result.seconds = timer.ElapsedSeconds();
-  AddIo(result.io);
-  return result;
-}
-
-Result<QueryResult> AdaptiveStore::DeleteConcurrent(
-    const std::string& table, const std::vector<ColumnRange>& conjuncts,
-    const WriteScope& scope) {
-  QueryResult result;
-  WallTimer timer;
-  obs::TraceSpan trace_span("delete(shared)", table, &result.io);
-  std::vector<Oid> oids;
-  if (conjuncts.empty()) {
-    CRACK_ASSIGN_OR_RETURN(oids, LiveOidsLocked(table, scope.snap));
-  } else {
-    // The WHERE is a read like any other: it cracks the referenced columns
-    // on its way to the victim set.
-    CRACK_ASSIGN_OR_RETURN(
-        QueryResult qr,
-        SelectConjunctionLocked(table, conjuncts, Delivery::kView,
-                                scope.snap));
-    result.io += qr.io;
-    oids = std::move(qr).CollectOids();
-  }
-  // Deletes are version stamps only — no access-path latches needed; the
-  // rows stay physically in place until vacuum folds them out.
-  CRACK_ASSIGN_OR_RETURN(result.count,
-                         StampDeletes(table, scope, oids, &result.io));
-  result.seconds = timer.ElapsedSeconds();
-  AddIo(result.io);
-  return result;
-}
-
-Result<QueryResult> AdaptiveStore::UpdateConcurrent(
-    const std::string& table, const std::vector<Assignment>& sets,
-    const std::vector<ColumnRange>& conjuncts, const WriteScope& scope) {
-  auto rel_result = this->table(table);
-  if (!rel_result.ok()) return rel_result.status();
-  std::shared_ptr<Relation> rel = *rel_result;
-
-  QueryResult result;
-  WallTimer timer;
-  obs::TraceSpan trace_span("update(shared)", table, &result.io);
-  std::vector<Oid> oids;
-  if (conjuncts.empty()) {
-    CRACK_ASSIGN_OR_RETURN(oids, LiveOidsLocked(table, scope.snap));
-  } else {
-    CRACK_ASSIGN_OR_RETURN(
-        QueryResult qr,
-        SelectConjunctionLocked(table, conjuncts, Delivery::kView,
-                                scope.snap));
-    result.io += qr.io;
-    oids = std::move(qr).CollectOids();
-  }
-
-  CRACK_RETURN_NOT_OK(ValidateAssignments(*rel, sets));
-
-  std::vector<ColumnAccel*> accels(sets.size());
-  // Distinct latch set, already in key order: duplicate SET clauses on one
-  // column are legal (last one wins), but a shared_mutex must never be
-  // acquired twice by one thread.
-  std::map<std::string, ColumnAccel*> distinct;
-  TableState* ts;
-  {
-    std::lock_guard<std::mutex> rl(registry_mu_);
-    for (size_t s = 0; s < sets.size(); ++s) {
-      accels[s] = &accels_[table + "." + sets[s].column];
-      distinct[sets[s].column] = accels[s];
-    }
-    ts = &table_states_[table];
-  }
-  VersionedTable* vt = VersionsFor(table);
-
-  uint64_t applied = 0;
-  {
-    std::vector<std::shared_lock<std::shared_mutex>> shared_locks;
-    std::vector<std::unique_lock<std::shared_mutex>> unique_locks;
-    for (const auto& [name, accel] : distinct) {
-      bool shared = accel->has_path.load(std::memory_order_acquire) &&
-                    accel->path->concurrency() ==
-                        PathConcurrency::kSharedReads;
-      if (shared) {
-        shared_locks.emplace_back(accel->latch);
-      } else {
-        unique_locks.emplace_back(accel->latch);
-      }
-    }
-    // Base exclusive: the slot overwrites must not race base readers.
-    std::unique_lock<std::shared_mutex> base(ts->base_latch);
-
-    std::vector<std::shared_ptr<Bat>> bats(sets.size());
-    for (size_t s = 0; s < sets.size(); ++s) {
-      bats[s] = *rel->column(sets[s].column);
-    }
-    for (Oid oid : oids) {
-      // Write admission revalidates liveness (the row may have died
-      // between the WHERE select and this write phase) and detects
-      // write-write conflicts first-committer-wins.
-      std::string why;
-      VersionedTable::Admission adm =
-          vt->AdmitWrite(oid, scope.snap, scope.txn, &why);
-      if (adm == VersionedTable::Admission::kSkip) continue;
-      if (adm == VersionedTable::Admission::kConflict) {
-        if (scope.implicit) continue;  // pre-MVCC race semantics
-        return Status::Aborted("UPDATE " + why);
-      }
-      Touch(scope, table, oid);
-      bool row_applied = true;
-      for (size_t s = 0; s < sets.size(); ++s) {
-        Oid base_oid = bats[s]->head_base();
-        size_t row = static_cast<size_t>(oid - base_oid);
-        Value old_value = bats[s]->GetValue(row);
-        vt->StampUpdate(oid, sets[s].column, old_value,
-                        TxnStamp(scope.txn));
-        PushUndo(scope, UndoRecord{table, sets[s].column, oid,
-                                   std::move(old_value)});
-        CRACK_RETURN_NOT_OK(bats[s]->SetValue(row, sets[s].value));
-        if (wal_ != nullptr) {
-          durability::WalOp op;
-          op.kind = durability::WalOpKind::kUpdate;
-          op.table = table;
-          op.oid = oid;
-          op.column = sets[s].column;
-          op.value = sets[s].value;
-          PushRedo(scope, std::move(op));
-        }
-        result.io.tuples_written += 1;
-        if (!accels[s]->has_path.load(std::memory_order_acquire)) continue;
-        Status st = accels[s]->path->Update(oid, sets[s].value, &result.io);
-        if (st.IsNotFound()) {
-          // The path believes the row is physically dead (vacuum-purged
-          // under our feet); skip the row rather than aborting the
-          // statement half-applied.
-          row_applied = false;
-          continue;
-        }
-        CRACK_RETURN_NOT_OK(st);
-      }
-      if (row_applied) ++applied;
-    }
-  }
-  for (size_t s = 0; s < sets.size(); ++s) {
-    CRACK_RETURN_NOT_OK(MaintainColumn(accels[s], ts, &result.io));
-  }
-
-  result.count = applied;
-  result.seconds = timer.ElapsedSeconds();
-  AddIo(result.io);
-  return result;
-}
-
-Result<std::vector<Oid>> AdaptiveStore::LiveOidsLocked(
-    const std::string& table, const Snapshot& snap) const {
-  auto rel_result = this->table(table);
-  if (!rel_result.ok()) return rel_result.status();
-  std::shared_ptr<Relation> rel = *rel_result;
-  TableState* ts = TableStateFor(table);
-  VersionedTable* vt = VersionsIfAny(table);
-  std::shared_lock<std::shared_mutex> base(ts->base_latch);
-  std::vector<Oid> oids;
-  oids.reserve(rel->num_rows());
-  Oid base_oid = BaseOid(*rel);
-  for (size_t i = 0; i < rel->num_rows(); ++i) {
-    Oid oid = base_oid + i;
-    if (vt != nullptr && !vt->RowVisibleAt(oid, snap)) continue;
-    oids.push_back(oid);
-  }
-  return oids;
-}
-
-void AdaptiveStore::AddIo(const IoStats& io) {
-  if (options_.concurrent) {
-    std::lock_guard<std::mutex> il(io_mu_);
-    total_io_ += io;
-  } else {
-    total_io_ += io;
-  }
-  obs::MirrorIo(io);
-}
-
-Result<QueryResult> AdaptiveStore::SelectRange(const std::string& table,
-                                               const std::string& column,
-                                               const TypedRange& range,
-                                               Delivery delivery, TxnId txn) {
-  CRACK_ASSIGN_OR_RETURN(Snapshot snap, ReadSnapshot(txn));
-  if (options_.concurrent) {
-    std::shared_lock<std::shared_mutex> g(global_mu_);
-    return SelectRangeConcurrent(table, column, range, delivery, snap);
-  }
-  auto bat_result = ResolveColumn(table, column);
-  if (!bat_result.ok()) return bat_result.status();
-  std::shared_ptr<Bat> bat = *bat_result;
-
-  QueryResult result;
-  WallTimer timer;
-  obs::TraceSpan trace_span("select", table + "." + column, &result.io);
-
-  CRACK_ASSIGN_OR_RETURN(ColumnAccel * accel, Accel(table, column, bat));
-  bool is_crack = accel->path->strategy() == AccessStrategy::kCrack;
-
-  SnapshotView view = ViewForColumn(table, column, snap);
-  // kSpans keeps span answers as they are; only paths whose fuzzy answers
-  // exist solely as oid lists (coarse and progressive cracking) gather.
-  const CrackPolicy policy = accel->path->config().policy.policy;
-  const bool want_oids =
-      delivery == Delivery::kSpans
-          ? is_crack && (policy == CrackPolicy::kCoarse ||
-                         policy == CrackPolicy::kProgressive)
-          : delivery != Delivery::kCount;
-  CRACK_ASSIGN_OR_RETURN(
-      AccessSelection sel,
-      accel->path->SelectTyped(range, want_oids, &result.io,
-                               view.active() ? &view : nullptr));
-  result.count = sel.count;
-  if (sel.contiguous) {
-    result.selection = sel.view;
-    result.has_selection = true;
-  } else {
-    result.scan_oids = std::move(sel.oids);
-    obs::RecordMaterializedOids(result.scan_oids.size());
-  }
-  if (sel.has_span_set) {
-    // Zero-materialization shape rides along: consumers that can work on
-    // spans (conjunction intersection, lazy CollectOids) never gather.
-    result.has_span_set = true;
-    result.span_set = std::move(sel.span_set);
-    obs::RecordSpanAnswer(result.span_set.num_spans(), result.span_set.count());
-  }
-
-  if (is_crack && options_.track_lineage) {
-    UpdateLineage(table, column, accel, sel.bounds_dropped > 0);
-  }
-
-  if (delivery == Delivery::kMaterialize) {
-    obs::TraceSpan mat_span("materialize", &result.io);
-    if (result.has_selection) {
-      CRACK_ASSIGN_OR_RETURN(
-          result.materialized,
-          MaterializeSelection(table, result.selection,
-                               table + "_" + column + "_result", &result.io));
-    } else {
-      // Non-contiguous answer: materialize from the gathered oid list.
-      auto rel = this->table(table);
-      auto out = Relation::Create(table + "_" + column + "_result",
-                                  (*rel)->schema());
-      if (!out.ok()) return out.status();
-      for (Oid oid : result.scan_oids) {
-        Status st = (*out)->AppendRow((*rel)->GetRow(static_cast<size_t>(oid)));
-        if (!st.ok()) return st;
-        result.io.tuples_read += (*rel)->num_columns();
-        result.io.tuples_written += (*rel)->num_columns();
-      }
-      result.materialized = *out;
-    }
-  }
-
-  result.seconds = timer.ElapsedSeconds();
-  AddIo(result.io);
-  return result;
-}
-
-Result<ColumnAggregates> AdaptiveStore::AggregateRange(
-    const std::string& table, const std::string& column,
-    const TypedRange& range, TxnId txn) {
-  if (range.has_string()) {
-    return Status::Unimplemented("aggregate pushdown: string predicate");
-  }
-  const RangeBounds bounds = range.ToNumericBounds();
-  CRACK_ASSIGN_OR_RETURN(Snapshot snap, ReadSnapshot(txn));
-  if (options_.concurrent) {
-    std::shared_lock<std::shared_mutex> g(global_mu_);
-    return AggregateRangeConcurrent(table, column, bounds, snap);
-  }
-  auto bat_result = ResolveColumn(table, column);
-  if (!bat_result.ok()) return bat_result.status();
-  std::shared_ptr<Bat> bat = *bat_result;
-
-  CRACK_ASSIGN_OR_RETURN(ColumnAccel * accel, Accel(table, column, bat));
-  bool is_crack = accel->path->strategy() == AccessStrategy::kCrack;
-  if (is_crack && options_.track_lineage && !options_.merge_budget.unlimited()) {
-    // A budgeted merge inside the aggregate can fuse pieces without
-    // reporting bounds_dropped here, leaving the lineage DAG stale; let the
-    // caller fall back to the select-based loop, which reports it.
-    return Status::Unimplemented("aggregate pushdown: budgeted merge lineage");
-  }
-
-  IoStats io;
-  obs::TraceSpan trace_span("aggregate", table + "." + column, &io);
-  SnapshotView view = ViewForColumn(table, column, snap);
-  CRACK_ASSIGN_OR_RETURN(
-      ColumnAggregates out,
-      accel->path->AggregateRange(bounds, &io,
-                                  view.active() ? &view : nullptr));
-
-  if (is_crack && options_.track_lineage) {
-    // The aggregate's cuts crack the column exactly like a select's.
-    UpdateLineage(table, column, accel, /*fused=*/false);
-  }
-
-  out.io = io;
-  obs::RecordAggPushdown(out.pushdown_rows, out.summary_rows);
-  AddIo(io);
-  return out;
-}
-
-Result<QueryResult> AdaptiveStore::SelectConjunction(
-    const std::string& table, const std::vector<ColumnRange>& conjuncts,
-    Delivery delivery, TxnId txn) {
-  if (options_.concurrent) {
-    // Note: the scan-strategy fused pass below reads base columns without
-    // per-column coordination; the concurrent path always goes per-column.
-    CRACK_ASSIGN_OR_RETURN(Snapshot snap, ReadSnapshot(txn));
-    std::shared_lock<std::shared_mutex> g(global_mu_);
-    return SelectConjunctionLocked(table, conjuncts, delivery, snap);
-  }
-  if (conjuncts.empty()) {
-    return Status::InvalidArgument("conjunction needs at least one predicate");
-  }
-  if (delivery == Delivery::kMaterialize) {
-    return Status::Unimplemented(
-        "materialize a conjunction via kView + MaterializeSelection");
-  }
-  if (conjuncts.size() == 1) {
-    return SelectRange(table, conjuncts[0].column, conjuncts[0].range,
-                       delivery, txn);
+    return SelectRangeAt(table, conjuncts[0].column, conjuncts[0].range,
+                         delivery, snap);
   }
 
   QueryResult result;
   WallTimer timer;
   obs::TraceSpan trace_span("conjunction", table, &result.io);
 
-  CRACK_ASSIGN_OR_RETURN(Snapshot snap, ReadSnapshot(txn));
-  // The stateless scan strategy needs no legs at all while the table has no
-  // version state (no DML yet, so every base row is visible at every
-  // snapshot): one fused pass probes every conjunct against every row. Any
-  // stamp routes the conjunction per-column, where the SnapshotView
-  // applies.
-  VersionedTable* vt = VersionsIfAny(table);
+  // The stateless scan strategy needs no legs at all while every base row
+  // is visible at every snapshot — the table has no version state, so its
+  // views are inactive (never the case on a concurrent store, whose views
+  // always carry a horizon): one fused pass probes every conjunct against
+  // every row. Any stamp routes the conjunction per-column, where the
+  // SnapshotView applies.
   if (options_.strategy == AccessStrategy::kScan &&
-      (vt == nullptr || vt->empty())) {
+      !ViewForColumn(table, conjuncts[0].column, snap).active()) {
     CRACK_ASSIGN_OR_RETURN(std::shared_ptr<Relation> rel, this->table(table));
     QueryResult all_rows;
     all_rows.count = rel->num_rows();
@@ -1260,18 +809,42 @@ Result<QueryResult> AdaptiveStore::SelectConjunction(
 
   // Answer each column once through its access path (every conjunct is
   // still advice to crack), keeping the answer in its own shape: spans over
-  // the accelerator, or the oid list a fuzzy coarse/progressive answer
-  // gathers.
+  // the accelerator, or the oid list a fuzzy coarse/progressive answer — or
+  // any answer of a concurrent store — gathers.
   std::vector<const ColumnRange*> leg_ranges;
   std::vector<const ColumnRange*> probes;
   SplitLegs(conjuncts, &leg_ranges, &probes);
-  std::vector<QueryResult> legs;
-  for (const ColumnRange* c : leg_ranges) {
-    CRACK_ASSIGN_OR_RETURN(
-        QueryResult qr,
-        SelectRange(table, c->column, c->range, Delivery::kSpans, txn));
-    result.io += qr.io;
-    legs.push_back(std::move(qr));
+  struct Leg {
+    Status status;
+    QueryResult answer;
+  };
+  std::vector<Leg> legs(leg_ranges.size());
+  std::vector<std::function<void()>> tasks;
+  tasks.reserve(leg_ranges.size());
+  for (size_t i = 0; i < leg_ranges.size(); ++i) {
+    tasks.emplace_back([this, &table, &leg_ranges, &legs, &snap, i] {
+      auto qr = SelectRangeAt(table, leg_ranges[i]->column,
+                              leg_ranges[i]->range, Delivery::kSpans, snap);
+      if (!qr.ok()) {
+        legs[i].status = qr.status();
+        return;
+      }
+      legs[i].answer = std::move(*qr);
+    });
+  }
+  if (options_.concurrent) {
+    // Each leg latches only its own column, so legs over different columns
+    // crack concurrently.
+    TaskPool::Global()->RunBatch(std::move(tasks));
+  } else {
+    for (size_t i = 0; i < tasks.size(); ++i) {
+      tasks[i]();
+      CRACK_RETURN_NOT_OK(legs[i].status);
+    }
+  }
+  for (const Leg& leg : legs) {
+    CRACK_RETURN_NOT_OK(leg.status);
+    result.io += leg.answer.io;
   }
   // Scan legs answer over the identity layout: clean ones intersect as
   // interval algebra, touching only span boundaries.
@@ -1279,8 +852,8 @@ Result<QueryResult> AdaptiveStore::SelectConjunction(
   std::vector<bool> in_fold(legs.size(), false);
   bool have_folded = false;
   for (size_t i = 0; i < legs.size(); ++i) {
-    OidSpanSet& set = legs[i].span_set;
-    if (!legs[i].has_span_set || !SpanSetIntersectable(set) ||
+    OidSpanSet& set = legs[i].answer.span_set;
+    if (!legs[i].answer.has_span_set || !SpanSetIntersectable(set) ||
         set.exceptions() != 0 || set.extras() != 0) {
       continue;
     }
@@ -1295,8 +868,8 @@ Result<QueryResult> AdaptiveStore::SelectConjunction(
   size_t pick = legs.size();
   uint64_t smallest = have_folded ? folded.count() : UINT64_MAX;
   for (size_t i = 0; i < legs.size(); ++i) {
-    if (!in_fold[i] && legs[i].count < smallest) {
-      smallest = legs[i].count;
+    if (!in_fold[i] && legs[i].answer.count < smallest) {
+      smallest = legs[i].answer.count;
       pick = i;
     }
   }
@@ -1306,7 +879,7 @@ Result<QueryResult> AdaptiveStore::SelectConjunction(
     walk.has_span_set = true;
     walk.span_set = std::move(folded);
   } else {
-    walk = std::move(legs[pick]);
+    walk = std::move(legs[pick].answer);
   }
   for (size_t i = 0; i < legs.size(); ++i) {
     bool covered = pick == legs.size() ? in_fold[i] : i == pick;
@@ -1319,6 +892,58 @@ Result<QueryResult> AdaptiveStore::SelectConjunction(
   result.seconds = timer.ElapsedSeconds();
   AddIo(result.io);
   return result;
+}
+
+Result<std::vector<Oid>> AdaptiveStore::LiveOidsAt(const std::string& table,
+                                                   const Snapshot& snap) const {
+  CRACK_ASSIGN_OR_RETURN(std::shared_ptr<Relation> rel, this->table(table));
+  VersionedTable* vt = VersionsIfAny(table);
+  std::shared_lock<std::shared_mutex> base(TableStateFor(table)->base_latch);
+  std::vector<Oid> oids;
+  oids.reserve(rel->num_rows());
+  Oid base_oid = BaseOid(*rel);
+  for (size_t i = 0; i < rel->num_rows(); ++i) {
+    Oid oid = base_oid + i;
+    if (vt != nullptr && !vt->RowVisibleAt(oid, snap)) continue;
+    oids.push_back(oid);
+  }
+  return oids;
+}
+
+void AdaptiveStore::AddIo(const IoStats& io) {
+  {
+    std::lock_guard<std::mutex> il(io_mu_);
+    total_io_ += io;
+  }
+  obs::MirrorIo(io);
+}
+
+Result<QueryResult> AdaptiveStore::SelectRange(const std::string& table,
+                                               const std::string& column,
+                                               const TypedRange& range,
+                                               Delivery delivery, TxnId txn) {
+  CRACK_ASSIGN_OR_RETURN(Snapshot snap, ReadSnapshot(txn));
+  std::shared_lock<std::shared_mutex> g(global_mu_);
+  return SelectRangeAt(table, column, range, delivery, snap);
+}
+
+Result<ColumnAggregates> AdaptiveStore::AggregateRange(
+    const std::string& table, const std::string& column,
+    const TypedRange& range, TxnId txn) {
+  if (range.has_string()) {
+    return Status::Unimplemented("aggregate pushdown: string predicate");
+  }
+  CRACK_ASSIGN_OR_RETURN(Snapshot snap, ReadSnapshot(txn));
+  std::shared_lock<std::shared_mutex> g(global_mu_);
+  return AggregateRangeAt(table, column, range.ToNumericBounds(), snap);
+}
+
+Result<QueryResult> AdaptiveStore::SelectConjunction(
+    const std::string& table, const std::vector<ColumnRange>& conjuncts,
+    Delivery delivery, TxnId txn) {
+  CRACK_ASSIGN_OR_RETURN(Snapshot snap, ReadSnapshot(txn));
+  std::shared_lock<std::shared_mutex> g(global_mu_);
+  return SelectConjunctionAt(table, conjuncts, delivery, snap);
 }
 
 Status AdaptiveStore::ProbeConjunction(
@@ -1387,32 +1012,39 @@ Result<QueryResult> AdaptiveStore::Insert(const std::string& table,
                                           TxnId txn) {
   return RunInWriteScope(txn, [&](const WriteScope& scope)
                                   -> Result<QueryResult> {
-    if (options_.concurrent) {
-      std::shared_lock<std::shared_mutex> g(global_mu_);
-      return InsertConcurrent(table, std::move(values), scope);
-    }
-    auto rel_result = this->table(table);
-    if (!rel_result.ok()) return rel_result.status();
-    std::shared_ptr<Relation> rel = *rel_result;
-
+    std::shared_lock<std::shared_mutex> g(global_mu_);
+    CRACK_ASSIGN_OR_RETURN(std::shared_ptr<Relation> rel, this->table(table));
     QueryResult result;
     WallTimer timer;
     obs::TraceSpan trace_span("insert", table, &result.io);
     CRACK_RETURN_NOT_OK(CoerceRow(rel->schema(), &values));
-    // Stamp before the physical append (uniform with concurrent mode).
-    Oid oid = BaseOid(*rel) + rel->num_rows();
-    VersionsFor(table)->NoteInsert(oid, TxnStamp(scope.txn));
-    Touch(scope, table, oid);
-    CRACK_RETURN_NOT_OK(rel->AppendRow(values));
-    result.io.tuples_written += rel->num_columns();
 
-    // Every materialized accelerator absorbs the new row; columns never
-    // queried stay lazy (their eventual build reads the appended base).
-    for (size_t c = 0; c < rel->num_columns(); ++c) {
-      auto it = accels_.find(table + "." + rel->schema().column(c).name);
-      if (it == accels_.end() || it->second.path == nullptr) continue;
-      CRACK_RETURN_NOT_OK(
-          it->second.path->Insert(values[c], oid, &result.io));
+    size_t ncols = rel->num_columns();
+    std::vector<ColumnAccel*> accels(ncols);
+    for (size_t c = 0; c < ncols; ++c) {
+      accels[c] = AccelFor(table, rel->schema().column(c).name);
+    }
+    TableState* ts = TableStateFor(table);
+    VersionedTable* vt = VersionsFor(table);
+    Oid oid = 0;
+    {
+      WriteLatches latches;
+      LatchForWrite(accels, &latches);
+      std::unique_lock<std::shared_mutex> base(ts->base_latch);
+      // Stamp before the physical append: any reader that can observe the
+      // row physically must find its (uncommitted) version stamp.
+      oid = BaseOid(*rel) + rel->num_rows();
+      vt->NoteInsert(oid, TxnStamp(scope.txn));
+      Touch(scope, table, oid);  // with the stamp: rollback must revert it
+      CRACK_RETURN_NOT_OK(rel->AppendRow(values));
+      result.io.tuples_written += ncols;
+      // Every materialized accelerator absorbs the new row; columns never
+      // queried stay lazy (their eventual build reads the appended base).
+      for (size_t c = 0; c < ncols; ++c) {
+        ColumnAccessPath* path = accels[c]->PathIfAny();
+        if (path == nullptr) continue;
+        CRACK_RETURN_NOT_OK(path->Insert(values[c], oid, &result.io));
+      }
     }
     if (wal_ != nullptr) {
       durability::WalOp op;
@@ -1421,6 +1053,10 @@ Result<QueryResult> AdaptiveStore::Insert(const std::string& table,
       op.oid = oid;
       op.row = values;  // post-coercion: replay appends them verbatim
       PushRedo(scope, std::move(op));
+    }
+    // Post-statement folds (immediate / threshold) outside the DML latches.
+    for (ColumnAccel* accel : accels) {
+      CRACK_RETURN_NOT_OK(MaintainColumn(accel, ts, &result.io));
     }
 
     result.count = 1;
@@ -1440,8 +1076,7 @@ Result<QueryResult> AdaptiveStore::DeleteOids(const std::string& table,
     WallTimer timer;
     obs::TraceSpan trace_span("delete-oids", table, &result.io);
     // Version stamps only — the shared store latch suffices.
-    std::shared_lock<std::shared_mutex> g(global_mu_, std::defer_lock);
-    if (options_.concurrent) g.lock();
+    std::shared_lock<std::shared_mutex> g(global_mu_);
     CRACK_ASSIGN_OR_RETURN(result.count,
                            StampDeletes(table, scope, oids, &result.io));
     result.seconds = timer.ElapsedSeconds();
@@ -1455,25 +1090,24 @@ Result<QueryResult> AdaptiveStore::Delete(
     TxnId txn) {
   return RunInWriteScope(txn, [&](const WriteScope& scope)
                                   -> Result<QueryResult> {
-    if (options_.concurrent) {
-      std::shared_lock<std::shared_mutex> g(global_mu_);
-      return DeleteConcurrent(table, conjuncts, scope);
-    }
+    std::shared_lock<std::shared_mutex> g(global_mu_);
     QueryResult result;
     WallTimer timer;
     obs::TraceSpan trace_span("delete", table, &result.io);
     std::vector<Oid> oids;
     if (conjuncts.empty()) {
-      CRACK_ASSIGN_OR_RETURN(oids, LiveOids(table, scope.txn));
+      CRACK_ASSIGN_OR_RETURN(oids, LiveOidsAt(table, scope.snap));
     } else {
       // The WHERE is a read like any other: it cracks the referenced
       // columns on its way to the victim set.
       CRACK_ASSIGN_OR_RETURN(
           QueryResult qr,
-          SelectConjunction(table, conjuncts, Delivery::kView, scope.txn));
+          SelectConjunctionAt(table, conjuncts, Delivery::kView, scope.snap));
       result.io += qr.io;
       oids = std::move(qr).CollectOids();
     }
+    // Deletes are version stamps only — no access-path latches needed; the
+    // rows stay physically in place until vacuum folds them out.
     CRACK_ASSIGN_OR_RETURN(result.count,
                            StampDeletes(table, scope, oids, &result.io));
     result.seconds = timer.ElapsedSeconds();
@@ -1490,76 +1124,96 @@ Result<QueryResult> AdaptiveStore::Update(
   }
   return RunInWriteScope(txn, [&](const WriteScope& scope)
                                   -> Result<QueryResult> {
-    if (options_.concurrent) {
-      std::shared_lock<std::shared_mutex> g(global_mu_);
-      return UpdateConcurrent(table, sets, conjuncts, scope);
-    }
-    auto rel_result = this->table(table);
-    if (!rel_result.ok()) return rel_result.status();
-    std::shared_ptr<Relation> rel = *rel_result;
-
+    std::shared_lock<std::shared_mutex> g(global_mu_);
+    CRACK_ASSIGN_OR_RETURN(std::shared_ptr<Relation> rel, this->table(table));
     QueryResult result;
     WallTimer timer;
     obs::TraceSpan trace_span("update", table, &result.io);
     std::vector<Oid> oids;
     if (conjuncts.empty()) {
-      CRACK_ASSIGN_OR_RETURN(oids, LiveOids(table, scope.txn));
+      CRACK_ASSIGN_OR_RETURN(oids, LiveOidsAt(table, scope.snap));
     } else {
       CRACK_ASSIGN_OR_RETURN(
           QueryResult qr,
-          SelectConjunction(table, conjuncts, Delivery::kView, scope.txn));
+          SelectConjunctionAt(table, conjuncts, Delivery::kView, scope.snap));
       result.io += qr.io;
       oids = std::move(qr).CollectOids();
     }
 
     CRACK_RETURN_NOT_OK(ValidateAssignments(*rel, sets));
+
+    // Duplicate SET clauses on one column are legal (last one wins);
+    // LatchForWrite latches the column once.
+    std::vector<ColumnAccel*> accels(sets.size());
+    for (size_t s = 0; s < sets.size(); ++s) {
+      accels[s] = AccelFor(table, sets[s].column);
+    }
+    TableState* ts = TableStateFor(table);
     VersionedTable* vt = VersionsFor(table);
 
-    std::vector<std::shared_ptr<Bat>> bats(sets.size());
-    std::vector<ColumnAccessPath*> paths(sets.size(), nullptr);
-    for (size_t s = 0; s < sets.size(); ++s) {
-      bats[s] = *rel->column(sets[s].column);
-      auto it = accels_.find(table + "." + sets[s].column);
-      if (it != accels_.end() && it->second.path != nullptr) {
-        paths[s] = it->second.path.get();
+    uint64_t applied = 0;
+    {
+      WriteLatches latches;
+      LatchForWrite(accels, &latches);
+      // Base exclusive: the slot overwrites must not race base readers.
+      std::unique_lock<std::shared_mutex> base(ts->base_latch);
+
+      std::vector<std::shared_ptr<Bat>> bats(sets.size());
+      std::vector<ColumnAccessPath*> paths(sets.size());
+      for (size_t s = 0; s < sets.size(); ++s) {
+        bats[s] = *rel->column(sets[s].column);
+        paths[s] = accels[s]->PathIfAny();
+      }
+      for (Oid oid : oids) {
+        // Write admission revalidates liveness (the row may have died
+        // between the WHERE select and this write phase) and detects
+        // write-write conflicts first-committer-wins.
+        std::string why;
+        VersionedTable::Admission adm =
+            vt->AdmitWrite(oid, scope.snap, scope.txn, &why);
+        if (adm == VersionedTable::Admission::kSkip) continue;
+        if (adm == VersionedTable::Admission::kConflict) {
+          if (scope.implicit) continue;  // pre-MVCC race semantics
+          return Status::Aborted("UPDATE " + why);
+        }
+        Touch(scope, table, oid);
+        bool row_applied = true;
+        for (size_t s = 0; s < sets.size(); ++s) {
+          size_t row = static_cast<size_t>(oid - bats[s]->head_base());
+          // Log the superseded value (older snapshots keep reading it),
+          // then write through: base first, then the accelerator's delta.
+          Value old_value = bats[s]->GetValue(row);
+          vt->StampUpdate(oid, sets[s].column, old_value,
+                          TxnStamp(scope.txn));
+          PushUndo(scope, UndoRecord{table, sets[s].column, oid,
+                                     std::move(old_value)});
+          CRACK_RETURN_NOT_OK(bats[s]->SetValue(row, sets[s].value));
+          if (wal_ != nullptr) {
+            durability::WalOp op;
+            op.kind = durability::WalOpKind::kUpdate;
+            op.table = table;
+            op.oid = oid;
+            op.column = sets[s].column;
+            op.value = sets[s].value;
+            PushRedo(scope, std::move(op));
+          }
+          result.io.tuples_written += 1;
+          if (paths[s] == nullptr) continue;
+          Status st = paths[s]->Update(oid, sets[s].value, &result.io);
+          if (st.IsNotFound()) {
+            // The path believes the row is physically dead (vacuum-purged
+            // under our feet); skip the row rather than aborting the
+            // statement half-applied.
+            row_applied = false;
+            continue;
+          }
+          CRACK_RETURN_NOT_OK(st);
+        }
+        if (row_applied) ++applied;
       }
     }
-    uint64_t applied = 0;
-    for (Oid oid : oids) {
-      std::string why;
-      VersionedTable::Admission adm =
-          vt->AdmitWrite(oid, scope.snap, scope.txn, &why);
-      if (adm == VersionedTable::Admission::kSkip) continue;
-      if (adm == VersionedTable::Admission::kConflict) {
-        if (scope.implicit) continue;
-        return Status::Aborted("UPDATE " + why);
-      }
-      Touch(scope, table, oid);
-      for (size_t s = 0; s < sets.size(); ++s) {
-        size_t row = static_cast<size_t>(oid - bats[s]->head_base());
-        // Log the superseded value (older snapshots keep reading it), then
-        // write through: base first, then the accelerator's delta.
-        Value old_value = bats[s]->GetValue(row);
-        vt->StampUpdate(oid, sets[s].column, old_value, TxnStamp(scope.txn));
-        PushUndo(scope, UndoRecord{table, sets[s].column, oid,
-                                   std::move(old_value)});
-        CRACK_RETURN_NOT_OK(bats[s]->SetValue(row, sets[s].value));
-        if (wal_ != nullptr) {
-          durability::WalOp op;
-          op.kind = durability::WalOpKind::kUpdate;
-          op.table = table;
-          op.oid = oid;
-          op.column = sets[s].column;
-          op.value = sets[s].value;
-          PushRedo(scope, std::move(op));
-        }
-        result.io.tuples_written += 1;
-        if (paths[s] != nullptr) {
-          CRACK_RETURN_NOT_OK(
-              paths[s]->Update(oid, sets[s].value, &result.io));
-        }
-      }
-      ++applied;
+    for (ColumnAccel* accel : accels) {
+      CRACK_RETURN_NOT_OK(MaintainColumn(accel, ts, &result.io));
     }
 
     result.count = applied;
@@ -1572,35 +1226,16 @@ Result<QueryResult> AdaptiveStore::Update(
 Result<std::vector<Oid>> AdaptiveStore::LiveOids(const std::string& table,
                                                  TxnId txn) const {
   CRACK_ASSIGN_OR_RETURN(Snapshot snap, ReadSnapshot(txn));
-  if (options_.concurrent) {
-    std::shared_lock<std::shared_mutex> g(global_mu_);
-    return LiveOidsLocked(table, snap);
-  }
-  auto rel_result = this->table(table);
-  if (!rel_result.ok()) return rel_result.status();
-  std::shared_ptr<Relation> rel = *rel_result;
-  VersionedTable* vt = VersionsIfAny(table);
-  std::vector<Oid> oids;
-  oids.reserve(rel->num_rows());
-  Oid base = BaseOid(*rel);
-  for (size_t i = 0; i < rel->num_rows(); ++i) {
-    Oid oid = base + i;
-    if (vt != nullptr && !vt->RowVisibleAt(oid, snap)) continue;
-    oids.push_back(oid);
-  }
-  return oids;
+  std::shared_lock<std::shared_mutex> g(global_mu_);
+  return LiveOidsAt(table, snap);
 }
 
 Result<uint64_t> AdaptiveStore::LiveRowCount(const std::string& table,
                                              TxnId txn) const {
   CRACK_ASSIGN_OR_RETURN(Snapshot snap, ReadSnapshot(txn));
-  std::shared_lock<std::shared_mutex> g(global_mu_, std::defer_lock);
-  std::shared_lock<std::shared_mutex> base_lock;
-  if (options_.concurrent) {
-    g.lock();
-    base_lock =
-        std::shared_lock<std::shared_mutex>(TableStateFor(table)->base_latch);
-  }
+  std::shared_lock<std::shared_mutex> g(global_mu_);
+  std::shared_lock<std::shared_mutex> base_lock(
+      TableStateFor(table)->base_latch);
   auto rel_result = this->table(table);
   if (!rel_result.ok()) return rel_result.status();
   std::shared_ptr<Relation> rel = *rel_result;
@@ -1624,18 +1259,14 @@ Status AdaptiveStore::MarkDeleted(const std::string& table,
 
 Result<std::vector<Oid>> AdaptiveStore::DeletedOids(
     const std::string& table) const {
-  std::shared_lock<std::shared_mutex> g(global_mu_, std::defer_lock);
-  if (options_.concurrent) g.lock();
+  std::shared_lock<std::shared_mutex> g(global_mu_);
   auto rel_result = this->table(table);
   if (!rel_result.ok()) return rel_result.status();
   std::shared_ptr<Relation> rel = *rel_result;
   VersionedTable* vt = VersionsIfAny(table);
   if (vt == nullptr) return std::vector<Oid>{};
-  std::shared_lock<std::shared_mutex> base_lock;
-  if (options_.concurrent) {
-    base_lock =
-        std::shared_lock<std::shared_mutex>(TableStateFor(table)->base_latch);
-  }
+  std::shared_lock<std::shared_mutex> base_lock(
+      TableStateFor(table)->base_latch);
   return vt->InvisibleOids(txn_mgr_.LatestSnapshot(), BaseOid(*rel),
                            rel->num_rows());
 }
@@ -1643,8 +1274,7 @@ Result<std::vector<Oid>> AdaptiveStore::DeletedOids(
 Result<AdaptiveStore::VacuumStats> AdaptiveStore::Vacuum() {
   // Quiesce the store: the physical purge calls into access paths and
   // flushes deltas outside the per-statement latch discipline.
-  std::unique_lock<std::shared_mutex> g(global_mu_, std::defer_lock);
-  if (options_.concurrent) g.lock();
+  std::unique_lock<std::shared_mutex> g(global_mu_);
   VacuumStats stats;
   stats.low_water = txn_mgr_.low_water();
   IoStats io;
@@ -1661,17 +1291,15 @@ Result<AdaptiveStore::VacuumStats> AdaptiveStore::Vacuum() {
     // fold it through the ordinary Merge machinery.
     std::vector<ColumnAccessPath*> paths;
     {
-      std::unique_lock<std::mutex> rl(registry_mu_, std::defer_lock);
-      if (options_.concurrent) rl.lock();
+      std::lock_guard<std::mutex> rl(registry_mu_);
       std::string prefix = name + ".";
       for (auto it = accels_.lower_bound(prefix);
            it != accels_.end() &&
            it->first.compare(0, prefix.size(), prefix) == 0;
            ++it) {
-        bool has = options_.concurrent
-                       ? it->second.has_path.load(std::memory_order_acquire)
-                       : it->second.path != nullptr;
-        if (has) paths.push_back(it->second.path.get());
+        if (ColumnAccessPath* path = it->second.PathIfAny()) {
+          paths.push_back(path);
+        }
       }
     }
     for (ColumnAccessPath* path : paths) {
@@ -1703,9 +1331,8 @@ Result<QueryResult> AdaptiveStore::JoinEquals(const std::string& left_table,
                                               const std::string& right_column,
                                               Delivery delivery, TxnId txn) {
   // Joins crack base columns and fill store-wide caches without per-column
-  // latches; concurrent mode gates them store-wide instead.
-  std::unique_lock<std::shared_mutex> g(global_mu_, std::defer_lock);
-  if (options_.concurrent) g.lock();
+  // latches; they hold the store exclusively instead.
+  std::unique_lock<std::shared_mutex> g(global_mu_);
   QueryResult result;
   WallTimer timer;
   obs::TraceSpan trace_span("join", left_table + "." + left_column + "=" +
@@ -1730,8 +1357,7 @@ Result<std::vector<OidPair>> AdaptiveStore::JoinOids(
     const std::string& left_table, const std::string& left_column,
     const std::string& right_table, const std::string& right_column,
     TxnId txn) {
-  std::unique_lock<std::shared_mutex> g(global_mu_, std::defer_lock);
-  if (options_.concurrent) g.lock();
+  std::unique_lock<std::shared_mutex> g(global_mu_);
   IoStats io;
   auto out = JoinOidsInternal(left_table, left_column, right_table,
                               right_column, &io, txn);
@@ -1805,8 +1431,7 @@ Result<std::vector<OidPair>> AdaptiveStore::JoinOidsInternal(
 Result<std::vector<GroupAggregate>> AdaptiveStore::GroupBy(
     const std::string& table, const std::string& group_column,
     const std::string& agg_column, AggKind kind, TxnId txn) {
-  std::unique_lock<std::shared_mutex> g(global_mu_, std::defer_lock);
-  if (options_.concurrent) g.lock();
+  std::unique_lock<std::shared_mutex> g(global_mu_);
   auto grp = ResolveColumn(table, group_column);
   if (!grp.ok()) return grp.status();
   auto agg = ResolveColumn(table, agg_column);
@@ -1853,8 +1478,7 @@ Result<std::vector<GroupAggregate>> AdaptiveStore::GroupBy(
 
 Result<ProjectionCrackResult> AdaptiveStore::Project(
     const std::string& table, const std::vector<std::string>& attrs) {
-  std::unique_lock<std::shared_mutex> g(global_mu_, std::defer_lock);
-  if (options_.concurrent) g.lock();
+  std::unique_lock<std::shared_mutex> g(global_mu_);
   auto rel = this->table(table);
   if (!rel.ok()) return rel.status();
   IoStats io;
@@ -1870,88 +1494,38 @@ Result<ProjectionCrackResult> AdaptiveStore::Project(
   return out;
 }
 
-Result<std::shared_ptr<Relation>> AdaptiveStore::MaterializeSelection(
-    const std::string& table, const CrackSelection& selection,
-    const std::string& result_name, IoStats* stats) {
-  // Concurrent mode: base reads under the table base latch. The caller
-  // remains responsible for the view's validity (views over cracker columns
-  // are only stable while the owning column is quiesced).
-  std::shared_lock<std::shared_mutex> g(global_mu_, std::defer_lock);
-  std::shared_lock<std::shared_mutex> base_lock;
-  if (options_.concurrent) {
-    g.lock();
-    base_lock = std::shared_lock<std::shared_mutex>(
-        TableStateFor(table)->base_latch);
-  }
-  auto rel_result = this->table(table);
-  if (!rel_result.ok()) return rel_result.status();
-  std::shared_ptr<Relation> rel = *rel_result;
-
-  auto out_result = Relation::Create(result_name, rel->schema());
-  if (!out_result.ok()) return out_result.status();
-  std::shared_ptr<Relation> out = *out_result;
-
-  size_t n = selection.oids.size();
-  for (size_t c = 0; c < rel->num_columns(); ++c) {
-    const std::shared_ptr<Bat>& src = rel->column(c);
-    const std::shared_ptr<Bat>& dst = out->column(c);
-    Oid base = src->head_base();
-    for (size_t i = 0; i < n; ++i) {
-      size_t row = static_cast<size_t>(selection.oids.Get<Oid>(i) - base);
-      Status st = dst->AppendValue(src->GetValue(row));
-      if (!st.ok()) return st;
-    }
-  }
-  if (stats != nullptr) {
-    stats->tuples_read += n * rel->num_columns();
-    stats->tuples_written += n * rel->num_columns();
-  }
-  return out;
-}
-
 Result<ColumnAccessPath*> AdaptiveStore::AccessPathFor(
     const std::string& table, const std::string& column) const {
-  // Concurrent mode: the borrowed pointer is safe to hand out (paths are
-  // never destroyed while the store lives), but using it for introspection
-  // is only meaningful on a quiesced store.
-  std::unique_lock<std::mutex> rl(registry_mu_, std::defer_lock);
-  if (options_.concurrent) rl.lock();
-  auto it = accels_.find(table + "." + column);
-  if (it == accels_.end() ||
-      !(options_.concurrent
-            ? it->second.has_path.load(std::memory_order_acquire)
-            : it->second.path != nullptr)) {
+  // The borrowed pointer is safe to hand out (paths are never destroyed
+  // while the store lives), but using it for introspection is only
+  // meaningful on a quiesced store.
+  const ColumnAccel* accel = AccelIfAny(table, column);
+  if (accel == nullptr) {
     return Status::NotFound("no access path yet for " + table + "." + column);
   }
-  return it->second.path.get();
+  return accel->path.get();
+}
+
+const AdaptiveStore::ColumnAccel* AdaptiveStore::AccelIfAny(
+    const std::string& table, const std::string& column) const {
+  std::lock_guard<std::mutex> rl(registry_mu_);
+  auto it = accels_.find(table + "." + column);
+  if (it == accels_.end() || it->second.PathIfAny() == nullptr) return nullptr;
+  return &it->second;
 }
 
 Result<size_t> AdaptiveStore::NumPieces(const std::string& table,
                                         const std::string& column) const {
-  if (options_.concurrent) {
-    std::shared_lock<std::shared_mutex> g(global_mu_);
-    const ColumnAccel* accel = nullptr;
-    {
-      std::lock_guard<std::mutex> rl(registry_mu_);
-      auto it = accels_.find(table + "." + column);
-      if (it != accels_.end()) accel = &it->second;
-    }
-    if (accel == nullptr ||
-        !accel->has_path.load(std::memory_order_acquire)) {
-      return size_t{1};
-    }
-    std::shared_lock<std::shared_mutex> col(accel->latch);
-    return accel->path->NumPieces();
-  }
-  auto it = accels_.find(table + "." + column);
-  if (it == accels_.end() || it->second.path == nullptr) return size_t{1};
-  return it->second.path->NumPieces();
+  std::shared_lock<std::shared_mutex> g(global_mu_);
+  const ColumnAccel* accel = AccelIfAny(table, column);
+  if (accel == nullptr) return size_t{1};
+  std::shared_lock<std::shared_mutex> col(accel->latch);
+  return accel->path->NumPieces();
 }
 
 Result<std::string> AdaptiveStore::ExplainColumn(
     const std::string& table, const std::string& column) const {
-  std::shared_lock<std::shared_mutex> g(global_mu_, std::defer_lock);
-  if (options_.concurrent) g.lock();
+  std::shared_lock<std::shared_mutex> g(global_mu_);
   auto bat = ResolveColumn(table, column);
   if (!bat.ok()) return bat.status();
   std::string out = StrFormat("%s.%s: %s, %zu tuples, strategy=%s\n",
@@ -1959,26 +1533,11 @@ Result<std::string> AdaptiveStore::ExplainColumn(
                               ValueTypeName((*bat)->tail_type()),
                               (*bat)->size(),
                               AccessStrategyName(options_.strategy));
-  if (options_.concurrent) {
-    const ColumnAccel* accel = nullptr;
-    {
-      std::lock_guard<std::mutex> rl(registry_mu_);
-      auto it = accels_.find(table + "." + column);
-      if (it != accels_.end()) accel = &it->second;
-    }
-    if (accel == nullptr ||
-        !accel->has_path.load(std::memory_order_acquire)) {
-      return out + "no accelerator yet (never queried)\n";
-    }
-    // Exclusive: Explain reads piece tables and delta sizes wholesale.
-    std::unique_lock<std::shared_mutex> col(accel->latch);
-    return out + accel->path->Explain();
-  }
-  auto it = accels_.find(table + "." + column);
-  if (it == accels_.end() || it->second.path == nullptr) {
-    return out + "no accelerator yet (never queried)\n";
-  }
-  return out + it->second.path->Explain();
+  const ColumnAccel* accel = AccelIfAny(table, column);
+  if (accel == nullptr) return out + "no accelerator yet (never queried)\n";
+  // Exclusive: Explain reads piece tables and delta sizes wholesale.
+  std::unique_lock<std::shared_mutex> col(accel->latch);
+  return out + accel->path->Explain();
 }
 
 Status AdaptiveStore::SetPolicy(const CrackPolicyOptions& options) {
@@ -1993,41 +1552,30 @@ Status AdaptiveStore::SetPolicy(const CrackPolicyOptions& options) {
 Status AdaptiveStore::ApplyPolicy(const CrackPolicyOptions& options) {
   // Statement-level exclusion first, then per-column exclusive latches — the
   // same order every write takes, so no deadlock with running queries.
-  std::unique_lock<std::shared_mutex> g(global_mu_, std::defer_lock);
-  if (options_.concurrent) g.lock();
+  std::unique_lock<std::shared_mutex> g(global_mu_);
   options_.policy = options;  // paths built later inherit the new policy
   std::vector<ColumnAccel*> accels;
   {
-    std::unique_lock<std::mutex> rl(registry_mu_, std::defer_lock);
-    if (options_.concurrent) rl.lock();
+    std::lock_guard<std::mutex> rl(registry_mu_);
     for (auto& [key, accel] : accels_) {
-      bool has = options_.concurrent
-                     ? accel.has_path.load(std::memory_order_acquire)
-                     : accel.path != nullptr;
-      if (has) accels.push_back(&accel);
+      if (accel.PathIfAny() != nullptr) accels.push_back(&accel);
     }
   }
   for (ColumnAccel* accel : accels) {
-    std::unique_lock<std::shared_mutex> col(accel->latch, std::defer_lock);
-    if (options_.concurrent) col.lock();
+    std::unique_lock<std::shared_mutex> col(accel->latch);
     CRACK_RETURN_NOT_OK(accel->path->SetPolicyOptions(options));
   }
   return Status::OK();
 }
 
 std::vector<AdaptiveStore::ColumnPolicy> AdaptiveStore::PolicyReport() const {
-  std::shared_lock<std::shared_mutex> g(global_mu_, std::defer_lock);
-  if (options_.concurrent) g.lock();
+  std::shared_lock<std::shared_mutex> g(global_mu_);
   std::vector<ColumnPolicy> report;
   std::vector<std::pair<std::string, const ColumnAccel*>> accels;
   {
-    std::unique_lock<std::mutex> rl(registry_mu_, std::defer_lock);
-    if (options_.concurrent) rl.lock();
+    std::lock_guard<std::mutex> rl(registry_mu_);
     for (const auto& [key, accel] : accels_) {
-      bool has = options_.concurrent
-                     ? accel.has_path.load(std::memory_order_acquire)
-                     : accel.path != nullptr;
-      if (has) accels.emplace_back(key, &accel);
+      if (accel.PathIfAny() != nullptr) accels.emplace_back(key, &accel);
     }
   }
   for (const auto& [key, accel] : accels) {
@@ -2035,8 +1583,7 @@ std::vector<AdaptiveStore::ColumnPolicy> AdaptiveStore::PolicyReport() const {
     size_t dot = key.find('.');
     row.table = key.substr(0, dot);
     row.column = dot == std::string::npos ? "" : key.substr(dot + 1);
-    std::shared_lock<std::shared_mutex> col(accel->latch, std::defer_lock);
-    if (options_.concurrent) col.lock();
+    std::shared_lock<std::shared_mutex> col(accel->latch);
     row.status = accel->path->PolicyStatus();
     report.push_back(std::move(row));
   }

@@ -66,15 +66,15 @@ struct AdaptiveStoreOptions {
   bool track_lineage = true;  ///< record the Ξ/Ψ/^/Ω DAG (Figs. 5-6)
 
   /// Concurrent mode: every public operation may be called from any thread.
-  /// The store coordinates via a per-column reader/writer latch (DML and
-  /// shared-capable selections take it shared; builds and delta merges take
-  /// it exclusive), a per-table base latch (row appends / in-place updates
-  /// exclusive, base readers shared) and piece-granular range locks inside
-  /// the cracker indexes, so selections hitting different pieces of one
-  /// column crack in parallel. Costs: results are always materialized oid
-  /// lists (never zero-copy views), joins/group-bys/projections serialize
-  /// store-wide, and lineage tracking is forced off. Statements are atomic
-  /// per column, not across columns (see README, "Concurrency model").
+  /// Every store runs the same latched statement bodies (see README,
+  /// "Concurrency model"); a serial store has one caller at a time, so its
+  /// latches are never contended. The flag decides only what sharing the
+  /// store with other threads requires: answers leave as oid lists gathered
+  /// under the answer span's range lock, never as spans or views; lineage
+  /// is off; snapshot views are always active, so rows appended
+  /// mid-statement fall past the horizon; paths leave delta merges to the
+  /// store's maintenance step; conjunction legs fan out over the task pool;
+  /// and Configure refuses to change it.
   bool concurrent = false;
 
   /// The per-column slice of these options.
@@ -290,8 +290,8 @@ class AdaptiveStore {
   /// Folds every version below the low-water snapshot into the physical
   /// delta machinery: dead rows become access-path tombstones and the
   /// affected columns FlushDeltas (the existing Merge maintenance hook), so
-  /// storage shrinks without disturbing any open snapshot. Concurrent mode:
-  /// quiesces the store for the pass.
+  /// storage shrinks without disturbing any open snapshot. Quiesces the
+  /// store for the pass.
   Result<VacuumStats> Vacuum();
 
   /// Version-log sizes of `table` (tests / shell introspection).
@@ -307,12 +307,12 @@ class AdaptiveStore {
   }
 
   /// Snapshot-visible base reads of one table: the single door through
-  /// which the executor (projections, aggregate sinks) and the conjunction
-  /// probe read base columns by oid. Each column's override lookup is built
-  /// once, on first use. Concurrent stores hold the store latch and the
-  /// table's base latch shared for the scope's lifetime, so a concurrent
-  /// append cannot reallocate a column mid-read; holders must not call back
-  /// into the store.
+  /// which the executor (projections, aggregate sinks), the conjunction
+  /// probe and kMaterialize read base columns by oid. Each column's override
+  /// lookup is built once, on first use. The scope holds the store latch and
+  /// the table's base latch shared for its lifetime, so a concurrent append
+  /// cannot reallocate a column mid-read; holders must not call back into
+  /// the store.
   class BaseReadScope {
    public:
     /// The snapshot-visible values of `column`.
@@ -350,9 +350,9 @@ class AdaptiveStore {
   /// matching `range`, reduced by horizontal SIMD kernels directly over the
   /// cracked pieces — no oid list, no value gather. Snapshot divergence is
   /// folded in as O(overrides + pending) corrections. Integer columns only;
-  /// paths that cannot push down (progressive budgeted cracks, concurrent
-  /// coarse pieces, string columns) return Unimplemented and the caller
-  /// falls back to materialize-then-loop.
+  /// paths that cannot push down (progressive budgeted cracks, string
+  /// columns) return Unimplemented and the caller falls back to
+  /// materialize-then-loop.
   Result<ColumnAggregates> AggregateRange(const std::string& table,
                                           const std::string& column,
                                           const TypedRange& range,
@@ -479,12 +479,6 @@ class AdaptiveStore {
   Result<ProjectionCrackResult> Project(const std::string& table,
                                         const std::vector<std::string>& attrs);
 
-  /// Copies the rows named by `selection` out of `table` into a fresh
-  /// Relation (the result-construction step of §5.1).
-  Result<std::shared_ptr<Relation>> MaterializeSelection(
-      const std::string& table, const CrackSelection& selection,
-      const std::string& result_name, IoStats* stats = nullptr);
-
   /// The access path currently accelerating (table, column), or NotFound
   /// when the column was never queried. Borrowed pointer, owned by the
   /// store.
@@ -529,12 +523,16 @@ class AdaptiveStore {
  private:
   struct ColumnAccel {
     std::unique_ptr<ColumnAccessPath> path;
-    /// Concurrent mode: `path` is written once, under `latch` held
-    /// exclusively; has_path (release-stored after the write) is the
-    /// latch-free existence hint. The flag is monotonic — paths are never
-    /// destroyed while the store lives.
+    /// `path` is written once, under `latch` held exclusively; has_path
+    /// (release-stored after the write) is the latch-free existence hint.
+    /// The flag is monotonic — paths are never destroyed while the store
+    /// lives.
     std::atomic<bool> has_path{false};
-    /// The per-column reader/writer latch (concurrent mode only).
+    /// The path, or nullptr while the column was never queried.
+    ColumnAccessPath* PathIfAny() const {
+      return has_path.load(std::memory_order_acquire) ? path.get() : nullptr;
+    }
+    /// The per-column reader/writer latch.
     mutable std::shared_mutex latch;
     PieceId root = kInvalidPieceId;
     /// The root's current leaves, keyed by begin slot: {end slot, node}.
@@ -548,7 +546,7 @@ class AdaptiveStore {
     size_t merges_seen = 0;
   };
 
-  /// Per-table concurrency state (concurrent mode only).
+  /// Per-table latch state.
   struct TableState {
     /// Base-storage latch: row appends and in-place slot overwrites take it
     /// exclusive; anything reading base columns (scans, lazy accelerator
@@ -594,12 +592,6 @@ class AdaptiveStore {
                                                 const std::string& right_table,
                                                 const std::string& right_column,
                                                 IoStats* stats, TxnId txn);
-
-  /// The accelerator slot of (table, column), with the access path built on
-  /// first use (the build itself stays lazy inside the path).
-  Result<ColumnAccel*> Accel(const std::string& table,
-                             const std::string& column,
-                             const std::shared_ptr<Bat>& bat);
 
   /// Records the Ξ piece splits of a crack statement into the lineage: the
   /// cuts the path logged since the last sync split the leaves containing
@@ -656,7 +648,7 @@ class AdaptiveStore {
                                 const std::vector<Oid>& oids, IoStats* stats);
 
   /// Rollback body shared by Rollback() and failed implicit statements.
-  /// Caller must have quiesced the store in concurrent mode.
+  /// Caller holds global_mu_ exclusively.
   Status RollbackLocked(TxnId txn, TxnState* state);
 
   /// Records `oid` as touched by `scope`'s transaction.
@@ -677,7 +669,7 @@ class AdaptiveStore {
   /// Applies one committed transaction's redo ops during replay.
   Status ApplyWalCommit(const durability::WalCommit& commit);
   /// Checkpoint body; caller has quiesced the store (no active txns, and
-  /// the global lock exclusively in concurrent mode).
+  /// the global lock held exclusively).
   Status CheckpointLocked();
   /// Post-commit maintenance: autovacuum on version-log growth and
   /// auto-checkpoint on WAL growth. Cheap when neither trigger is armed.
@@ -687,23 +679,58 @@ class AdaptiveStore {
   /// leg — SetPolicy is a Configure wrapper on top of it.
   Status ApplyPolicy(const CrackPolicyOptions& options);
 
-  // --- concurrent-mode machinery (see AdaptiveStoreOptions::concurrent) ---
-  // Lock order, outer to inner: global_mu_ -> column latches (ascending
-  // key) -> table base latch -> {tombstone_mu | path-internal latches |
-  // registry_mu_ | io_mu_}. The *Locked variants assume global_mu_ is held
-  // (shared) by the caller; public entry points acquire it.
+  // --- statement machinery ------------------------------------------------
+  // Every store runs the same bodies under the same latches. Lock order,
+  // outer to inner: global_mu_ -> column latches (a write takes several in
+  // ascending slot address) -> table base latch -> {range locks | path delta latches | tombstone latches |
+  // registry_mu_ | io_mu_}. Public entry points take global_mu_ shared and
+  // call a body (the *At functions below, which read at a fixed snapshot);
+  // internal calls — a DML statement's WHERE, conjunction legs — call the
+  // body directly, so no thread ever locks one shared_mutex twice.
 
-  /// The accel slot and table state of (table, column), created (empty) on
-  /// demand. Pointers are stable: the maps only grow.
-  void ConcurrentEntries(const std::string& table, const std::string& column,
-                         ColumnAccel** accel, TableState** ts);
+  /// The accel slot of (table, column) and the latch state of `table`,
+  /// created (empty) on demand. Pointers are stable: the maps only grow.
+  ColumnAccel* AccelFor(const std::string& table, const std::string& column);
   TableState* TableStateFor(const std::string& table) const;
+  /// The accel slot of (table, column) once it has a path, else nullptr.
+  const ColumnAccel* AccelIfAny(const std::string& table,
+                                const std::string& column) const;
 
-  /// Creates accel->path (caller holds accel->latch exclusive + the base
-  /// latch shared) and replays the table's vacuum-purged rows into it.
-  Status CreatePathLocked(const std::string& table, const std::string& column,
-                          ColumnAccel* accel, const std::shared_ptr<Bat>& bat,
-                          TableState* ts);
+  /// Creates accel->path if the column has none (caller holds accel->latch
+  /// exclusive + the base latch shared) and replays the table's
+  /// vacuum-purged rows into it.
+  Status CreatePath(const std::string& table, const std::string& column,
+                    ColumnAccel* accel, const std::shared_ptr<Bat>& bat);
+
+  /// The latches one column's read holds (see LatchColumn).
+  struct ColumnLatch {
+    ColumnAccel* accel = nullptr;
+    std::shared_lock<std::shared_mutex> shared;
+    std::unique_lock<std::shared_mutex> exclusive;
+    std::shared_lock<std::shared_mutex> base;
+  };
+
+  /// The column latches of a write (see LatchForWrite).
+  struct WriteLatches {
+    std::vector<std::shared_lock<std::shared_mutex>> shared;
+    std::vector<std::unique_lock<std::shared_mutex>> exclusive;
+  };
+
+  /// Latches the columns a write touches, each once, in the writers' lock
+  /// order. A latch is shared where the path serves shared DML and
+  /// exclusive otherwise — a pathless column's exclusive latch keeps a path
+  /// from being created (and built from a half-written base) while the
+  /// write lands.
+  static void LatchForWrite(std::vector<ColumnAccel*> columns,
+                            WriteLatches* latches);
+
+  /// Latches (table, column) for a read: first folds deltas the path's
+  /// policy says are due, then takes the column latch shared when the path
+  /// serves shared reads and is ready, exclusive otherwise (creating the
+  /// path when absent), then the table's base latch shared.
+  Status LatchColumn(const std::string& table, const std::string& column,
+                     const std::shared_ptr<Bat>& bat, IoStats* stats,
+                     ColumnLatch* latch);
 
   /// The per-column AccessPathConfig: the store-wide defaults, overlaid
   /// with the column's checkpoint-recovered (policy, progressive budget)
@@ -714,29 +741,31 @@ class AdaptiveStore {
   /// column latch and flushes. Safe to call with no latches held.
   Status MaintainColumn(ColumnAccel* accel, TableState* ts, IoStats* stats);
 
-  Result<QueryResult> SelectRangeConcurrent(const std::string& table,
+  /// Statement bodies: callers hold global_mu_ shared.
+  Result<QueryResult> SelectRangeAt(const std::string& table,
+                                    const std::string& column,
+                                    const TypedRange& range,
+                                    Delivery delivery, const Snapshot& snap);
+  Result<ColumnAggregates> AggregateRangeAt(const std::string& table,
                                             const std::string& column,
-                                            const TypedRange& range,
-                                            Delivery delivery,
+                                            const RangeBounds& bounds,
                                             const Snapshot& snap);
-  /// Concurrent-mode aggregate pushdown (mirrors SelectRangeConcurrent's
-  /// latch discipline: shared column+base latches when the path serves
-  /// shared reads, exclusive column latch otherwise).
-  Result<ColumnAggregates> AggregateRangeConcurrent(const std::string& table,
-                                                    const std::string& column,
-                                                    const RangeBounds& bounds,
-                                                    const Snapshot& snap);
-  /// Converts a selection into latch-independent result shape (oid lists,
-  /// never views) and materializes if asked. Caller holds the column latch
-  /// plus the base latch shared.
-  Status FinishSelectConcurrent(const std::string& table,
-                                const std::string& column,
-                                AccessSelection sel, Delivery delivery,
-                                QueryResult* result);
-  Result<QueryResult> SelectConjunctionLocked(
+  Result<QueryResult> SelectConjunctionAt(
       const std::string& table, const std::vector<ColumnRange>& conjuncts,
       Delivery delivery, const Snapshot& snap);
-  /// The conjunction filter both conjunction paths end in: walks `walk` (the
+  Result<std::vector<Oid>> LiveOidsAt(const std::string& table,
+                                      const Snapshot& snap) const;
+
+  /// Turns a path's answer into the statement's result shape. Caller holds
+  /// the column latch.
+  void FinishSelect(AccessSelection sel, Delivery delivery,
+                    QueryResult* result) const;
+  /// Delivery::kMaterialize: copies the answer's rows, as `snap` reads
+  /// them, into a fresh Relation. Caller holds global_mu_ shared and no
+  /// base latch.
+  Status MaterializeAnswer(const std::string& table, const std::string& column,
+                           const Snapshot& snap, QueryResult* result) const;
+  /// The conjunction filter every conjunction ends in: walks `walk` (the
   /// smallest leg's answer) once and keeps the rows whose snapshot-visible
   /// values satisfy every range in `probes`. kCount builds no list, kSpans
   /// narrows a span answer in place, kView sorts only the survivors.
@@ -745,20 +774,9 @@ class AdaptiveStore {
                           Delivery delivery, QueryResult walk,
                           QueryResult* result);
   /// ReadBase at a fixed snapshot. `lock_global` = false when the caller
-  /// already holds global_mu_ shared (concurrent mode).
+  /// already holds global_mu_ shared.
   Result<std::unique_ptr<BaseReadScope>> OpenBaseScope(
       const std::string& table, const Snapshot& snap, bool lock_global) const;
-  Result<QueryResult> InsertConcurrent(const std::string& table,
-                                       std::vector<Value> values,
-                                       const WriteScope& scope);
-  Result<QueryResult> DeleteConcurrent(const std::string& table,
-                                       const std::vector<ColumnRange>& conjuncts,
-                                       const WriteScope& scope);
-  Result<QueryResult> UpdateConcurrent(
-      const std::string& table, const std::vector<Assignment>& sets,
-      const std::vector<ColumnRange>& conjuncts, const WriteScope& scope);
-  Result<std::vector<Oid>> LiveOidsLocked(const std::string& table,
-                                          const Snapshot& snap) const;
 
   void AddIo(const IoStats& io);
 
@@ -771,8 +789,8 @@ class AdaptiveStore {
   std::map<std::string, std::pair<CrackPolicy, double>> recovered_policies_;
   mutable std::map<std::string, TableState> table_states_;
   /// Per-table version logs (MVCC). unique_ptr: pointers stay stable while
-  /// the registry map grows. Guarded by registry_mu_ in concurrent mode;
-  /// the VersionedTable itself is internally latched.
+  /// the registry map grows. Guarded by registry_mu_; the VersionedTable
+  /// itself is internally latched.
   mutable std::map<std::string, std::unique_ptr<VersionedTable>> versions_;
   TxnManager txn_mgr_;
   /// In-flight transaction state; txn_states_mu_ guards the map structure
@@ -815,11 +833,11 @@ class AdaptiveStore {
   std::map<std::string, GroupCrackEntry> group_cracks_;
   LineageGraph lineage_;
   IoStats total_io_;
-  /// Concurrent mode only. global_mu_: selections and DML run shared;
-  /// joins, group-bys, projections and AddTable run exclusive (they touch
-  /// base columns and caches without per-column latches). registry_mu_:
-  /// guards the map *structure* of tables_/accels_/table_states_ (leaf).
-  /// io_mu_: guards total_io_ (leaf).
+  /// global_mu_: selections and DML run shared; joins, group-bys,
+  /// projections, AddTable, rollback, vacuum and checkpoints run exclusive
+  /// (they touch base columns and caches without per-column latches).
+  /// registry_mu_: guards the map *structure* of tables_/accels_/
+  /// table_states_/versions_ (leaf). io_mu_: guards total_io_ (leaf).
   mutable std::shared_mutex global_mu_;
   mutable std::mutex registry_mu_;
   mutable std::mutex io_mu_;

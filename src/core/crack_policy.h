@@ -91,10 +91,9 @@ struct CrackPolicyOptions {
 /// sequences.
 ///
 /// Thread contract: Observe / DrawSlot / Reset mutate state and must be
-/// serialized by the caller (the access path holds its engine mutex on the
-/// concurrent path). effective / ShouldCrack / WantsAuxiliaryPivot /
-/// pattern / switches are lock-free atomic reads, safe from any thread
-/// while a switch lands.
+/// serialized by the caller (the access path holds its engine mutex).
+/// effective / ShouldCrack / WantsAuxiliaryPivot / pattern / switches are
+/// lock-free atomic reads, safe from any thread while a switch lands.
 class CrackPolicyEngine {
  public:
   explicit CrackPolicyEngine(CrackPolicyOptions options)

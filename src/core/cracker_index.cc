@@ -140,7 +140,7 @@ void CrackerIndex<T>::RegisterCut(T v, bool want_incl, size_t pos) {
 }
 
 template <typename T>
-bool CrackerIndex<T>::FindCutAndTouch(T v, bool want_incl, size_t* pos) {
+bool CrackerIndex<T>::FindCutLocked(T v, bool want_incl, size_t* pos) {
   auto it = bounds_.find(v);
   if (it == bounds_.end()) return false;
   Bound& b = it->second;
@@ -158,67 +158,63 @@ bool CrackerIndex<T>::FindCutAndTouch(T v, bool want_incl, size_t* pos) {
 }
 
 template <typename T>
-size_t CrackerIndex<T>::Cut(T v, bool want_incl, IoStats* stats) {
-  size_t pos;
-  if (FindCutAndTouch(v, want_incl, &pos)) return pos;
-
-  // The cut is unknown: locate the piece [begin, end) that must be cracked.
-  size_t begin, end;
-  CrackRegionFor(v, want_incl, &begin, &end);
-  InvalidateProgressive(begin);
-
-  CrackSplit split = want_incl
-                         ? CrackInTwoLe(data() + begin, oid_data() + begin,
-                                        end - begin, v)
-                         : CrackInTwoLt(data() + begin, oid_data() + begin,
-                                        end - begin, v);
-  pos = begin + split.split;
-  if (stats != nullptr) {
-    stats->tuples_read += end - begin;
-    stats->tuples_written += split.writes;
-    ++stats->cracks;
-    ++stats->pieces_touched;
-    stats->kernel_writes += split.writes;
-  }
-  obs::RecordCrack(end - begin, split.writes,
-                   (pos > begin && pos < end) ? 1 : 0, /*pieces_touched=*/1);
-  if (pos > begin) obs::RecordPieceSize(pos - begin);
-  if (end > pos) obs::RecordPieceSize(end - pos);
-  RegisterCut(v, want_incl, pos);
-  return pos;
-}
-
-template <typename T>
-bool CrackerIndex<T>::FindCutConcurrent(T v, bool want_incl, size_t* pos) {
+bool CrackerIndex<T>::FindCut(T v, bool want_incl, size_t* pos) {
   std::lock_guard<std::mutex> lk(map_mu_);
-  return FindCutAndTouch(v, want_incl, pos);
+  return FindCutLocked(v, want_incl, pos);
 }
 
 template <typename T>
-std::pair<size_t, size_t> CrackerIndex<T>::PieceSpanForConcurrent(T v) const {
+std::pair<size_t, size_t> CrackerIndex<T>::PieceSpanFor(T v) const {
   std::lock_guard<std::mutex> lk(map_mu_);
   return {LowerLimitFor(v), UpperLimitFor(v)};
 }
 
 template <typename T>
-T CrackerIndex<T>::ValueAtConcurrent(size_t slot) {
+T CrackerIndex<T>::ValueAt(size_t slot) {
   CRACK_DCHECK(slot < n_);
   RangeLockGuard cell(&range_locks_, slot, slot + 1, /*exclusive=*/false);
   return raw_values_[slot];
 }
 
 template <typename T>
-size_t CrackerIndex<T>::CutConcurrent(T v, bool want_incl, IoStats* stats) {
+void CrackerIndex<T>::ChargeCrack(size_t begin, size_t end, size_t writes,
+                                  std::initializer_list<size_t> cuts,
+                                  IoStats* stats) const {
+  // A strictly-interior cut is a brand-new cut position (registered cuts
+  // bound the crack region, so its interior held none): one new piece each.
+  uint64_t created = 0;
+  size_t prev = begin;
+  for (size_t cut : cuts) {
+    if (cut > prev) {
+      obs::RecordPieceSize(cut - prev);
+      created += cut < end ? 1 : 0;
+    }
+    prev = cut;
+  }
+  if (end > prev) obs::RecordPieceSize(end - prev);
+  obs::RecordCrack(end - begin, writes, created, /*pieces_touched=*/1);
+  if (stats != nullptr) {
+    stats->tuples_read += end - begin;
+    stats->tuples_written += writes;
+    ++stats->cracks;
+    ++stats->pieces_touched;
+    stats->kernel_writes += writes;
+    stats->pieces_created += created;
+  }
+}
+
+template <typename T>
+size_t CrackerIndex<T>::Cut(T v, bool want_incl, IoStats* stats) {
   size_t begin, end;
   {
     std::lock_guard<std::mutex> lk(map_mu_);
     size_t pos;
-    if (FindCutAndTouch(v, want_incl, &pos)) return pos;
+    if (FindCutLocked(v, want_incl, &pos)) return pos;
     CrackRegionFor(v, want_incl, &begin, &end);
   }
   for (;;) {
     // Shuffles only happen under an exclusive lock on the enclosing piece.
-    // Between the map snapshot and the lock grant another thread may have
+    // Between the map read and the lock grant another thread may have
     // subdivided (or fully cut) the region, so revalidate under the map
     // mutex once the lock is held: the live region is always a subrange of
     // the one we locked, because cracks only ever subdivide pieces.
@@ -227,8 +223,11 @@ size_t CrackerIndex<T>::CutConcurrent(T v, bool want_incl, IoStats* stats) {
     {
       std::lock_guard<std::mutex> lk(map_mu_);
       size_t pos;
-      if (FindCutAndTouch(v, want_incl, &pos)) return pos;
+      if (FindCutLocked(v, want_incl, &pos)) return pos;
       CrackRegionFor(v, want_incl, &b2, &e2);
+      // The full kernel below repartitions [b2, e2); a carried frontier for
+      // the piece becomes meaningless.
+      if (b2 >= begin && e2 <= end) InvalidateProgressive(b2);
     }
     if (b2 < begin || e2 > end) {
       // Defensive: the region can only shrink; if it ever widened, retry
@@ -237,44 +236,16 @@ size_t CrackerIndex<T>::CutConcurrent(T v, bool want_incl, IoStats* stats) {
       end = e2;
       continue;
     }
-    begin = b2;
-    end = e2;
-    {
-      // The full kernel below is about to repartition [begin, end); any
-      // carried frontier for the piece becomes meaningless. We hold the
-      // exclusive range lock, so no progressive pass races this erase.
-      std::lock_guard<std::mutex> lk(map_mu_);
-      InvalidateProgressive(begin);
-    }
     // The kernel runs outside map_mu_: no other thread can register a cut
-    // inside [begin, end) meanwhile (doing so would need this range lock),
-    // and cuts elsewhere don't move data in here.
+    // inside [b2, e2) meanwhile (doing so would need this range lock), and
+    // cuts elsewhere don't move data in here.
     CrackSplit split =
-        want_incl ? CrackInTwoLe(raw_values_ + begin, raw_oids_ + begin,
-                                 end - begin, v)
-                  : CrackInTwoLt(raw_values_ + begin, raw_oids_ + begin,
-                                 end - begin, v);
-    size_t pos = begin + split.split;
-    if (stats != nullptr) {
-      stats->tuples_read += end - begin;
-      stats->tuples_written += split.writes;
-      ++stats->cracks;
-      ++stats->pieces_touched;
-      stats->kernel_writes += split.writes;
-      // A strictly-interior split is a brand-new cut position (registered
-      // cuts bound the crack region, so its interior held none): exactly
-      // one new piece. Edge splits create nothing, matching the serial
-      // path's num_pieces() diff accounting.
-      if (pos > begin && pos < end) ++stats->pieces_created;
-    }
-    obs::RecordCrack(end - begin, split.writes,
-                     (pos > begin && pos < end) ? 1 : 0, /*pieces_touched=*/1);
-    if (pos > begin) obs::RecordPieceSize(pos - begin);
-    if (end > pos) obs::RecordPieceSize(end - pos);
-    {
-      std::lock_guard<std::mutex> lk(map_mu_);
-      RegisterCut(v, want_incl, pos);
-    }
+        want_incl ? CrackInTwoLe(raw_values_ + b2, raw_oids_ + b2, e2 - b2, v)
+                  : CrackInTwoLt(raw_values_ + b2, raw_oids_ + b2, e2 - b2, v);
+    const size_t pos = b2 + split.split;
+    ChargeCrack(b2, e2, split.writes, {pos}, stats);
+    std::lock_guard<std::mutex> lk(map_mu_);
+    RegisterCut(v, want_incl, pos);
     return pos;
   }
 }
@@ -324,82 +295,11 @@ ProgressiveCut CrackerIndex<T>::CutProgressive(T v, bool want_incl,
                                                size_t max_writes,
                                                IoStats* stats) {
   ProgressiveCut out;
-  size_t pos;
-  if (FindCutAndTouch(v, want_incl, &pos)) {
-    out.lo = out.hi = pos;
-    out.exact = true;
-    return out;
-  }
-  size_t budget = max_writes;
-  for (;;) {
-    size_t begin, end;
-    CrackRegionFor(v, want_incl, &begin, &end);
-    auto it = progressive_.find(begin);
-    if (it != progressive_.end() && it->second.end != end) {
-      // Stale frontier from an earlier piece geometry: drop it.
-      progressive_.erase(it);
-      it = progressive_.end();
-    }
-    if (it != progressive_.end() && (it->second.pivot != v ||
-                                     it->second.want_incl != want_incl)) {
-      // A different pivot owns this piece: finish-then-start. Our budget
-      // first completes the carried job; the piece then subdivides and
-      // navigation retries for our own pivot.
-      ProgressiveJob& job = it->second;
-      bool job_done = false;
-      const size_t w = AdvanceProgressive(&job, budget, &job_done, stats);
-      budget -= std::min(budget, w);
-      if (!job_done) {
-        out.lo = begin;
-        out.hi = end;
-        out.deferred = job.hi - job.lo;
-        obs::RecordProgressiveDeferred(out.deferred);
-        return out;
-      }
-      RegisterCut(job.pivot, job.want_incl, job.lo);
-      progressive_.erase(it);
-      continue;
-    }
-    if (it == progressive_.end()) {
-      ProgressiveJob fresh;
-      fresh.pivot = v;
-      fresh.want_incl = want_incl;
-      fresh.begin = begin;
-      fresh.end = end;
-      fresh.lo = begin;
-      fresh.hi = end;
-      it = progressive_.emplace(begin, fresh).first;
-    }
-    ProgressiveJob& job = it->second;
-    bool job_done = false;
-    const size_t w = AdvanceProgressive(&job, budget, &job_done, stats);
-    budget -= std::min(budget, w);
-    if (job_done) {
-      const size_t cut = job.lo;
-      progressive_.erase(it);
-      RegisterCut(v, want_incl, cut);
-      out.lo = out.hi = cut;
-      out.exact = true;
-      return out;
-    }
-    out.lo = job.lo;
-    out.hi = job.hi;
-    out.deferred = job.hi - job.lo;
-    obs::RecordProgressiveDeferred(out.deferred);
-    return out;
-  }
-}
-
-template <typename T>
-ProgressiveCut CrackerIndex<T>::CutProgressiveConcurrent(T v, bool want_incl,
-                                                         size_t max_writes,
-                                                         IoStats* stats) {
-  ProgressiveCut out;
   size_t begin, end;
   {
     std::lock_guard<std::mutex> lk(map_mu_);
     size_t pos;
-    if (FindCutAndTouch(v, want_incl, &pos)) {
+    if (FindCutLocked(v, want_incl, &pos)) {
       out.lo = out.hi = pos;
       out.exact = true;
       return out;
@@ -408,15 +308,15 @@ ProgressiveCut CrackerIndex<T>::CutProgressiveConcurrent(T v, bool want_incl,
   }
   size_t budget = max_writes;
   for (;;) {
-    // Same lock order as CutConcurrent: exclusive range lock on the piece
-    // first, then map_mu_ to revalidate and read/write frontier state.
+    // Same lock order as Cut: exclusive range lock on the piece first, then
+    // map_mu_ to revalidate and read/write frontier state.
     RangeLockGuard region(&range_locks_, begin, end, /*exclusive=*/true);
     ProgressiveJob job;
     bool ours;
     {
       std::lock_guard<std::mutex> lk(map_mu_);
       size_t pos;
-      if (FindCutAndTouch(v, want_incl, &pos)) {
+      if (FindCutLocked(v, want_incl, &pos)) {
         out.lo = out.hi = pos;
         out.exact = true;
         return out;
@@ -424,7 +324,7 @@ ProgressiveCut CrackerIndex<T>::CutProgressiveConcurrent(T v, bool want_incl,
       size_t b2, e2;
       CrackRegionFor(v, want_incl, &b2, &e2);
       if (b2 < begin || e2 > end) {
-        // Defensive, mirroring CutConcurrent: retry with the wider lock.
+        // Defensive, mirroring Cut: retry with the wider lock.
         begin = b2;
         end = e2;
         continue;
@@ -487,7 +387,7 @@ ProgressiveCut CrackerIndex<T>::CutProgressiveConcurrent(T v, bool want_incl,
     {
       std::lock_guard<std::mutex> lk(map_mu_);
       size_t pos;
-      if (FindCutAndTouch(v, want_incl, &pos)) {
+      if (FindCutLocked(v, want_incl, &pos)) {
         out.lo = out.hi = pos;
         out.exact = true;
         return out;
@@ -506,77 +406,75 @@ size_t CrackerIndex<T>::progressive_pending() const {
 }
 
 template <typename T>
+bool CrackerIndex<T>::CrackInThreeIfWhole(T lo, bool lo_incl, T hi,
+                                          bool hi_incl, IoStats* stats,
+                                          size_t* cut_lo, size_t* cut_hi) {
+  size_t begin, end;
+  {
+    std::lock_guard<std::mutex> lk(map_mu_);
+    if (bounds_.lower_bound(lo) != bounds_.upper_bound(hi)) return false;
+    begin = LowerLimitFor(lo);
+    end = UpperLimitFor(hi);
+  }
+  RangeLockGuard region(&range_locks_, begin, end, /*exclusive=*/true);
+  {
+    // Still one piece? A neighbour may have cut it between the map read and
+    // the lock grant. A cut outside [lo, hi] only narrows the piece (still
+    // inside the locked range); one inside it sends us to two cuts.
+    std::lock_guard<std::mutex> lk(map_mu_);
+    if (bounds_.lower_bound(lo) != bounds_.upper_bound(hi)) return false;
+    const size_t b2 = LowerLimitFor(lo);
+    const size_t e2 = UpperLimitFor(hi);
+    if (b2 < begin || e2 > end) return false;
+    begin = b2;
+    end = e2;
+    InvalidateProgressive(begin);
+  }
+  Crack3Split split = CrackInThree(raw_values_ + begin, raw_oids_ + begin,
+                                   end - begin, lo, lo_incl, hi, hi_incl);
+  *cut_lo = begin + split.first;
+  *cut_hi = begin + split.second;
+  ChargeCrack(begin, end, split.writes, {*cut_lo, *cut_hi}, stats);
+  std::lock_guard<std::mutex> lk(map_mu_);
+  uint64_t created_clock = clock_;
+  if (lo == hi) {
+    // Point query: both cuts decorate the same boundary value.
+    Bound& b = bounds_[lo];
+    if (b.created == 0) b.created = created_clock;
+    SetCutSide(&b, /*incl=*/false, *cut_lo);
+    SetCutSide(&b, /*incl=*/true, *cut_hi);
+    Touch(&b);
+  } else {
+    Bound& bl = bounds_[lo];
+    if (bl.created == 0) bl.created = created_clock;
+    SetCutSide(&bl, /*incl=*/!lo_incl, *cut_lo);
+    Touch(&bl);
+    Bound& bh = bounds_[hi];
+    if (bh.created == 0) bh.created = created_clock;
+    SetCutSide(&bh, /*incl=*/hi_incl, *cut_hi);
+    Touch(&bh);
+  }
+  return true;
+}
+
+template <typename T>
 CrackSelection CrackerIndex<T>::Select(T lo, bool lo_incl, T hi, bool hi_incl,
                                        IoStats* stats) {
-  size_t pieces_before = num_pieces();
-
   // Degenerate/inverted ranges answer empty without cracking.
   if (lo > hi || (lo == hi && !(lo_incl && hi_incl))) {
     return CrackSelection{BatView(values_, 0, 0), BatView(oids_, 0, 0)};
   }
-
   size_t cut_lo;
   size_t cut_hi;
-
   // When no registered boundary falls inside [lo, hi], both cuts land in one
   // piece: crack it in three with a single pass (§3.1's three-piece Ξ).
-  auto lb = bounds_.lower_bound(lo);
-  auto ub = bounds_.upper_bound(hi);
-  if (lb == ub && options_.use_crack_in_three) {
-    size_t begin = LowerLimitFor(lo);
-    size_t end = UpperLimitFor(hi);
-    CRACK_DCHECK(begin <= end);
-    InvalidateProgressive(begin);
-    Crack3Split split = CrackInThree(data() + begin, oid_data() + begin,
-                                     end - begin, lo, lo_incl, hi, hi_incl);
-    cut_lo = begin + split.first;
-    cut_hi = begin + split.second;
-    if (stats != nullptr) {
-      stats->tuples_read += end - begin;
-      stats->tuples_written += split.writes;
-      ++stats->cracks;
-      ++stats->pieces_touched;
-      stats->kernel_writes += split.writes;
-    }
-    {
-      uint64_t created = 0;
-      if (cut_lo > begin && cut_lo < end) ++created;
-      if (cut_hi != cut_lo && cut_hi > begin && cut_hi < end) ++created;
-      obs::RecordCrack(end - begin, split.writes, created,
-                       /*pieces_touched=*/1);
-      if (cut_lo > begin) obs::RecordPieceSize(cut_lo - begin);
-      if (cut_hi > cut_lo) obs::RecordPieceSize(cut_hi - cut_lo);
-      if (end > cut_hi) obs::RecordPieceSize(end - cut_hi);
-    }
-    uint64_t created_clock = clock_;
-    if (lo == hi) {
-      // Point query: both cuts decorate the same boundary value.
-      Bound& b = bounds_[lo];
-      if (b.created == 0) b.created = created_clock;
-      SetCutSide(&b, /*incl=*/false, cut_lo);
-      SetCutSide(&b, /*incl=*/true, cut_hi);
-      Touch(&b);
-    } else {
-      Bound& bl = bounds_[lo];
-      if (bl.created == 0) bl.created = created_clock;
-      SetCutSide(&bl, /*incl=*/!lo_incl, cut_lo);
-      Touch(&bl);
-      Bound& bh = bounds_[hi];
-      if (bh.created == 0) bh.created = created_clock;
-      SetCutSide(&bh, /*incl=*/hi_incl, cut_hi);
-      Touch(&bh);
-    }
-  } else {
-    // Boundaries inside the range: crack (at most) the two edge pieces.
+  // Otherwise crack (at most) the two edge pieces.
+  if (!options_.use_crack_in_three ||
+      !CrackInThreeIfWhole(lo, lo_incl, hi, hi_incl, stats, &cut_lo,
+                           &cut_hi)) {
     cut_lo = Cut(lo, /*want_incl=*/!lo_incl, stats);
     cut_hi = Cut(hi, /*want_incl=*/hi_incl, stats);
   }
-
-  if (stats != nullptr) {
-    size_t pieces_after = num_pieces();
-    stats->pieces_created += pieces_after - pieces_before;
-  }
-
   if (cut_hi < cut_lo) cut_hi = cut_lo;  // empty result
   return CrackSelection{BatView(values_, cut_lo, cut_hi - cut_lo),
                         BatView(oids_, cut_lo, cut_hi - cut_lo)};
@@ -585,18 +483,14 @@ CrackSelection CrackerIndex<T>::Select(T lo, bool lo_incl, T hi, bool hi_incl,
 template <typename T>
 CrackSelection CrackerIndex<T>::SelectLessThan(T v, bool inclusive,
                                                IoStats* stats) {
-  size_t pieces_before = num_pieces();
   size_t cut = Cut(v, /*want_incl=*/inclusive, stats);
-  if (stats != nullptr) stats->pieces_created += num_pieces() - pieces_before;
   return CrackSelection{BatView(values_, 0, cut), BatView(oids_, 0, cut)};
 }
 
 template <typename T>
 CrackSelection CrackerIndex<T>::SelectGreaterThan(T v, bool inclusive,
                                                   IoStats* stats) {
-  size_t pieces_before = num_pieces();
   size_t cut = Cut(v, /*want_incl=*/!inclusive, stats);
-  if (stats != nullptr) stats->pieces_created += num_pieces() - pieces_before;
   return CrackSelection{BatView(values_, cut, n_ - cut),
                         BatView(oids_, cut, n_ - cut)};
 }
@@ -604,28 +498,6 @@ CrackSelection CrackerIndex<T>::SelectGreaterThan(T v, bool inclusive,
 template <typename T>
 CrackSelection CrackerIndex<T>::SelectEquals(T v, IoStats* stats) {
   return Select(v, /*lo_incl=*/true, v, /*hi_incl=*/true, stats);
-}
-
-template <typename T>
-bool CrackerIndex<T>::FindCut(T v, bool want_incl, size_t* pos) const {
-  auto it = bounds_.find(v);
-  if (it == bounds_.end()) return false;
-  const Bound& b = it->second;
-  if (want_incl && b.has_incl) {
-    *pos = b.pos_incl;
-    return true;
-  }
-  if (!want_incl && b.has_excl) {
-    *pos = b.pos_excl;
-    return true;
-  }
-  return false;
-}
-
-template <typename T>
-void CrackerIndex<T>::TouchBound(T v) {
-  auto it = bounds_.find(v);
-  if (it != bounds_.end()) Touch(&it->second);
 }
 
 template <typename T>
@@ -637,6 +509,12 @@ template <typename T>
 size_t CrackerIndex<T>::num_pieces() const {
   std::lock_guard<std::mutex> lk(map_mu_);
   return cut_refs_.size() + 1;
+}
+
+template <typename T>
+size_t CrackerIndex<T>::num_bounds() const {
+  std::lock_guard<std::mutex> lk(map_mu_);
+  return bounds_.size();
 }
 
 namespace {
@@ -744,7 +622,7 @@ SpanAggregates CrackerIndex<T>::ReducePieces(size_t begin, size_t end,
     }
     if (rows_read != nullptr) *rows_read = read;
     if (!fresh.empty()) {
-      // Re-find each slot: a shared caller's map may have grown meanwhile.
+      // Re-find each slot: the map may have grown meanwhile.
       // The runs themselves did not change (the caller holds the range lock
       // over them), and a summary stays exact while both its cuts exist.
       std::lock_guard<std::mutex> lk(map_mu_);
@@ -830,6 +708,7 @@ std::vector<CrackBound<T>> CrackerIndex<T>::Bounds() const {
 
 template <typename T>
 Status CrackerIndex<T>::RemoveBound(T value) {
+  std::lock_guard<std::mutex> lk(map_mu_);
   auto it = bounds_.find(value);
   if (it == bounds_.end()) {
     return Status::NotFound("no boundary at requested value");
@@ -846,7 +725,7 @@ Status CrackerIndex<T>::RemoveBound(T value) {
 
 template <typename T>
 Status CrackerIndex<T>::Validate() const {
-  const T* d = data();
+  const T* d = raw_values_;
   for (const auto& [value, b] : bounds_) {
     if (b.has_excl) {
       for (size_t i = 0; i < b.pos_excl; ++i) {

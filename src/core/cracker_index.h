@@ -20,6 +20,7 @@
 #ifndef CRACKSTORE_CORE_CRACKER_INDEX_H_
 #define CRACKSTORE_CORE_CRACKER_INDEX_H_
 
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -112,10 +113,24 @@ class CrackerIndex {
 
   CRACK_DISALLOW_COPY_AND_ASSIGN(CrackerIndex);
 
+  // --- concurrency contract -------------------------------------------------
+  // Every primitive below is safe to call from many threads at once. Pieces
+  // are disjoint slot ranges, so crack kernels on different pieces shuffle
+  // concurrently: a primitive reads the boundary map under a short internal
+  // mutex (map_mu_), then takes an *exclusive* range lock on the enclosing
+  // piece for the shuffle, re-reads the map under that lock (a neighbour may
+  // have cut the piece meanwhile; pieces only ever subdivide) and registers
+  // the new cut. Registered cut positions never move afterwards. A caller
+  // reading tail data inside a span — a selection's views, a piece it
+  // reduces — holds LockRangeShared over it for the duration of the read,
+  // which excludes in-flight shuffles of the pieces inside. Single-threaded
+  // callers take the same locks, always uncontended.
+
   /// Range selection with explicit bound inclusivity. The result holds
   /// values v with (lo_incl ? v >= lo : v > lo) && (hi_incl ? v <= hi :
-  /// v < hi). Cracks at most two pieces. An inverted range yields an empty
-  /// selection.
+  /// v < hi). Cracks at most two pieces; when both bounds fall in one piece
+  /// it is cracked in three with a single pass. An inverted range yields an
+  /// empty selection. The views are stable only under LockRangeShared.
   CrackSelection Select(T lo, bool lo_incl, T hi, bool hi_incl,
                         IoStats* stats = nullptr);
 
@@ -136,20 +151,38 @@ class CrackerIndex {
   // these primitives let them inspect and cut the piece table directly.
 
   /// True (and `*pos` set) iff the cut for value `v` with the requested
-  /// inclusivity is already registered. Never cracks, never touches clocks.
-  bool FindCut(T v, bool want_incl, size_t* pos) const;
-
-  /// Refreshes the usage clock of the boundary at `v` (no-op when absent).
-  /// Callers answering from a FindCut hit use this to keep LRU-based merge
-  /// budgets honest about which boundaries the workload still needs.
-  void TouchBound(T v);
+  /// inclusivity is already registered. Never cracks; a hit refreshes the
+  /// boundary's usage clock, so LRU-based merge budgets stay honest about
+  /// which boundaries the workload still needs.
+  bool FindCut(T v, bool want_incl, size_t* pos);
 
   /// Registers the cut for `v` (cracking the enclosing piece if needed) and
   /// returns its position — the crack-at-pivot primitive:
   ///   want_incl == false -> first index holding values >= v
   ///   want_incl == true  -> first index holding values >  v
-  size_t ForceCut(T v, bool want_incl, IoStats* stats = nullptr) {
-    return Cut(v, want_incl, stats);
+  /// `stats` is charged the kernel pass and the pieces this call created.
+  size_t Cut(T v, bool want_incl, IoStats* stats = nullptr);
+
+  /// The slot range [begin, end) of the piece(s) still undivided around
+  /// value `v`: every tuple with tail value v lies inside. Derived from
+  /// registered boundaries strictly below/above v, so an existing boundary
+  /// at v itself does not narrow the span. A racing cut may subdivide the
+  /// span the moment the map mutex drops; steered policies tolerate that (a
+  /// narrower live span only means the work was already done by someone
+  /// else).
+  std::pair<size_t, size_t> PieceSpanFor(T v) const;
+
+  /// The tail value at `slot`, read under a shared range lock over
+  /// [slot, slot+1) so no in-flight shuffle is mid-swap there. Any value
+  /// observed is a valid pivot: shuffles only permute tuples within a
+  /// piece, so whatever sits at `slot` is some element of the piece that
+  /// covered it.
+  T ValueAt(size_t slot);
+
+  /// Blocks until no cut is shuffling inside [begin, end); the returned
+  /// guard keeps those pieces still while the caller reads them.
+  RangeLockGuard LockRangeShared(size_t begin, size_t end) {
+    return RangeLockGuard(&range_locks_, begin, end, /*exclusive=*/false);
   }
 
   // --- progressive cracking (CrackPolicy::kProgressive) --------------------
@@ -160,77 +193,19 @@ class CrackerIndex {
   // budget finishing that job (the piece then subdivides and navigation
   // retries), so every piece converges and per-query work stays bounded.
 
-  /// Budgeted ForceCut (serial contract, like Cut). See ProgressiveCut for
-  /// the answer semantics.
+  /// Budgeted Cut. See ProgressiveCut for the answer semantics. Frontier
+  /// advances run under the exclusive range lock of the enclosing piece,
+  /// frontier state under map_mu_. Non-exact frontiers stay conservative
+  /// under concurrency: a partial pass only moves rows inside the open
+  /// frontier, and completed cuts only subdivide, so a span read from a
+  /// stale frontier is still a superset of the qualifying rows (callers
+  /// filter it under LockRangeShared).
   ProgressiveCut CutProgressive(T v, bool want_incl, size_t max_writes,
                                 IoStats* stats = nullptr);
 
-  /// Thread-safe CutProgressive: frontier advances run under the exclusive
-  /// range lock of the enclosing piece, frontier state under map_mu_.
-  /// Non-exact frontiers stay conservative under concurrency: a partial
-  /// pass only moves rows inside the open frontier, and completed cuts only
-  /// subdivide, so a span read from a stale frontier is still a superset of
-  /// the qualifying rows (callers filter under LockRangeShared).
-  ProgressiveCut CutProgressiveConcurrent(T v, bool want_incl,
-                                          size_t max_writes,
-                                          IoStats* stats = nullptr);
-
   /// Rows still awaiting partitioning across all carried frontiers (0 once
-  /// the column has converged). Thread-safe.
+  /// the column has converged).
   size_t progressive_pending() const;
-
-  // --- concurrent cracking (core/latch.h) ----------------------------------
-  // Pieces are disjoint slot ranges, so crack kernels on different pieces
-  // can shuffle concurrently. CutConcurrent navigates the boundary map under
-  // a short internal mutex, then takes an *exclusive* range lock on the
-  // enclosing piece for the shuffle itself; registered cut positions never
-  // move afterwards (cracks only ever subdivide pieces), so readers may rely
-  // on returned positions without further coordination. Callers reading tail
-  // data inside a span must hold LockRangeShared over it for the duration of
-  // the read, which excludes in-flight shuffles of enclosed pieces.
-  //
-  // Contract: concurrent callers use ONLY CutConcurrent + LockRangeShared +
-  // PieceSpanForConcurrent + ValueAtConcurrent + the const accessors below;
-  // the serial primitives (Select/ForceCut/...) require external exclusive
-  // ownership of the whole index. The two modes must not be mixed without
-  // that exclusion.
-
-  /// Thread-safe ForceCut: same postcondition, callable from many threads
-  /// at once. Returns the (stable) cut position.
-  size_t CutConcurrent(T v, bool want_incl, IoStats* stats = nullptr);
-
-  /// Thread-safe FindCut + usage-clock touch: true (and *pos set) iff the
-  /// cut is already registered. CutConcurrent's fast path, exposed so
-  /// callers can skip fan-out scheduling when no shuffle is pending.
-  bool FindCutConcurrent(T v, bool want_incl, size_t* pos);
-
-  /// Blocks until no concurrent cut is shuffling inside [begin, end); the
-  /// returned guard keeps those pieces still while the caller reads them.
-  RangeLockGuard LockRangeShared(size_t begin, size_t end) {
-    return RangeLockGuard(&range_locks_, begin, end, /*exclusive=*/false);
-  }
-
-  /// Thread-safe PieceSpanFor: the undivided slot range around `v`, read
-  /// under the boundary-map mutex. A racing cut may subdivide the span the
-  /// moment the mutex drops; steered policies tolerate that (a narrower
-  /// live span only means the auxiliary work was already done by someone
-  /// else).
-  std::pair<size_t, size_t> PieceSpanForConcurrent(T v) const;
-
-  /// Thread-safe read of the tail value at `slot`: holds a shared range
-  /// lock over [slot, slot+1) so no in-flight shuffle is mid-swap there.
-  /// Any value observed is a valid pivot — shuffles only permute tuples
-  /// within a piece, so whatever sits at `slot` is some element of the
-  /// piece that covered it.
-  T ValueAtConcurrent(size_t slot);
-
-  /// The slot range [begin, end) of the piece(s) still undivided around
-  /// value `v`: every tuple with tail value v lies inside. Derived from
-  /// registered boundaries strictly below/above v, so an existing boundary
-  /// at v itself does not narrow the span.
-  std::pair<size_t, size_t> PieceSpanFor(T v) const {
-    return {LowerLimitFor(v), UpperLimitFor(v)};
-  }
 
   size_t size() const { return n_; }
 
@@ -258,9 +233,9 @@ class CrackerIndex {
   /// are a fixed multiset for the index's lifetime, whatever cracks,
   /// progressive passes or fusions did in between; a summary is exact for
   /// as long as both of its cuts exist. Double columns are scanned whole
-  /// (their sums depend on the order of addition). Callers sharing the
-  /// index hold LockRangeShared over the span; the piece table is read and
-  /// written under map_mu_, the kernels run outside it.
+  /// (their sums depend on the order of addition). Callers hold
+  /// LockRangeShared over the span; the piece table is read and written
+  /// under map_mu_, the kernels run outside it.
   SpanAggregates ReducePieces(size_t begin, size_t end,
                               size_t* rows_read = nullptr);
 
@@ -269,11 +244,11 @@ class CrackerIndex {
   /// returns the new cursor. Registered positions never move; a fused cut
   /// (RemoveBound) is struck from the log, so a reader that saw a fusion
   /// restarts from cursor 0 and reads exactly the live cuts. A rebuilt
-  /// index (delta merge) starts with a fresh log. Thread-safe.
+  /// index (delta merge) starts with a fresh log.
   size_t CutsSince(size_t cursor, std::vector<size_t>* out) const;
 
   /// Number of registered boundary values.
-  size_t num_bounds() const { return bounds_.size(); }
+  size_t num_bounds() const;
 
   /// Piece table in physical order, with value-bound decoration.
   std::vector<CrackPiece<T>> Pieces() const;
@@ -294,7 +269,7 @@ class CrackerIndex {
   const std::shared_ptr<Bat>& oids() const { return oids_; }
 
   /// Exhaustively re-checks every boundary's semantics against the data
-  /// (O(bounds * n); test support).
+  /// (O(bounds * n); test support — the caller keeps the index quiet).
   Status Validate() const;
 
  private:
@@ -307,10 +282,6 @@ class CrackerIndex {
     uint64_t created = 0;
   };
 
-  T* data() { return values_->MutableTailData<T>(); }
-  const T* data() const { return values_->TailData<T>(); }
-  Oid* oid_data() { return oids_->MutableTailData<Oid>(); }
-
   /// Largest known position that is <= any cut for value v; scans bounds
   /// strictly below v.
   size_t LowerLimitFor(T v) const;
@@ -318,12 +289,6 @@ class CrackerIndex {
   /// Smallest known position that is >= any cut for value v; scans bounds
   /// strictly above v.
   size_t UpperLimitFor(T v) const;
-
-  /// Returns the cut position for value `v`:
-  ///   want_incl == false -> first index holding values >= v
-  ///   want_incl == true  -> first index holding values >  v
-  /// Cracks the enclosing piece if the cut is not yet known.
-  size_t Cut(T v, bool want_incl, IoStats* stats);
 
   /// The slot region a cut for `v`/`want_incl` would have to shuffle. Only
   /// valid when the cut is not yet registered.
@@ -340,9 +305,19 @@ class CrackerIndex {
   /// at the column edges delimit no piece and are not tracked.
   void RefCut(size_t pos, int delta);
 
-  /// FindCut that refreshes the usage clock on a hit (CutConcurrent's
-  /// fast path; callers hold map_mu_).
-  bool FindCutAndTouch(T v, bool want_incl, size_t* pos);
+  /// FindCut for callers that hold map_mu_.
+  bool FindCutLocked(T v, bool want_incl, size_t* pos);
+
+  /// Select's single-pass path: cracks the piece holding both bounds in
+  /// three and registers both cuts. Returns false, having done nothing,
+  /// when a boundary already lies inside [lo, hi].
+  bool CrackInThreeIfWhole(T lo, bool lo_incl, T hi, bool hi_incl,
+                           IoStats* stats, size_t* cut_lo, size_t* cut_hi);
+
+  /// Charges one kernel pass over the piece [begin, end) that wrote
+  /// `writes` tuples and split it at the ascending positions `cuts`.
+  void ChargeCrack(size_t begin, size_t end, size_t writes,
+                   std::initializer_list<size_t> cuts, IoStats* stats) const;
 
   void Touch(Bound* b) { b->last_used = clock_++; }
 
@@ -360,14 +335,13 @@ class CrackerIndex {
 
   /// Runs one budgeted partition pass on `job` against the cracker column,
   /// charges stats/metrics, sets *done when the frontier closed. Returns
-  /// the writes performed. Caller owns the piece (serial contract or the
-  /// exclusive range lock).
+  /// the writes performed. Caller holds the piece's exclusive range lock.
   size_t AdvanceProgressive(ProgressiveJob* job, size_t max_writes,
                             bool* done, IoStats* stats);
 
   /// Drops any frontier carried for the piece starting at `begin` — called
-  /// wherever a full (non-progressive) kernel is about to repartition that
-  /// piece, which invalidates the frontier's invariant.
+  /// (under map_mu_) wherever a full (non-progressive) kernel is about to
+  /// repartition that piece, which invalidates the frontier's invariant.
   void InvalidateProgressive(size_t begin) { progressive_.erase(begin); }
 
   /// Integer reduction of the slots from a cut to the later cut `end`
@@ -388,8 +362,7 @@ class CrackerIndex {
 
   std::map<T, Bound> bounds_;
   /// Interior cut positions -> CutRef. Its size is the number of distinct
-  /// cuts, so num_pieces() is O(1). Guarded like bounds_ (map_mu_ on the
-  /// concurrent path).
+  /// cuts, so num_pieces() is O(1). Guarded by map_mu_, like bounds_.
   std::map<size_t, CutRef> cut_refs_;
   /// Summary kept for the rows starting at slot 0 (no cut_refs_ entry).
   PieceSummary head_summary_;
@@ -397,21 +370,20 @@ class CrackerIndex {
   /// like cut_refs_.
   std::vector<size_t> cut_log_;
   /// Progressive frontiers, keyed by their piece's begin slot (one job per
-  /// piece). Guarded by map_mu_ on the concurrent path.
+  /// piece). Guarded by map_mu_.
   std::map<size_t, ProgressiveJob> progressive_;
   std::shared_ptr<Bat> values_;
   std::shared_ptr<Bat> oids_;
-  /// Raw tail pointers, cached so concurrent kernels skip the Bat accessor
-  /// (whose stats invalidation is a write). The cracker column never grows,
+  /// Raw tail pointers, cached so kernels skip the Bat accessor (whose
+  /// stats invalidation is a write). The cracker column never grows,
   /// so the pointers are stable for the index's lifetime.
   T* raw_values_ = nullptr;
   Oid* raw_oids_ = nullptr;
   size_t n_ = 0;
   uint64_t clock_ = 1;
   CrackerIndexOptions options_;
-  /// Guards bounds_/clock_ among CutConcurrent callers (and makes the const
-  /// piece/bound snapshots safe against in-flight concurrent cuts). The
-  /// serial primitives bypass it; see the concurrency contract above.
+  /// Guards the boundary map, the cut table, the usage clock and the
+  /// progressive frontiers. Never held while a kernel runs.
   mutable std::mutex map_mu_;
   RangeLockTable range_locks_;  ///< piece-granular data locks
 };

@@ -5,19 +5,25 @@
 // piece layout — so the store uses a three-level protocol:
 //
 //   1. a per-column reader/writer latch (std::shared_mutex, owned by the
-//      facade): DML and shared-capable selections take it shared, builds,
-//      delta merges and policy-steered selections take it exclusive;
+//      facade): selections, aggregates and DML take it shared once the
+//      column's accelerator is built; builds, delta merges, merge-budget
+//      paths and the dictionary-string wrapper take it exclusive;
 //   2. a per-column *delta latch* (plain mutex): writers append pending
-//      inserts / tombstones under it, readers overlay the delta under it;
+//      inserts / tombstones under it, readers form their answer under it;
 //   3. a piece-granular RangeLockTable (this file) keyed on slot ranges of
-//      the cracker column: queries whose bounds land in different pieces
-//      shuffle their pieces concurrently under the *shared* column latch,
-//      because pieces are disjoint slot ranges.
+//      the cracker column: every crack takes its piece exclusively and
+//      every answer holds its span shared while it is formed, so queries
+//      whose bounds land in different pieces shuffle concurrently under the
+//      *shared* column latch — pieces are disjoint slot ranges.
+//
+// There is one statement path: a serial store takes the same latches as a
+// concurrent one, always uncontended.
 //
 // Lock order (outer to inner): column latch(es) -> table base latch ->
-// {range locks | delta latch | tombstone latch | registry/io leaves}. A
-// thread never holds two range locks at once and never sleeps while holding
-// one, so the table needs no deadlock detection.
+// {range locks | delta latch | tombstone latch | registry/io leaves}; a
+// range lock may also be held while taking the delta latch. A thread never
+// holds two range locks at once and never sleeps while holding one, so the
+// table needs no deadlock detection.
 
 #ifndef CRACKSTORE_CORE_LATCH_H_
 #define CRACKSTORE_CORE_LATCH_H_

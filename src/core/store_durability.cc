@@ -297,8 +297,7 @@ Status AdaptiveStore::Checkpoint() {
   // Quiesce: base columns must not move while their images stream out. With
   // the global lock held exclusively no statement can run, and with no
   // transaction open none can commit mid-copy.
-  std::unique_lock<std::shared_mutex> g(global_mu_, std::defer_lock);
-  if (options_.concurrent) g.lock();
+  std::unique_lock<std::shared_mutex> g(global_mu_);
   if (txn_mgr_.active_count() > 0) {
     return Status::Aborted("checkpoint requires no active transactions");
   }
@@ -326,18 +325,15 @@ Status AdaptiveStore::CheckpointLocked() {
   // effective policy — for kAuto, what the detector converged on — plus
   // the progressive budget, so the reopened store resumes it. Gathered
   // inline (not via PolicyReport) because the caller already holds the
-  // global lock exclusively in concurrent mode; the quiesce also makes
-  // column latches unnecessary.
+  // global lock exclusively; the quiesce also makes column latches
+  // unnecessary.
   std::vector<durability::ColumnPolicyState> policies;
   {
-    std::unique_lock<std::mutex> rl(registry_mu_, std::defer_lock);
-    if (options_.concurrent) rl.lock();
+    std::lock_guard<std::mutex> rl(registry_mu_);
     for (const auto& [key, accel] : accels_) {
-      bool has = options_.concurrent
-                     ? accel.has_path.load(std::memory_order_acquire)
-                     : accel.path != nullptr;
-      if (!has) continue;
-      PathPolicyStatus status = accel.path->PolicyStatus();
+      ColumnAccessPath* path = accel.PathIfAny();
+      if (path == nullptr) continue;
+      PathPolicyStatus status = path->PolicyStatus();
       if (!status.crack) continue;
       durability::ColumnPolicyState p;
       p.column_key = key;

@@ -108,13 +108,13 @@ class UpdatableCrackerIndex {
   /// cracking beyond plain selections (pivot policies, merge budgets). The
   /// delta structures stay consistent: they reference oids, not positions.
   /// NOTE: Merge() replaces the index wholesale — never cache this pointer
-  /// across a call that may merge (in concurrent mode, across a release of
-  /// the exclusive column latch).
+  /// across a call that may merge (under a shared owner, across a release
+  /// of the exclusive column latch).
   CrackerIndex<T>* mutable_index() { return index_.get(); }
 
-  /// The pending inserts, in arrival order. Concurrent mode: the owning
-  /// access path guards every reader/writer of this list (and of
-  /// IsDeleted) with its delta latch.
+  /// The pending inserts, in arrival order. The owning access path guards
+  /// every reader/writer of this list (and of IsDeleted) with its delta
+  /// latch.
   const std::vector<std::pair<T, Oid>>& pending() const { return pending_; }
 
   /// True iff `oid` is tombstoned against the merged area.

@@ -56,7 +56,7 @@ struct WorkloadMonitorOptions {
 
 /// See file comment. Not internally synchronized: callers serialize Record
 /// and Classify (CrackPolicyEngine guards it with the access path's engine
-/// mutex on the concurrent path).
+/// mutex).
 class WorkloadMonitor {
  public:
   explicit WorkloadMonitor(WorkloadMonitorOptions options = {});

@@ -122,6 +122,44 @@ TEST(AdaptiveStoreTest, MaterializeBuildsCorrectRelation) {
   }
 }
 
+// kMaterialize gathers rows by oid, so a table whose oids do not start at 0
+// still materializes exactly the qualifying rows, in every strategy and
+// mode.
+TEST(AdaptiveStoreTest, MaterializeHonorsTheOidBase) {
+  for (AccessStrategy s : {AccessStrategy::kScan, AccessStrategy::kCrack,
+                           AccessStrategy::kSort}) {
+    for (bool concurrent : {false, true}) {
+      SCOPED_TRACE(std::string(AccessStrategyName(s)) +
+                   (concurrent ? " concurrent" : " serial"));
+      auto rel = *Relation::Create(
+          "R", Schema({{"c0", ValueType::kInt64}, {"c1", ValueType::kInt64}}));
+      for (size_t c = 0; c < rel->num_columns(); ++c) {
+        rel->column(c)->set_head_base(1000);
+      }
+      for (int64_t i = 0; i < 20; ++i) {
+        ASSERT_TRUE(rel->AppendRow({Value(i), Value(1000 + i)}).ok());
+      }
+      AdaptiveStoreOptions opts = WithStrategy(s);
+      opts.concurrent = concurrent;
+      AdaptiveStore store(opts);
+      ASSERT_TRUE(store.AddTable(rel).ok());
+      auto result = store.SelectRange("R", "c0", RangeBounds::Closed(10, 12),
+                                      Delivery::kMaterialize);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      ASSERT_NE(result->materialized, nullptr);
+      std::vector<std::vector<Value>> rows;
+      for (size_t i = 0; i < result->materialized->num_rows(); ++i) {
+        rows.push_back(result->materialized->GetRow(i));
+      }
+      ASSERT_EQ(rows.size(), 3u);
+      for (size_t i = 0; i < rows.size(); ++i) {
+        EXPECT_EQ(rows[i][0].ToInt64(), static_cast<int64_t>(10 + i));
+        EXPECT_EQ(rows[i][1].ToInt64(), static_cast<int64_t>(1010 + i));
+      }
+    }
+  }
+}
+
 TEST(AdaptiveStoreTest, MaterializedRowsKeepColumnAlignment) {
   AdaptiveStore store;
   auto rel = SmallTapestry();

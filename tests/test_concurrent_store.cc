@@ -609,6 +609,143 @@ TEST(ConcurrentStore, SteeredPoliciesRideSharedPath) {
 }
 
 // ---------------------------------------------------------------------------
+// One statement path: driven by one thread with the task pool at 0 threads,
+// a concurrent store must crack exactly like a serial store fed the same
+// stream — the same answers, cracks, kernel writes and pieces created per
+// statement, and the same piece tables after every statement.
+// ---------------------------------------------------------------------------
+
+TEST(ConcurrentStore, SingleThreadCracksLikeSerial) {
+  const uint64_t base_seed = TestSeed(20261017);
+  TaskPool::SetGlobalThreads(0);
+  const int64_t n = 20000;
+  size_t config_index = 0;
+  for (CrackPolicy policy :
+       {CrackPolicy::kStandard, CrackPolicy::kStochastic,
+        CrackPolicy::kCoarse, CrackPolicy::kProgressive}) {
+    for (DeltaMergePolicy merge :
+         {DeltaMergePolicy::kThreshold, DeltaMergePolicy::kImmediate}) {
+      const uint64_t seed = base_seed + 7 * config_index++;
+      SCOPED_TRACE(std::string(CrackPolicyName(policy)) + "/" +
+                   DeltaMergePolicyName(merge) +
+                   " seed=" + std::to_string(seed));
+      AdaptiveStoreOptions opts;
+      opts.policy.policy = policy;
+      opts.policy.min_piece_size = 64;
+      opts.delta_merge.policy = merge;
+      AdaptiveStore serial(opts);
+      opts.concurrent = true;
+      AdaptiveStore concurrent(opts);
+      TapestryOptions topts;
+      topts.num_rows = static_cast<uint64_t>(n);
+      topts.num_columns = 2;
+      topts.seed = seed;
+      ASSERT_TRUE(serial.AddTable(*BuildTapestry("R", topts)).ok());
+      ASSERT_TRUE(concurrent.AddTable(*BuildTapestry("R", topts)).ok());
+
+      auto same_cracks = [](const IoStats& a, const IoStats& b) {
+        EXPECT_EQ(a.cracks, b.cracks);
+        EXPECT_EQ(a.kernel_writes, b.kernel_writes);
+        EXPECT_EQ(a.pieces_created, b.pieces_created);
+      };
+      auto same_pieces = [&](const std::string& column) {
+        auto s = serial.AccessPathFor("R", column);
+        auto c = concurrent.AccessPathFor("R", column);
+        ASSERT_EQ(s.ok(), c.ok()) << column;
+        if (!s.ok()) return;
+        std::vector<PieceInfo> sp = (*s)->Pieces();
+        std::vector<PieceInfo> cp = (*c)->Pieces();
+        ASSERT_EQ(sp.size(), cp.size()) << column;
+        for (size_t i = 0; i < sp.size(); ++i) {
+          EXPECT_TRUE(sp[i].begin == cp[i].begin && sp[i].end == cp[i].end &&
+                      sp[i].has_lo == cp[i].has_lo && sp[i].lo == cp[i].lo &&
+                      sp[i].lo_strict == cp[i].lo_strict &&
+                      sp[i].has_hi == cp[i].has_hi && sp[i].hi == cp[i].hi &&
+                      sp[i].hi_strict == cp[i].hi_strict)
+              << column << " piece " << i;
+        }
+      };
+
+      Pcg32 rng(seed);
+      for (int op = 0; op < 160; ++op) {
+        SCOPED_TRACE("op " + std::to_string(op));
+        const uint32_t dice = rng.NextBounded(100);
+        const std::string column = rng.NextBounded(2) == 0 ? "c0" : "c1";
+        const int64_t lo = rng.NextInRange(1, n);
+        const RangeBounds range =
+            RangeBounds::Closed(lo, lo + rng.NextInRange(0, n / 16));
+        if (dice < 45) {
+          const Delivery delivery =
+              dice < 25 ? Delivery::kCount : Delivery::kView;
+          auto s = serial.SelectRange("R", column, range, delivery);
+          auto c = concurrent.SelectRange("R", column, range, delivery);
+          ASSERT_TRUE(s.ok() && c.ok());
+          EXPECT_EQ(s->count, c->count);
+          if (delivery == Delivery::kView) {
+            EXPECT_EQ(s->CollectOids(), c->CollectOids());
+          }
+          same_cracks(s->io, c->io);
+        } else if (dice < 65) {
+          auto s = serial.AggregateRange("R", column, range);
+          auto c = concurrent.AggregateRange("R", column, range);
+          ASSERT_EQ(s.ok(), c.ok());
+          if (s.ok()) {
+            EXPECT_EQ(s->rows, c->rows);
+            EXPECT_EQ(s->sum, c->sum);
+            EXPECT_EQ(s->min, c->min);
+            EXPECT_EQ(s->max, c->max);
+            same_cracks(s->io, c->io);
+          } else {
+            EXPECT_TRUE(s.status().IsUnimplemented() &&
+                        c.status().IsUnimplemented());
+          }
+        } else if (dice < 82) {
+          const int64_t lo1 = rng.NextInRange(1, n);
+          const std::vector<AdaptiveStore::ColumnRange> conjuncts{
+              {"c0", range},
+              {"c1", RangeBounds::Closed(lo1, lo1 + n / 4)}};
+          auto s = serial.SelectConjunction("R", conjuncts, Delivery::kView);
+          auto c =
+              concurrent.SelectConjunction("R", conjuncts, Delivery::kView);
+          ASSERT_TRUE(s.ok() && c.ok());
+          EXPECT_EQ(s->CollectOids(), c->CollectOids());
+          same_cracks(s->io, c->io);
+        } else if (dice < 90) {
+          const std::vector<Value> row{Value(rng.NextInRange(1, n)),
+                                       Value(rng.NextInRange(1, n))};
+          auto s = serial.Insert("R", row);
+          auto c = concurrent.Insert("R", row);
+          ASSERT_TRUE(s.ok() && c.ok());
+          EXPECT_EQ(s->inserted_oid, c->inserted_oid);
+          same_cracks(s->io, c->io);
+        } else if (dice < 95) {
+          const std::vector<AdaptiveStore::ColumnRange> where{
+              {"c0", RangeBounds::Equal(lo)}};
+          auto s = serial.Delete("R", where);
+          auto c = concurrent.Delete("R", where);
+          ASSERT_TRUE(s.ok() && c.ok());
+          EXPECT_EQ(s->count, c->count);
+          same_cracks(s->io, c->io);
+        } else {
+          const std::vector<AdaptiveStore::Assignment> sets{
+              {"c1", Value(rng.NextInRange(1, n))}};
+          const std::vector<AdaptiveStore::ColumnRange> where{
+              {"c0", RangeBounds::Equal(lo)}};
+          auto s = serial.Update("R", sets, where);
+          auto c = concurrent.Update("R", sets, where);
+          ASSERT_TRUE(s.ok() && c.ok());
+          EXPECT_EQ(s->count, c->count);
+          same_cracks(s->io, c->io);
+        }
+        same_pieces("c0");
+        same_pieces("c1");
+        if (HasFatalFailure()) return;
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Conjunctions fan their legs over the task pool; answers must match a
 // serial store fed the same queries.
 // ---------------------------------------------------------------------------

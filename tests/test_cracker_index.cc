@@ -8,8 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <limits>
 #include <set>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -580,6 +582,101 @@ TEST(CrackerIndexTest, SummaryEndingAtADroppedCutIsNotReused) {
     EXPECT_EQ(got.sum_i, want.sum_i) << "from " << begin;
     EXPECT_EQ(got.count, want.count) << "from " << begin;
   }
+}
+
+// ---------------------------------------------------------------------------
+// The primitives under threads: every primitive takes the boundary-map
+// mutex and a range lock over the piece it shuffles, so threads racing on
+// one index — first touches that crack in three, plain cuts, budgeted
+// progressive cuts, pivot reads — must all see exact answers and leave a
+// valid index over a permutation of the source.
+// ---------------------------------------------------------------------------
+
+TEST(CrackerIndexConcurrencyTest, PrimitivesRaceOnOneIndex) {
+  const size_t n = 60000;
+  const int64_t domain = 20000;  // duplicates: ~3 rows per value
+  Pcg32 fill(20261017);
+  std::vector<int64_t> source(n);
+  for (int64_t& v : source) v = fill.NextInRange(0, domain);
+  std::vector<int64_t> sorted = source;
+  std::sort(sorted.begin(), sorted.end());
+  // The scan answers: rows below v (a cut before v's duplicates) and rows
+  // at or below v (a cut after them).
+  auto below = [&](int64_t v) {
+    return static_cast<size_t>(
+        std::lower_bound(sorted.begin(), sorted.end(), v) - sorted.begin());
+  };
+  auto at_or_below = [&](int64_t v) {
+    return static_cast<size_t>(
+        std::upper_bound(sorted.begin(), sorted.end(), v) - sorted.begin());
+  };
+  CrackerIndex<int64_t> index(MakeColumn(source));
+
+  const size_t kThreads = 6;
+  std::atomic<size_t> failures{0};
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Pcg32 rng(77 + t);
+      for (int q = 0; q < 250; ++q) {
+        const int64_t lo = rng.NextInRange(0, domain);
+        const int64_t hi = lo + rng.NextInRange(0, domain / 40);
+        const bool incl = rng.NextBounded(2) == 1;
+        switch (rng.NextBounded(4)) {
+          case 0: {
+            CrackSelection sel = index.Select(lo, true, hi, incl);
+            const size_t want = (incl ? at_or_below(hi) : below(hi)) -
+                                below(lo);
+            const size_t begin = sel.values.offset();
+            RangeLockGuard span =
+                index.LockRangeShared(begin, begin + sel.count());
+            bool ok = sel.count() == want;
+            for (size_t i = 0; ok && i < sel.count(); ++i) {
+              const int64_t v = sel.values.Get<int64_t>(i);
+              ok = v >= lo && (incl ? v <= hi : v < hi);
+            }
+            if (!ok) failures.fetch_add(1);
+            break;
+          }
+          case 1: {
+            const size_t pos = index.Cut(lo, incl);
+            if (pos != (incl ? at_or_below(lo) : below(lo))) {
+              failures.fetch_add(1);
+            }
+            break;
+          }
+          case 2: {
+            const ProgressiveCut cut = index.CutProgressive(lo, incl, 512);
+            const size_t want = incl ? at_or_below(lo) : below(lo);
+            if (cut.exact ? cut.lo != want
+                          : (cut.lo > want || want > cut.hi)) {
+              failures.fetch_add(1);
+            }
+            break;
+          }
+          default: {
+            const int64_t v = index.ValueAt(rng.NextBounded(n));
+            if (v < 0 || v > domain) failures.fetch_add(1);
+            break;
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(failures.load(), 0u);
+  ASSERT_TRUE(index.Validate().ok());
+  EXPECT_GT(index.num_pieces(), kThreads);
+  // The cracker column is a permutation of the source, row for row.
+  std::vector<int64_t> cracked(n);
+  size_t misplaced = 0;
+  for (size_t i = 0; i < n; ++i) {
+    cracked[i] = index.values()->Get<int64_t>(i);
+    misplaced += cracked[i] != source[index.oids()->Get<Oid>(i)] ? 1 : 0;
+  }
+  EXPECT_EQ(misplaced, 0u);
+  std::sort(cracked.begin(), cracked.end());
+  EXPECT_EQ(cracked, sorted);
 }
 
 }  // namespace

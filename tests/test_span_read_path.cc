@@ -255,9 +255,9 @@ TEST_P(SpanReadPathTest, RandomizedParityWithOracle) {
         EXPECT_EQ(qr->span_set.ToOids(), expect) << "op " << op;
       }
     } else if (dice < 65) {
-      // Aggregate pushdown parity (bit-identical to the oracle loop); any
-      // Unimplemented (progressive budgets, concurrent coarse pieces) is a
-      // legal refusal — the SQL layer falls back.
+      // Aggregate pushdown parity (bit-identical to the oracle loop). Only
+      // progressive cracks may refuse (their budget forbids exact cuts) —
+      // the SQL layer falls back.
       RangeBounds range = random_range();
       auto agg = store.AggregateRange("R", "c0", range);
       if (agg.ok()) {
@@ -271,6 +271,9 @@ TEST_P(SpanReadPathTest, RandomizedParityWithOracle) {
         }
       } else {
         EXPECT_TRUE(agg.status().IsUnimplemented()) << agg.status().ToString();
+        EXPECT_TRUE(strategy == AccessStrategy::kCrack &&
+                    policy == CrackPolicy::kProgressive)
+            << agg.status().ToString();
       }
     } else if (dice < 75) {
       // Conjunction parity (kView answers stay sorted ascending).

@@ -237,6 +237,50 @@ TEST(SnapshotIsolationTest, ReaderKeepsOldRowsAcrossAllPaths) {
   }
 }
 
+// kMaterialize reads every column at the statement's snapshot: a row that a
+// later commit rewrote keeps the value the transaction's snapshot reads.
+TEST(SnapshotIsolationTest, MaterializeReadsSnapshotValues) {
+  for (const StoreConfig& config : AllStoreConfigs()) {
+    for (bool concurrent : {false, true}) {
+      SCOPED_TRACE("config=" + ConfigName(config) +
+                   (concurrent ? " concurrent" : " serial"));
+      auto store = MakeStore(config, concurrent);
+      auto rel = *Relation::Create(
+          "t", Schema({{"c0", ValueType::kInt64}, {"c1", ValueType::kInt64}}));
+      for (int64_t i = 0; i < 100; ++i) {
+        ASSERT_TRUE(rel->AppendRow({Value(i), Value(1000 + i)}).ok());
+      }
+      ASSERT_TRUE(store->AddTable(rel).ok());
+      TxnId reader = *store->Begin();
+      ASSERT_TRUE(store
+                      ->Update("t", {{"c1", Value(int64_t{-1})}},
+                               {{"c0", RangeBounds::Equal(11)}})
+                      .ok());
+      auto rows_of = [](const QueryResult& qr) {
+        std::map<int64_t, int64_t> rows;
+        for (size_t i = 0; i < qr.materialized->num_rows(); ++i) {
+          std::vector<Value> row = qr.materialized->GetRow(i);
+          rows[row[0].ToInt64()] = row[1].ToInt64();
+        }
+        return rows;
+      };
+      auto old = store->SelectRange("t", "c0", RangeBounds::Closed(10, 12),
+                                    Delivery::kMaterialize, reader);
+      ASSERT_TRUE(old.ok()) << old.status().ToString();
+      ASSERT_NE(old->materialized, nullptr);
+      EXPECT_EQ(rows_of(*old), (std::map<int64_t, int64_t>{
+                                   {10, 1010}, {11, 1011}, {12, 1012}}));
+      auto now = store->SelectRange("t", "c0", RangeBounds::Closed(10, 12),
+                                    Delivery::kMaterialize);
+      ASSERT_TRUE(now.ok()) << now.status().ToString();
+      ASSERT_NE(now->materialized, nullptr);
+      EXPECT_EQ(rows_of(*now), (std::map<int64_t, int64_t>{
+                                   {10, 1010}, {11, -1}, {12, 1012}}));
+      ASSERT_TRUE(store->Commit(reader).ok());
+    }
+  }
+}
+
 TEST(SnapshotIsolationTest, StringDictionaryPathHonorsSnapshots) {
   for (const StoreConfig& config : AllStoreConfigs()) {
     SCOPED_TRACE("config=" + ConfigName(config));
