@@ -185,7 +185,7 @@ int Run(int argc, char** argv) {
         IoStats io;
         WallTimer timer;
         AccessSelection sel =
-            (*path)->Select(pattern.queries[q], /*want_oids=*/false, &io);
+            (*path)->Select(pattern.queries[q], /*detach=*/false, &io);
         latencies.push_back(timer.ElapsedSeconds());
         // Every policy must deliver the same answer.
         if (p == 0) {

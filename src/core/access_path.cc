@@ -34,7 +34,7 @@ const char* AccessStrategyName(AccessStrategy strategy) {
 }
 
 Result<AccessSelection> ColumnAccessPath::SelectTyped(const TypedRange& range,
-                                                      bool want_oids,
+                                                      bool detach,
                                                       IoStats* stats,
                                                       const SnapshotView* view) {
   if (range.has_string()) {
@@ -42,7 +42,7 @@ Result<AccessSelection> ColumnAccessPath::SelectTyped(const TypedRange& range,
         "string predicate on a numeric access path (string bounds need a "
         "string column)");
   }
-  return Select(range.ToNumericBounds(), want_oids, stats, view);
+  return Select(range.ToNumericBounds(), detach, stats, view);
 }
 
 namespace {
@@ -167,21 +167,18 @@ inline bool ViewActive(const SnapshotView* view) {
   return view != nullptr && view->active();
 }
 
-/// Re-admits a view's value overrides into an (already non-contiguous)
-/// answer: rows whose value at the snapshot differs from the physical one
-/// were excluded by the visibility filter; the ones whose snapshot value
-/// qualifies join back here (vacuum-purged rows stay out via RowVisible).
-/// Caller sorts the oid list afterwards.
+/// Re-admits a view's value overrides into an answer as extras: rows whose
+/// value at the snapshot differs from the physical one were excluded by the
+/// visibility filter; the ones whose snapshot value qualifies join back here
+/// (vacuum-purged rows stay out via RowVisible).
 template <typename T>
 void ReadmitOverrides(const SnapshotView* view, T lo, bool lo_incl, T hi,
-                      bool hi_incl, bool want_oids, AccessSelection* out) {
+                      bool hi_incl, OidSpanSet* set) {
   if (!ViewActive(view)) return;
   for (const auto& [oid, value] : view->overrides()) {
     if (!view->RowVisible(oid)) continue;
     if (!InRange(CastValue<T>(value), lo, lo_incl, hi, hi_incl)) continue;
-    ++out->count;
-    if (want_oids) out->oids.push_back(oid);
-    if (out->has_span_set) out->span_set.AddExtra(oid);
+    set->AddExtra(oid);
   }
 }
 
@@ -207,78 +204,40 @@ std::vector<uint64_t> SurvivorMask(const Oid* oid_data, size_t n,
 }
 
 /// Applies a path's pending write deltas — and the caller's MVCC read
-/// filter — to a base answer: physically tombstoned and snapshot-invisible
-/// rows drop out, qualifying pending inserts join in, and overridden rows
-/// re-enter per their value at the snapshot. When the answer is touched at
-/// all it degrades from a contiguous view to an (ascending) oid list — the
-/// price of reading through an unmerged delta or an unvacuumed version.
+/// filter — to a span answer over the path's oid map: physically tombstoned
+/// and snapshot-invisible span rows become exception bits, and qualifying
+/// pending inserts and overridden rows (per their value at the snapshot)
+/// become extras. Returns true when the deltas or the view touch the
+/// answer; the caller then charges the read of the answer's span.
 template <typename T>
-void OverlayDeltaAnswer(const std::vector<std::pair<T, Oid>>& pending,
+bool OverlayDeltaAnswer(const std::vector<std::pair<T, Oid>>& pending,
                         const OidBitTable& tombstones, T lo, bool lo_incl,
-                        T hi, bool hi_incl, bool want_oids,
-                        const SnapshotView* view, IoStats* stats,
-                        AccessSelection* out) {
-  bool versioned = ViewActive(view);
-  size_t delta_hits = 0;
+                        T hi, bool hi_incl, const SnapshotView* view,
+                        IoStats* stats, OidSpanSet* set) {
+  const bool versioned = ViewActive(view);
+  bool delta_hits = false;
   for (const auto& [value, oid] : pending) {
-    delta_hits += InRange(value, lo, lo_incl, hi, hi_incl) ? 1 : 0;
+    delta_hits |= InRange(value, lo, lo_incl, hi, hi_incl);
   }
-  if (stats != nullptr && !pending.empty()) {
-    stats->tuples_read += pending.size();
-  }
-  if (tombstones.empty() && delta_hits == 0 && !versioned) {
-    return;  // clean answer
-  }
+  if (stats != nullptr) stats->tuples_read += pending.size();
+  if (tombstones.empty() && !delta_hits && !versioned) return false;
 
-  auto hidden = [&](Oid oid) {
-    return tombstones.Test(oid) || (versioned && view->Hides(oid));
-  };
-
-  if (!out->contiguous && tombstones.empty() && !versioned) {
-    // Oid-list base answer with nothing to subtract: the base count stands
-    // even when the caller skipped the oid gather (count-only coarse
-    // selects); just add the qualifying pending inserts.
-    out->count += delta_hits;
-    if (want_oids) {
-      for (const auto& [value, oid] : pending) {
-        if (InRange(value, lo, lo_incl, hi, hi_incl)) out->oids.push_back(oid);
-      }
-      std::sort(out->oids.begin(), out->oids.end());
-    }
-    return;
-  }
-
-  uint64_t count = 0;
-  std::vector<Oid> oids;
-  if (want_oids) oids.reserve(static_cast<size_t>(out->count) + delta_hits);
-  if (out->contiguous) {
-    // Contiguous crack answers filter through one survivor bitmap instead
-    // of a per-row Hides() probe.
-    size_t span = out->view.oids.size();
-    const Oid* oid_ptr = out->view.oids.template data<Oid>();
-    std::vector<uint64_t> keep = SurvivorMask(oid_ptr, span, tombstones, view);
-    count = BitmapCount(keep.data(), span);
+  size_t concat = 0;
+  for (const OidSpan& span : set->spans()) {
+    // One survivor bitmap per span instead of a per-row Hides() probe.
+    std::vector<uint64_t> keep = SurvivorMask(
+        set->oid_map()->TailData<Oid>() + span.begin, span.size(), tombstones,
+        view);
     for (size_t w = 0; w < keep.size(); ++w) {
-      const size_t left = span - (w << 6);
+      const size_t left = span.size() - (w << 6);
       uint64_t dropped = ~keep[w];
       if (left < 64) dropped &= (uint64_t{1} << left) - 1;
-      // The span survives the delta: a dropped row becomes an exception
-      // bit instead of forcing the whole answer into an oid list.
-      for (; out->has_span_set && dropped != 0; dropped &= dropped - 1) {
-        out->span_set.MarkException((w << 6) +
-                                    size_t(__builtin_ctzll(dropped)));
-      }
-      for (uint64_t m = want_oids ? keep[w] : 0; m != 0; m &= m - 1) {
-        oids.push_back(oid_ptr[(w << 6) + size_t(__builtin_ctzll(m))]);
+      for (; dropped != 0; dropped &= dropped - 1) {
+        set->MarkException(concat + (w << 6) +
+                           size_t(__builtin_ctzll(dropped)));
       }
     }
-    if (stats != nullptr) stats->tuples_read += span;
-  } else {
-    for (Oid oid : out->oids) {
-      if (hidden(oid)) continue;
-      ++count;
-      if (want_oids) oids.push_back(oid);
-    }
+    concat += span.size();
   }
   for (const auto& [value, oid] : pending) {
     if (!InRange(value, lo, lo_incl, hi, hi_incl)) continue;
@@ -286,16 +245,10 @@ void OverlayDeltaAnswer(const std::vector<std::pair<T, Oid>>& pending,
     // at its old position AND pending at its new value — the tombstone
     // must not cancel the pending re-entry.
     if (versioned && view->Hides(oid)) continue;
-    ++count;
-    if (want_oids) oids.push_back(oid);
-    if (out->has_span_set) out->span_set.AddExtra(oid);
+    set->AddExtra(oid);
   }
-  out->contiguous = false;
-  out->view = CrackSelection{};
-  out->count = count;
-  out->oids = std::move(oids);
-  ReadmitOverrides<T>(view, lo, lo_incl, hi, hi_incl, want_oids, out);
-  if (want_oids) std::sort(out->oids.begin(), out->oids.end());
+  ReadmitOverrides<T>(view, lo, lo_incl, hi, hi_incl, set);
+  return true;
 }
 
 /// Reduces the value span [vals, vals + n) with the optional visibility /
@@ -404,7 +357,7 @@ class CrackAccessPath : public ColumnAccessPath {
                           accel_size_.load(std::memory_order_relaxed));
   }
 
-  AccessSelection Select(const RangeBounds& range, bool want_oids,
+  AccessSelection Select(const RangeBounds& range, bool detach,
                          IoStats* stats,
                          const SnapshotView* view = nullptr) override {
     T lo, hi;
@@ -452,31 +405,24 @@ class CrackAccessPath : public ColumnAccessPath {
       // stable. Cut positions themselves never move once registered.
       RangeLockGuard span = inner->LockRangeShared(cut_lo, cut_hi);
       std::lock_guard<std::mutex> dl(delta_mu_);
-      if (exact) {
-        // Zero-materialization answer: a contiguous piece of the cracked
-        // column is one span over its permuted oid map. The overlay below
-        // keeps the span and degrades deltas into exception bits / extras
-        // instead of forcing an oid-list materialization.
-        out.contiguous = true;
-        out.view = CrackSelection{
-            BatView(inner->values(), cut_lo, cut_hi - cut_lo),
-            BatView(inner->oids(), cut_lo, cut_hi - cut_lo)};
-        out.count = out.view.count();
-        out.span_set.BindOidMap(inner->oids());
-        out.span_set.AddSpan(cut_lo, cut_hi);
-        out.has_span_set = true;
-      } else {
-        // Tombstones (and snapshot filters) force the fuzzy span to gather
-        // oids: an answer spanning uncracked edges cannot subtract hidden
-        // rows without naming them.
-        FilterSpan(inner, cut_lo, cut_hi, lo, lo_incl, hi, hi_incl,
-                   want_oids || !updatable_->tombstones().empty() ||
-                       ViewActive(view),
-                   stats, &out);
+      // Zero-materialization answer: a piece of the cracked column is one
+      // span over its permuted oid map. A conservative span marks its value
+      // misses, and the overlay turns deltas into exception bits / extras.
+      out.span_set.BindOidMap(inner->oids());
+      out.span_set.AddSpan(cut_lo, cut_hi);
+      if (!exact) {
+        MarkValueMisses(inner, cut_lo, cut_hi, lo, lo_incl, hi, hi_incl,
+                        &out.span_set);
       }
-      OverlayDeltaAnswer<T>(updatable_->pending(), updatable_->tombstones(),
-                            lo, lo_incl, hi, hi_incl, want_oids, view, stats,
-                            &out);
+      const bool touched = OverlayDeltaAnswer<T>(
+          updatable_->pending(), updatable_->tombstones(), lo, lo_incl, hi,
+          hi_incl, view, stats, &out.span_set);
+      if (stats != nullptr && (touched || !exact)) {
+        stats->tuples_read += cut_hi - cut_lo;
+      }
+      out.count = out.span_set.count();
+      // The rows must be resolved while the span still holds them.
+      if (detach) out.span_set.Detach();
     }
     if (!config_.merge_budget.unlimited()) {
       out.bounds_dropped =
@@ -900,26 +846,18 @@ class CrackAccessPath : public ColumnAccessPath {
     return plo.exact && phi.exact;
   }
 
-  /// Answers a conservative span [cut_lo, cut_hi) — one with a fuzzy coarse
-  /// edge or an open progressive frontier — by filtering it by value; the
-  /// span exceeds the answer by at most the two edge pieces. Callers hold
-  /// the range lock over the span.
-  void FilterSpan(CrackerIndex<T>* inner, size_t cut_lo, size_t cut_hi, T lo,
-                  bool lo_incl, T hi, bool hi_incl, bool want_oids,
-                  IoStats* stats, AccessSelection* out) {
-    out->contiguous = false;
+  /// Marks the value misses of a conservative span [cut_lo, cut_hi) — one
+  /// with a fuzzy coarse edge or an open progressive frontier, at most its
+  /// two edge pieces — as exceptions of `set`, whose only span it is.
+  /// Callers hold the range lock over the span.
+  void MarkValueMisses(CrackerIndex<T>* inner, size_t cut_lo, size_t cut_hi,
+                       T lo, bool lo_incl, T hi, bool hi_incl,
+                       OidSpanSet* set) {
     const T* data = inner->values()->template TailData<T>();
-    const Oid* oids = inner->oids()->template TailData<Oid>();
     for (size_t i = cut_lo; i < cut_hi; ++i) {
-      if (InRange(data[i], lo, lo_incl, hi, hi_incl)) {
-        ++out->count;
-        if (want_oids) out->oids.push_back(oids[i]);
+      if (!InRange(data[i], lo, lo_incl, hi, hi_incl)) {
+        set->MarkException(i - cut_lo);
       }
-    }
-    if (want_oids) std::sort(out->oids.begin(), out->oids.end());
-    if (stats != nullptr) {
-      stats->tuples_read += cut_hi - cut_lo;
-      if (want_oids) stats->tuples_written += out->count;
     }
   }
 
@@ -969,38 +907,32 @@ class SortAccessPath : public ColumnAccessPath {
                           accel_size_.load(std::memory_order_relaxed));
   }
 
-  AccessSelection Select(const RangeBounds& range, bool want_oids,
+  AccessSelection Select(const RangeBounds& range, bool detach,
                          IoStats* stats,
                          const SnapshotView* view = nullptr) override {
+    (void)detach;  // the set pins the copy it spans; merges replace it
     EnsureBuilt(stats);
     MaybeMergeOnSelect(stats);
     T lo, hi;
     bool lo_incl, hi_incl;
     ClampRange<T>(range, &lo, &lo_incl, &hi, &hi_incl);
-    AccessSelection out;
-    out.contiguous = true;
     // Binary search over the sorted copy: read-only, so safe under the
-    // shared latch (the copy is only replaced under the exclusive one).
-    out.view = sorted_->Select(lo, lo_incl, hi, hi_incl, stats);
-    out.count = out.view.count();
-    // One span over the sorted copy's oid map. The sorted copy never
-    // shuffles under shared readers (replacing it takes the exclusive
-    // latch), so the span set is valid for as long as the selection is —
-    // consumers drain it before the column latch drops.
-    if (out.view.oids.bat() != nullptr) {
-      out.span_set.BindOidMap(out.view.oids.bat());
-      out.span_set.AddSpan(out.view.oids.offset(),
-                           out.view.oids.offset() + out.view.oids.size());
-      out.has_span_set = true;
-    }
+    // shared latch. The answer is one span over the copy's oid map; a merge
+    // replaces the copy instead of rewriting it, so the span stays valid
+    // after the latch drops.
+    CrackSelection sel = sorted_->Select(lo, lo_incl, hi, hi_incl, stats);
+    AccessSelection out;
+    out.span_set.BindOidMap(sorted_->oids());
+    out.span_set.AddSpan(sel.oids.offset(), sel.oids.offset() + sel.count());
     {
       std::lock_guard<std::mutex> dl(delta_mu_);
-      OverlayDeltaAnswer<T>(pending_, deleted_, lo, lo_incl, hi, hi_incl,
-                            want_oids, view, stats, &out);
+      if (OverlayDeltaAnswer<T>(pending_, deleted_, lo, lo_incl, hi, hi_incl,
+                                view, stats, &out.span_set) &&
+          stats != nullptr) {
+        stats->tuples_read += sel.count();
+      }
     }
-    // A clean answer stays a contiguous view: unlike a cracker column, the
-    // sorted copy never shuffles under shared readers, so the view is
-    // stable for as long as the caller holds the (shared) column latch.
+    out.count = out.span_set.count();
     return out;
   }
 
@@ -1280,47 +1212,28 @@ class ScanAccessPath : public ColumnAccessPath {
   // Stateless from birth: shared selections need no accelerator.
   bool SharedSelectReady() const override { return true; }
 
-  AccessSelection Select(const RangeBounds& range, bool want_oids,
+  AccessSelection Select(const RangeBounds& range, bool detach,
                          IoStats* stats,
                          const SnapshotView* view = nullptr) override {
+    (void)detach;  // identity spans borrow no layout
     T lo, hi;
     bool lo_incl, hi_incl;
     ClampRange<T>(range, &lo, &lo_incl, &hi, &hi_incl);
-    AccessSelection out;
     const T* data = column_->TailData<T>();
     size_t n = column_->size();
     Oid base = column_->head_base();
     // Branchless scan: one vectorized range bitmap, AND-ed with one batch
     // visibility bitmap (a single version-log latch acquisition instead of
-    // one per row), tombstones cleared word-wise — then popcount for the
-    // count and bit-iterate for the oid gather.
+    // one per row), tombstones cleared word-wise. Runs of matching rows
+    // become identity spans (oid = base + position): clustered data scans
+    // to a handful of spans.
     std::vector<uint64_t> match = MatchMask(data, n, base, lo, lo_incl, hi,
                                             hi_incl, view);
-    out.count = BitmapCount(match.data(), n);
-    // Runs of matching rows become identity spans (oid = base + position):
-    // clustered data scans to a handful of spans, and downstream consumers
-    // (counts, intersections) never need the oid list below.
+    AccessSelection out;
     out.span_set = OidSpanSet::FromMatchBitmap(match.data(), n, base);
-    out.has_span_set = true;
-    if (want_oids) {
-      out.oids.reserve(out.count);
-      for (size_t w = 0; w < match.size(); ++w) {
-        uint64_t m = match[w];
-        while (m != 0) {
-          size_t i = (w << 6) + size_t(__builtin_ctzll(m));
-          out.oids.push_back(base + i);
-          m &= m - 1;
-        }
-      }
-    }
-    ReadmitOverrides<T>(view, lo, lo_incl, hi, hi_incl, want_oids, &out);
-    if (ViewActive(view) && want_oids) {
-      std::sort(out.oids.begin(), out.oids.end());
-    }
-    if (stats != nullptr) {
-      stats->tuples_read += n;
-      if (want_oids) stats->tuples_written += out.count;
-    }
+    ReadmitOverrides<T>(view, lo, lo_incl, hi, hi_incl, &out.span_set);
+    out.count = out.span_set.count();
+    if (stats != nullptr) stats->tuples_read += n;
     return out;
   }
 
@@ -1484,17 +1397,17 @@ class DictStringAccessPath : public ColumnAccessPath {
   // Inherited concurrency defaults are exactly right for this wrapper:
   // kExclusiveOnly, never shared-ready, no owner-driven maintenance.
 
-  AccessSelection Select(const RangeBounds& range, bool want_oids,
+  AccessSelection Select(const RangeBounds& range, bool detach,
                          IoStats* stats,
                          const SnapshotView* view = nullptr) override {
     // Native-domain selection: the bounds are dictionary codes.
     EnsureEncoded(stats);
     SnapshotView code_view;
-    return inner_->Select(range, want_oids, stats,
+    return inner_->Select(range, detach, stats,
                           TranslateView(view, stats, &code_view));
   }
 
-  Result<AccessSelection> SelectTyped(const TypedRange& range, bool want_oids,
+  Result<AccessSelection> SelectTyped(const TypedRange& range, bool detach,
                                       IoStats* stats,
                                       const SnapshotView* view = nullptr)
       override {
@@ -1536,7 +1449,7 @@ class DictStringAccessPath : public ColumnAccessPath {
         return AccessSelection{};  // sorts before every string: empty
       }
     }
-    return inner_->Select(codes, want_oids, stats, inner_view);
+    return inner_->Select(codes, detach, stats, inner_view);
   }
 
   Status Insert(const Value& value, Oid oid, IoStats* stats) override {

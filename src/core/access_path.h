@@ -6,7 +6,8 @@
 // whatever auxiliary state its strategy needs — a cracker index, a sorted
 // copy, or nothing at all — and answers range selections behind a virtual
 // interface, so the facade (AdaptiveStore), the column engine and the SQL
-// executor never see element widths or strategy internals.
+// executor never see element widths or strategy internals. Every path
+// answers in one shape, an OidSpanSet over its own layout (AccessSelection).
 //
 // Three concrete paths (each templated over int32_t/int64_t/double
 // internally):
@@ -117,26 +118,17 @@ struct PathPolicyStatus {
   bool crack = false;  ///< true when the path actually cracks (policy is live)
 };
 
-/// The answer of one access-path selection. Cracked and sorted paths hand
-/// out zero-copy contiguous views; scan (and coarse-policy edge pieces)
-/// deliver an oid list instead.
+/// The answer of one access-path selection: the qualifying rows as one
+/// OidSpanSet (core/oid_span_set.h). Exact crack answers and sort answers
+/// are one span over the accelerator's oid map; a coarse or progressive
+/// answer is its conservative span with every value miss marked as an
+/// exception; a scan answer is identity spans over the base. Deltas and the
+/// caller's snapshot land as exceptions (hidden rows) and extras (pending
+/// inserts, override re-admissions).
 struct AccessSelection {
-  uint64_t count = 0;      ///< qualifying tuples (always set)
-  bool contiguous = false; ///< true: `view` is valid; false: `oids` is
-  CrackSelection view;     ///< parallel (values, oids) views
-  std::vector<Oid> oids;   ///< qualifying source oids, ascending (only
-                           ///< filled when the caller asked for oids)
+  uint64_t count = 0;         ///< qualifying tuples (== span_set.count())
+  OidSpanSet span_set;        ///< the qualifying rows
   size_t bounds_dropped = 0;  ///< boundaries fused by the merge budget
-  /// Zero-materialization answer shape: when `has_span_set` is true,
-  /// `span_set` fully describes the qualifying rows (spans over the
-  /// accelerator layout, exception overlay for hidden/tombstoned rows,
-  /// extras for delta inserts and override re-admissions) — independent of
-  /// whether `oids` was also gathered. Like `view`, the spans borrow the
-  /// accelerator layout, which a neighbouring crack may reshuffle once
-  /// Select returns; a caller sharing the path with other threads reads
-  /// `oids` instead (gathered under the answer's range lock).
-  bool has_span_set = false;
-  OidSpanSet span_set;
 };
 
 /// What an aggregate pushdown computes in one span-kernel pass over the
@@ -171,16 +163,17 @@ class ColumnAccessPath {
 
   /// Range selection over the path's *native accelerator domain* —
   /// element values for numeric columns, dictionary codes for encoded
-  /// string columns. `want_oids` asks for the qualifying oid list when the
-  /// answer cannot be contiguous (scan; coarse edge pieces; pending write
-  /// deltas) — pass false for count-only queries to skip the gather.
+  /// string columns. `detach` asks a crack answer to leave as a sorted oid
+  /// list (OidSpanSet::Detach), resolved before the answer span's range
+  /// lock drops — for callers that share the column with threads that may
+  /// crack it next. Sort and scan answers ignore it: their spans stay valid.
   ///
   /// `view` (optional) is the caller's MVCC read filter: rows the snapshot
   /// cannot see are dropped from the physical answer, and rows whose value
   /// postdates the snapshot are re-admitted per view->overrides(). A null
   /// or inactive view reads the latest physical state (the pre-MVCC
   /// behavior, still filtered by the path's own vacuum tombstones).
-  virtual AccessSelection Select(const RangeBounds& range, bool want_oids,
+  virtual AccessSelection Select(const RangeBounds& range, bool detach,
                                  IoStats* stats,
                                  const SnapshotView* view = nullptr) = 0;
 
@@ -191,7 +184,7 @@ class ColumnAccessPath {
   /// vice versa) come back as TypeMismatch instead of silently widening.
   /// `view`: see Select.
   virtual Result<AccessSelection> SelectTyped(const TypedRange& range,
-                                              bool want_oids, IoStats* stats,
+                                              bool detach, IoStats* stats,
                                               const SnapshotView* view =
                                                   nullptr);
 

@@ -7,7 +7,6 @@
 #include <iterator>
 #include <limits>
 
-#include "core/oid_set_ops.h"
 #include "core/task_pool.h"
 #include "durability/checkpoint.h"
 #include "obs/instruments.h"
@@ -86,28 +85,14 @@ Oid BaseOid(const Relation& rel) {
 }  // namespace
 
 std::vector<Oid> QueryResult::CollectOids() const& {
-  if (!has_selection) {
-    if (scan_oids.empty() && has_span_set && count > 0) {
-      // Span-only answer (e.g. a kCount-delivered leg that kept its span
-      // set): this is the true materialization boundary.
-      obs::RecordMaterializedOids(count);
-      return span_set.ToOids();
-    }
-    return scan_oids;
-  }
-  std::vector<Oid> oids;
-  oids.reserve(selection.count());
-  for (size_t i = 0; i < selection.count(); ++i) {
-    oids.push_back(selection.oids.Get<Oid>(i));
-  }
-  std::sort(oids.begin(), oids.end());
-  obs::RecordMaterializedOids(oids.size());
-  return oids;
+  // A detached list was counted when the store detached it.
+  if (!span_set.detached()) obs::RecordMaterializedOids(span_set.count());
+  return span_set.ToOids();
 }
 
 std::vector<Oid> QueryResult::CollectOids() && {
-  if (!has_selection && !scan_oids.empty()) return std::move(scan_oids);
-  return static_cast<const QueryResult&>(*this).CollectOids();
+  if (!span_set.detached()) obs::RecordMaterializedOids(span_set.count());
+  return std::move(span_set).ToOids();
 }
 
 AdaptiveStore::AdaptiveStore(AdaptiveStoreOptions options)
@@ -251,6 +236,34 @@ Result<const SnapshotColumn*> AdaptiveStore::BaseReadScope::Column(
       std::move(bat), store_->ViewForColumn(table_, column, snap_));
   const SnapshotColumn* out = values.get();
   columns_.emplace(column, std::move(values));
+  return out;
+}
+
+Result<std::shared_ptr<Relation>> AdaptiveStore::BaseReadScope::Materialize(
+    const std::string& name, const std::vector<Oid>& oids,
+    const std::vector<std::string>& columns, IoStats* io) {
+  std::vector<ColumnDef> defs;
+  if (columns.empty()) {
+    defs = rel_->schema().columns();
+  } else {
+    for (const std::string& column : columns) {
+      int idx = rel_->schema().FieldIndex(column);
+      if (idx < 0) {
+        return Status::NotFound("no column '" + column + "' in " + table_);
+      }
+      defs.push_back(rel_->schema().column(static_cast<size_t>(idx)));
+    }
+  }
+  CRACK_ASSIGN_OR_RETURN(std::shared_ptr<Relation> out,
+                         Relation::Create(name, Schema(defs)));
+  for (size_t c = 0; c < defs.size(); ++c) {
+    CRACK_ASSIGN_OR_RETURN(const SnapshotColumn* src, Column(defs[c].name));
+    Bat* dst = out->column(c).get();
+    dst->Reserve(oids.size());
+    for (Oid oid : oids) CRACK_RETURN_NOT_OK(src->AppendTo(oid, dst));
+  }
+  io->tuples_read += oids.size() * defs.size();
+  io->tuples_written += oids.size() * defs.size();
   return out;
 }
 
@@ -624,63 +637,9 @@ void AdaptiveStore::LatchForWrite(std::vector<ColumnAccel*> columns,
 void AdaptiveStore::FinishSelect(AccessSelection sel, Delivery delivery,
                                  QueryResult* result) const {
   result->count = sel.count;
-  if (options_.concurrent) {
-    // Spans and views borrow the accelerator layout, which a neighbour's
-    // crack may reshuffle once the latch drops, so they stay behind. A
-    // concurrent store's snapshot views are always active, so crack answers
-    // arrive as oid lists the path gathered under the answer span's range
-    // lock; only a sorted copy, which no shared reader reshuffles, can still
-    // answer with a view.
-    if (sel.contiguous && delivery != Delivery::kCount) {
-      const Oid* oids = sel.view.oids.data<Oid>();
-      sel.oids.assign(oids, oids + sel.view.oids.size());
-      std::sort(sel.oids.begin(), sel.oids.end());
-    }
-    sel.contiguous = false;
-    sel.has_span_set = false;
-  }
-  if (sel.contiguous) {
-    result->selection = sel.view;
-    result->has_selection = true;
-  } else {
-    result->scan_oids = std::move(sel.oids);
-    obs::RecordMaterializedOids(result->scan_oids.size());
-  }
-  if (sel.has_span_set) {
-    // Zero-materialization shape rides along: consumers that can work on
-    // spans (conjunction intersection, lazy CollectOids) never gather.
-    result->has_span_set = true;
-    result->span_set = std::move(sel.span_set);
-    obs::RecordSpanAnswer(result->span_set.num_spans(),
-                          result->span_set.count());
-  }
-}
-
-Status AdaptiveStore::MaterializeAnswer(const std::string& table,
-                                        const std::string& column,
-                                        const Snapshot& snap,
-                                        QueryResult* result) const {
-  obs::TraceSpan mat_span("materialize", &result->io);
-  // Rows are gathered by oid at the statement's snapshot: a row a later
-  // commit rewrote keeps the value the snapshot reads.
-  CRACK_ASSIGN_OR_RETURN(std::unique_ptr<BaseReadScope> base,
-                         OpenBaseScope(table, snap, /*lock_global=*/false));
-  const Schema& schema = base->rel_->schema();
-  CRACK_ASSIGN_OR_RETURN(
-      std::shared_ptr<Relation> out,
-      Relation::Create(table + "_" + column + "_result", schema));
-  const std::vector<Oid> oids = result->CollectOids();
-  for (size_t c = 0; c < schema.num_columns(); ++c) {
-    CRACK_ASSIGN_OR_RETURN(const SnapshotColumn* src,
-                           base->Column(schema.column(c).name));
-    Bat* dst = out->column(c).get();
-    dst->Reserve(oids.size());
-    for (Oid oid : oids) CRACK_RETURN_NOT_OK(src->AppendTo(oid, dst));
-  }
-  result->io.tuples_read += oids.size() * schema.num_columns();
-  result->io.tuples_written += oids.size() * schema.num_columns();
-  result->materialized = std::move(out);
-  return Status::OK();
+  obs::RecordSpanAnswer(sel.span_set.num_spans(), sel.span_set.count());
+  if (sel.span_set.detached()) obs::RecordMaterializedOids(sel.count);
+  if (delivery != Delivery::kCount) result->span_set = std::move(sel.span_set);
 }
 
 Result<QueryResult> AdaptiveStore::SelectRangeAt(const std::string& table,
@@ -701,20 +660,12 @@ Result<QueryResult> AdaptiveStore::SelectRangeAt(const std::string& table,
     CRACK_RETURN_NOT_OK(LatchColumn(table, column, bat, &result.io, &latch));
     ColumnAccessPath* path = latch.accel->path.get();
     const bool is_crack = path->strategy() == AccessStrategy::kCrack;
-    // kSpans keeps span answers as they are; only paths whose fuzzy answers
-    // exist solely as oid lists (coarse and progressive cracking) gather —
-    // and every path of a concurrent store, whose answers leave as oid
-    // lists.
-    const CrackPolicy policy = path->config().policy.policy;
-    const bool want_oids =
-        delivery == Delivery::kSpans
-            ? options_.concurrent ||
-                  (is_crack && (policy == CrackPolicy::kCoarse ||
-                                policy == CrackPolicy::kProgressive))
-            : delivery != Delivery::kCount;
+    // A neighbour's crack may reshuffle the answer's span once the latches
+    // drop, so a shared store's answers leave detached.
+    const bool detach = options_.concurrent && delivery != Delivery::kCount;
     CRACK_ASSIGN_OR_RETURN(
         AccessSelection sel,
-        path->SelectTyped(range, want_oids, &result.io,
+        path->SelectTyped(range, detach, &result.io,
                           view.active() ? &view : nullptr));
     const bool fused = sel.bounds_dropped > 0;
     FinishSelect(std::move(sel), delivery, &result);
@@ -723,7 +674,15 @@ Result<QueryResult> AdaptiveStore::SelectRangeAt(const std::string& table,
     }
   }
   if (delivery == Delivery::kMaterialize) {
-    CRACK_RETURN_NOT_OK(MaterializeAnswer(table, column, snap, &result));
+    obs::TraceSpan mat_span("materialize", &result.io);
+    // Rows are gathered by oid at the statement's snapshot: a row a later
+    // commit rewrote keeps the value the snapshot reads.
+    CRACK_ASSIGN_OR_RETURN(std::unique_ptr<BaseReadScope> base,
+                           OpenBaseScope(table, snap, /*lock_global=*/false));
+    CRACK_ASSIGN_OR_RETURN(
+        result.materialized,
+        base->Materialize(table + "_" + column + "_result",
+                          result.CollectOids(), {}, &result.io));
   }
   result.seconds = timer.ElapsedSeconds();
   AddIo(result.io);
@@ -795,7 +754,6 @@ Result<QueryResult> AdaptiveStore::SelectConjunctionAt(
     CRACK_ASSIGN_OR_RETURN(std::shared_ptr<Relation> rel, this->table(table));
     QueryResult all_rows;
     all_rows.count = rel->num_rows();
-    all_rows.has_span_set = true;
     all_rows.span_set.BindIdentity(BaseOid(*rel));
     all_rows.span_set.AddSpan(0, rel->num_rows());
     std::vector<const ColumnRange*> probes;
@@ -808,9 +766,7 @@ Result<QueryResult> AdaptiveStore::SelectConjunctionAt(
   }
 
   // Answer each column once through its access path (every conjunct is
-  // still advice to crack), keeping the answer in its own shape: spans over
-  // the accelerator, or the oid list a fuzzy coarse/progressive answer — or
-  // any answer of a concurrent store — gathers.
+  // still advice to crack), keeping each answer as its span set.
   std::vector<const ColumnRange*> leg_ranges;
   std::vector<const ColumnRange*> probes;
   SplitLegs(conjuncts, &leg_ranges, &probes);
@@ -824,7 +780,7 @@ Result<QueryResult> AdaptiveStore::SelectConjunctionAt(
   for (size_t i = 0; i < leg_ranges.size(); ++i) {
     tasks.emplace_back([this, &table, &leg_ranges, &legs, &snap, i] {
       auto qr = SelectRangeAt(table, leg_ranges[i]->column,
-                              leg_ranges[i]->range, Delivery::kSpans, snap);
+                              leg_ranges[i]->range, Delivery::kView, snap);
       if (!qr.ok()) {
         legs[i].status = qr.status();
         return;
@@ -853,8 +809,7 @@ Result<QueryResult> AdaptiveStore::SelectConjunctionAt(
   bool have_folded = false;
   for (size_t i = 0; i < legs.size(); ++i) {
     OidSpanSet& set = legs[i].answer.span_set;
-    if (!legs[i].answer.has_span_set || !SpanSetIntersectable(set) ||
-        set.exceptions() != 0 || set.extras() != 0) {
+    if (!set.identity() || set.exceptions() != 0 || set.extras() != 0) {
       continue;
     }
     result.io.tuples_read += set.num_spans();
@@ -876,7 +831,6 @@ Result<QueryResult> AdaptiveStore::SelectConjunctionAt(
   QueryResult walk;
   if (pick == legs.size()) {
     walk.count = folded.count();
-    walk.has_span_set = true;
     walk.span_set = std::move(folded);
   } else {
     walk = std::move(legs[pick].answer);
@@ -979,31 +933,11 @@ Status AdaptiveStore::ProbeConjunction(
     result->count = survivors;
     return Status::OK();
   }
-  if (delivery == Delivery::kSpans && walk.has_span_set) {
-    walk.span_set.Retain(keep);
-    result->count = walk.span_set.count();
-    result->has_span_set = true;
-    result->span_set = std::move(walk.span_set);
-    return Status::OK();
-  }
-  // kView, or an answer that only exists as a list: only the survivors are
-  // written down, and sorted when the walk was not in oid order.
-  std::vector<Oid> survivors(walk.count);
-  size_t kept = 0;
-  walk.ForEachOid([&](Oid oid) {
-    if (kept == survivors.size()) survivors.resize(2 * kept + 1);
-    survivors[kept] = oid;
-    kept += keep(oid);
-  });
-  survivors.resize(kept);
-  if (!std::is_sorted(survivors.begin(), survivors.end())) {
-    std::sort(survivors.begin(), survivors.end());
-  }
-  if (delivery == Delivery::kView) {
-    obs::RecordMaterializedOids(survivors.size());
-  }
-  result->count = survivors.size();
-  result->scan_oids = std::move(survivors);
+  // kView narrows the walked answer in place: failing rows become
+  // exception bits.
+  if (!tests.empty()) walk.span_set.Retain(keep);
+  result->count = walk.span_set.count();
+  result->span_set = std::move(walk.span_set);
   return Status::OK();
 }
 
@@ -1329,7 +1263,7 @@ Result<QueryResult> AdaptiveStore::JoinEquals(const std::string& left_table,
                                               const std::string& left_column,
                                               const std::string& right_table,
                                               const std::string& right_column,
-                                              Delivery delivery, TxnId txn) {
+                                              TxnId txn) {
   // Joins crack base columns and fill store-wide caches without per-column
   // latches; they hold the store exclusively instead.
   std::unique_lock<std::shared_mutex> g(global_mu_);
@@ -1343,11 +1277,6 @@ Result<QueryResult> AdaptiveStore::JoinEquals(const std::string& left_table,
       JoinOidsInternal(left_table, left_column, right_table, right_column,
                        &result.io, txn));
   result.count = pairs.size();
-  if (delivery == Delivery::kMaterialize) {
-    // Materialize left ⨯ right columns of matching tuples as a 2-column view
-    // of the join keys (a full wide-row join is the engine layer's job).
-    (void)delivery;
-  }
   result.seconds = timer.ElapsedSeconds();
   AddIo(result.io);
   return result;

@@ -47,14 +47,12 @@ namespace crackstore {
 /// What a query delivers (paper §2.1, Fig. 1): counting is cheapest,
 /// view/stream delivery is middle, materializing a new table is dearest.
 enum class Delivery : uint8_t {
-  kCount = 0,        ///< only the qualifying-tuple count
-  kView = 1,         ///< oids of qualifying tuples (zero-copy when cracked)
+  kCount = 0,  ///< only the qualifying-tuple count
+  /// The qualifying rows as QueryResult::span_set (spans over the
+  /// accelerator, no copy): walk them with ForEachOid, or CollectOids() for
+  /// an ascending list.
+  kView = 1,
   kMaterialize = 2,  ///< a fresh Relation holding the qualifying rows
-  /// The qualifying rows in whatever shape the answer has — span set,
-  /// contiguous view or oid list, in no particular order — for one pass
-  /// through QueryResult::ForEachOid. No oid list is gathered or sorted
-  /// when the answer has spans (aggregate sinks).
-  kSpans = 3,
 };
 
 /// Store-wide options.
@@ -69,12 +67,12 @@ struct AdaptiveStoreOptions {
   /// Every store runs the same latched statement bodies (see README,
   /// "Concurrency model"); a serial store has one caller at a time, so its
   /// latches are never contended. The flag decides only what sharing the
-  /// store with other threads requires: answers leave as oid lists gathered
-  /// under the answer span's range lock, never as spans or views; lineage
-  /// is off; snapshot views are always active, so rows appended
-  /// mid-statement fall past the horizon; paths leave delta merges to the
-  /// store's maintenance step; conjunction legs fan out over the task pool;
-  /// and Configure refuses to change it.
+  /// store with other threads requires: crack answers are detached (their
+  /// rows resolved under the answer span's range lock) while sort and scan
+  /// answers leave as spans; lineage is off; snapshot views are always
+  /// active, so rows appended mid-statement fall past the horizon; paths
+  /// leave delta merges to the store's maintenance step; conjunction legs
+  /// fan out over the task pool; and Configure refuses to change it.
   bool concurrent = false;
 
   /// The per-column slice of these options.
@@ -140,20 +138,11 @@ struct DbOptions {
 /// Result of one query against the store.
 struct QueryResult {
   uint64_t count = 0;  ///< qualifying tuples
-  /// Contiguous (values, oids) views; valid for access paths that answer
-  /// with zero-copy pieces (crack/sort) with Delivery::kView or
-  /// kMaterialize.
-  bool has_selection = false;
-  CrackSelection selection;
-  /// Qualifying oids (ascending) for non-contiguous answers (scan strategy,
-  /// coarse-policy edge pieces) with Delivery::kView.
-  std::vector<Oid> scan_oids;
-  /// Zero-materialization answer shape: the qualifying rows as contiguous
-  /// spans over the access path's layout (plus exception/extra overlays for
-  /// snapshot-hidden and delta rows). Carried alongside the view when the
-  /// path produced one; CollectOids() prefers it and only then pays the
-  /// oid gather.
-  bool has_span_set = false;
+  /// The qualifying rows of a selection (empty for kCount): spans over the
+  /// access path's layout plus exception/extra overlays for snapshot-hidden
+  /// and delta rows, or a detached sorted list for a crack answer of a
+  /// concurrent store. A span answer must be consumed before the next crack
+  /// of its column (core/oid_span_set.h).
   OidSpanSet span_set;
   /// The oid assigned to the row of an Insert (concurrent writers learn
   /// their row's identity from it); kInvalidOid for every other statement.
@@ -163,25 +152,16 @@ struct QueryResult {
   double seconds = 0.0;  ///< wall-clock of this query
   IoStats io;            ///< deterministic cost of this query
 
-  /// The qualifying oids regardless of answer shape (copied out of the
-  /// contiguous view or the scan list). Sorted ascending. The rvalue
-  /// overload moves the scan list out instead of copying.
+  /// The qualifying oids, sorted ascending (OidSpanSet::ToOids). The rvalue
+  /// overload hands a detached list out without a copy.
   std::vector<Oid> CollectOids() const&;
   std::vector<Oid> CollectOids() &&;
 
-  /// Invokes fn(oid) for every qualifying row without building a list: the
-  /// span set when there is one, else the contiguous view, else the oid
-  /// list. Layout order, not oid order.
+  /// Invokes fn(oid) for every qualifying row without building a list.
+  /// Layout order, not oid order.
   template <typename Fn>
   void ForEachOid(Fn&& fn) const {
-    if (has_span_set) {
-      span_set.ForEachOid(fn);
-    } else if (has_selection) {
-      const Oid* oids = selection.oids.data<Oid>();
-      for (size_t i = 0; i < selection.count(); ++i) fn(oids[i]);
-    } else {
-      for (Oid oid : scan_oids) fn(oid);
-    }
+    span_set.ForEachOid(fn);
   }
 };
 
@@ -318,6 +298,14 @@ class AdaptiveStore {
     /// The snapshot-visible values of `column`.
     Result<const SnapshotColumn*> Column(const std::string& column);
 
+    /// Copies the rows named by `oids`, as the scope's snapshot reads them,
+    /// into a fresh Relation called `name` that keeps `columns` (empty =
+    /// every column, in schema order). An unknown column is NotFound. Both
+    /// the copy's reads and its writes are charged to `io`.
+    Result<std::shared_ptr<Relation>> Materialize(
+        const std::string& name, const std::vector<Oid>& oids,
+        const std::vector<std::string>& columns, IoStats* io);
+
    private:
     friend class AdaptiveStore;
     BaseReadScope() = default;
@@ -372,8 +360,8 @@ class AdaptiveStore {
   /// are tested per row, never cracked a second time. The answer with the
   /// smallest count is walked and every other conjunct is probed against
   /// each row's snapshot-visible value (clean scan legs first intersect as
-  /// intervals). Returns the qualifying count, the ascending oids for
-  /// kView, and the narrowed answer for kSpans.
+  /// intervals). Returns the qualifying count, and for kView the walked
+  /// answer narrowed to the survivors.
   Result<QueryResult> SelectConjunction(
       const std::string& table, const std::vector<ColumnRange>& conjuncts,
       Delivery delivery = Delivery::kCount, TxnId txn = kNoTxn);
@@ -454,7 +442,6 @@ class AdaptiveStore {
                                  const std::string& left_column,
                                  const std::string& right_table,
                                  const std::string& right_column,
-                                 Delivery delivery = Delivery::kCount,
                                  TxnId txn = kNoTxn);
 
   /// The oid pairs of the most natural join evaluation (cached ^ areas under
@@ -760,15 +747,10 @@ class AdaptiveStore {
   /// the column latch.
   void FinishSelect(AccessSelection sel, Delivery delivery,
                     QueryResult* result) const;
-  /// Delivery::kMaterialize: copies the answer's rows, as `snap` reads
-  /// them, into a fresh Relation. Caller holds global_mu_ shared and no
-  /// base latch.
-  Status MaterializeAnswer(const std::string& table, const std::string& column,
-                           const Snapshot& snap, QueryResult* result) const;
   /// The conjunction filter every conjunction ends in: walks `walk` (the
   /// smallest leg's answer) once and keeps the rows whose snapshot-visible
-  /// values satisfy every range in `probes`. kCount builds no list, kSpans
-  /// narrows a span answer in place, kView sorts only the survivors.
+  /// values satisfy every range in `probes`. kCount builds no list; kView
+  /// narrows the walked span set in place (OidSpanSet::Retain).
   Status ProbeConjunction(const std::string& table, const Snapshot& snap,
                           const std::vector<const ColumnRange*>& probes,
                           Delivery delivery, QueryResult walk,

@@ -81,20 +81,16 @@ Status GatherColumn(const Bat& src, const std::vector<uint32_t>& rows,
   return Status::Internal("unknown column type");
 }
 
-/// Source row indexes of an access-path answer, ascending.
-std::vector<uint32_t> MatchRows(const AccessSelection& sel, Oid base) {
+/// Source row indexes of an access-path answer, ascending. The gather
+/// writes one tuple per row.
+std::vector<uint32_t> MatchRows(const AccessSelection& sel, Oid base,
+                                IoStats* io) {
   std::vector<uint32_t> rows;
   rows.reserve(sel.count);
-  if (sel.contiguous) {
-    for (size_t i = 0; i < sel.view.oids.size(); ++i) {
-      rows.push_back(static_cast<uint32_t>(sel.view.oids.Get<Oid>(i) - base));
-    }
-    std::sort(rows.begin(), rows.end());
-  } else {
-    for (Oid oid : sel.oids) {
-      rows.push_back(static_cast<uint32_t>(oid - base));
-    }
+  for (Oid oid : sel.span_set.ToOids()) {
+    rows.push_back(static_cast<uint32_t>(oid - base));
   }
+  io->tuples_written += rows.size();
   return rows;
 }
 
@@ -119,15 +115,15 @@ Result<RunResult> ColumnEngine::RunSelect(const std::string& table,
   CRACK_ASSIGN_OR_RETURN(ColumnAccessPath * path, PathFor(table, column, bat));
   CRACK_ASSIGN_OR_RETURN(
       AccessSelection sel,
-      path->SelectTyped(range, /*want_oids=*/mode != DeliveryMode::kCount,
-                        &run.io));
+      path->SelectTyped(range, /*detach=*/false, &run.io));
   run.count = sel.count;
 
   switch (mode) {
     case DeliveryMode::kCount:
       break;
     case DeliveryMode::kPrint: {
-      std::vector<uint32_t> matches = MatchRows(sel, bat->head_base());
+      std::vector<uint32_t> matches =
+          MatchRows(sel, bat->head_base(), &run.io);
       FrontendSink sink;
       std::vector<Value> row(rel->num_columns());
       for (uint32_t r : matches) {
@@ -141,7 +137,8 @@ Result<RunResult> ColumnEngine::RunSelect(const std::string& table,
       break;
     }
     case DeliveryMode::kMaterialize: {
-      std::vector<uint32_t> matches = MatchRows(sel, bat->head_base());
+      std::vector<uint32_t> matches =
+          MatchRows(sel, bat->head_base(), &run.io);
       auto out = Relation::Create(result_name, rel->schema());
       if (!out.ok()) return out.status();
       for (size_t c = 0; c < rel->num_columns(); ++c) {
@@ -194,7 +191,7 @@ Result<std::vector<uint64_t>> ColumnEngine::RunSelectCountBatch(
       for (size_t i : *group) {
         Leg& leg = legs[i];
         auto sel = leg.path->SelectTyped(leg.spec->range,
-                                         /*want_oids=*/false, nullptr);
+                                         /*detach=*/false, nullptr);
         if (!sel.ok()) {
           leg.status = sel.status();
           continue;

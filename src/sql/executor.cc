@@ -33,43 +33,6 @@ Result<AggKind> ToAggKind(AggFunc func) {
   return Status::InvalidArgument("not an aggregate");
 }
 
-/// Materializes the rows named by `oids` (source positions) from `rel`,
-/// keeping only `columns` (empty = all, in schema order). Snapshot-correct:
-/// every cell is read through the store's base-read scope, which serves the
-/// value `txn`'s snapshot reads.
-Result<std::shared_ptr<Relation>> MaterializeRows(
-    AdaptiveStore* store, const std::shared_ptr<Relation>& rel,
-    const std::vector<Oid>& oids, const std::vector<std::string>& columns,
-    TxnId txn, IoStats* io) {
-  std::vector<ColumnDef> defs;
-  if (columns.empty()) {
-    defs = rel->schema().columns();
-  } else {
-    for (const std::string& name : columns) {
-      int idx = rel->schema().FieldIndex(name);
-      if (idx < 0) {
-        return Status::NotFound("no column '" + name + "' in " + rel->name());
-      }
-      defs.push_back(rel->schema().column(static_cast<size_t>(idx)));
-    }
-  }
-  CRACK_ASSIGN_OR_RETURN(std::shared_ptr<Relation> out,
-                         Relation::Create(rel->name() + "_result",
-                                          Schema(defs)));
-  CRACK_ASSIGN_OR_RETURN(std::unique_ptr<AdaptiveStore::BaseReadScope> base,
-                         store->ReadBase(rel->name(), txn));
-  for (size_t c = 0; c < defs.size(); ++c) {
-    CRACK_ASSIGN_OR_RETURN(const SnapshotColumn* src,
-                           base->Column(defs[c].name));
-    Bat* dst = out->column(c).get();
-    dst->Reserve(oids.size());
-    for (Oid oid : oids) CRACK_RETURN_NOT_OK(src->AppendTo(oid, dst));
-  }
-  io->tuples_read += oids.size() * defs.size();
-  io->tuples_written += oids.size() * defs.size();
-  return out;
-}
-
 /// The kind shared by every bounded endpoint of a range: kNone when it is
 /// unbounded, kMixed when its endpoints differ or are not comparable.
 enum class EndKind : uint8_t { kNone, kInt, kDouble, kString, kMixed };
@@ -178,12 +141,12 @@ Result<int64_t> AggregateSink(
   }
   if (!pushed) {
     QueryResult answer;
+    std::vector<Oid> live;
     if (where.empty()) {
-      CRACK_ASSIGN_OR_RETURN(answer.scan_oids, store->LiveOids(table, txn));
+      CRACK_ASSIGN_OR_RETURN(live, store->LiveOids(table, txn));
     } else {
       CRACK_ASSIGN_OR_RETURN(
-          answer,
-          store->SelectConjunction(table, where, Delivery::kSpans, txn));
+          answer, store->SelectConjunction(table, where, Delivery::kView, txn));
       *io += answer.io;
     }
     obs::TraceSpan gather_span("gather", table + "." + column, io);
@@ -191,14 +154,16 @@ Result<int64_t> AggregateSink(
                            store->ReadBase(table, txn));
     CRACK_ASSIGN_OR_RETURN(const SnapshotColumn* values, base->Column(column));
     uint64_t sum = 0;  // wraps mod 2^64, like the pushdown kernels
-    answer.ForEachOid([&](Oid oid) {
+    auto fold = [&](Oid oid) {
       int64_t v = values->IntAt(oid);
       sum += static_cast<uint64_t>(v);
       if (!agg.has_minmax || v < agg.min) agg.min = v;
       if (!agg.has_minmax || v > agg.max) agg.max = v;
       agg.has_minmax = true;
       ++agg.rows;
-    });
+    };
+    answer.ForEachOid(fold);
+    for (Oid oid : live) fold(oid);
     agg.sum = static_cast<int64_t>(sum);
     io->tuples_read += agg.rows;
   }
@@ -287,7 +252,7 @@ Result<QueryOutput> Execute(AdaptiveStore* store, const SelectStatement& stmt,
     plan_span.Close();
     CRACK_ASSIGN_OR_RETURN(
         QueryResult qr,
-        store->JoinEquals(lt, lc, rt, rc, Delivery::kCount, txn));
+        store->JoinEquals(lt, lc, rt, rc, txn));
     out.kind = OutputKind::kCount;
     out.count = qr.count;
     out.io += qr.io;
@@ -364,8 +329,11 @@ Result<QueryOutput> Execute(AdaptiveStore* store, const SelectStatement& stmt,
   }
   {
     obs::TraceSpan mat_span("materialize", stmt.table, &out.io);
+    CRACK_ASSIGN_OR_RETURN(std::unique_ptr<AdaptiveStore::BaseReadScope> base,
+                           store->ReadBase(stmt.table, txn));
     CRACK_ASSIGN_OR_RETURN(
-        out.rows, MaterializeRows(store, rel, oids, projection, txn, &out.io));
+        out.rows,
+        base->Materialize(stmt.table + "_result", oids, projection, &out.io));
   }
   out.kind = OutputKind::kRows;
   out.count = out.rows->num_rows();

@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <set>
 #include <vector>
 
@@ -39,18 +38,6 @@ std::vector<Oid> ReferenceOids(const std::shared_ptr<Bat>& bat,
       oids.push_back(bat->head_base() + i);
     }
   }
-  return oids;
-}
-
-/// The oids of an AccessSelection, sorted ascending.
-std::vector<Oid> SelectionOids(const AccessSelection& sel) {
-  if (!sel.contiguous) return sel.oids;
-  std::vector<Oid> oids;
-  oids.reserve(sel.count);
-  for (size_t i = 0; i < sel.view.oids.size(); ++i) {
-    oids.push_back(sel.view.oids.Get<Oid>(i));
-  }
-  std::sort(oids.begin(), oids.end());
   return oids;
 }
 
@@ -89,11 +76,11 @@ void RunParity(uint64_t seed) {
       RangeBounds range{lo, rng.NextBounded(2) == 0, hi,
                         rng.NextBounded(2) == 0};
       IoStats io;
-      AccessSelection sel = (*path)->Select(range, /*want_oids=*/true, &io);
+      AccessSelection sel = (*path)->Select(range, /*detach=*/false, &io);
       std::vector<Oid> expected = ReferenceOids<T>(bat, range);
       ASSERT_EQ(sel.count, expected.size())
           << ConfigName(config) << " query " << q;
-      ASSERT_EQ(SelectionOids(sel), expected)
+      ASSERT_EQ(sel.span_set.ToOids(), expected)
           << ConfigName(config) << " query " << q;
     }
   }
@@ -117,7 +104,7 @@ TEST(AccessPathTest, ParityOnOneSidedAndEmptyRanges) {
           RangeBounds::GreaterThan(1900), RangeBounds::Equal(1234),
           RangeBounds::Closed(500, 400), RangeBounds::Open(10, 11)}) {
       IoStats io;
-      AccessSelection sel = (*path)->Select(range, /*want_oids=*/true, &io);
+      AccessSelection sel = (*path)->Select(range, /*detach=*/false, &io);
       EXPECT_EQ(sel.count, ReferenceOids<int64_t>(bat, range).size())
           << ConfigName(config);
     }
@@ -134,19 +121,19 @@ TEST(AccessPathTest, OutOfDomainBoundsOnNarrowColumns) {
     auto path = CreateColumnAccessPath(bat, config);
     ASSERT_TRUE(path.ok());
     IoStats io;
-    EXPECT_EQ((*path)->Select(RangeBounds::AtLeast(3000000000LL), true, &io)
+    EXPECT_EQ((*path)->Select(RangeBounds::AtLeast(3000000000LL), false, &io)
                   .count,
               0u)
         << ConfigName(config);
-    EXPECT_EQ((*path)->Select(RangeBounds::AtMost(-3000000000LL), true, &io)
+    EXPECT_EQ((*path)->Select(RangeBounds::AtMost(-3000000000LL), false, &io)
                   .count,
               0u)
         << ConfigName(config);
-    EXPECT_EQ((*path)->Select(RangeBounds::All(), true, &io).count, 5u)
+    EXPECT_EQ((*path)->Select(RangeBounds::All(), false, &io).count, 5u)
         << ConfigName(config);
     EXPECT_EQ((*path)
                   ->Select(RangeBounds::Closed(-4000000000LL, 4000000000LL),
-                           true, &io)
+                           false, &io)
                   .count,
               5u)
         << ConfigName(config);
@@ -199,7 +186,7 @@ TEST(AccessPathTest, ApplyPolicyInjectsPivot) {
   EXPECT_EQ(pieces[0].end, 499u);  // values 1..499
   // Queries over the injected partitioning stay correct.
   AccessSelection sel = (*path)->Select(RangeBounds::Closed(450, 550),
-                                        /*want_oids=*/true, &io);
+                                        /*detach=*/false, &io);
   EXPECT_EQ(sel.count, 101u);
 }
 

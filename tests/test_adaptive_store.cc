@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 
@@ -78,13 +79,15 @@ TEST(AdaptiveStoreTest, ViewDeliveryReturnsAlignedOids) {
   auto result = store.SelectRange("R", "c0", RangeBounds::Closed(1, 50),
                                   Delivery::kView);
   ASSERT_TRUE(result.ok());
-  ASSERT_TRUE(result->has_selection);
   auto rel = *store.table("R");
   auto c0 = *rel->column("c0");
-  for (size_t i = 0; i < result->selection.count(); ++i) {
-    Oid oid = result->selection.oids.Get<Oid>(i);
-    EXPECT_EQ(c0->Get<int64_t>(static_cast<size_t>(oid)),
-              result->selection.values.Get<int64_t>(i));
+  std::vector<Oid> oids = result->CollectOids();
+  ASSERT_EQ(oids.size(), 50u);
+  EXPECT_TRUE(std::is_sorted(oids.begin(), oids.end()));
+  for (Oid oid : oids) {
+    int64_t v = c0->Get<int64_t>(static_cast<size_t>(oid));
+    EXPECT_GE(v, 1);
+    EXPECT_LE(v, 50);
   }
 }
 
@@ -94,8 +97,13 @@ TEST(AdaptiveStoreTest, ScanStrategyViewDeliversOidList) {
   auto result = store.SelectRange("R", "c0", RangeBounds::Closed(1, 10),
                                   Delivery::kView);
   ASSERT_TRUE(result.ok());
-  EXPECT_FALSE(result->has_selection);
-  EXPECT_EQ(result->scan_oids.size(), 10u);
+  EXPECT_TRUE(result->span_set.identity());
+  std::vector<Oid> oids = result->CollectOids();
+  ASSERT_EQ(oids.size(), 10u);
+  auto c0 = *(*store.table("R"))->column("c0");
+  for (Oid oid : oids) {
+    EXPECT_LE(c0->Get<int64_t>(static_cast<size_t>(oid)), 10);
+  }
 }
 
 TEST(AdaptiveStoreTest, MaterializeBuildsCorrectRelation) {

@@ -110,13 +110,13 @@ TEST(ConjunctionTest, ViewDeliveryReturnsSortedOids) {
       {{"c0", RangeBounds::Closed(1, 500)}, {"c1", RangeBounds::Closed(1, 500)}},
       Delivery::kView);
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->scan_oids.size(), result->count);
-  EXPECT_TRUE(std::is_sorted(result->scan_oids.begin(),
-                             result->scan_oids.end()));
+  std::vector<Oid> oids = result->CollectOids();
+  EXPECT_EQ(oids.size(), result->count);
+  EXPECT_TRUE(std::is_sorted(oids.begin(), oids.end()));
   // Every returned oid satisfies both predicates.
   auto c0 = *rel->column("c0");
   auto c1 = *rel->column("c1");
-  for (Oid oid : result->scan_oids) {
+  for (Oid oid : oids) {
     EXPECT_LE(c0->Get<int64_t>(static_cast<size_t>(oid)), 500);
     EXPECT_LE(c1->Get<int64_t>(static_cast<size_t>(oid)), 500);
   }

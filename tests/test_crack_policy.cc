@@ -61,7 +61,7 @@ uint64_t SequentialWorkloadCost(CrackPolicy policy, size_t n, size_t queries,
     int64_t lo = static_cast<int64_t>(q) * step + 1;
     IoStats io;
     AccessSelection sel = (*path)->Select(
-        RangeBounds::HalfOpen(lo, lo + step), /*want_oids=*/false, &io);
+        RangeBounds::HalfOpen(lo, lo + step), /*detach=*/false, &io);
     EXPECT_EQ(sel.count, static_cast<uint64_t>(step));
     total += io.tuples_read;
     if (per_query != nullptr) per_query->push_back(io.tuples_read);
@@ -159,7 +159,7 @@ TEST(CrackPolicyTest, CoarseCapsPieceTable) {
       int64_t lo = rng.NextInRange(1, static_cast<int64_t>(n) - 200);
       IoStats io;
       AccessSelection sel = (*path)->Select(RangeBounds::Closed(lo, lo + 99),
-                                            /*want_oids=*/false, &io);
+                                            /*detach=*/false, &io);
       EXPECT_EQ(sel.count, 100u);
     }
     return (*path)->NumPieces();
@@ -217,7 +217,7 @@ TEST(CrackPolicyTest, PoliciesAgreeThroughConjunctionsAndSql) {
       first = false;
     }
     EXPECT_EQ(result->count, expected) << CrackPolicyName(policy);
-    EXPECT_EQ(result->scan_oids.size(), expected);
+    EXPECT_EQ(result->CollectOids().size(), expected);
   }
 }
 

@@ -262,10 +262,15 @@ TEST_F(ObservabilitySqlTest, ExplainAnalyzeSeesSnapshotFiltering) {
   auto out = *sql::ExecuteSql(
       &store_, "EXPLAIN ANALYZE SELECT COUNT(*) FROM R WHERE c0 < 1000");
   EXPECT_EQ(out.count, 500u);
-  // The 500 deleted rows are hidden by snapshot visibility; the trace must
-  // report a non-zero filtered count.
   EXPECT_NE(out.message.find("rows filtered="), std::string::npos);
-  EXPECT_EQ(out.message.find("rows filtered=0,"), std::string::npos);
+  if (obs::kMetricsEnabled) {
+    // The 500 deleted rows are hidden by snapshot visibility; the trace
+    // must report a non-zero filtered count.
+    EXPECT_EQ(out.message.find("rows filtered=0,"), std::string::npos);
+  } else {
+    // Compiled-out trace counters render as zero.
+    EXPECT_NE(out.message.find("rows filtered=0,"), std::string::npos);
+  }
 }
 
 TEST_F(ObservabilitySqlTest, ExplainAnalyzeOfDmlAndVacuum) {
@@ -284,13 +289,20 @@ TEST_F(ObservabilitySqlTest, ShowStatsRendersRegistry) {
   auto out = *sql::ExecuteSql(&store_, "SHOW STATS");
   EXPECT_EQ(out.kind, sql::OutputKind::kTxn);
   EXPECT_NE(out.message.find("instrument"), std::string::npos);
-  EXPECT_NE(out.message.find("crack.cracks"), std::string::npos);
-  EXPECT_GT(out.count, 0u);
 
   auto filtered = *sql::ExecuteSql(&store_, "SHOW STATS LIKE 'crack%'");
-  EXPECT_NE(filtered.message.find("crack.cracks"), std::string::npos);
   EXPECT_EQ(filtered.message.find("latch."), std::string::npos);
-  EXPECT_LT(filtered.count, out.count);
+  if (obs::kMetricsEnabled) {
+    EXPECT_NE(out.message.find("crack.cracks"), std::string::npos);
+    EXPECT_GT(out.count, 0u);
+    EXPECT_NE(filtered.message.find("crack.cracks"), std::string::npos);
+    EXPECT_LT(filtered.count, out.count);
+  } else {
+    // Compiled-out hooks register no instrument: nothing matches 'crack%'.
+    EXPECT_EQ(out.message.find("crack.cracks"), std::string::npos);
+    EXPECT_EQ(filtered.message, "no instruments match 'crack%'\n");
+    EXPECT_EQ(filtered.count, 0u);
+  }
 
   // SHOW STATS and the shared renderer show the same registry.
   EXPECT_EQ(filtered.message, sql::RenderStats("crack%"));

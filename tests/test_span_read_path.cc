@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <map>
 #include <memory>
@@ -19,7 +20,6 @@
 
 #include "core/access_path.h"
 #include "core/adaptive_store.h"
-#include "core/oid_set_ops.h"
 #include "core/oid_span_set.h"
 #include "core/simd_dispatch.h"
 #include "storage/bat.h"
@@ -100,6 +100,65 @@ TEST(OidSpanSetTest, IdentityIntersections) {
   b.AddSpan(40, 90);
   OidSpanSet both = IntersectIdentitySpanSets(a, b);
   EXPECT_EQ(both.count(), 10u + 10u);  // [40,50) + [80,90)
+}
+
+// Coarse and progressive answers whose bounds land inside uncracked pieces
+// are their conservative span with every value miss marked as an exception;
+// deltas then add exception bits (tombstones) and extras (pending inserts).
+TEST(AccessPathSpanTest, FuzzyAnswerIsOneSpanWithValueMissExceptions) {
+  const size_t n = 20000;
+  std::vector<int64_t> values(n);
+  for (size_t i = 0; i < n; ++i) values[i] = static_cast<int64_t>(i + 1);
+  Pcg32 rng(TestSeed(77));
+  Shuffle(&values, &rng);
+  for (CrackPolicy policy : {CrackPolicy::kCoarse, CrackPolicy::kProgressive}) {
+    SCOPED_TRACE(CrackPolicyName(policy));
+    auto bat = Bat::FromVector(values, "c");
+    AccessPathConfig config;
+    config.strategy = AccessStrategy::kCrack;
+    config.policy.policy = policy;
+    config.policy.min_piece_size = 2 * n;     // coarse: never cracks
+    config.policy.progressive_budget = 0.01;  // progressive: stays open
+    config.delta_merge.policy = DeltaMergePolicy::kThreshold;
+    config.delta_merge.threshold_fraction = 0.5;  // deltas stay pending
+    AccessPathConfig scan_config = config;
+    scan_config.strategy = AccessStrategy::kScan;
+    auto path = CreateColumnAccessPath(bat, config);
+    auto scan = CreateColumnAccessPath(bat, scan_config);
+    ASSERT_TRUE(path.ok() && scan.ok());
+    const RangeBounds range = RangeBounds::Closed(5000, 5999);
+    auto expect_fuzzy = [&](uint64_t extras) {
+      AccessSelection sel = (*path)->Select(range, false, nullptr);
+      AccessSelection ref = (*scan)->Select(range, false, nullptr);
+      EXPECT_EQ(sel.count, ref.count);
+      EXPECT_EQ(sel.span_set.num_spans(), 1u);
+      EXPECT_GT(sel.span_set.exceptions(), 0u);
+      EXPECT_EQ(sel.span_set.extras(), extras);
+      EXPECT_EQ(sel.span_set.ToOids(), ref.span_set.ToOids());
+      return sel;
+    };
+    expect_fuzzy(0);
+
+    const Oid victim = static_cast<Oid>(
+        std::find(values.begin(), values.end(), 5500) - values.begin());
+    ASSERT_TRUE((*path)->Delete(victim).ok());
+    ASSERT_TRUE((*scan)->Delete(victim).ok());
+    const Oid inserted = n;
+    bat->Append<int64_t>(5501);
+    ASSERT_TRUE((*path)->Insert(Value(int64_t{5501}), inserted).ok());
+    ASSERT_TRUE((*scan)->Insert(Value(int64_t{5501}), inserted).ok());
+    ASSERT_EQ((*path)->pending_inserts(), 1u);
+    AccessSelection sel = expect_fuzzy(1);
+    EXPECT_EQ(sel.span_set.extra_oids(), std::vector<Oid>{inserted});
+    ASSERT_EQ(sel.span_set.num_spans(), 1u);
+    const OidSpan span = sel.span_set.spans()[0];
+    const Oid* map = sel.span_set.oid_map()->TailData<Oid>();
+    const size_t pos = static_cast<size_t>(
+        std::find(map + span.begin, map + span.end, victim) -
+        (map + span.begin));
+    ASSERT_LT(pos, span.size());
+    EXPECT_TRUE(sel.span_set.IsException(pos));
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -242,18 +301,20 @@ TEST_P(SpanReadPathTest, RandomizedParityWithOracle) {
   for (int op = 0; op < 100; ++op) {
     uint32_t dice = rng.NextBounded(100);
     if (dice < 40) {
-      // Selection parity: count, CollectOids, and (when present) the span
-      // set must all agree with the oracle.
+      // Selection parity: count, the span set and CollectOids must all
+      // agree with the oracle, in every cell of the matrix.
       RangeBounds range = random_range();
       auto qr = store.SelectRange("R", "c0", range, Delivery::kView);
       ASSERT_TRUE(qr.ok()) << "op " << op;
       std::vector<Oid> expect = oracle_oids(range);
       ASSERT_EQ(qr->count, expect.size()) << "op " << op;
+      EXPECT_EQ(qr->span_set.count(), qr->count) << "op " << op;
+      EXPECT_EQ(qr->span_set.ToOids(), expect) << "op " << op;
       EXPECT_EQ(qr->CollectOids(), expect) << "op " << op;
-      if (qr->has_span_set) {
-        EXPECT_EQ(qr->span_set.count(), qr->count) << "op " << op;
-        EXPECT_EQ(qr->span_set.ToOids(), expect) << "op " << op;
-      }
+      // A shared store's crack answers leave detached from the column.
+      EXPECT_EQ(qr->span_set.detached(),
+                concurrent && strategy == AccessStrategy::kCrack)
+          << "op " << op;
     } else if (dice < 65) {
       // Aggregate pushdown parity (bit-identical to the oracle loop). Only
       // progressive cracks may refuse (their budget forbids exact cuts) —
@@ -282,12 +343,16 @@ TEST_P(SpanReadPathTest, RandomizedParityWithOracle) {
       auto qr = store.SelectConjunction("R", {{"c0", r0}, {"c1", r1}},
                                         Delivery::kView);
       ASSERT_TRUE(qr.ok()) << "op " << op;
-      uint64_t expect = 0;
-      for (const SpanRow& row : rows) {
-        if (row.live && r0.Contains(row.c0) && r1.Contains(row.c1)) ++expect;
+      std::vector<Oid> expect;
+      for (size_t i = 0; i < rows.size(); ++i) {
+        if (rows[i].live && r0.Contains(rows[i].c0) &&
+            r1.Contains(rows[i].c1)) {
+          expect.push_back(static_cast<Oid>(i));
+        }
       }
-      ASSERT_EQ(qr->count, expect) << "op " << op;
-      EXPECT_EQ(qr->CollectOids().size(), qr->count) << "op " << op;
+      ASSERT_EQ(qr->count, expect.size()) << "op " << op;
+      EXPECT_EQ(qr->span_set.count(), qr->count) << "op " << op;
+      EXPECT_EQ(qr->CollectOids(), expect) << "op " << op;
     } else if (dice < 88) {
       SpanRow row{rng.NextInRange(1, domain), rng.NextInRange(1, domain)};
       auto qr = store.Insert("R", {Value(row.c0), Value(row.c1)});

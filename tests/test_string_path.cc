@@ -198,17 +198,6 @@ std::string ConfigName(const AccessPathConfig& config) {
          DeltaMergePolicyName(config.delta_merge.policy);
 }
 
-std::vector<Oid> SelectionOids(const AccessSelection& sel) {
-  if (!sel.contiguous) return sel.oids;
-  std::vector<Oid> oids;
-  oids.reserve(sel.count);
-  for (size_t i = 0; i < sel.view.oids.size(); ++i) {
-    oids.push_back(sel.view.oids.Get<Oid>(i));
-  }
-  std::sort(oids.begin(), oids.end());
-  return oids;
-}
-
 /// A random word; short alphabet + length so that draws collide with the
 /// column often (seen strings) while fresh draws land anywhere in the sort
 /// order (unseen, out-of-order).
@@ -254,11 +243,11 @@ void RunStringSession(const AccessPathConfig& config, uint64_t seed) {
 
   auto check_select = [&](int op, const TypedRange& range) {
     IoStats io;
-    auto sel = path->SelectTyped(range, /*want_oids=*/true, &io);
+    auto sel = path->SelectTyped(range, /*detach=*/false, &io);
     ASSERT_TRUE(sel.ok()) << "op " << op << ": " << sel.status().ToString();
     std::vector<Oid> expected = ModelOids(model, range);
     ASSERT_EQ(sel->count, expected.size()) << "op " << op;
-    ASSERT_EQ(SelectionOids(*sel), expected) << "op " << op;
+    ASSERT_EQ(sel->span_set.ToOids(), expected) << "op " << op;
   };
 
   auto random_range = [&]() {
@@ -338,7 +327,7 @@ TEST(StringPathTest, DeepMidpointInsertsSurviveDictionaryRebuild) {
     ASSERT_TRUE(path.ok());
     IoStats io;
     // Materialize the accelerator so inserts hit live delta structures.
-    auto all = (*path)->SelectTyped(TypedRange::All(), true, &io);
+    auto all = (*path)->SelectTyped(TypedRange::All(), false, &io);
     ASSERT_TRUE(all.ok());
     ASSERT_EQ((*all).count, 3u);
 
@@ -352,15 +341,14 @@ TEST(StringPathTest, DeepMidpointInsertsSurviveDictionaryRebuild) {
     }
     // Everything below "b" is exactly the 40 midpoint strings.
     auto below = (*path)->SelectTyped(
-        TypedRange::LessThan(Value(std::string("b"))), true, &io);
+        TypedRange::LessThan(Value(std::string("b"))), false, &io);
     ASSERT_TRUE(below.ok());
     EXPECT_EQ((*below).count, 40u);
-    EXPECT_EQ(SelectionOids(*below), ModelOids(model, TypedRange::LessThan(
-                                                          Value(std::string(
-                                                              "b")))));
+    EXPECT_EQ(below->span_set.ToOids(),
+              ModelOids(model, TypedRange::LessThan(Value(std::string("b")))));
     // And a mid-chain equality still resolves post-remap.
     auto probe = (*path)->SelectTyped(
-        TypedRange::Equal(Value(std::string("abbbb"))), true, &io);
+        TypedRange::Equal(Value(std::string("abbbb"))), false, &io);
     ASSERT_TRUE(probe.ok());
     EXPECT_EQ((*probe).count, 1u);
     // The rebuild actually happened (visible in the explain report).
@@ -381,10 +369,10 @@ TEST(StringPathTest, DeleteValidationMatchesNumericPaths) {
     ASSERT_TRUE((*path)->Delete(1).ok());
     EXPECT_TRUE((*path)->Delete(1).IsAlreadyExists());
     IoStats io;
-    auto sel = (*path)->SelectTyped(TypedRange::All(), true, &io);
+    auto sel = (*path)->SelectTyped(TypedRange::All(), false, &io);
     ASSERT_TRUE(sel.ok());
     EXPECT_EQ(sel->count, 2u);
-    EXPECT_EQ(SelectionOids(*sel), (std::vector<Oid>{0, 2}));
+    EXPECT_EQ(sel->span_set.ToOids(), (std::vector<Oid>{0, 2}));
     EXPECT_TRUE((*path)->Delete(99).IsNotFound());  // post-encode too
     EXPECT_TRUE((*path)->Delete(1).IsAlreadyExists());
   }
@@ -397,14 +385,14 @@ TEST(StringPathTest, MistypedPredicatesAndValuesAreRejected) {
   ASSERT_TRUE(path.ok());
   IoStats io;
   // Numeric bounds on a string column.
-  auto sel = (*path)->SelectTyped(RangeBounds::Closed(1, 5), true, &io);
+  auto sel = (*path)->SelectTyped(RangeBounds::Closed(1, 5), false, &io);
   EXPECT_TRUE(sel.status().IsTypeMismatch());
   // String bounds on a numeric column.
   auto nbat = Bat::FromVector(std::vector<int64_t>{1, 2, 3}, "n");
   auto npath = CreateColumnAccessPath(nbat, config);
   ASSERT_TRUE(npath.ok());
   auto nsel = (*npath)->SelectTyped(
-      TypedRange::Equal(Value(std::string("x"))), true, &io);
+      TypedRange::Equal(Value(std::string("x"))), false, &io);
   EXPECT_TRUE(nsel.status().IsTypeMismatch());
   // Numeric DML value on a string column (post-build so it is not absorbed
   // by the lazy no-op).

@@ -12,7 +12,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdlib>
 #include <map>
 #include <set>
@@ -22,7 +21,6 @@
 #include "core/access_path.h"
 #include "core/adaptive_store.h"
 #include "core/oid_bit_table.h"
-#include "core/oid_set_ops.h"
 #include "core/simd_dispatch.h"
 #include "core/updatable_cracker_index.h"
 #include "storage/bat.h"
@@ -75,18 +73,6 @@ std::string ConfigName(const AccessPathConfig& config) {
          DeltaMergePolicyName(config.delta_merge.policy);
 }
 
-/// The oids of an AccessSelection, sorted ascending.
-std::vector<Oid> SelectionOids(const AccessSelection& sel) {
-  if (!sel.contiguous) return sel.oids;
-  std::vector<Oid> oids;
-  oids.reserve(sel.count);
-  for (size_t i = 0; i < sel.view.oids.size(); ++i) {
-    oids.push_back(sel.view.oids.Get<Oid>(i));
-  }
-  std::sort(oids.begin(), oids.end());
-  return oids;
-}
-
 /// Oracle: the live rows as oid -> value.
 using Model = std::map<Oid, int64_t>;
 
@@ -125,11 +111,11 @@ void RunMixedSession(const AccessPathConfig& config, uint64_t seed) {
     RangeBounds range{lo, rng.NextBounded(2) == 0, hi,
                       rng.NextBounded(2) == 0};
     IoStats io;
-    AccessSelection sel = path->Select(range, /*want_oids=*/true, &io);
+    AccessSelection sel = path->Select(range, /*detach=*/false, &io);
     std::vector<Oid> expected = ModelOids(model, range);
     ASSERT_EQ(sel.count, expected.size())
         << ConfigName(config) << " op " << op;
-    ASSERT_EQ(SelectionOids(sel), expected)
+    ASSERT_EQ(sel.span_set.ToOids(), expected)
         << ConfigName(config) << " op " << op;
   };
 
@@ -255,7 +241,7 @@ TEST(TombstoneTableTest, PathsAgreeWithAReferenceSet) {
         int64_t lo = rng.NextInRange(1, domain);
         RangeBounds range =
             RangeBounds::Closed(lo, lo + rng.NextInRange(0, 300));
-        AccessSelection sel = path->Select(range, /*want_oids=*/false, nullptr);
+        AccessSelection sel = path->Select(range, /*detach=*/false, nullptr);
         ASSERT_EQ(sel.count, ModelOids(model, range).size());
         built = true;
       } else if (dice < 45) {
@@ -437,9 +423,9 @@ TEST(UpdatePathTest, DeleteBeforeFirstSelectIsHonored) {
     EXPECT_GE((*path)->pending_deletes(), 1u) << ConfigName(config);
     IoStats io;
     AccessSelection sel =
-        (*path)->Select(RangeBounds::Closed(15, 45), true, &io);
+        (*path)->Select(RangeBounds::Closed(15, 45), false, &io);
     EXPECT_EQ(sel.count, 2u) << ConfigName(config);
-    EXPECT_EQ(SelectionOids(sel), (std::vector<Oid>{2, 3}))
+    EXPECT_EQ(sel.span_set.ToOids(), (std::vector<Oid>{2, 3}))
         << ConfigName(config);
   }
 }
@@ -456,7 +442,7 @@ TEST(UpdatePathTest, DeleteOfPendingInsertStaysDeadAcrossStrategies) {
     auto path = CreateColumnAccessPath(bat, config);
     ASSERT_TRUE(path.ok());
     IoStats io;
-    (void)(*path)->Select(RangeBounds::All(), true, &io);  // build
+    (void)(*path)->Select(RangeBounds::All(), false, &io);  // build
     bat->Append<int64_t>(40);
     ASSERT_TRUE((*path)->Insert(Value(int64_t{40}), 3).ok())
         << ConfigName(config);
@@ -467,9 +453,9 @@ TEST(UpdatePathTest, DeleteOfPendingInsertStaysDeadAcrossStrategies) {
       EXPECT_FALSE((*path)->Update(3, Value(int64_t{50})).ok())
           << ConfigName(config);
     }
-    AccessSelection sel = (*path)->Select(RangeBounds::All(), true, &io);
+    AccessSelection sel = (*path)->Select(RangeBounds::All(), false, &io);
     EXPECT_EQ(sel.count, 3u) << ConfigName(config);
-    EXPECT_EQ(SelectionOids(sel), (std::vector<Oid>{0, 1, 2}))
+    EXPECT_EQ(sel.span_set.ToOids(), (std::vector<Oid>{0, 1, 2}))
         << ConfigName(config);
   }
 }
@@ -488,15 +474,15 @@ TEST(UpdatePathTest, DeleteValidationIsUniformAcrossStrategies) {
     EXPECT_TRUE((*path)->Delete(1).IsAlreadyExists()) << ConfigName(config);
     EXPECT_TRUE((*path)->Delete(99).IsNotFound()) << ConfigName(config);
     IoStats io;
-    AccessSelection sel = (*path)->Select(RangeBounds::All(), true, &io);
+    AccessSelection sel = (*path)->Select(RangeBounds::All(), false, &io);
     EXPECT_EQ(sel.count, 2u) << ConfigName(config);
-    EXPECT_EQ(SelectionOids(sel), (std::vector<Oid>{0, 2}))
+    EXPECT_EQ(sel.span_set.ToOids(), (std::vector<Oid>{0, 2}))
         << ConfigName(config);
     // Post-build.
     EXPECT_TRUE((*path)->Delete(1).IsAlreadyExists()) << ConfigName(config);
     EXPECT_TRUE((*path)->Delete(99).IsNotFound()) << ConfigName(config);
     ASSERT_TRUE((*path)->Delete(0).ok()) << ConfigName(config);
-    sel = (*path)->Select(RangeBounds::All(), true, &io);
+    sel = (*path)->Select(RangeBounds::All(), false, &io);
     EXPECT_EQ(sel.count, 1u) << ConfigName(config);
   }
 }
@@ -510,16 +496,16 @@ TEST(UpdatePathTest, UpdateKeepsOidStable) {
     IoStats io;
     // Materialize the accelerator, then move oid 1 to the other end of the
     // value domain.
-    (void)(*path)->Select(RangeBounds::All(), true, &io);
+    (void)(*path)->Select(RangeBounds::All(), false, &io);
     ASSERT_TRUE(bat->SetNumeric(1, 999).ok());
     ASSERT_TRUE((*path)->Update(1, Value(int64_t{999})).ok()) << ConfigName(config);
     AccessSelection gone =
-        (*path)->Select(RangeBounds::Closed(15, 25), true, &io);
+        (*path)->Select(RangeBounds::Closed(15, 25), false, &io);
     EXPECT_EQ(gone.count, 0u) << ConfigName(config);
     AccessSelection moved =
-        (*path)->Select(RangeBounds::AtLeast(900), true, &io);
+        (*path)->Select(RangeBounds::AtLeast(900), false, &io);
     EXPECT_EQ(moved.count, 1u) << ConfigName(config);
-    EXPECT_EQ(SelectionOids(moved), (std::vector<Oid>{1}))
+    EXPECT_EQ(moved.span_set.ToOids(), (std::vector<Oid>{1}))
         << ConfigName(config);
   }
 }
@@ -532,7 +518,7 @@ TEST(UpdatePathTest, ImmediatePolicyLeavesNoPendingAfterWrites) {
   auto path = CreateColumnAccessPath(bat, config);
   ASSERT_TRUE(path.ok());
   IoStats io;
-  (void)(*path)->Select(RangeBounds::AtMost(5), true, &io);  // build
+  (void)(*path)->Select(RangeBounds::AtMost(5), false, &io);  // build
   bat->Append<int64_t>(7);
   ASSERT_TRUE((*path)->Insert(Value(int64_t{7}), 5).ok());
   EXPECT_EQ((*path)->pending_inserts(), 0u);
@@ -550,16 +536,19 @@ TEST(UpdatePathTest, RipplePolicyDefersMergeToSelect) {
   auto path = CreateColumnAccessPath(bat, config);
   ASSERT_TRUE(path.ok());
   IoStats io;
-  (void)(*path)->Select(RangeBounds::AtMost(5), true, &io);  // build
+  (void)(*path)->Select(RangeBounds::AtMost(5), false, &io);  // build
   bat->Append<int64_t>(7);
   ASSERT_TRUE((*path)->Insert(Value(int64_t{7}), 5).ok());
   EXPECT_EQ((*path)->pending_inserts(), 1u);  // writes never merge
   EXPECT_EQ((*path)->merges_performed(), 0u);
-  AccessSelection sel = (*path)->Select(RangeBounds::All(), true, &io);
+  AccessSelection sel = (*path)->Select(RangeBounds::All(), false, &io);
   EXPECT_EQ(sel.count, 6u);
   EXPECT_EQ((*path)->pending_inserts(), 0u);  // the select folded the delta
   EXPECT_EQ((*path)->merges_performed(), 1u);
-  EXPECT_TRUE(sel.contiguous);  // and could answer zero-copy again
+  // ...and answers zero-copy again: one span, no exceptions, no extras.
+  EXPECT_EQ(sel.span_set.num_spans(), 1u);
+  EXPECT_EQ(sel.span_set.exceptions(), 0u);
+  EXPECT_EQ(sel.span_set.extras(), 0u);
 }
 
 TEST(UpdatePathTest, CoarseCountOnlySelectKeepsBaseHitsUnderPendingInserts) {
@@ -581,16 +570,16 @@ TEST(UpdatePathTest, CoarseCountOnlySelectKeepsBaseHitsUnderPendingInserts) {
   ASSERT_TRUE(path.ok());
   IoStats io;
   AccessSelection sel =
-      (*path)->Select(RangeBounds::Closed(10, 20), /*want_oids=*/false, &io);
+      (*path)->Select(RangeBounds::Closed(10, 20), /*detach=*/false, &io);
   EXPECT_EQ(sel.count, 11u);
   bat->Append<int64_t>(15);
   ASSERT_TRUE((*path)->Insert(Value(int64_t{15}), 100).ok());
   ASSERT_EQ((*path)->pending_inserts(), 1u);
-  sel = (*path)->Select(RangeBounds::Closed(10, 20), /*want_oids=*/false, &io);
+  sel = (*path)->Select(RangeBounds::Closed(10, 20), /*detach=*/false, &io);
   EXPECT_EQ(sel.count, 12u);  // 11 base hits + the pending insert
-  sel = (*path)->Select(RangeBounds::Closed(10, 20), /*want_oids=*/true, &io);
+  sel = (*path)->Select(RangeBounds::Closed(10, 20), /*detach=*/false, &io);
   EXPECT_EQ(sel.count, 12u);
-  EXPECT_EQ(SelectionOids(sel).size(), 12u);
+  EXPECT_EQ(sel.span_set.ToOids().size(), 12u);
 }
 
 TEST(UpdatePathTest, DoubleColumnsSelectAndWrite) {
@@ -603,14 +592,14 @@ TEST(UpdatePathTest, DoubleColumnsSelectAndWrite) {
   IoStats io;
   // int64-widened bounds select over the double domain.
   AccessSelection sel =
-      (*path)->Select(RangeBounds::Closed(2, 4), true, &io);
+      (*path)->Select(RangeBounds::Closed(2, 4), false, &io);
   EXPECT_EQ(sel.count, 2u);  // 2.5, 3.5
   bat->Append<double>(3.0);
   ASSERT_TRUE((*path)->Insert(Value(3.0), 5).ok());
-  sel = (*path)->Select(RangeBounds::Closed(2, 4), true, &io);
+  sel = (*path)->Select(RangeBounds::Closed(2, 4), false, &io);
   EXPECT_EQ(sel.count, 3u);
   ASSERT_TRUE((*path)->Delete(1).ok());  // 2.5
-  sel = (*path)->Select(RangeBounds::Closed(2, 4), true, &io);
+  sel = (*path)->Select(RangeBounds::Closed(2, 4), false, &io);
   EXPECT_EQ(sel.count, 2u);
 }
 
