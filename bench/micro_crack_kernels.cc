@@ -13,9 +13,12 @@
 // column via span kernels and piece summaries vs materialize-then-loop) and
 // the piece-summary walk's worst case (`agg_fine_pieces_vs_scan`), and the
 // snapshot filter's probe count on a column with scattered versions
-// (`mvcc_marked_rows` / `mvcc_version_probes`). CI's bench-smoke lane reads
+// (`mvcc_marked_rows` / `mvcc_version_probes`), and the first statements on
+// a fresh 2^22-row column with and without the radix build
+// (`first_touch_*`). CI's bench-smoke lane reads
 // `dispatched_vs_scalar_int32`, `agg_pushdown_vs_materialize_int32`,
-// `agg_repeat_tuples_read` and the two mvcc counts from that file.
+// `agg_repeat_tuples_read`, the two mvcc counts and
+// `first_touch_tuples_ratio` from that file.
 
 #include <benchmark/benchmark.h>
 
@@ -37,6 +40,7 @@
 #include "core/sorted_column.h"
 #include "obs/metrics.h"
 #include "util/rng.h"
+#include "workload/sequence.h"
 #include "workload/tapestry.h"
 
 namespace crackstore {
@@ -385,6 +389,72 @@ MvccProbes MeasureMvccProbes(size_t n, int reps) {
   return out;
 }
 
+struct FirstTouch {
+  int bits = 0;  ///< PartitionBitsFor(rows)
+  /// Crack-kernel tuples over the statements, radix pass included: with
+  /// the radix build [0] and with the copy (k = 0) [1].
+  uint64_t tuples[2] = {0, 0};
+  double build_ms[2] = {0.0, 0.0};         ///< index construction
+  double first_select_ms[2] = {0.0, 0.0};  ///< the first statement
+  double ratio = 0.0;                      ///< tuples[1] / tuples[0]
+};
+
+/// The first 10 statements of a zoom homerun sequence (perfbench `zoom`'s
+/// first sequence shape: target 0.05%, linear contraction) over a fresh
+/// 2^22-row permutation column, once built with PartitionBitsFor(n) bits
+/// and once with the copy. Crack tuples are deterministic, so CI gates
+/// their ratio (`first_touch_tuples_ratio`); the build and first-select
+/// times are reported, not gated.
+FirstTouch MeasureFirstTouch() {
+  FirstTouch out;
+  const size_t n = size_t{1} << 22;
+  auto column = BuildPermutationColumn(n, 7, "zoom");
+  MqsSpec spec;
+  spec.num_rows = n;
+  spec.sequence_length = 25;
+  spec.profile = Profile::kHomerun;
+  spec.target_selectivity = 0.0005;
+  spec.rho = ContractionModel::kLinear;
+  spec.seed = 1;
+  auto queries = GenerateSequence(spec);
+  if (!queries.ok() || queries->size() < 10) return out;
+  out.bits = PartitionBitsFor(n);
+  // Two rounds, sides alternating; the second round's times are kept, so
+  // neither side alone pays for the process's first page faults.
+  for (int round = 0; round < 2; ++round) {
+    for (int side = 0; side < 2; ++side) {
+      CrackerIndexOptions options;
+      options.partition_bits = side == 0 ? out.bits : 0;
+      IoStats build;
+      auto t0 = std::chrono::steady_clock::now();
+      CrackerIndex<int64_t> index(column, &build, options);
+      auto t1 = std::chrono::steady_clock::now();
+      out.build_ms[side] =
+          std::chrono::duration<double, std::milli>(t1 - t0).count();
+      // The radix pass is charged as a crack; the copy is not one.
+      out.tuples[side] = build.cracks > 0 ? build.tuples_read : 0;
+      for (size_t q = 0; q < 10; ++q) {
+        const RangeQuery& query = (*queries)[q];
+        IoStats stats;
+        auto t2 = std::chrono::steady_clock::now();
+        benchmark::DoNotOptimize(
+            index.Select(query.lo, true, query.hi, true, &stats).count());
+        auto t3 = std::chrono::steady_clock::now();
+        if (q == 0) {
+          out.first_select_ms[side] =
+              std::chrono::duration<double, std::milli>(t3 - t2).count();
+        }
+        out.tuples[side] += stats.tuples_read;
+      }
+    }
+  }
+  if (out.tuples[0] > 0) {
+    out.ratio = static_cast<double>(out.tuples[1]) /
+                static_cast<double>(out.tuples[0]);
+  }
+  return out;
+}
+
 int RunTierComparison(const std::string& path) {
   const size_t kRows = 1 << 20;
   const int kReps = 7;
@@ -428,6 +498,7 @@ int RunTierComparison(const std::string& path) {
   const AggCompare agg = MeasureAggPushdown(kRows, kReps);
   const FinePieces fine = MeasureFinePieces(1000000, 101);
   const MvccProbes mvcc = MeasureMvccProbes(1000000, 21);
+  const FirstTouch first = MeasureFirstTouch();
 
   std::ofstream out(path);
   if (!out) {
@@ -452,6 +523,18 @@ int RunTierComparison(const std::string& path) {
   out << "  \"mvcc_version_probes\": " << mvcc.version_probes << ",\n";
   out << "  \"mvcc_answer_rows\": " << mvcc.answer_rows << ",\n";
   out << "  \"mvcc_count_ns_per_row\": " << mvcc.ns_per_row << ",\n";
+  out << "  \"first_touch_bits\": " << first.bits << ",\n";
+  out << "  \"first_touch_tuples_partitioned\": " << first.tuples[0]
+      << ",\n";
+  out << "  \"first_touch_tuples_copy\": " << first.tuples[1] << ",\n";
+  out << "  \"first_touch_tuples_ratio\": " << first.ratio << ",\n";
+  out << "  \"first_touch_build_ms_partitioned\": " << first.build_ms[0]
+      << ",\n";
+  out << "  \"first_touch_build_ms_copy\": " << first.build_ms[1] << ",\n";
+  out << "  \"first_touch_first_select_ms_partitioned\": "
+      << first.first_select_ms[0] << ",\n";
+  out << "  \"first_touch_first_select_ms_copy\": " << first.first_select_ms[1]
+      << ",\n";
   out << "  \"results\": [\n";
   for (size_t i = 0; i < rows.size(); ++i) {
     const TierRow& r = rows[i];
@@ -481,6 +564,13 @@ int RunTierComparison(const std::string& path) {
               static_cast<unsigned long long>(mvcc.marked_rows),
               static_cast<unsigned long long>(mvcc.answer_rows),
               mvcc.ns_per_row);
+  std::printf("first touch (2^22 rows, 10 zoom statements): %llu crack "
+              "tuples with %d radix bits vs %llu with the copy (%.2fx); "
+              "build %.1f vs %.1f ms, first select %.2f vs %.2f ms\n",
+              static_cast<unsigned long long>(first.tuples[0]), first.bits,
+              static_cast<unsigned long long>(first.tuples[1]), first.ratio,
+              first.build_ms[0], first.build_ms[1], first.first_select_ms[0],
+              first.first_select_ms[1]);
   std::printf("wrote %s\n", path.c_str());
   return 0;
 }

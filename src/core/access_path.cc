@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "obs/instruments.h"
+#include "obs/trace.h"
 
 #include "core/latch.h"
 #include "core/oid_bit_table.h"
@@ -616,8 +617,10 @@ class CrackAccessPath : public ColumnAccessPath {
       return out + "no accelerator yet (never queried)\n";
     }
     const CrackerIndex<T>& inner = updatable_->index();
-    out += StrFormat("cracker index: %zu tuples, %zu pieces, %zu boundaries\n",
-                     inner.size(), inner.num_pieces(), inner.num_bounds());
+    out += StrFormat("cracker index: %zu tuples, %zu pieces, %zu boundaries, "
+                     "partitions=%zu\n",
+                     inner.size(), inner.num_pieces(), inner.num_bounds(),
+                     size_t{1} << inner.partition_bits());
     out += StrFormat("deltas: %zu pending inserts, %zu tombstones, "
                      "%zu merges\n",
                      updatable_->pending_inserts(),
@@ -652,6 +655,7 @@ class CrackAccessPath : public ColumnAccessPath {
  private:
   void EnsureBuilt(IoStats* stats) {
     if (updatable_ != nullptr) return;
+    obs::TraceSpan span("build", stats);
     UpdatableCrackerIndexOptions opts;
     // The path drives merges per its DeltaMergePolicy; the index's own
     // select-time auto-merge only backs the threshold discipline.
@@ -659,6 +663,11 @@ class CrackAccessPath : public ColumnAccessPath {
         config_.delta_merge.policy == DeltaMergePolicy::kThreshold
             ? config_.delta_merge.threshold_fraction
             : 0.0;
+    if constexpr (std::is_integral_v<T>) {
+      // Large integer columns (dictionary codes included) build by radix
+      // partitioning, so the first queries crack small pieces.
+      opts.index_options.partition_bits = PartitionBitsFor(column_->size());
+    }
     updatable_ =
         std::make_unique<UpdatableCrackerIndex<T>>(column_, stats, opts);
     pre_build_deletes_.ForEach([this](Oid oid) {
@@ -1075,6 +1084,7 @@ class SortAccessPath : public ColumnAccessPath {
   /// Builds the sorted copy on first use (exclusive column latch).
   void EnsureBuilt(IoStats* stats) {
     if (sorted_ != nullptr) return;
+    obs::TraceSpan span("build", stats);
     sorted_ = std::make_unique<SortedColumn<T>>(column_, stats);
     accel_size_.store(sorted_->size(), std::memory_order_relaxed);
     built_.store(true, std::memory_order_release);
@@ -1606,6 +1616,7 @@ class DictStringAccessPath : public ColumnAccessPath {
   /// path — the whole encoding investment is charged to the first query.
   void EnsureEncoded(IoStats* stats) {
     if (inner_ != nullptr) return;
+    obs::TraceSpan span("build", stats);
     auto dict = StringDictionary::FromColumn(*column_);
     CRACK_DCHECK(dict.ok());
     dict_ = std::make_unique<StringDictionary>(std::move(*dict));

@@ -19,19 +19,63 @@ CrackerIndex<T>::CrackerIndex(const std::shared_ptr<Bat>& source,
     : options_(options) {
   CRACK_CHECK(source != nullptr);
   CRACK_CHECK(source->tail_type() == TypeTraits<T>::kType);
+  if constexpr (std::is_floating_point_v<T>) options_.partition_bits = 0;
   n_ = source->size();
-  values_ = source->Clone(source->name() + "#crack");
+  const Oid base = source->head_base();
   oids_ = Bat::Create(ValueType::kOid, source->name() + "#crackmap");
   oids_->Reserve(n_);
-  Oid* om = oids_->MutableTailData<Oid>();
-  Oid base = source->head_base();
-  for (size_t i = 0; i < n_; ++i) om[i] = base + i;
   oids_->SetCountUnsafe(n_);
-  raw_values_ = values_->MutableTailData<T>();
   raw_oids_ = oids_->MutableTailData<Oid>();
+  if (options_.partition_bits > 0 && n_ > 0) {
+    values_ = Bat::Create(TypeTraits<T>::kType, source->name() + "#crack");
+    values_->set_head_base(base);
+    values_->Reserve(n_);
+    values_->SetCountUnsafe(n_);
+    raw_values_ = values_->MutableTailData<T>();
+    PartitionBuild(source->TailData<T>(), base, stats);
+    return;
+  }
+  values_ = source->Clone(source->name() + "#crack");
+  raw_values_ = values_->MutableTailData<T>();
+  for (size_t i = 0; i < n_; ++i) raw_oids_[i] = base + i;
   if (stats != nullptr) {
     stats->tuples_read += n_;
     stats->tuples_written += n_;
+  }
+}
+
+template <typename T>
+void CrackerIndex<T>::PartitionBuild(const T* src, Oid base, IoStats* stats) {
+  if constexpr (std::is_floating_point_v<T>) {
+    (void)src;
+    (void)base;
+    (void)stats;  // double columns always copy
+  } else {
+    // The scalar tier keeps plain stores, so CRACKSTORE_SIMD=scalar runs
+    // the build without any vector instruction.
+    const RadixLayout<T> layout =
+        RadixPartition(src, n_, base, options_.partition_bits, raw_values_,
+                       raw_oids_, ActiveSimdTier() != SimdTier::kScalar);
+    std::vector<size_t> cuts;
+    cuts.reserve(layout.ranges.size());
+    for (size_t p = 1; p < layout.ranges.size(); ++p) {
+      cuts.push_back(layout.ranges[p].begin);
+    }
+    ChargeCrack(0, n_, n_, cuts.data(), cuts.size(), stats);
+    // Every edge is registered, an empty range's too: a later cut at a
+    // value inside an empty range then has an empty crack region.
+    for (size_t p = 1; p < layout.ranges.size(); ++p) {
+      RegisterCut(layout.Edge(p), /*want_incl=*/false, layout.ranges[p].begin);
+    }
+    for (const RadixRange& r : layout.ranges) {
+      if (r.count < kSummaryMinRows) continue;
+      const PieceSummary summary{r.begin + r.count, r.sum, r.min, r.max};
+      if (r.begin == 0) {
+        head_summary_ = summary;
+      } else {
+        cut_refs_[r.begin].summary = summary;
+      }
+    }
   }
 }
 
@@ -178,13 +222,14 @@ T CrackerIndex<T>::ValueAt(size_t slot) {
 
 template <typename T>
 void CrackerIndex<T>::ChargeCrack(size_t begin, size_t end, size_t writes,
-                                  std::initializer_list<size_t> cuts,
+                                  const size_t* cuts, size_t num_cuts,
                                   IoStats* stats) const {
   // A strictly-interior cut is a brand-new cut position (registered cuts
   // bound the crack region, so its interior held none): one new piece each.
   uint64_t created = 0;
   size_t prev = begin;
-  for (size_t cut : cuts) {
+  for (const size_t* it = cuts; it != cuts + num_cuts; ++it) {
+    const size_t cut = *it;
     if (cut > prev) {
       obs::RecordPieceSize(cut - prev);
       created += cut < end ? 1 : 0;
@@ -243,7 +288,7 @@ size_t CrackerIndex<T>::Cut(T v, bool want_incl, IoStats* stats) {
         want_incl ? CrackInTwoLe(raw_values_ + b2, raw_oids_ + b2, e2 - b2, v)
                   : CrackInTwoLt(raw_values_ + b2, raw_oids_ + b2, e2 - b2, v);
     const size_t pos = b2 + split.split;
-    ChargeCrack(b2, e2, split.writes, {pos}, stats);
+    ChargeCrack(b2, e2, split.writes, &pos, 1, stats);
     std::lock_guard<std::mutex> lk(map_mu_);
     RegisterCut(v, want_incl, pos);
     return pos;
@@ -434,7 +479,8 @@ bool CrackerIndex<T>::CrackInThreeIfWhole(T lo, bool lo_incl, T hi,
                                    end - begin, lo, lo_incl, hi, hi_incl);
   *cut_lo = begin + split.first;
   *cut_hi = begin + split.second;
-  ChargeCrack(begin, end, split.writes, {*cut_lo, *cut_hi}, stats);
+  const size_t cuts[] = {*cut_lo, *cut_hi};
+  ChargeCrack(begin, end, split.writes, cuts, 2, stats);
   std::lock_guard<std::mutex> lk(map_mu_);
   uint64_t created_clock = clock_;
   if (lo == hi) {

@@ -20,7 +20,6 @@
 #ifndef CRACKSTORE_CORE_CRACKER_INDEX_H_
 #define CRACKSTORE_CORE_CRACKER_INDEX_H_
 
-#include <initializer_list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -29,6 +28,7 @@
 
 #include "core/crack_kernels.h"
 #include "core/latch.h"
+#include "core/radix_partition.h"
 #include "storage/bat.h"
 #include "obs/query_stats.h"
 #include "util/macros.h"
@@ -90,7 +90,24 @@ struct CrackerIndexOptions {
   /// pristine range is handled as two successive crack-in-two passes
   /// instead (the ablation the bench suite measures).
   bool use_crack_in_three = true;
+  /// Radix bits k of the build, in [0, kMaxPartitionBits]. k = 0 copies the
+  /// source tail; k > 0 scatters an integer column into 2^k equal-width
+  /// value ranges (core/radix_partition.h) and registers their edges as
+  /// cuts. Double columns always copy.
+  int partition_bits = 0;
 };
+
+/// The radix bits the store builds an n-row integer cracker column with:
+/// 0 (a plain copy) below 2^21 rows, otherwise enough bits for value
+/// ranges of 2^15..2^16 rows of a dense domain, at most kMaxPartitionBits.
+/// Smaller columns keep the copy: their first crack is cheap enough that a
+/// radix pass would cost more than it saves.
+inline int PartitionBitsFor(size_t n) {
+  if (n < (size_t{1} << 21)) return 0;
+  int bits = 0;
+  while (bits < kMaxPartitionBits && ((n - 1) >> (16 + bits)) != 0) ++bits;
+  return bits;
+}
 
 /// The cracker index over one numeric column. T in {int32_t, int64_t,
 /// double}.
@@ -100,6 +117,11 @@ class CrackerIndex {
   /// Builds the index over `source`, cloning its tail into the cracker
   /// column and materializing the oid map. The copy cost (n reads, n writes)
   /// is charged to `stats` — this is the investment Figures 2-3 analyze.
+  /// With options.partition_bits > 0 an integer column is radix-partitioned
+  /// instead: the value ranges' edges become exclusive cuts, a range of at
+  /// least kSummaryMinRows rows gets its piece summary, and the pass is
+  /// charged like a crack (n reads, n writes, one kernel pass, a new piece
+  /// per non-empty range after the first).
   explicit CrackerIndex(const std::shared_ptr<Bat>& source,
                         IoStats* stats = nullptr,
                         CrackerIndexOptions options = {});
@@ -209,6 +231,10 @@ class CrackerIndex {
 
   size_t size() const { return n_; }
 
+  /// Radix bits the column was built with (0: a copy). A delta merge's
+  /// rebuilt index keeps the number: it replays the range edges as cuts.
+  int partition_bits() const { return options_.partition_bits; }
+
   /// Number of pieces currently delimited (distinct cut positions + 1).
   /// O(1): the distinct interior cuts are counted as they are registered
   /// and removed.
@@ -315,9 +341,14 @@ class CrackerIndex {
                            IoStats* stats, size_t* cut_lo, size_t* cut_hi);
 
   /// Charges one kernel pass over the piece [begin, end) that wrote
-  /// `writes` tuples and split it at the ascending positions `cuts`.
+  /// `writes` tuples and split it at the `num_cuts` ascending positions
+  /// `cuts`.
   void ChargeCrack(size_t begin, size_t end, size_t writes,
-                   std::initializer_list<size_t> cuts, IoStats* stats) const;
+                   const size_t* cuts, size_t num_cuts, IoStats* stats) const;
+
+  /// The radix build: scatters src (oids from `base`) into the cracker
+  /// column, registers the range edges and summaries, charges the pass.
+  void PartitionBuild(const T* src, Oid base, IoStats* stats);
 
   void Touch(Bound* b) { b->last_used = clock_++; }
 

@@ -205,7 +205,8 @@ const BatStats& Bat::ComputeStats() const {
 std::shared_ptr<Bat> Bat::Clone(std::string name) const {
   auto out = Create(tail_type_, name.empty() ? name_ + "_clone" : name, heap_);
   out->head_base_ = head_base_;
-  out->data_.assign(data_.begin(), data_.begin() + count_ * width_);
+  out->Reserve(count_);
+  if (count_ > 0) std::memcpy(out->data_.data(), data_.data(), count_ * width_);
   out->count_ = count_;
   return out;
 }

@@ -15,8 +15,10 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <new>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "storage/types.h"
@@ -26,6 +28,37 @@
 #include "util/status.h"
 
 namespace crackstore {
+
+/// Allocator of BAT tails. Construction default-initializes: Reserve() and
+/// Grow() leave new slots unwritten instead of zero-filling them, so a bulk
+/// build (a cracker column, a sorted copy, a merge) writes every slot once.
+/// Nothing reads a slot at or past size(); every caller that reserves
+/// writes the slots it then counts.
+template <typename T>
+struct TailAllocator {
+  using value_type = T;
+
+  TailAllocator() = default;
+  template <typename U>
+  TailAllocator(const TailAllocator<U>&) noexcept {}
+
+  T* allocate(size_t n) {
+    return static_cast<T*>(::operator new(n * sizeof(T)));
+  }
+  void deallocate(T* p, size_t) noexcept { ::operator delete(p); }
+
+  template <typename U>
+  void construct(U* p) noexcept {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+
+  bool operator==(const TailAllocator&) const { return true; }
+  bool operator!=(const TailAllocator&) const { return false; }
+};
 
 /// Cached tail statistics; feed the cracker index and the toy optimizer.
 struct BatStats {
@@ -70,7 +103,8 @@ class Bat {
   Oid head_base() const { return head_base_; }
   void set_head_base(Oid base) { head_base_ = base; }
 
-  /// Pre-allocates capacity for `n` tuples.
+  /// Pre-allocates capacity for `n` tuples; the new slots hold no values
+  /// until written (see TailAllocator).
   void Reserve(size_t n) { data_.resize(n * width_); }
 
   /// Typed access to the contiguous tail. T must match tail_type().
@@ -167,15 +201,19 @@ class Bat {
   Bat(ValueType tail_type, std::string name, std::shared_ptr<VarHeap> heap);
 
   void Grow() {
-    size_t new_cap = data_.empty() ? 64 * width_ : data_.size() * 2;
-    data_.resize(new_cap);
+    // Fresh storage and one memcpy of the bytes in use: resizing in place
+    // would move the old capacity byte by byte through the allocator.
+    std::vector<uint8_t, TailAllocator<uint8_t>> grown(
+        data_.empty() ? 64 * width_ : data_.size() * 2);
+    if (count_ > 0) std::memcpy(grown.data(), data_.data(), count_ * width_);
+    data_.swap(grown);
   }
 
   std::string name_;
   ValueType tail_type_;
   size_t width_;
   Oid head_base_ = 0;
-  std::vector<uint8_t> data_;
+  std::vector<uint8_t, TailAllocator<uint8_t>> data_;
   size_t count_ = 0;
   std::shared_ptr<VarHeap> heap_;
   mutable BatStats stats_;

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "core/crack_kernels.h"
+#include "core/radix_partition.h"
 #include "core/simd_dispatch.h"
 #include "util/rng.h"
 
@@ -514,6 +515,74 @@ TEST(SimdDispatchTest, TierNamesRoundTrip) {
   EXPECT_TRUE(SimdTierSupported(SimdTier::kPredicated));
   EXPECT_TRUE(SimdTierSupported(ActiveSimdTier()));
   EXPECT_TRUE(SimdTierSupported(BestSupportedSimdTier()));
+}
+
+// ---------------------------------------------------------------------------
+// The radix scatter: streaming and plain flushes must both produce the
+// stable partition, at every alignment of the two outputs (the
+// write-combining lines follow each array's own address).
+// ---------------------------------------------------------------------------
+
+template <typename T>
+class RadixPartitionTest : public ::testing::Test {};
+using RadixTypes = ::testing::Types<int32_t, int64_t>;
+TYPED_TEST_SUITE(RadixPartitionTest, RadixTypes);
+
+TYPED_TEST(RadixPartitionTest, FlushesAgreeWithAStablePartitionAtEveryOffset) {
+  using T = TypeParam;
+  constexpr size_t kLine = 64;
+  Pcg32 rng(4400 + sizeof(T));
+  for (size_t n : {size_t{1}, size_t{37}, size_t{5000}}) {
+    for (int bits : {1, 4, 10}) {
+      std::vector<T> src(n);
+      for (T& v : src) {
+        v = static_cast<T>(rng.NextInRange(std::numeric_limits<T>::min(),
+                                           std::numeric_limits<T>::max()));
+      }
+      // Reference: a stable sort by range index.
+      const SpanAggregates mm =
+          AggregateSpanTier(src.data(), n, SimdTier::kScalar);
+      const uint64_t umin = static_cast<uint64_t>(mm.min_i);
+      unsigned shift = 0;
+      while (((static_cast<uint64_t>(mm.max_i) - umin) >> shift) >=
+             (uint64_t{1} << bits)) {
+        ++shift;
+      }
+      auto range_of = [&](size_t i) {
+        return (static_cast<uint64_t>(static_cast<int64_t>(src[i])) - umin) >>
+               shift;
+      };
+      std::vector<size_t> order(n);
+      std::iota(order.begin(), order.end(), size_t{0});
+      std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+        return range_of(a) < range_of(b);
+      });
+      for (bool streaming : {false, true}) {
+        for (size_t vo = 0; vo < kLine / sizeof(T); ++vo) {
+          const size_t oo = (vo * 5) % (kLine / sizeof(Oid));
+          SCOPED_TRACE(::testing::Message()
+                       << "n=" << n << " bits=" << bits << " streaming="
+                       << streaming << " offsets=" << vo << "," << oo);
+          std::vector<T> values(n + kLine);
+          std::vector<Oid> oids(n + kLine);
+          const RadixLayout<T> layout =
+              RadixPartition(src.data(), n, 100, bits, values.data() + vo,
+                             oids.data() + oo, streaming);
+          ASSERT_EQ(layout.shift, shift);
+          for (size_t i = 0; i < n; ++i) {
+            ASSERT_EQ(values[vo + i], src[order[i]]) << "slot " << i;
+            ASSERT_EQ(oids[oo + i], 100 + order[i]) << "slot " << i;
+          }
+          size_t at = 0;
+          for (size_t p = 0; p < layout.ranges.size(); ++p) {
+            ASSERT_EQ(layout.ranges[p].begin, at);
+            at += layout.ranges[p].count;
+          }
+          ASSERT_EQ(at, n);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

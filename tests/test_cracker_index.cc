@@ -39,10 +39,11 @@ std::multiset<int64_t> NaiveSelect(const std::vector<int64_t>& data,
   return out;
 }
 
+template <typename T = int64_t>
 std::multiset<int64_t> SelectionValues(const CrackSelection& sel) {
   std::multiset<int64_t> out;
   for (size_t i = 0; i < sel.values.size(); ++i) {
-    out.insert(sel.values.Get<int64_t>(i));
+    out.insert(static_cast<int64_t>(sel.values.Get<T>(i)));
   }
   return out;
 }
@@ -585,6 +586,234 @@ TEST(CrackerIndexTest, SummaryEndingAtADroppedCutIsNotReused) {
 }
 
 // ---------------------------------------------------------------------------
+// Radix-partitioned builds (partition_bits > 0), forced on small columns:
+// the build must leave a valid index over an exact permutation of the
+// source, whatever the domain — extreme values, negatives, duplicates,
+// skew, a non-zero oid base, fewer rows than ranges — and every primitive
+// must then answer exactly as over a copied (k = 0) build.
+// ---------------------------------------------------------------------------
+
+template <typename T>
+class PartitionedBuildTest : public ::testing::Test {};
+TYPED_TEST_SUITE(PartitionedBuildTest, SummaryTypes);
+
+template <typename T>
+std::shared_ptr<Bat> ColumnAt(const std::vector<T>& data, Oid base) {
+  auto col = Bat::FromVector(data, "col");
+  col->set_head_base(base);
+  return col;
+}
+
+/// The build-time checks: validity, the piece table, the permutation, the
+/// stable order inside every range, edge separation, the summaries and the
+/// crack-like accounting.
+template <typename T>
+void ExpectPartitionedBuild(const std::vector<T>& data, Oid base, int bits) {
+  const size_t n = data.size();
+  CrackerIndexOptions opts;
+  opts.partition_bits = bits;
+  IoStats stats;
+  CrackerIndex<T> index(ColumnAt(data, base), &stats, opts);
+  ASSERT_TRUE(index.Validate().ok()) << index.Validate().ToString();
+  EXPECT_EQ(index.partition_bits(), bits);
+  const std::vector<CrackPiece<T>> pieces = index.Pieces();
+  EXPECT_EQ(index.num_pieces(), pieces.size());
+  EXPECT_LE(index.num_pieces(), size_t{1} << bits);
+
+  // (values, oids) is the source permutation, in source order per piece.
+  const T* values = index.values()->template TailData<T>();
+  const Oid* oids = index.oids()->template TailData<Oid>();
+  std::vector<bool> seen(n, false);
+  for (size_t i = 0; i < n; ++i) {
+    ASSERT_GE(oids[i], base);
+    ASSERT_LT(oids[i], base + n);
+    ASSERT_FALSE(seen[oids[i] - base]) << "oid twice at slot " << i;
+    seen[oids[i] - base] = true;
+    ASSERT_EQ(values[i], data[oids[i] - base]) << "slot " << i;
+  }
+  for (const CrackPiece<T>& p : pieces) {
+    for (size_t i = p.begin + 1; i < p.end; ++i) {
+      ASSERT_LT(oids[i - 1], oids[i]) << "unstable at slot " << i;
+    }
+  }
+
+  // Every edge separates its sides.
+  for (const CrackBound<T>& b : index.Bounds()) {
+    ASSERT_TRUE(b.has_excl);
+    EXPECT_FALSE(b.has_incl);
+    for (size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(values[i] < b.value, i < b.pos_excl)
+          << "edge " << static_cast<int64_t>(b.value) << " slot " << i;
+    }
+  }
+
+  // A summarized piece reduces without reading a row, and every summary
+  // equals AggregateSpan over its rows (Validate rechecks them too).
+  for (const CrackPiece<T>& p : pieces) {
+    size_t read = 0;
+    const SpanAggregates got = index.ReducePieces(p.begin, p.end, &read);
+    const SpanAggregates want =
+        AggregateSpanTier(values + p.begin, p.size(), SimdTier::kScalar);
+    EXPECT_EQ(got.sum_i, want.sum_i);
+    EXPECT_EQ(got.min_i, want.min_i);
+    EXPECT_EQ(got.max_i, want.max_i);
+    if (p.size() >= CrackerIndex<T>::kSummaryMinRows) {
+      EXPECT_EQ(read, 0u);
+    }
+  }
+
+  // Charged like one crack over the column.
+  EXPECT_EQ(stats.cracks, 1u);
+  EXPECT_EQ(stats.pieces_touched, 1u);
+  EXPECT_EQ(stats.tuples_read, n);
+  EXPECT_EQ(stats.tuples_written, n);
+  EXPECT_EQ(stats.kernel_writes, n);
+  EXPECT_EQ(stats.pieces_created, index.num_pieces() - 1);
+}
+
+TYPED_TEST(PartitionedBuildTest, DomainsPartitionIntoAValidIndex) {
+  using T = TypeParam;
+  const T lo = std::numeric_limits<T>::min();
+  const T hi = std::numeric_limits<T>::max();
+  Pcg32 rng(1900 + sizeof(T));
+  auto spread = [&](size_t n, int64_t from, int64_t to) {
+    std::vector<T> out(n);
+    for (T& v : out) v = static_cast<T>(rng.NextInRange(from, to));
+    return out;
+  };
+  const int64_t kLo = static_cast<int64_t>(lo);
+  const int64_t kHi = static_cast<int64_t>(hi);
+  std::vector<T> both = spread(3000, kLo, kHi);
+  both[17] = lo;
+  both[2999] = hi;
+  std::vector<T> at_min = spread(3000, kLo, kLo + 100000);
+  at_min[5] = lo;
+  std::vector<T> at_max = spread(3000, kHi - 100000, kHi);
+  at_max[0] = hi;
+  // Most rows in a narrow band, a few far outliers on both sides: most
+  // ranges are empty and one holds nearly every row.
+  std::vector<T> skewed = spread(6000, 1000, 1063);
+  for (size_t i = 0; i < skewed.size(); i += 997) {
+    skewed[i] = static_cast<T>(i % 2 == 0 ? kLo / 3 : kHi / 3);
+  }
+  std::vector<T> two(5000);
+  for (size_t i = 0; i < two.size(); ++i) two[i] = i % 3 == 0 ? lo : hi;
+  struct Case {
+    const char* name;
+    std::vector<T> data;
+    Oid base;
+    int bits;
+  };
+  const std::vector<Case> cases = {
+      {"both extremes", both, 0, 6},
+      {"both extremes, max bits", both, 0, kMaxPartitionBits},
+      {"reaches min", at_min, 0, 5},
+      {"reaches max", at_max, 0, 5},
+      {"negatives", spread(20000, -50000, -1), 0, 4},
+      {"all equal", std::vector<T>(4000, static_cast<T>(-7)), 0, 6},
+      {"two values", two, 0, 6},
+      {"skewed", skewed, 0, 8},
+      {"oid base", spread(12000, -3000, 3000), 1000000, 3},
+      {"fewer rows than ranges", spread(5, kLo, kHi), 42, kMaxPartitionBits},
+      {"one row", std::vector<T>{static_cast<T>(9)}, 7, 2},
+      {"large pieces", spread(60000, 0, 59999), 0, 2},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    ExpectPartitionedBuild(c.data, c.base, c.bits);
+  }
+}
+
+// A seeded mix of primitives over a partitioned index answers exactly as
+// over a copied one, and stays valid after every step.
+TYPED_TEST(PartitionedBuildTest, PrimitivesAnswerAsOverACopy) {
+  using T = TypeParam;
+  for (int shape = 0; shape < 3; ++shape) {
+    SCOPED_TRACE("shape " + std::to_string(shape));
+    Pcg32 rng(2000 + shape + sizeof(T));
+    const size_t n = 3 * CrackerIndex<T>::kSummaryMinRows + 1234;
+    // Spread values, heavy duplicates, and the top of the domain.
+    const int64_t width = shape == 1 ? 50 : static_cast<int64_t>(4 * n);
+    const int64_t low =
+        shape == 2 ? static_cast<int64_t>(std::numeric_limits<T>::max()) -
+                         width
+                   : -width / 2;
+    std::vector<T> data(n);
+    for (T& v : data) v = static_cast<T>(low + rng.NextInRange(0, width));
+    CrackerIndexOptions opts;
+    opts.partition_bits = 5;
+    CrackerIndex<T> part(ColumnAt(data, 5), nullptr, opts);
+    CrackerIndex<T> copy(ColumnAt(data, 5));
+    auto value = [&] {
+      return static_cast<T>(low + rng.NextInRange(-2, width + 2));
+    };
+    for (int step = 0; step < 80; ++step) {
+      SCOPED_TRACE("step " + std::to_string(step));
+      const bool incl = rng.NextBounded(2) == 1;
+      switch (rng.NextBounded(5)) {
+        case 0: {
+          T a = value(), b = value();
+          if (b < a) std::swap(a, b);
+          const bool lo_incl = rng.NextBounded(2) == 1;
+          EXPECT_EQ(SelectionValues<T>(part.Select(a, lo_incl, b, incl)),
+                    SelectionValues<T>(copy.Select(a, lo_incl, b, incl)));
+          break;
+        }
+        case 1: {
+          const T v = value();
+          EXPECT_EQ(part.Cut(v, incl), copy.Cut(v, incl));
+          break;
+        }
+        case 2: {
+          const T v = value();
+          const size_t want = copy.Cut(v, incl);
+          const ProgressiveCut got = part.CutProgressive(v, incl, 300);
+          if (got.exact) {
+            EXPECT_EQ(got.lo, want);
+          } else {
+            EXPECT_LE(got.lo, want);
+            EXPECT_GE(got.hi, want);
+          }
+          break;
+        }
+        case 3: {
+          T a = value(), b = value();
+          if (b < a) std::swap(a, b);
+          const size_t pa = part.Cut(a, false), pb = part.Cut(b, true);
+          const size_t ca = copy.Cut(a, false), cb = copy.Cut(b, true);
+          ASSERT_EQ(pa, ca);
+          ASSERT_EQ(pb, cb);
+          const SpanAggregates got = part.ReducePieces(pa, pb);
+          const SpanAggregates want = copy.ReducePieces(ca, cb);
+          EXPECT_EQ(got.count, want.count);
+          EXPECT_EQ(got.sum_i, want.sum_i);
+          if (want.count > 0) {
+            EXPECT_EQ(got.min_i, want.min_i);
+            EXPECT_EQ(got.max_i, want.max_i);
+          }
+          break;
+        }
+        default: {
+          // Fuse around a bound of the partitioned index (a range edge or
+          // a query's cut); the copy drops it too when it has one.
+          const std::vector<CrackBound<T>> bounds = part.Bounds();
+          if (bounds.empty()) break;
+          const T v =
+              bounds[rng.NextBounded(static_cast<uint32_t>(bounds.size()))]
+                  .value;
+          ASSERT_TRUE(part.RemoveBound(v).ok());
+          (void)copy.RemoveBound(v);
+          break;
+        }
+      }
+      ASSERT_TRUE(part.Validate().ok()) << part.Validate().ToString();
+      ASSERT_EQ(part.num_pieces(), part.Pieces().size());
+    }
+    ASSERT_TRUE(copy.Validate().ok()) << copy.Validate().ToString();
+  }
+}
+
+// ---------------------------------------------------------------------------
 // The primitives under threads: every primitive takes the boundary-map
 // mutex and a range lock over the piece it shuffles, so threads racing on
 // one index — first touches that crack in three, plain cuts, budgeted
@@ -592,7 +821,7 @@ TEST(CrackerIndexTest, SummaryEndingAtADroppedCutIsNotReused) {
 // valid index over a permutation of the source.
 // ---------------------------------------------------------------------------
 
-TEST(CrackerIndexConcurrencyTest, PrimitivesRaceOnOneIndex) {
+void RacePrimitivesOnOneIndex(CrackerIndexOptions options) {
   const size_t n = 60000;
   const int64_t domain = 20000;  // duplicates: ~3 rows per value
   Pcg32 fill(20261017);
@@ -610,7 +839,7 @@ TEST(CrackerIndexConcurrencyTest, PrimitivesRaceOnOneIndex) {
     return static_cast<size_t>(
         std::upper_bound(sorted.begin(), sorted.end(), v) - sorted.begin());
   };
-  CrackerIndex<int64_t> index(MakeColumn(source));
+  CrackerIndex<int64_t> index(MakeColumn(source), nullptr, options);
 
   const size_t kThreads = 6;
   std::atomic<size_t> failures{0};
@@ -677,6 +906,18 @@ TEST(CrackerIndexConcurrencyTest, PrimitivesRaceOnOneIndex) {
   EXPECT_EQ(misplaced, 0u);
   std::sort(cracked.begin(), cracked.end());
   EXPECT_EQ(cracked, sorted);
+}
+
+TEST(CrackerIndexConcurrencyTest, PrimitivesRaceOnOneIndex) {
+  RacePrimitivesOnOneIndex(CrackerIndexOptions{});
+}
+
+// The same race on a freshly partitioned index: every thread's first
+// Select or Cut lands on the range edges the build registered.
+TEST(CrackerIndexConcurrencyTest, FirstTouchesRaceOnAPartitionedIndex) {
+  CrackerIndexOptions options;
+  options.partition_bits = 4;
+  RacePrimitivesOnOneIndex(options);
 }
 
 }  // namespace

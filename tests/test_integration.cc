@@ -496,6 +496,212 @@ INSTANTIATE_TEST_SUITE_P(
              DeltaMergePolicyName(info.param.delta);
     });
 
+// ---------------------------------------------------------------------------
+// The radix build's threshold. A crack column of 2^21 rows is partitioned at
+// its first touch (PartitionBitsFor gives k = 5: over c0 = 1..2^21 that is
+// 32 value ranges of 2^16 rows each); one of 2^21 - 1 rows is copied
+// (k = 0). The small table holds the big one's rows minus the row with
+// c0 = 2^21, and every predicate below stays clear of that value, so both
+// tables must answer every statement alike.
+// ---------------------------------------------------------------------------
+
+constexpr int64_t kRadixRows = int64_t{1} << 21;
+
+std::shared_ptr<Relation> RadixTable(int64_t rows) {
+  std::vector<int64_t> c0, c1;
+  c0.reserve(kRadixRows);
+  c1.reserve(kRadixRows);
+  for (int64_t i = 0; i < kRadixRows; ++i) {
+    // An odd multiplier permutes the residues mod 2^21.
+    const int64_t key = 1 + (i * 1000003) % kRadixRows;
+    if (key > rows) continue;
+    c0.push_back(key);
+    c1.push_back((i * 7919) % 100000);
+  }
+  return *Relation::FromColumns(
+      "R", Schema({{"c0", ValueType::kInt64}, {"c1", ValueType::kInt64}}),
+      {Bat::FromVector(c0, "c0"), Bat::FromVector(c1, "c1")});
+}
+
+TEST(RadixBuildTest, FirstTouchPartitionsFromTheThresholdOn) {
+  for (const int64_t rows : {kRadixRows, kRadixRows - 1}) {
+    SCOPED_TRACE(rows);
+    AdaptiveStore store;
+    ASSERT_TRUE(store.AddTable(RadixTable(rows)).ok());
+    auto first =
+        store.SelectRange("R", "c0", RangeBounds::Closed(500000, 520000));
+    ASSERT_TRUE(first.ok()) << first.status().ToString();
+    EXPECT_EQ(first->count, 20001u);
+    ColumnAccessPath* path = *store.AccessPathFor("R", "c0");
+    const size_t n = static_cast<size_t>(rows);
+    if (rows == kRadixRows) {
+      EXPECT_NE(path->Explain().find("partitions=32\n"), std::string::npos)
+          << path->Explain();
+      // The build's pass over all rows, then crack kernels over at most
+      // two of its 2^16-row ranges.
+      EXPECT_LE(first->io.cracks, 3u);
+      EXPECT_LE(first->io.pieces_touched, 3u);
+      EXPECT_LE(first->io.tuples_read, n + 2 * (n >> 5));
+      EXPECT_EQ(first->io.pieces_created + 1, *store.NumPieces("R", "c0"));
+    } else {
+      EXPECT_NE(path->Explain().find("partitions=1\n"), std::string::npos)
+          << path->Explain();
+      // The copy, then one crack-in-three over every row.
+      EXPECT_EQ(first->io.cracks, 1u);
+      EXPECT_EQ(first->io.tuples_read, 2 * n);
+      EXPECT_EQ(*store.NumPieces("R", "c0"), 3u);
+    }
+    ExpectLineageMatchesPieces(store, "R", "c0");
+  }
+}
+
+// The lower value bound of every piece of R.c0, ascending: at each cut
+// position, the tightest bound registered there.
+std::vector<int64_t> BoundValues(const AdaptiveStore& store) {
+  std::vector<int64_t> out;
+  for (const PieceInfo& p : (*store.AccessPathFor("R", "c0"))->Pieces()) {
+    if (p.has_lo) out.push_back(p.lo);
+  }
+  return out;
+}
+
+// Lineage stays loss-less over a partitioned column and its leaves equal
+// the piece table after the first touch, after a kImmediate delta merge
+// (whose bound replay keeps every range edge), after merge-budget fusions
+// and after VACUUM.
+TEST(RadixBuildTest, LineageFollowsPartitionedColumnThroughMaintenance) {
+  {
+    AdaptiveStoreOptions opts;
+    opts.delta_merge.policy = DeltaMergePolicy::kImmediate;
+    AdaptiveStore store(opts);
+    ASSERT_TRUE(store.AddTable(RadixTable(kRadixRows)).ok());
+    ASSERT_TRUE(
+        store.SelectRange("R", "c0", RangeBounds::Closed(70000, 90000)).ok());
+    ExpectLineageMatchesPieces(store, "R", "c0");
+    const std::vector<int64_t> edges = BoundValues(store);
+    ASSERT_GE(edges.size(), 31u);
+
+    ASSERT_TRUE(
+        store.Insert("R", {Value(int64_t{77777}), Value(int64_t{1})}).ok());
+    auto r = store.SelectRange("R", "c0", RangeBounds::Closed(77777, 77777));
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(r->count, 2u);
+    EXPECT_EQ((*store.AccessPathFor("R", "c0"))->merges_performed(), 1u);
+    ExpectLineageMatchesPieces(store, "R", "c0");
+    const std::vector<int64_t> merged = BoundValues(store);
+    EXPECT_TRUE(std::includes(merged.begin(), merged.end(), edges.begin(),
+                              edges.end()));
+  }
+  {
+    AdaptiveStoreOptions opts;
+    opts.merge_budget = MergeBudget{MergePolicyKind::kLeastRecentlyUsed, 8};
+    AdaptiveStore store(opts);
+    ASSERT_TRUE(store.AddTable(RadixTable(kRadixRows)).ok());
+    auto r = store.SelectRange("R", "c0", RangeBounds::Closed(70000, 90000));
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(r->count, 20001u);
+    EXPECT_LE(*store.NumPieces("R", "c0"), 17u);  // the budget fused edges
+    ExpectLineageMatchesPieces(store, "R", "c0");
+    r = store.SelectRange("R", "c0", RangeBounds::Closed(1500000, 1600000));
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(r->count, 100001u);
+    ExpectLineageMatchesPieces(store, "R", "c0");
+
+    auto removed = store.Delete(
+        "R", {{"c0", TypedRange::Closed(Value(int64_t{1}),
+                                        Value(int64_t{99}))}});
+    ASSERT_TRUE(removed.ok());
+    ASSERT_EQ(removed->count, 99u);
+    ASSERT_TRUE(store.Vacuum().ok());
+    r = store.SelectRange("R", "c0", RangeBounds::Closed(1, 200000));
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(r->count, 200000u - 99u);
+    EXPECT_GE((*store.AccessPathFor("R", "c0"))->merges_performed(), 1u);
+    ExpectLineageMatchesPieces(store, "R", "c0");
+  }
+}
+
+// A seeded SELECT / aggregate / DML / VACUUM stream answers identically on
+// the partitioned table and on the copied one.
+TEST(RadixBuildTest, StreamAnswersAsBelowTheThreshold) {
+  AdaptiveStore part, copy;
+  auto part_rel = RadixTable(kRadixRows);
+  auto copy_rel = RadixTable(kRadixRows - 1);
+  ASSERT_TRUE(part.AddTable(part_rel).ok());
+  ASSERT_TRUE(copy.AddTable(copy_rel).ok());
+  const int64_t top = kRadixRows - 1;  // predicates stay below 2^21
+  // The (c0, c1) rows of a selection, read back from the base columns.
+  auto rows = [](const std::shared_ptr<Relation>& rel, QueryResult r) {
+    std::vector<std::pair<int64_t, int64_t>> out;
+    for (Oid oid : std::move(r).CollectOids()) {
+      out.emplace_back(rel->column(0)->Get<int64_t>(oid),
+                       rel->column(1)->Get<int64_t>(oid));
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  Pcg32 rng(2021);
+  for (int step = 0; step < 150; ++step) {
+    SCOPED_TRACE(step);
+    const int64_t lo = rng.NextInRange(1, top);
+    const int64_t hi = std::min(top, lo + rng.NextInRange(0, 20000));
+    const TypedRange range = TypedRange::Closed(Value(lo), Value(hi));
+    switch (rng.NextInRange(0, 7)) {
+      case 0:
+      case 1:
+      case 2: {
+        auto a = part.SelectRange("R", "c0", range, Delivery::kView);
+        auto b = copy.SelectRange("R", "c0", range, Delivery::kView);
+        ASSERT_TRUE(a.ok() && b.ok());
+        ASSERT_EQ(a->count, b->count);
+        ASSERT_EQ(rows(part_rel, std::move(*a)), rows(copy_rel, std::move(*b)));
+        break;
+      }
+      case 3:
+      case 4: {
+        auto a = part.AggregateRange("R", "c0", range);
+        auto b = copy.AggregateRange("R", "c0", range);
+        ASSERT_TRUE(a.ok() && b.ok());
+        EXPECT_EQ(a->rows, b->rows);
+        EXPECT_EQ(a->sum, b->sum);
+        EXPECT_EQ(a->has_minmax, b->has_minmax);
+        EXPECT_EQ(a->min, b->min);
+        EXPECT_EQ(a->max, b->max);
+        break;
+      }
+      case 5: {
+        const std::vector<Value> row = {Value(rng.NextInRange(1, top)),
+                                        Value(rng.NextInRange(0, 99999))};
+        ASSERT_TRUE(part.Insert("R", row).ok());
+        ASSERT_TRUE(copy.Insert("R", row).ok());
+        break;
+      }
+      case 6: {
+        const TypedRange few = TypedRange::Closed(Value(lo), Value(lo + 5));
+        const Value to(rng.NextInRange(1, top));
+        auto a = part.Update("R", {{"c0", to}}, {{"c0", few}});
+        auto b = copy.Update("R", {{"c0", to}}, {{"c0", few}});
+        ASSERT_TRUE(a.ok() && b.ok());
+        EXPECT_EQ(a->count, b->count);
+        break;
+      }
+      default: {
+        const TypedRange few = TypedRange::Closed(Value(lo), Value(lo + 3));
+        auto a = part.Delete("R", {{"c0", few}});
+        auto b = copy.Delete("R", {{"c0", few}});
+        ASSERT_TRUE(a.ok() && b.ok());
+        EXPECT_EQ(a->count, b->count);
+        if (step % 4 == 0) {
+          ASSERT_TRUE(part.Vacuum().ok());
+          ASSERT_TRUE(copy.Vacuum().ok());
+        }
+        break;
+      }
+    }
+  }
+  ExpectLineageMatchesPieces(part, "R", "c0");
+}
+
 TEST(IntegrationTest, SimAgreesWithRealStoreOnTouchedTuples) {
   // The §2.2 simulation and the real cracker must tell the same story: the
   // first query touches everything, later ones touch little.

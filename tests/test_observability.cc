@@ -407,6 +407,93 @@ TEST(ObservabilityPlanTest, RepeatedPushdownAnswersFromSummaries) {
   }
 }
 
+// A first touch on a column of 2^21 rows builds its cracker index by radix
+// partitioning (32 value ranges): the build is a `build` span under the
+// statement's select, charged like one crack over every row, the
+// statement's children still explain >= 90% of its time, and the warm
+// statement has no build span.
+TEST(ObservabilityPlanTest, FirstTouchBuildIsASpanOfItsStatement) {
+  const size_t n = size_t{1} << 21;
+  AdaptiveStore store;
+  TapestryOptions topts;
+  topts.num_rows = n;
+  topts.num_columns = 1;
+  topts.seed = 9;
+  ASSERT_TRUE(store.AddTable(*BuildTapestry("R", topts)).ok());
+  sql::Statement stmt = *sql::ParseStatement(
+      "SELECT COUNT(*) FROM R WHERE c0 BETWEEN 100000 AND 120000");
+  for (const char* run : {"cold", "warm"}) {
+    SCOPED_TRACE(run);
+    const bool cold = run[0] == 'c';
+    const uint64_t touched_before =
+        obs::kMetricsEnabled
+            ? MetricsRegistry::Global().GetCounter("crack.tuples_touched")
+                  ->Value()
+            : 0;
+    obs::QueryTrace trace;
+    obs::ExecContext ctx;
+    ctx.trace = &trace;
+    auto out = sql::Execute(&store, stmt, ctx);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    EXPECT_EQ(out->count, 20001u);
+    const std::string report = trace.Render(out->io, out->seconds);
+
+    std::vector<obs::QueryTrace::Span> spans = trace.Spans();
+    size_t stmt_idx = spans.size();
+    std::vector<size_t> builds;
+    for (size_t i = 0; i < spans.size(); ++i) {
+      if (spans[i].name.rfind("select-stmt", 0) == 0) stmt_idx = i;
+      if (spans[i].name == "build") builds.push_back(i);
+    }
+    ASSERT_LT(stmt_idx, spans.size());
+    if (!cold) {
+      EXPECT_TRUE(builds.empty()) << report;
+      continue;
+    }
+    double children = 0.0;
+    for (size_t i = stmt_idx + 1;
+         i < spans.size() && spans[i].depth > spans[stmt_idx].depth; ++i) {
+      if (spans[i].depth == spans[stmt_idx].depth + 1) {
+        children += spans[i].seconds;
+      }
+    }
+    EXPECT_GE(children, 0.9 * spans[stmt_idx].seconds) << report;
+    ASSERT_EQ(builds.size(), 1u) << report;
+    const obs::QueryTrace::Span& build = spans[builds[0]];
+    EXPECT_EQ(spans[builds[0] - 1].name, "select R.c0");
+    EXPECT_EQ(build.depth, spans[builds[0] - 1].depth + 1);
+    EXPECT_EQ(build.io.cracks, 1u);
+    EXPECT_EQ(build.io.pieces_created, 31u);
+    EXPECT_EQ(build.io.tuples_read, n);
+    EXPECT_EQ(build.io.kernel_writes, n);
+    // The statement cracks at most the range holding both bounds.
+    EXPECT_LE(out->io.tuples_read, n + (n >> 5));
+    // IoStats render in every build; the live counters and the registry
+    // only with metrics compiled in.
+    EXPECT_NE(report.find("build"), std::string::npos);
+    EXPECT_NE(report.find("cracks=1 pieces+31 touched=1 kernel_w=2097152"),
+              std::string::npos)
+        << report;
+    if (obs::kMetricsEnabled) {
+      const uint64_t touched =
+          MetricsRegistry::Global().GetCounter("crack.tuples_touched")
+              ->Value() -
+          touched_before;
+      EXPECT_GE(touched, n);
+      EXPECT_LE(touched, n + (n >> 5));
+      EXPECT_EQ(report.find("simd kernel calls: scalar=0 predicated=0 avx2=0 "
+                            "neon=0"),
+                std::string::npos)
+          << report;
+    } else {
+      EXPECT_NE(report.find("simd kernel calls: scalar=0 predicated=0 avx2=0 "
+                            "neon=0"),
+                std::string::npos)
+          << report;
+    }
+  }
+}
+
 // A warm COUNT over a range holding k rows with version state: the snapshot
 // filter sends exactly those k rows to the version maps (every other answer
 // row is settled by the table's marks), and EXPLAIN ANALYZE reports them.
