@@ -140,7 +140,7 @@ int Run(int argc, char** argv) {
         IoStats io;
         WallTimer timer;
         AccessSelection sel =
-            (*path)->Select(pattern.queries[q], /*detach=*/false, &io);
+            (*path)->Select(pattern.queries[q], Delivery::kView, &io);
         total_secs += timer.ElapsedSeconds();
         // Every policy must deliver the same answer.
         if (p == 0) {
@@ -222,7 +222,7 @@ int Run(int argc, char** argv) {
       for (size_t q = 0; q < queries.size(); ++q) {
         IoStats io;
         WallTimer timer;
-        auto sel = (*path)->SelectTyped(queries[q], /*detach=*/false, &io);
+        auto sel = (*path)->SelectTyped(queries[q], Delivery::kView, &io);
         CRACK_CHECK(sel.ok());
         total_secs += timer.ElapsedSeconds();
         if (p == 0) {

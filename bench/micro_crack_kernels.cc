@@ -333,14 +333,23 @@ struct MvccProbes {
   uint64_t version_probes = 0;  ///< rows the COUNT looked up in version maps
   uint64_t answer_rows = 0;     ///< rows the COUNT's span covered
   double ns_per_row = 0.0;      ///< median warm COUNT time per span row
+  uint64_t count_tuples_read = 0;  ///< the warm COUNT's tuples read
+  uint64_t sum_tuples_read = 0;    ///< a warm SUM's over the same range
+  uint64_t sum_summary_rows = 0;   ///< of the SUM's rows, from summaries
+  uint64_t sum_edge_rows = 0;      ///< of the SUM's rows, scanned by a kernel
+  uint64_t pending_rows = 0;       ///< pending inserts of the column's path
 };
 
 /// A 1M-row int64 crack column with 1,000 committed single-row UPDATEs (of
 /// a sibling column) and 1,000 committed single-row DELETEs spread over the
-/// domain, no vacuum, then a warm COUNT over 10% of the domain. The
-/// snapshot filter must send only the marked answer rows to the version
-/// maps: CI asserts `mvcc_version_probes == mvcc_marked_rows` (a filter
-/// probing every answer row would report ~100k).
+/// domain, no vacuum, then a warm COUNT and a warm SUM over 10% of the
+/// domain. The snapshot filter must send only the marked answer rows to the
+/// version maps: CI asserts `mvcc_version_probes == mvcc_marked_rows` (a
+/// filter probing every answer row would report ~100k). Neither read may
+/// touch the span's rows beyond the marked ones, the pending inserts and the
+/// rows no piece summary covers: CI asserts `mvcc_count_tuples_read` and
+/// `mvcc_sum_tuples_read` <= marked + pending + `mvcc_sum_edge_rows`, and
+/// `mvcc_sum_summary_rows` > 0.
 MvccProbes MeasureMvccProbes(size_t n, int reps) {
   MvccProbes out;
   AdaptiveStore store;  // defaults: crack strategy, lineage on, no vacuum
@@ -379,6 +388,7 @@ MvccProbes MeasureMvccProbes(size_t n, int reps) {
     if (r == 0) {
       out.version_probes = probes->Value() - before;
       out.answer_rows = static_cast<uint64_t>(hi - lo + 1);
+      out.count_tuples_read = qr->io.tuples_read;
     }
     times.push_back(static_cast<double>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
@@ -386,6 +396,15 @@ MvccProbes MeasureMvccProbes(size_t n, int reps) {
   }
   std::sort(times.begin(), times.end());
   out.ns_per_row = times[times.size() / 2] / static_cast<double>(hi - lo + 1);
+  // The first SUM summarizes the range's pieces; the second is timed.
+  if (!store.AggregateRange("M", "c0", range).ok()) return out;
+  auto sum = store.AggregateRange("M", "c0", range);
+  if (!sum.ok()) return out;
+  out.sum_tuples_read = sum->io.tuples_read;
+  out.sum_summary_rows = sum->summary_rows;
+  out.sum_edge_rows = sum->pushdown_rows - sum->summary_rows;
+  auto path = store.AccessPathFor("M", "c0");
+  if (path.ok()) out.pending_rows = (*path)->pending_inserts();
   return out;
 }
 
@@ -523,6 +542,11 @@ int RunTierComparison(const std::string& path) {
   out << "  \"mvcc_version_probes\": " << mvcc.version_probes << ",\n";
   out << "  \"mvcc_answer_rows\": " << mvcc.answer_rows << ",\n";
   out << "  \"mvcc_count_ns_per_row\": " << mvcc.ns_per_row << ",\n";
+  out << "  \"mvcc_count_tuples_read\": " << mvcc.count_tuples_read << ",\n";
+  out << "  \"mvcc_sum_tuples_read\": " << mvcc.sum_tuples_read << ",\n";
+  out << "  \"mvcc_sum_summary_rows\": " << mvcc.sum_summary_rows << ",\n";
+  out << "  \"mvcc_sum_edge_rows\": " << mvcc.sum_edge_rows << ",\n";
+  out << "  \"mvcc_pending_rows\": " << mvcc.pending_rows << ",\n";
   out << "  \"first_touch_bits\": " << first.bits << ",\n";
   out << "  \"first_touch_tuples_partitioned\": " << first.tuples[0]
       << ",\n";
@@ -564,6 +588,13 @@ int RunTierComparison(const std::string& path) {
               static_cast<unsigned long long>(mvcc.marked_rows),
               static_cast<unsigned long long>(mvcc.answer_rows),
               mvcc.ns_per_row);
+  std::printf("mvcc warm reads: COUNT read %llu tuples, SUM %llu (%llu rows "
+              "from summaries, %llu scanned), %llu pending rows\n",
+              static_cast<unsigned long long>(mvcc.count_tuples_read),
+              static_cast<unsigned long long>(mvcc.sum_tuples_read),
+              static_cast<unsigned long long>(mvcc.sum_summary_rows),
+              static_cast<unsigned long long>(mvcc.sum_edge_rows),
+              static_cast<unsigned long long>(mvcc.pending_rows));
   std::printf("first touch (2^22 rows, 10 zoom statements): %llu crack "
               "tuples with %d radix bits vs %llu with the copy (%.2fx); "
               "build %.1f vs %.1f ms, first select %.2f vs %.2f ms\n",

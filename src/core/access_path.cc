@@ -17,6 +17,7 @@
 #include "core/oid_bit_table.h"
 #include "core/sorted_column.h"
 #include "core/updatable_cracker_index.h"
+#include "core/value_ordered_oids.h"
 #include "storage/dictionary.h"
 #include "util/string_util.h"
 
@@ -35,7 +36,7 @@ const char* AccessStrategyName(AccessStrategy strategy) {
 }
 
 Result<AccessSelection> ColumnAccessPath::SelectTyped(const TypedRange& range,
-                                                      bool detach,
+                                                      Delivery delivery,
                                                       IoStats* stats,
                                                       const SnapshotView* view) {
   if (range.has_string()) {
@@ -43,7 +44,7 @@ Result<AccessSelection> ColumnAccessPath::SelectTyped(const TypedRange& range,
         "string predicate on a numeric access path (string bounds need a "
         "string column)");
   }
-  return Select(range.ToNumericBounds(), detach, stats, view);
+  return Select(range.ToNumericBounds(), delivery, stats, view);
 }
 
 namespace {
@@ -168,25 +169,40 @@ inline bool ViewActive(const SnapshotView* view) {
   return view != nullptr && view->active();
 }
 
-/// Re-admits a view's value overrides into an answer as extras: rows whose
-/// value at the snapshot differs from the physical one were excluded by the
-/// visibility filter; the ones whose snapshot value qualifies join back here
-/// (vacuum-purged rows stay out via RowVisible).
-template <typename T>
-void ReadmitOverrides(const SnapshotView* view, T lo, bool lo_incl, T hi,
-                      bool hi_incl, OidSpanSet* set) {
-  if (!ViewActive(view)) return;
+/// Calls fn(value, oid) for every row an answer over the physical rows
+/// must add: the qualifying pending inserts the view does not hide, and the
+/// rows whose value at the snapshot qualifies (a view's overrides: rows
+/// whose value postdates the snapshot were dropped from the physical answer
+/// with the hidden rows; vacuum-purged rows stay out via RowVisible).
+template <typename T, typename Fn>
+void ForEachExtra(const std::vector<std::pair<T, Oid>>& pending, T lo,
+                  bool lo_incl, T hi, bool hi_incl, const SnapshotView* view,
+                  Fn&& fn) {
+  const bool versioned = ViewActive(view);
+  for (const auto& [value, oid] : pending) {
+    if (!InRange(value, lo, lo_incl, hi, hi_incl)) continue;
+    // Only the snapshot filter applies here: an updated row is tombstoned
+    // at its old position AND pending at its new value — the tombstone
+    // must not cancel the pending re-entry.
+    if (versioned && view->Hides(oid)) continue;
+    fn(value, oid);
+  }
+  if (!versioned) return;
   for (const auto& [oid, value] : view->overrides()) {
     if (!view->RowVisible(oid)) continue;
-    if (!InRange(CastValue<T>(value), lo, lo_incl, hi, hi_incl)) continue;
-    set->AddExtra(oid);
+    const T tv = CastValue<T>(value);
+    if (!InRange(tv, lo, lo_incl, hi, hi_incl)) continue;
+    fn(tv, oid);
   }
 }
 
 /// The rows of the answer span [oid_data, oid_data + n) that neither a
 /// tombstone nor the caller's snapshot hides, as a bitmap of
 /// BitmapWords(n) words: one batch visibility mask (a single version-log
-/// latch for the whole span) with tombstones cleared bit-wise.
+/// latch for the whole span) with tombstones cleared bit-wise. Serves the
+/// answers that are not value-exact (coarse and progressive pieces) and
+/// the sort strategy; value-exact crack answers consult their
+/// hidden-candidate table instead.
 std::vector<uint64_t> SurvivorMask(const Oid* oid_data, size_t n,
                                    const OidBitTable& tombstones,
                                    const SnapshotView* view) {
@@ -205,23 +221,22 @@ std::vector<uint64_t> SurvivorMask(const Oid* oid_data, size_t n,
 }
 
 /// Applies a path's pending write deltas — and the caller's MVCC read
-/// filter — to a span answer over the path's oid map: physically tombstoned
-/// and snapshot-invisible span rows become exception bits, and qualifying
-/// pending inserts and overridden rows (per their value at the snapshot)
-/// become extras. Returns true when the deltas or the view touch the
-/// answer; the caller then charges the read of the answer's span.
+/// filter — to a span answer over the path's oid map by masking every
+/// answer row: physically tombstoned and snapshot-invisible span rows
+/// become exception bits, and ForEachExtra's rows become extras. Returns
+/// true when the deltas or the view touch the answer; the caller then
+/// charges the read of the answer's span.
 template <typename T>
 bool OverlayDeltaAnswer(const std::vector<std::pair<T, Oid>>& pending,
                         const OidBitTable& tombstones, T lo, bool lo_incl,
                         T hi, bool hi_incl, const SnapshotView* view,
                         IoStats* stats, OidSpanSet* set) {
-  const bool versioned = ViewActive(view);
   bool delta_hits = false;
   for (const auto& [value, oid] : pending) {
     delta_hits |= InRange(value, lo, lo_incl, hi, hi_incl);
   }
   if (stats != nullptr) stats->tuples_read += pending.size();
-  if (tombstones.empty() && !delta_hits && !versioned) return false;
+  if (tombstones.empty() && !delta_hits && !ViewActive(view)) return false;
 
   size_t concat = 0;
   for (const OidSpan& span : set->spans()) {
@@ -240,15 +255,8 @@ bool OverlayDeltaAnswer(const std::vector<std::pair<T, Oid>>& pending,
     }
     concat += span.size();
   }
-  for (const auto& [value, oid] : pending) {
-    if (!InRange(value, lo, lo_incl, hi, hi_incl)) continue;
-    // Only the snapshot filter applies here: an updated row is tombstoned
-    // at its old position AND pending at its new value — the tombstone
-    // must not cancel the pending re-entry.
-    if (versioned && view->Hides(oid)) continue;
-    set->AddExtra(oid);
-  }
-  ReadmitOverrides<T>(view, lo, lo_incl, hi, hi_incl, set);
+  ForEachExtra<T>(pending, lo, lo_incl, hi, hi_incl, view,
+                  [set](T, Oid oid) { set->AddExtra(oid); });
   return true;
 }
 
@@ -264,19 +272,17 @@ SpanAggregates ReduceSpan(const T* vals, const Oid* oid_data, size_t n,
   return AggregateSpanMasked(vals, n, bm.data());
 }
 
-/// Folds a span-kernel result plus the scalar corrections — qualifying
-/// pending inserts and snapshot override re-admissions — into the
-/// int64-widened aggregate answer. The corrections are purely additive:
-/// VisibleMask already excluded every overridden and hidden row from the
-/// span reduction, which is what makes MIN/MAX pushable at all. `span_read`
-/// of the `span_n` span rows were read by a kernel; piece summaries answered
-/// the rest.
+/// Folds a span-kernel result plus the scalar corrections — ForEachExtra's
+/// qualifying pending inserts and snapshot override re-admissions — into
+/// the int64-widened aggregate answer. The corrections are purely additive:
+/// the span reduction already excludes every overridden and hidden row,
+/// which is what makes MIN/MAX pushable at all. `span_read` of the `span_n`
+/// span rows were read by a kernel; piece summaries answered the rest.
 template <typename T>
 void FoldAggregates(const SpanAggregates& agg, size_t span_n, size_t span_read,
                     const std::vector<std::pair<T, Oid>>& pending, T lo,
                     bool lo_incl, T hi, bool hi_incl, const SnapshotView* view,
                     IoStats* stats, ColumnAggregates* out) {
-  bool versioned = ViewActive(view);
   out->pushdown_rows = span_n;
   out->summary_rows = span_n - span_read;
   out->rows = agg.count;
@@ -286,28 +292,14 @@ void FoldAggregates(const SpanAggregates& agg, size_t span_n, size_t span_read,
   bool have = agg.count > 0;
   int64_t mn = have ? agg.min_i : 0;
   int64_t mx = have ? agg.max_i : 0;
-  auto fold = [&](int64_t v) {
+  ForEachExtra<T>(pending, lo, lo_incl, hi, hi_incl, view, [&](T value, Oid) {
+    const int64_t v = static_cast<int64_t>(value);
     sum += static_cast<uint64_t>(v);
     ++out->rows;
     if (!have || v < mn) mn = v;
     if (!have || v > mx) mx = v;
     have = true;
-  };
-  for (const auto& [value, oid] : pending) {
-    if (!InRange(value, lo, lo_incl, hi, hi_incl)) continue;
-    // Snapshot filter only: an updated row is tombstoned at its old
-    // position AND pending at its new value.
-    if (versioned && view->Hides(oid)) continue;
-    fold(static_cast<int64_t>(value));
-  }
-  if (versioned) {
-    for (const auto& [oid, value] : view->overrides()) {
-      if (!view->RowVisible(oid)) continue;
-      T tv = CastValue<T>(value);
-      if (!InRange(tv, lo, lo_incl, hi, hi_incl)) continue;
-      fold(static_cast<int64_t>(tv));
-    }
-  }
+  });
   out->sum = static_cast<int64_t>(sum);
   out->has_minmax = have;
   out->min = mn;
@@ -358,7 +350,7 @@ class CrackAccessPath : public ColumnAccessPath {
                           accel_size_.load(std::memory_order_relaxed));
   }
 
-  AccessSelection Select(const RangeBounds& range, bool detach,
+  AccessSelection Select(const RangeBounds& range, Delivery delivery,
                          IoStats* stats,
                          const SnapshotView* view = nullptr) override {
     T lo, hi;
@@ -400,30 +392,51 @@ class CrackAccessPath : public ColumnAccessPath {
                                 &cut_hi);
         break;
     }
+    const bool deliver_rows = delivery != Delivery::kCount;
     {
       // The answer is formed while the span holds still (no shuffle inside
-      // it) and the delta latch keeps the pending list and tombstones
-      // stable. Cut positions themselves never move once registered.
+      // it) and the delta latch keeps the deltas and the hidden-candidate
+      // table stable. Cut positions themselves never move once registered.
       RangeLockGuard span = inner->LockRangeShared(cut_lo, cut_hi);
       std::lock_guard<std::mutex> dl(delta_mu_);
       // Zero-materialization answer: a piece of the cracked column is one
-      // span over its permuted oid map. A conservative span marks its value
-      // misses, and the overlay turns deltas into exception bits / extras.
+      // span over its permuted oid map.
       out.span_set.BindOidMap(inner->oids());
       out.span_set.AddSpan(cut_lo, cut_hi);
-      if (!exact) {
+      if (exact) {
+        // The span holds exactly the rows whose physical value is in
+        // range: the rows it must drop are the hidden candidates there.
+        std::vector<std::pair<T, Oid>> hidden =
+            HiddenIn(lo, lo_incl, hi, hi_incl, view, stats);
+        out.count = (cut_hi - cut_lo) - hidden.size();
+        if (deliver_rows && !hidden.empty()) {
+          const size_t scanned =
+              MarkHidden(inner, cut_lo, cut_hi, hidden, &out.span_set);
+          if (stats != nullptr) stats->tuples_read += scanned;
+        }
+        ForEachExtra<T>(updatable_->pending(), lo, lo_incl, hi, hi_incl, view,
+                        [&](T, Oid oid) {
+                          ++out.count;
+                          if (deliver_rows) out.span_set.AddExtra(oid);
+                        });
+        if (stats != nullptr) {
+          stats->tuples_read += updatable_->pending().size();
+        }
+      } else {
+        // A conservative span marks its value misses, and the deltas and
+        // the view are applied by masking every row of it.
         MarkValueMisses(inner, cut_lo, cut_hi, lo, lo_incl, hi, hi_incl,
                         &out.span_set);
+        (void)OverlayDeltaAnswer<T>(updatable_->pending(),
+                                    updatable_->tombstones(), lo, lo_incl, hi,
+                                    hi_incl, view, stats, &out.span_set);
+        if (stats != nullptr) stats->tuples_read += cut_hi - cut_lo;
+        out.count = out.span_set.count();
       }
-      const bool touched = OverlayDeltaAnswer<T>(
-          updatable_->pending(), updatable_->tombstones(), lo, lo_incl, hi,
-          hi_incl, view, stats, &out.span_set);
-      if (stats != nullptr && (touched || !exact)) {
-        stats->tuples_read += cut_hi - cut_lo;
-      }
-      out.count = out.span_set.count();
-      // The rows must be resolved while the span still holds them.
-      if (detach) out.span_set.Detach();
+      CRACK_DCHECK(!deliver_rows || out.count == out.span_set.count());
+      // Rows delivered to a caller sharing the column with threads that may
+      // crack it next must be resolved while the span still holds them.
+      if (deliver_rows && config_.concurrent) out.span_set.Detach();
     }
     if (!config_.merge_budget.unlimited()) {
       out.bounds_dropped =
@@ -493,31 +506,32 @@ class CrackAccessPath : public ColumnAccessPath {
   }
 
   Status Delete(Oid oid, IoStats* stats) override {
-    if (updatable_ == nullptr) {
-      // Mirror the built path's validation so the answer does not depend on
-      // build timing (and so EnsureBuilt's replay cannot fail).
-      CRACK_RETURN_NOT_OK(CheckDeletableOid(*column_, oid));
-      std::lock_guard<std::mutex> dl(delta_mu_);
-      if (!pre_build_deletes_.Set(oid)) return AlreadyDeletedError(oid);
-      return Status::OK();
-    }
-    {
-      std::lock_guard<std::mutex> dl(delta_mu_);
-      CRACK_RETURN_NOT_OK(updatable_->Delete(oid));
-      SyncDirty();
-    }
+    CRACK_RETURN_NOT_OK(Tombstone(oid));
+    if (updatable_ == nullptr) return Status::OK();
     return MaybeMergeOnWrite(stats);
   }
 
-  Status Update(Oid oid, const Value& value, IoStats* stats) override {
+  Status Update(Oid oid, const Value& old_value, const Value& value,
+                IoStats* stats) override {
     if (updatable_ == nullptr) return Status::OK();  // base slot overwritten
     {
       std::lock_guard<std::mutex> dl(delta_mu_);
-      CRACK_RETURN_NOT_OK(updatable_->Update(CastValue<T>(value), oid));
+      CRACK_RETURN_NOT_OK(updatable_->Update(CastValue<T>(value), oid,
+                                             CastValue<T>(old_value)));
       SyncDirty();
     }
     if (stats != nullptr) ++stats->tuples_written;
     return MaybeMergeOnWrite(stats);
+  }
+
+  Status Purge(const std::vector<Oid>& oids, IoStats* stats) override {
+    for (Oid oid : oids) {
+      Status st = Tombstone(oid);
+      // NotFound: the row never physically landed (failed append);
+      // AlreadyExists: an earlier purge already tombstoned it.
+      if (!st.ok() && !st.IsNotFound() && !st.IsAlreadyExists()) return st;
+    }
+    return FlushDeltas(stats);
   }
 
   Status FlushDeltas(IoStats* stats) override {
@@ -653,6 +667,29 @@ class CrackAccessPath : public ColumnAccessPath {
   }
 
  private:
+  /// Tombstones `oid` without folding (Delete, Purge), under the value its
+  /// cracker column holds: the base value, since a row's base slot and its
+  /// copy in the column differ only while its tombstone is already set.
+  Status Tombstone(Oid oid) {
+    // Mirror the built path's validation before the build, so the answer
+    // does not depend on build timing (and so EnsureBuilt's replay cannot
+    // fail).
+    CRACK_RETURN_NOT_OK(CheckDeletableOid(*column_, oid));
+    std::lock_guard<std::mutex> dl(delta_mu_);
+    if (updatable_ == nullptr) {
+      if (!pre_build_deletes_.Set(oid)) return AlreadyDeletedError(oid);
+      return Status::OK();
+    }
+    CRACK_RETURN_NOT_OK(updatable_->Delete(oid, BaseValue(oid)));
+    SyncDirty();
+    return Status::OK();
+  }
+
+  /// The base column's value of `oid` (in the column's row range).
+  T BaseValue(Oid oid) const {
+    return column_->template TailData<T>()[oid - column_->head_base()];
+  }
+
   void EnsureBuilt(IoStats* stats) {
     if (updatable_ != nullptr) return;
     obs::TraceSpan span("build", stats);
@@ -671,7 +708,7 @@ class CrackAccessPath : public ColumnAccessPath {
     updatable_ =
         std::make_unique<UpdatableCrackerIndex<T>>(column_, stats, opts);
     pre_build_deletes_.ForEach([this](Oid oid) {
-      Status st = updatable_->Delete(oid);
+      Status st = updatable_->Delete(oid, BaseValue(oid));
       CRACK_DCHECK(st.ok());
       (void)st;
     });
@@ -711,25 +748,200 @@ class CrackAccessPath : public ColumnAccessPath {
   }
 
   /// Reduces the value-exact cracked span [pos, pos + n) plus the delta and
-  /// override corrections into `out`. When nothing can hide a row the span
-  /// is whole pieces, reduced through their summaries; otherwise every row
-  /// goes through the visibility mask. Callers hold the range lock over the
-  /// span and the delta latch.
+  /// override corrections into `out`: the span's pieces and summaries
+  /// (ReducePieces) minus its hidden rows (SubtractHidden), plus
+  /// ForEachExtra's rows. Callers hold the range lock over the span and the
+  /// delta latch.
   void AccumulateSpan(CrackerIndex<T>* inner, size_t pos, size_t n, T lo,
                       bool lo_incl, T hi, bool hi_incl,
                       const SnapshotView* view, IoStats* stats,
                       ColumnAggregates* out) {
-    SpanAggregates agg;
     size_t read = n;
-    if (!ViewActive(view) && updatable_->pending_deletes() == 0) {
-      agg = inner->ReducePieces(pos, pos + n, &read);
-    } else {
-      agg = ReduceSpan<T>(inner->values()->template TailData<T>() + pos,
-                          inner->oids()->template TailData<Oid>() + pos, n,
-                          updatable_->tombstones(), view);
+    SpanAggregates agg = inner->ReducePieces(pos, pos + n, &read);
+    std::vector<std::pair<T, Oid>> hidden =
+        HiddenIn(lo, lo_incl, hi, hi_incl, view, stats);
+    if (!hidden.empty()) {
+      const size_t rescanned =
+          SubtractHidden(inner, pos, pos + n, hidden, &agg);
+      if (stats != nullptr) stats->tuples_read += rescanned;
     }
     FoldAggregates<T>(agg, n, read, updatable_->pending(), lo, lo_incl, hi,
                       hi_incl, view, stats, out);
+  }
+
+  /// The rows of the value-exact cracked span for [lo, hi] that an answer
+  /// must drop, in (value, oid) order: every tombstone there and, under an
+  /// active view, every marked row there the view hides. Only the
+  /// hidden-candidate table is read — two binary searches — and the
+  /// candidates are tested against the view in one batch (one version-log
+  /// latch acquisition). Charges the candidates to `stats`. Callers hold the
+  /// delta latch.
+  std::vector<std::pair<T, Oid>> HiddenIn(T lo, bool lo_incl, T hi,
+                                          bool hi_incl,
+                                          const SnapshotView* view,
+                                          IoStats* stats) {
+    std::vector<std::pair<T, Oid>> candidates;
+    updatable_->TombstonesIn(lo, lo_incl, hi, hi_incl, [&](T value, Oid oid) {
+      candidates.emplace_back(value, oid);
+    });
+    const size_t tombstoned = candidates.size();
+    if (ViewActive(view)) {
+      PullMarks(view);
+      marked_.ForEachIn(lo, lo_incl, hi, hi_incl, [&](T value, Oid oid) {
+        // A row tombstoned after its mark was pulled is filed above, under
+        // the same physical value.
+        if (!updatable_->IsDeleted(oid)) candidates.emplace_back(value, oid);
+      });
+    }
+    if (stats != nullptr) stats->tuples_read += candidates.size();
+    obs::RecordHiddenCandidates(candidates.size());
+    // Without a view the candidates are the tombstones, in value order.
+    if (candidates.empty() || !ViewActive(view)) return candidates;
+    std::vector<Oid> oids(candidates.size());
+    for (size_t i = 0; i < candidates.size(); ++i) {
+      oids[i] = candidates[i].second;
+    }
+    std::vector<uint64_t> visible(BitmapWords(oids.size()));
+    view->VisibleMask(oids.data(), oids.size(), visible.data());
+    std::vector<std::pair<T, Oid>> hidden;
+    for (size_t i = 0; i < candidates.size(); ++i) {
+      if (i < tombstoned || !BitmapTest(visible.data(), i)) {
+        hidden.push_back(candidates[i]);
+      }
+    }
+    std::sort(hidden.begin(), hidden.end());
+    return hidden;
+  }
+
+  /// Brings the marked half of the hidden-candidate table up to date with
+  /// the view's version log: the rows this cracker column holds that the
+  /// log marked since the last pull, filed under their physical value. A
+  /// merge (which changes the rows held and their values), a vacuum's
+  /// re-mark (a new log generation) or another log rebuilds it from the
+  /// whole log. Callers hold the delta latch.
+  void PullMarks(const SnapshotView* view) {
+    const VersionedTable* log = view->table();
+    if (log != marks_log_ ||
+        updatable_->merges_performed() != marks_merges_) {
+      marked_.Clear();
+      mark_cursor_ = {};
+      marks_log_ = log;
+      marks_merges_ = updatable_->merges_performed();
+    }
+    fresh_marks_.clear();
+    if (!log->MarksSince(&mark_cursor_, &fresh_marks_)) marked_.Clear();
+    const T* base = column_->template TailData<T>();
+    const Oid head = column_->head_base();
+    const size_t rows = column_->size();
+    for (Oid oid : fresh_marks_) {
+      // Pending inserts stay with the pending overlay, and a tombstoned row
+      // is filed with its tombstone. Any other row the column holds has its
+      // base value physically: owners write base slots through before
+      // notifying the path, and every rewrite tombstones the old copy.
+      if (!updatable_->Holds(oid) || updatable_->IsDeleted(oid) ||
+          oid - head >= rows) {
+        continue;
+      }
+      marked_.Insert(base[oid - head], oid);
+    }
+  }
+
+  /// Marks the hidden rows of the value-exact span [cut_lo, cut_hi) as
+  /// exceptions of `set`, whose only span it is: one pass over the span's
+  /// oids, stopping at the last hidden one. Returns the rows passed over.
+  /// Callers hold the range lock over the span.
+  size_t MarkHidden(CrackerIndex<T>* inner, size_t cut_lo, size_t cut_hi,
+                    const std::vector<std::pair<T, Oid>>& hidden,
+                    OidSpanSet* set) const {
+    std::vector<Oid> oids;
+    oids.reserve(hidden.size());
+    // A 4096-bit filter on the low oid bits settles most rows with one bit
+    // test; the rest are looked up among the sorted hidden oids.
+    uint64_t filter[64] = {};
+    for (const auto& [value, oid] : hidden) {
+      oids.push_back(oid);
+      filter[(oid >> 6) & 63] |= uint64_t{1} << (oid & 63);
+    }
+    std::sort(oids.begin(), oids.end());
+    const Oid* map = inner->oids()->template TailData<Oid>();
+    size_t left = oids.size();
+    size_t i = cut_lo;
+    for (; i < cut_hi && left > 0; ++i) {
+      const Oid oid = map[i];
+      if (((filter[(oid >> 6) & 63] >> (oid & 63)) & 1) == 0) continue;
+      if (!std::binary_search(oids.begin(), oids.end(), oid)) continue;
+      set->MarkException(i - cut_lo);
+      --left;
+    }
+    CRACK_DCHECK(left == 0);
+    return i - cut_lo;
+  }
+
+  /// Takes the hidden rows (in value order) out of `agg`, the reduction of
+  /// the value-exact span [begin, end): COUNT and SUM subtract them; MIN
+  /// and MAX stand unless a hidden row holds the extreme, and then only the
+  /// span's edge piece is rescanned (VisibleExtreme). Returns the rows
+  /// rescanned. Callers hold the range lock over the span.
+  size_t SubtractHidden(CrackerIndex<T>* inner, size_t begin, size_t end,
+                        const std::vector<std::pair<T, Oid>>& hidden,
+                        SpanAggregates* agg) {
+    uint64_t sum = static_cast<uint64_t>(agg->sum_i);
+    for (const auto& [value, oid] : hidden) {
+      sum -= static_cast<uint64_t>(static_cast<int64_t>(value));
+    }
+    agg->sum_i = static_cast<int64_t>(sum);
+    agg->count -= hidden.size();
+    size_t read = 0;
+    if (agg->count == 0) return read;
+    if (static_cast<int64_t>(hidden.front().first) == agg->min_i) {
+      agg->min_i = VisibleExtreme(inner, begin, end, /*want_min=*/true,
+                                  hidden, &read);
+    }
+    if (static_cast<int64_t>(hidden.back().first) == agg->max_i) {
+      agg->max_i = VisibleExtreme(inner, begin, end, /*want_min=*/false,
+                                  hidden, &read);
+    }
+    return read;
+  }
+
+  /// The smallest (want_min) or largest visible value of the span
+  /// [begin, end). Every row of a piece lies below every row of the pieces
+  /// right of it, so the extreme sits in the first (last) piece that holds a
+  /// visible row: the edge pieces are scanned one at a time, skipping hidden
+  /// rows, until one does. The span must hold a visible row. Adds the rows
+  /// scanned to *read.
+  int64_t VisibleExtreme(CrackerIndex<T>* inner, size_t begin, size_t end,
+                         bool want_min,
+                         const std::vector<std::pair<T, Oid>>& hidden,
+                         size_t* read) const {
+    const T* vals = inner->values()->template TailData<T>();
+    const Oid* oids = inner->oids()->template TailData<Oid>();
+    while (true) {
+      CRACK_DCHECK(begin < end);
+      std::pair<size_t, size_t> piece =
+          inner->PieceAt(want_min ? begin : end - 1);
+      const size_t a = std::max(begin, piece.first);
+      const size_t b = std::min(end, piece.second);
+      bool have = false;
+      T best{};
+      for (size_t i = a; i < b; ++i) {
+        const T v = vals[i];
+        // Only a row that would move the extreme needs the hidden test.
+        if (have && (want_min ? v >= best : v <= best)) continue;
+        if (!std::binary_search(hidden.begin(), hidden.end(),
+                                std::make_pair(v, oids[i]))) {
+          best = v;
+          have = true;
+        }
+      }
+      *read += b - a;
+      if (have) return static_cast<int64_t>(best);
+      if (want_min) {
+        begin = b;
+      } else {
+        end = a;
+      }
+    }
   }
 
   Status MaybeMergeOnWrite(IoStats* stats) {
@@ -879,6 +1091,15 @@ class CrackAccessPath : public ColumnAccessPath {
   std::unique_ptr<UpdatableCrackerIndex<T>> updatable_;
   OidBitTable pre_build_deletes_;  ///< tombstones before build
   std::atomic<bool> built_{false};     ///< updatable_ is safe to dereference
+  /// The marked half of the hidden-candidate table (the tombstones with
+  /// their values are the other, kept by updatable_): the rows the cracker
+  /// column holds that a version log marked, under their physical value.
+  /// Guarded by delta_mu_, like the rest of this block.
+  ValueOrderedOids<T> marked_;
+  const VersionedTable* marks_log_ = nullptr;  ///< the log marked_ follows
+  VersionedTable::MarkCursor mark_cursor_;     ///< how far marked_ has read
+  size_t marks_merges_ = 0;  ///< updatable_'s merge count marked_ matches
+  std::vector<Oid> fresh_marks_;  ///< PullMarks' scratch buffer
   mutable std::mutex delta_mu_;        ///< guards the delta structures
   std::atomic<size_t> dirty_count_{0};  ///< pending inserts + tombstones
   std::atomic<size_t> accel_size_{0};   ///< tuples in the cracker column
@@ -916,10 +1137,12 @@ class SortAccessPath : public ColumnAccessPath {
                           accel_size_.load(std::memory_order_relaxed));
   }
 
-  AccessSelection Select(const RangeBounds& range, bool detach,
+  AccessSelection Select(const RangeBounds& range, Delivery delivery,
                          IoStats* stats,
                          const SnapshotView* view = nullptr) override {
-    (void)detach;  // the set pins the copy it spans; merges replace it
+    // Answers stay spans: the set pins the copy it spans, and merges
+    // replace the copy instead of rewriting it.
+    (void)delivery;
     EnsureBuilt(stats);
     MaybeMergeOnSelect(stats);
     T lo, hi;
@@ -988,27 +1211,14 @@ class SortAccessPath : public ColumnAccessPath {
   }
 
   Status Delete(Oid oid, IoStats* stats) override {
-    CRACK_RETURN_NOT_OK(CheckDeletableOid(*column_, oid));
-    std::unique_lock<std::mutex> dl(delta_mu_);
-    if (purged_.Test(oid)) return AlreadyDeletedError(oid);
-    auto it = std::find_if(pending_.begin(), pending_.end(),
-                           [oid](const auto& p) { return p.second == oid; });
-    if (it != pending_.end()) {
-      // Cancel the pending insert; the oid joins the physically-gone set so
-      // a later Update()/Delete() sees a dead row, not a merged tuple.
-      pending_.erase(it);
-      purged_.Set(oid);
-      SyncDirty();
-      return Status::OK();
-    }
-    if (!deleted_.Set(oid)) return AlreadyDeletedError(oid);
-    SyncDirty();
+    CRACK_RETURN_NOT_OK(Tombstone(oid));
     if (sorted_ == nullptr) return Status::OK();  // filtered until a merge
-    dl.unlock();
     return MaybeMergeOnWrite(stats);
   }
 
-  Status Update(Oid oid, const Value& value, IoStats* stats) override {
+  Status Update(Oid oid, const Value& old_value, const Value& value,
+                IoStats* stats) override {
+    (void)old_value;  // the tombstone is keyed by oid alone
     if (sorted_ == nullptr) return Status::OK();  // base slot overwritten
     CRACK_RETURN_NOT_OK(CheckDeletableOid(*column_, oid));
     {
@@ -1029,6 +1239,15 @@ class SortAccessPath : public ColumnAccessPath {
     }
     if (stats != nullptr) ++stats->tuples_written;
     return MaybeMergeOnWrite(stats);
+  }
+
+  Status Purge(const std::vector<Oid>& oids, IoStats* stats) override {
+    for (Oid oid : oids) {
+      Status st = Tombstone(oid);
+      // NotFound: never landed; AlreadyExists: purged before.
+      if (!st.ok() && !st.IsNotFound() && !st.IsAlreadyExists()) return st;
+    }
+    return FlushDeltas(stats);
   }
 
   Status FlushDeltas(IoStats* stats) override {
@@ -1081,6 +1300,25 @@ class SortAccessPath : public ColumnAccessPath {
   }
 
  private:
+  /// Tombstones `oid` without folding (Delete, Purge). A pending insert is
+  /// cancelled instead; the oid joins the physically-gone set so a later
+  /// Update()/Delete() sees a dead row, not a merged tuple.
+  Status Tombstone(Oid oid) {
+    CRACK_RETURN_NOT_OK(CheckDeletableOid(*column_, oid));
+    std::lock_guard<std::mutex> dl(delta_mu_);
+    if (purged_.Test(oid)) return AlreadyDeletedError(oid);
+    auto it = std::find_if(pending_.begin(), pending_.end(),
+                           [oid](const auto& p) { return p.second == oid; });
+    if (it != pending_.end()) {
+      pending_.erase(it);
+      purged_.Set(oid);
+    } else if (!deleted_.Set(oid)) {
+      return AlreadyDeletedError(oid);
+    }
+    SyncDirty();
+    return Status::OK();
+  }
+
   /// Builds the sorted copy on first use (exclusive column latch).
   void EnsureBuilt(IoStats* stats) {
     if (sorted_ != nullptr) return;
@@ -1222,10 +1460,10 @@ class ScanAccessPath : public ColumnAccessPath {
   // Stateless from birth: shared selections need no accelerator.
   bool SharedSelectReady() const override { return true; }
 
-  AccessSelection Select(const RangeBounds& range, bool detach,
+  AccessSelection Select(const RangeBounds& range, Delivery delivery,
                          IoStats* stats,
                          const SnapshotView* view = nullptr) override {
-    (void)detach;  // identity spans borrow no layout
+    (void)delivery;  // identity spans borrow no layout
     T lo, hi;
     bool lo_incl, hi_incl;
     ClampRange<T>(range, &lo, &lo_incl, &hi, &hi_incl);
@@ -1241,7 +1479,8 @@ class ScanAccessPath : public ColumnAccessPath {
                                             hi_incl, view);
     AccessSelection out;
     out.span_set = OidSpanSet::FromMatchBitmap(match.data(), n, base);
-    ReadmitOverrides<T>(view, lo, lo_incl, hi, hi_incl, &out.span_set);
+    ForEachExtra<T>({}, lo, lo_incl, hi, hi_incl, view,
+                    [&out](T, Oid oid) { out.span_set.AddExtra(oid); });
     out.count = out.span_set.count();
     if (stats != nullptr) stats->tuples_read += n;
     return out;
@@ -1293,11 +1532,21 @@ class ScanAccessPath : public ColumnAccessPath {
     return Status::OK();
   }
 
-  Status Update(Oid oid, const Value& value, IoStats* stats) override {
+  Status Update(Oid oid, const Value& old_value, const Value& value,
+                IoStats* stats) override {
     (void)oid;
+    (void)old_value;
     (void)value;
     (void)stats;
     return Status::OK();
+  }
+
+  Status Purge(const std::vector<Oid>& oids, IoStats* stats) override {
+    for (Oid oid : oids) {
+      Status st = Delete(oid, stats);
+      if (!st.ok() && !st.IsNotFound() && !st.IsAlreadyExists()) return st;
+    }
+    return Status::OK();  // tombstones are the scan's terminal state
   }
 
   Status FlushDeltas(IoStats* stats) override {
@@ -1407,18 +1656,19 @@ class DictStringAccessPath : public ColumnAccessPath {
   // Inherited concurrency defaults are exactly right for this wrapper:
   // kExclusiveOnly, never shared-ready, no owner-driven maintenance.
 
-  AccessSelection Select(const RangeBounds& range, bool detach,
+  AccessSelection Select(const RangeBounds& range, Delivery delivery,
                          IoStats* stats,
                          const SnapshotView* view = nullptr) override {
     // Native-domain selection: the bounds are dictionary codes.
     EnsureEncoded(stats);
     SnapshotView code_view;
-    return inner_->Select(range, detach, stats,
-                          TranslateView(view, stats, &code_view));
+    return Detached(inner_->Select(range, delivery, stats,
+                                   TranslateView(view, stats, &code_view)),
+                    delivery);
   }
 
-  Result<AccessSelection> SelectTyped(const TypedRange& range, bool detach,
-                                      IoStats* stats,
+  Result<AccessSelection> SelectTyped(const TypedRange& range,
+                                      Delivery delivery, IoStats* stats,
                                       const SnapshotView* view = nullptr)
       override {
     if ((!range.lo.is_null() && !range.lo.is_string()) ||
@@ -1459,7 +1709,8 @@ class DictStringAccessPath : public ColumnAccessPath {
         return AccessSelection{};  // sorts before every string: empty
       }
     }
-    return inner_->Select(codes, detach, stats, inner_view);
+    return Detached(inner_->Select(codes, delivery, stats, inner_view),
+                    delivery);
   }
 
   Status Insert(const Value& value, Oid oid, IoStats* stats) override {
@@ -1486,7 +1737,9 @@ class DictStringAccessPath : public ColumnAccessPath {
     return st;
   }
 
-  Status Update(Oid oid, const Value& value, IoStats* stats) override {
+  Status Update(Oid oid, const Value& old_value, const Value& value,
+                IoStats* stats) override {
+    (void)old_value;  // the superseded code is read off the code column
     if (!value.is_string()) {
       return Status::TypeMismatch(
           StrFormat("cannot update string column %s with %s",
@@ -1494,9 +1747,25 @@ class DictStringAccessPath : public ColumnAccessPath {
     }
     if (inner_ == nullptr) return Status::OK();  // base slot overwritten
     int64_t code = Intern(value.AsString(), stats);
-    CRACK_RETURN_NOT_OK(codes_->SetNumeric(
-        static_cast<size_t>(oid - codes_->head_base()), code));
-    return inner_->Update(oid, Value(code), stats);
+    const size_t row = static_cast<size_t>(oid - codes_->head_base());
+    // Read after Intern: a code-gap remap inside it rewrites the column.
+    const int64_t old_code =
+        row < codes_->size() ? codes_->Get<int64_t>(row) : 0;
+    CRACK_RETURN_NOT_OK(codes_->SetNumeric(row, code));
+    return inner_->Update(oid, Value(old_code), Value(code), stats);
+  }
+
+  Status Purge(const std::vector<Oid>& oids, IoStats* stats) override {
+    // The wrapper's all-time tombstone set learns every purged row first,
+    // so a rebuilt inner path replays them.
+    std::vector<Oid> fresh;
+    for (Oid oid : oids) {
+      if (CheckDeletableOid(*column_, oid).ok() && deleted_.Set(oid)) {
+        fresh.push_back(oid);
+      }
+    }
+    if (inner_ == nullptr) return FlushDeltas(stats);
+    return inner_->Purge(fresh, stats);
   }
 
   Status FlushDeltas(IoStats* stats) override {
@@ -1572,6 +1841,18 @@ class DictStringAccessPath : public ColumnAccessPath {
   }
 
  private:
+  /// The inner path runs serial (inner_config_), so under a concurrent
+  /// owner the wrapper detaches a crack answer that delivers rows itself,
+  /// still under the exclusive column latch it runs under (see
+  /// ColumnAccessPath::Select).
+  AccessSelection Detached(AccessSelection sel, Delivery delivery) const {
+    if (config_.concurrent && config_.strategy == AccessStrategy::kCrack &&
+        delivery != Delivery::kCount) {
+      sel.span_set.Detach();
+    }
+    return sel;
+  }
+
   /// Translates the facade's string-valued overrides into the inner path's
   /// code domain (order-preserving, so range membership is preserved).
   /// Returns nullptr when the view is inactive; otherwise fills *storage

@@ -54,6 +54,16 @@
 
 namespace crackstore {
 
+/// What a query delivers (paper §2.1, Fig. 1): counting is cheapest,
+/// view/stream delivery is middle, materializing a new table is dearest.
+enum class Delivery : uint8_t {
+  kCount = 0,  ///< only the qualifying-tuple count
+  /// The qualifying rows as an OidSpanSet (spans over the accelerator, no
+  /// copy): walk them with ForEachOid, or ToOids() for an ascending list.
+  kView = 1,
+  kMaterialize = 2,  ///< a fresh Relation holding the qualifying rows
+};
+
 /// How a column is accessed across a query sequence.
 enum class AccessStrategy : uint8_t {
   kScan = 0,   ///< full scan per query (the "nocrack" baseline)
@@ -125,9 +135,13 @@ struct PathPolicyStatus {
 /// exception; a scan answer is identity spans over the base. Deltas and the
 /// caller's snapshot land as exceptions (hidden rows) and extras (pending
 /// inserts, override re-admissions).
+///
+/// A Delivery::kCount answer never reads its rows: a value-exact crack
+/// answer then carries only `count` and the spans it covers (no exceptions
+/// or extras). Other answers are whole (count == span_set.count()).
 struct AccessSelection {
-  uint64_t count = 0;         ///< qualifying tuples (== span_set.count())
-  OidSpanSet span_set;        ///< the qualifying rows
+  uint64_t count = 0;         ///< qualifying tuples
+  OidSpanSet span_set;        ///< the qualifying rows (see above)
   size_t bounds_dropped = 0;  ///< boundaries fused by the merge budget
 };
 
@@ -163,17 +177,19 @@ class ColumnAccessPath {
 
   /// Range selection over the path's *native accelerator domain* —
   /// element values for numeric columns, dictionary codes for encoded
-  /// string columns. `detach` asks a crack answer to leave as a sorted oid
-  /// list (OidSpanSet::Detach), resolved before the answer span's range
-  /// lock drops — for callers that share the column with threads that may
-  /// crack it next. Sort and scan answers ignore it: their spans stay valid.
+  /// string columns. `delivery` says what the caller reads: a kCount
+  /// answer may carry only its count (see AccessSelection). Under
+  /// config().concurrent a crack answer that delivers rows leaves as a
+  /// sorted oid list (OidSpanSet::Detach), resolved before the answer
+  /// span's range lock drops, since threads sharing the column may crack
+  /// it next; sort and scan answers stay spans, which remain valid.
   ///
   /// `view` (optional) is the caller's MVCC read filter: rows the snapshot
   /// cannot see are dropped from the physical answer, and rows whose value
   /// postdates the snapshot are re-admitted per view->overrides(). A null
   /// or inactive view reads the latest physical state (the pre-MVCC
   /// behavior, still filtered by the path's own vacuum tombstones).
-  virtual AccessSelection Select(const RangeBounds& range, bool detach,
+  virtual AccessSelection Select(const RangeBounds& range, Delivery delivery,
                                  IoStats* stats,
                                  const SnapshotView* view = nullptr) = 0;
 
@@ -184,7 +200,8 @@ class ColumnAccessPath {
   /// vice versa) come back as TypeMismatch instead of silently widening.
   /// `view`: see Select.
   virtual Result<AccessSelection> SelectTyped(const TypedRange& range,
-                                              bool detach, IoStats* stats,
+                                              Delivery delivery,
+                                              IoStats* stats,
                                               const SnapshotView* view =
                                                   nullptr);
 
@@ -192,8 +209,8 @@ class ColumnAccessPath {
   /// computed by horizontal SIMD reductions over the answer spans instead
   /// of materializing an oid list. The range still cracks the column
   /// (queries remain advice); snapshot divergence lands as O(overrides)
-  /// additive corrections — VisibleMask already excludes overridden and
-  /// hidden rows from the span reduction, so re-admissions only add.
+  /// additive corrections — the span reduction already excludes overridden
+  /// and hidden rows, so re-admissions only add.
   /// Returns Unimplemented when this path cannot push the aggregate down
   /// (non-integer domains; budgeted progressive cracks, which must not
   /// exceed their write budget) — callers fall back to the
@@ -224,15 +241,25 @@ class ColumnAccessPath {
 
   /// Tombstones row `oid` *physically*; every later Select excludes it
   /// regardless of any SnapshotView. Under the MVCC facade deletes are
-  /// version stamps first (core/txn_manager.h) and reach this method only
-  /// when vacuum purges a version below the low-water snapshot; direct
+  /// version stamps first (core/txn_manager.h) and reach a path only when
+  /// vacuum purges a version below the low-water snapshot (Purge); direct
   /// (non-transactional) users keep the original instant-delete semantics.
   virtual Status Delete(Oid oid, IoStats* stats = nullptr) = 0;
 
   /// Changes the value of live row `oid` (the oid survives, so sibling
-  /// columns keep referencing the same logical row).
-  virtual Status Update(Oid oid, const Value& value,
+  /// columns keep referencing the same logical row). `old_value` is the
+  /// value the row held until the owner overwrote its base slot: a path
+  /// that keeps the row's old copy (a crack column's tombstone) files it
+  /// under that value.
+  virtual Status Update(Oid oid, const Value& old_value, const Value& value,
                         IoStats* stats = nullptr) = 0;
+
+  /// Vacuum's physical purge: tombstones every row of `oids` still present
+  /// (rows already gone, or never landed, are skipped) and folds the
+  /// deltas once, whatever the DeltaMergePolicy. Requires the exclusive
+  /// column latch.
+  virtual Status Purge(const std::vector<Oid>& oids,
+                       IoStats* stats = nullptr) = 0;
 
   /// Folds all pending deltas into the accelerator now, regardless of the
   /// configured DeltaMergePolicy. No-op for paths without pending state.

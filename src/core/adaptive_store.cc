@@ -7,6 +7,7 @@
 #include <iterator>
 #include <limits>
 
+#include "core/simd_dispatch.h"
 #include "core/task_pool.h"
 #include "durability/checkpoint.h"
 #include "obs/instruments.h"
@@ -485,9 +486,10 @@ Status AdaptiveStore::RollbackLocked(TxnId txn, TxnState* state) {
       result = bat.status();
       continue;
     }
-    Oid base = (*bat)->head_base();
-    Status st =
-        (*bat)->SetValue(static_cast<size_t>(it->oid - base), it->old_value);
+    const size_t row = static_cast<size_t>(it->oid - (*bat)->head_base());
+    // The value being undone is what the accelerator holds for the row.
+    Value undone = (*bat)->GetValue(row);
+    Status st = (*bat)->SetValue(row, it->old_value);
     if (!st.ok()) result = st;
     ColumnAccessPath* path = nullptr;
     {
@@ -496,7 +498,7 @@ Status AdaptiveStore::RollbackLocked(TxnId txn, TxnState* state) {
       if (ait != accels_.end()) path = ait->second.PathIfAny();
     }
     if (path != nullptr) {
-      st = path->Update(it->oid, it->old_value);
+      st = path->Update(it->oid, undone, it->old_value);
       if (!st.ok() && !st.IsNotFound()) result = st;
     }
   }
@@ -637,7 +639,7 @@ void AdaptiveStore::LatchForWrite(std::vector<ColumnAccel*> columns,
 void AdaptiveStore::FinishSelect(AccessSelection sel, Delivery delivery,
                                  QueryResult* result) const {
   result->count = sel.count;
-  obs::RecordSpanAnswer(sel.span_set.num_spans(), sel.span_set.count());
+  obs::RecordSpanAnswer(sel.span_set.num_spans(), sel.count);
   if (sel.span_set.detached()) obs::RecordMaterializedOids(sel.count);
   if (delivery != Delivery::kCount) result->span_set = std::move(sel.span_set);
 }
@@ -660,12 +662,12 @@ Result<QueryResult> AdaptiveStore::SelectRangeAt(const std::string& table,
     CRACK_RETURN_NOT_OK(LatchColumn(table, column, bat, &result.io, &latch));
     ColumnAccessPath* path = latch.accel->path.get();
     const bool is_crack = path->strategy() == AccessStrategy::kCrack;
-    // A neighbour's crack may reshuffle the answer's span once the latches
-    // drop, so a shared store's answers leave detached.
-    const bool detach = options_.concurrent && delivery != Delivery::kCount;
+    // The path learns the delivery: a count never reads its rows, and a
+    // shared store's crack answers that deliver rows leave detached (a
+    // neighbour's crack may reshuffle the span once the latches drop).
     CRACK_ASSIGN_OR_RETURN(
         AccessSelection sel,
-        path->SelectTyped(range, detach, &result.io,
+        path->SelectTyped(range, delivery, &result.io,
                           view.active() ? &view : nullptr));
     const bool fused = sel.bounds_dropped > 0;
     FinishSelect(std::move(sel), delivery, &result);
@@ -848,18 +850,35 @@ Result<QueryResult> AdaptiveStore::SelectConjunctionAt(
   return result;
 }
 
+std::vector<uint64_t> AdaptiveStore::VisibleRows(const std::string& table,
+                                                 const Relation& rel,
+                                                 const Snapshot& snap) const {
+  const size_t n = rel.num_rows();
+  std::vector<uint64_t> bm(BitmapWords(n));
+  VersionedTable* vt = VersionsIfAny(table);
+  if (vt == nullptr) {
+    BitmapFill(bm.data(), n);
+    return bm;
+  }
+  // One version-log latch acquisition for the whole base run: a horizon
+  // clip, then one probe per marked row.
+  SnapshotView view = vt->ViewFor(snap, /*column=*/"", /*force_active=*/true);
+  view.VisibleRangeMask(BaseOid(rel), n, bm.data());
+  return bm;
+}
+
 Result<std::vector<Oid>> AdaptiveStore::LiveOidsAt(const std::string& table,
                                                    const Snapshot& snap) const {
   CRACK_ASSIGN_OR_RETURN(std::shared_ptr<Relation> rel, this->table(table));
-  VersionedTable* vt = VersionsIfAny(table);
   std::shared_lock<std::shared_mutex> base(TableStateFor(table)->base_latch);
+  const std::vector<uint64_t> visible = VisibleRows(table, *rel, snap);
+  const Oid base_oid = BaseOid(*rel);
   std::vector<Oid> oids;
-  oids.reserve(rel->num_rows());
-  Oid base_oid = BaseOid(*rel);
-  for (size_t i = 0; i < rel->num_rows(); ++i) {
-    Oid oid = base_oid + i;
-    if (vt != nullptr && !vt->RowVisibleAt(oid, snap)) continue;
-    oids.push_back(oid);
+  oids.reserve(BitmapCount(visible.data(), rel->num_rows()));
+  for (size_t w = 0; w < visible.size(); ++w) {
+    for (uint64_t m = visible[w]; m != 0; m &= m - 1) {
+      oids.push_back(base_oid + (w << 6) + size_t(__builtin_ctzll(m)));
+    }
   }
   return oids;
 }
@@ -1119,8 +1138,7 @@ Result<QueryResult> AdaptiveStore::Update(
           Value old_value = bats[s]->GetValue(row);
           vt->StampUpdate(oid, sets[s].column, old_value,
                           TxnStamp(scope.txn));
-          PushUndo(scope, UndoRecord{table, sets[s].column, oid,
-                                     std::move(old_value)});
+          PushUndo(scope, UndoRecord{table, sets[s].column, oid, old_value});
           CRACK_RETURN_NOT_OK(bats[s]->SetValue(row, sets[s].value));
           if (wal_ != nullptr) {
             durability::WalOp op;
@@ -1133,7 +1151,8 @@ Result<QueryResult> AdaptiveStore::Update(
           }
           result.io.tuples_written += 1;
           if (paths[s] == nullptr) continue;
-          Status st = paths[s]->Update(oid, sets[s].value, &result.io);
+          Status st =
+              paths[s]->Update(oid, old_value, sets[s].value, &result.io);
           if (st.IsNotFound()) {
             // The path believes the row is physically dead (vacuum-purged
             // under our feet); skip the row rather than aborting the
@@ -1175,12 +1194,8 @@ Result<uint64_t> AdaptiveStore::LiveRowCount(const std::string& table,
   std::shared_ptr<Relation> rel = *rel_result;
   VersionedTable* vt = VersionsIfAny(table);
   if (vt == nullptr || vt->empty()) return rel->num_rows();
-  uint64_t live = 0;
-  Oid base = BaseOid(*rel);
-  for (size_t i = 0; i < rel->num_rows(); ++i) {
-    live += vt->RowVisibleAt(base + i, snap) ? 1 : 0;
-  }
-  return live;
+  const std::vector<uint64_t> visible = VisibleRows(table, *rel, snap);
+  return BitmapCount(visible.data(), rel->num_rows());
 }
 
 Status AdaptiveStore::MarkDeleted(const std::string& table,
@@ -1221,8 +1236,9 @@ Result<AdaptiveStore::VacuumStats> AdaptiveStore::Vacuum() {
     stats.versions_dropped += res.versions_dropped;
     stats.chain_entries_dropped += res.chain_entries_dropped;
     if (res.purged.empty()) continue;
-    // Feed the purge to every materialized access path of the table, then
-    // fold it through the ordinary Merge machinery.
+    // Hand the purge to every materialized access path of the table: each
+    // tombstones the rows and folds them through the ordinary Merge
+    // machinery once.
     std::vector<ColumnAccessPath*> paths;
     {
       std::lock_guard<std::mutex> rl(registry_mu_);
@@ -1237,13 +1253,7 @@ Result<AdaptiveStore::VacuumStats> AdaptiveStore::Vacuum() {
       }
     }
     for (ColumnAccessPath* path : paths) {
-      for (Oid oid : res.purged) {
-        Status st = path->Delete(oid, &io);
-        // NotFound: the row never physically landed (failed append);
-        // AlreadyExists: an earlier purge already tombstoned it.
-        if (!st.ok() && !st.IsNotFound() && !st.IsAlreadyExists()) return st;
-      }
-      CRACK_RETURN_NOT_OK(path->FlushDeltas(&io));
+      CRACK_RETURN_NOT_OK(path->Purge(res.purged, &io));
     }
   }
   AddIo(io);

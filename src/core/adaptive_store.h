@@ -44,17 +44,6 @@
 
 namespace crackstore {
 
-/// What a query delivers (paper §2.1, Fig. 1): counting is cheapest,
-/// view/stream delivery is middle, materializing a new table is dearest.
-enum class Delivery : uint8_t {
-  kCount = 0,  ///< only the qualifying-tuple count
-  /// The qualifying rows as QueryResult::span_set (spans over the
-  /// accelerator, no copy): walk them with ForEachOid, or CollectOids() for
-  /// an ascending list.
-  kView = 1,
-  kMaterialize = 2,  ///< a fresh Relation holding the qualifying rows
-};
-
 /// Store-wide options.
 struct AdaptiveStoreOptions {
   AccessStrategy strategy = AccessStrategy::kCrack;
@@ -742,6 +731,12 @@ class AdaptiveStore {
       Delivery delivery, const Snapshot& snap);
   Result<std::vector<Oid>> LiveOidsAt(const std::string& table,
                                       const Snapshot& snap) const;
+  /// Bit i set iff base row i of `rel` (table `table`) is visible at `snap`,
+  /// decided under one version-log latch acquisition. Caller holds the
+  /// table's base latch.
+  std::vector<uint64_t> VisibleRows(const std::string& table,
+                                    const Relation& rel,
+                                    const Snapshot& snap) const;
 
   /// Turns a path's answer into the statement's result shape. Caller holds
   /// the column latch.

@@ -214,6 +214,15 @@ std::pair<size_t, size_t> CrackerIndex<T>::PieceSpanFor(T v) const {
 }
 
 template <typename T>
+std::pair<size_t, size_t> CrackerIndex<T>::PieceAt(size_t pos) const {
+  std::lock_guard<std::mutex> lk(map_mu_);
+  auto next = cut_refs_.upper_bound(pos);  // first cut after pos
+  const size_t end = next == cut_refs_.end() ? n_ : next->first;
+  const size_t begin = next == cut_refs_.begin() ? 0 : std::prev(next)->first;
+  return {begin, end};
+}
+
+template <typename T>
 T CrackerIndex<T>::ValueAt(size_t slot) {
   CRACK_DCHECK(slot < n_);
   RangeLockGuard cell(&range_locks_, slot, slot + 1, /*exclusive=*/false);

@@ -194,6 +194,11 @@ class CrackerIndex {
   /// else).
   std::pair<size_t, size_t> PieceSpanFor(T v) const;
 
+  /// The piece holding slot `pos`: [last cut at or before pos, first cut
+  /// after it), with 0 and size() standing in at the column's edges. Every
+  /// row of it lies below every row right of it.
+  std::pair<size_t, size_t> PieceAt(size_t pos) const;
+
   /// The tail value at `slot`, read under a shared range lock over
   /// [slot, slot+1) so no in-flight shuffle is mid-swap there. Any value
   /// observed is a valid pivot: shuffles only permute tuples within a

@@ -165,7 +165,7 @@ void VersionedTable::NoteInsert(Oid oid, Ts stamp) {
   purged_.erase(oid);
   if (rows_.count(oid) == 0) {
     obs::AddVersionRows(1);
-    marks_.Set(oid);
+    MarkLocked(oid);
   }
   RowVersion v;
   v.begin = stamp;
@@ -186,7 +186,7 @@ VersionedTable::Admission VersionedTable::AdmitWrite(
     v.writer = writer;
     rows_.emplace(oid, v);
     obs::AddVersionRows(1);
-    marks_.Set(oid);
+    MarkLocked(oid);
     return Admission::kOk;
   }
   RowVersion& v = it->second;
@@ -222,7 +222,7 @@ void VersionedTable::StampDelete(Oid oid, Ts stamp) {
   std::unique_lock<std::shared_mutex> lock(mu_);
   if (rows_.count(oid) == 0) {
     obs::AddVersionRows(1);
-    marks_.Set(oid);
+    MarkLocked(oid);
   }
   RowVersion& v = rows_[oid];
   v.end = stamp;
@@ -237,7 +237,7 @@ void VersionedTable::StampUpdate(Oid oid, const std::string& column,
   std::unique_lock<std::shared_mutex> lock(mu_);
   chains_[column][oid].push_back(ValueVersion{std::move(old_value), stamp});
   obs::AddVersionChainEntries(1);
-  marks_.Set(oid);
+  MarkLocked(oid);
   if (!IsTxnStamp(stamp)) {
     if (rows_.count(oid) == 0) obs::AddVersionRows(1);
     RowVersion& v = rows_[oid];
@@ -449,11 +449,14 @@ VersionedTable::VacuumResult VersionedTable::Vacuum(Ts low_water) {
     }
     ++it;
   }
-  // 3. Re-mark exactly the oids that still have an entry.
+  // 3. Re-mark exactly the oids that still have an entry, as a new
+  // generation of the mark log.
   marks_.ClearAll();
-  for (const auto& [oid, v] : rows_) marks_.Set(oid);
-  for (Oid oid : purged_) marks_.Set(oid);
-  for (Oid oid : chained) marks_.Set(oid);
+  mark_log_.clear();
+  ++mark_generation_;
+  for (const auto& [oid, v] : rows_) MarkLocked(oid);
+  for (Oid oid : purged_) MarkLocked(oid);
+  for (Oid oid : chained) MarkLocked(oid);
   std::sort(result.purged.begin(), result.purged.end());
   obs::AddVersionChainEntries(
       -static_cast<int64_t>(result.chain_entries_dropped));
@@ -484,6 +487,17 @@ bool VersionedTable::empty() const {
 Oid VersionedTable::horizon() const {
   std::shared_lock<std::shared_mutex> lock(mu_);
   return horizon_;
+}
+
+bool VersionedTable::MarksSince(MarkCursor* cursor,
+                                std::vector<Oid>* out) const {
+  std::shared_lock<std::shared_mutex> lock(mu_);
+  const bool same = cursor->generation == mark_generation_;
+  const size_t from = same ? cursor->next : 0;
+  out->insert(out->end(), mark_log_.begin() + from, mark_log_.end());
+  cursor->generation = mark_generation_;
+  cursor->next = mark_log_.size();
+  return same;
 }
 
 // --- TxnManager -------------------------------------------------------------

@@ -172,6 +172,11 @@ class SnapshotView {
 
   const Snapshot& snapshot() const { return snap_; }
 
+  /// The version log this view reads (null when inactive). Crack paths pull
+  /// its mark log (VersionedTable::MarksSince) to keep their hidden-
+  /// candidate tables current.
+  const VersionedTable* table() const { return table_; }
+
   /// A copy of this view with its value overrides replaced — encoding
   /// decorators use it to translate overrides into the inner path's domain
   /// (e.g. strings to dictionary codes). Row visibility is unchanged.
@@ -206,6 +211,11 @@ class SnapshotView {
 /// unique latch as the oid gains its first entry; nothing clears it until
 /// Vacuum rebuilds the table from the entries that survive (vacuum runs
 /// quiesced, so no open view can miss an override it still holds).
+///
+/// Every newly set mark is also appended to a mark log, so a reader that
+/// keeps state per marked row (a crack path's hidden-candidate table)
+/// catches up in O(new marks) with MarksSince. Vacuum's re-mark starts a
+/// new generation whose log lists exactly the oids marked after it.
 class VersionedTable {
  public:
   /// `initial_rows` / `base_oid` describe the rows present at registration
@@ -262,7 +272,9 @@ class VersionedTable {
   SnapshotView ViewFor(const Snapshot& snap, const std::string& column,
                        bool force_active = false) const;
 
-  /// Row-level visibility without a view (LiveOids / COUNT(*) loops).
+  /// Row-level visibility of one row, without a view: the per-row
+  /// reference the batched filters (VisibleRangeMask, which LiveOids and
+  /// COUNT(*) use) are tested against.
   bool RowVisibleAt(Oid oid, const Snapshot& snap) const;
 
   /// Oids invisible at `snap` among [base, base + rows): committed deletes,
@@ -302,6 +314,18 @@ class VersionedTable {
   /// the base latch.
   Oid horizon() const;
 
+  /// A reader's position in the mark log.
+  struct MarkCursor {
+    uint64_t generation = 0;
+    size_t next = 0;
+  };
+
+  /// Appends to *out the oids marked since *cursor and advances it. Returns
+  /// false when the cursor is from an earlier generation (a vacuum re-marked
+  /// the table since): *out then holds the whole current log, every oid
+  /// marked now, and the caller drops what it derived from the old marks.
+  bool MarksSince(MarkCursor* cursor, std::vector<Oid>* out) const;
+
  private:
   friend class SnapshotView;
 
@@ -313,6 +337,11 @@ class VersionedTable {
   /// RowVisibleLocked for an oid known to be marked: probes the maps.
   bool MarkedRowVisibleLocked(Oid oid, const Snapshot& snap) const;
 
+  /// Marks `oid`, logging it when the mark is new. Unique latch held.
+  void MarkLocked(Oid oid) {
+    if (marks_.Set(oid)) mark_log_.push_back(oid);
+  }
+
   mutable std::shared_mutex mu_;
   std::unordered_map<Oid, RowVersion> rows_;
   /// column -> oid -> superseded values, oldest first.
@@ -321,6 +350,10 @@ class VersionedTable {
   std::unordered_set<Oid> purged_;
   /// Superset of the oids in rows_, purged_ and chains_ (see class comment).
   OidBitTable marks_;
+  /// The members of marks_ in the order they were set, since the last
+  /// re-mark, which bumps mark_generation_ (see MarksSince).
+  std::vector<Oid> mark_log_;
+  uint64_t mark_generation_ = 0;
   /// One past the highest oid ever registered (insert stamps move it).
   Oid horizon_;
 };

@@ -3,6 +3,7 @@
 #include "core/updatable_cracker_index.h"
 
 #include <algorithm>
+#include <set>
 #include <unordered_set>
 
 #include "obs/instruments.h"
@@ -21,6 +22,7 @@ UpdatableCrackerIndex<T>::UpdatableCrackerIndex(
       next_fresh_oid_(source->head_base() + source->size()),
       base_oid_(source->head_base()),
       deleted_(source->head_base()),
+      merged_end_(next_fresh_oid_),
       purged_(source->head_base()) {}
 
 template <typename T>
@@ -37,7 +39,7 @@ Status UpdatableCrackerIndex<T>::Insert(T value, Oid oid) {
 }
 
 template <typename T>
-Status UpdatableCrackerIndex<T>::Delete(Oid oid) {
+Status UpdatableCrackerIndex<T>::Delete(Oid oid, T value) {
   if (oid < base_oid_ || oid >= next_fresh_oid_) {
     return Status::NotFound(
         StrFormat("oid %llu was never inserted",
@@ -58,11 +60,12 @@ Status UpdatableCrackerIndex<T>::Delete(Oid oid) {
         StrFormat("oid %llu already deleted",
                   static_cast<unsigned long long>(oid)));
   }
+  tombstone_values_.Insert(value, oid);
   return Status::OK();
 }
 
 template <typename T>
-Status UpdatableCrackerIndex<T>::Update(T value, Oid oid) {
+Status UpdatableCrackerIndex<T>::Update(T value, Oid oid, T old_value) {
   // Concurrency audit (PR 4): this routine runs strictly under the owning
   // path's delta latch, so the classification below (pending? purged?
   // deleted? else merged) cannot go stale between the checks and the
@@ -95,6 +98,7 @@ Status UpdatableCrackerIndex<T>::Update(T value, Oid oid) {
   // Merged tuple: tombstone the old value, re-enter the new one under the
   // same oid. Merge() folds both sides, leaving one live copy.
   deleted_.Set(oid);
+  tombstone_values_.Insert(old_value, oid);
   pending_.emplace_back(value, oid);
   return Status::OK();
 }
@@ -111,14 +115,11 @@ UpdatableSelection<T> UpdatableCrackerIndex<T>::Select(T lo, bool lo_incl,
   UpdatableSelection<T> out;
   out.base = index_->Select(lo, lo_incl, hi, hi_incl, stats);
 
-  if (!deleted_.empty()) {
-    const Oid* oids =
-        index_->oids()->template TailData<Oid>() + out.base.oids.offset();
-    for (size_t i = 0; i < out.base.oids.size(); ++i) {
-      out.deleted_in_base += deleted_.Test(oids[i]) ? 1 : 0;
-    }
-    if (stats != nullptr) stats->tuples_read += out.base.oids.size();
-  }
+  // The cracked area holds exactly the rows whose physical value is in
+  // range, so the tombstones inside it are found by value.
+  TombstonesIn(lo, lo_incl, hi, hi_incl,
+               [&out](T, Oid) { ++out.deleted_in_base; });
+  if (stats != nullptr) stats->tuples_read += out.deleted_in_base;
   auto in_range = [&](T v) {
     if (lo_incl ? v < lo : v <= lo) return false;
     if (hi_incl ? v > hi : v >= hi) return false;
@@ -214,7 +215,9 @@ Status UpdatableCrackerIndex<T>::Merge(IoStats* stats) {
   for (const auto& [value, oid] : pending_) deleted_.Clear(oid);
   deleted_.ForEach([this](Oid oid) { purged_.Set(oid); });
   deleted_.ClearAll();
+  tombstone_values_.Clear();
   pending_.clear();
+  merged_end_ = next_fresh_oid_;
   ++merges_performed_;
   obs::RecordMerge(w);
   return Status::OK();
@@ -226,16 +229,31 @@ Status UpdatableCrackerIndex<T>::Validate() const {
   if (index_->size() != merged_size_) {
     return Status::Internal("merged size drifted from index size");
   }
-  // Tombstones must reference oids that exist in the cracker column.
+  // Tombstones must reference oids that exist in the cracker column, each
+  // recorded with the value the column holds for it.
+  if (tombstone_values_.size() != deleted_.count()) {
+    return Status::Internal("tombstone values out of step with tombstones");
+  }
   if (!deleted_.empty()) {
+    std::set<std::pair<T, Oid>> held;
+    const T* values = index_->values()->template TailData<T>();
     const Oid* oids = index_->oids()->template TailData<Oid>();
-    size_t found = 0;
     for (size_t i = 0; i < index_->size(); ++i) {
-      found += deleted_.Test(oids[i]) ? 1 : 0;
+      if (deleted_.Test(oids[i])) held.emplace(values[i], oids[i]);
     }
-    if (found != deleted_.count()) {
+    if (held.size() != deleted_.count()) {
       return Status::Internal("tombstone references unknown oid");
     }
+    Status st = Status::OK();
+    tombstone_values_.ForEach([&](T value, Oid oid) {
+      if (st.ok() && held.count({value, oid}) == 0) {
+        st = Status::Internal(
+            StrFormat("tombstone of oid %llu keeps a value the cracker "
+                      "column does not hold",
+                      static_cast<unsigned long long>(oid)));
+      }
+    });
+    CRACK_RETURN_NOT_OK(st);
   }
   // Pending oids must be fresh and unique.
   std::unordered_set<Oid> seen;

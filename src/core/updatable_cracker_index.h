@@ -7,7 +7,9 @@
 // back lazily.
 //
 //   * inserts  -> a pending list, consulted by every selection;
-//   * deletes  -> a tombstone set filtered out of every answer;
+//   * deletes  -> a tombstone set filtered out of every answer, each
+//     tombstone kept with its physical value, so the tombstones inside a
+//     range are found by value (TombstonesIn) without reading the span;
 //   * Merge()  -> folds both into a fresh cracker column, *re-applying the
 //     learned piece boundaries* so the index survives its own maintenance.
 //
@@ -25,6 +27,7 @@
 
 #include "core/cracker_index.h"
 #include "core/oid_bit_table.h"
+#include "core/value_ordered_oids.h"
 #include "obs/query_stats.h"
 #include "util/result.h"
 
@@ -66,15 +69,18 @@ class UpdatableCrackerIndex {
   /// previous inserts); the caller owns the oid space.
   Status Insert(T value, Oid oid);
 
-  /// Tombstones a tuple by oid (source or previously inserted). Deleting a
-  /// pending insert cancels it directly.
-  Status Delete(Oid oid);
+  /// Tombstones a tuple by oid (source or previously inserted); `value` is
+  /// the value the cracker column holds for it. Deleting a pending insert
+  /// cancels it directly (`value` is then unused).
+  Status Delete(Oid oid, T value);
 
   /// Changes the value of an existing tuple *without* retiring its oid: a
   /// pending insert is rewritten in place; a merged tuple is tombstoned and
   /// re-entered as a pending insert carrying the same oid, so the oid keeps
   /// naming the same logical row across every column of a table.
-  Status Update(T value, Oid oid);
+  /// `old_value` is the value the tuple held until now — the one the
+  /// tombstone keeps (owners overwrite their base slot before calling).
+  Status Update(T value, Oid oid, T old_value);
 
   /// Range selection over the live tuples (see UpdatableSelection). May
   /// trigger an automatic Merge() first.
@@ -123,6 +129,22 @@ class UpdatableCrackerIndex {
   /// The tombstones against the merged area.
   const OidBitTable& tombstones() const { return deleted_; }
 
+  /// Calls fn(value, oid) for every tombstone whose physical value lies in
+  /// the range, in value order: exactly the tombstoned rows of the
+  /// value-exact cracked span for that range.
+  template <typename Fn>
+  void TombstonesIn(T lo, bool lo_incl, T hi, bool hi_incl, Fn&& fn) const {
+    tombstone_values_.ForEachIn(lo, lo_incl, hi, hi_incl,
+                                std::forward<Fn>(fn));
+  }
+
+  /// True iff the cracker column physically holds `oid` (tombstoned or
+  /// not): every oid registered before the last build or merge that no
+  /// merge has removed. Pending inserts are not held.
+  bool Holds(Oid oid) const {
+    return oid >= base_oid_ && oid < merged_end_ && !purged_.Test(oid);
+  }
+
   /// True when the delta has outgrown options().auto_merge_fraction.
   bool ShouldAutoMerge() const {
     if (options_.auto_merge_fraction <= 0) return false;
@@ -142,6 +164,11 @@ class UpdatableCrackerIndex {
   std::vector<std::pair<T, Oid>> pending_;
   Oid base_oid_ = 0;         ///< lowest oid of the source column
   OidBitTable deleted_;      ///< tombstones against merged tuples
+  /// deleted_ with each tombstone's physical value, in value order.
+  ValueOrderedOids<T> tombstone_values_;
+  /// next_fresh_oid_ as of the last build or merge: the oids below it that
+  /// were not purged are exactly the ones the cracker column holds.
+  Oid merged_end_ = 0;
   OidBitTable purged_;       ///< oids physically removed by merges
   size_t merges_performed_ = 0;
 };

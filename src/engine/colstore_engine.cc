@@ -115,7 +115,10 @@ Result<RunResult> ColumnEngine::RunSelect(const std::string& table,
   CRACK_ASSIGN_OR_RETURN(ColumnAccessPath * path, PathFor(table, column, bat));
   CRACK_ASSIGN_OR_RETURN(
       AccessSelection sel,
-      path->SelectTyped(range, /*detach=*/false, &run.io));
+      path->SelectTyped(range,
+                        mode == DeliveryMode::kCount ? Delivery::kCount
+                                                     : Delivery::kView,
+                        &run.io));
   run.count = sel.count;
 
   switch (mode) {
@@ -190,8 +193,8 @@ Result<std::vector<uint64_t>> ColumnEngine::RunSelectCountBatch(
     tasks.emplace_back([&legs, group] {
       for (size_t i : *group) {
         Leg& leg = legs[i];
-        auto sel = leg.path->SelectTyped(leg.spec->range,
-                                         /*detach=*/false, nullptr);
+        auto sel = leg.path->SelectTyped(leg.spec->range, Delivery::kCount,
+                                         nullptr);
         if (!sel.ok()) {
           leg.status = sel.status();
           continue;

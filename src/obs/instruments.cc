@@ -176,6 +176,17 @@ void RecordVersionProbes(uint64_t rows) {
   }
 }
 
+void RecordHiddenCandidates(uint64_t rows) {
+  if (rows == 0) return;
+  static Counter* c = Reg().GetCounter(
+      "snapshot.hidden_candidates",
+      "crack-answer rows tested by value as possibly hidden");
+  c->Add(rows);
+  if (QueryTrace* t = CurrentTrace()) {
+    t->live.snap_hidden_candidates.fetch_add(rows, std::memory_order_relaxed);
+  }
+}
+
 void RecordSpanAnswer(uint64_t spans, uint64_t rows) {
   if (spans == 0) return;
   static Counter* c = Reg().GetCounter(

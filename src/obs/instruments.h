@@ -62,6 +62,7 @@ inline void RecordMerge(uint64_t) {}
 inline void RecordSnapshotFiltered(uint64_t) {}
 inline void RecordSnapshotOverride(uint64_t) {}
 inline void RecordVersionProbes(uint64_t) {}
+inline void RecordHiddenCandidates(uint64_t) {}
 inline void RecordSpanAnswer(uint64_t, uint64_t) {}
 inline void RecordMaterializedOids(uint64_t) {}
 inline void RecordAggPushdown(uint64_t, uint64_t) {}
@@ -114,6 +115,11 @@ void RecordSnapshotOverride(uint64_t hits);
 /// `rows` answer rows a snapshot filter looked up in the version maps (the
 /// rows the table had marked; every other row is decided by the horizon).
 void RecordVersionProbes(uint64_t rows);
+
+/// `rows` hidden candidates a value-exact crack answer looked up by value
+/// and tested against its tombstones and snapshot (instead of masking every
+/// answer row).
+void RecordHiddenCandidates(uint64_t rows);
 
 /// One selection answered as an OidSpanSet: `spans` contiguous pieces
 /// covering `rows` qualifying rows, zero oids materialized.

@@ -36,6 +36,7 @@ struct TraceCounters {
   uint64_t snap_rows_filtered = 0; ///< rows hidden by snapshot visibility
   uint64_t snap_override_hits = 0; ///< value overrides served to a snapshot
   uint64_t snap_version_probes = 0; ///< answer rows probed in version maps
+  uint64_t snap_hidden_candidates = 0;  ///< crack rows tested by value
   uint64_t simd_calls[4] = {0, 0, 0, 0};  ///< crack kernel calls per tier
   uint64_t tasks_run = 0;
   uint64_t task_batches = 0;
@@ -55,6 +56,8 @@ struct TraceCounters {
     d.snap_rows_filtered = snap_rows_filtered - o.snap_rows_filtered;
     d.snap_override_hits = snap_override_hits - o.snap_override_hits;
     d.snap_version_probes = snap_version_probes - o.snap_version_probes;
+    d.snap_hidden_candidates =
+        snap_hidden_candidates - o.snap_hidden_candidates;
     for (int i = 0; i < 4; ++i) d.simd_calls[i] = simd_calls[i] - o.simd_calls[i];
     d.tasks_run = tasks_run - o.tasks_run;
     d.task_batches = task_batches - o.task_batches;
@@ -102,6 +105,7 @@ class QueryTrace {
     std::atomic<uint64_t> snap_rows_filtered{0};
     std::atomic<uint64_t> snap_override_hits{0};
     std::atomic<uint64_t> snap_version_probes{0};
+    std::atomic<uint64_t> snap_hidden_candidates{0};
     std::atomic<uint64_t> simd_calls[4] = {};
     std::atomic<uint64_t> tasks_run{0};
     std::atomic<uint64_t> task_batches{0};

@@ -76,7 +76,7 @@ void RunParity(uint64_t seed) {
       RangeBounds range{lo, rng.NextBounded(2) == 0, hi,
                         rng.NextBounded(2) == 0};
       IoStats io;
-      AccessSelection sel = (*path)->Select(range, /*detach=*/false, &io);
+      AccessSelection sel = (*path)->Select(range, Delivery::kView, &io);
       std::vector<Oid> expected = ReferenceOids<T>(bat, range);
       ASSERT_EQ(sel.count, expected.size())
           << ConfigName(config) << " query " << q;
@@ -104,7 +104,7 @@ TEST(AccessPathTest, ParityOnOneSidedAndEmptyRanges) {
           RangeBounds::GreaterThan(1900), RangeBounds::Equal(1234),
           RangeBounds::Closed(500, 400), RangeBounds::Open(10, 11)}) {
       IoStats io;
-      AccessSelection sel = (*path)->Select(range, /*detach=*/false, &io);
+      AccessSelection sel = (*path)->Select(range, Delivery::kView, &io);
       EXPECT_EQ(sel.count, ReferenceOids<int64_t>(bat, range).size())
           << ConfigName(config);
     }
@@ -121,19 +121,24 @@ TEST(AccessPathTest, OutOfDomainBoundsOnNarrowColumns) {
     auto path = CreateColumnAccessPath(bat, config);
     ASSERT_TRUE(path.ok());
     IoStats io;
-    EXPECT_EQ((*path)->Select(RangeBounds::AtLeast(3000000000LL), false, &io)
+    EXPECT_EQ((*path)
+                  ->Select(RangeBounds::AtLeast(3000000000LL), Delivery::kView,
+                           &io)
                   .count,
               0u)
         << ConfigName(config);
-    EXPECT_EQ((*path)->Select(RangeBounds::AtMost(-3000000000LL), false, &io)
+    EXPECT_EQ((*path)
+                  ->Select(RangeBounds::AtMost(-3000000000LL), Delivery::kView,
+                           &io)
                   .count,
               0u)
         << ConfigName(config);
-    EXPECT_EQ((*path)->Select(RangeBounds::All(), false, &io).count, 5u)
+    EXPECT_EQ(
+        (*path)->Select(RangeBounds::All(), Delivery::kView, &io).count, 5u)
         << ConfigName(config);
     EXPECT_EQ((*path)
                   ->Select(RangeBounds::Closed(-4000000000LL, 4000000000LL),
-                           false, &io)
+                           Delivery::kView, &io)
                   .count,
               5u)
         << ConfigName(config);
@@ -165,7 +170,7 @@ TEST(AccessPathTest, CrackPathBuildsLazily) {
   EXPECT_NE((*path)->Explain().find("no accelerator yet"), std::string::npos);
   // ...and the first query is charged the clone investment (n reads).
   IoStats io;
-  (*path)->Select(RangeBounds::Closed(1, 10), false, &io);
+  (*path)->Select(RangeBounds::Closed(1, 10), Delivery::kView, &io);
   EXPECT_GE(io.tuples_read, 1000u);
   EXPECT_GT((*path)->NumPieces(), 1u);
 }
@@ -186,7 +191,7 @@ TEST(AccessPathTest, ApplyPolicyInjectsPivot) {
   EXPECT_EQ(pieces[0].end, 499u);  // values 1..499
   // Queries over the injected partitioning stay correct.
   AccessSelection sel = (*path)->Select(RangeBounds::Closed(450, 550),
-                                        /*detach=*/false, &io);
+                                        Delivery::kView, &io);
   EXPECT_EQ(sel.count, 101u);
 }
 
@@ -209,7 +214,7 @@ TEST(AccessPathTest, ExplainNamesPathAndPolicy) {
     auto path = CreateColumnAccessPath(bat, config);
     ASSERT_TRUE(path.ok());
     IoStats io;
-    (*path)->Select(RangeBounds::Closed(100, 200), false, &io);
+    (*path)->Select(RangeBounds::Closed(100, 200), Delivery::kView, &io);
     std::string explain = (*path)->Explain();
     EXPECT_NE(explain.find(std::string("access path: ") +
                            AccessStrategyName(config.strategy)),
@@ -237,7 +242,8 @@ TEST(AccessPathTest, MergeBudgetEnforcedInsidePath) {
     int64_t lo = rng.NextInRange(1, 4000);
     IoStats io;
     AccessSelection sel =
-        (*path)->Select(RangeBounds::Closed(lo, lo + 500), false, &io);
+        (*path)->Select(RangeBounds::Closed(lo, lo + 500), Delivery::kView,
+                        &io);
     EXPECT_EQ(sel.count, 501u);
     dropped += sel.bounds_dropped;
   }

@@ -204,8 +204,8 @@ TEST(AdaptivePolicyTest, AutoPathDetectsAndAnswersLikeStandard) {
     int64_t lo = rng.NextInRange(1, static_cast<int64_t>(n) - width);
     RangeBounds bounds = RangeBounds::HalfOpen(lo, lo + width);
     IoStats io;
-    AccessSelection want = oracle->Select(bounds, /*detach=*/false, &io);
-    AccessSelection got = auto_path->Select(bounds, /*detach=*/false, &io);
+    AccessSelection want = oracle->Select(bounds, Delivery::kView, &io);
+    AccessSelection got = auto_path->Select(bounds, Delivery::kView, &io);
     EXPECT_EQ(got.count, want.count) << "query " << q;
   }
   PathPolicyStatus status = auto_path->PolicyStatus();
@@ -255,11 +255,11 @@ TEST(ProgressivePolicyTest, MatchesOracleAndBoundsPerQueryWrites) {
     RangeBounds bounds = RangeBounds::HalfOpen(lo, lo + width);
     IoStats oracle_io;
     AccessSelection want =
-        (*oracle)->Select(bounds, /*detach=*/false, &oracle_io);
+        (*oracle)->Select(bounds, Delivery::kView, &oracle_io);
     oracle_max_writes = std::max(oracle_max_writes, oracle_io.kernel_writes);
     IoStats io;
     AccessSelection got =
-        (*progressive)->Select(bounds, /*detach=*/false, &io);
+        (*progressive)->Select(bounds, Delivery::kView, &io);
     EXPECT_EQ(got.count, want.count) << "query " << q;
     EXPECT_LE(io.kernel_writes, limit)
         << "query " << q << " blew the progressive budget";
@@ -299,7 +299,7 @@ TEST(ProgressivePolicyTest, RepeatedQueriesDrainTheFrontier) {
     for (size_t q = 0; q < queries.size(); ++q) {
       IoStats io;
       AccessSelection sel =
-          (*path)->Select(queries[q], /*detach=*/false, &io);
+          (*path)->Select(queries[q], Delivery::kView, &io);
       if (round == 0) {
         want.push_back(sel.count);
       } else {

@@ -61,7 +61,7 @@ uint64_t SequentialWorkloadCost(CrackPolicy policy, size_t n, size_t queries,
     int64_t lo = static_cast<int64_t>(q) * step + 1;
     IoStats io;
     AccessSelection sel = (*path)->Select(
-        RangeBounds::HalfOpen(lo, lo + step), /*detach=*/false, &io);
+        RangeBounds::HalfOpen(lo, lo + step), Delivery::kView, &io);
     EXPECT_EQ(sel.count, static_cast<uint64_t>(step));
     total += io.tuples_read;
     if (per_query != nullptr) per_query->push_back(io.tuples_read);
@@ -159,7 +159,7 @@ TEST(CrackPolicyTest, CoarseCapsPieceTable) {
       int64_t lo = rng.NextInRange(1, static_cast<int64_t>(n) - 200);
       IoStats io;
       AccessSelection sel = (*path)->Select(RangeBounds::Closed(lo, lo + 99),
-                                            /*detach=*/false, &io);
+                                            Delivery::kView, &io);
       EXPECT_EQ(sel.count, 100u);
     }
     return (*path)->NumPieces();

@@ -494,9 +494,10 @@ TEST(ObservabilityPlanTest, FirstTouchBuildIsASpanOfItsStatement) {
   }
 }
 
-// A warm COUNT over a range holding k rows with version state: the snapshot
-// filter sends exactly those k rows to the version maps (every other answer
-// row is settled by the table's marks), and EXPLAIN ANALYZE reports them.
+// A warm COUNT over a range holding k rows with version state: the crack
+// answer finds exactly those k rows as hidden candidates by value and sends
+// them to the version maps (no other answer row is read), and EXPLAIN
+// ANALYZE reports them. A warm SUM does the same beside its summaries.
 TEST(ObservabilityPlanTest, WarmCountProbesOnlyMarkedRows) {
   AdaptiveStore store;
   TapestryOptions topts;
@@ -517,11 +518,31 @@ TEST(ObservabilityPlanTest, WarmCountProbesOnlyMarkedRows) {
   ASSERT_EQ(sql::ExecuteSql(&store, count)->count, 29491u);  // cold: cracks
   auto out = *sql::ExecuteSql(&store, std::string("EXPLAIN ANALYZE ") + count);
   EXPECT_EQ(out.count, 29491u);
+  // A warm SUM over the same span: the piece summaries answer it, and the
+  // same 15 candidates are tested by value.
+  const char* sum = "SELECT SUM(c0) FROM R WHERE c0 BETWEEN 500 AND 30000";
+  ASSERT_TRUE(sql::ExecuteSql(&store, sum).ok());  // summarizes the span
+  auto sum_out =
+      *sql::ExecuteSql(&store, std::string("EXPLAIN ANALYZE ") + sum);
   if (obs::kMetricsEnabled) {
-    EXPECT_NE(out.message.find("version probes=15\n"), std::string::npos)
+    EXPECT_NE(out.message.find("version probes=15, hidden candidates=15\n"),
+              std::string::npos)
         << out.message;
     EXPECT_NE(out.message.find("rows filtered=10,"), std::string::npos)
         << out.message;
+    EXPECT_NE(sum_out.message.find("version probes=15, hidden candidates=15\n"),
+              std::string::npos)
+        << sum_out.message;
+    const size_t at = sum_out.message.find("summary rows=");
+    ASSERT_NE(at, std::string::npos) << sum_out.message;
+    EXPECT_GT(std::stoull(sum_out.message.substr(at + 13)), 0u)
+        << sum_out.message;
+  } else {
+    // The live counters compile away: no read path line is rendered.
+    EXPECT_EQ(out.message.find("read path:"), std::string::npos)
+        << out.message;
+    EXPECT_EQ(sum_out.message.find("read path:"), std::string::npos)
+        << sum_out.message;
   }
 }
 

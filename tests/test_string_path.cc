@@ -243,7 +243,7 @@ void RunStringSession(const AccessPathConfig& config, uint64_t seed) {
 
   auto check_select = [&](int op, const TypedRange& range) {
     IoStats io;
-    auto sel = path->SelectTyped(range, /*detach=*/false, &io);
+    auto sel = path->SelectTyped(range, Delivery::kView, &io);
     ASSERT_TRUE(sel.ok()) << "op " << op << ": " << sel.status().ToString();
     std::vector<Oid> expected = ModelOids(model, range);
     ASSERT_EQ(sel->count, expected.size()) << "op " << op;
@@ -295,7 +295,8 @@ void RunStringSession(const AccessPathConfig& config, uint64_t seed) {
       ASSERT_TRUE(
           bat->SetString(static_cast<size_t>(it->first - bat->head_base()), w)
               .ok());
-      ASSERT_TRUE(path->Update(it->first, Value(w)).ok()) << "op " << op;
+      ASSERT_TRUE(path->Update(it->first, Value(it->second), Value(w)).ok())
+          << "op " << op;
       it->second = std::move(w);
     }
   }
@@ -327,7 +328,7 @@ TEST(StringPathTest, DeepMidpointInsertsSurviveDictionaryRebuild) {
     ASSERT_TRUE(path.ok());
     IoStats io;
     // Materialize the accelerator so inserts hit live delta structures.
-    auto all = (*path)->SelectTyped(TypedRange::All(), false, &io);
+    auto all = (*path)->SelectTyped(TypedRange::All(), Delivery::kView, &io);
     ASSERT_TRUE(all.ok());
     ASSERT_EQ((*all).count, 3u);
 
@@ -341,14 +342,14 @@ TEST(StringPathTest, DeepMidpointInsertsSurviveDictionaryRebuild) {
     }
     // Everything below "b" is exactly the 40 midpoint strings.
     auto below = (*path)->SelectTyped(
-        TypedRange::LessThan(Value(std::string("b"))), false, &io);
+        TypedRange::LessThan(Value(std::string("b"))), Delivery::kView, &io);
     ASSERT_TRUE(below.ok());
     EXPECT_EQ((*below).count, 40u);
     EXPECT_EQ(below->span_set.ToOids(),
               ModelOids(model, TypedRange::LessThan(Value(std::string("b")))));
     // And a mid-chain equality still resolves post-remap.
     auto probe = (*path)->SelectTyped(
-        TypedRange::Equal(Value(std::string("abbbb"))), false, &io);
+        TypedRange::Equal(Value(std::string("abbbb"))), Delivery::kView, &io);
     ASSERT_TRUE(probe.ok());
     EXPECT_EQ((*probe).count, 1u);
     // The rebuild actually happened (visible in the explain report).
@@ -369,7 +370,7 @@ TEST(StringPathTest, DeleteValidationMatchesNumericPaths) {
     ASSERT_TRUE((*path)->Delete(1).ok());
     EXPECT_TRUE((*path)->Delete(1).IsAlreadyExists());
     IoStats io;
-    auto sel = (*path)->SelectTyped(TypedRange::All(), false, &io);
+    auto sel = (*path)->SelectTyped(TypedRange::All(), Delivery::kView, &io);
     ASSERT_TRUE(sel.ok());
     EXPECT_EQ(sel->count, 2u);
     EXPECT_EQ(sel->span_set.ToOids(), (std::vector<Oid>{0, 2}));
@@ -385,19 +386,20 @@ TEST(StringPathTest, MistypedPredicatesAndValuesAreRejected) {
   ASSERT_TRUE(path.ok());
   IoStats io;
   // Numeric bounds on a string column.
-  auto sel = (*path)->SelectTyped(RangeBounds::Closed(1, 5), false, &io);
+  auto sel =
+      (*path)->SelectTyped(RangeBounds::Closed(1, 5), Delivery::kView, &io);
   EXPECT_TRUE(sel.status().IsTypeMismatch());
   // String bounds on a numeric column.
   auto nbat = Bat::FromVector(std::vector<int64_t>{1, 2, 3}, "n");
   auto npath = CreateColumnAccessPath(nbat, config);
   ASSERT_TRUE(npath.ok());
   auto nsel = (*npath)->SelectTyped(
-      TypedRange::Equal(Value(std::string("x"))), false, &io);
+      TypedRange::Equal(Value(std::string("x"))), Delivery::kView, &io);
   EXPECT_TRUE(nsel.status().IsTypeMismatch());
   // Numeric DML value on a string column (post-build so it is not absorbed
   // by the lazy no-op).
   ASSERT_TRUE(
-      (*path)->SelectTyped(TypedRange::All(), false, &io).ok());
+      (*path)->SelectTyped(TypedRange::All(), Delivery::kView, &io).ok());
   bat->AppendString("z");
   EXPECT_TRUE((*path)->Insert(Value(int64_t{7}), 2).IsTypeMismatch());
 }

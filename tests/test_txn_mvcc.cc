@@ -35,6 +35,7 @@
 #include "sql/executor.h"
 #include "storage/relation.h"
 #include "util/rng.h"
+#include "util/string_util.h"
 
 namespace crackstore {
 namespace {
@@ -546,6 +547,128 @@ TEST(VacuumTest, RandomizedChurnKeepsOldSnapshotsExactAndShrinksStorage) {
       }
       check(latest, kNoTxn, "latest post-vacuum");
     }
+  }
+}
+
+// One VACUUM hands each built path its whole purge list: every path folds
+// it at most once, whatever the delta-merge policy, and answers hold.
+TEST(VacuumTest, FoldsEachPathOnce) {
+  for (AccessStrategy strategy :
+       {AccessStrategy::kCrack, AccessStrategy::kSort}) {
+    for (DeltaMergePolicy merge :
+         {DeltaMergePolicy::kImmediate, DeltaMergePolicy::kThreshold,
+          DeltaMergePolicy::kRippleOnSelect}) {
+      for (bool concurrent : {false, true}) {
+        SCOPED_TRACE(std::string(AccessStrategyName(strategy)) + " " +
+                     DeltaMergePolicyName(merge) +
+                     (concurrent ? " concurrent" : " serial"));
+        AdaptiveStoreOptions opts;
+        opts.strategy = strategy;
+        opts.delta_merge.policy = merge;
+        opts.concurrent = concurrent;
+        AdaptiveStore store(opts);
+        auto rel = *Relation::Create("t", Schema({{"a", ValueType::kInt64},
+                                                  {"b", ValueType::kInt32},
+                                                  {"s", ValueType::kString}}));
+        for (int64_t i = 0; i < 2000; ++i) {
+          ASSERT_TRUE(rel->AppendRow({Value(i), Value(static_cast<int32_t>(
+                                                    (i * 7) % 2000)),
+                                      Value(StrFormat("k%05lld",
+                                                      static_cast<long long>(
+                                                          (i * 13) % 2000)))})
+                          .ok());
+        }
+        ASSERT_TRUE(store.AddTable(rel).ok());
+        const std::vector<std::string> columns{"a", "b", "s"};
+        auto counts = [&] {
+          std::vector<uint64_t> out;
+          out.push_back(*store.LiveRowCount("t"));
+          out.push_back(
+              store.SelectRange("t", "a", RangeBounds::Closed(100, 1500))
+                  ->count);
+          out.push_back(
+              store.SelectRange("t", "b", RangeBounds::Closed(0, 999))
+                  ->count);
+          out.push_back(store
+                            .SelectRange("t", "s",
+                                         TypedRange::Closed(Value("k00500"),
+                                                            Value("k01500")))
+                            ->count);
+          return out;
+        };
+        (void)counts();  // builds every path
+        ASSERT_TRUE(store.Delete("t", {{"a", RangeBounds::Closed(200, 249)}})
+                        .ok());
+        const std::vector<uint64_t> want = counts();
+        std::vector<size_t> folds;
+        for (const std::string& c : columns) {
+          folds.push_back((*store.AccessPathFor("t", c))->merges_performed());
+        }
+        auto vac = store.Vacuum();
+        ASSERT_TRUE(vac.ok()) << vac.status().ToString();
+        EXPECT_EQ(vac->rows_purged, 50u);
+        for (size_t c = 0; c < columns.size(); ++c) {
+          const size_t after =
+              (*store.AccessPathFor("t", columns[c]))->merges_performed();
+          EXPECT_LE(after, folds[c] + 1) << columns[c];
+          EXPECT_EQ((*store.AccessPathFor("t", columns[c]))->pending_deletes(),
+                    0u)
+              << columns[c];
+        }
+        EXPECT_EQ(counts(), want);
+      }
+    }
+  }
+}
+
+// WHERE-less COUNT(*) and LiveOids decide every base row under one
+// version-log latch acquisition; they must answer exactly what the per-row
+// visibility probe answers — with a transaction open, after its rollback,
+// after a vacuum, and at a non-zero oid base.
+TEST(LiveRowsTest, MatchPerRowVisibility) {
+  for (Oid base : {Oid{0}, Oid{1000}}) {
+    SCOPED_TRACE("oid base " + std::to_string(base));
+    AdaptiveStore store;
+    auto rel = *Relation::Create("t", Schema({{"v", ValueType::kInt64}}));
+    for (int64_t i = 0; i < 300; ++i) {
+      ASSERT_TRUE(rel->AppendRow({Value(i)}).ok());
+    }
+    rel->column(size_t{0})->set_head_base(base);
+    ASSERT_TRUE(store.AddTable(rel).ok());
+    const VersionedTable* vt = store.versions("t");
+    ASSERT_NE(vt, nullptr);
+    auto expect_match = [&](TxnId txn, const std::string& what) {
+      SCOPED_TRACE(what);
+      const Snapshot snap = txn == kNoTxn
+                                ? store.txn_manager().LatestSnapshot()
+                                : *store.txn_manager().SnapshotOf(txn);
+      std::vector<Oid> want;
+      for (Oid oid = base; oid < base + rel->num_rows(); ++oid) {
+        if (vt->RowVisibleAt(oid, snap)) want.push_back(oid);
+      }
+      auto count = store.LiveRowCount("t", txn);
+      ASSERT_TRUE(count.ok());
+      EXPECT_EQ(*count, want.size());
+      auto oids = store.LiveOids("t", txn);
+      ASSERT_TRUE(oids.ok());
+      EXPECT_EQ(*oids, want);
+    };
+    expect_match(kNoTxn, "fresh table");
+    ASSERT_TRUE(store.Delete("t", {{"v", RangeBounds::Closed(10, 29)}}).ok());
+    ASSERT_TRUE(store.Update("t", {{"v", Value(int64_t{-1})}},
+                             {{"v", RangeBounds::Closed(40, 44)}})
+                    .ok());
+    TxnId txn = *store.Begin();
+    ASSERT_TRUE(
+        store.Delete("t", {{"v", RangeBounds::Closed(100, 149)}}, txn).ok());
+    ASSERT_TRUE(store.Insert("t", {Value(int64_t{7})}, txn).ok());
+    ASSERT_TRUE(store.Insert("t", {Value(int64_t{8})}).ok());
+    expect_match(kNoTxn, "transaction open, latest");
+    expect_match(txn, "transaction open, its own snapshot");
+    ASSERT_TRUE(store.Rollback(txn).ok());
+    expect_match(kNoTxn, "after rollback");
+    ASSERT_TRUE(store.Vacuum().ok());
+    expect_match(kNoTxn, "after vacuum");
   }
 }
 

@@ -67,7 +67,7 @@ TEST(UpdatableIndexTest, InsertRejectsStaleOids) {
 TEST(UpdatableIndexTest, DeleteHidesTuples) {
   auto col = I64({10, 20, 30, 40});
   UpdatableCrackerIndex<int64_t> index(col, nullptr, NoAutoMerge());
-  ASSERT_TRUE(index.Delete(1).ok());  // value 20
+  ASSERT_TRUE(index.Delete(1, 20).ok());
   auto sel = index.Select(0, true, 100, true);
   EXPECT_EQ(sel.count(), 3u);
   EXPECT_EQ(Values(index, sel), (std::multiset<int64_t>{10, 30, 40}));
@@ -77,16 +77,16 @@ TEST(UpdatableIndexTest, DeleteHidesTuples) {
 TEST(UpdatableIndexTest, DeleteValidation) {
   auto col = I64({10, 20});
   UpdatableCrackerIndex<int64_t> index(col, nullptr, NoAutoMerge());
-  EXPECT_TRUE(index.Delete(99).IsNotFound());
-  ASSERT_TRUE(index.Delete(0).ok());
-  EXPECT_TRUE(index.Delete(0).IsAlreadyExists());
+  EXPECT_TRUE(index.Delete(99, 0).IsNotFound());
+  ASSERT_TRUE(index.Delete(0, 10).ok());
+  EXPECT_TRUE(index.Delete(0, 10).IsAlreadyExists());
 }
 
 TEST(UpdatableIndexTest, DeletePendingInsertCancelsIt) {
   auto col = I64({10});
   UpdatableCrackerIndex<int64_t> index(col, nullptr, NoAutoMerge());
   ASSERT_TRUE(index.Insert(50, 1).ok());
-  ASSERT_TRUE(index.Delete(1).ok());
+  ASSERT_TRUE(index.Delete(1, 50).ok());
   EXPECT_EQ(index.pending_inserts(), 0u);
   EXPECT_EQ(index.Select(0, true, 100, true).count(), 1u);
 }
@@ -98,9 +98,9 @@ TEST(UpdatableIndexTest, CancelledPendingInsertStaysDead) {
   auto col = I64({10});
   UpdatableCrackerIndex<int64_t> index(col, nullptr, NoAutoMerge());
   ASSERT_TRUE(index.Insert(50, 1).ok());
-  ASSERT_TRUE(index.Delete(1).ok());
-  EXPECT_TRUE(index.Update(60, 1).IsNotFound());
-  EXPECT_TRUE(index.Delete(1).IsAlreadyExists());
+  ASSERT_TRUE(index.Delete(1, 50).ok());
+  EXPECT_TRUE(index.Update(60, 1, 50).IsNotFound());
+  EXPECT_TRUE(index.Delete(1, 50).IsAlreadyExists());
   EXPECT_EQ(index.Select(0, true, 100, true).count(), 1u);  // only oid 0
 }
 
@@ -115,7 +115,8 @@ TEST(UpdatableIndexTest, MergeFoldsDeltasAndPreservesBounds) {
   for (int i = 0; i < 50; ++i) {
     ASSERT_TRUE(index.Insert(150 + i, 1000 + static_cast<Oid>(i)).ok());
   }
-  ASSERT_TRUE(index.Delete(0).ok());
+  int64_t deleted_value = col->Get<int64_t>(0);
+  ASSERT_TRUE(index.Delete(0, deleted_value).ok());
   ASSERT_TRUE(index.Merge().ok());
 
   EXPECT_EQ(index.pending_inserts(), 0u);
@@ -130,7 +131,6 @@ TEST(UpdatableIndexTest, MergeFoldsDeltasAndPreservesBounds) {
   EXPECT_TRUE(sel.delta.empty());
   // 101 original values in [100,200] (permutation) + 50 inserts of
   // 150..199, possibly minus the deleted row's value.
-  int64_t deleted_value = col->Get<int64_t>(0);
   uint64_t expected = 101 + 50 -
                       ((deleted_value >= 100 && deleted_value <= 200) ? 1 : 0);
   EXPECT_EQ(sel.count(), expected);
@@ -166,9 +166,9 @@ TEST(UpdatableIndexTest, OidsStableAcrossMerge) {
 TEST(UpdatableIndexTest, DeleteAfterMergeOfThatOidFails) {
   auto col = I64({10, 20});
   UpdatableCrackerIndex<int64_t> index(col, nullptr, NoAutoMerge());
-  ASSERT_TRUE(index.Delete(1).ok());
+  ASSERT_TRUE(index.Delete(1, 20).ok());
   ASSERT_TRUE(index.Merge().ok());
-  EXPECT_TRUE(index.Delete(1).IsAlreadyExists());  // physically gone
+  EXPECT_TRUE(index.Delete(1, 20).IsAlreadyExists());  // physically gone
 }
 
 TEST(UpdatableIndexTest, StatsChargedForDeltaWork) {
@@ -222,7 +222,7 @@ TEST_P(UpdatableIndexPropertyTest, MatchesNaiveReference) {
         auto it = reference.begin();
         std::advance(it, rng.NextBounded(
                              static_cast<uint32_t>(reference.size())));
-        ASSERT_TRUE(index.Delete(it->first).ok());
+        ASSERT_TRUE(index.Delete(it->first, it->second).ok());
         reference.erase(it);
         break;
       }

@@ -111,7 +111,7 @@ void RunMixedSession(const AccessPathConfig& config, uint64_t seed) {
     RangeBounds range{lo, rng.NextBounded(2) == 0, hi,
                       rng.NextBounded(2) == 0};
     IoStats io;
-    AccessSelection sel = path->Select(range, /*detach=*/false, &io);
+    AccessSelection sel = path->Select(range, Delivery::kView, &io);
     std::vector<Oid> expected = ModelOids(model, range);
     ASSERT_EQ(sel.count, expected.size())
         << ConfigName(config) << " op " << op;
@@ -148,7 +148,7 @@ void RunMixedSession(const AccessPathConfig& config, uint64_t seed) {
           bat->SetNumeric(static_cast<size_t>(it->first - bat->head_base()),
                           value)
               .ok());
-      ASSERT_TRUE(path->Update(it->first, Value(value)).ok())
+      ASSERT_TRUE(path->Update(it->first, Value(it->second), Value(value)).ok())
           << ConfigName(config) << " op " << op;
       it->second = value;
     }
@@ -241,7 +241,7 @@ TEST(TombstoneTableTest, PathsAgreeWithAReferenceSet) {
         int64_t lo = rng.NextInRange(1, domain);
         RangeBounds range =
             RangeBounds::Closed(lo, lo + rng.NextInRange(0, 300));
-        AccessSelection sel = path->Select(range, /*detach=*/false, nullptr);
+        AccessSelection sel = path->Select(range, Delivery::kView, nullptr);
         ASSERT_EQ(sel.count, ModelOids(model, range).size());
         built = true;
       } else if (dice < 45) {
@@ -269,7 +269,8 @@ TEST(TombstoneTableTest, PathsAgreeWithAReferenceSet) {
         int64_t value = rng.NextInRange(1, domain);
         ASSERT_TRUE(
             bat->SetNumeric(static_cast<size_t>(it->first), value).ok());
-        ASSERT_TRUE(path->Update(it->first, Value(value)).ok());
+        ASSERT_TRUE(
+            path->Update(it->first, Value(it->second), Value(value)).ok());
         it->second = value;
         if (built && !scan) ref.Update(it->first);
       } else {
@@ -306,7 +307,7 @@ TEST(TombstoneTableTest, UpdatableIndexIsDeletedMatchesAReferenceSet) {
   Oid next_oid = 5000 + initial.size();
   TombstoneReference ref;
   size_t merges = 0;
-  EXPECT_TRUE(index.Delete(4999).IsNotFound());  // below the base oid
+  EXPECT_TRUE(index.Delete(4999, 0).IsNotFound());  // below the base oid
   for (int op = 0; op < 500; ++op) {
     SCOPED_TRACE("op " + std::to_string(op));
     const uint32_t dice = rng.NextBounded(100);
@@ -325,7 +326,7 @@ TEST(TombstoneTableTest, UpdatableIndexIsDeletedMatchesAReferenceSet) {
       if (model.empty()) continue;
       auto it = model.begin();
       std::advance(it, rng.NextBounded(static_cast<uint32_t>(model.size())));
-      ASSERT_TRUE(index.Delete(it->first).ok());
+      ASSERT_TRUE(index.Delete(it->first, it->second).ok());
       ref.Delete(it->first);
       model.erase(it);
     } else if (dice < 95) {
@@ -333,7 +334,7 @@ TEST(TombstoneTableTest, UpdatableIndexIsDeletedMatchesAReferenceSet) {
       auto it = model.begin();
       std::advance(it, rng.NextBounded(static_cast<uint32_t>(model.size())));
       int64_t value = rng.NextInRange(1, domain);
-      ASSERT_TRUE(index.Update(value, it->first).ok());
+      ASSERT_TRUE(index.Update(value, it->first, it->second).ok());
       it->second = value;
       ref.Update(it->first);
     } else {
@@ -352,8 +353,8 @@ TEST(TombstoneTableTest, UpdatableIndexIsDeletedMatchesAReferenceSet) {
     // Purged rows stay dead: deleting or updating them again is refused.
     if (!ref.purged.empty()) {
       Oid dead = *ref.purged.begin();
-      ASSERT_FALSE(index.Delete(dead).ok());
-      ASSERT_TRUE(index.Update(1, dead).IsNotFound());
+      ASSERT_FALSE(index.Delete(dead, 0).ok());
+      ASSERT_TRUE(index.Update(1, dead, 0).IsNotFound());
     }
     ASSERT_TRUE(index.Validate().ok());
   }
@@ -423,7 +424,7 @@ TEST(UpdatePathTest, DeleteBeforeFirstSelectIsHonored) {
     EXPECT_GE((*path)->pending_deletes(), 1u) << ConfigName(config);
     IoStats io;
     AccessSelection sel =
-        (*path)->Select(RangeBounds::Closed(15, 45), false, &io);
+        (*path)->Select(RangeBounds::Closed(15, 45), Delivery::kView, &io);
     EXPECT_EQ(sel.count, 2u) << ConfigName(config);
     EXPECT_EQ(sel.span_set.ToOids(), (std::vector<Oid>{2, 3}))
         << ConfigName(config);
@@ -442,7 +443,7 @@ TEST(UpdatePathTest, DeleteOfPendingInsertStaysDeadAcrossStrategies) {
     auto path = CreateColumnAccessPath(bat, config);
     ASSERT_TRUE(path.ok());
     IoStats io;
-    (void)(*path)->Select(RangeBounds::All(), false, &io);  // build
+    (void)(*path)->Select(RangeBounds::All(), Delivery::kView, &io);  // build
     bat->Append<int64_t>(40);
     ASSERT_TRUE((*path)->Insert(Value(int64_t{40}), 3).ok())
         << ConfigName(config);
@@ -450,10 +451,12 @@ TEST(UpdatePathTest, DeleteOfPendingInsertStaysDeadAcrossStrategies) {
     // The oid is dead: updates must not bring it back (scan paths keep no
     // pending state, so their no-op Update is exempt from the status check).
     if (config.strategy != AccessStrategy::kScan) {
-      EXPECT_FALSE((*path)->Update(3, Value(int64_t{50})).ok())
+      EXPECT_FALSE(
+          (*path)->Update(3, Value(int64_t{40}), Value(int64_t{50})).ok())
           << ConfigName(config);
     }
-    AccessSelection sel = (*path)->Select(RangeBounds::All(), false, &io);
+    AccessSelection sel =
+        (*path)->Select(RangeBounds::All(), Delivery::kView, &io);
     EXPECT_EQ(sel.count, 3u) << ConfigName(config);
     EXPECT_EQ(sel.span_set.ToOids(), (std::vector<Oid>{0, 1, 2}))
         << ConfigName(config);
@@ -474,7 +477,8 @@ TEST(UpdatePathTest, DeleteValidationIsUniformAcrossStrategies) {
     EXPECT_TRUE((*path)->Delete(1).IsAlreadyExists()) << ConfigName(config);
     EXPECT_TRUE((*path)->Delete(99).IsNotFound()) << ConfigName(config);
     IoStats io;
-    AccessSelection sel = (*path)->Select(RangeBounds::All(), false, &io);
+    AccessSelection sel =
+        (*path)->Select(RangeBounds::All(), Delivery::kView, &io);
     EXPECT_EQ(sel.count, 2u) << ConfigName(config);
     EXPECT_EQ(sel.span_set.ToOids(), (std::vector<Oid>{0, 2}))
         << ConfigName(config);
@@ -482,7 +486,7 @@ TEST(UpdatePathTest, DeleteValidationIsUniformAcrossStrategies) {
     EXPECT_TRUE((*path)->Delete(1).IsAlreadyExists()) << ConfigName(config);
     EXPECT_TRUE((*path)->Delete(99).IsNotFound()) << ConfigName(config);
     ASSERT_TRUE((*path)->Delete(0).ok()) << ConfigName(config);
-    sel = (*path)->Select(RangeBounds::All(), false, &io);
+    sel = (*path)->Select(RangeBounds::All(), Delivery::kView, &io);
     EXPECT_EQ(sel.count, 1u) << ConfigName(config);
   }
 }
@@ -496,14 +500,16 @@ TEST(UpdatePathTest, UpdateKeepsOidStable) {
     IoStats io;
     // Materialize the accelerator, then move oid 1 to the other end of the
     // value domain.
-    (void)(*path)->Select(RangeBounds::All(), false, &io);
+    (void)(*path)->Select(RangeBounds::All(), Delivery::kView, &io);
     ASSERT_TRUE(bat->SetNumeric(1, 999).ok());
-    ASSERT_TRUE((*path)->Update(1, Value(int64_t{999})).ok()) << ConfigName(config);
+    ASSERT_TRUE(
+        (*path)->Update(1, Value(int64_t{20}), Value(int64_t{999})).ok())
+        << ConfigName(config);
     AccessSelection gone =
-        (*path)->Select(RangeBounds::Closed(15, 25), false, &io);
+        (*path)->Select(RangeBounds::Closed(15, 25), Delivery::kView, &io);
     EXPECT_EQ(gone.count, 0u) << ConfigName(config);
     AccessSelection moved =
-        (*path)->Select(RangeBounds::AtLeast(900), false, &io);
+        (*path)->Select(RangeBounds::AtLeast(900), Delivery::kView, &io);
     EXPECT_EQ(moved.count, 1u) << ConfigName(config);
     EXPECT_EQ(moved.span_set.ToOids(), (std::vector<Oid>{1}))
         << ConfigName(config);
@@ -518,7 +524,7 @@ TEST(UpdatePathTest, ImmediatePolicyLeavesNoPendingAfterWrites) {
   auto path = CreateColumnAccessPath(bat, config);
   ASSERT_TRUE(path.ok());
   IoStats io;
-  (void)(*path)->Select(RangeBounds::AtMost(5), false, &io);  // build
+  (void)(*path)->Select(RangeBounds::AtMost(5), Delivery::kView, &io);  // build
   bat->Append<int64_t>(7);
   ASSERT_TRUE((*path)->Insert(Value(int64_t{7}), 5).ok());
   EXPECT_EQ((*path)->pending_inserts(), 0u);
@@ -536,12 +542,13 @@ TEST(UpdatePathTest, RipplePolicyDefersMergeToSelect) {
   auto path = CreateColumnAccessPath(bat, config);
   ASSERT_TRUE(path.ok());
   IoStats io;
-  (void)(*path)->Select(RangeBounds::AtMost(5), false, &io);  // build
+  (void)(*path)->Select(RangeBounds::AtMost(5), Delivery::kView, &io);  // build
   bat->Append<int64_t>(7);
   ASSERT_TRUE((*path)->Insert(Value(int64_t{7}), 5).ok());
   EXPECT_EQ((*path)->pending_inserts(), 1u);  // writes never merge
   EXPECT_EQ((*path)->merges_performed(), 0u);
-  AccessSelection sel = (*path)->Select(RangeBounds::All(), false, &io);
+  AccessSelection sel =
+      (*path)->Select(RangeBounds::All(), Delivery::kView, &io);
   EXPECT_EQ(sel.count, 6u);
   EXPECT_EQ((*path)->pending_inserts(), 0u);  // the select folded the delta
   EXPECT_EQ((*path)->merges_performed(), 1u);
@@ -570,14 +577,14 @@ TEST(UpdatePathTest, CoarseCountOnlySelectKeepsBaseHitsUnderPendingInserts) {
   ASSERT_TRUE(path.ok());
   IoStats io;
   AccessSelection sel =
-      (*path)->Select(RangeBounds::Closed(10, 20), /*detach=*/false, &io);
+      (*path)->Select(RangeBounds::Closed(10, 20), Delivery::kView, &io);
   EXPECT_EQ(sel.count, 11u);
   bat->Append<int64_t>(15);
   ASSERT_TRUE((*path)->Insert(Value(int64_t{15}), 100).ok());
   ASSERT_EQ((*path)->pending_inserts(), 1u);
-  sel = (*path)->Select(RangeBounds::Closed(10, 20), /*detach=*/false, &io);
+  sel = (*path)->Select(RangeBounds::Closed(10, 20), Delivery::kView, &io);
   EXPECT_EQ(sel.count, 12u);  // 11 base hits + the pending insert
-  sel = (*path)->Select(RangeBounds::Closed(10, 20), /*detach=*/false, &io);
+  sel = (*path)->Select(RangeBounds::Closed(10, 20), Delivery::kView, &io);
   EXPECT_EQ(sel.count, 12u);
   EXPECT_EQ(sel.span_set.ToOids().size(), 12u);
 }
@@ -592,14 +599,14 @@ TEST(UpdatePathTest, DoubleColumnsSelectAndWrite) {
   IoStats io;
   // int64-widened bounds select over the double domain.
   AccessSelection sel =
-      (*path)->Select(RangeBounds::Closed(2, 4), false, &io);
+      (*path)->Select(RangeBounds::Closed(2, 4), Delivery::kView, &io);
   EXPECT_EQ(sel.count, 2u);  // 2.5, 3.5
   bat->Append<double>(3.0);
   ASSERT_TRUE((*path)->Insert(Value(3.0), 5).ok());
-  sel = (*path)->Select(RangeBounds::Closed(2, 4), false, &io);
+  sel = (*path)->Select(RangeBounds::Closed(2, 4), Delivery::kView, &io);
   EXPECT_EQ(sel.count, 3u);
   ASSERT_TRUE((*path)->Delete(1).ok());  // 2.5
-  sel = (*path)->Select(RangeBounds::Closed(2, 4), false, &io);
+  sel = (*path)->Select(RangeBounds::Closed(2, 4), Delivery::kView, &io);
   EXPECT_EQ(sel.count, 2u);
 }
 
