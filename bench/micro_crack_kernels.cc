@@ -15,10 +15,12 @@
 // snapshot filter's probe count on a column with scattered versions
 // (`mvcc_marked_rows` / `mvcc_version_probes`), and the first statements on
 // a fresh 2^22-row column with and without the radix build
-// (`first_touch_*`). CI's bench-smoke lane reads
+// (`first_touch_*`), and the block read path (`block_reads`: ns per walked
+// row of a warm conjunction probe; `sort_oids_speedup`: ToOids' radix sort
+// against std::sort). CI's bench-smoke lane reads
 // `dispatched_vs_scalar_int32`, `agg_pushdown_vs_materialize_int32`,
-// `agg_repeat_tuples_read`, the two mvcc counts and
-// `first_touch_tuples_ratio` from that file.
+// `agg_repeat_tuples_read`, the two mvcc counts, `first_touch_tuples_ratio`
+// and `sort_oids_speedup` from that file.
 
 #include <benchmark/benchmark.h>
 
@@ -474,6 +476,99 @@ FirstTouch MeasureFirstTouch() {
   return out;
 }
 
+struct BlockReads {
+  uint64_t walked_rows = 0;     ///< rows the conjunctions walk
+  uint64_t survivors = 0;       ///< rows that pass the probed conjunct
+  double count_ns_per_row = 0;  ///< median warm kCount conjunction per row
+  double view_ns_per_row = 0;   ///< median warm kView conjunction per row
+  uint64_t sort_oids = 0;       ///< oids in the sorted answer
+  double radix_us = 0;          ///< median ToOids (radix) wall time
+  double std_sort_us = 0;       ///< median gather + std::sort wall time
+  double sort_speedup = 0;      ///< std_sort_us / radix_us
+};
+
+/// The block read path on a 500k-row, 2-column tapestry (perfbench
+/// multi_attr's table size): a warm conjunction that walks ~25k rows of c0's
+/// crack answer and probes c1 by oid, timed per walked row for kCount and
+/// kView; and a ~6k-row crack answer ordered by ToOids (radix) against the
+/// same oids gathered and ordered by std::sort, interleaved over `reps`
+/// runs. CI's bench-smoke lane gates `sort_oids_speedup`.
+BlockReads MeasureBlockReads(size_t n, int reps) {
+  BlockReads out;
+  AdaptiveStore store;
+  TapestryOptions topts;
+  topts.num_rows = n;
+  topts.num_columns = 2;
+  topts.seed = 22;
+  auto rel = BuildTapestry("P", topts);
+  if (!rel.ok() || !store.AddTable(*rel).ok()) return out;
+  const int64_t lo = static_cast<int64_t>(n) / 3;
+  const std::vector<AdaptiveStore::ColumnRange> conjunction{
+      {"c0", RangeBounds::Closed(lo, lo + 24999)},
+      {"c1", RangeBounds::Closed(1, static_cast<int64_t>(n) / 2)}};
+  const RangeBounds sort_range = RangeBounds::Closed(lo / 2, lo / 2 + 5999);
+  // Warm-up: crack both columns' ranges.
+  for (Delivery d : {Delivery::kCount, Delivery::kView}) {
+    if (!store.SelectConjunction("P", conjunction, d).ok()) return out;
+  }
+  if (!store.SelectRange("P", "c0", sort_range, Delivery::kView).ok()) {
+    return out;
+  }
+  std::vector<double> count_ns, view_ns, radix_us, std_us;
+  for (int r = 0; r < reps; ++r) {
+    auto t0 = std::chrono::steady_clock::now();
+    auto counted = store.SelectConjunction("P", conjunction, Delivery::kCount);
+    auto t1 = std::chrono::steady_clock::now();
+    auto viewed = store.SelectConjunction("P", conjunction, Delivery::kView);
+    auto t2 = std::chrono::steady_clock::now();
+    if (!counted.ok() || !viewed.ok() || counted->count != viewed->count) {
+      std::fprintf(stderr, "block read conjunction mismatch\n");
+      return out;
+    }
+    out.survivors = counted->count;
+    count_ns.push_back(
+        std::chrono::duration<double, std::nano>(t1 - t0).count());
+    view_ns.push_back(
+        std::chrono::duration<double, std::nano>(t2 - t1).count());
+
+    auto answer = store.SelectRange("P", "c0", sort_range, Delivery::kView);
+    if (!answer.ok()) return out;
+    const OidSpanSet& set = answer->span_set;
+    auto t3 = std::chrono::steady_clock::now();
+    std::vector<Oid> radix = set.ToOids();
+    auto t4 = std::chrono::steady_clock::now();
+    std::vector<Oid> sorted;
+    sorted.reserve(set.count());
+    set.ForEachBlock([&sorted](const OidBlock& block) {
+      for (uint64_t m = block.live; m != 0; m &= m - 1) {
+        sorted.push_back(block.oids[__builtin_ctzll(m)]);
+      }
+    });
+    std::sort(sorted.begin(), sorted.end());
+    auto t5 = std::chrono::steady_clock::now();
+    if (radix != sorted) {
+      std::fprintf(stderr, "ToOids disagrees with std::sort\n");
+      return out;
+    }
+    out.sort_oids = radix.size();
+    radix_us.push_back(
+        std::chrono::duration<double, std::micro>(t4 - t3).count());
+    std_us.push_back(
+        std::chrono::duration<double, std::micro>(t5 - t4).count());
+  }
+  auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+  };
+  out.walked_rows = 25000;
+  out.count_ns_per_row = median(count_ns) / static_cast<double>(out.walked_rows);
+  out.view_ns_per_row = median(view_ns) / static_cast<double>(out.walked_rows);
+  out.radix_us = median(radix_us);
+  out.std_sort_us = median(std_us);
+  if (out.radix_us > 0.0) out.sort_speedup = out.std_sort_us / out.radix_us;
+  return out;
+}
+
 int RunTierComparison(const std::string& path) {
   const size_t kRows = 1 << 20;
   const int kReps = 7;
@@ -518,6 +613,7 @@ int RunTierComparison(const std::string& path) {
   const FinePieces fine = MeasureFinePieces(1000000, 101);
   const MvccProbes mvcc = MeasureMvccProbes(1000000, 21);
   const FirstTouch first = MeasureFirstTouch();
+  const BlockReads block = MeasureBlockReads(500000, 21);
 
   std::ofstream out(path);
   if (!out) {
@@ -559,6 +655,14 @@ int RunTierComparison(const std::string& path) {
       << first.first_select_ms[0] << ",\n";
   out << "  \"first_touch_first_select_ms_copy\": " << first.first_select_ms[1]
       << ",\n";
+  out << "  \"block_reads\": {\"rows\": 500000, \"walked_rows\": "
+      << block.walked_rows << ", \"survivors\": " << block.survivors
+      << ", \"count_ns_per_walked_row\": " << block.count_ns_per_row
+      << ", \"view_ns_per_walked_row\": " << block.view_ns_per_row
+      << ", \"sort_oids\": " << block.sort_oids
+      << ", \"radix_to_oids_median_us\": " << block.radix_us
+      << ", \"std_sort_median_us\": " << block.std_sort_us << "},\n";
+  out << "  \"sort_oids_speedup\": " << block.sort_speedup << ",\n";
   out << "  \"results\": [\n";
   for (size_t i = 0; i < rows.size(); ++i) {
     const TierRow& r = rows[i];
@@ -602,6 +706,13 @@ int RunTierComparison(const std::string& path) {
               static_cast<unsigned long long>(first.tuples[1]), first.ratio,
               first.build_ms[0], first.build_ms[1], first.first_select_ms[0],
               first.first_select_ms[1]);
+  std::printf("block reads (500k rows, %llu walked): kCount %.2f ns/row, "
+              "kView %.2f ns/row; ToOids of %llu oids %.1f us vs std::sort "
+              "%.1f us (%.2fx)\n",
+              static_cast<unsigned long long>(block.walked_rows),
+              block.count_ns_per_row, block.view_ns_per_row,
+              static_cast<unsigned long long>(block.sort_oids),
+              block.radix_us, block.std_sort_us, block.sort_speedup);
   std::printf("wrote %s\n", path.c_str());
   return 0;
 }

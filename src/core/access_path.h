@@ -59,7 +59,7 @@ namespace crackstore {
 enum class Delivery : uint8_t {
   kCount = 0,  ///< only the qualifying-tuple count
   /// The qualifying rows as an OidSpanSet (spans over the accelerator, no
-  /// copy): walk them with ForEachOid, or ToOids() for an ascending list.
+  /// copy): walk them with ForEachBlock, or ToOids() for an ascending list.
   kView = 1,
   kMaterialize = 2,  ///< a fresh Relation holding the qualifying rows
 };

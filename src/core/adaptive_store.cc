@@ -6,6 +6,8 @@
 #include <functional>
 #include <iterator>
 #include <limits>
+#include <string_view>
+#include <type_traits>
 
 #include "core/simd_dispatch.h"
 #include "core/task_pool.h"
@@ -81,6 +83,47 @@ Status ValidateAssignments(const Relation& rel,
 /// First oid of `rel`'s dense head (0 for empty schemas).
 Oid BaseOid(const Relation& rel) {
   return rel.num_columns() > 0 ? rel.column(size_t{0})->head_base() : 0;
+}
+
+/// Writes the values of `oids` in `src` (at its snapshot) to the empty
+/// column `dst` of the same type, one block per step: fixed-width values go
+/// straight into the reserved tail, strings are interned one by one.
+template <typename T>
+void GatherBlocks(const SnapshotColumn& src, const std::vector<Oid>& oids,
+                  Bat* dst) {
+  const size_t n = oids.size();
+  if constexpr (std::is_same_v<T, std::string_view>) {
+    std::string_view values[kBlockRows];
+    for (size_t i = 0; i < n; i += kBlockRows) {
+      const size_t m = std::min(kBlockRows, n - i);
+      src.Gather(OidBlock{oids.data() + i, m, BlockMask(m)}, values);
+      for (size_t j = 0; j < m; ++j) dst->AppendString(values[j]);
+    }
+  } else {
+    dst->Reserve(n);
+    T* tail = dst->MutableTailData<T>();
+    for (size_t i = 0; i < n; i += kBlockRows) {
+      const size_t m = std::min(kBlockRows, n - i);
+      src.Gather(OidBlock{oids.data() + i, m, BlockMask(m)}, tail + i);
+    }
+    dst->SetCountUnsafe(n);
+  }
+}
+
+void GatherColumn(const SnapshotColumn& src, const std::vector<Oid>& oids,
+                  Bat* dst) {
+  switch (src.type()) {
+    case ValueType::kInt32:
+      return GatherBlocks<int32_t>(src, oids, dst);
+    case ValueType::kInt64:
+      return GatherBlocks<int64_t>(src, oids, dst);
+    case ValueType::kFloat64:
+      return GatherBlocks<double>(src, oids, dst);
+    case ValueType::kOid:
+      return GatherBlocks<Oid>(src, oids, dst);
+    case ValueType::kString:
+      return GatherBlocks<std::string_view>(src, oids, dst);
+  }
 }
 
 }  // namespace
@@ -259,12 +302,12 @@ Result<std::shared_ptr<Relation>> AdaptiveStore::BaseReadScope::Materialize(
                          Relation::Create(name, Schema(defs)));
   for (size_t c = 0; c < defs.size(); ++c) {
     CRACK_ASSIGN_OR_RETURN(const SnapshotColumn* src, Column(defs[c].name));
-    Bat* dst = out->column(c).get();
-    dst->Reserve(oids.size());
-    for (Oid oid : oids) CRACK_RETURN_NOT_OK(src->AppendTo(oid, dst));
+    GatherColumn(*src, oids, out->column(c).get());
   }
-  io->tuples_read += oids.size() * defs.size();
-  io->tuples_written += oids.size() * defs.size();
+  const uint64_t cells = oids.size() * defs.size();
+  io->tuples_read += cells;
+  io->tuples_written += cells;
+  obs::RecordBaseRows(cells);
   return out;
 }
 
@@ -936,25 +979,30 @@ Status AdaptiveStore::ProbeConjunction(
     CRACK_ASSIGN_OR_RETURN(RowProbe test, RowProbe::Make(column, c->range));
     tests.push_back(test);
   }
-  // No early exit and no branch on the outcome (here or in the consumers
-  // below): the rows' random base reads stay independent and overlap.
-  auto keep = [&tests](Oid oid) {
-    bool pass = true;
-    for (const RowProbe& test : tests) pass &= test.Test(oid);
-    return pass;
+  const uint64_t cells = walk.count * tests.size();
+  result->io.tuples_read += cells;
+  obs::RecordBaseRows(cells);
+  // Each test reads every live row of the block (no early exit, no branch
+  // on an outcome), so the rows' random base reads stay independent and
+  // overlap.
+  auto pass = [&tests](const OidBlock& block) {
+    uint64_t keep = block.live;
+    for (const RowProbe& test : tests) keep &= test.Pass(block);
+    return keep;
   };
-  result->io.tuples_read += walk.count * tests.size();
   if (delivery == Delivery::kCount) {
     uint64_t survivors = tests.empty() ? walk.count : 0;
     if (!tests.empty()) {
-      walk.ForEachOid([&](Oid oid) { survivors += keep(oid); });
+      walk.span_set.ForEachBlock([&](const OidBlock& block) {
+        survivors += static_cast<uint64_t>(__builtin_popcountll(pass(block)));
+      });
     }
     result->count = survivors;
     return Status::OK();
   }
-  // kView narrows the walked answer in place: failing rows become
-  // exception bits.
-  if (!tests.empty()) walk.span_set.Retain(keep);
+  // kView narrows the walked answer in place: each block's failing rows
+  // become one exception word.
+  if (!tests.empty()) walk.span_set.Narrow(pass);
   result->count = walk.span_set.count();
   result->span_set = std::move(walk.span_set);
   return Status::OK();

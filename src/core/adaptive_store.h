@@ -145,13 +145,6 @@ struct QueryResult {
   /// overload hands a detached list out without a copy.
   std::vector<Oid> CollectOids() const&;
   std::vector<Oid> CollectOids() &&;
-
-  /// Invokes fn(oid) for every qualifying row without building a list.
-  /// Layout order, not oid order.
-  template <typename Fn>
-  void ForEachOid(Fn&& fn) const {
-    span_set.ForEachOid(fn);
-  }
 };
 
 /// See file comment.
@@ -289,8 +282,9 @@ class AdaptiveStore {
 
     /// Copies the rows named by `oids`, as the scope's snapshot reads them,
     /// into a fresh Relation called `name` that keeps `columns` (empty =
-    /// every column, in schema order). An unknown column is NotFound. Both
-    /// the copy's reads and its writes are charged to `io`.
+    /// every column, in schema order), one block of each column per step.
+    /// An unknown column is NotFound. Both the copy's reads and its writes
+    /// are charged to `io`.
     Result<std::shared_ptr<Relation>> Materialize(
         const std::string& name, const std::vector<Oid>& oids,
         const std::vector<std::string>& columns, IoStats* io);
@@ -743,9 +737,10 @@ class AdaptiveStore {
   void FinishSelect(AccessSelection sel, Delivery delivery,
                     QueryResult* result) const;
   /// The conjunction filter every conjunction ends in: walks `walk` (the
-  /// smallest leg's answer) once and keeps the rows whose snapshot-visible
-  /// values satisfy every range in `probes`. kCount builds no list; kView
-  /// narrows the walked span set in place (OidSpanSet::Retain).
+  /// smallest leg's answer) once, a block at a time, and keeps the rows
+  /// whose snapshot-visible values satisfy every range in `probes`. kCount
+  /// builds no list; kView narrows the walked span set in place
+  /// (OidSpanSet::Narrow).
   Status ProbeConjunction(const std::string& table, const Snapshot& snap,
                           const std::vector<const ColumnRange*>& probes,
                           Delivery delivery, QueryResult walk,

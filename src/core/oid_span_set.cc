@@ -3,6 +3,7 @@
 #include "core/oid_span_set.h"
 
 #include <algorithm>
+#include <cstdint>
 
 namespace crackstore {
 
@@ -28,19 +29,32 @@ void OidSpanSet::MarkException(size_t concat_pos) {
 std::vector<Oid> OidSpanSet::ToOids() const& {
   std::vector<Oid> out;
   out.reserve(count());
-  ForEachOid([&out](Oid oid) { out.push_back(oid); });
+  ForEachBlock([&out](const OidBlock& block) {
+    if (block.live == BlockMask(block.n)) {
+      out.insert(out.end(), block.oids, block.oids + block.n);
+      return;
+    }
+    for (uint64_t m = block.live; m != 0; m &= m - 1) {
+      out.push_back(block.oids[__builtin_ctzll(m)]);
+    }
+  });
   // Identity spans without extras and detached lists are already ascending;
   // everything else (permuted maps, merged extras) sorts here, once, at the
   // boundary.
-  if (!detached_ && (oid_map_ != nullptr || !extras_.empty())) {
-    std::sort(out.begin(), out.end());
-  }
+  if (!detached_ && (oid_map_ != nullptr || !extras_.empty())) SortOids(&out);
   return out;
 }
 
 std::vector<Oid> OidSpanSet::ToOids() && {
   if (detached_) return std::move(extras_);
   return static_cast<const OidSpanSet&>(*this).ToOids();
+}
+
+OidSpanSet OidSpanSet::FromSortedOids(std::vector<Oid> oids) {
+  OidSpanSet set;
+  set.extras_ = std::move(oids);
+  set.detached_ = true;
+  return set;
 }
 
 void OidSpanSet::Detach() {
@@ -71,6 +85,45 @@ OidSpanSet OidSpanSet::FromMatchBitmap(const uint64_t* bm, size_t n,
   }
   if (in_run) set.AddSpan(run_start, n);
   return set;
+}
+
+void SortOids(std::vector<Oid>* oids) {
+  const size_t n = oids->size();
+  if (n < kRadixSortMinOids || n > UINT32_MAX) {
+    std::sort(oids->begin(), oids->end());
+    return;
+  }
+  Oid* src = oids->data();
+  const auto [lo, hi] = std::minmax_element(src, src + n);
+  const Oid min = *lo;
+  const uint64_t range = *hi - min;
+  if (range == 0) return;
+  // As few passes of at most 11 bits as cover the range, of equal width, so
+  // a 19-bit range takes two passes over 1,024 buckets.
+  const int bits = 64 - __builtin_clzll(range);
+  const int passes = (bits + 10) / 11;
+  const int digit = (bits + passes - 1) / passes;
+  const size_t buckets = size_t{1} << digit;
+  const uint64_t mask = buckets - 1;
+  std::vector<Oid> scratch(n);
+  Oid* dst = scratch.data();
+  uint32_t offsets[size_t{1} << 11];
+  for (int shift = 0; shift < passes * digit; shift += digit) {
+    std::fill(offsets, offsets + buckets, uint32_t{0});
+    for (size_t i = 0; i < n; ++i) ++offsets[((src[i] - min) >> shift) & mask];
+    uint32_t sum = 0;
+    for (size_t b = 0; b < buckets; ++b) {
+      const uint32_t c = offsets[b];
+      offsets[b] = sum;
+      sum += c;
+    }
+    for (size_t i = 0; i < n; ++i) {
+      dst[offsets[((src[i] - min) >> shift) & mask]++] = src[i];
+    }
+    std::swap(src, dst);
+  }
+  // After an odd number of passes the sorted oids are in the scratch.
+  if (src != oids->data()) oids->swap(scratch);
 }
 
 OidSpanSet IntersectIdentitySpanSets(const OidSpanSet& a,

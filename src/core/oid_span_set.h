@@ -18,7 +18,11 @@
 //
 // ToOids() is the only place an answer's oid list is built, and it runs only
 // at true materialization boundaries; counts, aggregates and span-aware
-// intersections consume the spans directly.
+// intersections consume the spans directly. Consumers that read base
+// columns by oid walk the set with ForEachBlock: up to 64 oids at a time,
+// aligned to one exception-bitmap word, with the block's live mask — so a
+// gather is one typed loop per block, and a filter (Narrow) writes one
+// exception word per block.
 //
 // Contract: a set over a cracker column's oid map must be consumed before
 // the next crack of that column, which may reshuffle the positions its spans
@@ -48,6 +52,23 @@ struct OidSpan {
   size_t begin = 0;
   size_t end = 0;
   size_t size() const { return end - begin; }
+};
+
+/// Rows per block of the block read path: one word of an answer's
+/// exception bitmap.
+inline constexpr size_t kBlockRows = 64;
+
+/// The live mask of a full block of n rows (bits 0..n-1).
+inline uint64_t BlockMask(size_t n) {
+  return n >= kBlockRows ? ~uint64_t{0} : (uint64_t{1} << n) - 1;
+}
+
+/// One block of an answer: up to kBlockRows oids and the rows among them
+/// that are in the answer (bit i of `live` for oids[i]).
+struct OidBlock {
+  const Oid* oids = nullptr;
+  size_t n = 0;
+  uint64_t live = 0;
 };
 
 /// See file comment.
@@ -110,72 +131,49 @@ class OidSpanSet {
     return (exceptions_[w] >> (concat_pos & 63)) & 1u;
   }
 
-  /// Invokes fn(oid) for every included row, spans first (layout order,
-  /// NOT oid order for permuted layouts), then extras. Exceptions are
-  /// skipped one bitmap word at a time.
+  /// Invokes fn(const OidBlock&) for every block of the set: the spans
+  /// first (layout order, NOT oid order for permuted layouts), one block per
+  /// exception-bitmap word a span covers, then the extras 64 at a time.
+  /// Blocks whose rows are all exceptions are skipped.
   template <typename Fn>
-  void ForEachOid(Fn&& fn) const {
-    const Oid* map = oid_map_ ? oid_map_->TailData<Oid>() : nullptr;
-    auto resolve = [map, this](size_t p) {
-      return map != nullptr ? map[p] : identity_base_ + p;
-    };
-    size_t concat = 0;
-    for (const OidSpan& s : spans_) {
-      if (map != nullptr && exception_count_ == 0) {
-        // The hot shape (a clean cracked piece): a straight pass over the
-        // oid map.
-        for (size_t p = s.begin; p < s.end; ++p) fn(map[p]);
-        concat += s.size();
-        continue;
-      }
-      for (size_t p = s.begin; p < s.end;) {
-        const size_t w = concat >> 6;
-        const size_t bit = concat & 63;
-        const size_t run = std::min<size_t>(64 - bit, s.end - p);
-        uint64_t keep = run == 64 ? ~uint64_t{0} : (uint64_t{1} << run) - 1;
-        if (w < exceptions_.size()) keep &= ~(exceptions_[w] >> bit);
-        for (; keep != 0; keep &= keep - 1) {
-          fn(resolve(p + size_t(__builtin_ctzll(keep))));
-        }
-        p += run;
-        concat += run;
-      }
-    }
-    for (Oid oid : extras_) fn(oid);
+  void ForEachBlock(Fn&& fn) const {
+    WalkBlocks([&fn](const OidBlock& block, size_t, size_t) { fn(block); });
   }
 
-  /// Narrows the set to the rows for which keep(oid) holds: failing span
-  /// rows become exception bits and failing extras drop out, so a filtered
-  /// answer still builds no oid list.
-  template <typename Keep>
-  void Retain(Keep&& keep) {
-    const Oid* map = oid_map_ ? oid_map_->TailData<Oid>() : nullptr;
-    exceptions_.resize(std::max(exceptions_.size(), (span_rows_ + 63) / 64));
-    size_t concat = 0;
-    for (const OidSpan& s : spans_) {
-      for (size_t p = s.begin; p < s.end; ++p, ++concat) {
-        // Branch-free on keep's outcome (see RowProbe::Test).
-        uint64_t& word = exceptions_[concat >> 6];
-        const uint64_t bit = uint64_t{1} << (concat & 63);
-        const uint64_t drop =
-            bit & (uint64_t{0} - !keep(map ? map[p] : identity_base_ + p));
-        exception_count_ += (drop & ~word) != 0;
-        word |= drop;
-      }
+  /// Narrows the set to the live rows whose bit pass(block) sets: a span
+  /// block's failing rows become one OR into their exception word, failing
+  /// extras drop out, so a filtered answer still builds no oid list.
+  template <typename Pass>
+  void Narrow(Pass&& pass) {
+    if (!spans_.empty()) {
+      exceptions_.resize(std::max(exceptions_.size(), (span_rows_ + 63) / 64));
     }
     size_t kept = 0;
-    for (Oid oid : extras_) {
-      extras_[kept] = oid;
-      kept += keep(oid);
-    }
+    WalkBlocks([&](const OidBlock& block, size_t word, size_t shift) {
+      const uint64_t keep = pass(block) & block.live;
+      if (word != kExtrasWord) {
+        const uint64_t fail = block.live & ~keep;
+        exceptions_[word] |= fail << shift;
+        exception_count_ += static_cast<uint64_t>(__builtin_popcountll(fail));
+        return;
+      }
+      // Extras blocks are all live; compaction writes at or behind the read.
+      for (uint64_t m = keep; m != 0; m &= m - 1) {
+        extras_[kept++] = block.oids[__builtin_ctzll(m)];
+      }
+    });
     extras_.resize(kept);
   }
 
   /// The qualifying oids, ascending. The only place an answer's oid list is
-  /// built — call it only when a consumer genuinely needs the list. The
-  /// rvalue overload hands a detached list out without a copy or a sort.
+  /// built — call it only when a consumer genuinely needs the list. A
+  /// permuted answer is ordered by SortOids. The rvalue overload hands a
+  /// detached list out without a copy or a sort.
   std::vector<Oid> ToOids() const&;
   std::vector<Oid> ToOids() &&;
+
+  /// A detached set over `oids`, which must be ascending and distinct.
+  static OidSpanSet FromSortedOids(std::vector<Oid> oids);
 
   /// Resolves every row into the extras list (ToOids) and drops the spans,
   /// exceptions and layout binding, so the set no longer reads the
@@ -188,6 +186,42 @@ class OidSpanSet {
   static OidSpanSet FromMatchBitmap(const uint64_t* bm, size_t n, Oid base);
 
  private:
+  /// The word argument WalkBlocks passes for an extras block.
+  static constexpr size_t kExtrasWord = ~size_t{0};
+
+  /// The one block walk: fn(block, word, shift) per block, where a span
+  /// block's row i is concatenated position word * 64 + shift + i.
+  template <typename Fn>
+  void WalkBlocks(Fn&& fn) const {
+    const Oid* map = oid_map_ ? oid_map_->TailData<Oid>() : nullptr;
+    Oid identity[kBlockRows];
+    size_t concat = 0;
+    for (const OidSpan& s : spans_) {
+      for (size_t p = s.begin; p < s.end;) {
+        const size_t word = concat >> 6;
+        const size_t shift = concat & 63;
+        const size_t n = std::min(kBlockRows - shift, s.end - p);
+        uint64_t live = BlockMask(n);
+        if (word < exceptions_.size()) live &= ~(exceptions_[word] >> shift);
+        if (live != 0) {
+          const Oid* oids = identity;
+          if (map != nullptr) {
+            oids = map + p;
+          } else {
+            for (size_t i = 0; i < n; ++i) identity[i] = identity_base_ + p + i;
+          }
+          fn(OidBlock{oids, n, live}, word, shift);
+        }
+        p += n;
+        concat += n;
+      }
+    }
+    for (size_t i = 0; i < extras_.size(); i += kBlockRows) {
+      const size_t n = std::min(kBlockRows, extras_.size() - i);
+      fn(OidBlock{extras_.data() + i, n, BlockMask(n)}, kExtrasWord, 0);
+    }
+  }
+
   std::shared_ptr<Bat> oid_map_;  ///< null => identity layout
   Oid identity_base_ = 0;
   std::vector<OidSpan> spans_;
@@ -197,6 +231,16 @@ class OidSpanSet {
   uint64_t exception_count_ = 0;
   bool detached_ = false;  ///< extras_ holds every row, ascending
 };
+
+/// Sorts `oids` ascending: std::sort below kRadixSortMinOids, else an LSD
+/// radix sort of (oid - min) through one scratch buffer, in as few passes of
+/// at most 11-bit digits as the range (max - min) needs.
+void SortOids(std::vector<Oid>* oids);
+
+/// Below this many oids SortOids keeps std::sort: a histogram pass would
+/// cost more than the sort (a DML statement's 1-2-row answer allocates
+/// nothing).
+inline constexpr size_t kRadixSortMinOids = 256;
 
 /// Intersects two identity-layout span sets by interval overlap, producing
 /// a third identity span set over *absolute* oids (identity base 0) —

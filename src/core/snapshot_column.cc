@@ -14,19 +14,7 @@ SnapshotColumn::SnapshotColumn(std::shared_ptr<Bat> bat,
     : bat_(std::move(bat)),
       type_(bat_->tail_type()),
       base_(bat_->head_base()) {
-  switch (type_) {
-    case ValueType::kInt32:
-      i32_ = bat_->TailData<int32_t>();
-      break;
-    case ValueType::kInt64:
-      i64_ = bat_->TailData<int64_t>();
-      break;
-    case ValueType::kFloat64:
-      f64_ = bat_->TailData<double>();
-      break;
-    default:
-      break;
-  }
+  if (type_ != ValueType::kString) tail_ = bat_->raw_data();
   if (view.active()) {
     overrides_.reserve(view.overrides().size());
     for (const auto& [oid, value] : view.overrides()) {
@@ -35,30 +23,51 @@ SnapshotColumn::SnapshotColumn(std::shared_ptr<Bat> bat,
   }
 }
 
-Value SnapshotColumn::ValueAt(Oid oid) const {
-  if (const Value* ov = Override(oid)) return *ov;
-  return bat_->GetValue(static_cast<size_t>(oid - base_));
+template <typename T>
+uint64_t RowProbe::PassInts(const OidBlock& block) const {
+  T values[kBlockRows];
+  column_->Gather(block, values);
+  uint64_t pass = 0;
+  for (size_t i = 0; i < block.n; ++i) {
+    // One unsigned compare against the inclusive interval [lo_i, hi_i].
+    const uint64_t v = static_cast<uint64_t>(static_cast<int64_t>(values[i]));
+    pass |= uint64_t{v - lo_i_ <= width_} << i;
+  }
+  return pass & block.live;
 }
 
-Status SnapshotColumn::AppendTo(Oid oid, Bat* dst) const {
-  if (const Value* ov = Override(oid)) return dst->AppendValue(*ov);
-  size_t row = static_cast<size_t>(oid - base_);
-  switch (type_) {
-    case ValueType::kInt32:
-      dst->Append<int32_t>(i32_[row]);
-      return Status::OK();
-    case ValueType::kInt64:
-      dst->Append<int64_t>(i64_[row]);
-      return Status::OK();
-    case ValueType::kFloat64:
-      dst->Append<double>(f64_[row]);
-      return Status::OK();
-    case ValueType::kString:
-      dst->AppendString(bat_->GetString(row));
-      return Status::OK();
-    default:
-      return dst->AppendValue(bat_->GetValue(row));
+uint64_t RowProbe::Pass(const OidBlock& block) const {
+  switch (kind_) {
+    case Kind::kInt32:
+      return PassInts<int32_t>(block);
+    case Kind::kInt64:
+      return PassInts<int64_t>(block);
+    case Kind::kDouble: {
+      double values[kBlockRows];
+      column_->Gather(block, values);
+      uint64_t pass = 0;
+      for (size_t i = 0; i < block.n; ++i) {
+        const double v = values[i];
+        const bool in = ((v > lo_) | (lo_incl_ & (v == lo_))) &
+                        ((v < hi_) | (hi_incl_ & (v == hi_)));
+        pass |= uint64_t{in} << i;
+      }
+      return pass & block.live;
+    }
+    case Kind::kString: {
+      std::string_view values[kBlockRows];
+      column_->Gather(block, values);
+      uint64_t pass = 0;
+      for (uint64_t m = block.live; m != 0; m &= m - 1) {
+        const size_t i = size_t(__builtin_ctzll(m));
+        pass |= uint64_t{range_.Contains(values[i])} << i;
+      }
+      return pass;
+    }
+    case Kind::kNever:
+      break;
   }
+  return 0;
 }
 
 Result<RowProbe> RowProbe::Make(const SnapshotColumn* column,
@@ -104,6 +113,7 @@ Result<RowProbe> RowProbe::Make(const SnapshotColumn* column,
     probe.kind_ = Kind::kNever;
     return probe;
   }
+  probe.kind_ = type == ValueType::kInt32 ? Kind::kInt32 : Kind::kInt64;
   probe.lo_i_ = static_cast<uint64_t>(lo);
   probe.width_ = static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
   return probe;

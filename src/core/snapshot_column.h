@@ -7,20 +7,28 @@
 // (the conjunction probe, aggregate sinks, projections) goes through this
 // class, so the snapshot rule lives in one place.
 //
-// RowProbe compiles one range conjunct against a SnapshotColumn and tests
-// rows with the access paths' own predicate semantics: numeric endpoints
-// lower through TypedRange::ToNumericBounds and compare in the column's
-// domain, string endpoints compare bytewise (the order the dictionary
-// encoding preserves).
+// Reads are block-wise (paper §3.1's tuple reconstruction, 64 rows at a
+// time): Gather reads one OidBlock's live rows in one typed loop, with no
+// per-row call, status or type switch, and patches the block's overridden
+// rows only when the view has overrides.
+//
+// RowProbe compiles one range conjunct against a SnapshotColumn and turns a
+// block into a pass mask with the access paths' own predicate semantics:
+// numeric endpoints lower through TypedRange::ToNumericBounds and compare in
+// the column's domain, string endpoints compare bytewise (the order the
+// dictionary encoding preserves).
 
 #ifndef CRACKSTORE_CORE_SNAPSHOT_COLUMN_H_
 #define CRACKSTORE_CORE_SNAPSHOT_COLUMN_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string_view>
+#include <type_traits>
 #include <unordered_map>
 
+#include "core/oid_span_set.h"
 #include "core/range_bounds.h"
 #include "core/txn_manager.h"
 #include "core/typed_range.h"
@@ -38,47 +46,62 @@ class SnapshotColumn {
 
   ValueType type() const { return type_; }
 
-  /// Integer columns (int32/int64), int64-widened.
-  int64_t IntAt(Oid oid) const {
-    if (const Value* ov = Override(oid)) return ov->ToInt64();
-    size_t row = static_cast<size_t>(oid - base_);
-    return i64_ != nullptr ? i64_[row] : static_cast<int64_t>(i32_[row]);
-  }
-
-  /// Float64 columns.
-  double DoubleAt(Oid oid) const {
-    if (const Value* ov = Override(oid)) {
-      return ov->is_double() ? ov->AsDouble()
-                             : static_cast<double>(ov->ToInt64());
+  /// Writes the value of each live row of `block` to out[i], as the
+  /// snapshot reads it. T is the column's storage type (int32_t, int64_t,
+  /// double, Oid), or std::string_view for a string column, which reads its
+  /// heap row by row. The slots of rows that are not live are zeroed (empty
+  /// for strings).
+  template <typename T>
+  void Gather(const OidBlock& block, T* out) const {
+    auto read = [this, &block](size_t i) -> T {
+      const size_t row = static_cast<size_t>(block.oids[i] - base_);
+      if constexpr (std::is_same_v<T, std::string_view>) {
+        return bat_->GetString(row);
+      } else {
+        return static_cast<const T*>(tail_)[row];
+      }
+    };
+    if constexpr (!std::is_same_v<T, std::string_view>) {
+      CRACK_DCHECK(TypeTraits<T>::kType == type_);
     }
-    return f64_[oid - base_];
+    if (block.live == BlockMask(block.n)) {
+      for (size_t i = 0; i < block.n; ++i) out[i] = read(i);
+    } else {
+      std::fill(out, out + block.n, T{});
+      for (uint64_t m = block.live; m != 0; m &= m - 1) {
+        const size_t i = size_t(__builtin_ctzll(m));
+        out[i] = read(i);
+      }
+    }
+    if (!overrides_.empty()) PatchOverrides(block, out);
   }
-
-  /// String columns.
-  std::string_view StringAt(Oid oid) const {
-    if (const Value* ov = Override(oid)) return ov->AsString();
-    return bat_->GetString(static_cast<size_t>(oid - base_));
-  }
-
-  /// Any column, dynamically typed.
-  Value ValueAt(Oid oid) const;
-
-  /// Appends the row's value to `dst` (a column of the same type).
-  Status AppendTo(Oid oid, Bat* dst) const;
 
  private:
-  const Value* Override(Oid oid) const {
-    if (overrides_.empty()) return nullptr;
-    auto it = overrides_.find(oid);
-    return it == overrides_.end() ? nullptr : &it->second;
+  /// Replaces the value of each live row of `block` that has an override.
+  template <typename T>
+  void PatchOverrides(const OidBlock& block, T* out) const {
+    for (uint64_t m = block.live; m != 0; m &= m - 1) {
+      const size_t i = size_t(__builtin_ctzll(m));
+      auto it = overrides_.find(block.oids[i]);
+      if (it == overrides_.end()) continue;
+      const Value& v = it->second;
+      if constexpr (std::is_same_v<T, std::string_view>) {
+        out[i] = v.AsString();
+      } else if constexpr (std::is_same_v<T, double>) {
+        out[i] = v.is_double() ? v.AsDouble()
+                               : static_cast<double>(v.ToInt64());
+      } else if constexpr (std::is_same_v<T, Oid>) {
+        out[i] = v.is_oid() ? v.AsOid() : static_cast<Oid>(v.ToInt64());
+      } else {
+        out[i] = static_cast<T>(v.ToInt64());
+      }
+    }
   }
 
   std::shared_ptr<Bat> bat_;
   ValueType type_;
   Oid base_;
-  const int32_t* i32_ = nullptr;
-  const int64_t* i64_ = nullptr;
-  const double* f64_ = nullptr;
+  const void* tail_ = nullptr;  ///< fixed-width tails (not strings)
   std::unordered_map<Oid, Value> overrides_;
 };
 
@@ -90,34 +113,22 @@ class RowProbe {
   static Result<RowProbe> Make(const SnapshotColumn* column,
                                const TypedRange& range);
 
-  /// Branch-free for numeric columns: a probe's outcome is data-dependent,
-  /// so a mispredicted branch per row would serialize the random base
-  /// reads that a walk over many rows otherwise overlaps.
-  bool Test(Oid oid) const {
-    switch (kind_) {
-      case Kind::kInt:
-        // One unsigned compare against the inclusive interval [lo_i, hi_i].
-        return static_cast<uint64_t>(column_->IntAt(oid)) - lo_i_ <= width_;
-      case Kind::kDouble: {
-        double v = column_->DoubleAt(oid);
-        return ((v > lo_) | (lo_incl_ & (v == lo_))) &
-               ((v < hi_) | (hi_incl_ & (v == hi_)));
-      }
-      case Kind::kString:
-        return range_.Contains(column_->StringAt(oid));
-      case Kind::kNever:
-        break;
-    }
-    return false;
-  }
+  /// Bit i set iff row i of `block` is live and its snapshot value lies in
+  /// the range. Numeric blocks compare branch-free: a probe's outcome is
+  /// data-dependent, so a mispredicted branch per row would serialize the
+  /// random base reads that a block otherwise overlaps.
+  uint64_t Pass(const OidBlock& block) const;
 
  private:
-  enum class Kind : uint8_t { kInt, kDouble, kString, kNever };
+  enum class Kind : uint8_t { kInt32, kInt64, kDouble, kString, kNever };
+
+  template <typename T>
+  uint64_t PassInts(const OidBlock& block) const;
 
   const SnapshotColumn* column_ = nullptr;
-  Kind kind_ = Kind::kInt;
-  uint64_t lo_i_ = 0;    ///< kInt: inclusive lower bound (as uint64)
-  uint64_t width_ = 0;   ///< kInt: hi - lo of the inclusive interval
+  Kind kind_ = Kind::kInt64;
+  uint64_t lo_i_ = 0;    ///< integers: inclusive lower bound (as uint64)
+  uint64_t width_ = 0;   ///< integers: hi - lo of the inclusive interval
   double lo_ = 0.0;      ///< kDouble: bounds in the column's domain
   double hi_ = 0.0;
   bool lo_incl_ = true;

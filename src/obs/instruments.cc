@@ -211,6 +211,17 @@ void RecordMaterializedOids(uint64_t rows) {
   }
 }
 
+void RecordBaseRows(uint64_t rows) {
+  if (rows == 0) return;
+  static Counter* c = Reg().GetCounter(
+      "gather.base_rows",
+      "base-column values read by oid (probes, aggregate sinks, gathers)");
+  c->Add(rows);
+  if (QueryTrace* t = CurrentTrace()) {
+    t->live.base_rows.fetch_add(rows, std::memory_order_relaxed);
+  }
+}
+
 void RecordAggPushdown(uint64_t rows, uint64_t summary_rows) {
   if (rows == 0) return;
   static Counter* c = Reg().GetCounter(

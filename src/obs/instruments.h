@@ -22,6 +22,7 @@
 //   merge.folds / merge.rows
 //   snapshot.rows_filtered / snapshot.override_hits / snapshot.version_probes
 //   select.spans / select.span_rows / select.materialized_oids
+//   gather.base_rows
 //   agg.pushdown_rows / agg.summary_rows
 //   simd.calls.{scalar,predicated,avx2,neon}
 //   io.* (mirrored from every IoStats delta the facade accumulates)
@@ -65,6 +66,7 @@ inline void RecordVersionProbes(uint64_t) {}
 inline void RecordHiddenCandidates(uint64_t) {}
 inline void RecordSpanAnswer(uint64_t, uint64_t) {}
 inline void RecordMaterializedOids(uint64_t) {}
+inline void RecordBaseRows(uint64_t) {}
 inline void RecordAggPushdown(uint64_t, uint64_t) {}
 inline void RecordSimdCall(int) {}
 inline void MirrorIo(const IoStats&) {}
@@ -128,6 +130,11 @@ void RecordSpanAnswer(uint64_t spans, uint64_t rows);
 /// `rows` oids materialized into a list at a true boundary (caller asked
 /// for oids, span set unavailable, or a permuted-layout intersection).
 void RecordMaterializedOids(uint64_t rows);
+
+/// `rows` base-column values read by oid, counted once per column read:
+/// conjunction probes (walked rows x probed columns), cross-column aggregate
+/// sinks and row gathers (oids x gathered columns).
+void RecordBaseRows(uint64_t rows);
 
 /// `rows` answered by a pushed-down aggregate instead of a
 /// materialize-then-loop pass; `summary_rows` of them came from piece

@@ -84,6 +84,7 @@ TraceCounters QueryTrace::LiveSnapshot() const {
   c.select_span_rows = live.select_span_rows.load(std::memory_order_relaxed);
   c.select_materialized =
       live.select_materialized.load(std::memory_order_relaxed);
+  c.base_rows = live.base_rows.load(std::memory_order_relaxed);
   c.agg_pushdown_rows =
       live.agg_pushdown_rows.load(std::memory_order_relaxed);
   c.agg_summary_rows = live.agg_summary_rows.load(std::memory_order_relaxed);
@@ -167,15 +168,16 @@ std::string QueryTrace::Render(const IoStats& statement_io,
         static_cast<unsigned long long>(totals.progressive_deferred));
   }
   if (totals.select_spans > 0 || totals.select_materialized > 0 ||
-      totals.agg_pushdown_rows > 0 || totals.snap_version_probes > 0 ||
-      totals.snap_hidden_candidates > 0) {
+      totals.base_rows > 0 || totals.agg_pushdown_rows > 0 ||
+      totals.snap_version_probes > 0 || totals.snap_hidden_candidates > 0) {
     out += StrFormat(
         "read path: spans=%llu (rows=%llu), materialized oids=%llu, "
-        "agg pushdown rows=%llu, summary rows=%llu, version probes=%llu, "
-        "hidden candidates=%llu\n",
+        "base rows=%llu, agg pushdown rows=%llu, summary rows=%llu, "
+        "version probes=%llu, hidden candidates=%llu\n",
         static_cast<unsigned long long>(totals.select_spans),
         static_cast<unsigned long long>(totals.select_span_rows),
         static_cast<unsigned long long>(totals.select_materialized),
+        static_cast<unsigned long long>(totals.base_rows),
         static_cast<unsigned long long>(totals.agg_pushdown_rows),
         static_cast<unsigned long long>(totals.agg_summary_rows),
         static_cast<unsigned long long>(totals.snap_version_probes),

@@ -45,6 +45,7 @@ struct TraceCounters {
   uint64_t select_spans = 0;          ///< spans answered without oid gathers
   uint64_t select_span_rows = 0;      ///< rows covered by span answers
   uint64_t select_materialized = 0;   ///< oids materialized into lists
+  uint64_t base_rows = 0;             ///< base values read by oid
   uint64_t agg_pushdown_rows = 0;     ///< rows answered by aggregate pushdown
   uint64_t agg_summary_rows = 0;      ///< of those, from piece summaries
 
@@ -66,6 +67,7 @@ struct TraceCounters {
     d.select_spans = select_spans - o.select_spans;
     d.select_span_rows = select_span_rows - o.select_span_rows;
     d.select_materialized = select_materialized - o.select_materialized;
+    d.base_rows = base_rows - o.base_rows;
     d.agg_pushdown_rows = agg_pushdown_rows - o.agg_pushdown_rows;
     d.agg_summary_rows = agg_summary_rows - o.agg_summary_rows;
     return d;
@@ -114,6 +116,7 @@ class QueryTrace {
     std::atomic<uint64_t> select_spans{0};
     std::atomic<uint64_t> select_span_rows{0};
     std::atomic<uint64_t> select_materialized{0};
+    std::atomic<uint64_t> base_rows{0};
     std::atomic<uint64_t> agg_pushdown_rows{0};
     std::atomic<uint64_t> agg_summary_rows{0};
   };

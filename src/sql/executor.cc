@@ -3,7 +3,9 @@
 #include "sql/executor.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <utility>
+#include <vector>
 
 #include "obs/instruments.h"
 #include "obs/metrics.h"
@@ -117,11 +119,47 @@ std::vector<AdaptiveStore::ColumnRange> Normalize(
   return merged;
 }
 
+/// Reduces the snapshot-visible values of `values` (an integer column of
+/// storage type T) over the live rows of `rows`, one block per step.
+template <typename T>
+void ReduceBlocks(const SnapshotColumn& values, const OidSpanSet& rows,
+                  ColumnAggregates* agg) {
+  uint64_t sum = 0;  // wraps mod 2^64, like the pushdown kernels
+  int64_t min = INT64_MAX;
+  int64_t max = INT64_MIN;
+  uint64_t count = 0;
+  T block_values[kBlockRows];
+  rows.ForEachBlock([&](const OidBlock& block) {
+    values.Gather(block, block_values);
+    auto fold = [&](size_t i) {
+      const int64_t v = static_cast<int64_t>(block_values[i]);
+      sum += static_cast<uint64_t>(v);
+      min = std::min(min, v);
+      max = std::max(max, v);
+    };
+    if (block.live == BlockMask(block.n)) {
+      for (size_t i = 0; i < block.n; ++i) fold(i);
+    } else {
+      for (uint64_t m = block.live; m != 0; m &= m - 1) {
+        fold(size_t(__builtin_ctzll(m)));
+      }
+    }
+    count += static_cast<uint64_t>(__builtin_popcountll(block.live));
+  });
+  agg->sum = static_cast<int64_t>(sum);
+  agg->rows = count;
+  agg->has_minmax = count > 0;
+  if (agg->has_minmax) {
+    agg->min = min;
+    agg->max = max;
+  }
+}
+
 /// The aggregate sink: SUM/MIN/MAX/COUNT of `column` over the rows `where`
 /// selects. A range on the aggregated column itself (or no WHERE) pushes
 /// down to AggregateRange's span kernels; every other shape, and every
-/// pushdown refusal, walks the answer once and reduces the column's
-/// snapshot-visible values — no oid list, no sort.
+/// pushdown refusal, walks the answer once, a block at a time, and reduces
+/// the column's snapshot-visible values — no oid list, no sort.
 Result<int64_t> AggregateSink(
     AdaptiveStore* store, const std::string& table, AggFunc func,
     const std::string& column,
@@ -140,32 +178,29 @@ Result<int64_t> AggregateSink(
     }
   }
   if (!pushed) {
-    QueryResult answer;
-    std::vector<Oid> live;
+    OidSpanSet rows;
     if (where.empty()) {
-      CRACK_ASSIGN_OR_RETURN(live, store->LiveOids(table, txn));
+      CRACK_ASSIGN_OR_RETURN(std::vector<Oid> live,
+                             store->LiveOids(table, txn));
+      rows = OidSpanSet::FromSortedOids(std::move(live));
     } else {
       CRACK_ASSIGN_OR_RETURN(
-          answer, store->SelectConjunction(table, where, Delivery::kView, txn));
+          QueryResult answer,
+          store->SelectConjunction(table, where, Delivery::kView, txn));
       *io += answer.io;
+      rows = std::move(answer.span_set);
     }
     obs::TraceSpan gather_span("gather", table + "." + column, io);
     CRACK_ASSIGN_OR_RETURN(std::unique_ptr<AdaptiveStore::BaseReadScope> base,
                            store->ReadBase(table, txn));
     CRACK_ASSIGN_OR_RETURN(const SnapshotColumn* values, base->Column(column));
-    uint64_t sum = 0;  // wraps mod 2^64, like the pushdown kernels
-    auto fold = [&](Oid oid) {
-      int64_t v = values->IntAt(oid);
-      sum += static_cast<uint64_t>(v);
-      if (!agg.has_minmax || v < agg.min) agg.min = v;
-      if (!agg.has_minmax || v > agg.max) agg.max = v;
-      agg.has_minmax = true;
-      ++agg.rows;
-    };
-    answer.ForEachOid(fold);
-    for (Oid oid : live) fold(oid);
-    agg.sum = static_cast<int64_t>(sum);
+    if (values->type() == ValueType::kInt32) {
+      ReduceBlocks<int32_t>(*values, rows, &agg);
+    } else {
+      ReduceBlocks<int64_t>(*values, rows, &agg);
+    }
     io->tuples_read += agg.rows;
+    obs::RecordBaseRows(agg.rows);
   }
   switch (func) {
     case AggFunc::kCount:

@@ -546,6 +546,46 @@ TEST(ObservabilityPlanTest, WarmCountProbesOnlyMarkedRows) {
   }
 }
 
+// Base rows read by oid: a conjunction reads each walked row once per probed
+// column, a projection also reads each of its rows once per projected
+// column. EXPLAIN ANALYZE reports them as `base rows=` and the registry
+// counts them in gather.base_rows.
+TEST(ObservabilityPlanTest, BaseRowsCountProbesAndGathers) {
+  AdaptiveStore store;
+  TapestryOptions topts;
+  topts.num_rows = 50000;
+  topts.num_columns = 2;
+  topts.seed = 10;
+  ASSERT_TRUE(store.AddTable(*BuildTapestry("R", topts)).ok());
+  // c0 selects 5,000 rows, c1 25,000: the c0 answer is walked and c1 probed.
+  const std::string where =
+      " FROM R WHERE c0 BETWEEN 100 AND 5099 AND c1 BETWEEN 1 AND 25000";
+  Counter* base_rows = MetricsRegistry::Global().GetCounter("gather.base_rows");
+  const uint64_t before = base_rows->Value();
+  auto count = *sql::ExecuteSql(&store, "EXPLAIN ANALYZE SELECT COUNT(*)" + where);
+  auto rows = *sql::ExecuteSql(&store, "EXPLAIN ANALYZE SELECT c0, c1" + where);
+  auto plain = *sql::ExecuteSql(&store, "SELECT c0, c1" + where);
+  const uint64_t k = plain.count;
+  ASSERT_GT(k, 0u);
+  ASSERT_LT(k, 5000u);
+  if (obs::kMetricsEnabled) {
+    EXPECT_NE(count.message.find("base rows=5000,"), std::string::npos)
+        << count.message;
+    const std::string gathered =
+        "base rows=" + std::to_string(5000 + 2 * k) + ",";
+    EXPECT_NE(rows.message.find(gathered), std::string::npos) << rows.message;
+    EXPECT_EQ(base_rows->Value() - before, 5000 + 2 * (5000 + 2 * k));
+  } else {
+    // The live counters compile away: no read path line is rendered, and
+    // the registry counts nothing.
+    EXPECT_EQ(count.message.find("base rows="), std::string::npos)
+        << count.message;
+    EXPECT_EQ(rows.message.find("read path:"), std::string::npos)
+        << rows.message;
+    EXPECT_EQ(base_rows->Value(), before);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Self-driving policy instruments: policy.switches must count exactly the
 // runtime switches the access paths performed (cross-checked against the

@@ -104,6 +104,145 @@ TEST(OidSpanSetTest, IdentityIntersections) {
   EXPECT_EQ(both.count(), 10u + 10u);  // [40,50) + [80,90)
 }
 
+// A permuted set over a shuffled oid map of `map_rows` oids starting at
+// `first_oid`: spans with starts and lengths that are not multiples of 64,
+// scattered exceptions and unsorted extras. `rows` receives the set's rows
+// in layout order, the per-row reference every block consumer must match.
+OidSpanSet ScatteredSet(Pcg32* rng, size_t map_rows, Oid first_oid,
+                        std::vector<Oid>* rows) {
+  std::vector<Oid> map(map_rows);
+  for (size_t i = 0; i < map_rows; ++i) map[i] = first_oid + i;
+  for (size_t i = map_rows; i > 1; --i) {
+    std::swap(map[i - 1], map[rng->NextBounded(static_cast<uint32_t>(i))]);
+  }
+  OidSpanSet set;
+  set.BindOidMap(Bat::FromVector<Oid>(map));
+  std::vector<Oid> spanned;
+  for (size_t p = rng->NextBounded(70); p < map_rows;) {
+    const size_t end = std::min(map_rows, p + 1 + rng->NextBounded(150));
+    set.AddSpan(p, end);
+    spanned.insert(spanned.end(), map.begin() + p, map.begin() + end);
+    p = end + 1 + rng->NextBounded(90);
+  }
+  rows->clear();
+  for (size_t i = 0; i < spanned.size(); ++i) {
+    if (rng->NextBounded(5) == 0) {
+      set.MarkException(i);
+    } else {
+      rows->push_back(spanned[i]);
+    }
+  }
+  for (int e = 0; e < 70; ++e) {
+    const Oid extra = first_oid + map_rows + rng->NextBounded(1000);
+    if (std::find(rows->begin(), rows->end(), extra) != rows->end()) continue;
+    set.AddExtra(extra);
+    rows->push_back(extra);
+  }
+  return set;
+}
+
+// The block walk hands out exactly the per-row walk's rows, in layout
+// order: no span block crosses a word of the exception bitmap, and the
+// live mask carries the exceptions.
+TEST(OidSpanSetTest, BlocksMatchThePerRowWalk) {
+  Pcg32 rng(TestSeed(2201));
+  for (Oid first_oid : {Oid{0}, Oid{777}, (Oid{1} << 33) + 5}) {
+    std::vector<Oid> want;
+    OidSpanSet set = ScatteredSet(&rng, 3000, first_oid, &want);
+    std::vector<Oid> got;
+    set.ForEachBlock([&](const OidBlock& block) {
+      ASSERT_GE(block.n, 1u);
+      ASSERT_LE(block.n, kBlockRows);
+      ASSERT_EQ(block.live & ~BlockMask(block.n), 0u);
+      ASSERT_NE(block.live, 0u);  // all-exception blocks are skipped
+      for (uint64_t m = block.live; m != 0; m &= m - 1) {
+        got.push_back(block.oids[__builtin_ctzll(m)]);
+      }
+    });
+    EXPECT_EQ(got, want);
+    std::sort(want.begin(), want.end());
+    EXPECT_EQ(set.ToOids(), want);
+    EXPECT_EQ(set.count(), want.size());
+  }
+  // Identity spans: every block sits inside one bitmap word.
+  OidSpanSet ident;
+  ident.BindIdentity(1000);
+  ident.AddSpan(5, 70);
+  ident.AddSpan(71, 200);
+  ident.MarkException(0);   // oid 1005
+  ident.MarkException(65);  // oid 1071, the second span's first row
+  std::vector<size_t> sizes;
+  std::vector<Oid> oids;
+  ident.ForEachBlock([&](const OidBlock& block) {
+    sizes.push_back(block.n);
+    for (uint64_t m = block.live; m != 0; m &= m - 1) {
+      oids.push_back(block.oids[__builtin_ctzll(m)]);
+    }
+  });
+  EXPECT_EQ(sizes, (std::vector<size_t>{64, 1, 63, 64, 2}));
+  EXPECT_EQ(oids, ident.ToOids());
+  EXPECT_EQ(oids.size(), 194u - 2u);
+}
+
+// Narrow keeps exactly the rows a per-row filter keeps: failing span rows
+// become exceptions (rows already excluded stay excluded and are not
+// counted twice), failing extras drop out.
+TEST(OidSpanSetTest, NarrowMatchesAPerRowFilter) {
+  Pcg32 rng(TestSeed(2202));
+  for (Oid first_oid : {Oid{0}, Oid{4099}, (Oid{1} << 40) + 3}) {
+    std::vector<Oid> rows;
+    OidSpanSet set = ScatteredSet(&rng, 2500, first_oid, &rows);
+    auto keep = [](Oid oid) { return oid % 3 != 1; };
+    set.Narrow([&](const OidBlock& block) {
+      uint64_t pass = 0;
+      for (size_t i = 0; i < block.n; ++i) {
+        pass |= uint64_t{keep(block.oids[i])} << i;
+      }
+      return pass;
+    });
+    std::vector<Oid> want;
+    for (Oid oid : rows) {
+      if (keep(oid)) want.push_back(oid);
+    }
+    std::sort(want.begin(), want.end());
+    EXPECT_EQ(set.count(), want.size());
+    EXPECT_EQ(set.ToOids(), want);
+  }
+}
+
+// ToOids orders a permuted answer exactly like std::sort, below and above
+// the radix cutoff, for oid ranges that need one to six 11-bit digits and
+// for oids above 2^32.
+TEST(OidSpanSetTest, ToOidsSortsLikeStdSort) {
+  Pcg32 rng(TestSeed(2203));
+  for (size_t n : {size_t{1}, size_t{2}, kRadixSortMinOids - 1,
+                   kRadixSortMinOids, kRadixSortMinOids + 1, size_t{6000},
+                   size_t{70000}}) {
+    for (int bits : {8, 11, 12, 22, 23, 34, 45, 56, 64}) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " bits=" + std::to_string(bits));
+      const Oid base = bits == 64 ? 0 : (Oid{1} << 32) + 17;
+      std::vector<Oid> map(n);
+      for (Oid& oid : map) {
+        const uint64_t r = rng.NextU64();
+        oid = base + (bits == 64 ? r : r & ((uint64_t{1} << bits) - 1));
+      }
+      if (bits == 64 && n > 2) {
+        map[0] = 0;
+        map[1] = ~Oid{0};
+      }
+      OidSpanSet set;
+      set.BindOidMap(Bat::FromVector<Oid>(map));
+      set.AddSpan(0, n);
+      std::vector<Oid> want = map;
+      std::sort(want.begin(), want.end());
+      ASSERT_EQ(set.ToOids(), want);
+      std::vector<Oid> direct = map;
+      SortOids(&direct);
+      ASSERT_EQ(direct, want);
+    }
+  }
+}
+
 // Coarse and progressive answers whose bounds land inside uncracked pieces
 // are their conservative span with every value miss marked as an exception;
 // deltas then add exception bits (tombstones) and extras (pending inserts).
