@@ -47,6 +47,25 @@ Result<AccessSelection> ColumnAccessPath::SelectTyped(const TypedRange& range,
   return Select(range.ToNumericBounds(), delivery, stats, view);
 }
 
+bool ColumnAccessPath::WantsMaintenance(bool before_read) const {
+  const size_t pending = pending_deltas_.load(std::memory_order_relaxed);
+  if (pending == 0) return false;
+  const DeltaMergeOptions& merge = config().delta_merge;
+  switch (merge.policy) {
+    case DeltaMergePolicy::kImmediate:
+      return true;
+    case DeltaMergePolicy::kThreshold:
+      return pending >
+             static_cast<size_t>(
+                 merge.threshold_fraction *
+                 static_cast<double>(
+                     accel_tuples_.load(std::memory_order_relaxed)));
+    case DeltaMergePolicy::kRippleOnSelect:
+      return before_read;
+  }
+  return false;
+}
+
 namespace {
 
 /// Clamps int64 range bounds into the typed domain of the column so that
@@ -137,23 +156,6 @@ Status AlreadyDeletedError(Oid oid) {
   return Status::AlreadyExists(
       StrFormat("oid %llu already deleted",
                 static_cast<unsigned long long>(oid)));
-}
-
-/// Owner-maintenance poll shared by the delta-carrying paths: do `dirty`
-/// pending deltas against an accelerator of `accel_size` tuples warrant a
-/// fold under `options`?
-bool MaintenanceDue(const DeltaMergeOptions& options, size_t dirty,
-                    size_t accel_size) {
-  if (dirty == 0) return false;
-  switch (options.policy) {
-    case DeltaMergePolicy::kImmediate:
-    case DeltaMergePolicy::kRippleOnSelect:
-      return true;
-    case DeltaMergePolicy::kThreshold:
-      return dirty > static_cast<size_t>(options.threshold_fraction *
-                                         static_cast<double>(accel_size));
-  }
-  return false;
 }
 
 /// The whole column as one undecorated piece.
@@ -341,15 +343,6 @@ class CrackAccessPath : public ColumnAccessPath {
     return built_.load(std::memory_order_acquire);
   }
 
-  bool WantsMaintenance() const override {
-    if (!config_.concurrent || !built_.load(std::memory_order_acquire)) {
-      return false;
-    }
-    return MaintenanceDue(config_.delta_merge,
-                          dirty_count_.load(std::memory_order_relaxed),
-                          accel_size_.load(std::memory_order_relaxed));
-  }
-
   AccessSelection Select(const RangeBounds& range, Delivery delivery,
                          IoStats* stats,
                          const SnapshotView* view = nullptr) override {
@@ -364,7 +357,6 @@ class CrackAccessPath : public ColumnAccessPath {
     // mid-select, and the two bounds must run the same discipline.
     const CrackPolicy policy = Observe(lo, hi);
     EnsureBuilt(stats);
-    MaybeMergeOnSelect(stats);
     CrackerIndex<T>* inner = updatable_->mutable_index();
     size_t cut_lo = 0;
     size_t cut_hi = 0;
@@ -469,7 +461,6 @@ class CrackAccessPath : public ColumnAccessPath {
             "aggregate pushdown: progressive cracks stay budgeted");
       }
       EnsureBuilt(stats);
-      MaybeMergeOnSelect(stats);
       CrackerIndex<T>* inner = updatable_->mutable_index();
       if (policy == CrackPolicy::kStochastic) {
         StochasticShrink(lo, /*want_incl=*/!lo_incl, stats);
@@ -496,37 +487,46 @@ class CrackAccessPath : public ColumnAccessPath {
 
   Status Insert(const Value& value, Oid oid, IoStats* stats) override {
     if (updatable_ == nullptr) return Status::OK();  // lazy build reads base
-    {
-      std::lock_guard<std::mutex> dl(delta_mu_);
-      CRACK_RETURN_NOT_OK(updatable_->Insert(CastValue<T>(value), oid));
-      SyncDirty();
-    }
+    std::lock_guard<std::mutex> dl(delta_mu_);
+    CRACK_RETURN_NOT_OK(updatable_->Insert(CastValue<T>(value), oid));
+    SyncDirty();
     if (stats != nullptr) ++stats->tuples_written;
-    return MaybeMergeOnWrite(stats);
+    return Status::OK();
   }
 
+  /// Tombstones `oid` under the value its cracker column holds: the base
+  /// value, since a row's base slot and its copy in the column differ only
+  /// while its tombstone is already set.
   Status Delete(Oid oid, IoStats* stats) override {
-    CRACK_RETURN_NOT_OK(Tombstone(oid));
-    if (updatable_ == nullptr) return Status::OK();
-    return MaybeMergeOnWrite(stats);
+    (void)stats;
+    // Mirror the built path's validation before the build, so the answer
+    // does not depend on build timing (and so EnsureBuilt's replay cannot
+    // fail).
+    CRACK_RETURN_NOT_OK(CheckDeletableOid(*column_, oid));
+    std::lock_guard<std::mutex> dl(delta_mu_);
+    if (updatable_ == nullptr) {
+      if (!pre_build_deletes_.Set(oid)) return AlreadyDeletedError(oid);
+      return Status::OK();
+    }
+    CRACK_RETURN_NOT_OK(updatable_->Delete(oid, BaseValue(oid)));
+    SyncDirty();
+    return Status::OK();
   }
 
   Status Update(Oid oid, const Value& old_value, const Value& value,
                 IoStats* stats) override {
     if (updatable_ == nullptr) return Status::OK();  // base slot overwritten
-    {
-      std::lock_guard<std::mutex> dl(delta_mu_);
-      CRACK_RETURN_NOT_OK(updatable_->Update(CastValue<T>(value), oid,
-                                             CastValue<T>(old_value)));
-      SyncDirty();
-    }
+    std::lock_guard<std::mutex> dl(delta_mu_);
+    CRACK_RETURN_NOT_OK(updatable_->Update(CastValue<T>(value), oid,
+                                           CastValue<T>(old_value)));
+    SyncDirty();
     if (stats != nullptr) ++stats->tuples_written;
-    return MaybeMergeOnWrite(stats);
+    return Status::OK();
   }
 
   Status Purge(const std::vector<Oid>& oids, IoStats* stats) override {
     for (Oid oid : oids) {
-      Status st = Tombstone(oid);
+      Status st = Delete(oid, stats);
       // NotFound: the row never physically landed (failed append);
       // AlreadyExists: an earlier purge already tombstoned it.
       if (!st.ok() && !st.IsNotFound() && !st.IsAlreadyExists()) return st;
@@ -667,24 +667,6 @@ class CrackAccessPath : public ColumnAccessPath {
   }
 
  private:
-  /// Tombstones `oid` without folding (Delete, Purge), under the value its
-  /// cracker column holds: the base value, since a row's base slot and its
-  /// copy in the column differ only while its tombstone is already set.
-  Status Tombstone(Oid oid) {
-    // Mirror the built path's validation before the build, so the answer
-    // does not depend on build timing (and so EnsureBuilt's replay cannot
-    // fail).
-    CRACK_RETURN_NOT_OK(CheckDeletableOid(*column_, oid));
-    std::lock_guard<std::mutex> dl(delta_mu_);
-    if (updatable_ == nullptr) {
-      if (!pre_build_deletes_.Set(oid)) return AlreadyDeletedError(oid);
-      return Status::OK();
-    }
-    CRACK_RETURN_NOT_OK(updatable_->Delete(oid, BaseValue(oid)));
-    SyncDirty();
-    return Status::OK();
-  }
-
   /// The base column's value of `oid` (in the column's row range).
   T BaseValue(Oid oid) const {
     return column_->template TailData<T>()[oid - column_->head_base()];
@@ -693,17 +675,11 @@ class CrackAccessPath : public ColumnAccessPath {
   void EnsureBuilt(IoStats* stats) {
     if (updatable_ != nullptr) return;
     obs::TraceSpan span("build", stats);
-    UpdatableCrackerIndexOptions opts;
-    // The path drives merges per its DeltaMergePolicy; the index's own
-    // select-time auto-merge only backs the threshold discipline.
-    opts.auto_merge_fraction =
-        config_.delta_merge.policy == DeltaMergePolicy::kThreshold
-            ? config_.delta_merge.threshold_fraction
-            : 0.0;
+    CrackerIndexOptions opts;
     if constexpr (std::is_integral_v<T>) {
       // Large integer columns (dictionary codes included) build by radix
       // partitioning, so the first queries crack small pieces.
-      opts.index_options.partition_bits = PartitionBitsFor(column_->size());
+      opts.partition_bits = PartitionBitsFor(column_->size());
     }
     updatable_ =
         std::make_unique<UpdatableCrackerIndex<T>>(column_, stats, opts);
@@ -713,25 +689,19 @@ class CrackAccessPath : public ColumnAccessPath {
       (void)st;
     });
     pre_build_deletes_.ClearAll();
-    if (config_.delta_merge.policy == DeltaMergePolicy::kImmediate &&
-        updatable_->pending_deletes() > 0) {
-      (void)updatable_->Merge(stats);
-    }
     SyncDirty();
     // Publish readiness last: shared-latch readers may dereference
     // updatable_ as soon as they observe built_.
     built_.store(true, std::memory_order_release);
   }
 
-  /// Mirrors the delta/accelerator sizes into the latch-free counters the
-  /// owner's maintenance poll reads. Callers hold the delta latch or the
-  /// exclusive column latch.
+  /// Publishes the delta and cracker-column sizes for the owner's
+  /// maintenance poll (nothing before the build). Callers hold the delta
+  /// latch or the exclusive column latch.
   void SyncDirty() {
     if (updatable_ == nullptr) return;
-    dirty_count_.store(
-        updatable_->pending_inserts() + updatable_->pending_deletes(),
-        std::memory_order_relaxed);
-    accel_size_.store(updatable_->index().size(), std::memory_order_relaxed);
+    PublishDeltas(updatable_->pending_inserts() + updatable_->pending_deletes(),
+                  updatable_->index().size());
   }
 
   /// kAuto: one detector sample per query — the clamped range midpoint
@@ -944,41 +914,6 @@ class CrackAccessPath : public ColumnAccessPath {
     }
   }
 
-  Status MaybeMergeOnWrite(IoStats* stats) {
-    // Concurrent mode: merges swap the accelerator, which needs the
-    // exclusive latch; DML runs under the shared one. The owner polls
-    // WantsMaintenance() and flushes under the exclusive latch instead.
-    if (config_.concurrent) return Status::OK();
-    switch (config_.delta_merge.policy) {
-      case DeltaMergePolicy::kImmediate:
-        return updatable_->Merge(stats);
-      case DeltaMergePolicy::kThreshold:
-        if (updatable_->ShouldAutoMerge()) return updatable_->Merge(stats);
-        return Status::OK();
-      case DeltaMergePolicy::kRippleOnSelect:
-        return Status::OK();  // the next selection folds the delta
-    }
-    return Status::OK();
-  }
-
-  void MaybeMergeOnSelect(IoStats* stats) {
-    if (config_.concurrent) return;  // the owner's maintenance step folds
-    bool dirty =
-        updatable_->pending_inserts() + updatable_->pending_deletes() > 0;
-    switch (config_.delta_merge.policy) {
-      case DeltaMergePolicy::kImmediate:
-        break;  // writes already merged
-      case DeltaMergePolicy::kThreshold:
-        if (updatable_->ShouldAutoMerge()) {
-          (void)updatable_->Merge(stats);
-        }
-        break;
-      case DeltaMergePolicy::kRippleOnSelect:
-        if (dirty) (void)updatable_->Merge(stats);
-        break;
-    }
-  }
-
   /// Cracks the piece enclosing `v` at randomly drawn elements until it is
   /// at or below the policy threshold (or no pivot makes progress, e.g. all
   /// duplicates). Skipped when the cut for `v` is already registered.
@@ -1101,8 +1036,6 @@ class CrackAccessPath : public ColumnAccessPath {
   size_t marks_merges_ = 0;  ///< updatable_'s merge count marked_ matches
   std::vector<Oid> fresh_marks_;  ///< PullMarks' scratch buffer
   mutable std::mutex delta_mu_;        ///< guards the delta structures
-  std::atomic<size_t> dirty_count_{0};  ///< pending inserts + tombstones
-  std::atomic<size_t> accel_size_{0};   ///< tuples in the cracker column
 };
 
 // --- sort -----------------------------------------------------------------
@@ -1128,15 +1061,6 @@ class SortAccessPath : public ColumnAccessPath {
     return built_.load(std::memory_order_acquire);
   }
 
-  bool WantsMaintenance() const override {
-    if (!config_.concurrent || !built_.load(std::memory_order_acquire)) {
-      return false;
-    }
-    return MaintenanceDue(config_.delta_merge,
-                          dirty_count_.load(std::memory_order_relaxed),
-                          accel_size_.load(std::memory_order_relaxed));
-  }
-
   AccessSelection Select(const RangeBounds& range, Delivery delivery,
                          IoStats* stats,
                          const SnapshotView* view = nullptr) override {
@@ -1144,7 +1068,6 @@ class SortAccessPath : public ColumnAccessPath {
     // replace the copy instead of rewriting it.
     (void)delivery;
     EnsureBuilt(stats);
-    MaybeMergeOnSelect(stats);
     T lo, hi;
     bool lo_incl, hi_incl;
     ClampRange<T>(range, &lo, &lo_incl, &hi, &hi_incl);
@@ -1184,7 +1107,6 @@ class SortAccessPath : public ColumnAccessPath {
       ColumnAggregates out;
       if (EmptyRange(lo, lo_incl, hi, hi_incl)) return out;
       EnsureBuilt(stats);
-      MaybeMergeOnSelect(stats);
       // Binary search bounds the answer span; the reduction reads the
       // sorted copy, which only the exclusive latch replaces.
       CrackSelection sel = sorted_->Select(lo, lo_incl, hi, hi_incl, stats);
@@ -1201,19 +1123,31 @@ class SortAccessPath : public ColumnAccessPath {
 
   Status Insert(const Value& value, Oid oid, IoStats* stats) override {
     if (sorted_ == nullptr) return Status::OK();  // lazy build reads base
-    {
-      std::lock_guard<std::mutex> dl(delta_mu_);
-      pending_.emplace_back(CastValue<T>(value), oid);
-      SyncDirty();
-    }
+    std::lock_guard<std::mutex> dl(delta_mu_);
+    pending_.emplace_back(CastValue<T>(value), oid);
+    SyncDirty();
     if (stats != nullptr) ++stats->tuples_written;
-    return MaybeMergeOnWrite(stats);
+    return Status::OK();
   }
 
+  /// Tombstones `oid`. A pending insert is cancelled instead; the oid joins
+  /// the physically-gone set so a later Update()/Delete() sees a dead row,
+  /// not a merged tuple.
   Status Delete(Oid oid, IoStats* stats) override {
-    CRACK_RETURN_NOT_OK(Tombstone(oid));
-    if (sorted_ == nullptr) return Status::OK();  // filtered until a merge
-    return MaybeMergeOnWrite(stats);
+    (void)stats;
+    CRACK_RETURN_NOT_OK(CheckDeletableOid(*column_, oid));
+    std::lock_guard<std::mutex> dl(delta_mu_);
+    if (purged_.Test(oid)) return AlreadyDeletedError(oid);
+    auto it = std::find_if(pending_.begin(), pending_.end(),
+                           [oid](const auto& p) { return p.second == oid; });
+    if (it != pending_.end()) {
+      pending_.erase(it);
+      purged_.Set(oid);
+    } else if (!deleted_.Set(oid)) {
+      return AlreadyDeletedError(oid);
+    }
+    SyncDirty();
+    return Status::OK();
   }
 
   Status Update(Oid oid, const Value& old_value, const Value& value,
@@ -1221,29 +1155,27 @@ class SortAccessPath : public ColumnAccessPath {
     (void)old_value;  // the tombstone is keyed by oid alone
     if (sorted_ == nullptr) return Status::OK();  // base slot overwritten
     CRACK_RETURN_NOT_OK(CheckDeletableOid(*column_, oid));
-    {
-      std::lock_guard<std::mutex> dl(delta_mu_);
-      auto it = std::find_if(pending_.begin(), pending_.end(),
-                             [oid](const auto& p) { return p.second == oid; });
-      if (it != pending_.end()) {
-        it->first = CastValue<T>(value);
-        return Status::OK();
-      }
-      if (purged_.Test(oid) || !deleted_.Set(oid)) {
-        return Status::NotFound(
-            StrFormat("oid %llu is deleted",
-                      static_cast<unsigned long long>(oid)));
-      }
-      pending_.emplace_back(CastValue<T>(value), oid);
-      SyncDirty();
+    std::lock_guard<std::mutex> dl(delta_mu_);
+    auto it = std::find_if(pending_.begin(), pending_.end(),
+                           [oid](const auto& p) { return p.second == oid; });
+    if (it != pending_.end()) {
+      it->first = CastValue<T>(value);
+      return Status::OK();
     }
+    if (purged_.Test(oid) || !deleted_.Set(oid)) {
+      return Status::NotFound(
+          StrFormat("oid %llu is deleted",
+                    static_cast<unsigned long long>(oid)));
+    }
+    pending_.emplace_back(CastValue<T>(value), oid);
+    SyncDirty();
     if (stats != nullptr) ++stats->tuples_written;
-    return MaybeMergeOnWrite(stats);
+    return Status::OK();
   }
 
   Status Purge(const std::vector<Oid>& oids, IoStats* stats) override {
     for (Oid oid : oids) {
-      Status st = Tombstone(oid);
+      Status st = Delete(oid, stats);
       // NotFound: never landed; AlreadyExists: purged before.
       if (!st.ok() && !st.IsNotFound() && !st.IsAlreadyExists()) return st;
     }
@@ -1300,73 +1232,20 @@ class SortAccessPath : public ColumnAccessPath {
   }
 
  private:
-  /// Tombstones `oid` without folding (Delete, Purge). A pending insert is
-  /// cancelled instead; the oid joins the physically-gone set so a later
-  /// Update()/Delete() sees a dead row, not a merged tuple.
-  Status Tombstone(Oid oid) {
-    CRACK_RETURN_NOT_OK(CheckDeletableOid(*column_, oid));
-    std::lock_guard<std::mutex> dl(delta_mu_);
-    if (purged_.Test(oid)) return AlreadyDeletedError(oid);
-    auto it = std::find_if(pending_.begin(), pending_.end(),
-                           [oid](const auto& p) { return p.second == oid; });
-    if (it != pending_.end()) {
-      pending_.erase(it);
-      purged_.Set(oid);
-    } else if (!deleted_.Set(oid)) {
-      return AlreadyDeletedError(oid);
-    }
-    SyncDirty();
-    return Status::OK();
-  }
-
   /// Builds the sorted copy on first use (exclusive column latch).
   void EnsureBuilt(IoStats* stats) {
     if (sorted_ != nullptr) return;
     obs::TraceSpan span("build", stats);
     sorted_ = std::make_unique<SortedColumn<T>>(column_, stats);
-    accel_size_.store(sorted_->size(), std::memory_order_relaxed);
+    SyncDirty();
     built_.store(true, std::memory_order_release);
   }
 
   /// See CrackAccessPath::SyncDirty. Callers hold the delta latch or the
   /// exclusive column latch.
   void SyncDirty() {
-    dirty_count_.store(pending_.size() + deleted_.count(),
-                       std::memory_order_relaxed);
-  }
-
-  Status MaybeMergeOnWrite(IoStats* stats) {
-    // Concurrent mode: merging swaps the sorted copy (exclusive latch);
-    // the owner's maintenance hook does it via FlushDeltas.
-    if (config_.concurrent) return Status::OK();
-    if (config_.delta_merge.policy == DeltaMergePolicy::kImmediate ||
-        (config_.delta_merge.policy == DeltaMergePolicy::kThreshold &&
-         OverThreshold())) {
-      return MergeDeltas(stats);
-    }
-    return Status::OK();
-  }
-
-  void MaybeMergeOnSelect(IoStats* stats) {
-    if (config_.concurrent) return;  // the owner's maintenance step folds
-    bool dirty = !pending_.empty() || !deleted_.empty();
-    if (!dirty) return;
-    // kImmediate also folds here: tombstones buffered before the lazy build
-    // could not merge at write time (there was nothing to merge into).
-    if (config_.delta_merge.policy == DeltaMergePolicy::kRippleOnSelect ||
-        config_.delta_merge.policy == DeltaMergePolicy::kImmediate ||
-        (config_.delta_merge.policy == DeltaMergePolicy::kThreshold &&
-         OverThreshold())) {
-      (void)MergeDeltas(stats);
-    }
-  }
-
-  bool OverThreshold() const {
-    double fraction = config_.delta_merge.threshold_fraction;
-    if (fraction <= 0 || sorted_ == nullptr) return false;
-    return pending_.size() + deleted_.count() >
-           static_cast<size_t>(fraction *
-                               static_cast<double>(sorted_->size()));
+    if (sorted_ == nullptr) return;
+    PublishDeltas(pending_.size() + deleted_.count(), sorted_->size());
   }
 
   /// Folds deltas back by merging two sorted runs: the surviving sorted
@@ -1422,7 +1301,6 @@ class SortAccessPath : public ColumnAccessPath {
     ++merges_;
     obs::RecordMerge(w);
     SyncDirty();
-    accel_size_.store(sorted_->size(), std::memory_order_relaxed);
     return Status::OK();
   }
 
@@ -1435,8 +1313,6 @@ class SortAccessPath : public ColumnAccessPath {
   size_t merges_ = 0;
   std::atomic<bool> built_{false};      ///< sorted_ is safe to dereference
   mutable std::mutex delta_mu_;         ///< guards the delta structures
-  std::atomic<size_t> dirty_count_{0};  ///< pending inserts + tombstones
-  std::atomic<size_t> accel_size_{0};   ///< tuples in the sorted copy
 };
 
 // --- scan -----------------------------------------------------------------
@@ -1640,21 +1516,17 @@ class DictStringAccessPath : public ColumnAccessPath {
                        const AccessPathConfig& config)
       : column_(std::move(column)),
         config_(config),
-        inner_config_(config),
-        deleted_(column_->head_base()) {
-    // The wrapper is exclusive-only under concurrency (the dictionary has
-    // no internal locking and a gap-exhaustion remap swaps the whole inner
-    // path), so the inner numeric path keeps serial semantics — its inline
-    // merges are safe under the wrapper's exclusive column latch.
-    inner_config_.concurrent = false;
-  }
+        deleted_(column_->head_base()) {}
 
   AccessStrategy strategy() const override { return config_.strategy; }
   const AccessPathConfig& config() const override { return config_; }
   size_t size() const override { return column_->size(); }
 
   // Inherited concurrency defaults are exactly right for this wrapper:
-  // kExclusiveOnly, never shared-ready, no owner-driven maintenance.
+  // kExclusiveOnly (the dictionary has no internal locking and a
+  // gap-exhaustion remap swaps the whole inner path), never shared-ready.
+  // The maintenance poll answers from the inner path's sizes, published
+  // after every call that can change them (Published).
 
   AccessSelection Select(const RangeBounds& range, Delivery delivery,
                          IoStats* stats,
@@ -1662,9 +1534,8 @@ class DictStringAccessPath : public ColumnAccessPath {
     // Native-domain selection: the bounds are dictionary codes.
     EnsureEncoded(stats);
     SnapshotView code_view;
-    return Detached(inner_->Select(range, delivery, stats,
-                                   TranslateView(view, stats, &code_view)),
-                    delivery);
+    return Published(inner_->Select(range, delivery, stats,
+                                    TranslateView(view, stats, &code_view)));
   }
 
   Result<AccessSelection> SelectTyped(const TypedRange& range,
@@ -1709,8 +1580,7 @@ class DictStringAccessPath : public ColumnAccessPath {
         return AccessSelection{};  // sorts before every string: empty
       }
     }
-    return Detached(inner_->Select(codes, delivery, stats, inner_view),
-                    delivery);
+    return Published(inner_->Select(codes, delivery, stats, inner_view));
   }
 
   Status Insert(const Value& value, Oid oid, IoStats* stats) override {
@@ -1722,7 +1592,7 @@ class DictStringAccessPath : public ColumnAccessPath {
     if (inner_ == nullptr) return Status::OK();  // lazy encode reads base
     int64_t code = Intern(value.AsString(), stats);
     codes_->Append<int64_t>(code);
-    return inner_->Insert(Value(code), oid, stats);
+    return Published(inner_->Insert(Value(code), oid, stats));
   }
 
   Status Delete(Oid oid, IoStats* stats) override {
@@ -1734,7 +1604,7 @@ class DictStringAccessPath : public ColumnAccessPath {
     if (inner_ == nullptr) return Status::OK();
     Status st = inner_->Delete(oid, stats);
     if (!st.ok()) deleted_.Clear(oid);  // keep the replay set replayable
-    return st;
+    return Published(st);
   }
 
   Status Update(Oid oid, const Value& old_value, const Value& value,
@@ -1752,7 +1622,7 @@ class DictStringAccessPath : public ColumnAccessPath {
     const int64_t old_code =
         row < codes_->size() ? codes_->Get<int64_t>(row) : 0;
     CRACK_RETURN_NOT_OK(codes_->SetNumeric(row, code));
-    return inner_->Update(oid, Value(old_code), Value(code), stats);
+    return Published(inner_->Update(oid, Value(old_code), Value(code), stats));
   }
 
   Status Purge(const std::vector<Oid>& oids, IoStats* stats) override {
@@ -1765,13 +1635,13 @@ class DictStringAccessPath : public ColumnAccessPath {
       }
     }
     if (inner_ == nullptr) return FlushDeltas(stats);
-    return inner_->Purge(fresh, stats);
+    return Published(inner_->Purge(fresh, stats));
   }
 
   Status FlushDeltas(IoStats* stats) override {
     if (inner_ == nullptr && deleted_.empty()) return Status::OK();
     EnsureEncoded(stats);
-    return inner_->FlushDeltas(stats);
+    return Published(inner_->FlushDeltas(stats));
   }
 
   size_t pending_inserts() const override {
@@ -1802,7 +1672,8 @@ class DictStringAccessPath : public ColumnAccessPath {
 
   Status ApplyPolicy(const PivotChoice& choice, IoStats* stats) override {
     EnsureEncoded(stats);
-    return inner_->ApplyPolicy(choice, stats);  // pivot in the code domain
+    // The pivot is in the code domain.
+    return Published(inner_->ApplyPolicy(choice, stats));
   }
 
   std::string Explain() const override {
@@ -1835,22 +1706,17 @@ class DictStringAccessPath : public ColumnAccessPath {
 
   Status SetPolicyOptions(const CrackPolicyOptions& options) override {
     config_.policy = options;
-    inner_config_.policy = options;
     if (inner_ != nullptr) return inner_->SetPolicyOptions(options);
     return Status::OK();
   }
 
  private:
-  /// The inner path runs serial (inner_config_), so under a concurrent
-  /// owner the wrapper detaches a crack answer that delivers rows itself,
-  /// still under the exclusive column latch it runs under (see
-  /// ColumnAccessPath::Select).
-  AccessSelection Detached(AccessSelection sel, Delivery delivery) const {
-    if (config_.concurrent && config_.strategy == AccessStrategy::kCrack &&
-        delivery != Delivery::kCount) {
-      sel.span_set.Detach();
-    }
-    return sel;
+  /// Publishes the inner path's delta sizes after a call that may have
+  /// changed them (or built it), then hands the call's result through.
+  template <typename R>
+  R Published(R result) {
+    PublishDeltasOf(*inner_);
+    return result;
   }
 
   /// Translates the facade's string-valued overrides into the inner path's
@@ -1957,17 +1823,17 @@ class DictStringAccessPath : public ColumnAccessPath {
   /// the all-time tombstones into it.
   void RebuildInner(IoStats* stats) {
     (void)stats;
-    inner_ = MakePath<int64_t>(codes_, inner_config_);
+    inner_ = MakePath<int64_t>(codes_, config_);
     deleted_.ForEach([this](Oid oid) {
       Status st = inner_->Delete(oid);
       CRACK_DCHECK(st.ok());
       (void)st;
     });
+    PublishDeltasOf(*inner_);
   }
 
   std::shared_ptr<Bat> column_;  ///< the kString base (append-only)
   AccessPathConfig config_;
-  AccessPathConfig inner_config_;  ///< config_ with concurrent forced off
   std::unique_ptr<StringDictionary> dict_;
   std::shared_ptr<Bat> codes_;  ///< int64 shadow, row-parallel to the base
   std::unique_ptr<ColumnAccessPath> inner_;

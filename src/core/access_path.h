@@ -31,11 +31,13 @@
 // land in per-path delta structures (pending list + tombstone set) and fold
 // back into the accelerator per a DeltaMergePolicy — immediately, past a
 // threshold, or rippled into the next selection — preserving the learned
-// physical order across maintenance.
+// physical order across maintenance. A path never decides to fold: its
+// owner asks WantsMaintenance and calls FlushDeltas.
 
 #ifndef CRACKSTORE_CORE_ACCESS_PATH_H_
 #define CRACKSTORE_CORE_ACCESS_PATH_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -79,12 +81,12 @@ struct AccessPathConfig {
   CrackPolicyOptions policy;  ///< pivot discipline (crack strategy only)
   MergeBudget merge_budget;   ///< piece-fusion budget (crack strategy only)
   DeltaMergeOptions delta_merge;  ///< when write deltas fold back
-  /// Defers every delta merge to the owner's maintenance step
-  /// (WantsMaintenance -> FlushDeltas under the exclusive column latch)
-  /// instead of folding inline on writes and selects. A concurrent owner
-  /// sets it, because inline folds swap the accelerator under readers that
-  /// hold only the shared latch. Locking does not depend on it: every path
-  /// takes its delta latch and range locks unconditionally.
+  /// Detaches crack answers that deliver rows (see ColumnAccessPath::Select).
+  /// A concurrent owner sets it, because threads sharing the column may
+  /// crack it once the answer's span lock drops. Nothing else depends on
+  /// it: every path takes its delta latch and range locks unconditionally,
+  /// and only the owner's maintenance step folds deltas (WantsMaintenance ->
+  /// FlushDeltas under the exclusive column latch).
   bool concurrent = false;
 };
 
@@ -272,10 +274,11 @@ class ColumnAccessPath {
   // calls under the *shared* latch once SharedSelectReady() is true
   // (readiness is monotonic); builds, flushes and kExclusiveOnly paths need
   // the exclusive latch. Every answer is formed while the path holds the
-  // answer span's shared range lock and its delta latch. With
-  // config().concurrent the path never merges deltas inline — the owner
-  // polls WantsMaintenance() and calls FlushDeltas under the exclusive
-  // latch instead, so shared-latch readers only ever overlay deltas.
+  // answer span's shared range lock and its delta latch. A path never
+  // merges deltas on its own: the owner polls WantsMaintenance() before
+  // each read of the column and after each statement that wrote to it, and
+  // calls FlushDeltas under the exclusive latch, so shared-latch readers
+  // only ever overlay deltas.
 
   /// The latch mode this path's operations need (see above). Constant for
   /// the path's lifetime.
@@ -287,9 +290,12 @@ class ColumnAccessPath {
   /// accelerator is built). Monotonic; callable without any latch.
   virtual bool SharedSelectReady() const { return false; }
 
-  /// True when the delta-merge policy says a fold is due; the owner should
-  /// take the exclusive latch and FlushDeltas. Callable without any latch.
-  virtual bool WantsMaintenance() const { return false; }
+  /// True when config().delta_merge says a fold is due; the owner then
+  /// takes the exclusive latch and calls FlushDeltas. `before_read`: the
+  /// poll precedes a read of the column (true) or follows a statement that
+  /// wrote to it (false). Weighs the sizes the path last published
+  /// (PublishDeltas), so it is callable without any latch.
+  bool WantsMaintenance(bool before_read) const;
 
   /// Pending delta sizes and maintenance history (shell / EXPLAIN support).
   virtual size_t pending_inserts() const = 0;
@@ -346,6 +352,28 @@ class ColumnAccessPath {
     (void)options;
     return Status::OK();
   }
+
+ protected:
+  /// Publishes what WantsMaintenance weighs: the pending deltas (inserts +
+  /// tombstones) and the accelerator's tuple count. A path publishes once
+  /// its accelerator is built, so deltas buffered before the build fold at
+  /// the column's next statement, never before it. Callers hold the path's
+  /// delta latch or the exclusive column latch.
+  void PublishDeltas(size_t pending, size_t accel_tuples) {
+    pending_deltas_.store(pending, std::memory_order_relaxed);
+    accel_tuples_.store(accel_tuples, std::memory_order_relaxed);
+  }
+
+  /// Publishes `inner`'s sizes as this path's own: a decorator answers the
+  /// poll for the path it wraps without touching it outside its own calls.
+  void PublishDeltasOf(const ColumnAccessPath& inner) {
+    PublishDeltas(inner.pending_deltas_.load(std::memory_order_relaxed),
+                  inner.accel_tuples_.load(std::memory_order_relaxed));
+  }
+
+ private:
+  std::atomic<size_t> pending_deltas_{0};
+  std::atomic<size_t> accel_tuples_{0};
 };
 
 /// Builds the access path for `column` per `config`. The factory is

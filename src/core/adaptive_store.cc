@@ -541,6 +541,7 @@ Status AdaptiveStore::RollbackLocked(TxnId txn, TxnState* state) {
       if (ait != accels_.end()) path = ait->second.PathIfAny();
     }
     if (path != nullptr) {
+      // A delta like any other: it folds at the column's next statement.
       st = path->Update(it->oid, undone, it->old_value);
       if (!st.ok() && !st.IsNotFound()) result = st;
     }
@@ -631,9 +632,11 @@ Status AdaptiveStore::CreatePath(const std::string& table,
 }
 
 Status AdaptiveStore::MaintainColumn(ColumnAccel* accel, TableState* ts,
-                                     IoStats* stats) {
+                                     bool before_read, IoStats* stats) {
   ColumnAccessPath* path = accel->PathIfAny();
-  if (path == nullptr || !path->WantsMaintenance()) return Status::OK();
+  if (path == nullptr || !path->WantsMaintenance(before_read)) {
+    return Status::OK();
+  }
   std::unique_lock<std::shared_mutex> col(accel->latch);
   std::shared_lock<std::shared_mutex> base(ts->base_latch);
   return path->FlushDeltas(stats);
@@ -645,9 +648,10 @@ Status AdaptiveStore::LatchColumn(const std::string& table,
                                   IoStats* stats, ColumnLatch* latch) {
   latch->accel = AccelFor(table, column);
   TableState* ts = TableStateFor(table);
-  // Fold the deltas a shared-latch read must not (ripple / threshold /
-  // immediate folds all run here, under the exclusive latch).
-  CRACK_RETURN_NOT_OK(MaintainColumn(latch->accel, ts, stats));
+  // Fold what the column's delta-merge policy says is due before a read
+  // (ripple folds only here), under the exclusive latch.
+  CRACK_RETURN_NOT_OK(
+      MaintainColumn(latch->accel, ts, /*before_read=*/true, stats));
   ColumnAccessPath* path = latch->accel->PathIfAny();
   if (path != nullptr &&
       path->concurrency() == PathConcurrency::kSharedReads &&
@@ -1057,7 +1061,8 @@ Result<QueryResult> AdaptiveStore::Insert(const std::string& table,
     }
     // Post-statement folds (immediate / threshold) outside the DML latches.
     for (ColumnAccel* accel : accels) {
-      CRACK_RETURN_NOT_OK(MaintainColumn(accel, ts, &result.io));
+      CRACK_RETURN_NOT_OK(
+          MaintainColumn(accel, ts, /*before_read=*/false, &result.io));
     }
 
     result.count = 1;
@@ -1214,7 +1219,8 @@ Result<QueryResult> AdaptiveStore::Update(
       }
     }
     for (ColumnAccel* accel : accels) {
-      CRACK_RETURN_NOT_OK(MaintainColumn(accel, ts, &result.io));
+      CRACK_RETURN_NOT_OK(
+          MaintainColumn(accel, ts, /*before_read=*/false, &result.io));
     }
 
     result.count = applied;

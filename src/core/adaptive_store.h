@@ -59,9 +59,10 @@ struct AdaptiveStoreOptions {
   /// store with other threads requires: crack answers are detached (their
   /// rows resolved under the answer span's range lock) while sort and scan
   /// answers leave as spans; lineage is off; snapshot views are always
-  /// active, so rows appended mid-statement fall past the horizon; paths
-  /// leave delta merges to the store's maintenance step; conjunction legs
-  /// fan out over the task pool; and Configure refuses to change it.
+  /// active, so rows appended mid-statement fall past the horizon;
+  /// conjunction legs fan out over the task pool; and Configure refuses to
+  /// change it. Delta folds do not depend on it: both modes fold in the
+  /// store's maintenance step, at the same statements.
   bool concurrent = false;
 
   /// The per-column slice of these options.
@@ -352,10 +353,11 @@ class AdaptiveStore {
   // --- DML ------------------------------------------------------------------
   // Writes route through the same type-erased access paths as reads: the
   // base column is mutated first (append / in-place overwrite), then every
-  // materialized accelerator absorbs the change into its delta structures
-  // and folds it back per options().delta_merge. WHERE predicates of
-  // Delete/Update are themselves advice to crack — a mixed workload keeps
-  // teaching the store.
+  // materialized accelerator absorbs the change into its delta structures,
+  // which the store folds back per options().delta_merge (MaintainColumn,
+  // after the statement and before the column's next read). WHERE
+  // predicates of Delete/Update are themselves advice to crack — a mixed
+  // workload keeps teaching the store.
 
   /// Appends one row. Numeric values are coerced to the column types
   /// (range-checked). `count` of the result is 1 and `inserted_oid` carries
@@ -707,9 +709,14 @@ class AdaptiveStore {
   /// when the database was reopened from a v2 checkpoint.
   AccessPathConfig PathConfigFor(const std::string& key) const;
 
-  /// If the path's delta policy says a fold is due, takes the exclusive
-  /// column latch and flushes. Safe to call with no latches held.
-  Status MaintainColumn(ColumnAccel* accel, TableState* ts, IoStats* stats);
+  /// The store's one delta-fold trigger, for serial and concurrent stores
+  /// alike: if the path's delta-merge policy says a fold is due
+  /// (ColumnAccessPath::WantsMaintenance), takes the exclusive column latch
+  /// and flushes. Runs before each read of the column (`before_read`) and
+  /// after each statement that wrote to it. Safe to call with no latches
+  /// held.
+  Status MaintainColumn(ColumnAccel* accel, TableState* ts, bool before_read,
+                        IoStats* stats);
 
   /// Statement bodies: callers hold global_mu_ shared.
   Result<QueryResult> SelectRangeAt(const std::string& table,

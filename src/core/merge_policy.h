@@ -48,15 +48,22 @@ struct MergeBudget {
   }
 };
 
-/// When an access path folds its pending write deltas (inserts, tombstones)
+/// When an access path's pending write deltas (inserts, tombstones) fold
 /// back into the accelerator. Orthogonal to the boundary-fusion MergeBudget
 /// above: that one forgets navigation knowledge, this one moves delta data.
+/// One step decides, for serial and concurrent stores alike: the store polls
+/// the column (ColumnAccessPath::WantsMaintenance) before each read of it
+/// and after each statement that wrote to it, and a due fold runs there
+/// (FlushDeltas) under the exclusive column latch.
 enum class DeltaMergePolicy : uint8_t {
-  kImmediate = 0,     ///< every write merges right away (writes pay)
-  kThreshold = 1,     ///< merge when the delta outgrows a fraction of the
-                      ///< accelerator (amortized; reads filter small deltas)
-  kRippleOnSelect = 2,  ///< writes never merge; the next selection folds the
-                        ///< delta before answering (first read pays)
+  kImmediate = 0,  ///< fold whenever a delta is pending: once at the end of
+                   ///< each writing statement (writes pay)
+  kThreshold = 1,  ///< fold when the delta outgrows a fraction of the
+                   ///< accelerator, after a write or before a read
+                   ///< (amortized; reads filter small deltas)
+  kRippleOnSelect = 2,  ///< writes never fold; the next read of the column
+                        ///< folds the delta before answering (first read
+                        ///< pays)
 };
 
 const char* DeltaMergePolicyName(DeltaMergePolicy policy);
@@ -67,8 +74,8 @@ bool ParseDeltaMergePolicy(const std::string& s, DeltaMergePolicy* out);
 /// Per-column delta-merge configuration.
 struct DeltaMergeOptions {
   DeltaMergePolicy policy = DeltaMergePolicy::kThreshold;
-  /// kThreshold: merge once pending inserts + tombstones exceed this
-  /// fraction of the accelerator's tuple count.
+  /// kThreshold: fold once pending inserts + tombstones exceed this
+  /// fraction of the accelerator's tuple count; 0 folds after every write.
   double threshold_fraction = 0.1;
 };
 

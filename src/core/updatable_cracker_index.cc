@@ -14,10 +14,9 @@ namespace crackstore {
 template <typename T>
 UpdatableCrackerIndex<T>::UpdatableCrackerIndex(
     const std::shared_ptr<Bat>& source, IoStats* stats,
-    UpdatableCrackerIndexOptions options)
-    : options_(options),
-      index_(std::make_unique<CrackerIndex<T>>(source, stats,
-                                               options.index_options)),
+    CrackerIndexOptions index_options)
+    : index_options_(index_options),
+      index_(std::make_unique<CrackerIndex<T>>(source, stats, index_options)),
       merged_size_(source->size()),
       next_fresh_oid_(source->head_base() + source->size()),
       base_oid_(source->head_base()),
@@ -107,11 +106,6 @@ template <typename T>
 UpdatableSelection<T> UpdatableCrackerIndex<T>::Select(T lo, bool lo_incl,
                                                        T hi, bool hi_incl,
                                                        IoStats* stats) {
-  if (ShouldAutoMerge()) {
-    Status st = Merge(stats);
-    CRACK_DCHECK(st.ok());
-  }
-
   UpdatableSelection<T> out;
   out.base = index_->Select(lo, lo_incl, hi, hi_incl, stats);
 
@@ -186,7 +180,7 @@ Status UpdatableCrackerIndex<T>::Merge(IoStats* stats) {
   }
 
   auto rebuilt = std::make_unique<CrackerIndex<T>>(
-      std::move(values), std::move(oids), options_.index_options);
+      std::move(values), std::move(oids), index_options_);
 
   // Re-apply the learned boundaries. Replaying in binary-split order (the
   // median bound first, then recursively each half) keeps every re-crack

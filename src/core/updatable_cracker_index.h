@@ -15,7 +15,9 @@
 //
 // Selections therefore return a CrackSelection over the contiguous cracked
 // area plus a (small) delta vector; count() and ForEach() present the union
-// view.
+// view. The index never decides to fold: its owner calls Merge() (the crack
+// access path, from FlushDeltas, when the store's maintenance step finds a
+// fold due under the column's DeltaMergePolicy).
 
 #ifndef CRACKSTORE_CORE_UPDATABLE_CRACKER_INDEX_H_
 #define CRACKSTORE_CORE_UPDATABLE_CRACKER_INDEX_H_
@@ -47,21 +49,15 @@ struct UpdatableSelection {
   }
 };
 
-/// Tuning knobs.
-struct UpdatableCrackerIndexOptions {
-  /// Merge() is triggered automatically by Select when the delta grows past
-  /// this fraction of the column (0 disables auto-merge).
-  double auto_merge_fraction = 0.1;
-  CrackerIndexOptions index_options;
-};
-
 /// See file comment. T in {int32_t, int64_t, double}.
 template <typename T>
 class UpdatableCrackerIndex {
  public:
+  /// `index_options` configure the cracker column, and every column a
+  /// Merge() rebuilds.
   explicit UpdatableCrackerIndex(const std::shared_ptr<Bat>& source,
                                  IoStats* stats = nullptr,
-                                 UpdatableCrackerIndexOptions options = {});
+                                 CrackerIndexOptions index_options = {});
 
   CRACK_DISALLOW_COPY_AND_ASSIGN(UpdatableCrackerIndex);
 
@@ -82,8 +78,8 @@ class UpdatableCrackerIndex {
   /// tombstone keeps (owners overwrite their base slot before calling).
   Status Update(T value, Oid oid, T old_value);
 
-  /// Range selection over the live tuples (see UpdatableSelection). May
-  /// trigger an automatic Merge() first.
+  /// Range selection over the live tuples (see UpdatableSelection). Never
+  /// folds the deltas; only Merge() does.
   UpdatableSelection<T> Select(T lo, bool lo_incl, T hi, bool hi_incl,
                                IoStats* stats = nullptr);
 
@@ -105,7 +101,7 @@ class UpdatableCrackerIndex {
   size_t pending_deletes() const { return deleted_.count(); }
   size_t num_pieces() const { return index_->num_pieces(); }
 
-  /// Number of Merge() folds performed (manual + automatic).
+  /// Number of Merge() folds performed.
   size_t merges_performed() const { return merges_performed_; }
 
   const CrackerIndex<T>& index() const { return *index_; }
@@ -145,19 +141,11 @@ class UpdatableCrackerIndex {
     return oid >= base_oid_ && oid < merged_end_ && !purged_.Test(oid);
   }
 
-  /// True when the delta has outgrown options().auto_merge_fraction.
-  bool ShouldAutoMerge() const {
-    if (options_.auto_merge_fraction <= 0) return false;
-    size_t delta = pending_.size() + deleted_.count();
-    return delta > static_cast<size_t>(options_.auto_merge_fraction *
-                                       static_cast<double>(merged_size_));
-  }
-
   /// Exhaustive consistency check (test support).
   Status Validate() const;
 
  private:
-  UpdatableCrackerIndexOptions options_;
+  CrackerIndexOptions index_options_;
   std::unique_ptr<CrackerIndex<T>> index_;
   size_t merged_size_ = 0;   ///< tuples inside the cracker column
   Oid next_fresh_oid_ = 0;   ///< lowest oid never seen (insert validation)

@@ -612,7 +612,8 @@ TEST(ConcurrentStore, SteeredPoliciesRideSharedPath) {
 // One statement path: driven by one thread with the task pool at 0 threads,
 // a concurrent store must crack exactly like a serial store fed the same
 // stream — the same answers, cracks, kernel writes and pieces created per
-// statement, and the same piece tables after every statement.
+// statement, and the same delta folds, pending deltas and piece tables
+// after every statement, under every delta-merge policy.
 // ---------------------------------------------------------------------------
 
 TEST(ConcurrentStore, SingleThreadCracksLikeSerial) {
@@ -624,7 +625,8 @@ TEST(ConcurrentStore, SingleThreadCracksLikeSerial) {
        {CrackPolicy::kStandard, CrackPolicy::kStochastic,
         CrackPolicy::kCoarse, CrackPolicy::kProgressive}) {
     for (DeltaMergePolicy merge :
-         {DeltaMergePolicy::kThreshold, DeltaMergePolicy::kImmediate}) {
+         {DeltaMergePolicy::kThreshold, DeltaMergePolicy::kImmediate,
+          DeltaMergePolicy::kRippleOnSelect}) {
       const uint64_t seed = base_seed + 7 * config_index++;
       SCOPED_TRACE(std::string(CrackPolicyName(policy)) + "/" +
                    DeltaMergePolicyName(merge) +
@@ -648,11 +650,15 @@ TEST(ConcurrentStore, SingleThreadCracksLikeSerial) {
         EXPECT_EQ(a.kernel_writes, b.kernel_writes);
         EXPECT_EQ(a.pieces_created, b.pieces_created);
       };
-      auto same_pieces = [&](const std::string& column) {
+      auto same_column = [&](const std::string& column) {
         auto s = serial.AccessPathFor("R", column);
         auto c = concurrent.AccessPathFor("R", column);
         ASSERT_EQ(s.ok(), c.ok()) << column;
         if (!s.ok()) return;
+        EXPECT_EQ((*s)->merges_performed(), (*c)->merges_performed())
+            << column;
+        EXPECT_EQ((*s)->pending_inserts(), (*c)->pending_inserts()) << column;
+        EXPECT_EQ((*s)->pending_deletes(), (*c)->pending_deletes()) << column;
         std::vector<PieceInfo> sp = (*s)->Pieces();
         std::vector<PieceInfo> cp = (*c)->Pieces();
         ASSERT_EQ(sp.size(), cp.size()) << column;
@@ -737,8 +743,8 @@ TEST(ConcurrentStore, SingleThreadCracksLikeSerial) {
           EXPECT_EQ(s->count, c->count);
           same_cracks(s->io, c->io);
         }
-        same_pieces("c0");
-        same_pieces("c1");
+        same_column("c0");
+        same_column("c1");
         if (HasFatalFailure()) return;
       }
     }

@@ -221,7 +221,16 @@ std::vector<Oid> ModelOids(const StringModel& model, const TypedRange& range) {
   return oids;  // std::map iterates ascending
 }
 
+/// The store's delta-fold rule (AdaptiveStore::MaintainColumn) on a bare
+/// path: flush when the path says a fold is due, before a read
+/// (`before_read`) or after a write.
+Status Maintain(ColumnAccessPath* path, bool before_read) {
+  return path->WantsMaintenance(before_read) ? path->FlushDeltas()
+                                             : Status::OK();
+}
+
 /// One randomized mixed string workload against one path configuration.
+/// Deltas fold mid-stream by the store's rule.
 void RunStringSession(const AccessPathConfig& config, uint64_t seed) {
   SCOPED_TRACE("config=" + ConfigName(config) +
                " seed=" + std::to_string(seed) +
@@ -242,6 +251,7 @@ void RunStringSession(const AccessPathConfig& config, uint64_t seed) {
   ColumnAccessPath* path = path_result->get();
 
   auto check_select = [&](int op, const TypedRange& range) {
+    ASSERT_TRUE(Maintain(path, /*before_read=*/true).ok()) << "op " << op;
     IoStats io;
     auto sel = path->SelectTyped(range, Delivery::kView, &io);
     ASSERT_TRUE(sel.ok()) << "op " << op << ": " << sel.status().ToString();
@@ -298,6 +308,9 @@ void RunStringSession(const AccessPathConfig& config, uint64_t seed) {
       ASSERT_TRUE(path->Update(it->first, Value(it->second), Value(w)).ok())
           << "op " << op;
       it->second = std::move(w);
+    }
+    if (dice >= 40) {
+      ASSERT_TRUE(Maintain(path, /*before_read=*/false).ok()) << "op " << op;
     }
   }
 

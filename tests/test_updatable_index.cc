@@ -22,12 +22,6 @@ std::shared_ptr<Bat> I64(std::vector<int64_t> v) {
   return Bat::FromVector(v, "col");
 }
 
-UpdatableCrackerIndexOptions NoAutoMerge() {
-  UpdatableCrackerIndexOptions opts;
-  opts.auto_merge_fraction = 0;
-  return opts;
-}
-
 std::multiset<int64_t> Values(const UpdatableCrackerIndex<int64_t>& index,
                               const UpdatableSelection<int64_t>& sel) {
   std::multiset<int64_t> out;
@@ -37,7 +31,7 @@ std::multiset<int64_t> Values(const UpdatableCrackerIndex<int64_t>& index,
 
 TEST(UpdatableIndexTest, SelectWithoutUpdatesMatchesPlainIndex) {
   auto col = I64({5, 1, 9, 3, 7});
-  UpdatableCrackerIndex<int64_t> index(col, nullptr, NoAutoMerge());
+  UpdatableCrackerIndex<int64_t> index(col);
   auto sel = index.Select(3, true, 7, true);
   EXPECT_EQ(sel.count(), 3u);
   EXPECT_EQ(Values(index, sel), (std::multiset<int64_t>{3, 5, 7}));
@@ -45,7 +39,7 @@ TEST(UpdatableIndexTest, SelectWithoutUpdatesMatchesPlainIndex) {
 
 TEST(UpdatableIndexTest, InsertVisibleImmediately) {
   auto col = I64({10, 20, 30});
-  UpdatableCrackerIndex<int64_t> index(col, nullptr, NoAutoMerge());
+  UpdatableCrackerIndex<int64_t> index(col);
   ASSERT_TRUE(index.Insert(15, 3).ok());
   ASSERT_TRUE(index.Insert(25, 4).ok());
   auto sel = index.Select(10, true, 20, true);
@@ -57,7 +51,7 @@ TEST(UpdatableIndexTest, InsertVisibleImmediately) {
 
 TEST(UpdatableIndexTest, InsertRejectsStaleOids) {
   auto col = I64({10, 20, 30});
-  UpdatableCrackerIndex<int64_t> index(col, nullptr, NoAutoMerge());
+  UpdatableCrackerIndex<int64_t> index(col);
   EXPECT_TRUE(index.Insert(5, 2).IsInvalidArgument());  // oid 2 is in use
   ASSERT_TRUE(index.Insert(5, 3).ok());
   EXPECT_TRUE(index.Insert(6, 3).IsInvalidArgument());  // reuse
@@ -66,7 +60,7 @@ TEST(UpdatableIndexTest, InsertRejectsStaleOids) {
 
 TEST(UpdatableIndexTest, DeleteHidesTuples) {
   auto col = I64({10, 20, 30, 40});
-  UpdatableCrackerIndex<int64_t> index(col, nullptr, NoAutoMerge());
+  UpdatableCrackerIndex<int64_t> index(col);
   ASSERT_TRUE(index.Delete(1, 20).ok());
   auto sel = index.Select(0, true, 100, true);
   EXPECT_EQ(sel.count(), 3u);
@@ -76,7 +70,7 @@ TEST(UpdatableIndexTest, DeleteHidesTuples) {
 
 TEST(UpdatableIndexTest, DeleteValidation) {
   auto col = I64({10, 20});
-  UpdatableCrackerIndex<int64_t> index(col, nullptr, NoAutoMerge());
+  UpdatableCrackerIndex<int64_t> index(col);
   EXPECT_TRUE(index.Delete(99, 0).IsNotFound());
   ASSERT_TRUE(index.Delete(0, 10).ok());
   EXPECT_TRUE(index.Delete(0, 10).IsAlreadyExists());
@@ -84,7 +78,7 @@ TEST(UpdatableIndexTest, DeleteValidation) {
 
 TEST(UpdatableIndexTest, DeletePendingInsertCancelsIt) {
   auto col = I64({10});
-  UpdatableCrackerIndex<int64_t> index(col, nullptr, NoAutoMerge());
+  UpdatableCrackerIndex<int64_t> index(col);
   ASSERT_TRUE(index.Insert(50, 1).ok());
   ASSERT_TRUE(index.Delete(1, 50).ok());
   EXPECT_EQ(index.pending_inserts(), 0u);
@@ -96,7 +90,7 @@ TEST(UpdatableIndexTest, CancelledPendingInsertStaysDead) {
   // dead — a later Update() used to fall through the merged-tuple branch
   // and resurrect the row; a second Delete() used to report OK.
   auto col = I64({10});
-  UpdatableCrackerIndex<int64_t> index(col, nullptr, NoAutoMerge());
+  UpdatableCrackerIndex<int64_t> index(col);
   ASSERT_TRUE(index.Insert(50, 1).ok());
   ASSERT_TRUE(index.Delete(1, 50).ok());
   EXPECT_TRUE(index.Update(60, 1, 50).IsNotFound());
@@ -106,7 +100,7 @@ TEST(UpdatableIndexTest, CancelledPendingInsertStaysDead) {
 
 TEST(UpdatableIndexTest, MergeFoldsDeltasAndPreservesBounds) {
   auto col = BuildPermutationColumn(1000, 3, "perm");
-  UpdatableCrackerIndex<int64_t> index(col, nullptr, NoAutoMerge());
+  UpdatableCrackerIndex<int64_t> index(col);
   // Learn some boundaries.
   index.Select(100, true, 200, true);
   index.Select(500, true, 700, true);
@@ -136,23 +130,9 @@ TEST(UpdatableIndexTest, MergeFoldsDeltasAndPreservesBounds) {
   EXPECT_EQ(sel.count(), expected);
 }
 
-TEST(UpdatableIndexTest, AutoMergeTriggers) {
-  auto col = BuildPermutationColumn(100, 5, "perm");
-  UpdatableCrackerIndexOptions opts;
-  opts.auto_merge_fraction = 0.05;  // merge after ~5 pending ops
-  UpdatableCrackerIndex<int64_t> index(col, nullptr, opts);
-  for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(index.Insert(1000 + i, 100 + static_cast<Oid>(i)).ok());
-  }
-  auto sel = index.Select(0, true, 2000, true);
-  EXPECT_EQ(sel.count(), 110u);
-  EXPECT_EQ(index.pending_inserts(), 0u);  // merged on the way in
-  ASSERT_TRUE(index.Validate().ok());
-}
-
 TEST(UpdatableIndexTest, OidsStableAcrossMerge) {
   auto col = I64({10, 20, 30});
-  UpdatableCrackerIndex<int64_t> index(col, nullptr, NoAutoMerge());
+  UpdatableCrackerIndex<int64_t> index(col);
   ASSERT_TRUE(index.Insert(25, 7).ok());
   ASSERT_TRUE(index.Merge().ok());
   auto sel = index.Select(25, true, 25, true);
@@ -165,7 +145,7 @@ TEST(UpdatableIndexTest, OidsStableAcrossMerge) {
 
 TEST(UpdatableIndexTest, DeleteAfterMergeOfThatOidFails) {
   auto col = I64({10, 20});
-  UpdatableCrackerIndex<int64_t> index(col, nullptr, NoAutoMerge());
+  UpdatableCrackerIndex<int64_t> index(col);
   ASSERT_TRUE(index.Delete(1, 20).ok());
   ASSERT_TRUE(index.Merge().ok());
   EXPECT_TRUE(index.Delete(1, 20).IsAlreadyExists());  // physically gone
@@ -173,7 +153,7 @@ TEST(UpdatableIndexTest, DeleteAfterMergeOfThatOidFails) {
 
 TEST(UpdatableIndexTest, StatsChargedForDeltaWork) {
   auto col = BuildPermutationColumn(1000, 9, "perm");
-  UpdatableCrackerIndex<int64_t> index(col, nullptr, NoAutoMerge());
+  UpdatableCrackerIndex<int64_t> index(col);
   for (int i = 0; i < 20; ++i) {
     ASSERT_TRUE(index.Insert(i, 1000 + static_cast<Oid>(i)).ok());
   }
@@ -199,7 +179,7 @@ TEST_P(UpdatableIndexPropertyTest, MatchesNaiveReference) {
   std::vector<int64_t> initial(kInitial);
   for (auto& v : initial) v = rng.NextInRange(0, kDomain);
   auto col = I64(initial);
-  UpdatableCrackerIndex<int64_t> index(col, nullptr, NoAutoMerge());
+  UpdatableCrackerIndex<int64_t> index(col);
 
   std::map<Oid, int64_t> reference;
   for (size_t i = 0; i < kInitial; ++i) reference[i] = initial[i];

@@ -14,6 +14,8 @@
 
 #include <cstdlib>
 #include <map>
+#include <memory>
+#include <ostream>
 #include <set>
 #include <string>
 #include <vector>
@@ -25,6 +27,7 @@
 #include "core/updatable_cracker_index.h"
 #include "storage/bat.h"
 #include "util/rng.h"
+#include "util/string_util.h"
 #include "workload/tapestry.h"
 
 namespace crackstore {
@@ -84,9 +87,17 @@ std::vector<Oid> ModelOids(const Model& model, const RangeBounds& range) {
   return oids;  // std::map iterates ascending
 }
 
+/// The store's delta-fold rule (AdaptiveStore::MaintainColumn) on a bare
+/// path: flush when the path says a fold is due, before a read
+/// (`before_read`) or after a write.
+Status Maintain(ColumnAccessPath* path, bool before_read) {
+  return path->WantsMaintenance(before_read) ? path->FlushDeltas()
+                                             : Status::OK();
+}
+
 /// One randomized mixed-workload session of `ops` operations against one
 /// path configuration, asserting selection parity with the model after
-/// every read.
+/// every read. Deltas fold mid-stream by the store's rule.
 void RunMixedSession(const AccessPathConfig& config, uint64_t seed) {
   SCOPED_TRACE("config=" + ConfigName(config) +
                " seed=" + std::to_string(seed) +
@@ -110,6 +121,7 @@ void RunMixedSession(const AccessPathConfig& config, uint64_t seed) {
     int64_t hi = lo + rng.NextInRange(0, domain / 3);
     RangeBounds range{lo, rng.NextBounded(2) == 0, hi,
                       rng.NextBounded(2) == 0};
+    ASSERT_TRUE(Maintain(path, /*before_read=*/true).ok()) << "op " << op;
     IoStats io;
     AccessSelection sel = path->Select(range, Delivery::kView, &io);
     std::vector<Oid> expected = ModelOids(model, range);
@@ -151,6 +163,10 @@ void RunMixedSession(const AccessPathConfig& config, uint64_t seed) {
       ASSERT_TRUE(path->Update(it->first, Value(it->second), Value(value)).ok())
           << ConfigName(config) << " op " << op;
       it->second = value;
+    }
+    if (dice >= 40) {
+      ASSERT_TRUE(Maintain(path, /*before_read=*/false).ok())
+          << ConfigName(config) << " op " << op;
     }
   }
 
@@ -241,6 +257,7 @@ TEST(TombstoneTableTest, PathsAgreeWithAReferenceSet) {
         int64_t lo = rng.NextInRange(1, domain);
         RangeBounds range =
             RangeBounds::Closed(lo, lo + rng.NextInRange(0, 300));
+        ASSERT_TRUE(Maintain(path, /*before_read=*/true).ok());
         AccessSelection sel = path->Select(range, Delivery::kView, nullptr);
         ASSERT_EQ(sel.count, ModelOids(model, range).size());
         built = true;
@@ -277,6 +294,9 @@ TEST(TombstoneTableTest, PathsAgreeWithAReferenceSet) {
         ASSERT_TRUE(path->FlushDeltas().ok());
         built = true;
       }
+      if (dice >= 30 && dice < 95) {
+        ASSERT_TRUE(Maintain(path, /*before_read=*/false).ok());
+      }
       if (path->merges_performed() != merges) {
         merges = path->merges_performed();
         ref.Merge();
@@ -299,9 +319,7 @@ TEST(TombstoneTableTest, UpdatableIndexIsDeletedMatchesAReferenceSet) {
   for (auto& v : initial) v = rng.NextInRange(1, domain);
   auto bat = Bat::FromVector(initial, "c");
   bat->set_head_base(5000);  // tombstones are kept relative to the base oid
-  UpdatableCrackerIndexOptions opts;
-  opts.auto_merge_fraction = 0.08;
-  UpdatableCrackerIndex<int64_t> index(bat, nullptr, opts);
+  UpdatableCrackerIndex<int64_t> index(bat);
   Model model;
   for (size_t i = 0; i < initial.size(); ++i) model[5000 + i] = initial[i];
   Oid next_oid = 5000 + initial.size();
@@ -314,6 +332,11 @@ TEST(TombstoneTableTest, UpdatableIndexIsDeletedMatchesAReferenceSet) {
     if (dice < 25) {
       int64_t lo = rng.NextInRange(1, domain);
       RangeBounds range = RangeBounds::Closed(lo, lo + rng.NextInRange(0, 200));
+      // Fold once the delta passes 8% of the cracker column.
+      const size_t delta = index.pending_inserts() + index.pending_deletes();
+      if (delta > index.index().size() * 8 / 100) {
+        ASSERT_TRUE(index.Merge().ok());
+      }
       UpdatableSelection<int64_t> sel =
           index.Select(range.lo, true, range.hi, true);
       ASSERT_EQ(sel.count(), ModelOids(model, range).size());
@@ -435,9 +458,6 @@ TEST(UpdatePathTest, DeleteOfPendingInsertStaysDeadAcrossStrategies) {
   // Regression: cancelling a pending insert must not let a later Update()
   // resurrect the row through the merged-tuple branch, in any strategy.
   for (const AccessPathConfig& config : AllWriteConfigs()) {
-    if (config.delta_merge.policy == DeltaMergePolicy::kImmediate) {
-      continue;  // nothing stays pending under immediate merges
-    }
     std::vector<int64_t> values{10, 20, 30};
     auto bat = Bat::FromVector(values, "c");
     auto path = CreateColumnAccessPath(bat, config);
@@ -514,48 +534,6 @@ TEST(UpdatePathTest, UpdateKeepsOidStable) {
     EXPECT_EQ(moved.span_set.ToOids(), (std::vector<Oid>{1}))
         << ConfigName(config);
   }
-}
-
-TEST(UpdatePathTest, ImmediatePolicyLeavesNoPendingAfterWrites) {
-  AccessPathConfig config;
-  config.strategy = AccessStrategy::kCrack;
-  config.delta_merge.policy = DeltaMergePolicy::kImmediate;
-  auto bat = Bat::FromVector(std::vector<int64_t>{5, 3, 8, 1, 9}, "c");
-  auto path = CreateColumnAccessPath(bat, config);
-  ASSERT_TRUE(path.ok());
-  IoStats io;
-  (void)(*path)->Select(RangeBounds::AtMost(5), Delivery::kView, &io);  // build
-  bat->Append<int64_t>(7);
-  ASSERT_TRUE((*path)->Insert(Value(int64_t{7}), 5).ok());
-  EXPECT_EQ((*path)->pending_inserts(), 0u);
-  EXPECT_EQ((*path)->merges_performed(), 1u);
-  ASSERT_TRUE((*path)->Delete(0).ok());
-  EXPECT_EQ((*path)->pending_deletes(), 0u);
-  EXPECT_EQ((*path)->merges_performed(), 2u);
-}
-
-TEST(UpdatePathTest, RipplePolicyDefersMergeToSelect) {
-  AccessPathConfig config;
-  config.strategy = AccessStrategy::kCrack;
-  config.delta_merge.policy = DeltaMergePolicy::kRippleOnSelect;
-  auto bat = Bat::FromVector(std::vector<int64_t>{5, 3, 8, 1, 9}, "c");
-  auto path = CreateColumnAccessPath(bat, config);
-  ASSERT_TRUE(path.ok());
-  IoStats io;
-  (void)(*path)->Select(RangeBounds::AtMost(5), Delivery::kView, &io);  // build
-  bat->Append<int64_t>(7);
-  ASSERT_TRUE((*path)->Insert(Value(int64_t{7}), 5).ok());
-  EXPECT_EQ((*path)->pending_inserts(), 1u);  // writes never merge
-  EXPECT_EQ((*path)->merges_performed(), 0u);
-  AccessSelection sel =
-      (*path)->Select(RangeBounds::All(), Delivery::kView, &io);
-  EXPECT_EQ(sel.count, 6u);
-  EXPECT_EQ((*path)->pending_inserts(), 0u);  // the select folded the delta
-  EXPECT_EQ((*path)->merges_performed(), 1u);
-  // ...and answers zero-copy again: one span, no exceptions, no extras.
-  EXPECT_EQ(sel.span_set.num_spans(), 1u);
-  EXPECT_EQ(sel.span_set.exceptions(), 0u);
-  EXPECT_EQ(sel.span_set.extras(), 0u);
 }
 
 TEST(UpdatePathTest, CoarseCountOnlySelectKeepsBaseHitsUnderPendingInserts) {
@@ -831,6 +809,265 @@ TEST(UpdateFacadeTest, MarkDeletedSurvivesStoreHandOver) {
   auto qr = second.SelectRange("T", "v", RangeBounds::All());
   ASSERT_TRUE(qr.ok());
   EXPECT_EQ(qr->count, 7u);
+}
+
+// ---------------------------------------------------------------------------
+// Fold points. The store's maintenance step is the one delta-fold trigger:
+// it polls a column before each read of it and after each statement that
+// wrote to it, and folds what the column's DeltaMergePolicy says is due.
+// Crack, sort and dictionary-string columns fold at the same statements on
+// a serial and a concurrent store.
+// ---------------------------------------------------------------------------
+
+/// One column's fold state.
+struct Folds {
+  size_t merges = 0;
+  size_t inserts = 0;  ///< pending inserts
+  size_t deletes = 0;  ///< pending tombstones
+
+  size_t pending() const { return inserts + deletes; }
+  bool operator==(const Folds& other) const {
+    return merges == other.merges && inserts == other.inserts &&
+           deletes == other.deletes;
+  }
+};
+
+void PrintTo(const Folds& folds, std::ostream* os) {
+  *os << "{merges=" << folds.merges << " inserts=" << folds.inserts
+      << " deletes=" << folds.deletes << "}";
+}
+
+Folds FoldsOf(const AdaptiveStore& store, const std::string& column) {
+  auto path = store.AccessPathFor("T", column);
+  if (!path.ok()) return {};
+  return {(*path)->merges_performed(), (*path)->pending_inserts(),
+          (*path)->pending_deletes()};
+}
+
+/// A serial and a concurrent store over one 1,000-row table T: an int64
+/// column `a` (values 1..1000) under the store's strategy and a string
+/// column `s`, the dictionary wrapper over the same strategy. Every
+/// statement runs on both stores, which must then agree on every column's
+/// fold state.
+class TwinStores {
+ public:
+  TwinStores(AccessStrategy strategy, DeltaMergeOptions merge) {
+    for (bool concurrent : {false, true}) {
+      AdaptiveStoreOptions opts;
+      opts.strategy = strategy;
+      opts.delta_merge = merge;
+      opts.concurrent = concurrent;
+      stores_.push_back(std::make_unique<AdaptiveStore>(opts));
+    }
+  }
+
+  /// Adds T to both stores and builds both columns' accelerators.
+  void Load() {
+    for (auto& store : stores_) {
+      auto rel = *Relation::Create(
+          "T", Schema({{"a", ValueType::kInt64}, {"s", ValueType::kString}}));
+      for (int64_t i = 1; i <= 1000; ++i) {
+        ASSERT_TRUE(
+            rel->AppendRow({Value(i), Value(StrFormat("k%04lld",
+                                                      static_cast<long long>(
+                                                          i)))})
+                .ok());
+      }
+      ASSERT_TRUE(store->AddTable(rel).ok());
+    }
+    for (const char* column : {"a", "s"}) {
+      Run([&](AdaptiveStore& store) { return Read(store, column); });
+    }
+  }
+
+  /// Runs `statement` (AdaptiveStore& -> Status) on both stores.
+  template <typename Fn>
+  void Run(Fn&& statement) {
+    for (auto& store : stores_) {
+      Status st = statement(*store);
+      ASSERT_TRUE(st.ok()) << st.ToString();
+    }
+    for (const char* column : {"a", "s"}) {
+      EXPECT_EQ(FoldsOf(*stores_[0], column), FoldsOf(*stores_[1], column))
+          << column << ": serial vs concurrent";
+    }
+  }
+
+  /// `column`'s fold state (Run keeps the two stores' equal).
+  Folds Of(const std::string& column) const {
+    return FoldsOf(*stores_[0], column);
+  }
+
+  static Status Read(AdaptiveStore& store, const std::string& column) {
+    return store.SelectRange("T", column, TypedRange::All()).status();
+  }
+
+  static Status InsertRow(AdaptiveStore& store, int64_t a) {
+    return store.Insert("T", {Value(a), Value("n" + std::to_string(a))})
+        .status();
+  }
+
+  /// Rewrites both columns of the 11 rows whose `a` is in [lo, lo + 10].
+  static Status Update11(AdaptiveStore& store, int64_t lo,
+                         TxnId txn = kNoTxn) {
+    auto updated = store.Update(
+        "T", {{"a", Value(-lo)}, {"s", Value("zz")}},
+        {{"a", TypedRange::Closed(Value(lo), Value(lo + 10))}}, txn);
+    if (!updated.ok()) return updated.status();
+    if (updated->count != 11) return Status::Internal("UPDATE missed rows");
+    return Status::OK();
+  }
+
+ private:
+  std::vector<std::unique_ptr<AdaptiveStore>> stores_;
+};
+
+TEST(DeltaFoldTest, StoreFoldsAtTheDocumentedStatements) {
+  const std::vector<std::string> columns{"a", "s"};
+  auto insert = [](int64_t a) {
+    return [a](AdaptiveStore& store) { return TwinStores::InsertRow(store, a); };
+  };
+  auto read = [](const char* column) {
+    return [column](AdaptiveStore& store) {
+      return TwinStores::Read(store, column);
+    };
+  };
+  for (AccessStrategy strategy :
+       {AccessStrategy::kCrack, AccessStrategy::kSort}) {
+    SCOPED_TRACE(AccessStrategyName(strategy));
+    {
+      SCOPED_TRACE("immediate");
+      TwinStores twins(strategy, {DeltaMergePolicy::kImmediate, 0.1});
+      ASSERT_NO_FATAL_FAILURE(twins.Load());
+      for (size_t k = 1; k <= 3; ++k) {
+        twins.Run(insert(2000 + static_cast<int64_t>(k)));
+        for (const std::string& c : columns) {
+          EXPECT_EQ(twins.Of(c).merges, k) << c;
+          EXPECT_EQ(twins.Of(c).pending(), 0u) << c;
+        }
+      }
+      // An 11-row UPDATE folds each column it wrote once, not once a row.
+      twins.Run([](AdaptiveStore& store) {
+        return TwinStores::Update11(store, 100);
+      });
+      for (const std::string& c : columns) {
+        EXPECT_EQ(twins.Of(c).merges, 4u) << c;
+        EXPECT_EQ(twins.Of(c).pending(), 0u) << c;
+      }
+      // A concurrent store hands crack answers out detached, the string
+      // column's (from its inner path) like the int64 column's.
+      twins.Run([strategy](AdaptiveStore& store) -> Status {
+        const bool detach = store.options().concurrent &&
+                            strategy == AccessStrategy::kCrack;
+        for (const char* column : {"a", "s"}) {
+          CRACK_ASSIGN_OR_RETURN(
+              QueryResult all, store.SelectRange("T", column, TypedRange::All(),
+                                                 Delivery::kView));
+          if (all.span_set.detached() != detach) {
+            return Status::Internal(std::string(column) + " detached wrongly");
+          }
+        }
+        return Status::OK();
+      });
+    }
+    {
+      SCOPED_TRACE("ripple");
+      TwinStores twins(strategy, {DeltaMergePolicy::kRippleOnSelect, 0.1});
+      ASSERT_NO_FATAL_FAILURE(twins.Load());
+      // A write never folds.
+      twins.Run(insert(2001));
+      for (const std::string& c : columns) {
+        EXPECT_EQ(twins.Of(c).merges, 0u) << c;
+        EXPECT_EQ(twins.Of(c).inserts, 1u) << c;
+      }
+      // The next read of a column folds it, and only it.
+      twins.Run(read("a"));
+      EXPECT_EQ(twins.Of("a").merges, 1u);
+      EXPECT_EQ(twins.Of("a").pending(), 0u);
+      EXPECT_EQ(twins.Of("s").merges, 0u);
+      EXPECT_EQ(twins.Of("s").inserts, 1u);
+      // ...and `a` answers zero-copy again: one span, no exceptions, no
+      // extras (a concurrent store hands crack answers out detached).
+      twins.Run([](AdaptiveStore& store) -> Status {
+        CRACK_ASSIGN_OR_RETURN(
+            QueryResult all,
+            store.SelectRange("T", "a", TypedRange::All(), Delivery::kView));
+        const OidSpanSet& set = all.span_set;
+        if (set.detached() || (set.num_spans() == 1 &&
+                               set.exceptions() == 0 && set.extras() == 0)) {
+          return Status::OK();
+        }
+        return Status::Internal("a folded column answered with deltas");
+      });
+      // The UPDATE's WHERE reads `a` with nothing pending there; the rows
+      // it rewrites stay pending in both columns.
+      twins.Run([](AdaptiveStore& store) {
+        return TwinStores::Update11(store, 100);
+      });
+      EXPECT_EQ(twins.Of("a").merges, 1u);
+      EXPECT_EQ(twins.Of("a").pending(), 22u);
+      EXPECT_EQ(twins.Of("s").merges, 0u);
+      EXPECT_EQ(twins.Of("s").pending(), 23u);
+      twins.Run(read("s"));
+      EXPECT_EQ(twins.Of("s").merges, 1u);
+      EXPECT_EQ(twins.Of("s").pending(), 0u);
+      EXPECT_EQ(twins.Of("a").pending(), 22u);
+    }
+    {
+      SCOPED_TRACE("threshold 0.01");
+      TwinStores twins(strategy, {DeltaMergePolicy::kThreshold, 0.01});
+      ASSERT_NO_FATAL_FAILURE(twins.Load());
+      // 10 of the 1,000 rows: a delta of 10 is at the fraction, not past.
+      for (size_t k = 1; k <= 10; ++k) {
+        twins.Run(insert(2000 + static_cast<int64_t>(k)));
+        for (const std::string& c : columns) {
+          EXPECT_EQ(twins.Of(c).merges, 0u) << c;
+          EXPECT_EQ(twins.Of(c).inserts, k) << c;
+        }
+      }
+      twins.Run(read("a"));
+      twins.Run(read("s"));
+      for (const std::string& c : columns) {
+        EXPECT_EQ(twins.Of(c).merges, 0u) << c;
+      }
+      twins.Run(insert(2011));
+      for (const std::string& c : columns) {
+        EXPECT_EQ(twins.Of(c).merges, 1u) << c;
+        EXPECT_EQ(twins.Of(c).pending(), 0u) << c;
+      }
+    }
+    {
+      SCOPED_TRACE("threshold 0");
+      TwinStores twins(strategy, {DeltaMergePolicy::kThreshold, 0.0});
+      ASSERT_NO_FATAL_FAILURE(twins.Load());
+      for (size_t k = 1; k <= 5; ++k) {
+        twins.Run(insert(2000 + static_cast<int64_t>(k)));
+        for (const std::string& c : columns) {
+          EXPECT_EQ(twins.Of(c).merges, k) << c;
+          EXPECT_EQ(twins.Of(c).pending(), 0u) << c;
+        }
+      }
+    }
+    for (DeltaMergePolicy policy :
+         {DeltaMergePolicy::kImmediate, DeltaMergePolicy::kThreshold,
+          DeltaMergePolicy::kRippleOnSelect}) {
+      SCOPED_TRACE(std::string("rollback, ") + DeltaMergePolicyName(policy));
+      TwinStores twins(strategy, {policy, 0.01});
+      ASSERT_NO_FATAL_FAILURE(twins.Load());
+      twins.Run([](AdaptiveStore& store) -> Status {
+        CRACK_ASSIGN_OR_RETURN(TxnId txn, store.Begin());
+        CRACK_RETURN_NOT_OK(TwinStores::Update11(store, 200, txn));
+        return store.Rollback(txn);
+      });
+      // The undo writes wait for each column's next statement.
+      for (const std::string& c : columns) {
+        EXPECT_EQ(twins.Of(c).pending(), 22u) << c;
+      }
+      twins.Run(read("a"));
+      EXPECT_EQ(twins.Of("a").pending(), 0u);
+      EXPECT_EQ(twins.Of("s").pending(), 22u);
+    }
+  }
 }
 
 }  // namespace
