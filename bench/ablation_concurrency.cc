@@ -169,7 +169,7 @@ int Run(int argc, char** argv) {
                                         ? 1
                                         : 0);
            ++mixed) {
-        AdaptiveStoreOptions opts;
+        DbOptions opts;
         opts.strategy = strategy;
         opts.concurrent = true;
         opts.track_lineage = false;

@@ -87,7 +87,7 @@ int Run(int argc, char** argv) {
             "R", Schema({{"c0", ValueType::kInt64}}), {column});
         CRACK_CHECK(relation.ok());
 
-        AdaptiveStoreOptions opts;
+        DbOptions opts;
         opts.strategy = AccessStrategy::kCrack;
         opts.delta_merge.policy = point.policy;
         if (point.fraction > 0) {

@@ -68,15 +68,8 @@ class Flags {
 /// `--fsync=off|commit|interval`, default off so the overhead gate measures
 /// the log's CPU cost, not the disk's). Without --db the store is
 /// in-memory and the bench behaves exactly as before.
-inline Result<std::unique_ptr<AdaptiveStore>> OpenStore(
-    const Flags& flags, const AdaptiveStoreOptions& base) {
-  DbOptions opts;
-  opts.strategy = base.strategy;
-  opts.policy = base.policy;
-  opts.merge_budget = base.merge_budget;
-  opts.delta_merge = base.delta_merge;
-  opts.track_lineage = base.track_lineage;
-  opts.concurrent = base.concurrent;
+inline Result<std::unique_ptr<AdaptiveStore>> OpenStore(const Flags& flags,
+                                                        DbOptions opts) {
   std::string dir = flags.GetString("db", "");
   if (!dir.empty()) {
     // Benches open stores in loops (one per strategy/config point); each

@@ -30,7 +30,7 @@ Series RunSeries(const bench::Flags& flags,
                  const std::shared_ptr<Relation>& rel,
                  const std::vector<RangeQuery>& queries,
                  AccessStrategy strategy) {
-  AdaptiveStoreOptions opts;
+  DbOptions opts;
   opts.strategy = strategy;
   opts.track_lineage = false;
   auto store_or = bench::OpenStore(flags, opts);

@@ -71,7 +71,7 @@ int Run(int argc, char** argv) {
   };
 
   for (Strategy& s : strategies) {
-    AdaptiveStoreOptions opts;
+    DbOptions opts;
     opts.strategy = s.strategy;
     opts.policy.policy = policy;  // pivot discipline of the crack line
     opts.track_lineage = false;

@@ -210,8 +210,9 @@ struct AggCompare {
 /// `agg_repeat_tuples_read` at 0.
 AggCompare MeasureAggPushdown(size_t n, int reps) {
   AggCompare out;
-  AdaptiveStoreOptions opts;  // defaults: crack strategy, standard policy
-  AdaptiveStore store(opts);
+  auto db = AdaptiveStore::Open(DbOptions{});  // crack, standard policy
+  if (!db.ok()) return out;
+  AdaptiveStore& store = **db;
   auto rel_or = Relation::Create("B", Schema({{"k", ValueType::kInt32}}));
   if (!rel_or.ok()) return out;
   std::shared_ptr<Relation> rel = *rel_or;
@@ -354,7 +355,11 @@ struct MvccProbes {
 /// `mvcc_sum_summary_rows` > 0.
 MvccProbes MeasureMvccProbes(size_t n, int reps) {
   MvccProbes out;
-  AdaptiveStore store;  // defaults: crack strategy, lineage on, no vacuum
+  DbOptions opts;  // defaults: crack strategy, lineage on
+  opts.autovacuum_version_threshold = 0;  // no vacuum: the marks must stay
+  auto db = AdaptiveStore::Open(opts);
+  if (!db.ok()) return out;
+  AdaptiveStore& store = **db;
   TapestryOptions topts;
   topts.num_rows = n;
   topts.num_columns = 2;
@@ -495,7 +500,9 @@ struct BlockReads {
 /// runs. CI's bench-smoke lane gates `sort_oids_speedup`.
 BlockReads MeasureBlockReads(size_t n, int reps) {
   BlockReads out;
-  AdaptiveStore store;
+  auto db = AdaptiveStore::Open(DbOptions{});
+  if (!db.ok()) return out;
+  AdaptiveStore& store = **db;
   TapestryOptions topts;
   topts.num_rows = n;
   topts.num_columns = 2;

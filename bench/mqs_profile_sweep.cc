@@ -58,7 +58,7 @@ int Run(int argc, char** argv) {
       for (AccessStrategy strategy :
            {AccessStrategy::kScan, AccessStrategy::kSort,
             AccessStrategy::kCrack}) {
-        AdaptiveStoreOptions opts;
+        DbOptions opts;
         opts.strategy = strategy;
         opts.track_lineage = false;
         auto store_or = bench::OpenStore(flags, opts);

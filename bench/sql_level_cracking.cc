@@ -100,7 +100,7 @@ int Run(int argc, char** argv) {
   //    never builds the oid list. The gap is the result-materialization tax
   //    §5.1 charges every SQL-level answer.
   {
-    AdaptiveStoreOptions sopts;
+    DbOptions sopts;
     auto store = *bench::OpenStore(flags, sopts);
     auto agg_rel = *BuildTapestry("R", topts);
     CRACK_CHECK(store->AddTable(agg_rel).ok());

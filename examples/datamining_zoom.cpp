@@ -33,10 +33,13 @@ int main() {
   spec.profile = Profile::kHomerun;
   auto queries = *GenerateSequence(spec);
 
-  AdaptiveStoreOptions scan_opts;
+  DbOptions scan_opts;
   scan_opts.strategy = AccessStrategy::kScan;
-  AdaptiveStore scans(scan_opts);
-  AdaptiveStore cracks;  // default: cracking
+  auto scan_db = AdaptiveStore::Open(scan_opts);
+  auto crack_db = AdaptiveStore::Open(DbOptions{});  // default: cracking
+  if (!scan_db.ok() || !crack_db.ok()) return 1;
+  AdaptiveStore& scans = **scan_db;
+  AdaptiveStore& cracks = **crack_db;
   (void)scans.AddTable(table);
   (void)cracks.AddTable(table);
 

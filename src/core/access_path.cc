@@ -479,7 +479,8 @@ class CrackAccessPath : public ColumnAccessPath {
                        view, stats, &out);
       }
       if (!config_.merge_budget.unlimited()) {
-        (void)EnforceMergeBudget(inner, config_.merge_budget, stats);
+        out.bounds_dropped =
+            EnforceMergeBudget(inner, config_.merge_budget, stats);
       }
       return out;
     }
@@ -1159,7 +1160,8 @@ class SortAccessPath : public ColumnAccessPath {
     auto it = std::find_if(pending_.begin(), pending_.end(),
                            [oid](const auto& p) { return p.second == oid; });
     if (it != pending_.end()) {
-      it->first = CastValue<T>(value);
+      it->first = CastValue<T>(value);  // rewritten in place: still a write
+      if (stats != nullptr) ++stats->tuples_written;
       return Status::OK();
     }
     if (purged_.Test(oid) || !deleted_.Set(oid)) {

@@ -160,6 +160,7 @@ struct ColumnAggregates {
   bool has_minmax = false;     ///< rows > 0
   int64_t min = 0;
   int64_t max = 0;
+  size_t bounds_dropped = 0;   ///< boundaries fused by the merge budget
   IoStats io;                  ///< cost of the pushdown (facade-filled)
 };
 

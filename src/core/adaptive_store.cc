@@ -139,21 +139,11 @@ std::vector<Oid> QueryResult::CollectOids() && {
   return std::move(span_set).ToOids();
 }
 
-AdaptiveStore::AdaptiveStore(AdaptiveStoreOptions options)
-    : options_(options) {
+AdaptiveStore::AdaptiveStore(const DbOptions& options) : options_(options) {
   // Lineage bookkeeping splits leaves at the cuts a statement logged, which
   // cannot be kept consistent while neighbors crack pieces concurrently;
   // concurrent mode trades the DAG away (README "Concurrency model").
   if (options_.concurrent) options_.track_lineage = false;
-  // Mirror into the unified config so Configure/db_options() agree with the
-  // running store even for legacy bare-constructed (in-memory) instances.
-  db_options_.strategy = options_.strategy;
-  db_options_.policy = options_.policy;
-  db_options_.merge_budget = options_.merge_budget;
-  db_options_.delta_merge = options_.delta_merge;
-  db_options_.track_lineage = options_.track_lineage;
-  db_options_.concurrent = options.concurrent;
-  db_options_.autovacuum_version_threshold = 0;  // legacy: explicit VACUUM
 }
 
 AdaptiveStore::~AdaptiveStore() {
@@ -213,7 +203,9 @@ Result<std::shared_ptr<Bat>> AdaptiveStore::ResolveColumn(
 }
 
 AccessPathConfig AdaptiveStore::PathConfigFor(const std::string& key) const {
-  AccessPathConfig config = options_.path_config();
+  AccessPathConfig config{options_.strategy, options_.policy,
+                          options_.merge_budget, options_.delta_merge,
+                          options_.concurrent};
   auto it = recovered_policies_.find(key);
   if (it != recovered_policies_.end()) {
     // Resume what the previous run's workload taught this column rather
@@ -743,13 +735,6 @@ Result<ColumnAggregates> AdaptiveStore::AggregateRangeAt(
     const RangeBounds& bounds, const Snapshot& snap) {
   CRACK_ASSIGN_OR_RETURN(std::shared_ptr<Bat> bat,
                          ResolveColumn(table, column));
-  if (options_.strategy == AccessStrategy::kCrack && options_.track_lineage &&
-      !options_.merge_budget.unlimited()) {
-    // A budgeted merge inside the aggregate can fuse pieces without
-    // reporting bounds_dropped here, leaving the lineage DAG stale; let the
-    // caller fall back to the select-based loop, which reports it.
-    return Status::Unimplemented("aggregate pushdown: budgeted merge lineage");
-  }
   IoStats io;
   obs::TraceSpan trace_span("aggregate", table + "." + column, &io);
   SnapshotView view = ViewForColumn(table, column, snap);
@@ -764,7 +749,7 @@ Result<ColumnAggregates> AdaptiveStore::AggregateRangeAt(
     if (path->strategy() == AccessStrategy::kCrack &&
         options_.track_lineage) {
       // The aggregate's cuts crack the column exactly like a select's.
-      UpdateLineage(table, column, latch.accel, /*fused=*/false);
+      UpdateLineage(table, column, latch.accel, out.bounds_dropped > 0);
     }
   }
   out.io = io;
@@ -1537,16 +1522,20 @@ Status AdaptiveStore::SetPolicy(const CrackPolicyOptions& options) {
   // SET POLICY is a Configure with only the policy axis changed: the SQL
   // executor, the shell and startup options all flow through the same
   // validation and re-arm path.
-  DbOptions next = db_options_;
+  DbOptions next = this->options();
   next.policy = options;
   return Configure(next);
 }
 
+DbOptions AdaptiveStore::options() const {
+  std::shared_lock<std::shared_mutex> g(global_mu_);
+  return options_;
+}
+
 Status AdaptiveStore::ApplyPolicy(const CrackPolicyOptions& options) {
-  // Statement-level exclusion first, then per-column exclusive latches — the
-  // same order every write takes, so no deadlock with running queries.
-  std::unique_lock<std::shared_mutex> g(global_mu_);
-  options_.policy = options;  // paths built later inherit the new policy
+  // The caller holds global_mu_ exclusively; per-column exclusive latches
+  // come next — the same order every write takes, so no deadlock with
+  // running queries.
   std::vector<ColumnAccel*> accels;
   {
     std::lock_guard<std::mutex> rl(registry_mu_);

@@ -44,8 +44,18 @@
 
 namespace crackstore {
 
-/// Store-wide options.
-struct AdaptiveStoreOptions {
+/// Whether a database survives the process (DbOptions::durability).
+enum class DurabilityMode : uint8_t {
+  kNone = 0,  ///< in-memory only; nothing written to disk
+  kWal = 1,   ///< commit log + checkpoints under DbOptions::path
+};
+
+/// The configuration of a database: the cracking axes, durability and
+/// maintenance. Passed to AdaptiveStore::Open at startup and to
+/// AdaptiveStore::Configure for runtime re-arms, so both share one
+/// validation path.
+struct DbOptions {
+  // --- store behaviour -----------------------------------------------------
   AccessStrategy strategy = AccessStrategy::kCrack;
   CrackPolicyOptions policy;  ///< pivot discipline (crack strategy only)
   MergeBudget merge_budget;   ///< piece-fusion budget (crack strategy only)
@@ -58,39 +68,12 @@ struct AdaptiveStoreOptions {
   /// latches are never contended. The flag decides only what sharing the
   /// store with other threads requires: crack answers are detached (their
   /// rows resolved under the answer span's range lock) while sort and scan
-  /// answers leave as spans; lineage is off; snapshot views are always
-  /// active, so rows appended mid-statement fall past the horizon;
-  /// conjunction legs fan out over the task pool; and Configure refuses to
-  /// change it. Delta folds do not depend on it: both modes fold in the
-  /// store's maintenance step, at the same statements.
-  bool concurrent = false;
-
-  /// The per-column slice of these options.
-  AccessPathConfig path_config() const {
-    AccessPathConfig config{strategy, policy, merge_budget, delta_merge};
-    config.concurrent = concurrent;
-    return config;
-  }
-};
-
-/// Whether a database survives the process (DbOptions::durability).
-enum class DurabilityMode : uint8_t {
-  kNone = 0,  ///< in-memory only; nothing written to disk
-  kWal = 1,   ///< commit log + checkpoints under DbOptions::path
-};
-
-/// The unified configuration surface of a database: every knob that used to
-/// travel through side channels (shell `policy`/`threads` flags, SQL
-/// `SET POLICY`, bare-constructor options) plus the durability axes. Passed
-/// to AdaptiveStore::Open at startup and to AdaptiveStore::Configure for
-/// runtime re-arms, so both share one validation path.
-struct DbOptions {
-  // --- store behaviour (the former AdaptiveStoreOptions surface) ---------
-  AccessStrategy strategy = AccessStrategy::kCrack;
-  CrackPolicyOptions policy;
-  MergeBudget merge_budget;
-  DeltaMergeOptions delta_merge;
-  bool track_lineage = true;
+  /// answers leave as spans; lineage is off (the store forces
+  /// track_lineage off); snapshot views are always active, so rows appended
+  /// mid-statement fall past the horizon; conjunction legs fan out over the
+  /// task pool; and Configure refuses to change it. Delta folds do not
+  /// depend on it: both modes fold in the store's maintenance step, at the
+  /// same statements.
   bool concurrent = false;
 
   // --- durability --------------------------------------------------------
@@ -111,18 +94,6 @@ struct DbOptions {
   /// Autovacuum when the total version-log footprint (row versions + chain
   /// entries + purged markers) exceeds this many entries (0 = never).
   uint64_t autovacuum_version_threshold = 65536;
-
-  /// The slice the cracking engine consumes.
-  AdaptiveStoreOptions store_options() const {
-    AdaptiveStoreOptions opts;
-    opts.strategy = strategy;
-    opts.policy = policy;
-    opts.merge_budget = merge_budget;
-    opts.delta_merge = delta_merge;
-    opts.track_lineage = track_lineage;
-    opts.concurrent = concurrent;
-    return opts;
-  }
 };
 
 /// Result of one query against the store.
@@ -151,18 +122,14 @@ struct QueryResult {
 /// See file comment.
 class AdaptiveStore {
  public:
-  /// Opens a database: THE construction path. Validates `options`, builds
-  /// the store, and — when options.durability is kWal — recovers the
+  /// Opens a database, the only way to get a store. Validates `options`,
+  /// builds the store, and — when options.durability is kWal — recovers the
   /// on-disk state under options.path (checkpoint load + commit-log replay,
   /// truncating a torn tail) before arming the commit log for new writes.
   /// Accelerators are never recovered: they rebuild lazily from the first
   /// queries, which is the paper's disposability claim at work.
   static Result<std::unique_ptr<AdaptiveStore>> Open(const DbOptions& options);
 
-  /// Legacy constructor: an in-memory store with no durability. Prefer
-  /// Open() — it is the only way to get a durable database and the only
-  /// path with option validation.
-  explicit AdaptiveStore(AdaptiveStoreOptions options = {});
   ~AdaptiveStore();
   CRACK_DISALLOW_COPY_AND_ASSIGN(AdaptiveStore);
 
@@ -192,7 +159,11 @@ class AdaptiveStore {
 
   /// True when this store persists commits (opened with kWal).
   bool durable() const { return wal_ != nullptr; }
-  const DbOptions& db_options() const { return db_options_; }
+
+  /// A copy of the options the store runs: what Open was given (with
+  /// track_lineage forced off on a concurrent store) as Configure last
+  /// re-armed it.
+  DbOptions options() const;
 
   /// What Open() found and replayed from disk.
   struct RecoveryInfo {
@@ -486,13 +457,15 @@ class AdaptiveStore {
   std::vector<ColumnPolicy> PolicyReport() const;
 
   const LineageGraph& lineage() const { return lineage_; }
-  const AdaptiveStoreOptions& options() const { return options_; }
 
   /// Cumulative cost of every query answered so far.
   const IoStats& total_io() const { return total_io_; }
   void ResetTotalIo() { total_io_.Reset(); }
 
  private:
+  /// Open's constructor. A concurrent store forces track_lineage off here.
+  explicit AdaptiveStore(const DbOptions& options);
+
   struct ColumnAccel {
     std::unique_ptr<ColumnAccessPath> path;
     /// `path` is written once, under `latch` held exclusively; has_path
@@ -632,7 +605,7 @@ class AdaptiveStore {
 
   // --- durability machinery (core/store_durability.cc) ----------------------
 
-  /// Recovers / creates the on-disk state under db_options_.path and arms
+  /// Recovers / creates the on-disk state under options_.path and arms
   /// the commit log. Called once by Open, before the store is shared.
   Status OpenDurable();
   /// Registers one recovered table (checkpoint or WAL table image) and
@@ -648,7 +621,7 @@ class AdaptiveStore {
   void MaybeRunMaintenance();
   /// Re-arms every materialized access path with `options` (the policy
   /// engine restarts in place; cracker state is kept). Configure's policy
-  /// leg — SetPolicy is a Configure wrapper on top of it.
+  /// leg; the caller holds global_mu_ exclusively.
   Status ApplyPolicy(const CrackPolicyOptions& options);
 
   // --- statement machinery ------------------------------------------------
@@ -704,7 +677,7 @@ class AdaptiveStore {
                      const std::shared_ptr<Bat>& bat, IoStats* stats,
                      ColumnLatch* latch);
 
-  /// The per-column AccessPathConfig: the store-wide defaults, overlaid
+  /// The per-column AccessPathConfig: the store-wide options, overlaid
   /// with the column's checkpoint-recovered (policy, progressive budget)
   /// when the database was reopened from a v2 checkpoint.
   AccessPathConfig PathConfigFor(const std::string& key) const;
@@ -759,7 +732,8 @@ class AdaptiveStore {
 
   void AddIo(const IoStats& io);
 
-  AdaptiveStoreOptions options_;
+  /// Guarded by global_mu_ (see there).
+  DbOptions options_;
   std::map<std::string, std::shared_ptr<Relation>> tables_;
   std::map<std::string, ColumnAccel> accels_;  // key: table + "." + column
   /// Checkpoint-recovered per-column (policy, progressive budget), keyed by
@@ -814,7 +788,8 @@ class AdaptiveStore {
   IoStats total_io_;
   /// global_mu_: selections and DML run shared; joins, group-bys,
   /// projections, AddTable, rollback, vacuum and checkpoints run exclusive
-  /// (they touch base columns and caches without per-column latches).
+  /// (they touch base columns and caches without per-column latches), and
+  /// so does Configure, the one writer of options_.
   /// registry_mu_: guards the map *structure* of tables_/accels_/
   /// table_states_/versions_ (leaf). io_mu_: guards total_io_ (leaf).
   mutable std::shared_mutex global_mu_;
@@ -822,8 +797,6 @@ class AdaptiveStore {
   mutable std::mutex io_mu_;
 
   // --- durability state (core/store_durability.cc) --------------------------
-  DbOptions db_options_;  ///< full config; mirrors options_ for the overlap
-  std::string db_dir_;
   durability::Manifest manifest_;
   std::unique_ptr<durability::WalWriter> wal_;  ///< null on in-memory stores
   bool replaying_ = false;  ///< recovery replay in flight: don't re-log

@@ -85,11 +85,7 @@ Status AdaptiveStore::ValidateOptions(const DbOptions& options) {
 Result<std::unique_ptr<AdaptiveStore>> AdaptiveStore::Open(
     const DbOptions& options) {
   CRACK_RETURN_NOT_OK(ValidateOptions(options));
-  auto store = std::make_unique<AdaptiveStore>(options.store_options());
-  store->db_options_ = options;
-  // The constructor may have forced track_lineage off (concurrent mode);
-  // keep the mirror honest.
-  store->db_options_.track_lineage = store->options_.track_lineage;
+  std::unique_ptr<AdaptiveStore> store(new AdaptiveStore(options));
   if (options.durability == DurabilityMode::kWal) {
     CRACK_RETURN_NOT_OK(store->OpenDurable());
   }
@@ -98,6 +94,9 @@ Result<std::unique_ptr<AdaptiveStore>> AdaptiveStore::Open(
 
 Status AdaptiveStore::Configure(const DbOptions& options) {
   CRACK_RETURN_NOT_OK(ValidateOptions(options));
+  // One exclusive hold: statements read options_ under the shared latch, so
+  // none sees the re-arm half done.
+  std::unique_lock<std::shared_mutex> g(global_mu_);
   // Construction-frozen axes: the store was built around them.
   if (options.strategy != options_.strategy) {
     return Status::InvalidArgument(
@@ -111,16 +110,15 @@ Status AdaptiveStore::Configure(const DbOptions& options) {
     return Status::InvalidArgument(
         "Configure: track_lineage is fixed at Open (reopen to change it)");
   }
-  if (options.durability != db_options_.durability ||
-      options.path != db_options_.path) {
+  if (options.durability != options_.durability ||
+      options.path != options_.path) {
     return Status::InvalidArgument(
         "Configure: durability/path are fixed at Open (reopen to change "
         "them)");
   }
   if (wal_ != nullptr &&
-      (options.fsync_policy != db_options_.fsync_policy ||
-       options.fsync_interval_seconds !=
-           db_options_.fsync_interval_seconds)) {
+      (options.fsync_policy != options_.fsync_policy ||
+       options.fsync_interval_seconds != options_.fsync_interval_seconds)) {
     return Status::InvalidArgument(
         "Configure: the fsync policy is fixed at Open (reopen to change "
         "it)");
@@ -128,22 +126,19 @@ Status AdaptiveStore::Configure(const DbOptions& options) {
   CRACK_RETURN_NOT_OK(ApplyPolicy(options.policy));
   // Defaults for paths built from here on; existing paths keep their built
   // configuration for these axes (policy above re-arms in place).
+  options_.policy = options.policy;
   options_.merge_budget = options.merge_budget;
   options_.delta_merge = options.delta_merge;
-  db_options_.policy = options.policy;
-  db_options_.merge_budget = options.merge_budget;
-  db_options_.delta_merge = options.delta_merge;
-  db_options_.checkpoint_interval_bytes = options.checkpoint_interval_bytes;
-  db_options_.autovacuum_version_threshold =
-      options.autovacuum_version_threshold;
+  options_.checkpoint_interval_bytes = options.checkpoint_interval_bytes;
+  options_.autovacuum_version_threshold = options.autovacuum_version_threshold;
   return Status::OK();
 }
 
 Status AdaptiveStore::OpenDurable() {
   WallTimer timer;
-  db_dir_ = db_options_.path;
-  CRACK_RETURN_NOT_OK(durability::EnsureDir(db_dir_));
-  auto manifest = durability::ReadManifest(db_dir_);
+  const std::string& db_dir = options_.path;
+  CRACK_RETURN_NOT_OK(durability::EnsureDir(db_dir));
+  auto manifest = durability::ReadManifest(db_dir);
   if (!manifest.ok() && !manifest.status().IsNotFound()) {
     return manifest.status();
   }
@@ -156,7 +151,7 @@ Status AdaptiveStore::OpenDurable() {
       CRACK_ASSIGN_OR_RETURN(
           durability::CheckpointData ckpt,
           durability::ReadCheckpoint(
-              durability::JoinPath(db_dir_, manifest_.checkpoint_file)));
+              durability::JoinPath(db_dir, manifest_.checkpoint_file)));
       txn_mgr_.AdvanceTo(ckpt.last_commit_ts);
       next_lsn = ckpt.next_lsn;
       recovery_info_.checkpoint_tables = ckpt.tables.size();
@@ -179,7 +174,7 @@ Status AdaptiveStore::OpenDurable() {
     }
     replaying_ = true;
     auto replay = durability::ReplayWalFile(
-        durability::JoinPath(db_dir_, manifest_.wal_file),
+        durability::JoinPath(db_dir, manifest_.wal_file),
         [&](const durability::WalCommit& commit) {
           return ApplyWalCommit(commit);
         },
@@ -200,12 +195,12 @@ Status AdaptiveStore::OpenDurable() {
     manifest_.generation = 1;
     manifest_.checkpoint_file.clear();
     manifest_.wal_file = manifest_.WalName();
-    CRACK_RETURN_NOT_OK(durability::WriteManifest(db_dir_, manifest_));
+    CRACK_RETURN_NOT_OK(durability::WriteManifest(db_dir, manifest_));
   }
   CRACK_ASSIGN_OR_RETURN(
       wal_, durability::WalWriter::Open(
-                durability::JoinPath(db_dir_, manifest_.wal_file),
-                db_options_.fsync_policy, db_options_.fsync_interval_seconds,
+                durability::JoinPath(db_dir, manifest_.wal_file),
+                options_.fsync_policy, options_.fsync_interval_seconds,
                 next_lsn, append_offset));
   recovery_info_.replay_seconds = timer.ElapsedSeconds();
   obs::RecordWalReplay(
@@ -305,6 +300,7 @@ Status AdaptiveStore::Checkpoint() {
 }
 
 Status AdaptiveStore::CheckpointLocked() {
+  const std::string& db_dir = options_.path;
   Snapshot snap = txn_mgr_.LatestSnapshot();
   std::vector<std::shared_ptr<Relation>> pinned;
   std::vector<durability::TableSnapshot> snapshots;
@@ -349,27 +345,27 @@ Status AdaptiveStore::CheckpointLocked() {
   next.wal_file = next.WalName();
   uint64_t bytes = 0;
   CRACK_RETURN_NOT_OK(durability::WriteCheckpoint(
-      db_dir_, next.checkpoint_file, snap.read_ts, /*next_lsn=*/1, snapshots,
+      db_dir, next.checkpoint_file, snap.read_ts, /*next_lsn=*/1, snapshots,
       policies, &bytes));
   // Seal the old segment before publishing: a crash from here on recovers
   // either the old generation (complete) or the new one (empty log).
   CRACK_RETURN_NOT_OK(wal_->Close());
-  std::string old_wal = durability::JoinPath(db_dir_, manifest_.wal_file);
+  std::string old_wal = durability::JoinPath(db_dir, manifest_.wal_file);
   std::string old_ckpt = manifest_.checkpoint_file;
   CRACK_ASSIGN_OR_RETURN(
       std::unique_ptr<durability::WalWriter> next_wal,
       durability::WalWriter::Open(
-          durability::JoinPath(db_dir_, next.wal_file),
-          db_options_.fsync_policy, db_options_.fsync_interval_seconds,
+          durability::JoinPath(db_dir, next.wal_file),
+          options_.fsync_policy, options_.fsync_interval_seconds,
           /*next_lsn=*/1, /*append_offset=*/0));
-  CRACK_RETURN_NOT_OK(durability::WriteManifest(db_dir_, next));
+  CRACK_RETURN_NOT_OK(durability::WriteManifest(db_dir, next));
   wal_ = std::move(next_wal);
   manifest_ = next;
   // The old generation is unreachable now; its log is truncated away whole
   // (every commit it held is inside the checkpoint).
   Status rm = durability::RemoveFile(old_wal);
   if (rm.ok() && !old_ckpt.empty()) {
-    rm = durability::RemoveFile(durability::JoinPath(db_dir_, old_ckpt));
+    rm = durability::RemoveFile(durability::JoinPath(db_dir, old_ckpt));
   }
   (void)rm;  // leaked garbage files are harmless; the manifest moved on
   checkpoints_.fetch_add(1);
@@ -404,8 +400,14 @@ Status AdaptiveStore::Close() {
 }
 
 void AdaptiveStore::MaybeRunMaintenance() {
-  const uint64_t vacuum_threshold = db_options_.autovacuum_version_threshold;
-  const uint64_t ckpt_bytes = db_options_.checkpoint_interval_bytes;
+  uint64_t vacuum_threshold = 0;
+  uint64_t ckpt_bytes = 0;
+  {
+    // Released before Vacuum or Checkpoint takes the latch exclusively.
+    std::shared_lock<std::shared_mutex> g(global_mu_);
+    vacuum_threshold = options_.autovacuum_version_threshold;
+    ckpt_bytes = options_.checkpoint_interval_bytes;
+  }
   const bool checkpointing = wal_ != nullptr && ckpt_bytes > 0;
   if (vacuum_threshold == 0 && !checkpointing) return;
   // Amortize: the triggers read registry-wide counters, so probe them every

@@ -15,6 +15,8 @@
 //     a single query, and repeated queries drain the carried-over frontier
 //     to zero pending rows.
 //
+// A fourth section races Configure against running statements.
+//
 // The racing sections are ThreadSanitizer targets (see ci.yml's tsan lane).
 // Randomized sections print their seed on failure; rerun a reported seed
 // with CRACKSTORE_TEST_SEED=<seed>.
@@ -320,10 +322,11 @@ TEST(AdaptivePolicyTest, StoreSwitchesPolicyLiveAndReportsIt) {
   TapestryOptions topts;
   topts.num_rows = 4000;
   topts.seed = 19;
-  AdaptiveStoreOptions opts;
+  DbOptions opts;
   opts.strategy = AccessStrategy::kCrack;
   opts.policy.min_piece_size = 128;
-  AdaptiveStore store(opts);
+  auto db = *AdaptiveStore::Open(opts);
+  AdaptiveStore& store = *db;
   ASSERT_TRUE(store.AddTable(*BuildTapestry("R", topts)).ok());
 
   auto count = [&](int64_t lo, int64_t hi) {
@@ -359,9 +362,10 @@ TEST(AdaptivePolicyTest, StoreSwitchesPolicyLiveAndReportsIt) {
 TEST(AdaptivePolicyTest, SqlSetAndShowPolicy) {
   TapestryOptions topts;
   topts.num_rows = 2000;
-  AdaptiveStoreOptions opts;
+  DbOptions opts;
   opts.strategy = AccessStrategy::kCrack;
-  AdaptiveStore store(opts);
+  auto db = *AdaptiveStore::Open(opts);
+  AdaptiveStore& store = *db;
   ASSERT_TRUE(store.AddTable(*BuildTapestry("R", topts)).ok());
 
   // Before any query: the report is empty but the statement still works.
@@ -417,17 +421,19 @@ TEST(AdaptivePolicyTest, SelfDrivingPoliciesRideSharedPathUnderRace) {
     topts.num_rows = 3000;
     topts.seed = seed;
 
-    AdaptiveStoreOptions sopts;
+    DbOptions sopts;
     sopts.strategy = AccessStrategy::kCrack;
     sopts.policy.policy = policy;
     sopts.policy.min_piece_size = 64;
     sopts.policy.progressive_budget = 0.1;
-    AdaptiveStore serial(sopts);
+    auto serial_db = *AdaptiveStore::Open(sopts);
+    AdaptiveStore& serial = *serial_db;
     ASSERT_TRUE(serial.AddTable(*BuildTapestry("R", topts)).ok());
 
-    AdaptiveStoreOptions copts = sopts;
+    DbOptions copts = sopts;
     copts.concurrent = true;
-    AdaptiveStore concurrent(copts);
+    auto concurrent_db = *AdaptiveStore::Open(copts);
+    AdaptiveStore& concurrent = *concurrent_db;
     ASSERT_TRUE(concurrent.AddTable(*BuildTapestry("R", topts)).ok());
 
     const int64_t n = static_cast<int64_t>(topts.num_rows);
@@ -480,15 +486,17 @@ TEST(AdaptivePolicyTest, RuntimeSetPolicyRacesReaders) {
   topts.num_rows = 3000;
   topts.seed = seed;
 
-  AdaptiveStoreOptions sopts;
+  DbOptions sopts;
   sopts.strategy = AccessStrategy::kCrack;
   sopts.policy.min_piece_size = 64;
-  AdaptiveStore serial(sopts);
+  auto serial_db = *AdaptiveStore::Open(sopts);
+  AdaptiveStore& serial = *serial_db;
   ASSERT_TRUE(serial.AddTable(*BuildTapestry("R", topts)).ok());
 
-  AdaptiveStoreOptions copts = sopts;
+  DbOptions copts = sopts;
   copts.concurrent = true;
-  AdaptiveStore concurrent(copts);
+  auto concurrent_db = *AdaptiveStore::Open(copts);
+  AdaptiveStore& concurrent = *concurrent_db;
   ASSERT_TRUE(concurrent.AddTable(*BuildTapestry("R", topts)).ok());
 
   const int64_t n = static_cast<int64_t>(topts.num_rows);
@@ -544,6 +552,73 @@ TEST(AdaptivePolicyTest, RuntimeSetPolicyRacesReaders) {
   for (auto& t : readers) t.join();
   EXPECT_EQ(concurrent.options().policy.policy, CrackPolicy::kStandard);
   TaskPool::SetGlobalThreads(0);
+}
+
+// Configure re-arms a store while statements run on it: a writer thread
+// inserts and aggregates (its first aggregate builds the column's path, so
+// the build reads the options mid-stream) while the main thread keeps
+// changing the maintenance thresholds and the defaults for new paths. The
+// store's options are written only under its exclusive latch and read only
+// under its latch, so ThreadSanitizer sees no race.
+TEST(AdaptivePolicyTest, ConfigureRacesRunningStatements) {
+  DbOptions opts;
+  opts.concurrent = true;
+  opts.track_lineage = false;
+  auto db = *AdaptiveStore::Open(opts);
+  AdaptiveStore& store = *db;
+  TapestryOptions topts;
+  topts.num_rows = 2000;
+  topts.num_columns = 2;
+  ASSERT_TRUE(store.AddTable(*BuildTapestry("R", topts)).ok());
+
+  std::atomic<bool> started{false};
+  std::atomic<bool> stop{false};
+  std::atomic<int64_t> inserted{0};
+  std::thread writer([&] {
+    for (int64_t i = 0; !stop.load(std::memory_order_relaxed); ++i) {
+      auto ins = store.Insert("R", {Value(i), Value(i)});
+      auto agg = store.AggregateRange("R", "c1", RangeBounds::Closed(0, 999));
+      started.store(true, std::memory_order_relaxed);
+      if (!ins.ok() || !agg.ok()) {
+        ADD_FAILURE() << (ins.ok() ? agg.status() : ins.status()).ToString();
+        return;
+      }
+      inserted.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  const DeltaMergePolicy merges[] = {DeltaMergePolicy::kImmediate,
+                                     DeltaMergePolicy::kThreshold,
+                                     DeltaMergePolicy::kRippleOnSelect};
+  DbOptions next = opts;
+  for (int i = 0; i < 200; ++i) {
+    next.autovacuum_version_threshold = i % 2 == 0 ? 64 : 65536;
+    next.checkpoint_interval_bytes = static_cast<uint64_t>(i % 4 + 1) << 20;
+    next.delta_merge.policy = merges[i % 3];
+    next.merge_budget =
+        i % 2 == 0 ? MergeBudget{MergePolicyKind::kLeastRecentlyUsed, 16}
+                   : MergeBudget{};
+    Status st = store.Configure(next);
+    if (!st.ok()) {
+      ADD_FAILURE() << st.ToString();
+      break;
+    }
+    if (i == 0) {
+      while (!started.load(std::memory_order_relaxed)) {
+        std::this_thread::yield();
+      }
+    }
+  }
+  stop.store(true, std::memory_order_relaxed);
+  writer.join();
+  EXPECT_EQ(*store.LiveRowCount("R"),
+            topts.num_rows + static_cast<uint64_t>(inserted.load()));
+  // The last re-arm stands.
+  const DbOptions last = store.options();
+  EXPECT_EQ(last.autovacuum_version_threshold,
+            next.autovacuum_version_threshold);
+  EXPECT_EQ(last.checkpoint_interval_bytes, next.checkpoint_interval_bytes);
+  EXPECT_EQ(last.delta_merge.policy, next.delta_merge.policy);
+  EXPECT_TRUE(last.merge_budget.unlimited());
 }
 
 }  // namespace

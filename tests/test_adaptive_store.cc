@@ -25,14 +25,15 @@ std::shared_ptr<Relation> SmallTapestry(uint64_t n = 2000,
   return *BuildTapestry("R", opts);
 }
 
-AdaptiveStoreOptions WithStrategy(AccessStrategy s) {
-  AdaptiveStoreOptions opts;
+DbOptions WithStrategy(AccessStrategy s) {
+  DbOptions opts;
   opts.strategy = s;
   return opts;
 }
 
 TEST(AdaptiveStoreTest, AddAndLookupTables) {
-  AdaptiveStore store;
+  auto db = *AdaptiveStore::Open(DbOptions{});
+  AdaptiveStore& store = *db;
   ASSERT_TRUE(store.AddTable(SmallTapestry()).ok());
   EXPECT_TRUE(store.table("R").ok());
   EXPECT_TRUE(store.table("S").status().IsNotFound());
@@ -42,7 +43,8 @@ TEST(AdaptiveStoreTest, AddAndLookupTables) {
 }
 
 TEST(AdaptiveStoreTest, CountQueryOnPermutation) {
-  AdaptiveStore store;
+  auto db = *AdaptiveStore::Open(DbOptions{});
+  AdaptiveStore& store = *db;
   ASSERT_TRUE(store.AddTable(SmallTapestry()).ok());
   auto result = store.SelectRange("R", "c0", RangeBounds::Closed(100, 299));
   ASSERT_TRUE(result.ok());
@@ -51,9 +53,12 @@ TEST(AdaptiveStoreTest, CountQueryOnPermutation) {
 
 TEST(AdaptiveStoreTest, AllStrategiesAgreeOnCounts) {
   auto rel = SmallTapestry();
-  AdaptiveStore scan(WithStrategy(AccessStrategy::kScan));
-  AdaptiveStore crack(WithStrategy(AccessStrategy::kCrack));
-  AdaptiveStore sort(WithStrategy(AccessStrategy::kSort));
+  auto scan_db = *AdaptiveStore::Open(WithStrategy(AccessStrategy::kScan));
+  AdaptiveStore& scan = *scan_db;
+  auto crack_db = *AdaptiveStore::Open(WithStrategy(AccessStrategy::kCrack));
+  AdaptiveStore& crack = *crack_db;
+  auto sort_db = *AdaptiveStore::Open(WithStrategy(AccessStrategy::kSort));
+  AdaptiveStore& sort = *sort_db;
   ASSERT_TRUE(scan.AddTable(rel).ok());
   ASSERT_TRUE(crack.AddTable(rel).ok());
   ASSERT_TRUE(sort.AddTable(rel).ok());
@@ -74,7 +79,8 @@ TEST(AdaptiveStoreTest, AllStrategiesAgreeOnCounts) {
 }
 
 TEST(AdaptiveStoreTest, ViewDeliveryReturnsAlignedOids) {
-  AdaptiveStore store;
+  auto db = *AdaptiveStore::Open(DbOptions{});
+  AdaptiveStore& store = *db;
   ASSERT_TRUE(store.AddTable(SmallTapestry()).ok());
   auto result = store.SelectRange("R", "c0", RangeBounds::Closed(1, 50),
                                   Delivery::kView);
@@ -92,7 +98,8 @@ TEST(AdaptiveStoreTest, ViewDeliveryReturnsAlignedOids) {
 }
 
 TEST(AdaptiveStoreTest, ScanStrategyViewDeliversOidList) {
-  AdaptiveStore store(WithStrategy(AccessStrategy::kScan));
+  auto db = *AdaptiveStore::Open(WithStrategy(AccessStrategy::kScan));
+  AdaptiveStore& store = *db;
   ASSERT_TRUE(store.AddTable(SmallTapestry()).ok());
   auto result = store.SelectRange("R", "c0", RangeBounds::Closed(1, 10),
                                   Delivery::kView);
@@ -110,7 +117,8 @@ TEST(AdaptiveStoreTest, MaterializeBuildsCorrectRelation) {
   auto rel = SmallTapestry();
   for (AccessStrategy s : {AccessStrategy::kScan, AccessStrategy::kCrack,
                            AccessStrategy::kSort}) {
-    AdaptiveStore store(WithStrategy(s));
+    auto db = *AdaptiveStore::Open(WithStrategy(s));
+    AdaptiveStore& store = *db;
     ASSERT_TRUE(store.AddTable(rel).ok());
     auto result = store.SelectRange("R", "c0", RangeBounds::Closed(10, 19),
                                     Delivery::kMaterialize);
@@ -147,9 +155,10 @@ TEST(AdaptiveStoreTest, MaterializeHonorsTheOidBase) {
       for (int64_t i = 0; i < 20; ++i) {
         ASSERT_TRUE(rel->AppendRow({Value(i), Value(1000 + i)}).ok());
       }
-      AdaptiveStoreOptions opts = WithStrategy(s);
+      DbOptions opts = WithStrategy(s);
       opts.concurrent = concurrent;
-      AdaptiveStore store(opts);
+      auto db = *AdaptiveStore::Open(opts);
+      AdaptiveStore& store = *db;
       ASSERT_TRUE(store.AddTable(rel).ok());
       auto result = store.SelectRange("R", "c0", RangeBounds::Closed(10, 12),
                                       Delivery::kMaterialize);
@@ -169,7 +178,8 @@ TEST(AdaptiveStoreTest, MaterializeHonorsTheOidBase) {
 }
 
 TEST(AdaptiveStoreTest, MaterializedRowsKeepColumnAlignment) {
-  AdaptiveStore store;
+  auto db = *AdaptiveStore::Open(DbOptions{});
+  AdaptiveStore& store = *db;
   auto rel = SmallTapestry();
   ASSERT_TRUE(store.AddTable(rel).ok());
   auto result = store.SelectRange("R", "c0", RangeBounds::Closed(500, 520),
@@ -191,7 +201,8 @@ TEST(AdaptiveStoreTest, MaterializedRowsKeepColumnAlignment) {
 }
 
 TEST(AdaptiveStoreTest, CrackingGetsCheaperOverSequence) {
-  AdaptiveStore store;
+  auto db = *AdaptiveStore::Open(DbOptions{});
+  AdaptiveStore& store = *db;
   ASSERT_TRUE(store.AddTable(SmallTapestry(50000)).ok());
   Pcg32 rng(9);
   uint64_t first = 0;
@@ -208,7 +219,8 @@ TEST(AdaptiveStoreTest, CrackingGetsCheaperOverSequence) {
 }
 
 TEST(AdaptiveStoreTest, NumPiecesGrowsUnderCracking) {
-  AdaptiveStore store;
+  auto db = *AdaptiveStore::Open(DbOptions{});
+  AdaptiveStore& store = *db;
   ASSERT_TRUE(store.AddTable(SmallTapestry()).ok());
   EXPECT_EQ(*store.NumPieces("R", "c0"), 1u);
   ASSERT_TRUE(store.SelectRange("R", "c0", RangeBounds::Closed(10, 50)).ok());
@@ -219,10 +231,11 @@ TEST(AdaptiveStoreTest, NumPiecesGrowsUnderCracking) {
 }
 
 TEST(AdaptiveStoreTest, MergeBudgetCapsBounds) {
-  AdaptiveStoreOptions opts;
+  DbOptions opts;
   opts.strategy = AccessStrategy::kCrack;
   opts.merge_budget = MergeBudget{MergePolicyKind::kLeastRecentlyUsed, 4};
-  AdaptiveStore store(opts);
+  auto db = *AdaptiveStore::Open(opts);
+  AdaptiveStore& store = *db;
   ASSERT_TRUE(store.AddTable(SmallTapestry(10000)).ok());
   Pcg32 rng(11);
   for (int q = 0; q < 30; ++q) {
@@ -237,7 +250,8 @@ TEST(AdaptiveStoreTest, MergeBudgetCapsBounds) {
 }
 
 TEST(AdaptiveStoreTest, LineageTracksXiSplits) {
-  AdaptiveStore store;
+  auto db = *AdaptiveStore::Open(DbOptions{});
+  AdaptiveStore& store = *db;
   ASSERT_TRUE(store.AddTable(SmallTapestry()).ok());
   ASSERT_TRUE(
       store.SelectRange("R", "c0", RangeBounds::Closed(100, 200)).ok());
@@ -249,9 +263,10 @@ TEST(AdaptiveStoreTest, LineageTracksXiSplits) {
 }
 
 TEST(AdaptiveStoreTest, LineageDisabledWhenConfiguredOff) {
-  AdaptiveStoreOptions opts;
+  DbOptions opts;
   opts.track_lineage = false;
-  AdaptiveStore store(opts);
+  auto db = *AdaptiveStore::Open(opts);
+  AdaptiveStore& store = *db;
   ASSERT_TRUE(store.AddTable(SmallTapestry()).ok());
   ASSERT_TRUE(
       store.SelectRange("R", "c0", RangeBounds::Closed(100, 200)).ok());
@@ -259,7 +274,8 @@ TEST(AdaptiveStoreTest, LineageDisabledWhenConfiguredOff) {
 }
 
 TEST(AdaptiveStoreTest, SelectRangeValidatesInputs) {
-  AdaptiveStore store;
+  auto db = *AdaptiveStore::Open(DbOptions{});
+  AdaptiveStore& store = *db;
   ASSERT_TRUE(store.AddTable(SmallTapestry()).ok());
   EXPECT_TRUE(store.SelectRange("X", "c0", RangeBounds::Closed(1, 2))
                   .status()
@@ -276,8 +292,10 @@ TEST(AdaptiveStoreTest, JoinOidsMatchesAcrossStrategies) {
   opts.seed += 1;
   auto s = *BuildTapestry("S", opts);
 
-  AdaptiveStore crack(WithStrategy(AccessStrategy::kCrack));
-  AdaptiveStore scan(WithStrategy(AccessStrategy::kScan));
+  auto crack_db = *AdaptiveStore::Open(WithStrategy(AccessStrategy::kCrack));
+  AdaptiveStore& crack = *crack_db;
+  auto scan_db = *AdaptiveStore::Open(WithStrategy(AccessStrategy::kScan));
+  AdaptiveStore& scan = *scan_db;
   for (AdaptiveStore* store : {&crack, &scan}) {
     ASSERT_TRUE(store->AddTable(r).ok());
     ASSERT_TRUE(store->AddTable(s).ok());
@@ -297,7 +315,8 @@ TEST(AdaptiveStoreTest, JoinEqualsCachesWedgeCrack) {
   auto r = *BuildTapestry("R", opts);
   opts.seed += 1;
   auto s = *BuildTapestry("S", opts);
-  AdaptiveStore store;
+  auto db = *AdaptiveStore::Open(DbOptions{});
+  AdaptiveStore& store = *db;
   ASSERT_TRUE(store.AddTable(r).ok());
   ASSERT_TRUE(store.AddTable(s).ok());
 
@@ -317,7 +336,8 @@ TEST(AdaptiveStoreTest, GroupByAggregates) {
   for (int64_t i = 0; i < 100; ++i) {
     ASSERT_TRUE(rel->AppendRow({Value(i % 4), Value(i)}).ok());
   }
-  AdaptiveStore store;
+  auto db = *AdaptiveStore::Open(DbOptions{});
+  AdaptiveStore& store = *db;
   ASSERT_TRUE(store.AddTable(rel).ok());
   auto counts = store.GroupBy("G", "g", "v", AggKind::kCount);
   ASSERT_TRUE(counts.ok());
@@ -331,7 +351,8 @@ TEST(AdaptiveStoreTest, GroupByAggregates) {
 }
 
 TEST(AdaptiveStoreTest, ProjectRegistersPsiLineage) {
-  AdaptiveStore store;
+  auto db = *AdaptiveStore::Open(DbOptions{});
+  AdaptiveStore& store = *db;
   ASSERT_TRUE(store.AddTable(SmallTapestry()).ok());
   auto cracked = store.Project("R", {"c0"});
   ASSERT_TRUE(cracked.ok());
@@ -346,7 +367,8 @@ TEST(AdaptiveStoreTest, ProjectRegistersPsiLineage) {
 }
 
 TEST(AdaptiveStoreTest, TotalIoAccumulates) {
-  AdaptiveStore store;
+  auto db = *AdaptiveStore::Open(DbOptions{});
+  AdaptiveStore& store = *db;
   ASSERT_TRUE(store.AddTable(SmallTapestry()).ok());
   ASSERT_TRUE(store.SelectRange("R", "c0", RangeBounds::Closed(1, 10)).ok());
   EXPECT_GT(store.total_io().tuples_read, 0u);
@@ -355,7 +377,8 @@ TEST(AdaptiveStoreTest, TotalIoAccumulates) {
 }
 
 TEST(AdaptiveStoreTest, SentinelBoundsActAsOneSided) {
-  AdaptiveStore store;
+  auto db = *AdaptiveStore::Open(DbOptions{});
+  AdaptiveStore& store = *db;
   ASSERT_TRUE(store.AddTable(SmallTapestry()).ok());
   auto less = store.SelectRange("R", "c0", RangeBounds::AtMost(100));
   ASSERT_TRUE(less.ok());
@@ -369,7 +392,8 @@ TEST(AdaptiveStoreTest, SentinelBoundsActAsOneSided) {
 }
 
 TEST(AdaptiveStoreTest, ExplainColumnReportsState) {
-  AdaptiveStore store;
+  auto db = *AdaptiveStore::Open(DbOptions{});
+  AdaptiveStore& store = *db;
   ASSERT_TRUE(store.AddTable(SmallTapestry()).ok());
   auto before = store.ExplainColumn("R", "c0");
   ASSERT_TRUE(before.ok());
@@ -388,7 +412,8 @@ TEST(AdaptiveStoreTest, ExplainColumnReportsState) {
 }
 
 TEST(AdaptiveStoreTest, ExplainColumnSortStrategy) {
-  AdaptiveStore store(WithStrategy(AccessStrategy::kSort));
+  auto db = *AdaptiveStore::Open(WithStrategy(AccessStrategy::kSort));
+  AdaptiveStore& store = *db;
   ASSERT_TRUE(store.AddTable(SmallTapestry()).ok());
   ASSERT_TRUE(
       store.SelectRange("R", "c0", RangeBounds::Closed(10, 20)).ok());
@@ -398,7 +423,8 @@ TEST(AdaptiveStoreTest, ExplainColumnSortStrategy) {
 }
 
 TEST(AdaptiveStoreTest, EqualRangeHelper) {
-  AdaptiveStore store;
+  auto db = *AdaptiveStore::Open(DbOptions{});
+  AdaptiveStore& store = *db;
   ASSERT_TRUE(store.AddTable(SmallTapestry()).ok());
   auto eq = store.SelectRange("R", "c0", RangeBounds::Equal(1234));
   ASSERT_TRUE(eq.ok());

@@ -165,14 +165,14 @@ std::vector<StoreConfig> AllConfigs() {
 }
 
 std::unique_ptr<AdaptiveStore> MakeConcurrentStore(const StoreConfig& config) {
-  AdaptiveStoreOptions opts;
+  DbOptions opts;
   opts.strategy = config.strategy;
   opts.policy.policy = config.policy;
   opts.policy.min_piece_size = 32;
   opts.delta_merge.policy = config.merge;
   opts.delta_merge.threshold_fraction = 0.05;
   opts.concurrent = true;
-  return std::make_unique<AdaptiveStore>(opts);
+  return *AdaptiveStore::Open(opts);
 }
 
 /// Two-column (c0, c1) int64 table; c0 values come from `values`.
@@ -544,16 +544,18 @@ TEST(ConcurrentStore, SteeredPoliciesRideSharedPath) {
     topts.num_rows = 3000;
     topts.seed = seed;
 
-    AdaptiveStoreOptions sopts;
+    DbOptions sopts;
     sopts.strategy = AccessStrategy::kCrack;
     sopts.policy.policy = policy;
     sopts.policy.min_piece_size = 64;
-    AdaptiveStore serial(sopts);
+    auto serial_db = *AdaptiveStore::Open(sopts);
+    AdaptiveStore& serial = *serial_db;
     ASSERT_TRUE(serial.AddTable(*BuildTapestry("R", topts)).ok());
 
-    AdaptiveStoreOptions copts = sopts;
+    DbOptions copts = sopts;
     copts.concurrent = true;
-    AdaptiveStore concurrent(copts);
+    auto concurrent_db = *AdaptiveStore::Open(copts);
+    AdaptiveStore& concurrent = *concurrent_db;
     ASSERT_TRUE(concurrent.AddTable(*BuildTapestry("R", topts)).ok());
 
     // Warm the accelerator, then check the policy no longer forces the
@@ -631,13 +633,15 @@ TEST(ConcurrentStore, SingleThreadCracksLikeSerial) {
       SCOPED_TRACE(std::string(CrackPolicyName(policy)) + "/" +
                    DeltaMergePolicyName(merge) +
                    " seed=" + std::to_string(seed));
-      AdaptiveStoreOptions opts;
+      DbOptions opts;
       opts.policy.policy = policy;
       opts.policy.min_piece_size = 64;
       opts.delta_merge.policy = merge;
-      AdaptiveStore serial(opts);
+      auto serial_db = *AdaptiveStore::Open(opts);
+      AdaptiveStore& serial = *serial_db;
       opts.concurrent = true;
-      AdaptiveStore concurrent(opts);
+      auto concurrent_db = *AdaptiveStore::Open(opts);
+      AdaptiveStore& concurrent = *concurrent_db;
       TapestryOptions topts;
       topts.num_rows = static_cast<uint64_t>(n);
       topts.num_columns = 2;
@@ -765,13 +769,15 @@ TEST(ConcurrentStore, ParallelConjunctionMatchesSerial) {
   topts.num_columns = 3;
   topts.seed = seed;
 
-  AdaptiveStoreOptions serial_opts;
-  AdaptiveStore serial(serial_opts);
+  DbOptions serial_opts;
+  auto serial_db = *AdaptiveStore::Open(serial_opts);
+  AdaptiveStore& serial = *serial_db;
   ASSERT_TRUE(serial.AddTable(*BuildTapestry("R", topts)).ok());
 
-  AdaptiveStoreOptions conc_opts;
+  DbOptions conc_opts;
   conc_opts.concurrent = true;
-  AdaptiveStore concurrent(conc_opts);
+  auto concurrent_db = *AdaptiveStore::Open(conc_opts);
+  AdaptiveStore& concurrent = *concurrent_db;
   ASSERT_TRUE(concurrent.AddTable(*BuildTapestry("R", topts)).ok());
 
   // Fixed query set, issued from several threads against the concurrent

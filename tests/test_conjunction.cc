@@ -39,7 +39,8 @@ std::shared_ptr<Relation> Table(uint64_t n = 3000, uint64_t seed = 31) {
 using ColumnRange = AdaptiveStore::ColumnRange;
 
 TEST(ConjunctionTest, ValidatesInput) {
-  AdaptiveStore store;
+  auto db = *AdaptiveStore::Open(DbOptions{});
+  AdaptiveStore& store = *db;
   ASSERT_TRUE(store.AddTable(Table()).ok());
   EXPECT_TRUE(
       store.SelectConjunction("R", {}).status().IsInvalidArgument());
@@ -56,7 +57,8 @@ TEST(ConjunctionTest, ValidatesInput) {
 }
 
 TEST(ConjunctionTest, SingleConjunctDelegatesToSelectRange) {
-  AdaptiveStore store;
+  auto db = *AdaptiveStore::Open(DbOptions{});
+  AdaptiveStore& store = *db;
   ASSERT_TRUE(store.AddTable(Table()).ok());
   auto result =
       store.SelectConjunction("R", {{"c0", RangeBounds::Closed(1, 100)}});
@@ -66,7 +68,8 @@ TEST(ConjunctionTest, SingleConjunctDelegatesToSelectRange) {
 
 TEST(ConjunctionTest, CountMatchesNaive) {
   auto rel = Table();
-  AdaptiveStore store;
+  auto db = *AdaptiveStore::Open(DbOptions{});
+  AdaptiveStore& store = *db;
   ASSERT_TRUE(store.AddTable(rel).ok());
   RangeBounds r0 = RangeBounds::Closed(1, 1500);
   RangeBounds r1 = RangeBounds::Closed(1000, 2500);
@@ -100,10 +103,11 @@ TEST(ConjunctionTest, AllStrategiesAgree) {
     int i = 0;
     for (AccessStrategy s : {AccessStrategy::kScan, AccessStrategy::kCrack,
                              AccessStrategy::kSort}) {
-      AdaptiveStoreOptions opts;
+      DbOptions opts;
       opts.strategy = s;
       opts.track_lineage = false;
-      AdaptiveStore store(opts);
+      auto db = *AdaptiveStore::Open(opts);
+      AdaptiveStore& store = *db;
       ASSERT_TRUE(store.AddTable(rel).ok());
       auto result = store.SelectConjunction("R", conjuncts);
       ASSERT_TRUE(result.ok());
@@ -116,7 +120,8 @@ TEST(ConjunctionTest, AllStrategiesAgree) {
 
 TEST(ConjunctionTest, ViewDeliveryReturnsSortedOids) {
   auto rel = Table();
-  AdaptiveStore store;
+  auto db = *AdaptiveStore::Open(DbOptions{});
+  AdaptiveStore& store = *db;
   ASSERT_TRUE(store.AddTable(rel).ok());
   auto result = store.SelectConjunction(
       "R",
@@ -136,7 +141,8 @@ TEST(ConjunctionTest, ViewDeliveryReturnsSortedOids) {
 }
 
 TEST(ConjunctionTest, CracksEveryReferencedColumn) {
-  AdaptiveStore store;
+  auto db = *AdaptiveStore::Open(DbOptions{});
+  AdaptiveStore& store = *db;
   ASSERT_TRUE(store.AddTable(Table()).ok());
   ASSERT_TRUE(store
                   .SelectConjunction("R",
@@ -149,7 +155,8 @@ TEST(ConjunctionTest, CracksEveryReferencedColumn) {
 }
 
 TEST(ConjunctionTest, RepeatConjunctionGetsCheaper) {
-  AdaptiveStore store;
+  auto db = *AdaptiveStore::Open(DbOptions{});
+  AdaptiveStore& store = *db;
   ASSERT_TRUE(store.AddTable(Table(50000)).ok());
   std::vector<ColumnRange> conjuncts{{"c0", RangeBounds::Closed(1000, 5000)},
                                      {"c1", RangeBounds::Closed(2000, 6000)}};
@@ -164,7 +171,8 @@ TEST(ConjunctionTest, RepeatConjunctionGetsCheaper) {
 }
 
 TEST(ConjunctionTest, EmptyIntersection) {
-  AdaptiveStore store;
+  auto db = *AdaptiveStore::Open(DbOptions{});
+  AdaptiveStore& store = *db;
   ASSERT_TRUE(store.AddTable(Table()).ok());
   // c0 small and c0 large can't both hold (same column twice).
   auto result = store.SelectConjunction(
@@ -175,7 +183,8 @@ TEST(ConjunctionTest, EmptyIntersection) {
 }
 
 TEST(ConjunctionTest, MaterializeUnimplementedHint) {
-  AdaptiveStore store;
+  auto db = *AdaptiveStore::Open(DbOptions{});
+  AdaptiveStore& store = *db;
   ASSERT_TRUE(store.AddTable(Table()).ok());
   EXPECT_TRUE(store
                   .SelectConjunction("R",
@@ -331,13 +340,14 @@ TEST(ConjunctionTest, BlockReadsMatchAPerRowReference) {
         latest.rows.push_back(row);
         latest.alive.push_back(1);
       }
-      AdaptiveStoreOptions opts;
+      DbOptions opts;
       opts.strategy = config.strategy;
       opts.policy.policy = config.policy;
       opts.policy.min_piece_size = 64;
       opts.track_lineage = false;
       opts.concurrent = concurrent;
-      AdaptiveStore store(opts);
+      auto db = *AdaptiveStore::Open(opts);
+      AdaptiveStore& store = *db;
       ASSERT_TRUE(store.AddTable(rel).ok());
       // Warm every accelerator, so later answers are cracked spans.
       for (int q = 0; q < 12; ++q) {

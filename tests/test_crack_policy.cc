@@ -121,12 +121,13 @@ TEST(CrackPolicyTest, StochasticConvergesThroughTheStore) {
   topts.seed = 7;
   auto rel = *BuildTapestry("R", topts);
 
-  AdaptiveStoreOptions opts;
+  DbOptions opts;
   opts.strategy = AccessStrategy::kCrack;
   opts.policy.policy = CrackPolicy::kStochastic;
   opts.policy.min_piece_size = 256;
   opts.track_lineage = false;
-  AdaptiveStore store(opts);
+  auto db = *AdaptiveStore::Open(opts);
+  AdaptiveStore& store = *db;
   ASSERT_TRUE(store.AddTable(rel).ok());
 
   uint64_t last = 0;
@@ -176,9 +177,10 @@ TEST(CrackPolicyTest, CoarseCapsPieceTable) {
 }
 
 TEST(CrackPolicyTest, StoreOptionsExposePolicy) {
-  AdaptiveStoreOptions opts;
+  DbOptions opts;
   opts.policy.policy = CrackPolicy::kStochastic;
-  AdaptiveStore store(opts);
+  auto db = *AdaptiveStore::Open(opts);
+  AdaptiveStore& store = *db;
   EXPECT_EQ(store.options().policy.policy, CrackPolicy::kStochastic);
 
   TapestryOptions topts;
@@ -202,10 +204,11 @@ TEST(CrackPolicyTest, PoliciesAgreeThroughConjunctionsAndSql) {
   bool first = true;
   for (CrackPolicy policy : {CrackPolicy::kStandard, CrackPolicy::kStochastic,
                              CrackPolicy::kCoarse}) {
-    AdaptiveStoreOptions opts;
+    DbOptions opts;
     opts.policy.policy = policy;
     opts.policy.min_piece_size = 128;
-    AdaptiveStore store(opts);
+    auto db = *AdaptiveStore::Open(opts);
+    AdaptiveStore& store = *db;
     ASSERT_TRUE(store.AddTable(rel).ok());
     auto result = store.SelectConjunction(
         "R", {{"c0", RangeBounds::Closed(100, 1500)},

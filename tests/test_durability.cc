@@ -233,14 +233,14 @@ TEST(Lifecycle, OpenValidatesOptions) {
 TEST(Lifecycle, ConfigureRejectsFrozenAxes) {
   auto db = AdaptiveStore::Open(DbOptions{});
   ASSERT_TRUE(db.ok());
-  DbOptions next = (*db)->db_options();
+  DbOptions next = (*db)->options();
   next.strategy = AccessStrategy::kSort;
   EXPECT_FALSE((*db)->Configure(next).ok());
 
-  next = (*db)->db_options();
+  next = (*db)->options();
   next.policy.policy = CrackPolicy::kStochastic;
   EXPECT_TRUE((*db)->Configure(next).ok());
-  EXPECT_EQ((*db)->db_options().policy.policy, CrackPolicy::kStochastic);
+  EXPECT_EQ((*db)->options().policy.policy, CrackPolicy::kStochastic);
 }
 
 TEST(Lifecycle, SetPolicyRoutesThroughConfigure) {
@@ -250,7 +250,7 @@ TEST(Lifecycle, SetPolicyRoutesThroughConfigure) {
   opts.policy = CrackPolicy::kCoarse;
   ASSERT_TRUE((*db)->SetPolicy(opts).ok());
   // The unified config surface sees the switch.
-  EXPECT_EQ((*db)->db_options().policy.policy, CrackPolicy::kCoarse);
+  EXPECT_EQ((*db)->options().policy.policy, CrackPolicy::kCoarse);
 }
 
 TEST(Lifecycle, CheckpointRequiresDurableStore) {

@@ -31,9 +31,8 @@ std::shared_ptr<Relation> Tapestry(uint64_t n, uint64_t seed = 77) {
   return *BuildTapestry("R", opts);
 }
 
-AdaptiveStoreOptions WithStrategy(AccessStrategy strategy,
-                                  bool track_lineage) {
-  AdaptiveStoreOptions opts;
+DbOptions WithStrategy(AccessStrategy strategy, bool track_lineage) {
+  DbOptions opts;
   opts.strategy = strategy;
   opts.track_lineage = track_lineage;
   return opts;
@@ -54,9 +53,15 @@ TEST_P(MqsSessionTest, StrategiesAgreeStepByStep) {
   auto queries = GenerateSequence(spec);
   ASSERT_TRUE(queries.ok());
 
-  AdaptiveStore scan(WithStrategy(AccessStrategy::kScan, false));
-  AdaptiveStore crack(WithStrategy(AccessStrategy::kCrack, true));
-  AdaptiveStore sort(WithStrategy(AccessStrategy::kSort, false));
+  auto scan_db =
+      *AdaptiveStore::Open(WithStrategy(AccessStrategy::kScan, false));
+  AdaptiveStore& scan = *scan_db;
+  auto crack_db =
+      *AdaptiveStore::Open(WithStrategy(AccessStrategy::kCrack, true));
+  AdaptiveStore& crack = *crack_db;
+  auto sort_db =
+      *AdaptiveStore::Open(WithStrategy(AccessStrategy::kSort, false));
+  AdaptiveStore& sort = *sort_db;
   for (AdaptiveStore* s : {&scan, &crack, &sort}) {
     ASSERT_TRUE(s->AddTable(rel).ok());
   }
@@ -97,8 +102,12 @@ TEST(IntegrationTest, HomerunCrackBeatsScanInTouchedTuples) {
   spec.profile = Profile::kHomerun;
   auto queries = *GenerateSequence(spec);
 
-  AdaptiveStore scan(WithStrategy(AccessStrategy::kScan, false));
-  AdaptiveStore crack(WithStrategy(AccessStrategy::kCrack, false));
+  auto scan_db =
+      *AdaptiveStore::Open(WithStrategy(AccessStrategy::kScan, false));
+  AdaptiveStore& scan = *scan_db;
+  auto crack_db =
+      *AdaptiveStore::Open(WithStrategy(AccessStrategy::kCrack, false));
+  AdaptiveStore& crack = *crack_db;
   ASSERT_TRUE(scan.AddTable(rel).ok());
   ASSERT_TRUE(crack.AddTable(rel).ok());
   for (const RangeQuery& q : queries) {
@@ -113,7 +122,8 @@ TEST(IntegrationTest, HomerunCrackBeatsScanInTouchedTuples) {
 
 TEST(IntegrationTest, LineageStaysLosslessThroughSession) {
   auto rel = Tapestry(5000);
-  AdaptiveStore store;
+  auto db = *AdaptiveStore::Open(DbOptions{});
+  AdaptiveStore& store = *db;
   ASSERT_TRUE(store.AddTable(rel).ok());
   Pcg32 rng(5);
   for (int q = 0; q < 25; ++q) {
@@ -166,8 +176,12 @@ TEST(IntegrationTest, WedgeThenXiComposition) {
   opts.seed = 10;
   auto s = *BuildTapestry("S", opts);
 
-  AdaptiveStore crack(WithStrategy(AccessStrategy::kCrack, true));
-  AdaptiveStore scan(WithStrategy(AccessStrategy::kScan, false));
+  auto crack_db =
+      *AdaptiveStore::Open(WithStrategy(AccessStrategy::kCrack, true));
+  AdaptiveStore& crack = *crack_db;
+  auto scan_db =
+      *AdaptiveStore::Open(WithStrategy(AccessStrategy::kScan, false));
+  AdaptiveStore& scan = *scan_db;
   for (AdaptiveStore* store : {&crack, &scan}) {
     ASSERT_TRUE(store->AddTable(r).ok());
     ASSERT_TRUE(store->AddTable(s).ok());
@@ -198,7 +212,8 @@ TEST(IntegrationTest, GroupByAfterCracking) {
     ASSERT_TRUE(rel->AppendRow({Value(g), Value(v)}).ok());
     expected_sum[g] += v;
   }
-  AdaptiveStore store;
+  auto db = *AdaptiveStore::Open(DbOptions{});
+  AdaptiveStore& store = *db;
   ASSERT_TRUE(store.AddTable(rel).ok());
   ASSERT_TRUE(store.SelectRange("G", "v", RangeBounds::AtLeast(0)).ok());
   auto sums = store.GroupBy("G", "g", "v", AggKind::kSum);
@@ -214,7 +229,8 @@ TEST(IntegrationTest, CrackingAVerticalFragment) {
   // its own table, and range-crack inside it — the oid surrogates keep the
   // fragment joinable back to the remainder afterwards.
   auto rel = Tapestry(2000);
-  AdaptiveStore store;
+  auto db = *AdaptiveStore::Open(DbOptions{});
+  AdaptiveStore& store = *db;
   ASSERT_TRUE(store.AddTable(rel).ok());
   auto psi = store.Project("R", {"c0"});
   ASSERT_TRUE(psi.ok());
@@ -239,10 +255,11 @@ TEST(IntegrationTest, MergeBudgetSessionKeepsLineageConsistent) {
   // lineage subtree (§3.2's inverse operation); the DAG must stay loss-less
   // throughout.
   auto rel = Tapestry(10000);
-  AdaptiveStoreOptions opts;
+  DbOptions opts;
   opts.strategy = AccessStrategy::kCrack;
   opts.merge_budget = MergeBudget{MergePolicyKind::kLeastRecentlyUsed, 6};
-  AdaptiveStore store(opts);
+  auto db = *AdaptiveStore::Open(opts);
+  AdaptiveStore& store = *db;
   ASSERT_TRUE(store.AddTable(rel).ok());
   Pcg32 rng(3);
   for (int q = 0; q < 60; ++q) {
@@ -322,11 +339,12 @@ void ExpectLineageMatchesPieces(const AdaptiveStore& store,
 // inserts merge in and after vacuumed deletes merge out.
 TEST(IntegrationTest, LineageRerootsAtTheMergedSize) {
   auto rel = Tapestry(10000);
-  AdaptiveStoreOptions opts;
+  DbOptions opts;
   opts.strategy = AccessStrategy::kCrack;
   opts.track_lineage = true;
   opts.delta_merge.policy = DeltaMergePolicy::kImmediate;
-  AdaptiveStore store(opts);
+  auto db = *AdaptiveStore::Open(opts);
+  AdaptiveStore& store = *db;
   ASSERT_TRUE(store.AddTable(rel).ok());
   Pcg32 rng(15);
   auto select = [&] {
@@ -386,7 +404,7 @@ TEST_P(LineageStreamTest, LeavesEqualThePieceTable) {
         rel->AppendRow({Value((i * 7919) % n + 1), Value(word(&data_rng))})
             .ok());
   }
-  AdaptiveStoreOptions opts;
+  DbOptions opts;
   opts.strategy = AccessStrategy::kCrack;
   opts.track_lineage = true;
   opts.policy.policy = c.policy;
@@ -396,7 +414,8 @@ TEST_P(LineageStreamTest, LeavesEqualThePieceTable) {
   if (c.merge_budget) {
     opts.merge_budget = MergeBudget{MergePolicyKind::kLeastRecentlyUsed, 8};
   }
-  AdaptiveStore store(opts);
+  auto db = *AdaptiveStore::Open(opts);
+  AdaptiveStore& store = *db;
   ASSERT_TRUE(store.AddTable(rel).ok());
 
   Pcg32 rng(1000 + static_cast<uint64_t>(c.policy) * 10 +
@@ -420,6 +439,9 @@ TEST_P(LineageStreamTest, LeavesEqualThePieceTable) {
             "R", "c0",
             TypedRange::Closed(Value(lo), Value(hi)));
         if (!r.ok()) {
+          // Only budgeted progressive cracks refuse the pushdown.
+          ASSERT_EQ(c.policy, CrackPolicy::kProgressive)
+              << r.status().ToString();
           ASSERT_TRUE(r.status().IsUnimplemented()) << r.status().ToString();
           break;
         }
@@ -496,6 +518,61 @@ INSTANTIATE_TEST_SUITE_P(
              DeltaMergePolicyName(info.param.delta);
     });
 
+// A path enforces the merge budget it was built with; Configure changes only
+// the default for paths built later. So after the store's budget is lifted,
+// the aggregates of a column built under a budget still fuse bounds: each
+// reports them, and the lineage re-roots as it does after a fusing select.
+TEST(IntegrationTest, AggregatesReportFusedBoundsAfterTheBudgetIsLifted) {
+  DbOptions opts;
+  opts.merge_budget = MergeBudget{MergePolicyKind::kLeastRecentlyUsed, 8};
+  auto db = *AdaptiveStore::Open(opts);
+  AdaptiveStore& store = *db;
+  ASSERT_TRUE(store.AddTable(Tapestry(20000)).ok());
+  Pcg32 rng(26);
+  for (int i = 0; i < 20; ++i) {
+    const int64_t lo = rng.NextInRange(1, 19000);
+    ASSERT_TRUE(
+        store.SelectRange("R", "c0", RangeBounds::Closed(lo, lo + 500)).ok());
+  }
+  DbOptions unbudgeted = store.options();
+  unbudgeted.merge_budget = MergeBudget{};
+  ASSERT_TRUE(store.Configure(unbudgeted).ok());
+  size_t fused = 0;
+  for (int i = 0; i < 20; ++i) {
+    SCOPED_TRACE(i);
+    const int64_t lo = rng.NextInRange(1, 19000);
+    auto r = store.AggregateRange(
+        "R", "c0", TypedRange::Closed(Value(lo), Value(lo + 500)));
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->rows, 501u);
+    fused += r->bounds_dropped;
+    ExpectLineageMatchesPieces(store, "R", "c0");
+  }
+  EXPECT_GT(fused, 0u);
+  EXPECT_LE(*store.NumPieces("R", "c0"), 9u);
+}
+
+// The reverse: a column built without a budget keeps pushing aggregates
+// down after Configure sets one for paths built later.
+TEST(IntegrationTest, UnbudgetedColumnPushesDownAfterABudgetIsSet) {
+  auto db = *AdaptiveStore::Open(DbOptions{});
+  AdaptiveStore& store = *db;
+  ASSERT_TRUE(store.AddTable(Tapestry(20000)).ok());
+  ASSERT_TRUE(
+      store.SelectRange("R", "c0", RangeBounds::Closed(100, 600)).ok());
+  DbOptions budgeted = store.options();
+  budgeted.merge_budget = MergeBudget{MergePolicyKind::kLeastRecentlyUsed, 8};
+  ASSERT_TRUE(store.Configure(budgeted).ok());
+  auto r = store.AggregateRange(
+      "R", "c0",
+      TypedRange::Closed(Value(int64_t{1000}), Value(int64_t{1500})));
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->rows, 501u);
+  EXPECT_EQ(r->pushdown_rows, 501u);
+  EXPECT_EQ(r->bounds_dropped, 0u);
+  ExpectLineageMatchesPieces(store, "R", "c0");
+}
+
 // ---------------------------------------------------------------------------
 // The radix build's threshold. A crack column of 2^21 rows is partitioned at
 // its first touch (PartitionBitsFor gives k = 5: over c0 = 1..2^21 that is
@@ -526,7 +603,8 @@ std::shared_ptr<Relation> RadixTable(int64_t rows) {
 TEST(RadixBuildTest, FirstTouchPartitionsFromTheThresholdOn) {
   for (const int64_t rows : {kRadixRows, kRadixRows - 1}) {
     SCOPED_TRACE(rows);
-    AdaptiveStore store;
+    auto db = *AdaptiveStore::Open(DbOptions{});
+    AdaptiveStore& store = *db;
     ASSERT_TRUE(store.AddTable(RadixTable(rows)).ok());
     auto first =
         store.SelectRange("R", "c0", RangeBounds::Closed(500000, 520000));
@@ -571,9 +649,10 @@ std::vector<int64_t> BoundValues(const AdaptiveStore& store) {
 // and after VACUUM.
 TEST(RadixBuildTest, LineageFollowsPartitionedColumnThroughMaintenance) {
   {
-    AdaptiveStoreOptions opts;
+    DbOptions opts;
     opts.delta_merge.policy = DeltaMergePolicy::kImmediate;
-    AdaptiveStore store(opts);
+    auto db = *AdaptiveStore::Open(opts);
+    AdaptiveStore& store = *db;
     ASSERT_TRUE(store.AddTable(RadixTable(kRadixRows)).ok());
     ASSERT_TRUE(
         store.SelectRange("R", "c0", RangeBounds::Closed(70000, 90000)).ok());
@@ -593,9 +672,10 @@ TEST(RadixBuildTest, LineageFollowsPartitionedColumnThroughMaintenance) {
                               edges.end()));
   }
   {
-    AdaptiveStoreOptions opts;
+    DbOptions opts;
     opts.merge_budget = MergeBudget{MergePolicyKind::kLeastRecentlyUsed, 8};
-    AdaptiveStore store(opts);
+    auto db = *AdaptiveStore::Open(opts);
+    AdaptiveStore& store = *db;
     ASSERT_TRUE(store.AddTable(RadixTable(kRadixRows)).ok());
     auto r = store.SelectRange("R", "c0", RangeBounds::Closed(70000, 90000));
     ASSERT_TRUE(r.ok());
@@ -624,7 +704,10 @@ TEST(RadixBuildTest, LineageFollowsPartitionedColumnThroughMaintenance) {
 // A seeded SELECT / aggregate / DML / VACUUM stream answers identically on
 // the partitioned table and on the copied one.
 TEST(RadixBuildTest, StreamAnswersAsBelowTheThreshold) {
-  AdaptiveStore part, copy;
+  auto part_db = *AdaptiveStore::Open(DbOptions{});
+  auto copy_db = *AdaptiveStore::Open(DbOptions{});
+  AdaptiveStore& part = *part_db;
+  AdaptiveStore& copy = *copy_db;
   auto part_rel = RadixTable(kRadixRows);
   auto copy_rel = RadixTable(kRadixRows - 1);
   ASSERT_TRUE(part.AddTable(part_rel).ok());
@@ -713,7 +796,8 @@ TEST(IntegrationTest, SimAgreesWithRealStoreOnTouchedTuples) {
   ASSERT_TRUE(sim.ok());
 
   auto rel = Tapestry(20000);
-  AdaptiveStore store;
+  auto db = *AdaptiveStore::Open(DbOptions{});
+  AdaptiveStore& store = *db;
   ASSERT_TRUE(store.AddTable(rel).ok());
   Pcg32 rng(opts.seed ^ 0xC0FFEE);
   uint64_t store_first = 0, store_last = 0;

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -213,7 +214,8 @@ class ObservabilitySqlTest : public ::testing::Test {
     ASSERT_TRUE(store_.AddTable(*BuildTapestry("R", opts)).ok());
   }
 
-  AdaptiveStore store_;
+  std::unique_ptr<AdaptiveStore> db_ = *AdaptiveStore::Open(DbOptions{});
+  AdaptiveStore& store_ = *db_;
 };
 
 TEST_F(ObservabilitySqlTest, ExplainAnalyzeReportsCrackWork) {
@@ -325,7 +327,8 @@ TEST_F(ObservabilitySqlTest, NestedExplainAnalyzeParses) {
 // without materializing oids. The statement span must be explained by its
 // children (plan, select, gather), cold and warm.
 TEST(ObservabilityPlanTest, HalfOpenCrossSumIsOneSelectAndAGather) {
-  AdaptiveStore store;
+  auto db = *AdaptiveStore::Open(DbOptions{});
+  AdaptiveStore& store = *db;
   TapestryOptions topts;
   topts.num_rows = 200000;
   topts.num_columns = 2;
@@ -376,7 +379,8 @@ TEST(ObservabilityPlanTest, HalfOpenCrossSumIsOneSelectAndAGather) {
 // nothing and answers every row from piece summaries: the trace reports them
 // as summary rows and the statement reads no tuples.
 TEST(ObservabilityPlanTest, RepeatedPushdownAnswersFromSummaries) {
-  AdaptiveStore store;
+  auto db = *AdaptiveStore::Open(DbOptions{});
+  AdaptiveStore& store = *db;
   TapestryOptions topts;
   topts.num_rows = 200000;
   topts.num_columns = 1;
@@ -414,7 +418,8 @@ TEST(ObservabilityPlanTest, RepeatedPushdownAnswersFromSummaries) {
 // statement has no build span.
 TEST(ObservabilityPlanTest, FirstTouchBuildIsASpanOfItsStatement) {
   const size_t n = size_t{1} << 21;
-  AdaptiveStore store;
+  auto db = *AdaptiveStore::Open(DbOptions{});
+  AdaptiveStore& store = *db;
   TapestryOptions topts;
   topts.num_rows = n;
   topts.num_columns = 1;
@@ -499,7 +504,8 @@ TEST(ObservabilityPlanTest, FirstTouchBuildIsASpanOfItsStatement) {
 // them to the version maps (no other answer row is read), and EXPLAIN
 // ANALYZE reports them. A warm SUM does the same beside its summaries.
 TEST(ObservabilityPlanTest, WarmCountProbesOnlyMarkedRows) {
-  AdaptiveStore store;
+  auto db = *AdaptiveStore::Open(DbOptions{});
+  AdaptiveStore& store = *db;
   TapestryOptions topts;
   topts.num_rows = 50000;
   topts.num_columns = 2;
@@ -551,7 +557,8 @@ TEST(ObservabilityPlanTest, WarmCountProbesOnlyMarkedRows) {
 // column. EXPLAIN ANALYZE reports them as `base rows=` and the registry
 // counts them in gather.base_rows.
 TEST(ObservabilityPlanTest, BaseRowsCountProbesAndGathers) {
-  AdaptiveStore store;
+  auto db = *AdaptiveStore::Open(DbOptions{});
+  AdaptiveStore& store = *db;
   TapestryOptions topts;
   topts.num_rows = 50000;
   topts.num_columns = 2;
@@ -619,11 +626,12 @@ TEST(PolicyInstrumentsTest, SwitchCounterMatchesPathCountersExactly) {
   Counter* counter = reg.GetCounter("policy.switches");
   const uint64_t before = counter->Value();
 
-  AdaptiveStoreOptions opts;
+  DbOptions opts;
   opts.strategy = AccessStrategy::kCrack;
   opts.policy.policy = CrackPolicy::kAuto;
   opts.policy.min_piece_size = 128;
-  AdaptiveStore store(opts);
+  auto db = *AdaptiveStore::Open(opts);
+  AdaptiveStore& store = *db;
   TapestryOptions topts;
   topts.num_rows = 4000;
   topts.num_columns = 2;
@@ -665,11 +673,12 @@ class TraceParityTest : public ::testing::TestWithParam<TraceParityConfig> {};
 
 TEST_P(TraceParityTest, TraceMatchesStatementIo) {
   const TraceParityConfig& config = GetParam();
-  AdaptiveStoreOptions opts;
+  DbOptions opts;
   opts.strategy = AccessStrategy::kCrack;
   opts.policy.policy = config.policy;
   opts.concurrent = config.concurrent;
-  AdaptiveStore store(opts);
+  auto db = *AdaptiveStore::Open(opts);
+  AdaptiveStore& store = *db;
   TapestryOptions topts;
   topts.num_rows = 3000;
   topts.num_columns = 2;

@@ -86,8 +86,8 @@ TEST(RangeBoundsTest, SentinelBoundsAtDomainEdges) {
 
 TEST(UmbrellaHeaderTest, PublicTypesVisible) {
   // The umbrella include must expose the whole public vocabulary.
-  AdaptiveStoreOptions store_opts;
-  (void)store_opts;
+  DbOptions db_opts;
+  (void)db_opts;
   CrackerIndexOptions index_opts;
   (void)index_opts;
   TapestryOptions tapestry_opts;

@@ -388,12 +388,13 @@ TEST_P(SpanReadPathTest, RandomizedParityWithOracle) {
                   static_cast<uint64_t>(policy) * 7 + (concurrent ? 3 : 0);
   SCOPED_TRACE("seed=" + std::to_string(seed) +
                " (rerun with CRACKSTORE_TEST_SEED)");
-  AdaptiveStoreOptions opts;
+  DbOptions opts;
   opts.strategy = strategy;
   opts.policy.policy = policy;
   opts.policy.min_piece_size = 64;
   opts.concurrent = concurrent;
-  AdaptiveStore store(opts);
+  auto db = *AdaptiveStore::Open(opts);
+  AdaptiveStore& store = *db;
 
   const size_t n0 = 1200;
   const int64_t domain = 2000;
@@ -536,9 +537,10 @@ INSTANTIATE_TEST_SUITE_P(
 // ---------------------------------------------------------------------------
 
 TEST(SpanReadPathSnapshotTest, AggregatePushdownHonorsSnapshots) {
-  AdaptiveStoreOptions opts;
+  DbOptions opts;
   opts.strategy = AccessStrategy::kCrack;
-  AdaptiveStore store(opts);
+  auto db = *AdaptiveStore::Open(opts);
+  AdaptiveStore& store = *db;
   auto rel = *Relation::Create("R", Schema({{"c0", ValueType::kInt64}}));
   for (int64_t v = 1; v <= 100; ++v) {
     ASSERT_TRUE(rel->AppendRow({Value(v)}).ok());
@@ -738,9 +740,10 @@ TEST(SpanReadPathSummaryTest, ActiveViewsKeepSummaries) {
   const size_t n = 12 * CrackerIndex<int64_t>::kSummaryMinRows;
   for (bool concurrent : {false, true}) {
     SCOPED_TRACE(concurrent ? "concurrent" : "serial");
-    AdaptiveStoreOptions opts;
+    DbOptions opts;
     opts.concurrent = concurrent;
-    AdaptiveStore store(opts);
+    auto db = *AdaptiveStore::Open(opts);
+    AdaptiveStore& store = *db;
     auto rel = *Relation::Create("R", Schema({{"c0", ValueType::kInt64}}));
     std::map<Oid, int64_t> live;
     Pcg32 rng(1408);
@@ -857,7 +860,9 @@ TEST(SpanReadPathSummaryTest, SharedLatchCallersReduceThroughSummaries) {
 
 TEST(SpanReadPathSummaryTest, HiddenExtremesRescanOnlyTheirPiece) {
   const size_t n = 12 * CrackerIndex<int64_t>::kSummaryMinRows;
-  AdaptiveStore store;  // kThreshold: these few writes never merge
+  // kThreshold: these few writes never merge.
+  auto db = *AdaptiveStore::Open(DbOptions{});
+  AdaptiveStore& store = *db;
   auto rel = *Relation::Create("R", Schema({{"c0", ValueType::kInt64}}));
   // Even values 2..2n, each once.
   auto perm = BuildPermutationColumn(n, 1411);
@@ -991,15 +996,17 @@ TEST_P(HiddenCandidateStreamTest, CrackAnswersMatchTheScanStrategy) {
     ASSERT_TRUE(crack_rel->AppendRow(row).ok());
     ASSERT_TRUE(scan_rel->AppendRow(row).ok());
   }
-  AdaptiveStoreOptions opts;
+  DbOptions opts;
   opts.policy.policy = policy;
   opts.policy.min_piece_size = 32;
   opts.delta_merge.policy = merge;
   opts.delta_merge.threshold_fraction = 0.05;
   opts.concurrent = concurrent;
-  AdaptiveStore crack(opts);
+  auto crack_db = *AdaptiveStore::Open(opts);
+  AdaptiveStore& crack = *crack_db;
   opts.strategy = AccessStrategy::kScan;
-  AdaptiveStore scan(opts);
+  auto scan_db = *AdaptiveStore::Open(opts);
+  AdaptiveStore& scan = *scan_db;
   ASSERT_TRUE(crack.AddTable(crack_rel).ok());
   ASSERT_TRUE(scan.AddTable(scan_rel).ok());
 

@@ -286,7 +286,8 @@ class SqlExecutorTest : public ::testing::Test {
     ASSERT_TRUE(store_.AddTable(*BuildTapestry("S", opts)).ok());
   }
 
-  AdaptiveStore store_;
+  std::unique_ptr<AdaptiveStore> db_ = *AdaptiveStore::Open(DbOptions{});
+  AdaptiveStore& store_ = *db_;
 };
 
 TEST_F(SqlExecutorTest, CountStarNoWhere) {

@@ -316,13 +316,13 @@ class ParityRun {
       : gen_(seed), label_(std::string(AccessStrategyName(config.strategy)) +
                            "/" + CrackPolicyName(config.policy) +
                            " seed=" + std::to_string(seed)) {
-    AdaptiveStoreOptions opts;
+    DbOptions opts;
     opts.strategy = config.strategy;
     opts.policy.policy = config.policy;
     opts.policy.min_piece_size = 32;
     opts.policy.progressive_budget = 0.05;
     opts.track_lineage = false;
-    store_ = std::make_unique<AdaptiveStore>(opts);
+    store_ = *AdaptiveStore::Open(opts);
     auto rel = *Relation::Create(
         "t", Schema({{"i32", ValueType::kInt32},
                      {"i64", ValueType::kInt64},
@@ -643,7 +643,8 @@ TEST(SqlParity, StrategiesTimesPoliciesMatchRowModel) {
 // its column still fails the statement, even though it never reaches an
 // access path.
 TEST(SqlParity, UnmergedConjunctsAreProbedAndTypeChecked) {
-  AdaptiveStore store;
+  auto db = *AdaptiveStore::Open(DbOptions{});
+  AdaptiveStore& store = *db;
   auto rel = *Relation::Create(
       "t", Schema({{"v", ValueType::kInt64}, {"s", ValueType::kString}}));
   for (int64_t i = 0; i < 100; ++i) {

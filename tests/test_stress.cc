@@ -37,15 +37,17 @@ TEST_P(StressTest, MixedSessionMatchesScanTwin) {
     tables.push_back(*BuildTapestry(names[i], opts));
   }
 
-  AdaptiveStoreOptions crack_opts;
+  DbOptions crack_opts;
   crack_opts.strategy = AccessStrategy::kCrack;
   crack_opts.merge_budget =
       MergeBudget{MergePolicyKind::kSmallestPieces, 16};
-  AdaptiveStore cracked(crack_opts);
-  AdaptiveStoreOptions scan_opts;
+  auto cracked_db = *AdaptiveStore::Open(crack_opts);
+  AdaptiveStore& cracked = *cracked_db;
+  DbOptions scan_opts;
   scan_opts.strategy = AccessStrategy::kScan;
   scan_opts.track_lineage = false;
-  AdaptiveStore scans(scan_opts);
+  auto scans_db = *AdaptiveStore::Open(scan_opts);
+  AdaptiveStore& scans = *scans_db;
   for (const auto& t : tables) {
     ASSERT_TRUE(cracked.AddTable(t).ok());
     ASSERT_TRUE(scans.AddTable(t).ok());

@@ -16,6 +16,7 @@
 
 #include <cstdlib>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -437,11 +438,12 @@ TEST_P(StringFacadeTest, RandomizedStringDmlMatchesOracle) {
                   static_cast<uint64_t>(merge) * 7;
   SCOPED_TRACE("seed=" + std::to_string(seed) +
                " (rerun with CRACKSTORE_TEST_SEED)");
-  AdaptiveStoreOptions opts;
+  DbOptions opts;
   opts.strategy = strategy;
   opts.delta_merge.policy = merge;
   opts.delta_merge.threshold_fraction = 0.05;
-  AdaptiveStore store(opts);
+  auto db = *AdaptiveStore::Open(opts);
+  AdaptiveStore& store = *db;
 
   Pcg32 rng(seed);
   auto rel = *Relation::Create(
@@ -549,7 +551,8 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(StringFacadeTest, MaterializeDecodesStrings) {
-  AdaptiveStore store;
+  auto db = *AdaptiveStore::Open(DbOptions{});
+  AdaptiveStore& store = *db;
   auto rel = *Relation::Create(
       "P", Schema({{"name", ValueType::kString}, {"qty", ValueType::kInt64}}));
   for (const char* n : {"delta", "alpha", "echo", "bravo", "charlie"}) {
@@ -595,7 +598,8 @@ class SqlStringTest : public ::testing::Test {
     ASSERT_TRUE(store_.AddTable(rel).ok());
   }
 
-  AdaptiveStore store_;
+  std::unique_ptr<AdaptiveStore> db_ = *AdaptiveStore::Open(DbOptions{});
+  AdaptiveStore& store_ = *db_;
 };
 
 TEST_F(SqlStringTest, StringEqualityAndRanges) {

@@ -172,7 +172,7 @@ std::string ConfigName(const StoreConfig& config) {
 
 std::unique_ptr<AdaptiveStore> MakeStore(const StoreConfig& config,
                                          bool concurrent = false) {
-  AdaptiveStoreOptions opts;
+  DbOptions opts;
   opts.strategy = config.strategy;
   opts.policy.policy = config.policy;
   opts.policy.min_piece_size = 32;
@@ -180,7 +180,7 @@ std::unique_ptr<AdaptiveStore> MakeStore(const StoreConfig& config,
   opts.delta_merge.threshold_fraction = 0.1;
   opts.concurrent = concurrent;
   opts.track_lineage = false;
-  return std::make_unique<AdaptiveStore>(opts);
+  return *AdaptiveStore::Open(opts);
 }
 
 TEST(SnapshotIsolationTest, ReaderKeepsOldRowsAcrossAllPaths) {
@@ -562,11 +562,12 @@ TEST(VacuumTest, FoldsEachPathOnce) {
         SCOPED_TRACE(std::string(AccessStrategyName(strategy)) + " " +
                      DeltaMergePolicyName(merge) +
                      (concurrent ? " concurrent" : " serial"));
-        AdaptiveStoreOptions opts;
+        DbOptions opts;
         opts.strategy = strategy;
         opts.delta_merge.policy = merge;
         opts.concurrent = concurrent;
-        AdaptiveStore store(opts);
+        auto db = *AdaptiveStore::Open(opts);
+        AdaptiveStore& store = *db;
         auto rel = *Relation::Create("t", Schema({{"a", ValueType::kInt64},
                                                   {"b", ValueType::kInt32},
                                                   {"s", ValueType::kString}}));
@@ -628,7 +629,8 @@ TEST(VacuumTest, FoldsEachPathOnce) {
 TEST(LiveRowsTest, MatchPerRowVisibility) {
   for (Oid base : {Oid{0}, Oid{1000}}) {
     SCOPED_TRACE("oid base " + std::to_string(base));
-    AdaptiveStore store;
+    auto db = *AdaptiveStore::Open(DbOptions{});
+    AdaptiveStore& store = *db;
     auto rel = *Relation::Create("t", Schema({{"v", ValueType::kInt64}}));
     for (int64_t i = 0; i < 300; ++i) {
       ASSERT_TRUE(rel->AppendRow({Value(i)}).ok());

@@ -536,6 +536,49 @@ TEST(UpdatePathTest, UpdateKeepsOidStable) {
   }
 }
 
+// Every write an accelerator absorbs is charged once: an insert, an update
+// of a row still pending as an insert (rewritten in place), and an update
+// of a row the accelerator already holds.
+TEST(UpdatePathTest, EveryAbsorbedWriteIsChargedOnce) {
+  for (AccessStrategy strategy :
+       {AccessStrategy::kCrack, AccessStrategy::kSort}) {
+    SCOPED_TRACE(AccessStrategyName(strategy));
+    AccessPathConfig config;
+    config.strategy = strategy;
+    std::vector<int64_t> values{10, 20, 30};
+    auto bat = Bat::FromVector(values, "c");
+    auto path = CreateColumnAccessPath(bat, config);
+    ASSERT_TRUE(path.ok());
+    IoStats build;
+    (void)(*path)->Select(RangeBounds::All(), Delivery::kView, &build);
+
+    IoStats insert;
+    bat->Append<int64_t>(40);
+    ASSERT_TRUE((*path)->Insert(Value(int64_t{40}), 3, &insert).ok());
+    EXPECT_EQ(insert.tuples_written, 1u);
+
+    IoStats update_pending;
+    ASSERT_TRUE(bat->SetNumeric(3, 45).ok());
+    ASSERT_TRUE((*path)
+                    ->Update(3, Value(int64_t{40}), Value(int64_t{45}),
+                             &update_pending)
+                    .ok());
+    EXPECT_EQ(update_pending.tuples_written, 1u);
+
+    IoStats update_merged;
+    ASSERT_TRUE(bat->SetNumeric(1, 25).ok());
+    ASSERT_TRUE((*path)
+                    ->Update(1, Value(int64_t{20}), Value(int64_t{25}),
+                             &update_merged)
+                    .ok());
+    EXPECT_EQ(update_merged.tuples_written, 1u);
+
+    AccessSelection sel =
+        (*path)->Select(RangeBounds::Closed(25, 45), Delivery::kView, &build);
+    EXPECT_EQ(sel.span_set.ToOids(), (std::vector<Oid>{1, 2, 3}));
+  }
+}
+
 TEST(UpdatePathTest, CoarseCountOnlySelectKeepsBaseHitsUnderPendingInserts) {
   // Regression: a coarse fuzzy-edge answer is an oid-list; a count-only
   // select used to lose the base hits when pending inserts forced the
@@ -608,11 +651,12 @@ TEST_P(UpdateFacadeTest, RandomizedDmlMatchesOracle) {
                   static_cast<uint64_t>(merge) * 7;
   SCOPED_TRACE("seed=" + std::to_string(seed) +
                " (rerun with CRACKSTORE_TEST_SEED)");
-  AdaptiveStoreOptions opts;
+  DbOptions opts;
   opts.strategy = strategy;
   opts.delta_merge.policy = merge;
   opts.delta_merge.threshold_fraction = 0.05;
-  AdaptiveStore store(opts);
+  auto db = *AdaptiveStore::Open(opts);
+  AdaptiveStore& store = *db;
 
   const size_t n0 = 800;
   const int64_t domain = 1000;
@@ -719,7 +763,8 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(UpdateFacadeTest, InsertCoercesNumericTypes) {
-  AdaptiveStore store;
+  auto db = *AdaptiveStore::Open(DbOptions{});
+  AdaptiveStore& store = *db;
   auto rel = *Relation::Create(
       "T", Schema({{"i32", ValueType::kInt32},
                    {"i64", ValueType::kInt64},
@@ -740,7 +785,8 @@ TEST(UpdateFacadeTest, InsertCoercesNumericTypes) {
 }
 
 TEST(UpdateFacadeTest, UpdateRejectsMistypedSetValues) {
-  AdaptiveStore store;
+  auto db = *AdaptiveStore::Open(DbOptions{});
+  AdaptiveStore& store = *db;
   auto rel = *Relation::Create(
       "T", Schema({{"i32", ValueType::kInt32},
                    {"i64", ValueType::kInt64},
@@ -765,7 +811,8 @@ TEST(UpdateFacadeTest, UpdateRejectsMistypedSetValues) {
 }
 
 TEST(UpdateFacadeTest, DoubleColumnThroughFacade) {
-  AdaptiveStore store;
+  auto db = *AdaptiveStore::Open(DbOptions{});
+  AdaptiveStore& store = *db;
   auto rel = *Relation::Create("T", Schema({{"f", ValueType::kFloat64}}));
   for (int i = 1; i <= 10; ++i) {
     ASSERT_TRUE(rel->AppendRow({Value(i + 0.5)}).ok());
@@ -795,14 +842,16 @@ TEST(UpdateFacadeTest, DoubleColumnThroughFacade) {
 }
 
 TEST(UpdateFacadeTest, MarkDeletedSurvivesStoreHandOver) {
-  AdaptiveStore first;
+  auto first_db = *AdaptiveStore::Open(DbOptions{});
+  AdaptiveStore& first = *first_db;
   auto rel = *Relation::Create("T", Schema({{"v", ValueType::kInt64}}));
   for (int64_t i = 1; i <= 10; ++i) ASSERT_TRUE(rel->AppendRow({Value(i)}).ok());
   ASSERT_TRUE(first.AddTable(rel).ok());
   ASSERT_TRUE(first.Delete("T", {{"v", RangeBounds::AtMost(3)}}).ok());
   ASSERT_EQ(*first.LiveRowCount("T"), 7u);
 
-  AdaptiveStore second;
+  auto second_db = *AdaptiveStore::Open(DbOptions{});
+  AdaptiveStore& second = *second_db;
   ASSERT_TRUE(second.AddTable(rel).ok());
   ASSERT_TRUE(second.MarkDeleted("T", *first.DeletedOids("T")).ok());
   EXPECT_EQ(*second.LiveRowCount("T"), 7u);
@@ -853,11 +902,11 @@ class TwinStores {
  public:
   TwinStores(AccessStrategy strategy, DeltaMergeOptions merge) {
     for (bool concurrent : {false, true}) {
-      AdaptiveStoreOptions opts;
+      DbOptions opts;
       opts.strategy = strategy;
       opts.delta_merge = merge;
       opts.concurrent = concurrent;
-      stores_.push_back(std::make_unique<AdaptiveStore>(opts));
+      stores_.push_back(*AdaptiveStore::Open(opts));
     }
   }
 
