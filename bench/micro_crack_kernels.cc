@@ -10,8 +10,10 @@
 // supported kernel tier (scalar / predicated / avx2 / neon) cracks 1M rows
 // per element type and selectivity, and the medians land in PATH as JSON —
 // plus an aggregate-pushdown comparison (SUM over a warmed cracked int32
-// column via span kernels and piece summaries vs materialize-then-loop) and
-// the piece-summary walk's worst case (`agg_fine_pieces_vs_scan`), and the
+// column via span kernels and cut records vs materialize-then-loop), a
+// reduction over very fine pieces (`agg_fine_pieces_vs_scan`), the span rows
+// a cold aggregate reads on a radix-built column (`agg_cold_span_rows_read`),
+// and the
 // snapshot filter's probe count on a column with scattered versions
 // (`mvcc_marked_rows` / `mvcc_version_probes`), and the first statements on
 // a fresh 2^22-row column with and without the radix build
@@ -19,8 +21,8 @@
 // row of a warm conjunction probe; `sort_oids_speedup`: ToOids' radix sort
 // against std::sort). CI's bench-smoke lane reads
 // `dispatched_vs_scalar_int32`, `agg_pushdown_vs_materialize_int32`,
-// `agg_repeat_tuples_read`, the two mvcc counts, `first_touch_tuples_ratio`
-// and `sort_oids_speedup` from that file.
+// `agg_repeat_tuples_read`, `agg_cold_span_rows_read`, the mvcc counts,
+// `first_touch_tuples_ratio` and `sort_oids_speedup` from that file.
 
 #include <benchmark/benchmark.h>
 
@@ -202,8 +204,8 @@ struct AggCompare {
   uint64_t repeat_tuples_read = 0;  ///< tuples the timed AggregateRanges read
 };
 
-/// SUM over a warmed cracked int32 column: the pushdown path (after the
-/// warm-up rep every piece of the range answers from its summary) against
+/// SUM over a warmed cracked int32 column: the pushdown path (the range's
+/// span answers from the records at its two cuts) against
 /// the materialize-then-loop oracle (collect the oid view, gather each value
 /// from the base column, accumulate). CI's bench-smoke lane gates
 /// `agg_pushdown_vs_materialize_int32` from this at >= 2x and
@@ -285,11 +287,12 @@ struct FinePieces {
   double ratio = 0.0;      ///< reduce / scan (lower = better)
 };
 
-/// The summary walk's worst case: a permutation of 1..1M (int64) cracked by
-/// 65,536 random point queries (~123k pieces of ~8 rows), then a warm
-/// reduction over 80% of the domain through CrackerIndex::ReducePieces
-/// against one AggregateSpan over the same slots, interleaved in one
-/// process. Reported as `agg_fine_pieces_vs_scan`, not gated.
+/// Very fine pieces: a permutation of 1..1M (int64) cracked by 65,536
+/// random point queries (~123k pieces of ~8 rows), then a warm reduction
+/// over 80% of the domain through CrackerIndex::ReducePieces (two record
+/// lookups, whatever the piece count) against one AggregateSpan over the
+/// same slots, interleaved in one process. Reported as
+/// `agg_fine_pieces_vs_scan`, not gated.
 FinePieces MeasureFinePieces(size_t n, int reps) {
   FinePieces out;
   CrackerIndex<int64_t> index(BuildPermutationColumn(n, 7, "fine"));
@@ -304,7 +307,7 @@ FinePieces MeasureFinePieces(size_t n, int reps) {
   const size_t begin = sel.values.offset();
   const size_t end = begin + sel.values.size();
   const int64_t* data = index.values()->TailData<int64_t>();
-  (void)index.ReducePieces(begin, end);  // warm-up keeps the summaries
+  (void)index.ReducePieces(begin, end);  // warm-up
   std::vector<double> reduce_times, scan_times;
   for (int r = 0; r < reps; ++r) {
     auto t0 = std::chrono::steady_clock::now();
@@ -331,6 +334,34 @@ FinePieces MeasureFinePieces(size_t n, int reps) {
   return out;
 }
 
+/// Two first aggregates over fresh ranges of a fresh 2^22-row int64 column:
+/// the first touch (which radix-builds the cracker column, then cracks the
+/// range's edge pieces) and one more range elsewhere. Their cracks fill the
+/// records at the span's cuts, so neither reads a span row beyond them:
+/// returns the span rows the two read (pushdown rows minus record-answered
+/// rows), which CI asserts is 0.
+uint64_t MeasureColdSpanRowsRead() {
+  const int64_t n = int64_t{1} << 22;
+  auto db = AdaptiveStore::Open(DbOptions{});
+  if (!db.ok()) return UINT64_MAX;
+  AdaptiveStore& store = **db;
+  TapestryOptions topts;
+  topts.num_rows = static_cast<size_t>(n);
+  topts.num_columns = 1;
+  topts.seed = 23;
+  auto rel = BuildTapestry("Z", topts);
+  if (!rel.ok() || !store.AddTable(*rel).ok()) return UINT64_MAX;
+  uint64_t read = 0;
+  for (const RangeBounds& r :
+       {RangeBounds::Closed(n / 10 + 17, n / 10 + n / 50),
+        RangeBounds::Closed(n / 2 + 12345, n / 2 + n / 20)}) {
+    auto agg = store.AggregateRange("Z", "c0", r);
+    if (!agg.ok() || agg->pushdown_rows == 0) return UINT64_MAX;
+    read += agg->pushdown_rows - agg->summary_rows;
+  }
+  return read;
+}
+
 struct MvccProbes {
   uint64_t marked_rows = 0;     ///< answer rows carrying version state
   uint64_t version_probes = 0;  ///< rows the COUNT looked up in version maps
@@ -338,7 +369,7 @@ struct MvccProbes {
   double ns_per_row = 0.0;      ///< median warm COUNT time per span row
   uint64_t count_tuples_read = 0;  ///< the warm COUNT's tuples read
   uint64_t sum_tuples_read = 0;    ///< a warm SUM's over the same range
-  uint64_t sum_summary_rows = 0;   ///< of the SUM's rows, from summaries
+  uint64_t sum_summary_rows = 0;   ///< of the SUM's rows, from records
   uint64_t sum_edge_rows = 0;      ///< of the SUM's rows, scanned by a kernel
   uint64_t pending_rows = 0;       ///< pending inserts of the column's path
 };
@@ -350,7 +381,7 @@ struct MvccProbes {
 /// version maps: CI asserts `mvcc_version_probes == mvcc_marked_rows` (a
 /// filter probing every answer row would report ~100k). Neither read may
 /// touch the span's rows beyond the marked ones, the pending inserts and the
-/// rows no piece summary covers: CI asserts `mvcc_count_tuples_read` and
+/// span rows no cut record covers: CI asserts `mvcc_count_tuples_read` and
 /// `mvcc_sum_tuples_read` <= marked + pending + `mvcc_sum_edge_rows`, and
 /// `mvcc_sum_summary_rows` > 0.
 MvccProbes MeasureMvccProbes(size_t n, int reps) {
@@ -403,7 +434,7 @@ MvccProbes MeasureMvccProbes(size_t n, int reps) {
   }
   std::sort(times.begin(), times.end());
   out.ns_per_row = times[times.size() / 2] / static_cast<double>(hi - lo + 1);
-  // The first SUM summarizes the range's pieces; the second is timed.
+  // The first SUM runs once untimed; the second is measured.
   if (!store.AggregateRange("M", "c0", range).ok()) return out;
   auto sum = store.AggregateRange("M", "c0", range);
   if (!sum.ok()) return out;
@@ -620,6 +651,7 @@ int RunTierComparison(const std::string& path) {
   const FinePieces fine = MeasureFinePieces(1000000, 101);
   const MvccProbes mvcc = MeasureMvccProbes(1000000, 21);
   const FirstTouch first = MeasureFirstTouch();
+  const uint64_t cold_span_rows = MeasureColdSpanRowsRead();
   const BlockReads block = MeasureBlockReads(500000, 21);
 
   std::ofstream out(path);
@@ -641,6 +673,7 @@ int RunTierComparison(const std::string& path) {
   out << "  \"agg_fine_reduce_median_ns\": " << fine.reduce_ns << ",\n";
   out << "  \"agg_fine_scan_median_ns\": " << fine.scan_ns << ",\n";
   out << "  \"agg_fine_pieces_vs_scan\": " << fine.ratio << ",\n";
+  out << "  \"agg_cold_span_rows_read\": " << cold_span_rows << ",\n";
   out << "  \"mvcc_marked_rows\": " << mvcc.marked_rows << ",\n";
   out << "  \"mvcc_version_probes\": " << mvcc.version_probes << ",\n";
   out << "  \"mvcc_answer_rows\": " << mvcc.answer_rows << ",\n";
@@ -693,6 +726,9 @@ int RunTierComparison(const std::string& path) {
   std::printf("fine pieces (%zu): ReducePieces %.0fns vs AggregateSpan %.0fns "
               "(%.3fx)\n",
               fine.pieces, fine.reduce_ns, fine.scan_ns, fine.ratio);
+  std::printf("cold aggregates (2^22 rows, radix-built): %llu span rows "
+              "read\n",
+              static_cast<unsigned long long>(cold_span_rows));
   std::printf("mvcc warm COUNT: %llu version probes for %llu marked of "
               "%llu answer rows, %.2f ns/row\n",
               static_cast<unsigned long long>(mvcc.version_probes),
@@ -700,7 +736,7 @@ int RunTierComparison(const std::string& path) {
               static_cast<unsigned long long>(mvcc.answer_rows),
               mvcc.ns_per_row);
   std::printf("mvcc warm reads: COUNT read %llu tuples, SUM %llu (%llu rows "
-              "from summaries, %llu scanned), %llu pending rows\n",
+              "from records, %llu scanned), %llu pending rows\n",
               static_cast<unsigned long long>(mvcc.count_tuples_read),
               static_cast<unsigned long long>(mvcc.sum_tuples_read),
               static_cast<unsigned long long>(mvcc.sum_summary_rows),

@@ -279,7 +279,7 @@ SpanAggregates ReduceSpan(const T* vals, const Oid* oid_data, size_t n,
 /// the int64-widened aggregate answer. The corrections are purely additive:
 /// the span reduction already excludes every overridden and hidden row,
 /// which is what makes MIN/MAX pushable at all. `span_read` of the `span_n`
-/// span rows were read by a kernel; piece summaries answered the rest.
+/// span rows were read by a kernel; cut records answered the rest.
 template <typename T>
 void FoldAggregates(const SpanAggregates& agg, size_t span_n, size_t span_read,
                     const std::vector<std::pair<T, Oid>>& pending, T lo,
@@ -719,7 +719,7 @@ class CrackAccessPath : public ColumnAccessPath {
   }
 
   /// Reduces the value-exact cracked span [pos, pos + n) plus the delta and
-  /// override corrections into `out`: the span's pieces and summaries
+  /// override corrections into `out`: the span's cut records
   /// (ReducePieces) minus its hidden rows (SubtractHidden), plus
   /// ForEachExtra's rows. Callers hold the range lock over the span and the
   /// delta latch.

@@ -460,6 +460,9 @@ Status AdaptiveStore::Commit(TxnId txn) {
     }
   }
   uint64_t wal_lsn = 0;
+  // The writer the record went to, kept alive until the record is durable:
+  // a checkpoint may swap in the next log segment meanwhile.
+  std::shared_ptr<durability::WalWriter> wal;
   {
     // Atomic with respect to snapshot acquisition: no reader may pin a
     // read_ts covering `cts` before every marker is stamped.
@@ -476,9 +479,10 @@ Status AdaptiveStore::Commit(TxnId txn) {
       record.commit_ts = cts;
       record.ops = std::move(state.redo);
       CRACK_ASSIGN_OR_RETURN(wal_lsn, wal_->AppendCommit(record));
+      wal = wal_;
     }
   }
-  if (wal_lsn != 0) CRACK_RETURN_NOT_OK(wal_->CommitDurable(wal_lsn));
+  if (wal_lsn != 0) CRACK_RETURN_NOT_OK(wal->CommitDurable(wal_lsn));
   MaybeRunMaintenance();
   return Status::OK();
 }

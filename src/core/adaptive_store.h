@@ -798,7 +798,11 @@ class AdaptiveStore {
 
   // --- durability state (core/store_durability.cc) --------------------------
   durability::Manifest manifest_;
-  std::unique_ptr<durability::WalWriter> wal_;  ///< null on in-memory stores
+  /// The log writer; null on in-memory stores. Only a checkpoint replaces
+  /// it, under commit_mu_, and a commit holds a reference to the writer it
+  /// appended to until its record is durable, so a swap never frees a
+  /// writer in use.
+  std::shared_ptr<durability::WalWriter> wal_;
   bool replaying_ = false;  ///< recovery replay in flight: don't re-log
   bool closed_ = false;
   RecoveryInfo recovery_info_;

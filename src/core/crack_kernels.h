@@ -7,7 +7,9 @@
 //
 // All kernels optionally permute a parallel oid array (the cracker map) in
 // lockstep, and report the number of tuple writes they performed so the
-// experiments can account cost in deterministic units.
+// experiments can account cost in deterministic units, and the reduction of
+// every part they wrote (PartReduction), which the cracker index keeps as
+// its cut records.
 //
 // This header holds the scalar reference kernels plus the public dispatch
 // wrappers (CrackInTwoLt / CrackInTwoLe / CrackInThree): for int32/int64/
@@ -21,6 +23,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <type_traits>
 #include <utility>
 
@@ -39,25 +42,11 @@ inline void SwapWithPayload(T* data, Oid* oids, size_t i, size_t j) {
   if (oids != nullptr) std::swap(oids[i], oids[j]);
 }
 
-/// Hoare-style partition: elements satisfying `goes_left` end up in
-/// [0, split), the rest in [split, n).
-template <typename T, typename GoesLeft>
-CrackSplit Partition2(T* data, Oid* oids, size_t n, GoesLeft goes_left) {
-  CrackSplit out;
-  if (n == 0) return out;
-  size_t lo = 0;
-  size_t hi = n;
-  while (true) {
-    while (lo < hi && goes_left(data[lo])) ++lo;
-    while (lo < hi && !goes_left(data[hi - 1])) --hi;
-    if (lo >= hi) break;
-    SwapWithPayload(data, oids, lo, hi - 1);
-    out.writes += 2;
-    ++lo;
-    --hi;
-  }
-  out.split = lo;
-  return out;
+/// Folds `v` into `part` for integer T; double parts stay empty (see
+/// PartReduction).
+template <typename T>
+inline void FoldPart(PartReduction* part, T v) {
+  if constexpr (std::is_integral_v<T>) part->Add(static_cast<int64_t>(v));
 }
 
 /// Budgeted Hoare partition pass over the open frontier [*lo_io, *hi_io):
@@ -68,26 +57,43 @@ CrackSplit Partition2(T* data, Oid* oids, size_t n, GoesLeft goes_left) {
 /// is at most one swap = 2 writes). Scanning is not budgeted — only data
 /// movement is, matching how the policy layer accounts reorganization
 /// cost. The partition is complete when *lo_io == *hi_io on return.
-/// Returns the writes performed.
+/// Every element a frontier passes is folded into `left` or `right`, so
+/// across passes they reduce [begin, *lo_io) and [*hi_io, end). Returns the
+/// writes performed.
 template <typename T, typename GoesLeft>
 size_t PartialPartition2(T* data, Oid* oids, size_t* lo_io, size_t* hi_io,
-                         GoesLeft goes_left, size_t max_writes) {
+                         GoesLeft goes_left, size_t max_writes,
+                         PartReduction* left, PartReduction* right) {
   size_t lo = *lo_io;
   size_t hi = *hi_io;
   size_t writes = 0;
   while (true) {
-    while (lo < hi && goes_left(data[lo])) ++lo;
-    while (lo < hi && !goes_left(data[hi - 1])) --hi;
+    while (lo < hi && goes_left(data[lo])) FoldPart(left, data[lo++]);
+    while (lo < hi && !goes_left(data[hi - 1])) FoldPart(right, data[--hi]);
     if (lo >= hi) break;
     if (writes >= max_writes) break;
     SwapWithPayload(data, oids, lo, hi - 1);
     writes += 2;
-    ++lo;
-    --hi;
+    FoldPart(left, data[lo++]);
+    FoldPart(right, data[--hi]);
   }
   *lo_io = lo;
   *hi_io = hi;
   return writes;
+}
+
+/// Hoare-style partition: elements satisfying `goes_left` end up in
+/// [0, split), the rest in [split, n).
+template <typename T, typename GoesLeft>
+CrackSplit Partition2(T* data, Oid* oids, size_t n, GoesLeft goes_left) {
+  CrackSplit out;
+  size_t lo = 0;
+  size_t hi = n;
+  out.writes = PartialPartition2(data, oids, &lo, &hi, goes_left,
+                                 std::numeric_limits<size_t>::max(),
+                                 &out.parts[0], &out.parts[1]);
+  out.split = lo;
+  return out;
 }
 
 /// True for the element types that have vectorized kernel tiers.
@@ -126,19 +132,24 @@ Crack3Split CrackInThreeScalar(T* data, Oid* oids, size_t n, T lo,
   size_t lt = 0;   // next write position for `below`
   size_t gt = n;   // one past next write position for `above`
   size_t i = 0;
+  // Each element is folded into its part when first examined at i.
   while (i < gt) {
-    if (below(data[i])) {
+    const T v = data[i];
+    if (below(v)) {
+      internal::FoldPart(&out.parts[0], v);
       if (i != lt) {
         internal::SwapWithPayload(data, oids, i, lt);
         out.writes += 2;
       }
       ++lt;
       ++i;
-    } else if (above(data[i])) {
+    } else if (above(v)) {
+      internal::FoldPart(&out.parts[2], v);
       --gt;
       internal::SwapWithPayload(data, oids, i, gt);
       out.writes += 2;
     } else {
+      internal::FoldPart(&out.parts[1], v);
       ++i;
     }
   }
@@ -148,44 +159,53 @@ Crack3Split CrackInThreeScalar(T* data, Oid* oids, size_t n, T lo,
 }
 
 /// Partitions so that values `< pivot` come first. Returns the index of the
-/// first element `>= pivot`. Dispatches to the active SIMD tier.
+/// first element `>= pivot`, and the part reductions (the outer extremes
+/// only if `outer_extremes`; see simd_dispatch.h). Dispatches to the active
+/// SIMD tier.
 template <typename T>
-CrackSplit CrackInTwoLt(T* data, Oid* oids, size_t n, T pivot) {
+CrackSplit CrackInTwoLt(T* data, Oid* oids, size_t n, T pivot,
+                        bool outer_extremes = true) {
   if constexpr (internal::kHasSimdKernels<T>) {
     const SimdTier tier = ActiveSimdTier();
     obs::RecordSimdCall(static_cast<int>(tier));
-    return CrackInTwoLtTier(data, oids, n, pivot, tier);
+    return CrackInTwoLtTier(data, oids, n, pivot, tier, outer_extremes);
   } else {
+    (void)outer_extremes;  // the scalar fallback folds every extreme
     obs::RecordSimdCall(static_cast<int>(SimdTier::kScalar));
     return CrackInTwoLtScalar(data, oids, n, pivot);
   }
 }
 
 /// Partitions so that values `<= pivot` come first. Returns the index of the
-/// first element `> pivot`. Dispatches to the active SIMD tier.
+/// first element `> pivot`, and the part reductions as CrackInTwoLt does.
+/// Dispatches to the active SIMD tier.
 template <typename T>
-CrackSplit CrackInTwoLe(T* data, Oid* oids, size_t n, T pivot) {
+CrackSplit CrackInTwoLe(T* data, Oid* oids, size_t n, T pivot,
+                        bool outer_extremes = true) {
   if constexpr (internal::kHasSimdKernels<T>) {
     const SimdTier tier = ActiveSimdTier();
     obs::RecordSimdCall(static_cast<int>(tier));
-    return CrackInTwoLeTier(data, oids, n, pivot, tier);
+    return CrackInTwoLeTier(data, oids, n, pivot, tier, outer_extremes);
   } else {
+    (void)outer_extremes;  // the scalar fallback folds every extreme
     obs::RecordSimdCall(static_cast<int>(SimdTier::kScalar));
     return CrackInTwoLeScalar(data, oids, n, pivot);
   }
 }
 
 /// Three-way partition into [ below | middle | above ]; see
-/// CrackInThreeScalar for the predicate semantics. Dispatches to the active
-/// SIMD tier.
+/// CrackInThreeScalar for the predicate semantics. Part reductions as
+/// CrackInTwoLt. Dispatches to the active SIMD tier.
 template <typename T>
 Crack3Split CrackInThree(T* data, Oid* oids, size_t n, T lo, bool lo_incl,
-                         T hi, bool hi_incl) {
+                         T hi, bool hi_incl, bool outer_extremes = true) {
   if constexpr (internal::kHasSimdKernels<T>) {
     const SimdTier tier = ActiveSimdTier();
     obs::RecordSimdCall(static_cast<int>(tier));
-    return CrackInThreeTier(data, oids, n, lo, lo_incl, hi, hi_incl, tier);
+    return CrackInThreeTier(data, oids, n, lo, lo_incl, hi, hi_incl, tier,
+                            outer_extremes);
   } else {
+    (void)outer_extremes;  // the scalar fallback folds every extreme
     obs::RecordSimdCall(static_cast<int>(SimdTier::kScalar));
     return CrackInThreeScalar(data, oids, n, lo, lo_incl, hi, hi_incl);
   }

@@ -62,19 +62,21 @@ void CrackerIndex<T>::PartitionBuild(const T* src, Oid base, IoStats* stats) {
       cuts.push_back(layout.ranges[p].begin);
     }
     ChargeCrack(0, n_, n_, cuts.data(), cuts.size(), stats);
+    // The histogram's per-range reductions are the parts of this pass.
+    std::vector<PartReduction> parts(layout.ranges.size());
+    for (size_t p = 0; p < parts.size(); ++p) {
+      const RadixRange& r = layout.ranges[p];
+      if (r.count > 0) parts[p] = PartReduction{r.sum, r.min, r.max};
+    }
+    std::vector<CutRecord> records(parts.size() + 1);
+    RecordCuts(RecordAtLocked(0), RecordAtLocked(n_), parts.data(),
+               parts.size(), records.data());
+    NoteEdgeRecords(0, n_, records.data(), parts.size());
     // Every edge is registered, an empty range's too: a later cut at a
     // value inside an empty range then has an empty crack region.
     for (size_t p = 1; p < layout.ranges.size(); ++p) {
-      RegisterCut(layout.Edge(p), /*want_incl=*/false, layout.ranges[p].begin);
-    }
-    for (const RadixRange& r : layout.ranges) {
-      if (r.count < kSummaryMinRows) continue;
-      const PieceSummary summary{r.begin + r.count, r.sum, r.min, r.max};
-      if (r.begin == 0) {
-        head_summary_ = summary;
-      } else {
-        cut_refs_[r.begin].summary = summary;
-      }
+      RegisterCut(layout.Edge(p), /*want_incl=*/false, layout.ranges[p].begin,
+                  records[p]);
     }
   }
 }
@@ -141,12 +143,58 @@ void CrackerIndex<T>::CrackRegionFor(T v, bool want_incl, size_t* begin,
 }
 
 template <typename T>
-void CrackerIndex<T>::RefCut(size_t pos, int delta) {
-  if (pos == 0 || pos >= n_) return;
-  if (delta > 0) {
-    if (cut_refs_[pos].refs++ == 0) cut_log_.push_back(pos);
-    return;
+void CrackerIndex<T>::RecordCuts(const CutRecord& from, const CutRecord& to,
+                                 const PartReduction* parts, size_t num_parts,
+                                 CutRecord* out) {
+  // Empty parts hold the identities, so they fold in without a test.
+  out[0].prefix = from.prefix;
+  out[0].max_before = from.max_before;
+  for (size_t k = 0; k < num_parts; ++k) {
+    out[k + 1].prefix =
+        static_cast<int64_t>(static_cast<uint64_t>(out[k].prefix) +
+                             static_cast<uint64_t>(parts[k].sum));
+    out[k + 1].max_before = std::max(out[k].max_before, parts[k].max);
   }
+  out[num_parts].min_after = to.min_after;
+  for (size_t k = num_parts; k-- > 0;) {
+    out[k].min_after = std::min(out[k + 1].min_after, parts[k].min);
+  }
+}
+
+template <typename T>
+typename CrackerIndex<T>::CutRecord CrackerIndex<T>::RecordAtLocked(
+    size_t pos) const {
+  if (pos == 0) return edge_records_[0];
+  if (pos == n_) return edge_records_[1];
+  auto it = cut_refs_.find(pos);
+  CRACK_DCHECK(it != cut_refs_.end());
+  return it == cut_refs_.end() ? CutRecord{} : it->second.record;
+}
+
+template <typename T>
+void CrackerIndex<T>::NoteEdgeRecords(size_t b, size_t e, const CutRecord* out,
+                                      size_t num_parts) {
+  // With the parts' outer extremes, a record computed at 0 or n is complete
+  // (RecordCuts never reads the fields still unknown there), so rewriting a
+  // filled one changes nothing.
+  if (b == 0) edge_records_[0] = out[0];
+  if (e == n_) edge_records_[1] = out[num_parts];
+  if (b == 0 && e == n_) edges_recorded_ = true;
+}
+
+template <typename T>
+void CrackerIndex<T>::AddCutRef(size_t pos, const CutRecord& record) {
+  if (pos == 0 || pos >= n_) return;
+  CutRef& ref = cut_refs_[pos];
+  if (ref.refs++ == 0) {
+    ref.record = record;
+    cut_log_.push_back(pos);
+  }
+}
+
+template <typename T>
+void CrackerIndex<T>::DropCutRef(size_t pos) {
+  if (pos == 0 || pos >= n_) return;
   auto it = cut_refs_.find(pos);
   CRACK_DCHECK(it != cut_refs_.end());
   if (it != cut_refs_.end() && --it->second.refs == 0) {
@@ -166,20 +214,22 @@ size_t CrackerIndex<T>::CutsSince(size_t cursor,
 }
 
 template <typename T>
-void CrackerIndex<T>::SetCutSide(Bound* b, bool incl, size_t pos) {
+void CrackerIndex<T>::SetCutSide(Bound* b, bool incl, size_t pos,
+                                 const CutRecord& record) {
   bool& has = incl ? b->has_incl : b->has_excl;
   size_t& at = incl ? b->pos_incl : b->pos_excl;
-  if (has) RefCut(at, -1);
+  if (has) DropCutRef(at);
   has = true;
   at = pos;
-  RefCut(pos, +1);
+  AddCutRef(pos, record);
 }
 
 template <typename T>
-void CrackerIndex<T>::RegisterCut(T v, bool want_incl, size_t pos) {
+void CrackerIndex<T>::RegisterCut(T v, bool want_incl, size_t pos,
+                                  const CutRecord& record) {
   Bound& b = bounds_[v];
   if (b.created == 0) b.created = clock_;
-  SetCutSide(&b, want_incl, pos);
+  SetCutSide(&b, want_incl, pos, record);
   Touch(&b);
 }
 
@@ -274,6 +324,8 @@ size_t CrackerIndex<T>::Cut(T v, bool want_incl, IoStats* stats) {
     // the one we locked, because cracks only ever subdivide pieces.
     RangeLockGuard region(&range_locks_, begin, end, /*exclusive=*/true);
     size_t b2, e2;
+    CutRecord records[3];  // at b2, at the new cut, at e2
+    bool outer = false;    // the column's first pass: records 0 and n too
     {
       std::lock_guard<std::mutex> lk(map_mu_);
       size_t pos;
@@ -282,6 +334,10 @@ size_t CrackerIndex<T>::Cut(T v, bool want_incl, IoStats* stats) {
       // The full kernel below repartitions [b2, e2); a carried frontier for
       // the piece becomes meaningless.
       if (b2 >= begin && e2 <= end) InvalidateProgressive(b2);
+      // Copies: they stay exact even if a fusion drops b2 or e2 meanwhile.
+      records[0] = RecordAtLocked(b2);
+      records[2] = RecordAtLocked(e2);
+      outer = !edges_recorded_;
     }
     if (b2 < begin || e2 > end) {
       // Defensive: the region can only shrink; if it ever widened, retry
@@ -294,12 +350,16 @@ size_t CrackerIndex<T>::Cut(T v, bool want_incl, IoStats* stats) {
     // inside [b2, e2) meanwhile (doing so would need this range lock), and
     // cuts elsewhere don't move data in here.
     CrackSplit split =
-        want_incl ? CrackInTwoLe(raw_values_ + b2, raw_oids_ + b2, e2 - b2, v)
-                  : CrackInTwoLt(raw_values_ + b2, raw_oids_ + b2, e2 - b2, v);
+        want_incl ? CrackInTwoLe(raw_values_ + b2, raw_oids_ + b2, e2 - b2, v,
+                                 outer)
+                  : CrackInTwoLt(raw_values_ + b2, raw_oids_ + b2, e2 - b2, v,
+                                 outer);
     const size_t pos = b2 + split.split;
     ChargeCrack(b2, e2, split.writes, &pos, 1, stats);
+    RecordCuts(records[0], records[2], split.parts, 2, records);
     std::lock_guard<std::mutex> lk(map_mu_);
-    RegisterCut(v, want_incl, pos);
+    if (outer) NoteEdgeRecords(b2, e2, records, 2);
+    RegisterCut(v, want_incl, pos, records[1]);
     return pos;
   }
 }
@@ -317,11 +377,13 @@ size_t CrackerIndex<T>::AdvanceProgressive(ProgressiveJob* job,
   if (job->want_incl) {
     writes = internal::PartialPartition2(
         raw_values_, raw_oids_, &lo, &hi,
-        [pivot](T v) { return v <= pivot; }, max_writes);
+        [pivot](T v) { return v <= pivot; }, max_writes, &job->left,
+        &job->right);
   } else {
     writes = internal::PartialPartition2(
         raw_values_, raw_oids_, &lo, &hi,
-        [pivot](T v) { return v < pivot; }, max_writes);
+        [pivot](T v) { return v < pivot; }, max_writes, &job->left,
+        &job->right);
   }
   job->lo = lo;
   job->hi = hi;
@@ -367,6 +429,7 @@ ProgressiveCut CrackerIndex<T>::CutProgressive(T v, bool want_incl,
     RangeLockGuard region(&range_locks_, begin, end, /*exclusive=*/true);
     ProgressiveJob job;
     bool ours;
+    CutRecord records[3];  // at begin, at the job's cut, at end
     {
       std::lock_guard<std::mutex> lk(map_mu_);
       size_t pos;
@@ -385,6 +448,8 @@ ProgressiveCut CrackerIndex<T>::CutProgressive(T v, bool want_incl,
       }
       begin = b2;
       end = e2;
+      records[0] = RecordAtLocked(begin);
+      records[2] = RecordAtLocked(end);
       auto it = progressive_.find(begin);
       if (it != progressive_.end() && it->second.end != end) {
         progressive_.erase(it);
@@ -412,7 +477,11 @@ ProgressiveCut CrackerIndex<T>::CutProgressive(T v, bool want_incl,
     {
       std::lock_guard<std::mutex> lk(map_mu_);
       if (job_done) {
-        RegisterCut(job.pivot, job.want_incl, job.lo);
+        // The frontiers folded every row of the piece into the two parts.
+        const PartReduction parts[2] = {job.left, job.right};
+        RecordCuts(records[0], records[2], parts, 2, records);
+        NoteEdgeRecords(begin, end, records, 2);
+        RegisterCut(job.pivot, job.want_incl, job.lo, records[1]);
         progressive_.erase(begin);
         if (ours) {
           out.lo = out.hi = job.lo;
@@ -471,6 +540,8 @@ bool CrackerIndex<T>::CrackInThreeIfWhole(T lo, bool lo_incl, T hi,
     end = UpperLimitFor(hi);
   }
   RangeLockGuard region(&range_locks_, begin, end, /*exclusive=*/true);
+  CutRecord records[4];  // at begin, at the two cuts, at end
+  bool outer = false;    // the column's first pass: records 0 and n too
   {
     // Still one piece? A neighbour may have cut it between the map read and
     // the lock grant. A cut outside [lo, hi] only narrows the piece (still
@@ -483,30 +554,36 @@ bool CrackerIndex<T>::CrackInThreeIfWhole(T lo, bool lo_incl, T hi,
     begin = b2;
     end = e2;
     InvalidateProgressive(begin);
+    records[0] = RecordAtLocked(begin);
+    records[3] = RecordAtLocked(end);
+    outer = !edges_recorded_;
   }
   Crack3Split split = CrackInThree(raw_values_ + begin, raw_oids_ + begin,
-                                   end - begin, lo, lo_incl, hi, hi_incl);
+                                   end - begin, lo, lo_incl, hi, hi_incl,
+                                   outer);
   *cut_lo = begin + split.first;
   *cut_hi = begin + split.second;
   const size_t cuts[] = {*cut_lo, *cut_hi};
   ChargeCrack(begin, end, split.writes, cuts, 2, stats);
+  RecordCuts(records[0], records[3], split.parts, 3, records);
   std::lock_guard<std::mutex> lk(map_mu_);
+  if (outer) NoteEdgeRecords(begin, end, records, 3);
   uint64_t created_clock = clock_;
   if (lo == hi) {
     // Point query: both cuts decorate the same boundary value.
     Bound& b = bounds_[lo];
     if (b.created == 0) b.created = created_clock;
-    SetCutSide(&b, /*incl=*/false, *cut_lo);
-    SetCutSide(&b, /*incl=*/true, *cut_hi);
+    SetCutSide(&b, /*incl=*/false, *cut_lo, records[1]);
+    SetCutSide(&b, /*incl=*/true, *cut_hi, records[2]);
     Touch(&b);
   } else {
     Bound& bl = bounds_[lo];
     if (bl.created == 0) bl.created = created_clock;
-    SetCutSide(&bl, /*incl=*/!lo_incl, *cut_lo);
+    SetCutSide(&bl, /*incl=*/!lo_incl, *cut_lo, records[1]);
     Touch(&bl);
     Bound& bh = bounds_[hi];
     if (bh.created == 0) bh.created = created_clock;
-    SetCutSide(&bh, /*incl=*/hi_incl, *cut_hi);
+    SetCutSide(&bh, /*incl=*/hi_incl, *cut_hi, records[2]);
     Touch(&bh);
   }
   return true;
@@ -596,99 +673,51 @@ SpanAggregates CrackerIndex<T>::ReducePieces(size_t begin, size_t end,
     if (rows_read != nullptr) *rows_read = end - begin;
     return AggregateSpan(raw_values_ + begin, end - begin);
   } else {
-    // Slot runs a kernel must read; `keep` marks a run between two cuts
-    // whose reduction becomes the summary kept at its first cut.
-    struct Run {
-      size_t begin;
-      size_t end;
-      bool keep;
-    };
-    std::vector<Run> runs;
+    // [first, last): the whole pieces between the first and the last
+    // record position inside [begin, end); empty when there are none.
+    size_t first = end;
+    size_t last = end;
+    CutRecord from, to;
+    {
+      std::lock_guard<std::mutex> lk(map_mu_);
+      size_t a = n_ + 1;  // none
+      if (begin == 0 && edges_recorded_) {
+        a = 0;
+      } else if (auto it = cut_refs_.lower_bound(begin);
+                 it != cut_refs_.end()) {
+        a = it->first;
+      } else if (edges_recorded_) {
+        a = n_;
+      }
+      size_t b = n_ + 1;
+      if (end == n_ && edges_recorded_) {
+        b = n_;
+      } else if (auto it = cut_refs_.upper_bound(end);
+                 it != cut_refs_.begin()) {
+        b = std::prev(it)->first;
+      } else if (edges_recorded_) {
+        b = 0;
+      }
+      if (a < b && b <= n_) {
+        first = a;
+        last = b;
+        from = RecordAtLocked(first);
+        to = RecordAtLocked(last);
+      }
+    }
     SpanAggregates acc;
     acc.min_i = std::numeric_limits<T>::max();
     acc.max_i = std::numeric_limits<T>::min();
-    {
-      std::lock_guard<std::mutex> lk(map_mu_);
-      size_t pos = begin;
-      auto it = cut_refs_.lower_bound(pos);  // first cut at or after pos
-      auto pos_of = [this](auto i) {
-        return i == cut_refs_.end() ? n_ : i->first;
-      };
-      while (pos < end) {
-        // The piece holding pos ends at the first cut after it; only a run
-        // that starts at pos (slot 0 or a cut) can carry a summary.
-        PieceSummary* slot = nullptr;
-        auto next = it;
-        if (pos == 0) {
-          slot = &head_summary_;
-        } else if (it != cut_refs_.end() && it->first == pos) {
-          slot = &it->second.summary;
-          ++next;
-        }
-        const size_t piece_end = pos_of(next);
-        if (piece_end > end) {  // the answer ends inside this piece
-          runs.push_back({pos, end, false});
-          break;
-        }
-        if (slot != nullptr && slot->end >= piece_end && slot->end <= end) {
-          // The summary covers [pos, slot->end): still exact if that end is
-          // still a cut (free to check when it is the next one).
-          auto to = slot->end == piece_end ? next : cut_refs_.find(slot->end);
-          if (pos_of(to) == slot->end) {
-            FoldInto(&acc, slot->end - pos, slot->sum, slot->min, slot->max);
-            pos = slot->end;
-            it = to;
-            continue;
-          }
-        }
-        auto to = next;
-        if (piece_end - pos < kSummaryMinRows && next != cut_refs_.end()) {
-          // A small piece: extend the run with one lookup instead of a step
-          // per piece. The cut before `far` lies below pos + kSummaryMinRows,
-          // so every piece left of it is small; the piece it starts may not
-          // be, and then the run stops there.
-          auto far = cut_refs_.lower_bound(pos + kSummaryMinRows);
-          to = std::prev(far);
-          if (pos_of(far) - to->first < kSummaryMinRows) to = far;
-        }
-        size_t stop = pos_of(to);
-        if (stop > end) {  // clipped: keep it only if `end` is a cut
-          to = cut_refs_.lower_bound(end);
-          stop = end;
-        }
-        runs.push_back({pos, stop,
-                        slot != nullptr && pos_of(to) == stop &&
-                            stop - pos >= kSummaryMinRows});
-        pos = stop;
-        it = to;
-      }
-    }
-
-    size_t read = 0;
-    std::vector<std::pair<size_t, PieceSummary>> fresh;
-    for (const Run& r : runs) {
-      SpanAggregates a = AggregateSpan(raw_values_ + r.begin, r.end - r.begin);
-      FoldInto(&acc, a.count, a.sum_i, a.min_i, a.max_i);
-      read += r.end - r.begin;
-      if (r.keep) {
-        fresh.push_back({r.begin, PieceSummary{r.end, a.sum_i, a.min_i,
-                                               a.max_i}});
-      }
-    }
-    if (rows_read != nullptr) *rows_read = read;
-    if (!fresh.empty()) {
-      // Re-find each slot: the map may have grown meanwhile.
-      // The runs themselves did not change (the caller holds the range lock
-      // over them), and a summary stays exact while both its cuts exist.
-      std::lock_guard<std::mutex> lk(map_mu_);
-      for (const auto& [b, s] : fresh) {
-        if (b == 0) {
-          head_summary_ = s;
-        } else if (auto c = cut_refs_.find(b); c != cut_refs_.end()) {
-          c->second.summary = s;
-        }
-      }
-    }
+    const SpanAggregates head = AggregateSpan(raw_values_ + begin,
+                                              first - begin);
+    FoldInto(&acc, head.count, head.sum_i, head.min_i, head.max_i);
+    FoldInto(&acc, last - first,
+             static_cast<int64_t>(static_cast<uint64_t>(to.prefix) -
+                                  static_cast<uint64_t>(from.prefix)),
+             from.min_after, to.max_before);
+    const SpanAggregates tail = AggregateSpan(raw_values_ + last, end - last);
+    FoldInto(&acc, tail.count, tail.sum_i, tail.min_i, tail.max_i);
+    if (rows_read != nullptr) *rows_read = (first - begin) + (end - last);
     return acc;
   }
 }
@@ -768,8 +797,10 @@ Status CrackerIndex<T>::RemoveBound(T value) {
   if (it == bounds_.end()) {
     return Status::NotFound("no boundary at requested value");
   }
-  if (it->second.has_excl) RefCut(it->second.pos_excl, -1);
-  if (it->second.has_incl) RefCut(it->second.pos_incl, -1);
+  // The records of the cuts that stay are untouched: each describes its own
+  // position, not its neighbours.
+  if (it->second.has_excl) DropCutRef(it->second.pos_excl);
+  if (it->second.has_incl) DropCutRef(it->second.pos_incl);
   bounds_.erase(it);
   // Fusing pieces invalidates the piece geometry every carried frontier
   // was keyed against; drop them all (their partial partitions stay
@@ -818,22 +849,39 @@ Status CrackerIndex<T>::Validate() const {
       return Status::Internal("pos_excl > pos_incl");
     }
   }
-  // Every summary ReducePieces would reuse (its end is still a cut) must
-  // match the rows it covers.
-  auto check = [&](size_t from, const PieceSummary& s) {
-    if (s.end == 0 || (s.end != n_ && cut_refs_.count(s.end) == 0)) {
-      return Status::OK();
+  if constexpr (std::is_integral_v<T>) {
+    // Every record against the data: P(p) and the max of [0, p) in one
+    // forward pass, the min of [p, n) in one backward pass.
+    std::vector<std::pair<size_t, CutRecord>> records;
+    if (edges_recorded_) records.push_back({0, edge_records_[0]});
+    for (const auto& [pos, ref] : cut_refs_) {
+      records.push_back({pos, ref.record});
     }
-    SpanAggregates a = AggregateSpan(d + from, s.end - from);
-    if (a.sum_i != s.sum || a.min_i != s.min || a.max_i != s.max) {
-      return Status::Internal(
-          StrFormat("stale summary for slots [%zu, %zu)", from, s.end));
+    if (edges_recorded_) records.push_back({n_, edge_records_[1]});
+    uint64_t sum = 0;
+    int64_t mx = std::numeric_limits<int64_t>::min();
+    size_t i = 0;
+    for (const auto& [pos, rec] : records) {
+      for (; i < pos; ++i) {
+        sum += static_cast<uint64_t>(static_cast<int64_t>(d[i]));
+        mx = std::max(mx, static_cast<int64_t>(d[i]));
+      }
+      if (rec.prefix != static_cast<int64_t>(sum) || rec.max_before != mx) {
+        return Status::Internal(
+            StrFormat("stale prefix or max in the record at %zu", pos));
+      }
     }
-    return Status::OK();
-  };
-  CRACK_RETURN_NOT_OK(check(0, head_summary_));
-  for (const auto& [pos, ref] : cut_refs_) {
-    CRACK_RETURN_NOT_OK(check(pos, ref.summary));
+    int64_t mn = std::numeric_limits<int64_t>::max();
+    i = n_;
+    for (auto it = records.rbegin(); it != records.rend(); ++it) {
+      for (; i > it->first; --i) {
+        mn = std::min(mn, static_cast<int64_t>(d[i - 1]));
+      }
+      if (it->second.min_after != mn) {
+        return Status::Internal(
+            StrFormat("stale min in the record at %zu", it->first));
+      }
+    }
   }
   return Status::OK();
 }

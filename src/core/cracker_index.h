@@ -8,8 +8,10 @@
 //   * a decorated search tree over *piece boundaries*: value v -> position p
 //     such that everything left of p is < v (exclusive bound) or <= v
 //     (inclusive bound). Pieces are the maximal runs between boundaries; the
-//     tree stores their (min,max) knowledge, sizes and usage clocks, and the
-//     integer summaries pushed-down aggregates leave behind (ReducePieces).
+//     tree stores their (min,max) knowledge, sizes and usage clocks, and per
+//     cut position one record (prefix sum, extremes of its two pieces) that
+//     the crack creating it fills and pushed-down aggregates read
+//     (ReducePieces).
 //
 // Each range selection first navigates the tree, cracks at most the two
 // pieces at the predicate boundaries (crack-in-three when both ends fall in
@@ -20,6 +22,7 @@
 #ifndef CRACKSTORE_CORE_CRACKER_INDEX_H_
 #define CRACKSTORE_CORE_CRACKER_INDEX_H_
 
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -118,10 +121,10 @@ class CrackerIndex {
   /// column and materializing the oid map. The copy cost (n reads, n writes)
   /// is charged to `stats` — this is the investment Figures 2-3 analyze.
   /// With options.partition_bits > 0 an integer column is radix-partitioned
-  /// instead: the value ranges' edges become exclusive cuts, a range of at
-  /// least kSummaryMinRows rows gets its piece summary, and the pass is
-  /// charged like a crack (n reads, n writes, one kernel pass, a new piece
-  /// per non-empty range after the first).
+  /// instead: the value ranges' edges become exclusive cuts whose records
+  /// come from the ranges' reductions, and the pass is charged like a crack
+  /// (n reads, n writes, one kernel pass, a new piece per non-empty range
+  /// after the first).
   explicit CrackerIndex(const std::shared_ptr<Bat>& source,
                         IoStats* stats = nullptr,
                         CrackerIndexOptions options = {});
@@ -245,28 +248,23 @@ class CrackerIndex {
   /// and removed.
   size_t num_pieces() const;
 
-  /// Pieces smaller than this get no summary of their own: ReducePieces
-  /// covers a run of them with one map lookup and one summary instead of a
-  /// step per piece (a lookup costs about what scanning a few hundred rows
-  /// does).
-  static constexpr size_t kSummaryMinRows = 4096;
-
-  /// Reduces the cracker column over [begin, end), an answer of whole
-  /// pieces. Each cut keeps one summary (sum, min, max) of the rows from it
-  /// to a later cut: a piece of at least kSummaryMinRows rows, or a run of
-  /// at least that many rows of smaller pieces. The walk reuses every
-  /// summary inside the answer and scans, then summarizes, the rest. Equal
-  /// to AggregateSpan over the same slots in every integer field;
-  /// `*rows_read` (optional) is set to the rows a kernel actually read.
+  /// Reduces the cracker column over any [begin, end). The whole pieces
+  /// between the first record position at or after begin and the last at
+  /// or before end (a cut, or 0 and n once the column's first crack has
+  /// run) are answered from those two records: SUM = P(last) - P(first),
+  /// COUNT = last - first, MIN = the min after `first`, MAX = the max
+  /// before `last`. Only the partial pieces at the two edges are scanned,
+  /// so an answer whose ends are both cuts reads no row. Equal to
+  /// AggregateSpan over the same slots in every integer field; `*rows_read`
+  /// (optional) is set to the rows a kernel actually read.
   ///
-  /// Summaries never go stale: a registered cut at p means slots [0, p)
-  /// hold the p smallest values, so the rows between two registered cuts
-  /// are a fixed multiset for the index's lifetime, whatever cracks,
-  /// progressive passes or fusions did in between; a summary is exact for
-  /// as long as both of its cuts exist. Double columns are scanned whole
-  /// (their sums depend on the order of addition). Callers hold
-  /// LockRangeShared over the span; the piece table is read and written
-  /// under map_mu_, the kernels run outside it.
+  /// Records never go stale: a registered cut at p means slots [0, p) hold
+  /// the p smallest values, so P(p), the max of [0, p) and the min of
+  /// [p, n) are fixed for the index's lifetime, whatever cracks,
+  /// progressive passes or fusions happen later. Double columns are scanned
+  /// whole (their sums depend on the order of addition). Callers hold
+  /// LockRangeShared over [begin, end), which covers the edge scans; the
+  /// records are read under map_mu_, the kernels run outside it.
   SpanAggregates ReducePieces(size_t begin, size_t end,
                               size_t* rows_read = nullptr);
 
@@ -299,8 +297,9 @@ class CrackerIndex {
   /// values()->Get<T>(i).
   const std::shared_ptr<Bat>& oids() const { return oids_; }
 
-  /// Exhaustively re-checks every boundary's semantics against the data
-  /// (O(bounds * n); test support — the caller keeps the index quiet).
+  /// Exhaustively re-checks every boundary's semantics and every cut record
+  /// against the data (O(bounds * n); test support — the caller keeps the
+  /// index quiet).
   Status Validate() const;
 
  private:
@@ -325,16 +324,55 @@ class CrackerIndex {
   /// valid when the cut is not yet registered.
   void CrackRegionFor(T v, bool want_incl, size_t* begin, size_t* end) const;
 
+  /// What the rows around one cut position p reduce to. Exact for the
+  /// index's lifetime once filled (see ReducePieces).
+  struct CutRecord {
+    int64_t prefix = 0;  ///< wrapping sum of slots [0, p): P(p)
+    /// Max of [0, p), i.e. of the piece ending at p (the identity at 0).
+    int64_t max_before = std::numeric_limits<int64_t>::min();
+    /// Min of [p, n), i.e. of the piece starting at p (the identity at n).
+    int64_t min_after = std::numeric_limits<int64_t>::max();
+  };
+
+  /// The records of the positions a pass over [b, e) produced: `parts` are
+  /// the reductions of its `num_parts` consecutive parts, `from` and `to`
+  /// the records at b and e. out[0] is the record at b, out[k] the one
+  /// after part k - 1, out[num_parts] the one at e (`from` and `to` may be
+  /// out[0] and out[num_parts] themselves). Only from.prefix,
+  /// from.max_before and to.min_after are read, and those are known at 0
+  /// and n even before the column's first crack.
+  static void RecordCuts(const CutRecord& from, const CutRecord& to,
+                         const PartReduction* parts, size_t num_parts,
+                         CutRecord* out);
+
+  /// The record at the crack-region end `pos` (0, n or a registered cut).
+  /// Caller holds map_mu_.
+  CutRecord RecordAtLocked(size_t pos) const;
+
+  /// After a pass over [b, e) whose positions got the records `out` (as
+  /// RecordCuts lays them out) from parts that carry their outer extremes
+  /// (see simd_dispatch.h): fills the records at 0 and n, and marks them
+  /// known once a pass covered the whole column. The first pass is always
+  /// one (no cut bounds it), and asks its kernel for those extremes; later
+  /// cracks skip them. Caller holds map_mu_.
+  void NoteEdgeRecords(size_t b, size_t e, const CutRecord* out,
+                       size_t num_parts);
+
   /// Records the cut position `pos` for `v`/`want_incl` and touches the
-  /// boundary's usage clock.
-  void RegisterCut(T v, bool want_incl, size_t pos);
+  /// boundary's usage clock. `record` is stored if `pos` is a new interior
+  /// cut position.
+  void RegisterCut(T v, bool want_incl, size_t pos, const CutRecord& record);
 
   /// Sets one side of `b` to `pos`, keeping cut_refs_ in step.
-  void SetCutSide(Bound* b, bool incl, size_t pos);
+  void SetCutSide(Bound* b, bool incl, size_t pos, const CutRecord& record);
 
-  /// Adds `delta` (+1/-1) references to the cut position `pos`; positions
-  /// at the column edges delimit no piece and are not tracked.
-  void RefCut(size_t pos, int delta);
+  /// Adds a reference to the cut position `pos`, storing `record` if it is
+  /// new; positions at the column edges delimit no piece and are not
+  /// tracked.
+  void AddCutRef(size_t pos, const CutRecord& record);
+
+  /// Drops a reference to `pos`; the last one deletes its record.
+  void DropCutRef(size_t pos);
 
   /// FindCut for callers that hold map_mu_.
   bool FindCutLocked(T v, bool want_incl, size_t* pos);
@@ -352,14 +390,17 @@ class CrackerIndex {
                    const size_t* cuts, size_t num_cuts, IoStats* stats) const;
 
   /// The radix build: scatters src (oids from `base`) into the cracker
-  /// column, registers the range edges and summaries, charges the pass.
+  /// column, registers the range edges with their records, charges the
+  /// pass.
   void PartitionBuild(const T* src, Oid base, IoStats* stats);
 
   void Touch(Bound* b) { b->last_used = clock_++; }
 
   /// A carried partition frontier: the piece [begin, end) is being
   /// partitioned around `pivot`, with [begin, lo) already satisfying the
-  /// predicate, [hi, end) already not, and [lo, hi) open.
+  /// predicate, [hi, end) already not, and [lo, hi) open. `left` and
+  /// `right` reduce [begin, lo) and [hi, end): once the frontier closes
+  /// they are the parts the cut's record comes from.
   struct ProgressiveJob {
     T pivot{};
     bool want_incl = false;
@@ -367,6 +408,8 @@ class CrackerIndex {
     size_t end = 0;
     size_t lo = 0;
     size_t hi = 0;
+    PartReduction left;
+    PartReduction right;
   };
 
   /// Runs one budgeted partition pass on `job` against the cracker column,
@@ -380,28 +423,23 @@ class CrackerIndex {
   /// repartition that piece, which invalidates the frontier's invariant.
   void InvalidateProgressive(size_t begin) { progressive_.erase(begin); }
 
-  /// Integer reduction of the slots from a cut to the later cut `end`
-  /// (0: none kept); exact for as long as `end` is still a cut.
-  struct PieceSummary {
-    size_t end = 0;
-    int64_t sum = 0;  ///< wrapping
-    int64_t min = 0;
-    int64_t max = 0;
-  };
-
-  /// One interior cut position: how many bound sides sit there, and the
-  /// summary kept for the rows starting at it.
+  /// One interior cut position: how many bound sides sit there, and its
+  /// record.
   struct CutRef {
     uint32_t refs = 0;
-    PieceSummary summary;
+    CutRecord record;
   };
 
   std::map<T, Bound> bounds_;
   /// Interior cut positions -> CutRef. Its size is the number of distinct
   /// cuts, so num_pieces() is O(1). Guarded by map_mu_, like bounds_.
   std::map<size_t, CutRef> cut_refs_;
-  /// Summary kept for the rows starting at slot 0 (no cut_refs_ entry).
-  PieceSummary head_summary_;
+  /// The records at positions 0 and n, valid once edges_recorded_: the
+  /// column's min after 0, its sum and max before n. Filled by the first
+  /// pass over the whole column (the radix build or the first crack).
+  /// Guarded like cut_refs_.
+  CutRecord edge_records_[2];
+  bool edges_recorded_ = false;
   /// The keys of cut_refs_ in registration order (see CutsSince). Guarded
   /// like cut_refs_.
   std::vector<size_t> cut_log_;

@@ -11,7 +11,7 @@
 // The pass reads the source three times:
 //   1. min/max (AggregateSpan);
 //   2. a histogram over the ranges that also reduces each range's
-//      (sum, min, max), so the index gets its piece summaries for free;
+//      (sum, min, max), so the index gets its edges' cut records for free;
 //   3. a stable scatter through software write-combining buffers: per range
 //      one cache line of the values array and one of the oids array,
 //      flushed whole with streaming stores once complete, so the scatter

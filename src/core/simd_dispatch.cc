@@ -8,7 +8,9 @@
 // so every tier performs the *same* swap sequence as the scalar reference:
 // identical split, identical permuted layout, identical writes. The tiers
 // differ only in how the 64-bit block predicate is computed (branchless
-// scalar, AVX2 movemask, NEON lane packing).
+// scalar, AVX2 movemask, NEON lane packing) and in how a retired chunk is
+// folded into its part's reduction (equal in every tier: wrapping sums,
+// order-free min/max).
 
 #include "core/simd_dispatch.h"
 
@@ -197,16 +199,160 @@ uint64_t NeonMask64(const T* p, T pivot) {
 
 #endif  // CRACKSTORE_NEON_TIER
 
+// --- part reductions of the bitmap-frontier cracks --------------------------
+// CrackMasked folds a 64-element chunk into its part when the chunk retires:
+// its slots then hold their final values and are still in L1. The scalar
+// suffix folds the rest, so every element is folded exactly once, by the
+// crack's own pass. A LaneAcc keeps per-lane running state between chunks
+// in memory (the partition loop is not compiled for the vector target) and
+// folds its lanes once, at the end.
+
+template <typename T>
+struct LaneAcc {
+  static constexpr size_t kLanes = 32 / sizeof(T);
+  alignas(32) uint64_t sum[4] = {0, 0, 0, 0};
+  alignas(32) T min[kLanes];
+  alignas(32) T max[kLanes];
+  bool any = false;
+
+  LaneAcc() {
+    for (size_t l = 0; l < kLanes; ++l) {
+      min[l] = std::numeric_limits<T>::max();
+      max[l] = std::numeric_limits<T>::lowest();
+    }
+  }
+
+  PartReduction Finish() const {
+    PartReduction out;
+    if constexpr (std::is_integral_v<T>) {
+      if (!any) return out;
+      out.sum = int64_t(sum[0] + sum[1] + sum[2] + sum[3]);
+      for (size_t l = 0; l < kLanes; ++l) {
+        out.min = std::min(out.min, int64_t(min[l]));
+        out.max = std::max(out.max, int64_t(max[l]));
+      }
+    }
+    return out;
+  }
+};
+
+// Fold functions take which extremes to fold: a crack folds the max of the
+// parts left of a cut and the min of the parts right of it, and the outer
+// ones only on request (see simd_dispatch.h).
+
+template <typename T, bool kMin, bool kMax>
+void FoldChunkScalar(const T* p, LaneAcc<T>* acc) {
+  uint64_t s = 0;
+  T mn = p[0], mx = p[0];
+  for (size_t k = 0; k < kChunk; ++k) {
+    s += uint64_t(int64_t(p[k]));
+    if constexpr (kMin) mn = std::min(mn, p[k]);
+    if constexpr (kMax) mx = std::max(mx, p[k]);
+  }
+  acc->sum[0] += s;
+  if constexpr (kMin) acc->min[0] = std::min(acc->min[0], mn);
+  if constexpr (kMax) acc->max[0] = std::max(acc->max[0], mx);
+  acc->any = true;
+}
+
+#if CRACKSTORE_X86
+
+template <bool kMin, bool kMax>
+__attribute__((target("avx2")))
+void Avx2FoldChunkI32(const int32_t* p, LaneAcc<int32_t>* acc) {
+  __m256i s = _mm256_load_si256(reinterpret_cast<const __m256i*>(acc->sum));
+  __m256i mn = _mm256_load_si256(reinterpret_cast<const __m256i*>(acc->min));
+  __m256i mx = _mm256_load_si256(reinterpret_cast<const __m256i*>(acc->max));
+  for (size_t k = 0; k < kChunk; k += 8) {
+    const __m256i v =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + k));
+    if constexpr (kMin) mn = _mm256_min_epi32(mn, v);
+    if constexpr (kMax) mx = _mm256_max_epi32(mx, v);
+    s = _mm256_add_epi64(
+        s, _mm256_add_epi64(
+               _mm256_cvtepi32_epi64(_mm256_castsi256_si128(v)),
+               _mm256_cvtepi32_epi64(_mm256_extracti128_si256(v, 1))));
+  }
+  _mm256_store_si256(reinterpret_cast<__m256i*>(acc->sum), s);
+  _mm256_store_si256(reinterpret_cast<__m256i*>(acc->min), mn);
+  _mm256_store_si256(reinterpret_cast<__m256i*>(acc->max), mx);
+  acc->any = true;
+}
+
+// AVX2 has no 64-bit min/max: compare + blend, in two independent chains
+// so consecutive vectors do not wait on each other's blend.
+template <bool kMin, bool kMax>
+__attribute__((target("avx2")))
+void Avx2FoldChunkI64(const int64_t* p, LaneAcc<int64_t>* acc) {
+  __m256i s0 = _mm256_load_si256(reinterpret_cast<const __m256i*>(acc->sum));
+  __m256i mn0 = _mm256_load_si256(reinterpret_cast<const __m256i*>(acc->min));
+  __m256i mx0 = _mm256_load_si256(reinterpret_cast<const __m256i*>(acc->max));
+  __m256i s1 = _mm256_setzero_si256(), mn1 = mn0, mx1 = mx0;
+  for (size_t k = 0; k < kChunk; k += 8) {
+    const __m256i v0 =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + k));
+    const __m256i v1 =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + k + 4));
+    s0 = _mm256_add_epi64(s0, v0);
+    s1 = _mm256_add_epi64(s1, v1);
+    if constexpr (kMin) {
+      mn0 = _mm256_blendv_epi8(mn0, v0, _mm256_cmpgt_epi64(mn0, v0));
+      mn1 = _mm256_blendv_epi8(mn1, v1, _mm256_cmpgt_epi64(mn1, v1));
+    }
+    if constexpr (kMax) {
+      mx0 = _mm256_blendv_epi8(mx0, v0, _mm256_cmpgt_epi64(v0, mx0));
+      mx1 = _mm256_blendv_epi8(mx1, v1, _mm256_cmpgt_epi64(v1, mx1));
+    }
+  }
+  _mm256_store_si256(reinterpret_cast<__m256i*>(acc->sum),
+                     _mm256_add_epi64(s0, s1));
+  if constexpr (kMin) {
+    _mm256_store_si256(
+        reinterpret_cast<__m256i*>(acc->min),
+        _mm256_blendv_epi8(mn0, mn1, _mm256_cmpgt_epi64(mn0, mn1)));
+  }
+  if constexpr (kMax) {
+    _mm256_store_si256(
+        reinterpret_cast<__m256i*>(acc->max),
+        _mm256_blendv_epi8(mx0, mx1, _mm256_cmpgt_epi64(mx1, mx0)));
+  }
+  acc->any = true;
+}
+
+template <typename T, bool kMin, bool kMax>
+void Avx2FoldChunk(const T* p, LaneAcc<T>* acc) {
+  if constexpr (std::is_same_v<T, int32_t>) {
+    Avx2FoldChunkI32<kMin, kMax>(p, acc);
+  } else if constexpr (std::is_same_v<T, int64_t>) {
+    Avx2FoldChunkI64<kMin, kMax>(p, acc);
+  } else {
+    FoldChunkScalar<T, kMin, kMax>(p, acc);  // unused: double parts stay empty
+  }
+}
+
+#endif  // CRACKSTORE_X86
+
 // Bitmap-frontier Hoare partition. Maintains one 64-element predicate
 // bitmap per frontier (left bits = misplaced !pred, right bits = misplaced
 // pred); pairs lowest-left with highest-right — the exact swap sequence of
 // internal::Partition2 — and retires a chunk when its bitmap drains. The
 // chunks are kept disjoint; once the region between the frontiers dips
 // below one chunk the scalar reference finishes the suffix (Hoare is
-// memoryless, so the suffix swaps are unchanged).
-template <typename T, uint64_t (*MaskFn)(const T*, T), typename C>
-CrackSplit CrackMasked(T* data, Oid* oids, size_t n, T pivot) {
+// memoryless, so the suffix swaps are unchanged). A retired chunk is folded
+// into its part with FoldLeft / FoldRight; without kRight the right part is
+// left empty (crack-in-three's first pass, whose right part the second pass
+// reduces). The suffix folds every extreme; CrackTwoTierAs drops the ones
+// not asked for. The body is always inlined into its tier's entry point, so
+// the AVX2 entry compiles it, mask and fold calls included, for its target.
+template <typename T, uint64_t (*MaskFn)(const T*, T), typename C,
+          void (*FoldLeft)(const T*, LaneAcc<T>*),
+          void (*FoldRight)(const T*, LaneAcc<T>*), bool kRight>
+inline __attribute__((always_inline)) CrackSplit CrackMaskedBody(
+    T* data, Oid* oids, size_t n, T pivot) {
+  constexpr bool kFoldLeft = std::is_integral_v<T>;
+  constexpr bool kFoldRight = kFoldLeft && kRight;
   CrackSplit out;
+  LaneAcc<T> left, right;
   size_t lo = 0, hi = n;         // [0, lo) pred, [hi, n) !pred — retired
   uint64_t lmis = 0, rmis = 0;   // frontier bitmaps (0 = needs refill)
   size_t lbase = 0, rbase = 0;   // absolute base index of each bitmap
@@ -216,14 +362,20 @@ CrackSplit CrackMasked(T* data, Oid* oids, size_t n, T pivot) {
       if (hi - lo < 2 * kChunk) { small = true; break; }
       lmis = ~MaskFn(data + lo, pivot);
       lbase = lo;
-      if (lmis == 0) lo += kChunk;
+      if (lmis == 0) {
+        if constexpr (kFoldLeft) FoldLeft(data + lo, &left);
+        lo += kChunk;
+      }
     }
     if (small) break;
     while (rmis == 0) {
       if (hi - (lbase + kChunk) < kChunk) { small = true; break; }
       rbase = hi - kChunk;
       rmis = MaskFn(data + rbase, pivot);
-      if (rmis == 0) hi = rbase;
+      if (rmis == 0) {
+        if constexpr (kFoldRight) FoldRight(data + rbase, &right);
+        hi = rbase;
+      }
     }
     if (small) break;
     while (lmis != 0 && rmis != 0) {
@@ -234,43 +386,102 @@ CrackSplit CrackMasked(T* data, Oid* oids, size_t n, T pivot) {
       lmis &= lmis - 1;
       rmis ^= uint64_t{1} << tb;
     }
-    if (lmis == 0) lo = lbase + kChunk;  // chunk is now all-pred
-    if (rmis == 0) hi = rbase;           // chunk is now all-!pred
+    if (lmis == 0) {  // chunk is now all-pred
+      if constexpr (kFoldLeft) FoldLeft(data + lbase, &left);
+      lo = lbase + kChunk;
+    }
+    if (rmis == 0) {  // chunk is now all-!pred
+      if constexpr (kFoldRight) FoldRight(data + rbase, &right);
+      hi = rbase;
+    }
   }
   // Note: while a frontier bitmap is live its base equals the retire
-  // cursor, so [lo, hi) always covers every unretired element.
+  // cursor, so [lo, hi) always covers every unretired (and unfolded)
+  // element.
   CrackSplit tail = internal::Partition2(
       data + lo, oids != nullptr ? oids + lo : nullptr, hi - lo,
       [pivot](T v) { return C::Pred(v, pivot); });
   out.split = lo + tail.split;
   out.writes += tail.writes;
+  out.parts[0] = left.Finish();
+  out.parts[0].Merge(tail.parts[0]);
+  if constexpr (kRight) {
+    out.parts[1] = right.Finish();
+    out.parts[1].Merge(tail.parts[1]);
+  }
+  return out;
+}
+
+// Left chunks always fold the max, right chunks the min; kLeftMin and
+// kRightMax add the outer extremes.
+template <typename T, uint64_t (*MaskFn)(const T*, T), typename C,
+          bool kLeftMin, bool kRight, bool kRightMax>
+CrackSplit CrackMasked(T* data, Oid* oids, size_t n, T pivot) {
+  return CrackMaskedBody<T, MaskFn, C, FoldChunkScalar<T, kLeftMin, true>,
+                         FoldChunkScalar<T, true, kRightMax>, kRight>(
+      data, oids, n, pivot);
+}
+
+#if CRACKSTORE_X86
+template <typename T, typename C, bool kLeftMin, bool kRight, bool kRightMax>
+__attribute__((target("avx2"))) CrackSplit CrackMaskedAvx2(T* data, Oid* oids,
+                                                          size_t n, T pivot) {
+  return CrackMaskedBody<T, Avx2Mask64<T, C>, C,
+                         Avx2FoldChunk<T, kLeftMin, true>,
+                         Avx2FoldChunk<T, true, kRightMax>, kRight>(
+      data, oids, n, pivot);
+}
+#endif
+
+// One crack-in-two in `tier`. NEON folds retired chunks with the portable
+// loop (the compiler vectorizes it); its reductions are the same values by
+// construction. Without kRight the right part is not reduced at all. The
+// extremes not asked for are reset to the identities, so every tier reports
+// the same values whatever it folded on the way.
+template <typename T, typename C, bool kLeftMin, bool kRight, bool kRightMax>
+CrackSplit CrackTwoTierAs(T* data, Oid* oids, size_t n, T pivot,
+                          SimdTier tier) {
+  CrackSplit out;
+  switch (tier) {
+    case SimdTier::kScalar:
+      out = internal::Partition2(data, oids, n, [pivot](T v) {
+        return C::Pred(v, pivot);
+      });
+      break;
+#if CRACKSTORE_X86
+    case SimdTier::kAvx2:
+      out = CrackMaskedAvx2<T, C, kLeftMin, kRight, kRightMax>(data, oids, n,
+                                                              pivot);
+      break;
+#endif
+#if CRACKSTORE_NEON_TIER
+    case SimdTier::kNeon:
+      out = CrackMasked<T, NeonMask64<T, C>, C, kLeftMin, kRight, kRightMax>(
+          data, oids, n, pivot);
+      break;
+#endif
+    default:
+      out = CrackMasked<T, PredicatedMask64<T, C>, C, kLeftMin, kRight,
+                        kRightMax>(data, oids, n, pivot);
+      break;
+  }
+  if constexpr (!kLeftMin) out.parts[0].min = PartReduction{}.min;
+  if constexpr (!kRight) {
+    out.parts[1] = PartReduction{};
+  } else if constexpr (!kRightMax) {
+    out.parts[1].max = PartReduction{}.max;
+  }
   return out;
 }
 
 template <typename T, typename C>
-CrackSplit CrackTwoTier(T* data, Oid* oids, size_t n, T pivot,
-                        SimdTier tier) {
-  switch (tier) {
-    case SimdTier::kScalar:
-      return internal::Partition2(data, oids, n, [pivot](T v) {
-        return C::Pred(v, pivot);
-      });
-    case SimdTier::kAvx2:
-#if CRACKSTORE_X86
-      return CrackMasked<T, Avx2Mask64<T, C>, C>(data, oids, n, pivot);
-#else
-      break;
-#endif
-    case SimdTier::kNeon:
-#if CRACKSTORE_NEON_TIER
-      return CrackMasked<T, NeonMask64<T, C>, C>(data, oids, n, pivot);
-#else
-      break;
-#endif
-    case SimdTier::kPredicated:
-      break;
-  }
-  return CrackMasked<T, PredicatedMask64<T, C>, C>(data, oids, n, pivot);
+CrackSplit CrackTwoTier(T* data, Oid* oids, size_t n, T pivot, SimdTier tier,
+                        bool outer_extremes) {
+  return outer_extremes
+             ? CrackTwoTierAs<T, C, true, true, true>(data, oids, n, pivot,
+                                                      tier)
+             : CrackTwoTierAs<T, C, false, true, false>(data, oids, n, pivot,
+                                                        tier);
 }
 
 template <typename T, uint64_t (*LtFn)(const T*, T),
@@ -413,39 +624,64 @@ SpanAggregates Avx2AggI32(const int32_t* p, size_t n, const uint64_t* bm) {
   return out;
 }
 
+// Folds one 4-lane block into the running sum/min/max; masked-off lanes
+// (sel clear) leave min/max alone and add 0. AVX2 has no 64-bit min/max:
+// compare + blend.
+__attribute__((target("avx2"))) inline void Avx2AggI64Block(
+    __m256i v, const uint64_t* bm, size_t i, uint64_t* count, __m256i* sum,
+    __m256i* mn, __m256i* mx) {
+  __m256i vmin = v, vmax = v;
+  if (bm != nullptr) {
+    const __m256i lane_bits = _mm256_setr_epi64x(1, 2, 4, 8);
+    uint32_t m4 = uint32_t(bm[i >> 6] >> (i & 63)) & 0xFu;
+    __m256i sel = _mm256_cmpeq_epi64(
+        _mm256_and_si256(_mm256_set1_epi64x(int64_t(m4)), lane_bits),
+        lane_bits);
+    *count += uint64_t(__builtin_popcount(m4));
+    vmin = _mm256_blendv_epi8(*mn, v, sel);
+    vmax = _mm256_blendv_epi8(*mx, v, sel);
+    v = _mm256_and_si256(v, sel);
+  } else {
+    *count += 4;
+  }
+  *mn = _mm256_blendv_epi8(*mn, vmin, _mm256_cmpgt_epi64(*mn, vmin));
+  *mx = _mm256_blendv_epi8(*mx, vmax, _mm256_cmpgt_epi64(vmax, *mx));
+  *sum = _mm256_add_epi64(*sum, v);
+}
+
+// Two independent accumulator sets (blocks at i and i + 4), so one block's
+// compare-and-blend does not wait on the previous block's.
 __attribute__((target("avx2")))
 SpanAggregates Avx2AggI64(const int64_t* p, size_t n, const uint64_t* bm) {
   SpanAggregates out;
-  __m256i sum = _mm256_setzero_si256();
-  __m256i mn = _mm256_set1_epi64x(std::numeric_limits<int64_t>::max());
-  __m256i mx = _mm256_set1_epi64x(std::numeric_limits<int64_t>::min());
-  const __m256i lane_bits = _mm256_setr_epi64x(1, 2, 4, 8);
+  __m256i sum0 = _mm256_setzero_si256(), sum1 = sum0;
+  __m256i mn0 = _mm256_set1_epi64x(std::numeric_limits<int64_t>::max());
+  __m256i mx0 = _mm256_set1_epi64x(std::numeric_limits<int64_t>::min());
+  __m256i mn1 = mn0, mx1 = mx0;
   size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + i));
-    __m256i vmin = v, vmax = v;
-    if (bm != nullptr) {
-      uint32_t m4 = uint32_t(bm[i >> 6] >> (i & 63)) & 0xFu;
-      __m256i sel = _mm256_cmpeq_epi64(
-          _mm256_and_si256(_mm256_set1_epi64x(int64_t(m4)), lane_bits),
-          lane_bits);
-      out.count += uint64_t(__builtin_popcount(m4));
-      vmin = _mm256_blendv_epi8(mn, v, sel);
-      vmax = _mm256_blendv_epi8(mx, v, sel);
-      v = _mm256_and_si256(v, sel);
-    } else {
-      out.count += 4;
-    }
-    // AVX2 has no 64-bit min/max: compare + blend.
-    mn = _mm256_blendv_epi8(mn, vmin, _mm256_cmpgt_epi64(mn, vmin));
-    mx = _mm256_blendv_epi8(mx, vmax, _mm256_cmpgt_epi64(vmax, mx));
-    sum = _mm256_add_epi64(sum, v);
+  for (; i + 8 <= n; i += 8) {
+    Avx2AggI64Block(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + i)), bm, i,
+        &out.count, &sum0, &mn0, &mx0);
+    Avx2AggI64Block(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + i + 4)), bm,
+        i + 4, &out.count, &sum1, &mn1, &mx1);
+  }
+  if (i + 4 <= n) {
+    Avx2AggI64Block(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + i)), bm, i,
+        &out.count, &sum0, &mn0, &mx0);
+    i += 4;
   }
   alignas(32) int64_t s4[4], mn4[4], mx4[4];
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(s4), sum);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(mn4), mn);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(mx4), mx);
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(s4),
+                      _mm256_add_epi64(sum0, sum1));
+  _mm256_storeu_si256(
+      reinterpret_cast<__m256i*>(mn4),
+      _mm256_blendv_epi8(mn0, mn1, _mm256_cmpgt_epi64(mn0, mn1)));
+  _mm256_storeu_si256(
+      reinterpret_cast<__m256i*>(mx4),
+      _mm256_blendv_epi8(mx0, mx1, _mm256_cmpgt_epi64(mx1, mx0)));
   uint64_t s =
       uint64_t(s4[0]) + uint64_t(s4[1]) + uint64_t(s4[2]) + uint64_t(s4[3]);
   int64_t mnv = mn4[0], mxv = mx4[0];
@@ -635,36 +871,66 @@ void BitmapFill(uint64_t* bm, size_t n) {
 
 template <typename T>
 CrackSplit CrackInTwoLtTier(T* data, Oid* oids, size_t n, T pivot,
-                            SimdTier tier) {
-  return CrackTwoTier<T, CmpLt>(data, oids, n, pivot, tier);
+                            SimdTier tier, bool outer_extremes) {
+  return CrackTwoTier<T, CmpLt>(data, oids, n, pivot, tier, outer_extremes);
 }
 
 template <typename T>
 CrackSplit CrackInTwoLeTier(T* data, Oid* oids, size_t n, T pivot,
-                            SimdTier tier) {
-  return CrackTwoTier<T, CmpLe>(data, oids, n, pivot, tier);
+                            SimdTier tier, bool outer_extremes) {
+  return CrackTwoTier<T, CmpLe>(data, oids, n, pivot, tier, outer_extremes);
 }
 
-template <typename T>
-Crack3Split CrackInThreeTier(T* data, Oid* oids, size_t n, T lo, bool lo_incl,
-                             T hi, bool hi_incl, SimdTier tier) {
-  if (tier == SimdTier::kScalar) {
-    return CrackInThreeScalar(data, oids, n, lo, lo_incl, hi, hi_incl);
-  }
-  // Two crack-in-two passes: split off `below`, then split the remainder at
-  // the upper boundary. Same split positions as the single-pass DNF.
+// The two passes of a vector-tier crack-in-three: split off `below` (its
+// min folded only if kOuter; the remainder left unreduced, since the
+// second pass reduces it), then split the remainder at the upper boundary
+// (the middle part's min always, the upper part's max only if kOuter).
+template <typename T, bool kOuter>
+Crack3Split CrackThreeTwoPass(T* data, Oid* oids, size_t n, T lo,
+                              bool lo_incl, T hi, bool hi_incl,
+                              SimdTier tier) {
   Crack3Split out;
-  CrackSplit below = lo_incl ? CrackInTwoLtTier(data, oids, n, lo, tier)
-                             : CrackInTwoLeTier(data, oids, n, lo, tier);
+  CrackSplit below =
+      lo_incl ? CrackTwoTierAs<T, CmpLt, kOuter, false, false>(data, oids, n,
+                                                               lo, tier)
+              : CrackTwoTierAs<T, CmpLe, kOuter, false, false>(data, oids, n,
+                                                               lo, tier);
   out.first = below.split;
   T* mid = data + below.split;
   Oid* mid_oids = oids != nullptr ? oids + below.split : nullptr;
   size_t rest = n - below.split;
-  CrackSplit upper = hi_incl ? CrackInTwoLeTier(mid, mid_oids, rest, hi, tier)
-                             : CrackInTwoLtTier(mid, mid_oids, rest, hi, tier);
+  CrackSplit upper =
+      hi_incl ? CrackTwoTierAs<T, CmpLe, true, true, kOuter>(mid, mid_oids,
+                                                             rest, hi, tier)
+              : CrackTwoTierAs<T, CmpLt, true, true, kOuter>(mid, mid_oids,
+                                                             rest, hi, tier);
   out.second = below.split + upper.split;
   out.writes = below.writes + upper.writes;
+  out.parts[0] = below.parts[0];
+  out.parts[1] = upper.parts[0];
+  out.parts[2] = upper.parts[1];
   return out;
+}
+
+template <typename T>
+Crack3Split CrackInThreeTier(T* data, Oid* oids, size_t n, T lo, bool lo_incl,
+                             T hi, bool hi_incl, SimdTier tier,
+                             bool outer_extremes) {
+  if (tier == SimdTier::kScalar) {
+    Crack3Split out =
+        CrackInThreeScalar(data, oids, n, lo, lo_incl, hi, hi_incl);
+    if (!outer_extremes) {
+      out.parts[0].min = PartReduction{}.min;
+      out.parts[2].max = PartReduction{}.max;
+    }
+    return out;
+  }
+  // Two crack-in-two passes: same split positions as the single-pass DNF.
+  return outer_extremes
+             ? CrackThreeTwoPass<T, true>(data, oids, n, lo, lo_incl, hi,
+                                          hi_incl, tier)
+             : CrackThreeTwoPass<T, false>(data, oids, n, lo, lo_incl, hi,
+                                           hi_incl, tier);
 }
 
 template <typename T>
@@ -719,23 +985,26 @@ SpanAggregates AggregateSpanMaskedTier(const T* data, size_t n,
 }
 
 template CrackSplit CrackInTwoLtTier<int32_t>(int32_t*, Oid*, size_t, int32_t,
-                                              SimdTier);
+                                              SimdTier, bool);
 template CrackSplit CrackInTwoLtTier<int64_t>(int64_t*, Oid*, size_t, int64_t,
-                                              SimdTier);
+                                              SimdTier, bool);
 template CrackSplit CrackInTwoLtTier<double>(double*, Oid*, size_t, double,
-                                             SimdTier);
+                                             SimdTier, bool);
 template CrackSplit CrackInTwoLeTier<int32_t>(int32_t*, Oid*, size_t, int32_t,
-                                              SimdTier);
+                                              SimdTier, bool);
 template CrackSplit CrackInTwoLeTier<int64_t>(int64_t*, Oid*, size_t, int64_t,
-                                              SimdTier);
+                                              SimdTier, bool);
 template CrackSplit CrackInTwoLeTier<double>(double*, Oid*, size_t, double,
-                                             SimdTier);
+                                             SimdTier, bool);
 template Crack3Split CrackInThreeTier<int32_t>(int32_t*, Oid*, size_t, int32_t,
-                                               bool, int32_t, bool, SimdTier);
+                                               bool, int32_t, bool, SimdTier,
+                                               bool);
 template Crack3Split CrackInThreeTier<int64_t>(int64_t*, Oid*, size_t, int64_t,
-                                               bool, int64_t, bool, SimdTier);
+                                               bool, int64_t, bool, SimdTier,
+                                               bool);
 template Crack3Split CrackInThreeTier<double>(double*, Oid*, size_t, double,
-                                              bool, double, bool, SimdTier);
+                                              bool, double, bool, SimdTier,
+                                              bool);
 template void RangeMatchMask<int32_t>(const int32_t*, size_t, bool, int32_t,
                                       bool, bool, int32_t, bool, uint64_t*,
                                       SimdTier);

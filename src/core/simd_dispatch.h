@@ -28,18 +28,50 @@
 #ifndef CRACKSTORE_CORE_SIMD_DISPATCH_H_
 #define CRACKSTORE_CORE_SIMD_DISPATCH_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <string>
 
 #include "storage/types.h"
 
 namespace crackstore {
 
+/// The reduction of one part a crack kernel wrote: the wrapping sum, the
+/// min and the max of its values, folded by the same pass that places them.
+/// An empty part keeps the identities, so parts fold without a count.
+/// Integer kernels fill it identically in every tier (the sum wraps, min and
+/// max are order-free); double kernels leave it empty, since a double sum
+/// depends on the order of addition.
+struct PartReduction {
+  int64_t sum = 0;
+  int64_t min = std::numeric_limits<int64_t>::max();
+  int64_t max = std::numeric_limits<int64_t>::min();
+
+  void Add(int64_t v) {
+    sum = static_cast<int64_t>(static_cast<uint64_t>(sum) +
+                               static_cast<uint64_t>(v));
+    min = std::min(min, v);
+    max = std::max(max, v);
+  }
+  void Merge(const PartReduction& o) {
+    sum = static_cast<int64_t>(static_cast<uint64_t>(sum) +
+                               static_cast<uint64_t>(o.sum));
+    min = std::min(min, o.min);
+    max = std::max(max, o.max);
+  }
+  bool operator==(const PartReduction& o) const {
+    return sum == o.sum && min == o.min && max == o.max;
+  }
+};
+
 /// Outcome of a two-way crack.
 struct CrackSplit {
   size_t split = 0;      ///< first index of the right-hand partition
   uint64_t writes = 0;   ///< tuple writes performed (2 per swap)
+  /// [0, split) and [split, n); see "Part reductions" below.
+  PartReduction parts[2];
 };
 
 /// Outcome of a three-way crack.
@@ -47,6 +79,8 @@ struct Crack3Split {
   size_t first = 0;      ///< first index of the middle partition
   size_t second = 0;     ///< first index of the upper partition
   uint64_t writes = 0;   ///< tuple writes performed
+  /// [0, first), [first, second) and [second, n).
+  PartReduction parts[3];
 };
 
 /// Kernel implementation tiers, ordered by ambition.
@@ -80,15 +114,26 @@ SimdTier ActiveSimdTier();
 // crack_kernels.h guarantee this, tests should check before forcing.
 // ---------------------------------------------------------------------------
 
+// Part reductions. Every crack kernel returns the PartReduction of each part
+// it wrote, equal in every tier: the sum of every part, the max of every
+// part but the last and the min of every part but the first. Those are what
+// a cut's record needs (the max left of it, the min right of it). The
+// *outer* extremes — the min of the first part, the max of the last — are
+// the extremes of the whole piece, which the records at its two ends
+// already hold; a crack folds them only when `outer_extremes` asks (the
+// column's first pass), and leaves them at the identities otherwise. AVX2
+// has no 64-bit min/max: each int64 extreme costs a compare per vector, as
+// much as the partition's own predicate, so each one skipped matters.
+
 /// Partitions so values `< pivot` come first; split = first index >= pivot.
 template <typename T>
 CrackSplit CrackInTwoLtTier(T* data, Oid* oids, size_t n, T pivot,
-                            SimdTier tier);
+                            SimdTier tier, bool outer_extremes = true);
 
 /// Partitions so values `<= pivot` come first; split = first index > pivot.
 template <typename T>
 CrackSplit CrackInTwoLeTier(T* data, Oid* oids, size_t n, T pivot,
-                            SimdTier tier);
+                            SimdTier tier, bool outer_extremes = true);
 
 /// Three-way partition into [ below | middle | above ]. The scalar tier is
 /// the single-pass Dutch-national-flag reference; vector tiers run two
@@ -98,7 +143,8 @@ CrackSplit CrackInTwoLeTier(T* data, Oid* oids, size_t n, T pivot,
 /// vector tiers agree bit-for-bit with each other).
 template <typename T>
 Crack3Split CrackInThreeTier(T* data, Oid* oids, size_t n, T lo, bool lo_incl,
-                             T hi, bool hi_incl, SimdTier tier);
+                             T hi, bool hi_incl, SimdTier tier,
+                             bool outer_extremes = true);
 
 // ---------------------------------------------------------------------------
 // Bitmap utilities. Producers zero the tail bits of the last word, so
@@ -195,26 +241,26 @@ inline SpanAggregates AggregateSpanMasked(const T* data, size_t n,
 }
 
 extern template CrackSplit CrackInTwoLtTier<int32_t>(int32_t*, Oid*, size_t,
-                                                     int32_t, SimdTier);
+                                                     int32_t, SimdTier, bool);
 extern template CrackSplit CrackInTwoLtTier<int64_t>(int64_t*, Oid*, size_t,
-                                                     int64_t, SimdTier);
+                                                     int64_t, SimdTier, bool);
 extern template CrackSplit CrackInTwoLtTier<double>(double*, Oid*, size_t,
-                                                    double, SimdTier);
+                                                    double, SimdTier, bool);
 extern template CrackSplit CrackInTwoLeTier<int32_t>(int32_t*, Oid*, size_t,
-                                                     int32_t, SimdTier);
+                                                     int32_t, SimdTier, bool);
 extern template CrackSplit CrackInTwoLeTier<int64_t>(int64_t*, Oid*, size_t,
-                                                     int64_t, SimdTier);
+                                                     int64_t, SimdTier, bool);
 extern template CrackSplit CrackInTwoLeTier<double>(double*, Oid*, size_t,
-                                                    double, SimdTier);
+                                                    double, SimdTier, bool);
 extern template Crack3Split CrackInThreeTier<int32_t>(int32_t*, Oid*, size_t,
                                                       int32_t, bool, int32_t,
-                                                      bool, SimdTier);
+                                                      bool, SimdTier, bool);
 extern template Crack3Split CrackInThreeTier<int64_t>(int64_t*, Oid*, size_t,
                                                       int64_t, bool, int64_t,
-                                                      bool, SimdTier);
+                                                      bool, SimdTier, bool);
 extern template Crack3Split CrackInThreeTier<double>(double*, Oid*, size_t,
                                                      double, bool, double,
-                                                     bool, SimdTier);
+                                                     bool, SimdTier, bool);
 extern template void RangeMatchMask<int32_t>(const int32_t*, size_t, bool,
                                              int32_t, bool, bool, int32_t,
                                              bool, uint64_t*, SimdTier);

@@ -285,14 +285,15 @@ Status AdaptiveStore::ApplyWalCommit(const durability::WalCommit& commit) {
 }
 
 Status AdaptiveStore::Checkpoint() {
+  // Quiesce: base columns must not move while their images stream out. With
+  // the global lock held exclusively no statement can run, and with no
+  // transaction open none can commit mid-copy. (It also orders this read
+  // of wal_ after any other checkpoint's swap.)
+  std::unique_lock<std::shared_mutex> g(global_mu_);
   if (wal_ == nullptr) {
     return Status::InvalidArgument(
         "not a durable store (open with DurabilityMode::kWal)");
   }
-  // Quiesce: base columns must not move while their images stream out. With
-  // the global lock held exclusively no statement can run, and with no
-  // transaction open none can commit mid-copy.
-  std::unique_lock<std::shared_mutex> g(global_mu_);
   if (txn_mgr_.active_count() > 0) {
     return Status::Aborted("checkpoint requires no active transactions");
   }
@@ -301,7 +302,16 @@ Status AdaptiveStore::Checkpoint() {
 
 Status AdaptiveStore::CheckpointLocked() {
   const std::string& db_dir = options_.path;
-  Snapshot snap = txn_mgr_.LatestSnapshot();
+  Snapshot snap;
+  {
+    // Under commit_mu_, like ReadSnapshot: a commit retired before the
+    // quiesce check may still be stamping and logging. Waiting for it puts
+    // its rows in the image and its record in the segment this checkpoint
+    // retires; no later commit can log until the new segment is in place
+    // (a writing transaction would have failed the quiesce check).
+    std::lock_guard<std::mutex> cl(commit_mu_);
+    snap = txn_mgr_.LatestSnapshot();
+  }
   std::vector<std::shared_ptr<Relation>> pinned;
   std::vector<durability::TableSnapshot> snapshots;
   for (const std::string& name : TableNames()) {
@@ -359,7 +369,12 @@ Status AdaptiveStore::CheckpointLocked() {
           options_.fsync_policy, options_.fsync_interval_seconds,
           /*next_lsn=*/1, /*append_offset=*/0));
   CRACK_RETURN_NOT_OK(durability::WriteManifest(db_dir, next));
-  wal_ = std::move(next_wal);
+  {
+    // Commits read wal_ under commit_mu_; one still making its record
+    // durable holds its own reference to the sealed writer.
+    std::lock_guard<std::mutex> cl(commit_mu_);
+    wal_ = std::move(next_wal);
+  }
   manifest_ = next;
   // The old generation is unreachable now; its log is truncated away whole
   // (every commit it held is inside the checkpoint).
@@ -402,13 +417,15 @@ Status AdaptiveStore::Close() {
 void AdaptiveStore::MaybeRunMaintenance() {
   uint64_t vacuum_threshold = 0;
   uint64_t ckpt_bytes = 0;
+  bool durable = false;
   {
     // Released before Vacuum or Checkpoint takes the latch exclusively.
     std::shared_lock<std::shared_mutex> g(global_mu_);
     vacuum_threshold = options_.autovacuum_version_threshold;
     ckpt_bytes = options_.checkpoint_interval_bytes;
+    durable = options_.durability == DurabilityMode::kWal;
   }
-  const bool checkpointing = wal_ != nullptr && ckpt_bytes > 0;
+  const bool checkpointing = durable && ckpt_bytes > 0;
   if (vacuum_threshold == 0 && !checkpointing) return;
   // Amortize: the triggers read registry-wide counters, so probe them every
   // few commits rather than on each one.
@@ -436,7 +453,13 @@ void AdaptiveStore::MaybeRunMaintenance() {
       }
     }
   }
-  if (checkpointing && wal_->file_bytes() >= ckpt_bytes &&
+  uint64_t log_bytes = 0;
+  if (checkpointing) {
+    // Another thread's checkpoint may be swapping the writer.
+    std::lock_guard<std::mutex> cl(commit_mu_);
+    log_bytes = wal_->file_bytes();
+  }
+  if (checkpointing && log_bytes >= ckpt_bytes &&
       txn_mgr_.active_count() == 0) {
     Status st = Checkpoint();  // best effort; Aborted just means "later"
     (void)st;

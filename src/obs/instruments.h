@@ -137,8 +137,8 @@ void RecordMaterializedOids(uint64_t rows);
 void RecordBaseRows(uint64_t rows);
 
 /// `rows` answered by a pushed-down aggregate instead of a
-/// materialize-then-loop pass; `summary_rows` of them came from piece
-/// summaries rather than a kernel.
+/// materialize-then-loop pass; `summary_rows` of them came from cut records
+/// without being read.
 void RecordAggPushdown(uint64_t rows, uint64_t summary_rows);
 
 /// One dispatched crack kernel call on the given SimdTier (0..3).

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "core/cracker_index.h"
+#include "core/updatable_cracker_index.h"
 #include "util/rng.h"
 #include "workload/tapestry.h"
 
@@ -430,158 +431,229 @@ INSTANTIATE_TEST_SUITE_P(
         SweepCase{500, 1, 6, 40}));        // two-valued column
 
 // ---------------------------------------------------------------------------
-// Piece summaries: ReducePieces over any two registered cuts must equal a
-// direct reduction of the same slots, through random cracks, point cuts and
-// fusions, and a repeated call may only rescan rows of small pieces.
+// Cut records: every cut position — and 0 and n once the column's first pass
+// ran — keeps P(p), the max of [0, p) and the min of [p, n), filled by the
+// pass that made it. Through random crack-in-two, crack-in-three, point
+// cuts, progressive cuts, fusions, radix builds and delta merges, Validate()
+// rechecks every record, and ReducePieces over any [begin, end) equals a
+// direct reduction while reading exactly the partial pieces at its edges:
+// no row at all when both ends are record positions.
 // ---------------------------------------------------------------------------
 
+/// The rows ReducePieces(begin, end) must read on an index whose first pass
+/// ran: those outside the first and the last record position (a cut, 0 or
+/// n) inside [begin, end), or all of them when there are not two.
 template <typename T>
-class PieceSummaryTest : public ::testing::Test {};
-using SummaryTypes = ::testing::Types<int32_t, int64_t>;
-TYPED_TEST_SUITE(PieceSummaryTest, SummaryTypes);
+size_t EdgeRows(const CrackerIndex<T>& index, size_t begin, size_t end) {
+  std::vector<size_t> at = {0, index.size()};
+  for (const CrackBound<T>& b : index.Bounds()) {
+    if (b.has_excl) at.push_back(b.pos_excl);
+    if (b.has_incl) at.push_back(b.pos_incl);
+  }
+  size_t first = index.size() + 1;
+  size_t last = 0;
+  for (size_t p : at) {
+    if (p < begin || p > end) continue;
+    first = std::min(first, p);
+    last = std::max(last, p);
+  }
+  return first < last ? (first - begin) + (end - last) : end - begin;
+}
 
-TYPED_TEST(PieceSummaryTest, ReducePiecesMatchesDirectReduction) {
+/// ReducePieces(begin, end) against the scalar reduction of the same slots,
+/// and its rows read against EdgeRows.
+template <typename T>
+void ExpectRecordReduction(CrackerIndex<T>* index, size_t begin, size_t end) {
+  const T* slots = index->values()->template TailData<T>();
+  const SpanAggregates want =
+      AggregateSpanTier(slots + begin, end - begin, SimdTier::kScalar);
+  size_t read = 0;
+  const SpanAggregates got = index->ReducePieces(begin, end, &read);
+  ASSERT_EQ(got.count, want.count) << "[" << begin << "," << end << ")";
+  ASSERT_EQ(got.sum_i, want.sum_i) << "[" << begin << "," << end << ")";
+  if (want.count > 0) {
+    ASSERT_EQ(got.min_i, want.min_i) << "[" << begin << "," << end << ")";
+    ASSERT_EQ(got.max_i, want.max_i) << "[" << begin << "," << end << ")";
+  }
+  ASSERT_EQ(read, EdgeRows(*index, begin, end))
+      << "[" << begin << "," << end << ")";
+}
+
+template <typename T>
+class CutRecordTest : public ::testing::Test {};
+using RecordTypes = ::testing::Types<int32_t, int64_t>;
+TYPED_TEST_SUITE(CutRecordTest, RecordTypes);
+
+TYPED_TEST(CutRecordTest, ReducePiecesMatchesDirectReduction) {
   using T = TypeParam;
-  const size_t kMin = CrackerIndex<T>::kSummaryMinRows;
   const int64_t kMax = std::numeric_limits<T>::max();
   // Shapes: spread values, a duplicate-heavy column, and values at the top
-  // of the domain (the int64 sums wrap).
+  // of the domain (the int64 sums wrap); each over a copy and a radix build.
   for (int shape = 0; shape < 3; ++shape) {
-    SCOPED_TRACE("shape " + std::to_string(shape));
-    Pcg32 rng(1400 + shape + sizeof(T));
-    const size_t n = 10 * kMin + rng.NextBounded(static_cast<uint32_t>(kMin));
-    const int64_t width = shape == 1 ? 40 : static_cast<int64_t>(4 * n);
-    const int64_t low = shape == 2 ? kMax - width : -width / 2;
-    std::vector<T> data(n);
-    for (T& v : data) v = static_cast<T>(low + rng.NextInRange(0, width));
-    CrackerIndex<T> index(Bat::FromVector(data, "col"));
-    const T* slots = index.values()->template TailData<T>();
-    auto random_value = [&] {
-      return static_cast<T>(low + rng.NextInRange(-2, width + 2));
-    };
-
-    for (int step = 0; step < 80; ++step) {
-      const uint32_t op = rng.NextBounded(10);
-      if (op < 4) {
-        T a = random_value();
-        T b = random_value();
-        (void)index.Select(std::min(a, b), rng.NextBounded(2) == 0,
-                           std::max(a, b), rng.NextBounded(2) == 0);
-      } else if (op < 6) {
-        // Both an exclusive and an inclusive cut on one value.
-        (void)index.SelectEquals(data[rng.NextBounded(static_cast<uint32_t>(n))]);
-      } else if (op < 8) {
-        (void)index.SelectLessThan(random_value(), rng.NextBounded(2) == 0);
-      } else {
-        // Fuse pieces, then re-crack near the dropped boundary.
-        std::vector<CrackBound<T>> bounds = index.Bounds();
-        if (bounds.empty()) continue;
-        const T v =
-            bounds[rng.NextBounded(static_cast<uint32_t>(bounds.size()))].value;
-        ASSERT_TRUE(index.RemoveBound(v).ok());
-        if (rng.NextBounded(2) == 0) {
-          (void)index.SelectLessThan(v, rng.NextBounded(2) == 0);
-        }
+    for (int bits : {0, 4}) {
+      SCOPED_TRACE("shape " + std::to_string(shape) + " bits " +
+                   std::to_string(bits));
+      Pcg32 rng(1400 + shape + sizeof(T) + 10 * bits);
+      const size_t n = 12000 + rng.NextBounded(4096);
+      const int64_t width = shape == 1 ? 40 : static_cast<int64_t>(4 * n);
+      const int64_t low = shape == 2 ? kMax - width : -width / 2;
+      std::vector<T> data(n);
+      for (T& v : data) v = static_cast<T>(low + rng.NextInRange(0, width));
+      auto random_value = [&] {
+        return static_cast<T>(low + rng.NextInRange(-2, width + 2));
+      };
+      CrackerIndexOptions opts;
+      opts.partition_bits = bits;
+      UpdatableCrackerIndex<T> updatable(Bat::FromVector(data, "col"),
+                                         nullptr, opts);
+      if (bits == 0) {
+        // Nothing is recorded before the first pass: a reduction scans.
+        size_t read = 0;
+        (void)updatable.mutable_index()->ReducePieces(0, n, &read);
+        EXPECT_EQ(read, n);
+        (void)updatable.mutable_index()->SelectLessThan(random_value(), true);
       }
-      ASSERT_TRUE(index.Validate().ok()) << "step " << step;
-
-      std::vector<size_t> cuts = {0, n};
-      for (const CrackBound<T>& b : index.Bounds()) {
-        if (b.has_excl) cuts.push_back(b.pos_excl);
-        if (b.has_incl) cuts.push_back(b.pos_incl);
-      }
-      std::vector<CrackPiece<T>> pieces = index.Pieces();
-      for (int pair = 0; pair < 6; ++pair) {
-        size_t a = cuts[rng.NextBounded(static_cast<uint32_t>(cuts.size()))];
-        size_t b = cuts[rng.NextBounded(static_cast<uint32_t>(cuts.size()))];
-        if (a > b) std::swap(a, b);
-        const SpanAggregates want =
-            AggregateSpanTier(slots + a, b - a, SimdTier::kScalar);
-        size_t small_rows = 0;
-        for (const CrackPiece<T>& p : pieces) {
-          if (p.begin >= a && p.end <= b && p.size() < kMin) {
-            small_rows += p.size();
+      std::vector<bool> deleted(n, false);
+      Oid next_oid = n;
+      for (int step = 0; step < 60; ++step) {
+        CrackerIndex<T>* index = updatable.mutable_index();
+        const uint32_t op = rng.NextBounded(12);
+        if (op < 3) {
+          // Crack-in-three when no bound lies inside, two cuts otherwise.
+          T a = random_value();
+          T b = random_value();
+          (void)index->Select(std::min(a, b), rng.NextBounded(2) == 0,
+                              std::max(a, b), rng.NextBounded(2) == 0);
+        } else if (op < 5) {
+          // Both an exclusive and an inclusive cut on one value.
+          (void)index->SelectEquals(
+              data[rng.NextBounded(static_cast<uint32_t>(n))]);
+        } else if (op < 7) {
+          (void)index->SelectLessThan(random_value(), rng.NextBounded(2) == 0);
+        } else if (op < 8) {
+          // A budgeted cut completes over several passes.
+          const T v = random_value();
+          const bool incl = rng.NextBounded(2) == 0;
+          for (int pass = 0; pass < 4; ++pass) {
+            if (index->CutProgressive(v, incl, 256).exact) break;
           }
+        } else if (op < 10) {
+          // Fuse pieces, then re-crack near the dropped boundary.
+          std::vector<CrackBound<T>> bounds = index->Bounds();
+          if (bounds.empty()) continue;
+          const T v = bounds[rng.NextBounded(static_cast<uint32_t>(
+                                 bounds.size()))]
+                          .value;
+          ASSERT_TRUE(index->RemoveBound(v).ok());
+          if (rng.NextBounded(2) == 0) {
+            (void)index->SelectLessThan(v, rng.NextBounded(2) == 0);
+          }
+        } else if (op < 11) {
+          // A delta merge builds a new index; its replayed cracks (or the
+          // first crack after it) fill the records.
+          for (int k = 0; k < 3; ++k) {
+            ASSERT_TRUE(updatable.Insert(random_value(), next_oid++).ok());
+          }
+          const Oid victim = rng.NextBounded(static_cast<uint32_t>(n));
+          if (!deleted[victim]) {
+            ASSERT_TRUE(updatable.Delete(victim, data[victim]).ok());
+            deleted[victim] = true;
+          }
+          ASSERT_TRUE(updatable.Merge().ok());
+          index = updatable.mutable_index();
+          (void)index->SelectLessThan(random_value(), rng.NextBounded(2) == 0);
+        } else {
+          (void)index->Cut(random_value(), rng.NextBounded(2) == 0);
         }
-        for (int call = 0; call < 2; ++call) {
-          size_t read = 0;
-          const SpanAggregates got = index.ReducePieces(a, b, &read);
-          ASSERT_EQ(got.count, want.count) << "[" << a << "," << b << ")";
-          ASSERT_EQ(got.sum_i, want.sum_i) << "[" << a << "," << b << ")";
-          if (want.count > 0) {
-            ASSERT_EQ(got.min_i, want.min_i) << "[" << a << "," << b << ")";
-            ASSERT_EQ(got.max_i, want.max_i) << "[" << a << "," << b << ")";
-          }
-          ASSERT_LE(read, b - a);
-          if (call == 1) {
-            ASSERT_LE(read, small_rows) << "[" << a << "," << b << ")";
-          }
+        const Status valid = index->Validate();
+        ASSERT_TRUE(valid.ok()) << "step " << step << ": " << valid.ToString();
+
+        // Cut positions, column edges and arbitrary slots as span ends.
+        const size_t size = index->size();
+        std::vector<size_t> ends = {0, size};
+        for (const CrackBound<T>& b : index->Bounds()) {
+          if (b.has_excl) ends.push_back(b.pos_excl);
+          if (b.has_incl) ends.push_back(b.pos_incl);
+        }
+        auto random_end = [&] {
+          return rng.NextBounded(2) == 0
+                     ? ends[rng.NextBounded(static_cast<uint32_t>(ends.size()))]
+                     : rng.NextBounded(static_cast<uint32_t>(size + 1));
+        };
+        for (int pair = 0; pair < 8; ++pair) {
+          size_t a = random_end();
+          size_t b = random_end();
+          if (a > b) std::swap(a, b);
+          ExpectRecordReduction(index, a, b);
+          if (this->HasFatalFailure()) return;
         }
       }
     }
   }
 }
 
-TEST(CrackerIndexTest, LargePiecesAnswerFromSummaries) {
-  const size_t kMin = CrackerIndex<int64_t>::kSummaryMinRows;
-  const size_t n = 8 * kMin;
+TEST(CrackerIndexTest, WholePiecesAnswerFromRecords) {
+  const size_t n = 32768;
   std::vector<int64_t> data(n);
   for (size_t i = 0; i < n; ++i) data[i] = static_cast<int64_t>((i * 7919) % n);
   CrackerIndex<int64_t> index(MakeColumn(data));
-  // Pieces of 2*kMin rows each: every piece is summarizable.
-  for (int64_t v = 2 * kMin; v < static_cast<int64_t>(n); v += 2 * kMin) {
-    (void)index.SelectLessThan(v, /*inclusive=*/false);
-  }
   size_t read = 0;
+  // Before the first crack there is no record: the reduction scans.
   SpanAggregates first = index.ReducePieces(0, n, &read);
   EXPECT_EQ(read, n);
-  SpanAggregates again = index.ReducePieces(0, n, &read);
+  for (int64_t v = 8192; v < static_cast<int64_t>(n); v += 8192) {
+    (void)index.SelectLessThan(v, /*inclusive=*/false);
+  }
+  // The cracks filled every record: the first reduction reads no row.
+  SpanAggregates whole = index.ReducePieces(0, n, &read);
   EXPECT_EQ(read, 0u);
-  EXPECT_EQ(again.sum_i, first.sum_i);
-  EXPECT_EQ(again.count, n);
-  // A crack inside a summarized piece leaves its summary usable for any
-  // answer that still covers the whole piece.
-  (void)index.SelectLessThan(static_cast<int64_t>(3 * kMin), false);
-  again = index.ReducePieces(0, n, &read);
+  EXPECT_EQ(whole.sum_i, first.sum_i);
+  EXPECT_EQ(whole.count, n);
+  EXPECT_EQ(whole.min_i, 0);
+  EXPECT_EQ(whole.max_i, static_cast<int64_t>(n) - 1);
+  SpanAggregates middle = index.ReducePieces(8192, 24576, &read);
   EXPECT_EQ(read, 0u);
-  EXPECT_EQ(again.sum_i, first.sum_i);
-  // A double column has no summaries: every call scans.
+  EXPECT_EQ(middle.count, 16384u);
+  EXPECT_EQ(middle.sum_i, (8192 + 24575) * 16384 / 2);
+  EXPECT_EQ(middle.min_i, 8192);
+  EXPECT_EQ(middle.max_i, 24575);
+  // Ends that are no cut: only the partial pieces at the edges are read.
+  (void)index.ReducePieces(8000, 24600, &read);
+  EXPECT_EQ(read, (8192u - 8000u) + (24600u - 24576u));
+  // A span inside one piece is scanned whole.
+  (void)index.ReducePieces(9000, 10000, &read);
+  EXPECT_EQ(read, 1000u);
+  // A double column has no records: every call scans.
   std::vector<double> dv(n, 0.5);
   CrackerIndex<double> dindex(Bat::FromVector(dv, "d"));
-  (void)dindex.ReducePieces(0, n);
+  (void)dindex.SelectLessThan(0.25, false);
   (void)dindex.ReducePieces(0, n, &read);
   EXPECT_EQ(read, n);
 }
 
-// A summary outlives its piece only while its end is still a cut. After that
-// cut is fused away, the scalar crack-in-three (one Dutch-flag pass) sends
-// rows above its range to the fused piece's far end, across the dropped
-// position, so the rows the summary covered are no longer the rows there.
-// (The vector tiers crack in three as two Hoare passes, which keep rows on
-// their side; CI's quick lane also runs this under CRACKSTORE_SIMD=scalar.)
-TEST(CrackerIndexTest, SummaryEndingAtADroppedCutIsNotReused) {
-  const int64_t k = CrackerIndex<int64_t>::kSummaryMinRows;
+// A record describes its own position only, so fusing a neighbouring cut
+// leaves it exact. After the cut at 4k is fused away, the scalar
+// crack-in-three (one Dutch-flag pass) sends rows above its range to the
+// fused piece's far end, across the dropped position; the records at 3k and
+// 6k still hold. (The vector tiers crack in three as two Hoare passes,
+// which keep rows on their side; CI's quick lane also runs this under
+// CRACKSTORE_SIMD=scalar.)
+TEST(CrackerIndexTest, RecordsSurviveAFusedNeighbour) {
+  const int64_t k = 4096;
   const size_t n = static_cast<size_t>(8 * k);
   CrackerIndex<int64_t> index(BuildPermutationColumn(n, 3, "perm"));
-  for (int64_t v : {2 * k, 4 * k, 6 * k}) {
+  for (int64_t v : {2 * k, 4 * k, 6 * k, 3 * k}) {
     (void)index.SelectLessThan(v, /*inclusive=*/false);
   }
-  (void)index.ReducePieces(0, n);
-  // Split the summarized [2k, 4k): its summary now ends past the next cut.
-  (void)index.SelectLessThan(3 * k, /*inclusive=*/false);
-  size_t read = 0;
-  (void)index.ReducePieces(0, n, &read);
-  EXPECT_EQ(read, 0u);
   ASSERT_TRUE(index.RemoveBound(4 * k).ok());
-  (void)index.Select(3 * k + k / 2, true, 3 * k + 3 * k / 4, true);
   ASSERT_TRUE(index.Validate().ok());
-  const int64_t* slots = index.values()->TailData<int64_t>();
+  (void)index.Select(3 * k + k / 2, true, 3 * k + 3 * k / 4, true);
+  ASSERT_TRUE(index.Validate().ok()) << index.Validate().ToString();
+  // Values 1..n: the cut for 2k sits at 2k - 1, so 2k is no cut.
   for (size_t begin : {size_t{0}, static_cast<size_t>(2 * k)}) {
-    const SpanAggregates want =
-        AggregateSpanTier(slots + begin, n - begin, SimdTier::kScalar);
-    const SpanAggregates got = index.ReducePieces(begin, n, &read);
-    EXPECT_EQ(got.sum_i, want.sum_i) << "from " << begin;
-    EXPECT_EQ(got.count, want.count) << "from " << begin;
+    SCOPED_TRACE("from " + std::to_string(begin));
+    ExpectRecordReduction(&index, begin, n);
+    ExpectRecordReduction(&index, begin, static_cast<size_t>(6 * k) - 1);
   }
 }
 
@@ -595,7 +667,7 @@ TEST(CrackerIndexTest, SummaryEndingAtADroppedCutIsNotReused) {
 
 template <typename T>
 class PartitionedBuildTest : public ::testing::Test {};
-TYPED_TEST_SUITE(PartitionedBuildTest, SummaryTypes);
+TYPED_TEST_SUITE(PartitionedBuildTest, RecordTypes);
 
 template <typename T>
 std::shared_ptr<Bat> ColumnAt(const std::vector<T>& data, Oid base) {
@@ -605,7 +677,7 @@ std::shared_ptr<Bat> ColumnAt(const std::vector<T>& data, Oid base) {
 }
 
 /// The build-time checks: validity, the piece table, the permutation, the
-/// stable order inside every range, edge separation, the summaries and the
+/// stable order inside every range, edge separation, the records and the
 /// crack-like accounting.
 template <typename T>
 void ExpectPartitionedBuild(const std::vector<T>& data, Oid base, int bits) {
@@ -647,19 +719,17 @@ void ExpectPartitionedBuild(const std::vector<T>& data, Oid base, int bits) {
     }
   }
 
-  // A summarized piece reduces without reading a row, and every summary
-  // equals AggregateSpan over its rows (Validate rechecks them too).
+  // The histogram filled every edge's record (Validate rechecks them): any
+  // run of whole pieces reduces without reading a row, and any other span
+  // reads only its partial edge pieces.
   for (const CrackPiece<T>& p : pieces) {
-    size_t read = 0;
-    const SpanAggregates got = index.ReducePieces(p.begin, p.end, &read);
-    const SpanAggregates want =
-        AggregateSpanTier(values + p.begin, p.size(), SimdTier::kScalar);
-    EXPECT_EQ(got.sum_i, want.sum_i);
-    EXPECT_EQ(got.min_i, want.min_i);
-    EXPECT_EQ(got.max_i, want.max_i);
-    if (p.size() >= CrackerIndex<T>::kSummaryMinRows) {
-      EXPECT_EQ(read, 0u);
-    }
+    ExpectRecordReduction(&index, p.begin, p.end);
+    ExpectRecordReduction(&index, 0, p.end);
+    ExpectRecordReduction(&index, p.begin, n);
+    const size_t inside = p.begin + p.size() / 3;
+    ExpectRecordReduction(&index, std::min(inside, n - n / 5),
+                          std::max(inside, n - n / 5));
+    if (::testing::Test::HasFatalFailure()) return;
   }
 
   // Charged like one crack over the column.
@@ -731,7 +801,7 @@ TYPED_TEST(PartitionedBuildTest, PrimitivesAnswerAsOverACopy) {
   for (int shape = 0; shape < 3; ++shape) {
     SCOPED_TRACE("shape " + std::to_string(shape));
     Pcg32 rng(2000 + shape + sizeof(T));
-    const size_t n = 3 * CrackerIndex<T>::kSummaryMinRows + 1234;
+    const size_t n = 3 * 4096 + 1234;
     // Spread values, heavy duplicates, and the top of the domain.
     const int64_t width = shape == 1 ? 50 : static_cast<int64_t>(4 * n);
     const int64_t low =
@@ -783,8 +853,12 @@ TYPED_TEST(PartitionedBuildTest, PrimitivesAnswerAsOverACopy) {
           const size_t ca = copy.Cut(a, false), cb = copy.Cut(b, true);
           ASSERT_EQ(pa, ca);
           ASSERT_EQ(pb, cb);
-          const SpanAggregates got = part.ReducePieces(pa, pb);
-          const SpanAggregates want = copy.ReducePieces(ca, cb);
+          // Both ends are cuts: neither index reads a row.
+          size_t part_read = 0, copy_read = 0;
+          const SpanAggregates got = part.ReducePieces(pa, pb, &part_read);
+          const SpanAggregates want = copy.ReducePieces(ca, cb, &copy_read);
+          EXPECT_EQ(part_read, 0u);
+          EXPECT_EQ(copy_read, 0u);
           EXPECT_EQ(got.count, want.count);
           EXPECT_EQ(got.sum_i, want.sum_i);
           if (want.count > 0) {
@@ -910,6 +984,61 @@ void RacePrimitivesOnOneIndex(CrackerIndexOptions options) {
 
 TEST(CrackerIndexConcurrencyTest, PrimitivesRaceOnOneIndex) {
   RacePrimitivesOnOneIndex(CrackerIndexOptions{});
+}
+
+// Reductions racing cracks and fusions: a fusion may drop the cut that
+// ends a span between its Select and its ReducePieces, so the span's ends
+// need not be cuts when it is reduced. Under the span's shared lock the
+// reduction must still equal a direct reduction of the slots it covers,
+// from whatever records are live; the index stays valid, records included.
+TEST(CrackerIndexConcurrencyTest, ReductionsRaceCracksAndFusions) {
+  const size_t n = 60000;
+  const int64_t domain = 20000;
+  Pcg32 fill(20261019);
+  std::vector<int64_t> source(n);
+  for (int64_t& v : source) v = fill.NextInRange(0, domain);
+  CrackerIndex<int64_t> index(MakeColumn(source));
+  (void)index.SelectLessThan(domain / 2, false);  // records 0 and n
+  std::atomic<size_t> failures{0};
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      Pcg32 rng(91 + t);
+      for (int q = 0; q < 200; ++q) {
+        const int64_t lo = rng.NextInRange(0, domain);
+        const int64_t hi = lo + rng.NextInRange(0, domain / 10);
+        if (t == 0 && q % 3 == 0) {
+          // Fuse a random boundary, then crack near it.
+          std::vector<CrackBound<int64_t>> bounds = index.Bounds();
+          if (bounds.empty()) continue;
+          const int64_t v =
+              bounds[rng.NextBounded(static_cast<uint32_t>(bounds.size()))]
+                  .value;
+          (void)index.RemoveBound(v);  // another thread may have fused it
+          (void)index.Cut(v + rng.NextInRange(-50, 50), rng.NextBounded(2));
+          continue;
+        }
+        CrackSelection sel = index.Select(lo, true, hi, rng.NextBounded(2));
+        const size_t begin = sel.values.offset();
+        const size_t end = begin + sel.count();
+        RangeLockGuard span = index.LockRangeShared(begin, end);
+        size_t read = 0;
+        const SpanAggregates got = index.ReducePieces(begin, end, &read);
+        const SpanAggregates want = AggregateSpanTier(
+            index.values()->TailData<int64_t>() + begin, end - begin,
+            SimdTier::kScalar);
+        const bool ok = got.count == want.count && got.sum_i == want.sum_i &&
+                        (want.count == 0 || (got.min_i == want.min_i &&
+                                             got.max_i == want.max_i)) &&
+                        read <= end - begin;
+        if (!ok) failures.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(failures.load(), 0u);
+  const Status valid = index.Validate();
+  ASSERT_TRUE(valid.ok()) << valid.ToString();
 }
 
 // The same race on a freshly partitioned index: every thread's first

@@ -375,9 +375,9 @@ TEST(ObservabilityPlanTest, HalfOpenCrossSumIsOneSelectAndAGather) {
   }
 }
 
-// A same-column SUM pushes down to the cracker index. Its second run cracks
-// nothing and answers every row from piece summaries: the trace reports them
-// as summary rows and the statement reads no tuples.
+// A same-column SUM pushes down to the cracker index and answers every row
+// from the records at its span's cuts, cold and warm: the trace reports them
+// as summary rows, and the warm run, which cracks nothing, reads no tuples.
 TEST(ObservabilityPlanTest, RepeatedPushdownAnswersFromSummaries) {
   auto db = *AdaptiveStore::Open(DbOptions{});
   AdaptiveStore& store = *db;
@@ -400,12 +400,13 @@ TEST(ObservabilityPlanTest, RepeatedPushdownAnswersFromSummaries) {
       EXPECT_EQ(out->io.tuples_read, 0u);
     }
     if (obs::kMetricsEnabled) {
+      // The cold statement's cracks fill the records at its two cuts, so
+      // it too answers every pushed-down row without reading it.
       const obs::TraceCounters live = trace.LiveSnapshot();
       EXPECT_EQ(live.agg_pushdown_rows, 149001u);
-      EXPECT_EQ(live.agg_summary_rows, warm ? 149001u : 0u);
+      EXPECT_EQ(live.agg_summary_rows, 149001u);
       std::string report = trace.Render(out->io, out->seconds);
-      EXPECT_NE(report.find(warm ? "summary rows=149001" : "summary rows=0"),
-                std::string::npos)
+      EXPECT_NE(report.find("summary rows=149001"), std::string::npos)
           << report;
     }
   }
@@ -502,7 +503,7 @@ TEST(ObservabilityPlanTest, FirstTouchBuildIsASpanOfItsStatement) {
 // A warm COUNT over a range holding k rows with version state: the crack
 // answer finds exactly those k rows as hidden candidates by value and sends
 // them to the version maps (no other answer row is read), and EXPLAIN
-// ANALYZE reports them. A warm SUM does the same beside its summaries.
+// ANALYZE reports them. A warm SUM does the same beside its cut records.
 TEST(ObservabilityPlanTest, WarmCountProbesOnlyMarkedRows) {
   auto db = *AdaptiveStore::Open(DbOptions{});
   AdaptiveStore& store = *db;
@@ -524,10 +525,10 @@ TEST(ObservabilityPlanTest, WarmCountProbesOnlyMarkedRows) {
   ASSERT_EQ(sql::ExecuteSql(&store, count)->count, 29491u);  // cold: cracks
   auto out = *sql::ExecuteSql(&store, std::string("EXPLAIN ANALYZE ") + count);
   EXPECT_EQ(out.count, 29491u);
-  // A warm SUM over the same span: the piece summaries answer it, and the
+  // A warm SUM over the same span: the cut records answer it, and the
   // same 15 candidates are tested by value.
   const char* sum = "SELECT SUM(c0) FROM R WHERE c0 BETWEEN 500 AND 30000";
-  ASSERT_TRUE(sql::ExecuteSql(&store, sum).ok());  // summarizes the span
+  ASSERT_TRUE(sql::ExecuteSql(&store, sum).ok());
   auto sum_out =
       *sql::ExecuteSql(&store, std::string("EXPLAIN ANALYZE ") + sum);
   if (obs::kMetricsEnabled) {

@@ -580,11 +580,11 @@ TEST(SpanReadPathSnapshotTest, AggregatePushdownHonorsSnapshots) {
 }
 
 // ---------------------------------------------------------------------------
-// Piece summaries under the pushdown. A value-exact crack aggregate answers
-// from the cracker index's piece summaries minus the hidden rows it finds by
-// value — with or without tombstones and active views; a delta merge starts
-// a fresh index without any. Every phase keeps bit parity with the row
-// oracle.
+// Cut records under the pushdown. A value-exact crack aggregate answers
+// from the records at its span's two cuts minus the hidden rows it finds by
+// value — with or without tombstones, active views, budgeted fusions and
+// delta merges (whose replayed cracks refill the records). Every phase keeps
+// bit parity with the row oracle.
 // ---------------------------------------------------------------------------
 
 /// Oracle for one int64 column: live oid -> value.
@@ -603,6 +603,9 @@ ColumnAggregates OracleAggregates(const std::map<Oid, int64_t>& live,
   return agg;
 }
 
+/// The answer's values, and the record rule: a value-exact crack span is
+/// answered from the records at its two cuts, so no span row is read —
+/// every pushed-down row is a summary row, on a cold call too.
 void ExpectSameAnswer(const ColumnAggregates& got,
                       const ColumnAggregates& want, const std::string& what) {
   EXPECT_EQ(got.rows, want.rows) << what;
@@ -612,7 +615,7 @@ void ExpectSameAnswer(const ColumnAggregates& got,
     EXPECT_EQ(got.min, want.min) << what;
     EXPECT_EQ(got.max, want.max) << what;
   }
-  EXPECT_LE(got.summary_rows, got.pushdown_rows) << what;
+  EXPECT_EQ(got.summary_rows, got.pushdown_rows) << what;
 }
 
 class PushdownSummaryTest
@@ -625,7 +628,7 @@ TEST_P(PushdownSummaryTest, PhasesKeepParityAndSummaryRules) {
                   static_cast<uint64_t>(budget);
   SCOPED_TRACE("seed=" + std::to_string(seed) +
                " (rerun with CRACKSTORE_TEST_SEED)");
-  const size_t n = 12 * CrackerIndex<int64_t>::kSummaryMinRows;
+  const size_t n = 12 * 4096;
   const int64_t domain = 4 * static_cast<int64_t>(n);
   Pcg32 rng(seed);
   std::vector<int64_t> base(n);
@@ -658,9 +661,9 @@ TEST_P(PushdownSummaryTest, PhasesKeepParityAndSummaryRules) {
   const RangeBounds wide = RangeBounds::Closed(domain / 8, domain - domain / 8);
 
   // Clean: aggregates between selections (and fusions under the budget).
-  // When an immediate repeat cracks nothing (a budget may have fused one of
-  // its bounds), the rows it reports read are exactly those no summary
-  // covered.
+  // Every call reads no span row (ExpectSameAnswer); an immediate repeat
+  // that cracks nothing — a budget may have fused one of its bounds, so it
+  // may crack again — reads no tuple at all.
   for (int q = 0; q < 40; ++q) {
     RangeBounds r = q % 8 == 7 ? wide : random_range();
     if (rng.NextBounded(3) == 0) {
@@ -669,20 +672,16 @@ TEST_P(PushdownSummaryTest, PhasesKeepParityAndSummaryRules) {
     IoStats io;
     (void)aggregate(r, "clean " + std::to_string(q), &io);
     IoStats again_io;
-    ColumnAggregates again =
-        aggregate(r, "clean repeat " + std::to_string(q), &again_io);
-    const uint64_t scanned = again.pushdown_rows - again.summary_rows;
+    (void)aggregate(r, "clean repeat " + std::to_string(q), &again_io);
     if (again_io.cracks == 0) {
-      EXPECT_EQ(again_io.tuples_read, scanned) << "clean repeat " << q;
-    } else {
-      EXPECT_GT(again_io.tuples_read, scanned) << "clean repeat " << q;
+      EXPECT_EQ(again_io.tuples_read, 0u) << "clean repeat " << q;
     }
   }
-  EXPECT_GT(aggregate(wide, "clean wide", nullptr).summary_rows, 0u);
+  EXPECT_GT(aggregate(wide, "clean wide", nullptr).pushdown_rows, 0u);
 
   // Tombstones (updates leave the old row tombstoned and its new value
-  // pending): answers keep their summaries and take the tombstoned rows
-  // out by value.
+  // pending): answers still come from the records and take the tombstoned
+  // rows out by value.
   for (int i = 0; i < 20; ++i) {
     Oid oid = rng.NextBounded(static_cast<uint32_t>(n));
     int64_t v = live[oid] + 1;
@@ -696,21 +695,17 @@ TEST_P(PushdownSummaryTest, PhasesKeepParityAndSummaryRules) {
     RangeBounds r = q % 5 == 0 ? wide : random_range();
     (void)aggregate(r, "tombstones " + std::to_string(q), nullptr);
   }
-  // The wide range's summaries are read under tombstones too. A merge
-  // budget fuses cuts after a call that added bounds, which can strand the
-  // summaries that call made; a call that adds none keeps them, so the
-  // third call reads them whatever the policy and budget.
+  // The wide range under tombstones, twice: a merge budget may fuse cuts
+  // after the first call, and the repeat still reads no span row.
   (void)aggregate(wide, "tombstones wide", nullptr);
   (void)aggregate(wide, "tombstones wide, repeat", nullptr);
-  EXPECT_GT(aggregate(wide, "tombstones wide, third", nullptr).summary_rows,
-            0u);
 
-  // A delta merge builds a new index: it starts with no summaries, even
-  // where the +1 updates left every piece the same size.
+  // A delta merge builds a new index whose replayed cracks fill its
+  // records: the first call after it answers all span rows from them.
   ASSERT_TRUE(path.FlushDeltas().ok());
   ASSERT_EQ(path.pending_deletes() + path.pending_inserts(), 0u);
-  EXPECT_EQ(aggregate(wide, "after merge", nullptr).summary_rows, 0u);
-  EXPECT_GT(aggregate(wide, "after merge, repeat", nullptr).summary_rows, 0u);
+  EXPECT_GT(aggregate(wide, "after merge", nullptr).pushdown_rows, 0u);
+  (void)aggregate(wide, "after merge, repeat", nullptr);
 
   // Pending inserts alone keep the clean branch; the pending fold adds them.
   Oid next = n;
@@ -721,7 +716,7 @@ TEST_P(PushdownSummaryTest, PhasesKeepParityAndSummaryRules) {
   }
   ASSERT_GT(path.pending_inserts(), 0u);
   ASSERT_EQ(path.pending_deletes(), 0u);
-  EXPECT_GT(aggregate(wide, "pending", nullptr).summary_rows, 0u);
+  (void)aggregate(wide, "pending", nullptr);
   for (int q = 0; q < 15; ++q) {
     (void)aggregate(random_range(), "pending " + std::to_string(q), nullptr);
   }
@@ -737,7 +732,7 @@ INSTANTIATE_TEST_SUITE_P(
                                          MergePolicyKind::kSmallestPieces)));
 
 TEST(SpanReadPathSummaryTest, ActiveViewsKeepSummaries) {
-  const size_t n = 12 * CrackerIndex<int64_t>::kSummaryMinRows;
+  const size_t n = 12 * 4096;
   for (bool concurrent : {false, true}) {
     SCOPED_TRACE(concurrent ? "concurrent" : "serial");
     DbOptions opts;
@@ -758,17 +753,14 @@ TEST(SpanReadPathSummaryTest, ActiveViewsKeepSummaries) {
     for (int q = 0; q < 2; ++q) {
       auto agg = store.AggregateRange("R", "c0", wide);
       ASSERT_TRUE(agg.ok()) << agg.status().ToString();
+      // The cold call's cracks fill the records it reads, so it reads no
+      // span row either, even through a concurrent store's always-active
+      // view (ExpectSameAnswer).
       ExpectSameAnswer(*agg, OracleAggregates(live, wide), "before writes");
-      // The cold call cracks and summarizes; the warm one reuses the
-      // summaries, even through a concurrent store's always-active view.
-      if (q == 0) {
-        EXPECT_EQ(agg->summary_rows, 0u);
-      } else {
-        EXPECT_GT(agg->summary_rows, 0u);
-      }
+      EXPECT_GT(agg->pushdown_rows, 0u);
     }
     // After the first write every statement reads through an active view,
-    // and the hidden rows come out of the summarized span by value.
+    // and the hidden rows come out of the span's records by value.
     TxnId old_snap = *store.Begin();
     ASSERT_TRUE(store.Insert("R", {Value(int64_t{2 * n})}).ok());
     ASSERT_TRUE(store.Delete("R", {{"c0", RangeBounds::Closed(
@@ -786,19 +778,19 @@ TEST(SpanReadPathSummaryTest, ActiveViewsKeepSummaries) {
       auto agg = store.AggregateRange("R", "c0", wide);
       ASSERT_TRUE(agg.ok()) << agg.status().ToString();
       ExpectSameAnswer(*agg, OracleAggregates(live, wide), "after a write");
-      EXPECT_GT(agg->summary_rows, 0u);
+      EXPECT_GT(agg->pushdown_rows, 0u);
       auto old_agg = store.AggregateRange("R", "c0", wide, old_snap);
       ASSERT_TRUE(old_agg.ok()) << old_agg.status().ToString();
       ExpectSameAnswer(*old_agg, OracleAggregates(old_live, wide),
                        "older snapshot");
-      EXPECT_GT(old_agg->summary_rows, 0u);
+      EXPECT_GT(old_agg->pushdown_rows, 0u);
     }
     ASSERT_TRUE(store.Commit(old_snap).ok());
   }
 }
 
 TEST(SpanReadPathSummaryTest, SharedLatchCallersReduceThroughSummaries) {
-  const size_t n = 16 * CrackerIndex<int64_t>::kSummaryMinRows;
+  const size_t n = 16 * 4096;
   const int64_t domain = 4 * static_cast<int64_t>(n);
   std::vector<int64_t> base(n);
   std::map<Oid, int64_t> live;
@@ -850,7 +842,7 @@ TEST(SpanReadPathSummaryTest, SharedLatchCallersReduceThroughSummaries) {
 }
 
 // ---------------------------------------------------------------------------
-// Hidden extremes. A value-exact aggregate keeps its piece summaries under
+// Hidden extremes. A value-exact aggregate keeps its cut records under
 // an active view and subtracts the hidden rows it finds by value; when a
 // hidden row holds the span's MIN or MAX, only the piece holding it is
 // rescanned. Every way a row hides is covered — a version-stamped delete, an
@@ -859,7 +851,7 @@ TEST(SpanReadPathSummaryTest, SharedLatchCallersReduceThroughSummaries) {
 // ---------------------------------------------------------------------------
 
 TEST(SpanReadPathSummaryTest, HiddenExtremesRescanOnlyTheirPiece) {
-  const size_t n = 12 * CrackerIndex<int64_t>::kSummaryMinRows;
+  const size_t n = 12 * 4096;
   // kThreshold: these few writes never merge.
   auto db = *AdaptiveStore::Open(DbOptions{});
   AdaptiveStore& store = *db;
@@ -898,7 +890,7 @@ TEST(SpanReadPathSummaryTest, HiddenExtremesRescanOnlyTheirPiece) {
     latest[ins->inserted_oid] = v;
   }
   const Oid dup_oid = n + 1;
-  // Crack the span into several pieces, then summarize them.
+  // Crack the span into several pieces.
   for (int64_t lo : {int64_t{5000}, int64_t{15000}, int64_t{25000}}) {
     ASSERT_TRUE(
         store.SelectRange("R", "c0", RangeBounds::Closed(lo, lo + 4999)).ok());
@@ -913,9 +905,8 @@ TEST(SpanReadPathSummaryTest, HiddenExtremesRescanOnlyTheirPiece) {
       ASSERT_TRUE(agg.ok()) << agg.status().ToString();
       ExpectSameAnswer(*agg, OracleAggregates(old ? old_rows : latest, span),
                        what);
-      EXPECT_GT(agg->summary_rows, 0u);
-      // The span's middle pieces come from their summaries; only the edge
-      // pieces are ever rescanned.
+      // The span comes from its records; only the edge pieces holding a
+      // hidden extreme are ever rescanned.
       EXPECT_LT(agg->io.tuples_read, agg->pushdown_rows / 2);
     }
   };
