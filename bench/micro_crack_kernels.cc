@@ -21,7 +21,8 @@
 // row of a warm conjunction probe; `sort_oids_speedup`: ToOids' radix sort
 // against std::sort). CI's bench-smoke lane reads
 // `dispatched_vs_scalar_int32`, `agg_pushdown_vs_materialize_int32`,
-// `agg_repeat_tuples_read`, `agg_cold_span_rows_read`, the mvcc counts,
+// `agg_repeat_tuples_read`, `agg_cold_span_rows_read`, the mvcc counts (a
+// sort-strategy store's warm COUNT among them),
 // `first_touch_tuples_ratio` and `sort_oids_speedup` from that file.
 
 #include <benchmark/benchmark.h>
@@ -33,6 +34,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -372,34 +374,31 @@ struct MvccProbes {
   uint64_t sum_summary_rows = 0;   ///< of the SUM's rows, from records
   uint64_t sum_edge_rows = 0;      ///< of the SUM's rows, scanned by a kernel
   uint64_t pending_rows = 0;       ///< pending inserts of the column's path
+  /// The warm COUNT's tuples read on a sort-strategy store of the same
+  /// shape (binary searches included).
+  uint64_t sort_count_tuples_read = 0;
 };
 
-/// A 1M-row int64 crack column with 1,000 committed single-row UPDATEs (of
-/// a sibling column) and 1,000 committed single-row DELETEs spread over the
-/// domain, no vacuum, then a warm COUNT and a warm SUM over 10% of the
-/// domain. The snapshot filter must send only the marked answer rows to the
-/// version maps: CI asserts `mvcc_version_probes == mvcc_marked_rows` (a
-/// filter probing every answer row would report ~100k). Neither read may
-/// touch the span's rows beyond the marked ones, the pending inserts and the
-/// span rows no cut record covers: CI asserts `mvcc_count_tuples_read` and
-/// `mvcc_sum_tuples_read` <= marked + pending + `mvcc_sum_edge_rows`, and
-/// `mvcc_sum_summary_rows` > 0.
-MvccProbes MeasureMvccProbes(size_t n, int reps) {
-  MvccProbes out;
-  DbOptions opts;  // defaults: crack strategy, lineage on
+/// A store of `strategy` over a 1M-row two-column tapestry with 1,000
+/// committed single-row UPDATEs (of the sibling column c1) and 1,000
+/// committed single-row DELETEs spread over c0's domain, no vacuum.
+/// `*marked` counts those rows inside [lo, hi]. Null on failure.
+std::unique_ptr<AdaptiveStore> MvccStore(size_t n, AccessStrategy strategy,
+                                         int64_t lo, int64_t hi,
+                                         uint64_t* marked) {
+  DbOptions opts;  // defaults: standard crack policy, lineage on
+  opts.strategy = strategy;
   opts.autovacuum_version_threshold = 0;  // no vacuum: the marks must stay
   auto db = AdaptiveStore::Open(opts);
-  if (!db.ok()) return out;
-  AdaptiveStore& store = **db;
+  if (!db.ok()) return nullptr;
   TapestryOptions topts;
   topts.num_rows = n;
   topts.num_columns = 2;
   topts.seed = 31;
   auto rel = BuildTapestry("M", topts);
-  if (!rel.ok() || !store.AddTable(*rel).ok()) return out;
+  if (!rel.ok() || !(*db)->AddTable(*rel).ok()) return nullptr;
   const int64_t domain = static_cast<int64_t>(n);
-  const int64_t lo = domain / 2;
-  const int64_t hi = lo + domain / 10 - 1;
+  *marked = 0;
   for (int64_t k = 0; k < 2000; ++k) {
     // Evenly spread keys: even k updates the row, odd k deletes it.
     const int64_t key = 1 + k * (domain / 2000) + 7;
@@ -407,11 +406,34 @@ MvccProbes MeasureMvccProbes(size_t n, int reps) {
         {"c0", RangeBounds::Equal(key)}};
     const bool ok =
         k % 2 == 0
-            ? store.Update("M", {{"c1", Value(int64_t{0})}}, where).ok()
-            : store.Delete("M", where).ok();
-    if (!ok) return out;
-    if (key >= lo && key <= hi) ++out.marked_rows;
+            ? (*db)->Update("M", {{"c1", Value(int64_t{0})}}, where).ok()
+            : (*db)->Delete("M", where).ok();
+    if (!ok) return nullptr;
+    if (key >= lo && key <= hi) ++*marked;
   }
+  return std::move(*db);
+}
+
+/// The MvccStore shape on the crack strategy, then a warm COUNT and a warm
+/// SUM over 10% of the domain. The snapshot filter must send only the
+/// marked answer rows to the version maps: CI asserts
+/// `mvcc_version_probes == mvcc_marked_rows` (a filter probing every answer
+/// row would report ~100k). Neither read may touch the span's rows beyond
+/// the marked ones, the pending inserts and the span rows no cut record
+/// covers: CI asserts `mvcc_count_tuples_read` and `mvcc_sum_tuples_read`
+/// <= marked + pending + `mvcc_sum_edge_rows`, and `mvcc_sum_summary_rows`
+/// > 0. The same warm COUNT on a sort-strategy store reads the marked rows,
+/// the pending inserts and its two binary searches: CI asserts
+/// `mvcc_sort_count_tuples_read` <= marked + pending + 2 ceil(log2 n).
+MvccProbes MeasureMvccProbes(size_t n, int reps) {
+  MvccProbes out;
+  const int64_t domain = static_cast<int64_t>(n);
+  const int64_t lo = domain / 2;
+  const int64_t hi = lo + domain / 10 - 1;
+  std::unique_ptr<AdaptiveStore> db =
+      MvccStore(n, AccessStrategy::kCrack, lo, hi, &out.marked_rows);
+  if (db == nullptr) return out;
+  AdaptiveStore& store = *db;
   const RangeBounds range = RangeBounds::Closed(lo, hi);
   if (!store.SelectRange("M", "c0", range).ok()) return out;  // cold crack
   obs::Counter* probes =
@@ -443,6 +465,14 @@ MvccProbes MeasureMvccProbes(size_t n, int reps) {
   out.sum_edge_rows = sum->pushdown_rows - sum->summary_rows;
   auto path = store.AccessPathFor("M", "c0");
   if (path.ok()) out.pending_rows = (*path)->pending_inserts();
+  uint64_t sort_marked = 0;
+  std::unique_ptr<AdaptiveStore> sorted =
+      MvccStore(n, AccessStrategy::kSort, lo, hi, &sort_marked);
+  if (sorted == nullptr || !sorted->SelectRange("M", "c0", range).ok()) {
+    return out;  // the first select builds the sorted copy
+  }
+  auto warm = sorted->SelectRange("M", "c0", range);
+  if (warm.ok()) out.sort_count_tuples_read = warm->io.tuples_read;
   return out;
 }
 
@@ -683,6 +713,8 @@ int RunTierComparison(const std::string& path) {
   out << "  \"mvcc_sum_summary_rows\": " << mvcc.sum_summary_rows << ",\n";
   out << "  \"mvcc_sum_edge_rows\": " << mvcc.sum_edge_rows << ",\n";
   out << "  \"mvcc_pending_rows\": " << mvcc.pending_rows << ",\n";
+  out << "  \"mvcc_sort_count_tuples_read\": " << mvcc.sort_count_tuples_read
+      << ",\n";
   out << "  \"first_touch_bits\": " << first.bits << ",\n";
   out << "  \"first_touch_tuples_partitioned\": " << first.tuples[0]
       << ",\n";
@@ -742,6 +774,8 @@ int RunTierComparison(const std::string& path) {
               static_cast<unsigned long long>(mvcc.sum_summary_rows),
               static_cast<unsigned long long>(mvcc.sum_edge_rows),
               static_cast<unsigned long long>(mvcc.pending_rows));
+  std::printf("mvcc warm COUNT on a sort store: read %llu tuples\n",
+              static_cast<unsigned long long>(mvcc.sort_count_tuples_read));
   std::printf("first touch (2^22 rows, 10 zoom statements): %llu crack "
               "tuples with %d radix bits vs %llu with the copy (%.2fx); "
               "build %.1f vs %.1f ms, first select %.2f vs %.2f ms\n",

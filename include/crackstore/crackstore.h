@@ -15,6 +15,7 @@
 #include "core/access_path.h"             // type-erased per-column access paths
 #include "core/adaptive_store.h"          // facade: DbOptions/Open/Close lifecycle,
                                           // tables, Ξ/^/Ω/Ψ entry points
+#include "core/column_deltas.h"           // differential updates
 #include "core/crack_kernels.h"           // crack-in-two / crack-in-three
 #include "core/crack_policy.h"            // pivot disciplines (standard/stochastic/coarse)
 #include "core/cracker_index.h"           // the cracker index
@@ -27,7 +28,6 @@
 #include "core/range_bounds.h"            // range predicates
 #include "core/sorted_column.h"           // the sort baseline
 #include "core/typed_range.h"             // Value-typed predicates (strings)
-#include "core/updatable_cracker_index.h" // differential updates
 
 // Storage substrate.
 #include "storage/bat.h"

@@ -13,10 +13,10 @@
 #include "obs/instruments.h"
 #include "obs/trace.h"
 
+#include "core/column_deltas.h"
 #include "core/latch.h"
 #include "core/oid_bit_table.h"
 #include "core/sorted_column.h"
-#include "core/updatable_cracker_index.h"
 #include "core/value_ordered_oids.h"
 #include "storage/dictionary.h"
 #include "util/string_util.h"
@@ -45,6 +45,16 @@ Result<AccessSelection> ColumnAccessPath::SelectTyped(const TypedRange& range,
         "string column)");
   }
   return Select(range.ToNumericBounds(), delivery, stats, view);
+}
+
+Status ColumnAccessPath::Purge(const std::vector<Oid>& oids, IoStats* stats) {
+  for (Oid oid : oids) {
+    Status st = Delete(oid, stats);
+    // NotFound: the row never physically landed (failed append);
+    // AlreadyExists: an earlier purge already tombstoned it.
+    if (!st.ok() && !st.IsNotFound() && !st.IsAlreadyExists()) return st;
+  }
+  return FlushDeltas(stats);
 }
 
 bool ColumnAccessPath::WantsMaintenance(bool before_read) const {
@@ -113,11 +123,10 @@ T CastValue(const Value& v) {
   }
 }
 
+/// The range predicate, stated positively so that a NaN satisfies no range.
 template <typename T>
 bool InRange(T v, T lo, bool lo_incl, T hi, bool hi_incl) {
-  if (lo_incl ? v < lo : v <= lo) return false;
-  if (hi_incl ? v > hi : v >= hi) return false;
-  return true;
+  return (lo_incl ? v >= lo : v > lo) && (hi_incl ? v <= hi : v < hi);
 }
 
 std::string ExplainPieces(const std::vector<PieceInfo>& pieces) {
@@ -140,9 +149,9 @@ std::string ExplainPieces(const std::vector<PieceInfo>& pieces) {
   return out;
 }
 
-/// Shared Delete() validation: inserts append to the base before notifying
-/// the path, so the base size bounds every oid ever issued — one check for
-/// all strategies, independent of build timing.
+/// Delete() validation of the scan and dictionary paths: inserts append to
+/// the base before notifying the path, so the base size bounds every oid
+/// ever issued (ColumnDeltas applies the same bound before its build).
 Status CheckDeletableOid(const Bat& column, Oid oid) {
   if (oid < column.head_base() || oid >= column.head_base() + column.size()) {
     return Status::NotFound(
@@ -198,80 +207,89 @@ void ForEachExtra(const std::vector<std::pair<T, Oid>>& pending, T lo,
   }
 }
 
-/// The rows of the answer span [oid_data, oid_data + n) that neither a
-/// tombstone nor the caller's snapshot hides, as a bitmap of
-/// BitmapWords(n) words: one batch visibility mask (a single version-log
-/// latch for the whole span) with tombstones cleared bit-wise. Serves the
-/// answers that are not value-exact (coarse and progressive pieces) and
-/// the sort strategy; value-exact crack answers consult their
-/// hidden-candidate table instead.
-std::vector<uint64_t> SurvivorMask(const Oid* oid_data, size_t n,
-                                   const OidBitTable& tombstones,
-                                   const SnapshotView* view) {
-  std::vector<uint64_t> bm(BitmapWords(n));
-  if (ViewActive(view)) {
-    view->VisibleMask(oid_data, n, bm.data());
-  } else {
-    BitmapFill(bm.data(), n);
+/// Marks the hidden rows of the span [begin, end) of the oid map `map` as
+/// exceptions of `set`, whose only span it is: one pass over the span's
+/// oids, stopping at the last hidden one. Every hidden row must lie in the
+/// span. Returns the rows passed over.
+template <typename T>
+size_t MarkHidden(const Oid* map, size_t begin, size_t end,
+                  const std::vector<std::pair<T, Oid>>& hidden,
+                  OidSpanSet* set) {
+  std::vector<Oid> oids;
+  oids.reserve(hidden.size());
+  // A 4096-bit filter on the low oid bits settles most rows with one bit
+  // test; the rest are looked up among the sorted hidden oids.
+  uint64_t filter[64] = {};
+  for (const auto& [value, oid] : hidden) {
+    oids.push_back(oid);
+    filter[(oid >> 6) & 63] |= uint64_t{1} << (oid & 63);
   }
-  if (!tombstones.empty()) {
-    for (size_t i = 0; i < n; ++i) {
-      if (tombstones.Test(oid_data[i])) BitmapClearBit(bm.data(), i);
-    }
+  std::sort(oids.begin(), oids.end());
+  size_t left = oids.size();
+  size_t i = begin;
+  for (; i < end && left > 0; ++i) {
+    const Oid oid = map[i];
+    if (((filter[(oid >> 6) & 63] >> (oid & 63)) & 1) == 0) continue;
+    if (!std::binary_search(oids.begin(), oids.end(), oid)) continue;
+    set->MarkException(i - begin);
+    --left;
   }
-  return bm;
+  CRACK_DCHECK(left == 0);
+  return i - begin;
 }
 
-/// Applies a path's pending write deltas — and the caller's MVCC read
-/// filter — to a span answer over the path's oid map by masking every
-/// answer row: physically tombstoned and snapshot-invisible span rows
-/// become exception bits, and ForEachExtra's rows become extras. Returns
-/// true when the deltas or the view touch the answer; the caller then
-/// charges the read of the answer's span.
+/// The one answer rule of a value-ordered layout (a cracker column or a
+/// sorted copy): `out->span_set`'s only span, [begin, end) over the oid map
+/// `map`, holds every row whose physical value is in range, plus `misses`
+/// value misses already marked as exceptions. Every hidden candidate is
+/// filed by a value in range, so it lies in the span and is never a miss:
+/// COUNT is span − misses − hidden + extras. A row-consuming answer also
+/// marks the hidden rows and lists the extras (ForEachExtra's rows); a
+/// kCount answer does neither. Callers hold the range lock over the span
+/// and the delta latch.
 template <typename T>
-bool OverlayDeltaAnswer(const std::vector<std::pair<T, Oid>>& pending,
-                        const OidBitTable& tombstones, T lo, bool lo_incl,
-                        T hi, bool hi_incl, const SnapshotView* view,
-                        IoStats* stats, OidSpanSet* set) {
-  bool delta_hits = false;
-  for (const auto& [value, oid] : pending) {
-    delta_hits |= InRange(value, lo, lo_incl, hi, hi_incl);
+void AnswerSpan(ColumnDeltas<T>* deltas, const Oid* map, size_t begin,
+                size_t end, size_t misses, T lo, bool lo_incl, T hi,
+                bool hi_incl, bool deliver_rows, const SnapshotView* view,
+                IoStats* stats, AccessSelection* out) {
+  std::vector<std::pair<T, Oid>> hidden =
+      deltas->HiddenIn(lo, lo_incl, hi, hi_incl, view, stats);
+  out->count = (end - begin) - misses - hidden.size();
+  if (deliver_rows && !hidden.empty()) {
+    const size_t scanned = MarkHidden(map, begin, end, hidden, &out->span_set);
+    if (stats != nullptr) stats->tuples_read += scanned;
   }
-  if (stats != nullptr) stats->tuples_read += pending.size();
-  if (tombstones.empty() && !delta_hits && !ViewActive(view)) return false;
-
-  size_t concat = 0;
-  for (const OidSpan& span : set->spans()) {
-    // One survivor bitmap per span instead of a per-row Hides() probe.
-    std::vector<uint64_t> keep = SurvivorMask(
-        set->oid_map()->TailData<Oid>() + span.begin, span.size(), tombstones,
-        view);
-    for (size_t w = 0; w < keep.size(); ++w) {
-      const size_t left = span.size() - (w << 6);
-      uint64_t dropped = ~keep[w];
-      if (left < 64) dropped &= (uint64_t{1} << left) - 1;
-      for (; dropped != 0; dropped &= dropped - 1) {
-        set->MarkException(concat + (w << 6) +
-                           size_t(__builtin_ctzll(dropped)));
-      }
-    }
-    concat += span.size();
-  }
-  ForEachExtra<T>(pending, lo, lo_incl, hi, hi_incl, view,
-                  [set](T, Oid oid) { set->AddExtra(oid); });
-  return true;
+  ForEachExtra<T>(deltas->pending(), lo, lo_incl, hi, hi_incl, view,
+                  [&](T, Oid oid) {
+                    ++out->count;
+                    if (deliver_rows) out->span_set.AddExtra(oid);
+                  });
+  if (stats != nullptr) stats->tuples_read += deltas->pending().size();
 }
 
-/// Reduces the value span [vals, vals + n) with the optional visibility /
-/// tombstone filters: the unmasked kernel runs when nothing can hide a row,
-/// otherwise the survivor mask feeds the masked kernel.
-template <typename T>
-SpanAggregates ReduceSpan(const T* vals, const Oid* oid_data, size_t n,
-                          const OidBitTable& tombstones,
-                          const SnapshotView* view) {
-  if (!ViewActive(view) && tombstones.empty()) return AggregateSpan(vals, n);
-  std::vector<uint64_t> bm = SurvivorMask(oid_data, n, tombstones, view);
-  return AggregateSpanMasked(vals, n, bm.data());
+/// Takes the hidden rows (in value order) out of `agg`, the reduction of a
+/// value-ordered span: COUNT and SUM subtract them; MIN and MAX stand
+/// unless a hidden row holds the extreme, and then
+/// `visible_extreme(want_min, &read)` finds the new one. Returns the rows
+/// those rescans read.
+template <typename T, typename Extreme>
+size_t SubtractHidden(const std::vector<std::pair<T, Oid>>& hidden,
+                      Extreme&& visible_extreme, SpanAggregates* agg) {
+  uint64_t sum = static_cast<uint64_t>(agg->sum_i);
+  for (const auto& [value, oid] : hidden) {
+    sum -= static_cast<uint64_t>(static_cast<int64_t>(value));
+  }
+  agg->sum_i = static_cast<int64_t>(sum);
+  agg->count -= hidden.size();
+  size_t read = 0;
+  if (agg->count == 0) return read;
+  if (static_cast<int64_t>(hidden.front().first) == agg->min_i) {
+    agg->min_i = visible_extreme(/*want_min=*/true, &read);
+  }
+  if (static_cast<int64_t>(hidden.back().first) == agg->max_i) {
+    agg->max_i = visible_extreme(/*want_min=*/false, &read);
+  }
+  return read;
 }
 
 /// Folds a span-kernel result plus the scalar corrections — ForEachExtra's
@@ -324,7 +342,7 @@ class CrackAccessPath : public ColumnAccessPath {
       : column_(std::move(column)),
         config_(config),
         engine_(config.policy),
-        pre_build_deletes_(column_->head_base()) {}
+        deltas_(column_) {}
 
   AccessStrategy strategy() const override { return AccessStrategy::kCrack; }
   const AccessPathConfig& config() const override { return config_; }
@@ -357,7 +375,7 @@ class CrackAccessPath : public ColumnAccessPath {
     // mid-select, and the two bounds must run the same discipline.
     const CrackPolicy policy = Observe(lo, hi);
     EnsureBuilt(stats);
-    CrackerIndex<T>* inner = updatable_->mutable_index();
+    CrackerIndex<T>* inner = index_.get();
     size_t cut_lo = 0;
     size_t cut_hi = 0;
     bool exact = true;
@@ -395,36 +413,15 @@ class CrackAccessPath : public ColumnAccessPath {
       // span over its permuted oid map.
       out.span_set.BindOidMap(inner->oids());
       out.span_set.AddSpan(cut_lo, cut_hi);
-      if (exact) {
-        // The span holds exactly the rows whose physical value is in
-        // range: the rows it must drop are the hidden candidates there.
-        std::vector<std::pair<T, Oid>> hidden =
-            HiddenIn(lo, lo_incl, hi, hi_incl, view, stats);
-        out.count = (cut_hi - cut_lo) - hidden.size();
-        if (deliver_rows && !hidden.empty()) {
-          const size_t scanned =
-              MarkHidden(inner, cut_lo, cut_hi, hidden, &out.span_set);
-          if (stats != nullptr) stats->tuples_read += scanned;
-        }
-        ForEachExtra<T>(updatable_->pending(), lo, lo_incl, hi, hi_incl, view,
-                        [&](T, Oid oid) {
-                          ++out.count;
-                          if (deliver_rows) out.span_set.AddExtra(oid);
-                        });
-        if (stats != nullptr) {
-          stats->tuples_read += updatable_->pending().size();
-        }
-      } else {
-        // A conservative span marks its value misses, and the deltas and
-        // the view are applied by masking every row of it.
-        MarkValueMisses(inner, cut_lo, cut_hi, lo, lo_incl, hi, hi_incl,
-                        &out.span_set);
-        (void)OverlayDeltaAnswer<T>(updatable_->pending(),
-                                    updatable_->tombstones(), lo, lo_incl, hi,
-                                    hi_incl, view, stats, &out.span_set);
-        if (stats != nullptr) stats->tuples_read += cut_hi - cut_lo;
-        out.count = out.span_set.count();
-      }
+      // A conservative span (a fuzzy coarse edge, an open progressive
+      // frontier) first marks its value misses.
+      const size_t misses =
+          exact ? 0
+                : MarkValueMisses(inner, cut_lo, cut_hi, lo, lo_incl, hi,
+                                  hi_incl, stats, &out.span_set);
+      AnswerSpan<T>(&deltas_, inner->oids()->template TailData<Oid>(), cut_lo,
+                    cut_hi, misses, lo, lo_incl, hi, hi_incl, deliver_rows,
+                    view, stats, &out);
       CRACK_DCHECK(!deliver_rows || out.count == out.span_set.count());
       // Rows delivered to a caller sharing the column with threads that may
       // crack it next must be resolved while the span still holds them.
@@ -461,7 +458,7 @@ class CrackAccessPath : public ColumnAccessPath {
             "aggregate pushdown: progressive cracks stay budgeted");
       }
       EnsureBuilt(stats);
-      CrackerIndex<T>* inner = updatable_->mutable_index();
+      CrackerIndex<T>* inner = index_.get();
       if (policy == CrackPolicy::kStochastic) {
         StochasticShrink(lo, /*want_incl=*/!lo_incl, stats);
         StochasticShrink(hi, /*want_incl=*/hi_incl, stats);
@@ -487,86 +484,65 @@ class CrackAccessPath : public ColumnAccessPath {
   }
 
   Status Insert(const Value& value, Oid oid, IoStats* stats) override {
-    if (updatable_ == nullptr) return Status::OK();  // lazy build reads base
+    if (index_ == nullptr) return Status::OK();  // lazy build reads base
     std::lock_guard<std::mutex> dl(delta_mu_);
-    CRACK_RETURN_NOT_OK(updatable_->Insert(CastValue<T>(value), oid));
+    CRACK_RETURN_NOT_OK(deltas_.Insert(CastValue<T>(value), oid));
     SyncDirty();
     if (stats != nullptr) ++stats->tuples_written;
     return Status::OK();
   }
 
-  /// Tombstones `oid` under the value its cracker column holds: the base
-  /// value, since a row's base slot and its copy in the column differ only
-  /// while its tombstone is already set.
   Status Delete(Oid oid, IoStats* stats) override {
     (void)stats;
-    // Mirror the built path's validation before the build, so the answer
-    // does not depend on build timing (and so EnsureBuilt's replay cannot
-    // fail).
-    CRACK_RETURN_NOT_OK(CheckDeletableOid(*column_, oid));
     std::lock_guard<std::mutex> dl(delta_mu_);
-    if (updatable_ == nullptr) {
-      if (!pre_build_deletes_.Set(oid)) return AlreadyDeletedError(oid);
-      return Status::OK();
-    }
-    CRACK_RETURN_NOT_OK(updatable_->Delete(oid, BaseValue(oid)));
+    CRACK_RETURN_NOT_OK(deltas_.Delete(oid));
     SyncDirty();
     return Status::OK();
   }
 
   Status Update(Oid oid, const Value& old_value, const Value& value,
                 IoStats* stats) override {
-    if (updatable_ == nullptr) return Status::OK();  // base slot overwritten
+    if (index_ == nullptr) return Status::OK();  // base slot overwritten
     std::lock_guard<std::mutex> dl(delta_mu_);
-    CRACK_RETURN_NOT_OK(updatable_->Update(CastValue<T>(value), oid,
-                                           CastValue<T>(old_value)));
+    CRACK_RETURN_NOT_OK(
+        deltas_.Update(oid, CastValue<T>(old_value), CastValue<T>(value)));
     SyncDirty();
     if (stats != nullptr) ++stats->tuples_written;
     return Status::OK();
   }
 
-  Status Purge(const std::vector<Oid>& oids, IoStats* stats) override {
-    for (Oid oid : oids) {
-      Status st = Delete(oid, stats);
-      // NotFound: the row never physically landed (failed append);
-      // AlreadyExists: an earlier purge already tombstoned it.
-      if (!st.ok() && !st.IsNotFound() && !st.IsAlreadyExists()) return st;
-    }
-    return FlushDeltas(stats);
-  }
-
+  /// Folds the deltas into a fresh cracker column that keeps every learned
+  /// boundary (CrackerIndex::Fold).
   Status FlushDeltas(IoStats* stats) override {
-    if (updatable_ == nullptr && pre_build_deletes_.empty()) {
-      return Status::OK();
-    }
+    if (index_ == nullptr && deltas_.empty()) return Status::OK();
     EnsureBuilt(stats);
-    Status st = updatable_->Merge(stats);
+    if (deltas_.empty()) return Status::OK();
+    CRACK_ASSIGN_OR_RETURN(
+        index_, index_->Fold(deltas_.tombstones(), deltas_.pending(), stats));
+    deltas_.Retire(index_->size());
     SyncDirty();
-    return st;
+    return Status::OK();
   }
 
   size_t pending_inserts() const override {
     std::lock_guard<std::mutex> dl(delta_mu_);
-    return updatable_ == nullptr ? 0 : updatable_->pending_inserts();
+    return deltas_.pending_inserts();
   }
   size_t pending_deletes() const override {
     std::lock_guard<std::mutex> dl(delta_mu_);
-    return updatable_ == nullptr ? pre_build_deletes_.count()
-                                 : updatable_->pending_deletes();
+    return deltas_.pending_deletes();
   }
-  size_t merges_performed() const override {
-    return updatable_ == nullptr ? 0 : updatable_->merges_performed();
-  }
+  size_t merges_performed() const override { return deltas_.folds(); }
 
   size_t accel_tuples() const override {
     std::lock_guard<std::mutex> dl(delta_mu_);
-    return updatable_ == nullptr ? 0 : updatable_->index().size();
+    return index_ == nullptr ? 0 : index_->size();
   }
 
   std::vector<PieceInfo> Pieces() const override {
-    if (updatable_ == nullptr) return WholeColumnPiece(column_->size());
+    if (index_ == nullptr) return WholeColumnPiece(column_->size());
     std::vector<PieceInfo> out;
-    for (const CrackPiece<T>& p : updatable_->index().Pieces()) {
+    for (const CrackPiece<T>& p : index_->Pieces()) {
       PieceInfo info;
       info.begin = p.begin;
       info.end = p.end;
@@ -582,12 +558,11 @@ class CrackAccessPath : public ColumnAccessPath {
   }
 
   size_t NumPieces() const override {
-    return updatable_ == nullptr ? 1 : updatable_->num_pieces();
+    return index_ == nullptr ? 1 : index_->num_pieces();
   }
 
   size_t CutsSince(size_t cursor, std::vector<size_t>* out) const override {
-    return updatable_ == nullptr ? cursor
-                                 : updatable_->index().CutsSince(cursor, out);
+    return index_ == nullptr ? cursor : index_->CutsSince(cursor, out);
   }
 
   Status ApplyPolicy(const PivotChoice& choice, IoStats* stats) override {
@@ -601,8 +576,7 @@ class CrackAccessPath : public ColumnAccessPath {
           static_cast<int64_t>(std::numeric_limits<T>::min()),
           static_cast<int64_t>(std::numeric_limits<T>::max())));
     }
-    updatable_->mutable_index()->Cut(
-        pivot, /*want_incl=*/choice.after_duplicates, stats);
+    index_->Cut(pivot, /*want_incl=*/choice.after_duplicates, stats);
     return Status::OK();
   }
 
@@ -624,23 +598,22 @@ class CrackAccessPath : public ColumnAccessPath {
                        engine_.options().progressive_budget,
                        PolicyStatus().progressive_pending);
     }
-    if (updatable_ == nullptr) {
-      if (!pre_build_deletes_.empty()) {
+    if (index_ == nullptr) {
+      if (deltas_.pending_deletes() > 0) {
         out += StrFormat("deltas: %zu tombstones buffered pre-build\n",
-                         pre_build_deletes_.count());
+                         deltas_.pending_deletes());
       }
       return out + "no accelerator yet (never queried)\n";
     }
-    const CrackerIndex<T>& inner = updatable_->index();
     out += StrFormat("cracker index: %zu tuples, %zu pieces, %zu boundaries, "
                      "partitions=%zu\n",
-                     inner.size(), inner.num_pieces(), inner.num_bounds(),
-                     size_t{1} << inner.partition_bits());
+                     index_->size(), index_->num_pieces(),
+                     index_->num_bounds(),
+                     size_t{1} << index_->partition_bits());
     out += StrFormat("deltas: %zu pending inserts, %zu tombstones, "
                      "%zu merges\n",
-                     updatable_->pending_inserts(),
-                     updatable_->pending_deletes(),
-                     updatable_->merges_performed());
+                     deltas_.pending_inserts(), deltas_.pending_deletes(),
+                     deltas_.folds());
     return out + ExplainPieces(Pieces());
   }
 
@@ -654,7 +627,7 @@ class CrackAccessPath : public ColumnAccessPath {
     status.progressive_budget = engine_.options().progressive_budget;
     status.crack = true;
     if (built_.load(std::memory_order_acquire)) {
-      status.progressive_pending = updatable_->index().progressive_pending();
+      status.progressive_pending = index_->progressive_pending();
     }
     return status;
   }
@@ -668,13 +641,8 @@ class CrackAccessPath : public ColumnAccessPath {
   }
 
  private:
-  /// The base column's value of `oid` (in the column's row range).
-  T BaseValue(Oid oid) const {
-    return column_->template TailData<T>()[oid - column_->head_base()];
-  }
-
   void EnsureBuilt(IoStats* stats) {
-    if (updatable_ != nullptr) return;
+    if (index_ != nullptr) return;
     obs::TraceSpan span("build", stats);
     CrackerIndexOptions opts;
     if constexpr (std::is_integral_v<T>) {
@@ -682,17 +650,11 @@ class CrackAccessPath : public ColumnAccessPath {
       // partitioning, so the first queries crack small pieces.
       opts.partition_bits = PartitionBitsFor(column_->size());
     }
-    updatable_ =
-        std::make_unique<UpdatableCrackerIndex<T>>(column_, stats, opts);
-    pre_build_deletes_.ForEach([this](Oid oid) {
-      Status st = updatable_->Delete(oid, BaseValue(oid));
-      CRACK_DCHECK(st.ok());
-      (void)st;
-    });
-    pre_build_deletes_.ClearAll();
+    index_ = std::make_unique<CrackerIndex<T>>(column_, stats, opts);
+    deltas_.Start();
     SyncDirty();
     // Publish readiness last: shared-latch readers may dereference
-    // updatable_ as soon as they observe built_.
+    // index_ as soon as they observe built_.
     built_.store(true, std::memory_order_release);
   }
 
@@ -700,9 +662,9 @@ class CrackAccessPath : public ColumnAccessPath {
   /// maintenance poll (nothing before the build). Callers hold the delta
   /// latch or the exclusive column latch.
   void SyncDirty() {
-    if (updatable_ == nullptr) return;
-    PublishDeltas(updatable_->pending_inserts() + updatable_->pending_deletes(),
-                  updatable_->index().size());
+    if (index_ == nullptr) return;
+    PublishDeltas(deltas_.pending_inserts() + deltas_.pending_deletes(),
+                  index_->size());
   }
 
   /// kAuto: one detector sample per query — the clamped range midpoint
@@ -730,149 +692,18 @@ class CrackAccessPath : public ColumnAccessPath {
     size_t read = n;
     SpanAggregates agg = inner->ReducePieces(pos, pos + n, &read);
     std::vector<std::pair<T, Oid>> hidden =
-        HiddenIn(lo, lo_incl, hi, hi_incl, view, stats);
+        deltas_.HiddenIn(lo, lo_incl, hi, hi_incl, view, stats);
     if (!hidden.empty()) {
-      const size_t rescanned =
-          SubtractHidden(inner, pos, pos + n, hidden, &agg);
+      const size_t rescanned = SubtractHidden(
+          hidden,
+          [&](bool want_min, size_t* rows) {
+            return VisibleExtreme(inner, pos, pos + n, want_min, hidden, rows);
+          },
+          &agg);
       if (stats != nullptr) stats->tuples_read += rescanned;
     }
-    FoldAggregates<T>(agg, n, read, updatable_->pending(), lo, lo_incl, hi,
+    FoldAggregates<T>(agg, n, read, deltas_.pending(), lo, lo_incl, hi,
                       hi_incl, view, stats, out);
-  }
-
-  /// The rows of the value-exact cracked span for [lo, hi] that an answer
-  /// must drop, in (value, oid) order: every tombstone there and, under an
-  /// active view, every marked row there the view hides. Only the
-  /// hidden-candidate table is read — two binary searches — and the
-  /// candidates are tested against the view in one batch (one version-log
-  /// latch acquisition). Charges the candidates to `stats`. Callers hold the
-  /// delta latch.
-  std::vector<std::pair<T, Oid>> HiddenIn(T lo, bool lo_incl, T hi,
-                                          bool hi_incl,
-                                          const SnapshotView* view,
-                                          IoStats* stats) {
-    std::vector<std::pair<T, Oid>> candidates;
-    updatable_->TombstonesIn(lo, lo_incl, hi, hi_incl, [&](T value, Oid oid) {
-      candidates.emplace_back(value, oid);
-    });
-    const size_t tombstoned = candidates.size();
-    if (ViewActive(view)) {
-      PullMarks(view);
-      marked_.ForEachIn(lo, lo_incl, hi, hi_incl, [&](T value, Oid oid) {
-        // A row tombstoned after its mark was pulled is filed above, under
-        // the same physical value.
-        if (!updatable_->IsDeleted(oid)) candidates.emplace_back(value, oid);
-      });
-    }
-    if (stats != nullptr) stats->tuples_read += candidates.size();
-    obs::RecordHiddenCandidates(candidates.size());
-    // Without a view the candidates are the tombstones, in value order.
-    if (candidates.empty() || !ViewActive(view)) return candidates;
-    std::vector<Oid> oids(candidates.size());
-    for (size_t i = 0; i < candidates.size(); ++i) {
-      oids[i] = candidates[i].second;
-    }
-    std::vector<uint64_t> visible(BitmapWords(oids.size()));
-    view->VisibleMask(oids.data(), oids.size(), visible.data());
-    std::vector<std::pair<T, Oid>> hidden;
-    for (size_t i = 0; i < candidates.size(); ++i) {
-      if (i < tombstoned || !BitmapTest(visible.data(), i)) {
-        hidden.push_back(candidates[i]);
-      }
-    }
-    std::sort(hidden.begin(), hidden.end());
-    return hidden;
-  }
-
-  /// Brings the marked half of the hidden-candidate table up to date with
-  /// the view's version log: the rows this cracker column holds that the
-  /// log marked since the last pull, filed under their physical value. A
-  /// merge (which changes the rows held and their values), a vacuum's
-  /// re-mark (a new log generation) or another log rebuilds it from the
-  /// whole log. Callers hold the delta latch.
-  void PullMarks(const SnapshotView* view) {
-    const VersionedTable* log = view->table();
-    if (log != marks_log_ ||
-        updatable_->merges_performed() != marks_merges_) {
-      marked_.Clear();
-      mark_cursor_ = {};
-      marks_log_ = log;
-      marks_merges_ = updatable_->merges_performed();
-    }
-    fresh_marks_.clear();
-    if (!log->MarksSince(&mark_cursor_, &fresh_marks_)) marked_.Clear();
-    const T* base = column_->template TailData<T>();
-    const Oid head = column_->head_base();
-    const size_t rows = column_->size();
-    for (Oid oid : fresh_marks_) {
-      // Pending inserts stay with the pending overlay, and a tombstoned row
-      // is filed with its tombstone. Any other row the column holds has its
-      // base value physically: owners write base slots through before
-      // notifying the path, and every rewrite tombstones the old copy.
-      if (!updatable_->Holds(oid) || updatable_->IsDeleted(oid) ||
-          oid - head >= rows) {
-        continue;
-      }
-      marked_.Insert(base[oid - head], oid);
-    }
-  }
-
-  /// Marks the hidden rows of the value-exact span [cut_lo, cut_hi) as
-  /// exceptions of `set`, whose only span it is: one pass over the span's
-  /// oids, stopping at the last hidden one. Returns the rows passed over.
-  /// Callers hold the range lock over the span.
-  size_t MarkHidden(CrackerIndex<T>* inner, size_t cut_lo, size_t cut_hi,
-                    const std::vector<std::pair<T, Oid>>& hidden,
-                    OidSpanSet* set) const {
-    std::vector<Oid> oids;
-    oids.reserve(hidden.size());
-    // A 4096-bit filter on the low oid bits settles most rows with one bit
-    // test; the rest are looked up among the sorted hidden oids.
-    uint64_t filter[64] = {};
-    for (const auto& [value, oid] : hidden) {
-      oids.push_back(oid);
-      filter[(oid >> 6) & 63] |= uint64_t{1} << (oid & 63);
-    }
-    std::sort(oids.begin(), oids.end());
-    const Oid* map = inner->oids()->template TailData<Oid>();
-    size_t left = oids.size();
-    size_t i = cut_lo;
-    for (; i < cut_hi && left > 0; ++i) {
-      const Oid oid = map[i];
-      if (((filter[(oid >> 6) & 63] >> (oid & 63)) & 1) == 0) continue;
-      if (!std::binary_search(oids.begin(), oids.end(), oid)) continue;
-      set->MarkException(i - cut_lo);
-      --left;
-    }
-    CRACK_DCHECK(left == 0);
-    return i - cut_lo;
-  }
-
-  /// Takes the hidden rows (in value order) out of `agg`, the reduction of
-  /// the value-exact span [begin, end): COUNT and SUM subtract them; MIN
-  /// and MAX stand unless a hidden row holds the extreme, and then only the
-  /// span's edge piece is rescanned (VisibleExtreme). Returns the rows
-  /// rescanned. Callers hold the range lock over the span.
-  size_t SubtractHidden(CrackerIndex<T>* inner, size_t begin, size_t end,
-                        const std::vector<std::pair<T, Oid>>& hidden,
-                        SpanAggregates* agg) {
-    uint64_t sum = static_cast<uint64_t>(agg->sum_i);
-    for (const auto& [value, oid] : hidden) {
-      sum -= static_cast<uint64_t>(static_cast<int64_t>(value));
-    }
-    agg->sum_i = static_cast<int64_t>(sum);
-    agg->count -= hidden.size();
-    size_t read = 0;
-    if (agg->count == 0) return read;
-    if (static_cast<int64_t>(hidden.front().first) == agg->min_i) {
-      agg->min_i = VisibleExtreme(inner, begin, end, /*want_min=*/true,
-                                  hidden, &read);
-    }
-    if (static_cast<int64_t>(hidden.back().first) == agg->max_i) {
-      agg->max_i = VisibleExtreme(inner, begin, end, /*want_min=*/false,
-                                  hidden, &read);
-    }
-    return read;
   }
 
   /// The smallest (want_min) or largest visible value of the span
@@ -880,7 +711,7 @@ class CrackAccessPath : public ColumnAccessPath {
   /// right of it, so the extreme sits in the first (last) piece that holds a
   /// visible row: the edge pieces are scanned one at a time, skipping hidden
   /// rows, until one does. The span must hold a visible row. Adds the rows
-  /// scanned to *read.
+  /// scanned to *read. Callers hold the range lock over the span.
   int64_t VisibleExtreme(CrackerIndex<T>* inner, size_t begin, size_t end,
                          bool want_min,
                          const std::vector<std::pair<T, Oid>>& hidden,
@@ -922,7 +753,7 @@ class CrackAccessPath : public ColumnAccessPath {
   /// pivot, and a neighbour subdividing the same piece just leaves less
   /// auxiliary work — the span re-probe observes their cuts too.
   void StochasticShrink(T v, bool want_incl, IoStats* stats) {
-    CrackerIndex<T>* inner = updatable_->mutable_index();
+    CrackerIndex<T>* inner = index_.get();
     size_t pos;
     if (inner->FindCut(v, want_incl, &pos)) return;
     std::pair<size_t, size_t> span = inner->PieceSpanFor(v);
@@ -947,7 +778,7 @@ class CrackAccessPath : public ColumnAccessPath {
   /// Returns true when both cuts are exact.
   bool CoarseCuts(T lo, bool lo_incl, T hi, bool hi_incl, IoStats* stats,
                   size_t* cut_lo, size_t* cut_hi) {
-    CrackerIndex<T>* inner = updatable_->mutable_index();
+    CrackerIndex<T>* inner = index_.get();
     bool lo_exact = inner->FindCut(lo, /*want_incl=*/!lo_incl, cut_lo);
     if (!lo_exact) {
       std::pair<size_t, size_t> span = inner->PieceSpanFor(lo);
@@ -985,7 +816,7 @@ class CrackAccessPath : public ColumnAccessPath {
   /// both cuts are exact.
   bool ProgressiveCuts(T lo, bool lo_incl, T hi, bool hi_incl, IoStats* stats,
                        size_t* cut_lo, size_t* cut_hi) {
-    CrackerIndex<T>* inner = updatable_->mutable_index();
+    CrackerIndex<T>* inner = index_.get();
     std::pair<size_t, size_t> span_lo = inner->PieceSpanFor(lo);
     std::pair<size_t, size_t> span_hi = inner->PieceSpanFor(hi);
     size_t pool = ProgressivePool(span_lo.second - span_lo.first,
@@ -1004,18 +835,23 @@ class CrackAccessPath : public ColumnAccessPath {
   }
 
   /// Marks the value misses of a conservative span [cut_lo, cut_hi) — one
-  /// with a fuzzy coarse edge or an open progressive frontier, at most its
-  /// two edge pieces — as exceptions of `set`, whose only span it is.
-  /// Callers hold the range lock over the span.
-  void MarkValueMisses(CrackerIndex<T>* inner, size_t cut_lo, size_t cut_hi,
-                       T lo, bool lo_incl, T hi, bool hi_incl,
-                       OidSpanSet* set) {
+  /// with a fuzzy coarse edge or an open progressive frontier — as
+  /// exceptions of `set`, whose only span it is, and returns how many there
+  /// are. Charges the span's rows to `stats`. Callers hold the range lock
+  /// over the span.
+  size_t MarkValueMisses(CrackerIndex<T>* inner, size_t cut_lo, size_t cut_hi,
+                         T lo, bool lo_incl, T hi, bool hi_incl,
+                         IoStats* stats, OidSpanSet* set) {
     const T* data = inner->values()->template TailData<T>();
+    size_t misses = 0;
     for (size_t i = cut_lo; i < cut_hi; ++i) {
       if (!InRange(data[i], lo, lo_incl, hi, hi_incl)) {
         set->MarkException(i - cut_lo);
+        ++misses;
       }
     }
+    if (stats != nullptr) stats->tuples_read += cut_hi - cut_lo;
+    return misses;
   }
 
   std::shared_ptr<Bat> column_;
@@ -1024,19 +860,12 @@ class CrackAccessPath : public ColumnAccessPath {
   /// Serializes the policy engine's detector and pivot stream (Pcg32 is not
   /// thread-safe).
   std::mutex engine_mu_;
-  std::unique_ptr<UpdatableCrackerIndex<T>> updatable_;
-  OidBitTable pre_build_deletes_;  ///< tombstones before build
-  std::atomic<bool> built_{false};     ///< updatable_ is safe to dereference
-  /// The marked half of the hidden-candidate table (the tombstones with
-  /// their values are the other, kept by updatable_): the rows the cracker
-  /// column holds that a version log marked, under their physical value.
-  /// Guarded by delta_mu_, like the rest of this block.
-  ValueOrderedOids<T> marked_;
-  const VersionedTable* marks_log_ = nullptr;  ///< the log marked_ follows
-  VersionedTable::MarkCursor mark_cursor_;     ///< how far marked_ has read
-  size_t marks_merges_ = 0;  ///< updatable_'s merge count marked_ matches
-  std::vector<Oid> fresh_marks_;  ///< PullMarks' scratch buffer
-  mutable std::mutex delta_mu_;        ///< guards the delta structures
+  /// The cracker column; a fold replaces it wholesale, so never cache the
+  /// pointer across a release of the exclusive column latch.
+  std::unique_ptr<CrackerIndex<T>> index_;
+  std::atomic<bool> built_{false};  ///< index_ is safe to dereference
+  ColumnDeltas<T> deltas_;          ///< guarded by delta_mu_
+  mutable std::mutex delta_mu_;     ///< guards deltas_
 };
 
 // --- sort -----------------------------------------------------------------
@@ -1045,10 +874,7 @@ template <typename T>
 class SortAccessPath : public ColumnAccessPath {
  public:
   SortAccessPath(std::shared_ptr<Bat> column, const AccessPathConfig& config)
-      : column_(std::move(column)),
-        config_(config),
-        deleted_(column_->head_base()),
-        purged_(column_->head_base()) {}
+      : column_(std::move(column)), config_(config), deltas_(column_) {}
 
   AccessStrategy strategy() const override { return AccessStrategy::kSort; }
   const AccessPathConfig& config() const override { return config_; }
@@ -1065,30 +891,23 @@ class SortAccessPath : public ColumnAccessPath {
   AccessSelection Select(const RangeBounds& range, Delivery delivery,
                          IoStats* stats,
                          const SnapshotView* view = nullptr) override {
-    // Answers stay spans: the set pins the copy it spans, and merges
-    // replace the copy instead of rewriting it.
-    (void)delivery;
     EnsureBuilt(stats);
     T lo, hi;
     bool lo_incl, hi_incl;
     ClampRange<T>(range, &lo, &lo_incl, &hi, &hi_incl);
     // Binary search over the sorted copy: read-only, so safe under the
-    // shared latch. The answer is one span over the copy's oid map; a merge
+    // shared latch. The answer is one span over the copy's oid map; a fold
     // replaces the copy instead of rewriting it, so the span stays valid
-    // after the latch drops.
+    // after the latch drops, and the copy needs no range lock.
     CrackSelection sel = sorted_->Select(lo, lo_incl, hi, hi_incl, stats);
+    const size_t begin = sel.oids.offset();
     AccessSelection out;
     out.span_set.BindOidMap(sorted_->oids());
-    out.span_set.AddSpan(sel.oids.offset(), sel.oids.offset() + sel.count());
-    {
-      std::lock_guard<std::mutex> dl(delta_mu_);
-      if (OverlayDeltaAnswer<T>(pending_, deleted_, lo, lo_incl, hi, hi_incl,
-                                view, stats, &out.span_set) &&
-          stats != nullptr) {
-        stats->tuples_read += sel.count();
-      }
-    }
-    out.count = out.span_set.count();
+    out.span_set.AddSpan(begin, begin + sel.count());
+    std::lock_guard<std::mutex> dl(delta_mu_);
+    AnswerSpan<T>(&deltas_, sorted_->oids()->template TailData<Oid>(), begin,
+                  begin + sel.count(), /*misses=*/0, lo, lo_incl, hi, hi_incl,
+                  delivery != Delivery::kCount, view, stats, &out);
     return out;
   }
 
@@ -1108,16 +927,28 @@ class SortAccessPath : public ColumnAccessPath {
       ColumnAggregates out;
       if (EmptyRange(lo, lo_incl, hi, hi_incl)) return out;
       EnsureBuilt(stats);
-      // Binary search bounds the answer span; the reduction reads the
-      // sorted copy, which only the exclusive latch replaces.
+      // Binary search bounds the answer span. A sorted copy keeps no cut
+      // records, so the whole span is reduced; its hidden rows come out
+      // afterwards.
       CrackSelection sel = sorted_->Select(lo, lo_incl, hi, hi_incl, stats);
       const T* vals = sel.values.template data<T>();
-      const Oid* oid_data = sel.oids.template data<Oid>();
-      size_t n = sel.values.size();
+      const Oid* oids = sel.oids.template data<Oid>();
+      const size_t n = sel.count();
+      SpanAggregates agg = AggregateSpan(vals, n);
       std::lock_guard<std::mutex> dl(delta_mu_);
-      SpanAggregates agg = ReduceSpan<T>(vals, oid_data, n, deleted_, view);
-      FoldAggregates<T>(agg, n, n, pending_, lo, lo_incl, hi, hi_incl, view,
-                        stats, &out);
+      std::vector<std::pair<T, Oid>> hidden =
+          deltas_.HiddenIn(lo, lo_incl, hi, hi_incl, view, stats);
+      if (!hidden.empty()) {
+        const size_t rescanned = SubtractHidden(
+            hidden,
+            [&](bool want_min, size_t* rows) {
+              return VisibleExtreme(vals, oids, n, want_min, hidden, rows);
+            },
+            &agg);
+        if (stats != nullptr) stats->tuples_read += rescanned;
+      }
+      FoldAggregates<T>(agg, n, n, deltas_.pending(), lo, lo_incl, hi,
+                        hi_incl, view, stats, &out);
       return out;
     }
   }
@@ -1125,82 +956,47 @@ class SortAccessPath : public ColumnAccessPath {
   Status Insert(const Value& value, Oid oid, IoStats* stats) override {
     if (sorted_ == nullptr) return Status::OK();  // lazy build reads base
     std::lock_guard<std::mutex> dl(delta_mu_);
-    pending_.emplace_back(CastValue<T>(value), oid);
+    CRACK_RETURN_NOT_OK(deltas_.Insert(CastValue<T>(value), oid));
     SyncDirty();
     if (stats != nullptr) ++stats->tuples_written;
     return Status::OK();
   }
 
-  /// Tombstones `oid`. A pending insert is cancelled instead; the oid joins
-  /// the physically-gone set so a later Update()/Delete() sees a dead row,
-  /// not a merged tuple.
   Status Delete(Oid oid, IoStats* stats) override {
     (void)stats;
-    CRACK_RETURN_NOT_OK(CheckDeletableOid(*column_, oid));
     std::lock_guard<std::mutex> dl(delta_mu_);
-    if (purged_.Test(oid)) return AlreadyDeletedError(oid);
-    auto it = std::find_if(pending_.begin(), pending_.end(),
-                           [oid](const auto& p) { return p.second == oid; });
-    if (it != pending_.end()) {
-      pending_.erase(it);
-      purged_.Set(oid);
-    } else if (!deleted_.Set(oid)) {
-      return AlreadyDeletedError(oid);
-    }
+    CRACK_RETURN_NOT_OK(deltas_.Delete(oid));
     SyncDirty();
     return Status::OK();
   }
 
   Status Update(Oid oid, const Value& old_value, const Value& value,
                 IoStats* stats) override {
-    (void)old_value;  // the tombstone is keyed by oid alone
     if (sorted_ == nullptr) return Status::OK();  // base slot overwritten
-    CRACK_RETURN_NOT_OK(CheckDeletableOid(*column_, oid));
     std::lock_guard<std::mutex> dl(delta_mu_);
-    auto it = std::find_if(pending_.begin(), pending_.end(),
-                           [oid](const auto& p) { return p.second == oid; });
-    if (it != pending_.end()) {
-      it->first = CastValue<T>(value);  // rewritten in place: still a write
-      if (stats != nullptr) ++stats->tuples_written;
-      return Status::OK();
-    }
-    if (purged_.Test(oid) || !deleted_.Set(oid)) {
-      return Status::NotFound(
-          StrFormat("oid %llu is deleted",
-                    static_cast<unsigned long long>(oid)));
-    }
-    pending_.emplace_back(CastValue<T>(value), oid);
+    CRACK_RETURN_NOT_OK(
+        deltas_.Update(oid, CastValue<T>(old_value), CastValue<T>(value)));
     SyncDirty();
     if (stats != nullptr) ++stats->tuples_written;
     return Status::OK();
   }
 
-  Status Purge(const std::vector<Oid>& oids, IoStats* stats) override {
-    for (Oid oid : oids) {
-      Status st = Delete(oid, stats);
-      // NotFound: never landed; AlreadyExists: purged before.
-      if (!st.ok() && !st.IsNotFound() && !st.IsAlreadyExists()) return st;
-    }
-    return FlushDeltas(stats);
-  }
-
   Status FlushDeltas(IoStats* stats) override {
-    if (sorted_ == nullptr && pending_.empty() && deleted_.empty()) {
-      return Status::OK();
-    }
+    if (sorted_ == nullptr && deltas_.empty()) return Status::OK();
     EnsureBuilt(stats);
-    return MergeDeltas(stats);
+    if (!deltas_.empty()) Fold(stats);
+    return Status::OK();
   }
 
   size_t pending_inserts() const override {
     std::lock_guard<std::mutex> dl(delta_mu_);
-    return pending_.size();
+    return deltas_.pending_inserts();
   }
   size_t pending_deletes() const override {
     std::lock_guard<std::mutex> dl(delta_mu_);
-    return deleted_.count();
+    return deltas_.pending_deletes();
   }
-  size_t merges_performed() const override { return merges_; }
+  size_t merges_performed() const override { return deltas_.folds(); }
 
   size_t accel_tuples() const override {
     std::lock_guard<std::mutex> dl(delta_mu_);
@@ -1229,7 +1025,8 @@ class SortAccessPath : public ColumnAccessPath {
     out += "sorted copy present (binary-search access)\n";
     out += StrFormat("deltas: %zu pending inserts, %zu tombstones, "
                      "%zu merges\n",
-                     pending_.size(), deleted_.count(), merges_);
+                     deltas_.pending_inserts(), deltas_.pending_deletes(),
+                     deltas_.folds());
     return out;
   }
 
@@ -1239,6 +1036,7 @@ class SortAccessPath : public ColumnAccessPath {
     if (sorted_ != nullptr) return;
     obs::TraceSpan span("build", stats);
     sorted_ = std::make_unique<SortedColumn<T>>(column_, stats);
+    deltas_.Start();
     SyncDirty();
     built_.store(true, std::memory_order_release);
   }
@@ -1247,22 +1045,44 @@ class SortAccessPath : public ColumnAccessPath {
   /// exclusive column latch.
   void SyncDirty() {
     if (sorted_ == nullptr) return;
-    PublishDeltas(pending_.size() + deleted_.count(), sorted_->size());
+    PublishDeltas(deltas_.pending_inserts() + deltas_.pending_deletes(),
+                  sorted_->size());
   }
 
-  /// Folds deltas back by merging two sorted runs: the surviving sorted
-  /// copy (minus tombstones) and the value-sorted pending inserts. The
-  /// result adopts fresh (values, oids) columns — O(n + d log d), no resort
-  /// of the bulk.
-  Status MergeDeltas(IoStats* stats) {
-    if (pending_.empty() && deleted_.empty()) return Status::OK();
-    std::sort(pending_.begin(), pending_.end());
+  /// The smallest (want_min) or largest visible value of the sorted span
+  /// vals[0, n): the first row from that edge that is not hidden. A sorted
+  /// copy has no pieces, so the rescan goes row by row. The span must hold
+  /// a visible row. Adds the rows read to *read.
+  static int64_t VisibleExtreme(const T* vals, const Oid* oids, size_t n,
+                                bool want_min,
+                                const std::vector<std::pair<T, Oid>>& hidden,
+                                size_t* read) {
+    for (size_t k = 0; k < n; ++k) {
+      const size_t i = want_min ? k : n - 1 - k;
+      if (!std::binary_search(hidden.begin(), hidden.end(),
+                              std::make_pair(vals[i], oids[i]))) {
+        *read += k + 1;
+        return static_cast<int64_t>(vals[i]);
+      }
+    }
+    CRACK_DCHECK(false);
+    *read += n;
+    return 0;
+  }
+
+  /// Folds the deltas back by merging two sorted runs: the sorted copy's
+  /// survivors and the value-sorted pending rows. The result adopts fresh
+  /// (values, oids) columns — O(n + d log d), no re-sort of the bulk.
+  void Fold(IoStats* stats) {
+    std::vector<std::pair<T, Oid>> pending = deltas_.pending();
+    std::sort(pending.begin(), pending.end(), ValueOidLess());
+    const OidBitTable& deleted = deltas_.tombstones();
     size_t old_n = sorted_->size();
     auto values = Bat::Create(TypeTraits<T>::kType,
                               column_->name() + "#sorted");
     auto oids = Bat::Create(ValueType::kOid, column_->name() + "#sortedmap");
-    values->Reserve(old_n + pending_.size());
-    oids->Reserve(old_n + pending_.size());
+    values->Reserve(old_n + pending.size());
+    oids->Reserve(old_n + pending.size());
     T* vd = values->template MutableTailData<T>();
     Oid* od = oids->template MutableTailData<Oid>();
     const T* src_v = sorted_->values()->template TailData<T>();
@@ -1270,10 +1090,10 @@ class SortAccessPath : public ColumnAccessPath {
     size_t w = 0;
     size_t p = 0;
     for (size_t i = 0; i < old_n; ++i) {
-      if (deleted_.Test(src_o[i])) continue;
-      while (p < pending_.size() && pending_[p].first < src_v[i]) {
-        vd[w] = pending_[p].first;
-        od[w] = pending_[p].second;
+      if (deleted.Test(src_o[i])) continue;
+      while (p < pending.size() && ValueLess(pending[p].first, src_v[i])) {
+        vd[w] = pending[p].first;
+        od[w] = pending[p].second;
         ++w;
         ++p;
       }
@@ -1281,40 +1101,29 @@ class SortAccessPath : public ColumnAccessPath {
       od[w] = src_o[i];
       ++w;
     }
-    for (; p < pending_.size(); ++p) {
-      vd[w] = pending_[p].first;
-      od[w] = pending_[p].second;
+    for (; p < pending.size(); ++p) {
+      vd[w] = pending[p].first;
+      od[w] = pending[p].second;
       ++w;
     }
     values->SetCountUnsafe(w);
     oids->SetCountUnsafe(w);
     if (stats != nullptr) {
-      stats->tuples_read += old_n + pending_.size();
+      stats->tuples_read += old_n + pending.size();
       stats->tuples_written += w;
     }
     sorted_ = std::make_unique<SortedColumn<T>>(std::move(values),
                                                 std::move(oids));
-    // Only tombstones without a pending rebirth (an Update leaves both) are
-    // physically gone; remember them so later writes report the row dead.
-    for (const auto& [value, oid] : pending_) deleted_.Clear(oid);
-    deleted_.ForEach([this](Oid oid) { purged_.Set(oid); });
-    pending_.clear();
-    deleted_.ClearAll();
-    ++merges_;
-    obs::RecordMerge(w);
+    deltas_.Retire(w);
     SyncDirty();
-    return Status::OK();
   }
 
   std::shared_ptr<Bat> column_;
   AccessPathConfig config_;
   std::unique_ptr<SortedColumn<T>> sorted_;
-  std::vector<std::pair<T, Oid>> pending_;  ///< inserts since the last merge
-  OidBitTable deleted_;  ///< tombstones since the last merge
-  OidBitTable purged_;   ///< oids physically gone (merged away)
-  size_t merges_ = 0;
-  std::atomic<bool> built_{false};      ///< sorted_ is safe to dereference
-  mutable std::mutex delta_mu_;         ///< guards the delta structures
+  std::atomic<bool> built_{false};  ///< sorted_ is safe to dereference
+  ColumnDeltas<T> deltas_;          ///< guarded by delta_mu_
+  mutable std::mutex delta_mu_;     ///< guards deltas_
 };
 
 // --- scan -----------------------------------------------------------------
@@ -1417,14 +1226,6 @@ class ScanAccessPath : public ColumnAccessPath {
     (void)value;
     (void)stats;
     return Status::OK();
-  }
-
-  Status Purge(const std::vector<Oid>& oids, IoStats* stats) override {
-    for (Oid oid : oids) {
-      Status st = Delete(oid, stats);
-      if (!st.ok() && !st.IsNotFound() && !st.IsAlreadyExists()) return st;
-    }
-    return Status::OK();  // tombstones are the scan's terminal state
   }
 
   Status FlushDeltas(IoStats* stats) override {
@@ -1625,19 +1426,6 @@ class DictStringAccessPath : public ColumnAccessPath {
         row < codes_->size() ? codes_->Get<int64_t>(row) : 0;
     CRACK_RETURN_NOT_OK(codes_->SetNumeric(row, code));
     return Published(inner_->Update(oid, Value(old_code), Value(code), stats));
-  }
-
-  Status Purge(const std::vector<Oid>& oids, IoStats* stats) override {
-    // The wrapper's all-time tombstone set learns every purged row first,
-    // so a rebuilt inner path replays them.
-    std::vector<Oid> fresh;
-    for (Oid oid : oids) {
-      if (CheckDeletableOid(*column_, oid).ok() && deleted_.Set(oid)) {
-        fresh.push_back(oid);
-      }
-    }
-    if (inner_ == nullptr) return FlushDeltas(stats);
-    return Published(inner_->Purge(fresh, stats));
   }
 
   Status FlushDeltas(IoStats* stats) override {

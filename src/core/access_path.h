@@ -27,10 +27,12 @@
 // Select, so its investment is charged to the query that triggered it —
 // exactly the accounting Figures 2-3 analyze.
 //
-// Paths also absorb DML (§2.2/§7's updates question): inserts and deletes
-// land in per-path delta structures (pending list + tombstone set) and fold
-// back into the accelerator per a DeltaMergePolicy — immediately, past a
-// threshold, or rippled into the next selection — preserving the learned
+// Paths also absorb DML (§2.2/§7's updates question). The crack and sort
+// paths keep their inserts, tombstones and hidden-candidate table in one
+// ColumnDeltas (core/column_deltas.h) and answer every range as span −
+// hidden candidates + extras; the scan path keeps a tombstone set. Deltas
+// fold back into the accelerator per a DeltaMergePolicy — immediately, past
+// a threshold, or rippled into the next selection — preserving the learned
 // physical order across maintenance. A path never decides to fold: its
 // owner asks WantsMaintenance and calls FlushDeltas.
 
@@ -138,9 +140,10 @@ struct PathPolicyStatus {
 /// caller's snapshot land as exceptions (hidden rows) and extras (pending
 /// inserts, override re-admissions).
 ///
-/// A Delivery::kCount answer never reads its rows: a value-exact crack
-/// answer then carries only `count` and the spans it covers (no exceptions
-/// or extras). Other answers are whole (count == span_set.count()).
+/// A Delivery::kCount answer of a crack or sort path never reads its hidden
+/// rows: it carries `count` and its span (with a conservative span's value
+/// misses), no hidden row marked and no extra listed. Other answers are
+/// whole (count == span_set.count()).
 struct AccessSelection {
   uint64_t count = 0;         ///< qualifying tuples
   OidSpanSet span_set;        ///< the qualifying rows (see above)
@@ -155,7 +158,7 @@ struct AccessSelection {
 struct ColumnAggregates {
   uint64_t rows = 0;           ///< qualifying rows (COUNT of the range)
   uint64_t pushdown_rows = 0;  ///< rows answered by the pushdown
-  uint64_t summary_rows = 0;   ///< of those, rows taken from piece summaries
+  uint64_t summary_rows = 0;   ///< of those, rows taken from cut records
   int64_t sum = 0;             ///< wrapping sum over qualifying rows
   bool has_minmax = false;     ///< rows > 0
   int64_t min = 0;
@@ -261,8 +264,7 @@ class ColumnAccessPath {
   /// (rows already gone, or never landed, are skipped) and folds the
   /// deltas once, whatever the DeltaMergePolicy. Requires the exclusive
   /// column latch.
-  virtual Status Purge(const std::vector<Oid>& oids,
-                       IoStats* stats = nullptr) = 0;
+  Status Purge(const std::vector<Oid>& oids, IoStats* stats = nullptr);
 
   /// Folds all pending deltas into the accelerator now, regardless of the
   /// configured DeltaMergePolicy. No-op for paths without pending state.

@@ -122,13 +122,15 @@ CrackSplit CrackInTwoLeScalar(T* data, Oid* oids, size_t n, T pivot) {
 ///   [ below | middle | above ]
 /// where `middle` holds values v with
 ///   (lo_incl ? v >= lo : v > lo)  &&  (hi_incl ? v <= hi : v < hi).
-/// Degenerate pivot pairs (empty middle) are allowed.
+/// A NaN is neither below nor in the middle, so it lands above, as in the
+/// vector tiers' two passes. Degenerate pivot pairs (empty middle) are
+/// allowed.
 template <typename T>
 Crack3Split CrackInThreeScalar(T* data, Oid* oids, size_t n, T lo,
                                bool lo_incl, T hi, bool hi_incl) {
   Crack3Split out;
   auto below = [lo, lo_incl](T v) { return lo_incl ? v < lo : v <= lo; };
-  auto above = [hi, hi_incl](T v) { return hi_incl ? v > hi : v >= hi; };
+  auto above = [hi, hi_incl](T v) { return !(hi_incl ? v <= hi : v < hi); };
   size_t lt = 0;   // next write position for `below`
   size_t gt = n;   // one past next write position for `above`
   size_t i = 0;

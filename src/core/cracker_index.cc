@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 #include <iterator>
 #include <limits>
 #include <type_traits>
@@ -95,6 +96,62 @@ CrackerIndex<T>::CrackerIndex(std::shared_ptr<Bat> values,
   oids_ = std::move(oids);
   raw_values_ = values_->MutableTailData<T>();
   raw_oids_ = oids_->MutableTailData<Oid>();
+}
+
+template <typename T>
+Result<std::unique_ptr<CrackerIndex<T>>> CrackerIndex<T>::Fold(
+    const OidBitTable& drop, const std::vector<std::pair<T, Oid>>& add,
+    IoStats* stats) const {
+  // Snapshot the learned boundaries before rebuilding.
+  std::vector<CrackBound<T>> bounds = Bounds();
+
+  // New cracker column: the current (clustered!) survivors followed by the
+  // added rows.
+  auto values = Bat::Create(TypeTraits<T>::kType, "merged#crack");
+  auto oids = Bat::Create(ValueType::kOid, "merged#crackmap");
+  values->Reserve(n_ + add.size());
+  oids->Reserve(n_ + add.size());
+  T* vd = values->template MutableTailData<T>();
+  Oid* od = oids->template MutableTailData<Oid>();
+  size_t w = 0;
+  for (size_t i = 0; i < n_; ++i) {
+    if (drop.Test(raw_oids_[i])) continue;
+    vd[w] = raw_values_[i];
+    od[w] = raw_oids_[i];
+    ++w;
+  }
+  if (w + drop.count() != n_) {
+    return Status::Internal("tombstone set references missing oids");
+  }
+  for (const auto& [value, oid] : add) {
+    vd[w] = value;
+    od[w] = oid;
+    ++w;
+  }
+  values->SetCountUnsafe(w);
+  oids->SetCountUnsafe(w);
+  if (stats != nullptr) {
+    stats->tuples_read += n_ + add.size();
+    stats->tuples_written += w;
+  }
+
+  auto rebuilt = std::make_unique<CrackerIndex<T>>(std::move(values),
+                                                   std::move(oids), options_);
+  std::function<void(size_t, size_t)> replay = [&](size_t lo, size_t hi) {
+    if (lo >= hi) return;
+    size_t mid = lo + (hi - lo) / 2;
+    const CrackBound<T>& b = bounds[mid];
+    if (b.has_excl) {
+      (void)rebuilt->SelectLessThan(b.value, /*inclusive=*/false, stats);
+    }
+    if (b.has_incl) {
+      (void)rebuilt->SelectLessThan(b.value, /*inclusive=*/true, stats);
+    }
+    replay(lo, mid);
+    replay(mid + 1, hi);
+  };
+  replay(0, bounds.size());
+  return rebuilt;
 }
 
 template <typename T>
@@ -812,6 +869,7 @@ Status CrackerIndex<T>::RemoveBound(T value) {
 template <typename T>
 Status CrackerIndex<T>::Validate() const {
   const T* d = raw_values_;
+  // Each test passes a NaN only right of the bound, where kernels put it.
   for (const auto& [value, b] : bounds_) {
     if (b.has_excl) {
       for (size_t i = 0; i < b.pos_excl; ++i) {
@@ -831,14 +889,14 @@ Status CrackerIndex<T>::Validate() const {
     }
     if (b.has_incl) {
       for (size_t i = 0; i < b.pos_incl; ++i) {
-        if (d[i] > value) {
+        if (!(d[i] <= value)) {
           return Status::Internal(StrFormat(
               "incl bound violated at index %zu (pos_incl=%zu)", i,
               b.pos_incl));
         }
       }
       for (size_t i = b.pos_incl; i < n_; ++i) {
-        if (!(d[i] > value)) {
+        if (d[i] <= value) {
           return Status::Internal(StrFormat(
               "incl bound violated at index %zu (pos_incl=%zu)", i,
               b.pos_incl));

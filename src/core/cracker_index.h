@@ -27,14 +27,17 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/crack_kernels.h"
 #include "core/latch.h"
+#include "core/oid_bit_table.h"
 #include "core/radix_partition.h"
 #include "storage/bat.h"
 #include "obs/query_stats.h"
 #include "util/macros.h"
+#include "util/result.h"
 #include "util/status.h"
 
 namespace crackstore {
@@ -137,6 +140,19 @@ class CrackerIndex {
                CrackerIndexOptions options = {});
 
   CRACK_DISALLOW_COPY_AND_ASSIGN(CrackerIndex);
+
+  /// The delta fold: a new index over this column's rows except `drop`,
+  /// followed by the rows `add`, cracked at every boundary this one has
+  /// learned, so the navigation knowledge survives maintenance. The
+  /// boundaries replay in binary-split order (the median first, then each
+  /// half recursively), which keeps every re-crack inside half its
+  /// parent's region: O(n log B) instead of a value-ordered replay's
+  /// O(B n). Fails when `drop` names a row the column does not hold.
+  /// Charges the copy and the re-cracks to `stats`; the caller keeps this
+  /// index quiet.
+  Result<std::unique_ptr<CrackerIndex>> Fold(
+      const OidBitTable& drop, const std::vector<std::pair<T, Oid>>& add,
+      IoStats* stats = nullptr) const;
 
   // --- concurrency contract -------------------------------------------------
   // Every primitive below is safe to call from many threads at once. Pieces

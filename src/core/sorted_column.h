@@ -37,11 +37,12 @@ class SortedColumn {
     n_ = source->size();
     const T* src = source->TailData<T>();
 
-    // argsort, then scatter values and oids.
+    // argsort (NaN after every number), then scatter values and oids.
     std::vector<size_t> perm(n_);
     std::iota(perm.begin(), perm.end(), size_t{0});
-    std::sort(perm.begin(), perm.end(),
-              [src](size_t a, size_t b) { return src[a] < src[b]; });
+    std::sort(perm.begin(), perm.end(), [src](size_t a, size_t b) {
+      return ValueLess(src[a], src[b]);
+    });
 
     values_ = Bat::Create(source->tail_type(), source->name() + "#sorted");
     oids_ = Bat::Create(ValueType::kOid, source->name() + "#sortedmap");
@@ -67,8 +68,8 @@ class SortedColumn {
 
   /// Adopts pre-sorted parallel (values, oids) columns without re-sorting.
   /// Used by delta maintenance that rebuilds the sorted copy by merging
-  /// sorted runs. `values` must be typed T and ascending, `oids` typed kOid,
-  /// equal length.
+  /// sorted runs. `values` must be typed T and ascending by ValueLess,
+  /// `oids` typed kOid, equal length.
   SortedColumn(std::shared_ptr<Bat> values, std::shared_ptr<Bat> oids)
       : values_(std::move(values)), oids_(std::move(oids)) {
     CRACK_CHECK(values_ != nullptr && oids_ != nullptr);
@@ -80,17 +81,17 @@ class SortedColumn {
 
   CRACK_DISALLOW_COPY_AND_ASSIGN(SortedColumn);
 
-  /// Binary-search range selection; O(log n) reads charged to `stats`.
+  /// Binary-search range selection; O(log n) reads charged to `stats`. The
+  /// NaN rows sort last and lie in no range.
   CrackSelection Select(T lo, bool lo_incl, T hi, bool hi_incl,
                         IoStats* stats = nullptr) const {
     const T* d = values_->TailData<T>();
     const T* begin = d;
     const T* end = d + n_;
-    const T* from =
-        lo_incl ? std::lower_bound(begin, end, lo)
-                : std::upper_bound(begin, end, lo);
-    const T* to = hi_incl ? std::upper_bound(begin, end, hi)
-                          : std::lower_bound(begin, end, hi);
+    const T* from = lo_incl ? std::lower_bound(begin, end, lo, ValueLess<T>)
+                            : std::upper_bound(begin, end, lo, ValueLess<T>);
+    const T* to = hi_incl ? std::upper_bound(begin, end, hi, ValueLess<T>)
+                          : std::lower_bound(begin, end, hi, ValueLess<T>);
     if (to < from) to = from;
     size_t off = static_cast<size_t>(from - d);
     size_t len = static_cast<size_t>(to - from);

@@ -1,12 +1,13 @@
 // Copyright 2026 The CrackStore Authors
 //
-// ValueOrderedOids: a set of (value, oid) rows kept in value order. A
-// crack path keeps the few rows of its cracker column whose visibility can
-// differ from "visible, with its physical value" — tombstones, and rows the
-// version log marks — in such tables, keyed by the physical value the row
-// holds in the cracker column. A value-exact crack span holds exactly the
-// rows whose physical value lies in its range, so two binary searches find
-// the table rows that sit in a span without touching the span itself (the
+// ValueOrderedOids: a set of (value, oid) rows kept in value order (NaN
+// after every number, ValueLess). An accelerator's delta store
+// (core/column_deltas.h) keeps the few rows of a value-ordered layout whose
+// visibility can differ from "visible, with its physical value" —
+// tombstones, and rows the version log marks — in such tables, keyed by the
+// physical value the row holds. A value-exact span holds exactly the rows
+// whose physical value lies in its range, so two binary searches find the
+// table rows that sit in a span without touching the span itself (the
 // value-ordered pending updates of Idreos, Kersten & Manegold, "Updating a
 // Cracked Database", SIGMOD 2007). Inserts are O(log n).
 
@@ -21,6 +22,17 @@
 
 namespace crackstore {
 
+/// (value, oid) rows by ValueLess on the value, then by oid.
+struct ValueOidLess {
+  template <typename T>
+  bool operator()(const std::pair<T, Oid>& a,
+                  const std::pair<T, Oid>& b) const {
+    if (ValueLess(a.first, b.first)) return true;
+    if (ValueLess(b.first, a.first)) return false;
+    return a.second < b.second;
+  }
+};
+
 template <typename T>
 class ValueOrderedOids {
  public:
@@ -32,14 +44,14 @@ class ValueOrderedOids {
 
   /// Calls fn(value, oid) for every row whose value satisfies
   /// (lo_incl ? v >= lo : v > lo) && (hi_incl ? v <= hi : v < hi), in
-  /// (value, oid) order.
+  /// (value, oid) order. A NaN row satisfies no range.
   template <typename Fn>
   void ForEachIn(T lo, bool lo_incl, T hi, bool hi_incl, Fn&& fn) const {
     constexpr Oid kMaxOid = std::numeric_limits<Oid>::max();
     auto it = lo_incl ? rows_.lower_bound({lo, Oid{0}})
                       : rows_.upper_bound({lo, kMaxOid});
     for (; it != rows_.end(); ++it) {
-      if (hi_incl ? it->first > hi : it->first >= hi) break;
+      if (!(hi_incl ? it->first <= hi : it->first < hi)) break;
       fn(it->first, it->second);
     }
   }
@@ -51,7 +63,7 @@ class ValueOrderedOids {
   }
 
  private:
-  std::set<std::pair<T, Oid>> rows_;
+  std::set<std::pair<T, Oid>, ValueOidLess> rows_;
 };
 
 }  // namespace crackstore

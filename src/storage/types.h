@@ -72,6 +72,16 @@ struct TypeTraits<Oid> {
   static constexpr ValueType kType = ValueType::kOid;
 };
 
+/// The store's value order: numbers ascending, NaN after every number. It
+/// is the order crack kernels partition by (a NaN fails every `v < pivot`
+/// and `v <= pivot`, so it lies in no range), and the one sorted copies and
+/// value-ordered tables keep.
+template <typename T>
+inline bool ValueLess(T a, T b) {
+  // a == a is false only for NaN.
+  return a < b || (a == a && b != b);
+}
+
 /// A dynamically-typed scalar used at API boundaries (predicate constants,
 /// row materialization). Hot loops never touch Value; they run on typed
 /// contiguous arrays.

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <memory>
 #include <set>
 #include <vector>
 
@@ -250,6 +253,78 @@ TEST(AccessPathTest, MergeBudgetEnforcedInsidePath) {
   EXPECT_GT(dropped, 0u);
   // <= 4 bounds -> at most 9 pieces (each bound contributes <= 2 cuts).
   EXPECT_LE((*path)->NumPieces(), 9u);
+}
+
+// NaN lies in no range and sorts above every number, on every path. A
+// 1,000-row double column with every tenth value NaN is read after each
+// step — a pending NaN insert, tombstones on four NaN rows and one
+// in-range row, a fold — and the crack and sort paths must answer every
+// range (count and kView rows) as the scan path does. CI's forced-scalar
+// lane runs it over the scalar crack-in-three.
+TEST(AccessPathTest, NanLiesInNoRangeOnEveryPath) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> values(1000);
+  for (size_t i = 0; i < values.size(); ++i) {
+    values[i] = i % 10 == 0 ? nan : static_cast<double>(i);
+  }
+  const std::vector<AccessStrategy> strategies{
+      AccessStrategy::kScan, AccessStrategy::kCrack, AccessStrategy::kSort};
+  std::vector<std::shared_ptr<Bat>> bats;
+  std::vector<std::unique_ptr<ColumnAccessPath>> paths;
+  for (AccessStrategy strategy : strategies) {
+    AccessPathConfig config;
+    config.strategy = strategy;
+    bats.push_back(Bat::FromVector(values, "d"));
+    auto path = CreateColumnAccessPath(bats.back(), config);
+    ASSERT_TRUE(path.ok());
+    paths.push_back(std::move(*path));
+  }
+  const std::vector<RangeBounds> ranges{
+      RangeBounds::Closed(100, 900), RangeBounds::Closed(0, 999),
+      RangeBounds::All(), RangeBounds::HalfOpen(850, 1000),
+      RangeBounds::Open(5, 15)};
+  auto sorted_oids = [](const AccessSelection& sel) {
+    std::vector<Oid> oids = sel.span_set.ToOids();
+    std::sort(oids.begin(), oids.end());
+    return oids;
+  };
+  auto check = [&](const char* step, uint64_t want) {
+    SCOPED_TRACE(step);
+    for (const RangeBounds& range : ranges) {
+      const AccessSelection ref =
+          paths[0]->Select(range, Delivery::kView, nullptr);
+      for (size_t p = 1; p < paths.size(); ++p) {
+        SCOPED_TRACE(AccessStrategyName(strategies[p]));
+        EXPECT_EQ(paths[p]->Select(range, Delivery::kCount, nullptr).count,
+                  ref.count);
+        const AccessSelection view =
+            paths[p]->Select(range, Delivery::kView, nullptr);
+        EXPECT_EQ(view.count, ref.count);
+        EXPECT_EQ(sorted_oids(view), sorted_oids(ref));
+      }
+    }
+    EXPECT_EQ(
+        paths[0]->Select(RangeBounds::Closed(100, 900), Delivery::kCount,
+                         nullptr)
+            .count,
+        want);
+  };
+  check("fresh", 720);
+  for (size_t p = 0; p < paths.size(); ++p) {
+    bats[p]->Append<double>(nan);
+    ASSERT_TRUE(paths[p]->Insert(Value(nan), 1000).ok());
+  }
+  check("pending NaN insert", 720);
+  for (size_t p = 0; p < paths.size(); ++p) {
+    for (Oid oid : {Oid{0}, Oid{100}, Oid{200}, Oid{990}, Oid{501}}) {
+      ASSERT_TRUE(paths[p]->Delete(oid).ok());
+    }
+  }
+  check("four NaN rows and one in-range row tombstoned", 719);
+  for (size_t p = 0; p < paths.size(); ++p) {
+    ASSERT_TRUE(paths[p]->FlushDeltas().ok());
+  }
+  check("folded", 719);
 }
 
 }  // namespace

@@ -414,6 +414,22 @@ void CrackTwoParityTrial(size_t n, size_t offset, bool with_oids, int shape,
   }
 }
 
+/// True when `a` and `b` hold the same values bit for bit (NaN included).
+template <typename T>
+bool SameBits(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) ==
+                           0);
+}
+
+/// True when `a` and `b` hold the same multiset of values (NaN included).
+template <typename T>
+bool SameMultiset(std::vector<T> a, std::vector<T> b) {
+  std::sort(a.begin(), a.end(), ValueLess<T>);
+  std::sort(b.begin(), b.end(), ValueLess<T>);
+  return SameBits(a, b);
+}
+
 template <typename T>
 void CrackThreeParityTrial(size_t n, size_t offset, bool with_oids, int shape,
                            uint64_t seed) {
@@ -429,8 +445,9 @@ void CrackThreeParityTrial(size_t n, size_t offset, bool with_oids, int shape,
   Crack3Split want = CrackInThreeScalar(
       ref.data() + offset, static_cast<Oid*>(nullptr), n, lo, lo_incl, hi,
       hi_incl);
+  // A NaN is neither below nor in the middle: it lands above.
   auto below = [&](T v) { return lo_incl ? v < lo : v <= lo; };
-  auto above = [&](T v) { return hi_incl ? v > hi : v >= hi; };
+  auto above = [&](T v) { return !(hi_incl ? v <= hi : v < hi); };
   const T* r = ref.data() + offset;
   ASSERT_EQ(want.parts[0], DirectPart(r, want.first));
   ASSERT_EQ(want.parts[1], DirectPart(r + want.first, want.second - want.first));
@@ -475,11 +492,10 @@ void CrackThreeParityTrial(size_t n, size_t offset, bool with_oids, int shape,
       ASSERT_FALSE(above(d[i]));
     }
     for (size_t i = s.second; i < n; ++i) ASSERT_TRUE(above(d[i]));
-    ASSERT_EQ(std::multiset<T>(got.begin(), got.end()),
-              std::multiset<T>(base.begin(), base.end()));
+    ASSERT_TRUE(SameMultiset(got, base));
     if (with_oids) {
       for (size_t i = 0; i < offset + n; ++i) {
-        ASSERT_EQ(got[i], base[got_oids[i]]);
+        ASSERT_EQ(std::memcmp(&got[i], &base[got_oids[i]], sizeof(T)), 0);
       }
     }
     // Without the outer extremes: the below part's min and the upper part's
@@ -501,7 +517,7 @@ void CrackThreeParityTrial(size_t n, size_t offset, bool with_oids, int shape,
       first_tier_data = got;
       first_tier_oids = got_oids;
     } else {
-      ASSERT_EQ(got, first_tier_data);
+      ASSERT_TRUE(SameBits(got, first_tier_data));
       if (with_oids) {
         ASSERT_EQ(got_oids, first_tier_oids);
       }
@@ -559,10 +575,8 @@ TEST(KernelTierParityTest, CrackInThreeFuzz) {
         CrackThreeParityTrial<int64_t>(n, offset, with_oids, shape, s);
         break;
       default:
-        // NaN (double shape 4) is neither below nor above: the one-pass
-        // and two-pass schemes place it differently.
-        CrackThreeParityTrial<double>(n, offset, with_oids,
-                                      std::min(shape, 3), s);
+        // Shape 4 sprinkles NaN, which every tier places above.
+        CrackThreeParityTrial<double>(n, offset, with_oids, shape, s);
     }
     if (HasFatalFailure()) return;
   }

@@ -10,13 +10,14 @@
 #include <algorithm>
 #include <atomic>
 #include <limits>
+#include <memory>
 #include <set>
 #include <thread>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/cracker_index.h"
-#include "core/updatable_cracker_index.h"
 #include "util/rng.h"
 #include "workload/tapestry.h"
 
@@ -504,19 +505,18 @@ TYPED_TEST(CutRecordTest, ReducePiecesMatchesDirectReduction) {
       };
       CrackerIndexOptions opts;
       opts.partition_bits = bits;
-      UpdatableCrackerIndex<T> updatable(Bat::FromVector(data, "col"),
-                                         nullptr, opts);
+      auto index = std::make_unique<CrackerIndex<T>>(
+          Bat::FromVector(data, "col"), nullptr, opts);
       if (bits == 0) {
         // Nothing is recorded before the first pass: a reduction scans.
         size_t read = 0;
-        (void)updatable.mutable_index()->ReducePieces(0, n, &read);
+        (void)index->ReducePieces(0, n, &read);
         EXPECT_EQ(read, n);
-        (void)updatable.mutable_index()->SelectLessThan(random_value(), true);
+        (void)index->SelectLessThan(random_value(), true);
       }
       std::vector<bool> deleted(n, false);
       Oid next_oid = n;
       for (int step = 0; step < 60; ++step) {
-        CrackerIndex<T>* index = updatable.mutable_index();
         const uint32_t op = rng.NextBounded(12);
         if (op < 3) {
           // Crack-in-three when no bound lies inside, two cuts otherwise.
@@ -549,18 +549,21 @@ TYPED_TEST(CutRecordTest, ReducePiecesMatchesDirectReduction) {
             (void)index->SelectLessThan(v, rng.NextBounded(2) == 0);
           }
         } else if (op < 11) {
-          // A delta merge builds a new index; its replayed cracks (or the
+          // A delta fold builds a new index; its replayed cracks (or the
           // first crack after it) fill the records.
+          std::vector<std::pair<T, Oid>> add;
           for (int k = 0; k < 3; ++k) {
-            ASSERT_TRUE(updatable.Insert(random_value(), next_oid++).ok());
+            add.emplace_back(random_value(), next_oid++);
           }
+          OidBitTable drop;
           const Oid victim = rng.NextBounded(static_cast<uint32_t>(n));
           if (!deleted[victim]) {
-            ASSERT_TRUE(updatable.Delete(victim, data[victim]).ok());
+            drop.Set(victim);
             deleted[victim] = true;
           }
-          ASSERT_TRUE(updatable.Merge().ok());
-          index = updatable.mutable_index();
+          auto folded = index->Fold(drop, add);
+          ASSERT_TRUE(folded.ok());
+          index = std::move(*folded);
           (void)index->SelectLessThan(random_value(), rng.NextBounded(2) == 0);
         } else {
           (void)index->Cut(random_value(), rng.NextBounded(2) == 0);
@@ -584,7 +587,7 @@ TYPED_TEST(CutRecordTest, ReducePiecesMatchesDirectReduction) {
           size_t a = random_end();
           size_t b = random_end();
           if (a > b) std::swap(a, b);
-          ExpectRecordReduction(index, a, b);
+          ExpectRecordReduction(index.get(), a, b);
           if (this->HasFatalFailure()) return;
         }
       }

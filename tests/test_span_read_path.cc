@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <map>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -946,20 +947,33 @@ TEST(SpanReadPathSummaryTest, HiddenExtremesRescanOnlyTheirPiece) {
 
 // ---------------------------------------------------------------------------
 // Hidden-candidate stream: a seeded INSERT/UPDATE/DELETE/BEGIN/COMMIT/
-// ROLLBACK/VACUUM stream runs on a crack store and on a scan store (the
-// reference: it masks every base row), over int32, int64 and dictionary
-// columns. After every step the two must agree on COUNT, SUM, MIN, MAX, the
-// kView rows and the kMaterialize table, read in autocommit, from the open
-// writer and from an older open reader — under every delta-merge policy,
-// serial and concurrent.
+// ROLLBACK/VACUUM stream runs on a store answering over a value-ordered
+// layout — a crack store under each pivot policy (coarse and progressive
+// pieces answer from conservative spans) or a sort store — and on a scan
+// store (the reference: it masks every base row), over int32, int64 and
+// dictionary columns. After every step the two must agree on COUNT, SUM,
+// MIN, MAX, the kView rows and the kMaterialize table, read in autocommit,
+// from the open writer and from an older open reader — under every
+// delta-merge policy, serial and concurrent.
 // ---------------------------------------------------------------------------
+
+/// The store a stream runs against the scan reference.
+struct StreamStore {
+  AccessStrategy strategy;
+  CrackPolicy policy;  ///< meaningful for kCrack
+};
+
+void PrintTo(const StreamStore& s, std::ostream* os) {
+  *os << AccessStrategyName(s.strategy) << "/" << CrackPolicyName(s.policy);
+}
 
 class HiddenCandidateStreamTest
     : public ::testing::TestWithParam<
-          std::tuple<DeltaMergePolicy, CrackPolicy, bool>> {};
+          std::tuple<DeltaMergePolicy, StreamStore, bool>> {};
 
-TEST_P(HiddenCandidateStreamTest, CrackAnswersMatchTheScanStrategy) {
-  auto [merge, policy, concurrent] = GetParam();
+TEST_P(HiddenCandidateStreamTest, AnswersMatchTheScanStrategy) {
+  auto [merge, kind, concurrent] = GetParam();
+  const CrackPolicy policy = kind.policy;
   const uint64_t seed = TestSeed(2007) + static_cast<uint64_t>(merge) * 11 +
                         static_cast<uint64_t>(policy) * 5 +
                         (concurrent ? 1 : 0);
@@ -980,36 +994,37 @@ TEST_P(HiddenCandidateStreamTest, CrackAnswersMatchTheScanStrategy) {
                        {"l", ValueType::kInt64},
                        {"s", ValueType::kString}});
   const std::vector<std::string> columns{"i", "l", "s"};
-  auto crack_rel = *Relation::Create("T", schema);
+  auto test_rel = *Relation::Create("T", schema);
   auto scan_rel = *Relation::Create("T", schema);
   for (int r = 0; r < 500; ++r) {
     std::vector<Value> row = random_row();
-    ASSERT_TRUE(crack_rel->AppendRow(row).ok());
+    ASSERT_TRUE(test_rel->AppendRow(row).ok());
     ASSERT_TRUE(scan_rel->AppendRow(row).ok());
   }
   DbOptions opts;
+  opts.strategy = kind.strategy;
   opts.policy.policy = policy;
   opts.policy.min_piece_size = 32;
   opts.delta_merge.policy = merge;
   opts.delta_merge.threshold_fraction = 0.05;
   opts.concurrent = concurrent;
-  auto crack_db = *AdaptiveStore::Open(opts);
-  AdaptiveStore& crack = *crack_db;
+  auto test_db = *AdaptiveStore::Open(opts);
+  AdaptiveStore& store = *test_db;
   opts.strategy = AccessStrategy::kScan;
   auto scan_db = *AdaptiveStore::Open(opts);
   AdaptiveStore& scan = *scan_db;
-  ASSERT_TRUE(crack.AddTable(crack_rel).ok());
+  ASSERT_TRUE(store.AddTable(test_rel).ok());
   ASSERT_TRUE(scan.AddTable(scan_rel).ok());
 
   // Transactions open on both stores in lock step; ids may differ.
   struct Txn {
-    TxnId crack = kNoTxn;
+    TxnId store = kNoTxn;
     TxnId scan = kNoTxn;
-    bool open() const { return crack != kNoTxn; }
+    bool open() const { return store != kNoTxn; }
   };
   Txn writer, reader;
   auto begin = [&](Txn* t) {
-    t->crack = *crack.Begin();
+    t->store = *store.Begin();
     t->scan = *scan.Begin();
   };
   auto range_on = [&](const std::string& column, int64_t width) {
@@ -1020,7 +1035,7 @@ TEST_P(HiddenCandidateStreamTest, CrackAnswersMatchTheScanStrategy) {
   };
   // Applies one write to both stores; outcomes must match.
   auto both = [&](const char* what, auto&& op) {
-    auto a = op(&crack, writer.crack);
+    auto a = op(&store, writer.store);
     auto b = op(&scan, writer.scan);
     ASSERT_EQ(a.ok(), b.ok()) << what;
     if (a.ok()) {
@@ -1032,22 +1047,22 @@ TEST_P(HiddenCandidateStreamTest, CrackAnswersMatchTheScanStrategy) {
   auto compare_reads = [&](const std::string& column, const TypedRange& range,
                            const Txn& txn, const std::string& what) {
     SCOPED_TRACE(what + " on " + column);
-    auto count_a = crack.SelectRange("T", column, range, Delivery::kCount,
-                                     txn.crack);
+    auto count_a = store.SelectRange("T", column, range, Delivery::kCount,
+                                     txn.store);
     auto count_b = scan.SelectRange("T", column, range, Delivery::kCount,
                                     txn.scan);
     ASSERT_TRUE(count_a.ok() && count_b.ok());
     ASSERT_EQ(count_a->count, count_b->count);
-    auto view_a = crack.SelectRange("T", column, range, Delivery::kView,
-                                    txn.crack);
+    auto view_a = store.SelectRange("T", column, range, Delivery::kView,
+                                    txn.store);
     auto view_b = scan.SelectRange("T", column, range, Delivery::kView,
                                    txn.scan);
     ASSERT_TRUE(view_a.ok() && view_b.ok());
     ASSERT_EQ(view_a->count, count_b->count);
     ASSERT_EQ(std::move(*view_a).CollectOids(),
               std::move(*view_b).CollectOids());
-    auto mat_a = crack.SelectRange("T", column, range, Delivery::kMaterialize,
-                                   txn.crack);
+    auto mat_a = store.SelectRange("T", column, range, Delivery::kMaterialize,
+                                   txn.store);
     auto mat_b = scan.SelectRange("T", column, range, Delivery::kMaterialize,
                                   txn.scan);
     ASSERT_TRUE(mat_a.ok() && mat_b.ok());
@@ -1062,8 +1077,13 @@ TEST_P(HiddenCandidateStreamTest, CrackAnswersMatchTheScanStrategy) {
       }
     }
     if (column == "s") return;  // no string aggregate pushdown
-    auto agg_a = crack.AggregateRange("T", column, range, txn.crack);
+    auto agg_a = store.AggregateRange("T", column, range, txn.store);
     auto agg_b = scan.AggregateRange("T", column, range, txn.scan);
+    // Progressive cracks stay budgeted: their pushdown may decline.
+    if (policy == CrackPolicy::kProgressive &&
+        agg_a.status().IsUnimplemented()) {
+      return;
+    }
     ASSERT_TRUE(agg_a.ok()) << agg_a.status().ToString();
     ASSERT_TRUE(agg_b.ok()) << agg_b.status().ToString();
     ASSERT_EQ(agg_a->rows, agg_b->rows);
@@ -1118,25 +1138,25 @@ TEST_P(HiddenCandidateStreamTest, CrackAnswersMatchTheScanStrategy) {
         if (!writer.open()) {
           begin(&writer);
         } else if (rng.NextBounded(2) == 0) {
-          const bool a = crack.Commit(writer.crack).ok();
+          const bool a = store.Commit(writer.store).ok();
           const bool b = scan.Commit(writer.scan).ok();
           ASSERT_EQ(a, b);
           writer = Txn{};
         } else {
-          ASSERT_TRUE(crack.Rollback(writer.crack).ok());
+          ASSERT_TRUE(store.Rollback(writer.store).ok());
           ASSERT_TRUE(scan.Rollback(writer.scan).ok());
           writer = Txn{};
         }
         break;
       case 6:
         if (reader.open()) {
-          ASSERT_TRUE(crack.Commit(reader.crack).ok());
+          ASSERT_TRUE(store.Commit(reader.store).ok());
           ASSERT_TRUE(scan.Commit(reader.scan).ok());
         }
         begin(&reader);
         break;
       case 7: {
-        auto a = crack.Vacuum();
+        auto a = store.Vacuum();
         auto b = scan.Vacuum();
         ASSERT_TRUE(a.ok() && b.ok());
         ASSERT_EQ(a->rows_purged, b->rows_purged);
@@ -1159,23 +1179,28 @@ TEST_P(HiddenCandidateStreamTest, CrackAnswersMatchTheScanStrategy) {
     }
   }
   if (writer.open()) {
-    ASSERT_TRUE(crack.Rollback(writer.crack).ok());
+    ASSERT_TRUE(store.Rollback(writer.store).ok());
     ASSERT_TRUE(scan.Rollback(writer.scan).ok());
   }
   if (reader.open()) {
-    ASSERT_TRUE(crack.Commit(reader.crack).ok());
+    ASSERT_TRUE(store.Commit(reader.store).ok());
     ASSERT_TRUE(scan.Commit(reader.scan).ok());
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Matrix, HiddenCandidateStreamTest,
-    ::testing::Combine(::testing::Values(DeltaMergePolicy::kImmediate,
-                                         DeltaMergePolicy::kThreshold,
-                                         DeltaMergePolicy::kRippleOnSelect),
-                       ::testing::Values(CrackPolicy::kStandard,
-                                         CrackPolicy::kStochastic),
-                       ::testing::Values(false, true)));
+    ::testing::Combine(
+        ::testing::Values(DeltaMergePolicy::kImmediate,
+                          DeltaMergePolicy::kThreshold,
+                          DeltaMergePolicy::kRippleOnSelect),
+        ::testing::Values(
+            StreamStore{AccessStrategy::kCrack, CrackPolicy::kStandard},
+            StreamStore{AccessStrategy::kCrack, CrackPolicy::kStochastic},
+            StreamStore{AccessStrategy::kCrack, CrackPolicy::kCoarse},
+            StreamStore{AccessStrategy::kCrack, CrackPolicy::kProgressive},
+            StreamStore{AccessStrategy::kSort, CrackPolicy::kStandard}),
+        ::testing::Values(false, true)));
 
 }  // namespace
 }  // namespace crackstore

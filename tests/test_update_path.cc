@@ -22,9 +22,10 @@
 
 #include "core/access_path.h"
 #include "core/adaptive_store.h"
+#include "core/column_deltas.h"
+#include "core/cracker_index.h"
 #include "core/oid_bit_table.h"
 #include "core/simd_dispatch.h"
-#include "core/updatable_cracker_index.h"
 #include "storage/bat.h"
 #include "util/rng.h"
 #include "util/string_util.h"
@@ -191,7 +192,7 @@ TEST(UpdatePathTest, MixedWorkloadParityAllStrategiesAndMergePolicies) {
 // Tombstone tables: every path keeps its tombstones as an oid bit table. The
 // tombstones that Delete, Update and Merge leave behind must agree with a
 // reference set — the path's pending_deletes(), its select counts, and (for
-// the cracker's updatable index) IsDeleted on every oid.
+// the crack and sort paths' ColumnDeltas) IsDeleted on every oid.
 // ---------------------------------------------------------------------------
 
 /// The tombstones and pending inserts a delta-carrying path should hold,
@@ -309,7 +310,7 @@ TEST(TombstoneTableTest, PathsAgreeWithAReferenceSet) {
   }
 }
 
-TEST(TombstoneTableTest, UpdatableIndexIsDeletedMatchesAReferenceSet) {
+TEST(TombstoneTableTest, ColumnDeltasIsDeletedMatchesAReferenceSet) {
   const uint64_t seed = TestSeed(6160);
   SCOPED_TRACE("seed=" + std::to_string(seed) +
                " (rerun with CRACKSTORE_TEST_SEED)");
@@ -319,13 +320,21 @@ TEST(TombstoneTableTest, UpdatableIndexIsDeletedMatchesAReferenceSet) {
   for (auto& v : initial) v = rng.NextInRange(1, domain);
   auto bat = Bat::FromVector(initial, "c");
   bat->set_head_base(5000);  // tombstones are kept relative to the base oid
-  UpdatableCrackerIndex<int64_t> index(bat);
+  // A cracker column and its deltas, folded by hand as the crack path does.
+  auto index = std::make_unique<CrackerIndex<int64_t>>(bat);
+  ColumnDeltas<int64_t> deltas(bat);
+  deltas.Start();
   Model model;
   for (size_t i = 0; i < initial.size(); ++i) model[5000 + i] = initial[i];
-  Oid next_oid = 5000 + initial.size();
   TombstoneReference ref;
-  size_t merges = 0;
-  EXPECT_TRUE(index.Delete(4999, 0).IsNotFound());  // below the base oid
+  auto fold = [&] {
+    auto folded = index->Fold(deltas.tombstones(), deltas.pending());
+    ASSERT_TRUE(folded.ok());
+    index = std::move(*folded);
+    deltas.Retire(index->size());
+    ref.Merge();
+  };
+  EXPECT_TRUE(deltas.Delete(4999).IsNotFound());  // below the base oid
   for (int op = 0; op < 500; ++op) {
     SCOPED_TRACE("op " + std::to_string(op));
     const uint32_t dice = rng.NextBounded(100);
@@ -333,23 +342,29 @@ TEST(TombstoneTableTest, UpdatableIndexIsDeletedMatchesAReferenceSet) {
       int64_t lo = rng.NextInRange(1, domain);
       RangeBounds range = RangeBounds::Closed(lo, lo + rng.NextInRange(0, 200));
       // Fold once the delta passes 8% of the cracker column.
-      const size_t delta = index.pending_inserts() + index.pending_deletes();
-      if (delta > index.index().size() * 8 / 100) {
-        ASSERT_TRUE(index.Merge().ok());
+      const size_t delta = deltas.pending_inserts() + deltas.pending_deletes();
+      if (delta > index->size() * 8 / 100) fold();
+      // span − hidden candidates + pending rows in range
+      uint64_t count = index->Select(range.lo, true, range.hi, true).count() -
+                       deltas.HiddenIn(range.lo, true, range.hi, true,
+                                       nullptr, nullptr)
+                           .size();
+      for (const auto& [value, oid] : deltas.pending()) {
+        count += range.Contains(value) ? 1 : 0;
       }
-      UpdatableSelection<int64_t> sel =
-          index.Select(range.lo, true, range.hi, true);
-      ASSERT_EQ(sel.count(), ModelOids(model, range).size());
+      ASSERT_EQ(count, ModelOids(model, range).size());
     } else if (dice < 45) {
       int64_t value = rng.NextInRange(1, domain);
-      ASSERT_TRUE(index.Insert(value, next_oid).ok());
-      model[next_oid] = value;
-      ref.Insert(next_oid++);
+      bat->Append<int64_t>(value);
+      const Oid oid = 5000 + bat->size() - 1;
+      ASSERT_TRUE(deltas.Insert(value, oid).ok());
+      model[oid] = value;
+      ref.Insert(oid);
     } else if (dice < 70) {
       if (model.empty()) continue;
       auto it = model.begin();
       std::advance(it, rng.NextBounded(static_cast<uint32_t>(model.size())));
-      ASSERT_TRUE(index.Delete(it->first, it->second).ok());
+      ASSERT_TRUE(deltas.Delete(it->first).ok());
       ref.Delete(it->first);
       model.erase(it);
     } else if (dice < 95) {
@@ -357,29 +372,31 @@ TEST(TombstoneTableTest, UpdatableIndexIsDeletedMatchesAReferenceSet) {
       auto it = model.begin();
       std::advance(it, rng.NextBounded(static_cast<uint32_t>(model.size())));
       int64_t value = rng.NextInRange(1, domain);
-      ASSERT_TRUE(index.Update(value, it->first, it->second).ok());
+      ASSERT_TRUE(bat->SetNumeric(it->first - 5000, value).ok());
+      ASSERT_TRUE(deltas.Update(it->first, it->second, value).ok());
       it->second = value;
       ref.Update(it->first);
     } else {
-      ASSERT_TRUE(index.Merge().ok());
+      fold();
     }
-    if (index.merges_performed() != merges) {
-      merges = index.merges_performed();
-      ref.Merge();
-    }
-    ASSERT_EQ(index.pending_deletes(), ref.tombstones.size());
-    ASSERT_EQ(index.pending_inserts(), ref.pending.size());
-    for (Oid oid = 4990; oid < next_oid + 10; ++oid) {
-      ASSERT_EQ(index.IsDeleted(oid), ref.tombstones.count(oid) > 0)
+    ASSERT_EQ(deltas.pending_deletes(), ref.tombstones.size());
+    ASSERT_EQ(deltas.pending_inserts(), ref.pending.size());
+    const Oid end = 5000 + bat->size();
+    for (Oid oid = 4990; oid < end + 10; ++oid) {
+      ASSERT_EQ(deltas.IsDeleted(oid), ref.tombstones.count(oid) > 0)
           << "oid " << oid;
     }
     // Purged rows stay dead: deleting or updating them again is refused.
     if (!ref.purged.empty()) {
       Oid dead = *ref.purged.begin();
-      ASSERT_FALSE(index.Delete(dead, 0).ok());
-      ASSERT_TRUE(index.Update(1, dead, 0).IsNotFound());
+      ASSERT_FALSE(deltas.Delete(dead).ok());
+      ASSERT_TRUE(deltas.Update(dead, 0, 1).IsNotFound());
     }
-    ASSERT_TRUE(index.Validate().ok());
+    ASSERT_TRUE(index->Validate().ok());
+    const Status valid =
+        deltas.Validate(index->values()->TailData<int64_t>(),
+                        index->oids()->TailData<Oid>(), index->size());
+    ASSERT_TRUE(valid.ok()) << valid.ToString();
   }
 }
 
