@@ -9,10 +9,16 @@
 //   txn-row   — journaled slotted-page row store (PostgreSQL/MySQL class)
 //   lite-row  — the same engine without the redo journal (SQLite-in-memory
 //               / ISAM class)
-//   column    — operator-at-a-time BAT engine (MonetDB class)
+//   column    — the adaptive store with the scan strategy (MonetDB class:
+//               operator-at-a-time over whole BATs). SelectRange counts
+//               (kCount) or gathers the qualifying rows column-at-a-time
+//               into a new relation (kMaterialize); print materializes, then
+//               ships every row of the result through the row engine's
+//               FrontendSink.
+// The row engines print through the same sink (Delivery::kView).
 // Expected shape: (a) expensive and linear in the fragment size, dominated
 // by transactional materialization; (b) cheaper; (c) cheapest and flat-ish;
-// the column engine below the row engines throughout.
+// the column line below the row engines throughout.
 //
 // Output: CSV rows (mode, engine, selectivity_pct, seconds, tuples,
 // tuples_read, tuples_written, journal_writes, bytes_shipped).
@@ -22,12 +28,53 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "engine/colstore_engine.h"
 #include "engine/rowstore_engine.h"
+#include "util/timer.h"
 #include "workload/tapestry.h"
 
 namespace crackstore {
 namespace {
+
+/// Fig. 1's name for a delivery: kView ships rows to the front-end.
+const char* ModeName(Delivery delivery) {
+  switch (delivery) {
+    case Delivery::kMaterialize:
+      return "materialize";
+    case Delivery::kView:
+      return "print";
+    case Delivery::kCount:
+      return "count";
+  }
+  return "?";
+}
+
+/// One statement of the column line: a count, or a materialization that a
+/// print then ships row by row through a FrontendSink.
+Result<RunResult> ColumnSelect(AdaptiveStore* store, const RangeBounds& range,
+                               Delivery delivery) {
+  RunResult run;
+  WallTimer timer;
+  const Delivery gather =
+      delivery == Delivery::kCount ? Delivery::kCount : Delivery::kMaterialize;
+  CRACK_ASSIGN_OR_RETURN(QueryResult result,
+                         store->SelectRange("R", "c0", range, gather));
+  run.count = result.count;
+  run.io = result.io;
+  if (delivery == Delivery::kView) {
+    const Relation& rows = *result.materialized;
+    FrontendSink sink;
+    std::vector<Value> row(rows.num_columns());
+    for (size_t r = 0; r < rows.num_rows(); ++r) {
+      for (size_t c = 0; c < rows.num_columns(); ++c) {
+        row[c] = rows.column(c)->GetValue(r);
+      }
+      CRACK_RETURN_NOT_OK(sink.Consume(row));
+    }
+    run.bytes_shipped = sink.bytes_shipped();
+  }
+  run.seconds = timer.ElapsedSeconds();
+  return run;
+}
 
 int Run(int argc, char** argv) {
   bench::Flags flags(argc, argv);
@@ -55,10 +102,12 @@ int Run(int argc, char** argv) {
   RowEngineOptions lite_opts;
   lite_opts.table_options.journaled = false;
   RowEngine lite_row(lite_opts);
-  ColumnEngine column;
+  DbOptions column_opts;
+  column_opts.strategy = AccessStrategy::kScan;
+  auto column = AdaptiveStore::Open(column_opts);
   if (!txn_row.ImportRelation(**rel).ok() ||
-      !lite_row.ImportRelation(**rel).ok() ||
-      !column.AddTable(*rel).ok()) {
+      !lite_row.ImportRelation(**rel).ok() || !column.ok() ||
+      !(*column)->AddTable(*rel).ok()) {
     std::fprintf(stderr, "load failed\n");
     return 1;
   }
@@ -86,21 +135,21 @@ int Run(int argc, char** argv) {
                           static_cast<unsigned long long>(run.bytes_shipped))});
   };
 
-  for (DeliveryMode mode : {DeliveryMode::kMaterialize, DeliveryMode::kPrint,
-                            DeliveryMode::kCount}) {
+  for (Delivery delivery :
+       {Delivery::kMaterialize, Delivery::kView, Delivery::kCount}) {
     for (double sel : selectivities) {
       RangeBounds range = RangeBounds::Closed(
           1, static_cast<int64_t>(sel * static_cast<double>(n)));
-      auto a = txn_row.RunSelect("R", "c0", range, mode, "tmp_txn");
-      auto b = lite_row.RunSelect("R", "c0", range, mode, "tmp_lite");
-      auto c = column.RunSelect("R", "c0", range, mode, "tmp_col");
+      auto a = txn_row.RunSelect("R", "c0", range, delivery, "tmp_txn");
+      auto b = lite_row.RunSelect("R", "c0", range, delivery, "tmp_lite");
+      auto c = ColumnSelect(column->get(), range, delivery);
       if (!a.ok() || !b.ok() || !c.ok()) {
         std::fprintf(stderr, "query failed\n");
         return 1;
       }
-      emit(DeliveryModeName(mode), "txn-row", sel, *a);
-      emit(DeliveryModeName(mode), "lite-row", sel, *b);
-      emit(DeliveryModeName(mode), "column", sel, *c);
+      emit(ModeName(delivery), "txn-row", sel, *a);
+      emit(ModeName(delivery), "lite-row", sel, *b);
+      emit(ModeName(delivery), "column", sel, *c);
     }
   }
   out.PrintCsv(stdout);

@@ -5,7 +5,10 @@
 // table) for k up to 128. The paper's traditional engines exhaust their
 // optimizers and fall back to nested loops (or break outright); MonetDB
 // stays efficient. Here:
-//   column      — BAT-at-a-time hash-join chain (MonetDB class): near-linear.
+//   column      — BAT-at-a-time chain (MonetDB class): every join step runs
+//                 the reference hash join HashJoinOids(R.c1, R.c0) over the
+//                 whole columns and carries the number of join paths ending
+//                 at each row by oid; linear in k.
 //   row-default — Volcano row engine with a realistic plan budget: hash
 //                 joins while the optimizer copes (k <= ~8), nested-loop
 //                 fallback with a statement deadline beyond that —
@@ -14,19 +17,47 @@
 //                 (the broken/timeouted runs the paper reports;
 //                 truncated=1 rows are "the system gave up").
 //
+// Tapestry columns are permutations, so every chain has exactly one path
+// per row: the bench exits non-zero when a load or any chain run fails, or
+// when a column chain counts anything but n paths.
+//
 // Output: CSV rows (engine, joins, seconds, result_tuples, algo,
 // plans_considered, truncated).
 
+#include <numeric>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
-#include "engine/colstore_engine.h"
+#include "core/join_cracker.h"
 #include "engine/rowstore_engine.h"
+#include "util/timer.h"
 #include "workload/tapestry.h"
 
 namespace crackstore {
 namespace {
+
+/// The column line: a `joins`-step chain R ⋈ R ⋈ ... on c1 = c0, one whole
+/// reference hash join per step. paths[i] counts the join paths that end at
+/// row i of the chain's current operand.
+Result<RunResult> ColumnChainJoin(const Relation& rel, size_t joins) {
+  CRACK_ASSIGN_OR_RETURN(std::shared_ptr<Bat> out_col, rel.column("c1"));
+  CRACK_ASSIGN_OR_RETURN(std::shared_ptr<Bat> in_col, rel.column("c0"));
+  RunResult run;
+  WallTimer timer;
+  const Oid base = in_col->head_base();
+  std::vector<uint64_t> paths(rel.num_rows(), 1);
+  for (size_t step = 0; step < joins; ++step) {
+    CRACK_ASSIGN_OR_RETURN(std::vector<OidPair> pairs,
+                           HashJoinOids(out_col, in_col, &run.io));
+    std::vector<uint64_t> next(rel.num_rows(), 0);
+    for (const OidPair& p : pairs) next[p.right - base] += paths[p.left - base];
+    paths = std::move(next);
+  }
+  run.count = std::accumulate(paths.begin(), paths.end(), uint64_t{0});
+  run.seconds = timer.ElapsedSeconds();
+  return run;
+}
 
 int Run(int argc, char** argv) {
   bench::Flags flags(argc, argv);
@@ -48,23 +79,25 @@ int Run(int argc, char** argv) {
   TapestryOptions topts;
   topts.num_rows = n_col;
   topts.seed = seed;
-  auto col_rel = *BuildTapestry("R", topts);
+  auto col_rel = BuildTapestry("R", topts);
   topts.num_rows = n_row;
-  auto row_rel = *BuildTapestry("R", topts);
-
-  ColumnEngine column;
-  (void)column.AddTable(col_rel);
+  auto row_rel = BuildTapestry("R", topts);
 
   RowEngineOptions default_opts;  // stock plan budget: exhausts near k=10
   default_opts.statement_deadline_seconds = deadline;
   RowEngine row_default(default_opts);
-  (void)row_default.ImportRelation(*row_rel);
 
   RowEngineOptions nl_opts;
   nl_opts.optimizer.plan_budget = 1;  // always exhausted: nested loop
   nl_opts.statement_deadline_seconds = deadline;
   RowEngine row_nl(nl_opts);
-  (void)row_nl.ImportRelation(*row_rel);
+
+  if (!col_rel.ok() || !row_rel.ok() ||
+      !row_default.ImportRelation(**row_rel).ok() ||
+      !row_nl.ImportRelation(**row_rel).ok()) {
+    std::fprintf(stderr, "load failed\n");
+    return 1;
+  }
 
   TablePrinter out;
   out.SetHeader({"engine", "joins", "seconds", "result_tuples", "algo",
@@ -87,22 +120,38 @@ int Run(int argc, char** argv) {
   for (size_t k : chain_lengths) {
     std::vector<std::string> chain(k + 1, "R");  // k joins need k+1 operands
 
-    auto col_run = column.RunChainJoin(chain, "c1", "c0");
-    if (col_run.ok()) emit("column", k, *col_run);
-
-    if (!row_default_dead) {
-      auto run = row_default.RunChainJoin(chain, "c1", "c0");
-      if (run.ok()) {
-        emit("row-default", k, *run);
-        row_default_dead = run->truncated;  // series ends once it times out
-      }
+    auto col_run = ColumnChainJoin(**col_rel, k);
+    if (!col_run.ok()) {
+      std::fprintf(stderr, "column chain k=%zu: %s\n", k,
+                   col_run.status().ToString().c_str());
+      return 1;
     }
-    if (!row_nl_dead) {
-      auto run = row_nl.RunChainJoin(chain, "c1", "c0");
-      if (run.ok()) {
-        emit("row-nl", k, *run);
-        row_nl_dead = run->truncated;
+    if (col_run->count != n_col) {
+      std::fprintf(stderr, "column chain k=%zu: %llu paths, want %llu\n", k,
+                   static_cast<unsigned long long>(col_run->count),
+                   static_cast<unsigned long long>(n_col));
+      return 1;
+    }
+    emit("column", k, *col_run);
+
+    // One row engine's chain, unless its series already timed out; false
+    // when the run fails.
+    auto run_row = [&](const char* engine_name, RowEngine* engine,
+                       bool* dead) {
+      if (*dead) return true;
+      auto run = engine->RunChainJoin(chain, "c1", "c0");
+      if (!run.ok()) {
+        std::fprintf(stderr, "%s chain k=%zu: %s\n", engine_name, k,
+                     run.status().ToString().c_str());
+        return false;
       }
+      emit(engine_name, k, *run);
+      *dead = run->truncated;  // the series ends once it times out
+      return true;
+    };
+    if (!run_row("row-default", &row_default, &row_default_dead) ||
+        !run_row("row-nl", &row_nl, &row_nl_dead)) {
+      return 1;
     }
   }
   out.PrintCsv(stdout);

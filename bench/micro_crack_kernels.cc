@@ -22,7 +22,7 @@
 // against std::sort). CI's bench-smoke lane reads
 // `dispatched_vs_scalar_int32`, `agg_pushdown_vs_materialize_int32`,
 // `agg_repeat_tuples_read`, `agg_cold_span_rows_read`, the mvcc counts (a
-// sort-strategy store's warm COUNT among them),
+// sort-strategy store's warm COUNT and kView select among them),
 // `first_touch_tuples_ratio` and `sort_oids_speedup` from that file.
 
 #include <benchmark/benchmark.h>
@@ -377,6 +377,9 @@ struct MvccProbes {
   /// The warm COUNT's tuples read on a sort-strategy store of the same
   /// shape (binary searches included).
   uint64_t sort_count_tuples_read = 0;
+  /// The same warm select as kView on the sort store: it also places every
+  /// hidden row in the span.
+  uint64_t sort_view_tuples_read = 0;
 };
 
 /// A store of `strategy` over a 1M-row two-column tapestry with 1,000
@@ -424,7 +427,10 @@ std::unique_ptr<AdaptiveStore> MvccStore(size_t n, AccessStrategy strategy,
 /// <= marked + pending + `mvcc_sum_edge_rows`, and `mvcc_sum_summary_rows`
 /// > 0. The same warm COUNT on a sort-strategy store reads the marked rows,
 /// the pending inserts and its two binary searches: CI asserts
-/// `mvcc_sort_count_tuples_read` <= marked + pending + 2 ceil(log2 n).
+/// `mvcc_sort_count_tuples_read` <= marked + pending + 2 ceil(log2 n). As
+/// kView it also finds each marked row by one binary search on its value:
+/// CI asserts `mvcc_sort_view_tuples_read` <= marked (ceil(log2 n) + 1) +
+/// pending + 2 ceil(log2 n).
 MvccProbes MeasureMvccProbes(size_t n, int reps) {
   MvccProbes out;
   const int64_t domain = static_cast<int64_t>(n);
@@ -473,6 +479,8 @@ MvccProbes MeasureMvccProbes(size_t n, int reps) {
   }
   auto warm = sorted->SelectRange("M", "c0", range);
   if (warm.ok()) out.sort_count_tuples_read = warm->io.tuples_read;
+  auto view = sorted->SelectRange("M", "c0", range, Delivery::kView);
+  if (view.ok()) out.sort_view_tuples_read = view->io.tuples_read;
   return out;
 }
 
@@ -715,6 +723,8 @@ int RunTierComparison(const std::string& path) {
   out << "  \"mvcc_pending_rows\": " << mvcc.pending_rows << ",\n";
   out << "  \"mvcc_sort_count_tuples_read\": " << mvcc.sort_count_tuples_read
       << ",\n";
+  out << "  \"mvcc_sort_view_tuples_read\": " << mvcc.sort_view_tuples_read
+      << ",\n";
   out << "  \"first_touch_bits\": " << first.bits << ",\n";
   out << "  \"first_touch_tuples_partitioned\": " << first.tuples[0]
       << ",\n";
@@ -774,8 +784,10 @@ int RunTierComparison(const std::string& path) {
               static_cast<unsigned long long>(mvcc.sum_summary_rows),
               static_cast<unsigned long long>(mvcc.sum_edge_rows),
               static_cast<unsigned long long>(mvcc.pending_rows));
-  std::printf("mvcc warm COUNT on a sort store: read %llu tuples\n",
-              static_cast<unsigned long long>(mvcc.sort_count_tuples_read));
+  std::printf("mvcc warm select on a sort store: COUNT read %llu tuples, "
+              "kView %llu\n",
+              static_cast<unsigned long long>(mvcc.sort_count_tuples_read),
+              static_cast<unsigned long long>(mvcc.sort_view_tuples_read));
   std::printf("first touch (2^22 rows, 10 zoom statements): %llu crack "
               "tuples with %d radix bits vs %llu with the copy (%.2fx); "
               "build %.1f vs %.1f ms, first select %.2f vs %.2f ms\n",

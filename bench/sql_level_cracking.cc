@@ -62,12 +62,11 @@ int Run(int argc, char** argv) {
 
   // 1) Deliver the answer to the GUI (the cheap case the narrative starts
   //    from).
-  emit("select_print", *engine.RunSelect("R", "c0", pred,
-                                         DeliveryMode::kPrint));
+  emit("select_print", *engine.RunSelect("R", "c0", pred, Delivery::kView));
   // 2) Store the same answer in a temporary table (adds transactional
   //    materialization).
   emit("select_into", *engine.RunSelect("R", "c0", pred,
-                                        DeliveryMode::kMaterialize, "tmp"));
+                                        Delivery::kMaterialize, "tmp"));
   // 3) Crack the table at the SQL level: two scans, two materializations,
   //    catalog registration — "the investment ... is hard to turn into a
   //    profit".
@@ -75,12 +74,12 @@ int Run(int argc, char** argv) {
   // 4) The payoff: the same query against the partitioned table prunes to
   //    the in-fragment.
   emit("select_partitioned",
-       *engine.RunSelectPartitioned("Rp", "c0", pred, DeliveryMode::kPrint));
+       *engine.RunSelectPartitioned("Rp", "c0", pred, Delivery::kView));
   // 5) A narrower follow-up query also prunes.
   emit("followup_partitioned",
        *engine.RunSelectPartitioned("Rp", "c0",
                                     RangeBounds::Closed(1, hi / 2),
-                                    DeliveryMode::kPrint));
+                                    Delivery::kView));
   // 6) The sorting alternative on the raw column ("sorting the table on
   //    this attribute alone took about 250 seconds" — relatively, the most
   //    expensive single operation here as well).

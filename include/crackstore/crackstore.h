@@ -5,8 +5,8 @@
 //   #include "crackstore/crackstore.h"
 //
 // pulls in the adaptive store facade, the four cracker operators, the
-// benchmark workload kit and the two reference engines. Individual headers
-// remain includable for finer-grained dependencies.
+// benchmark workload kit and the row-store reference engine. Individual
+// headers remain includable for finer-grained dependencies.
 
 #ifndef CRACKSTORE_CRACKSTORE_H_
 #define CRACKSTORE_CRACKSTORE_H_
@@ -40,8 +40,7 @@
 #include "durability/manifest.h"
 #include "durability/wal.h"
 
-// Engines (Fig. 1 / Fig. 9 comparisons).
-#include "engine/colstore_engine.h"
+// Row-store reference engine (Fig. 1 / Fig. 9 comparisons).
 #include "engine/rowstore_engine.h"
 
 // SQL frontend (the "semantic analyzer" stage of §3: crackers are derived

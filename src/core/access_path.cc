@@ -209,8 +209,9 @@ void ForEachExtra(const std::vector<std::pair<T, Oid>>& pending, T lo,
 
 /// Marks the hidden rows of the span [begin, end) of the oid map `map` as
 /// exceptions of `set`, whose only span it is: one pass over the span's
-/// oids, stopping at the last hidden one. Every hidden row must lie in the
-/// span. Returns the rows passed over.
+/// oids, stopping at the last hidden one (a cracker column does not know
+/// where in its piece a row lies). Every hidden row must lie in the span.
+/// Returns the rows passed over.
 template <typename T>
 size_t MarkHidden(const Oid* map, size_t begin, size_t end,
                   const std::vector<std::pair<T, Oid>>& hidden,
@@ -238,6 +239,35 @@ size_t MarkHidden(const Oid* map, size_t begin, size_t end,
   return i - begin;
 }
 
+/// MarkHidden over a sorted copy's span, whose values `values` are in
+/// order: a binary search finds each hidden row's value run, and only that
+/// run is walked for its oid. Returns the rows read: one search of the span
+/// per hidden row, plus the run rows walked past the first.
+template <typename T>
+size_t MarkHiddenSorted(const T* values, const Oid* map, size_t begin,
+                        size_t end,
+                        const std::vector<std::pair<T, Oid>>& hidden,
+                        OidSpanSet* set) {
+  const size_t search = CeilLog2(end - begin);
+  size_t read = 0;
+  size_t left = hidden.size();
+  for (const auto& [value, oid] : hidden) {
+    read += search;
+    size_t i = static_cast<size_t>(
+        std::lower_bound(values + begin, values + end, value, ValueLess<T>) -
+        values);
+    for (; i < end && !ValueLess(value, values[i]); ++i, ++read) {
+      if (map[i] == oid) {
+        set->MarkException(i - begin);
+        --left;
+        break;
+      }
+    }
+  }
+  CRACK_DCHECK(left == 0);
+  return read;
+}
+
 /// The one answer rule of a value-ordered layout (a cracker column or a
 /// sorted copy): `out->span_set`'s only span, [begin, end) over the oid map
 /// `map`, holds every row whose physical value is in range, plus `misses`
@@ -245,19 +275,26 @@ size_t MarkHidden(const Oid* map, size_t begin, size_t end,
 /// filed by a value in range, so it lies in the span and is never a miss:
 /// COUNT is span − misses − hidden + extras. A row-consuming answer also
 /// marks the hidden rows and lists the extras (ForEachExtra's rows); a
-/// kCount answer does neither. Callers hold the range lock over the span
-/// and the delta latch.
+/// kCount answer does neither. A sorted copy passes its values as
+/// `sorted_values` and finds each hidden row by its value; a cracker column
+/// passes null and walks the span. Callers hold the range lock over the
+/// span and the delta latch.
 template <typename T>
-void AnswerSpan(ColumnDeltas<T>* deltas, const Oid* map, size_t begin,
-                size_t end, size_t misses, T lo, bool lo_incl, T hi,
-                bool hi_incl, bool deliver_rows, const SnapshotView* view,
-                IoStats* stats, AccessSelection* out) {
+void AnswerSpan(ColumnDeltas<T>* deltas, const T* sorted_values,
+                const Oid* map, size_t begin, size_t end, size_t misses, T lo,
+                bool lo_incl, T hi, bool hi_incl, bool deliver_rows,
+                const SnapshotView* view, IoStats* stats,
+                AccessSelection* out) {
   std::vector<std::pair<T, Oid>> hidden =
       deltas->HiddenIn(lo, lo_incl, hi, hi_incl, view, stats);
   out->count = (end - begin) - misses - hidden.size();
   if (deliver_rows && !hidden.empty()) {
-    const size_t scanned = MarkHidden(map, begin, end, hidden, &out->span_set);
-    if (stats != nullptr) stats->tuples_read += scanned;
+    const size_t read =
+        sorted_values != nullptr
+            ? MarkHiddenSorted(sorted_values, map, begin, end, hidden,
+                               &out->span_set)
+            : MarkHidden(map, begin, end, hidden, &out->span_set);
+    if (stats != nullptr) stats->tuples_read += read;
   }
   ForEachExtra<T>(deltas->pending(), lo, lo_incl, hi, hi_incl, view,
                   [&](T, Oid oid) {
@@ -419,9 +456,10 @@ class CrackAccessPath : public ColumnAccessPath {
           exact ? 0
                 : MarkValueMisses(inner, cut_lo, cut_hi, lo, lo_incl, hi,
                                   hi_incl, stats, &out.span_set);
-      AnswerSpan<T>(&deltas_, inner->oids()->template TailData<Oid>(), cut_lo,
-                    cut_hi, misses, lo, lo_incl, hi, hi_incl, deliver_rows,
-                    view, stats, &out);
+      AnswerSpan<T>(&deltas_, /*sorted_values=*/nullptr,
+                    inner->oids()->template TailData<Oid>(), cut_lo, cut_hi,
+                    misses, lo, lo_incl, hi, hi_incl, deliver_rows, view,
+                    stats, &out);
       CRACK_DCHECK(!deliver_rows || out.count == out.span_set.count());
       // Rows delivered to a caller sharing the column with threads that may
       // crack it next must be resolved while the span still holds them.
@@ -905,7 +943,8 @@ class SortAccessPath : public ColumnAccessPath {
     out.span_set.BindOidMap(sorted_->oids());
     out.span_set.AddSpan(begin, begin + sel.count());
     std::lock_guard<std::mutex> dl(delta_mu_);
-    AnswerSpan<T>(&deltas_, sorted_->oids()->template TailData<Oid>(), begin,
+    AnswerSpan<T>(&deltas_, sorted_->values()->template TailData<T>(),
+                  sorted_->oids()->template TailData<Oid>(), begin,
                   begin + sel.count(), /*misses=*/0, lo, lo_incl, hi, hi_incl,
                   delivery != Delivery::kCount, view, stats, &out);
     return out;

@@ -23,18 +23,18 @@ IoStats RowEngine::TotalStats() const {
 
 namespace {
 
-/// Computes a - b per field (counters only grow).
-IoStats StatsDelta(const IoStats& after, const IoStats& before) {
-  IoStats d;
-  d.tuples_read = after.tuples_read - before.tuples_read;
-  d.tuples_written = after.tuples_written - before.tuples_written;
-  d.page_reads = after.page_reads - before.page_reads;
-  d.page_writes = after.page_writes - before.page_writes;
-  d.journal_writes = after.journal_writes - before.journal_writes;
-  d.catalog_ops = after.catalog_ops - before.catalog_ops;
-  d.cracks = after.cracks - before.cracks;
-  d.pieces_created = after.pieces_created - before.pieces_created;
-  return d;
+/// The sink of a delivery that streams rows: kView prints them, kCount
+/// counts them.
+std::unique_ptr<ResultSink> StreamSink(Delivery delivery) {
+  if (delivery == Delivery::kView) return std::make_unique<FrontendSink>();
+  return std::make_unique<CountSink>();
+}
+
+/// The wire bytes `sink` shipped when it printed (kView); 0 otherwise.
+uint64_t BytesShipped(Delivery delivery, const ResultSink& sink) {
+  return delivery == Delivery::kView
+             ? static_cast<const FrontendSink&>(sink).bytes_shipped()
+             : 0;
 }
 
 }  // namespace
@@ -87,7 +87,7 @@ Result<uint64_t> RowEngine::Drain(RowIterator* root, ResultSink* sink,
 Result<RunResult> RowEngine::RunSelect(const std::string& table,
                                        const std::string& column,
                                        const RangeBounds& range,
-                                       DeliveryMode mode,
+                                       Delivery delivery,
                                        const std::string& result_name) {
   auto table_result = catalog_.GetRowTable(table);
   if (!table_result.ok()) return table_result.status();
@@ -106,34 +106,23 @@ Result<RunResult> RowEngine::RunSelect(const std::string& table,
       range);
 
   std::unique_ptr<ResultSink> sink;
-  std::shared_ptr<RowTable> target;
-  switch (mode) {
-    case DeliveryMode::kCount:
-      sink = std::make_unique<CountSink>();
-      break;
-    case DeliveryMode::kPrint:
-      sink = std::make_unique<FrontendSink>();
-      break;
-    case DeliveryMode::kMaterialize: {
-      if (catalog_.HasTable(result_name)) {
-        CRACK_RETURN_NOT_OK(catalog_.DropTable(result_name));
-      }
-      target = RowTable::Create(result_name, src->schema(),
-                                options_.table_options, journal_);
-      CRACK_RETURN_NOT_OK(catalog_.RegisterRowTable(target));
-      sink = std::make_unique<RowMaterializeSink>(target);
-      break;
+  if (delivery == Delivery::kMaterialize) {
+    if (catalog_.HasTable(result_name)) {
+      CRACK_RETURN_NOT_OK(catalog_.DropTable(result_name));
     }
+    auto target = RowTable::Create(result_name, src->schema(),
+                                   options_.table_options, journal_);
+    CRACK_RETURN_NOT_OK(catalog_.RegisterRowTable(target));
+    sink = std::make_unique<RowMaterializeSink>(std::move(target));
+  } else {
+    sink = StreamSink(delivery);
   }
 
   CRACK_ASSIGN_OR_RETURN(run.count, Drain(tree.get(), sink.get(),
                                           &run.truncated));
   run.seconds = timer.ElapsedSeconds();
-  run.io = StatsDelta(TotalStats(), before);
-  if (mode == DeliveryMode::kPrint) {
-    run.bytes_shipped =
-        static_cast<FrontendSink*>(sink.get())->bytes_shipped();
-  }
+  run.io = TotalStats() - before;
+  run.bytes_shipped = BytesShipped(delivery, *sink);
   return run;
 }
 
@@ -224,14 +213,18 @@ Result<RunResult> RowEngine::CrackTableSql(const std::string& table,
   CRACK_RETURN_NOT_OK(catalog_.AddFragment(base, out_info));
 
   run.seconds = timer.ElapsedSeconds();
-  run.io = StatsDelta(TotalStats(), before);
+  run.io = TotalStats() - before;
   return run;
 }
 
 Result<RunResult> RowEngine::RunSelectPartitioned(const std::string& base,
                                                   const std::string& column,
                                                   const RangeBounds& range,
-                                                  DeliveryMode mode) {
+                                                  Delivery delivery) {
+  if (delivery == Delivery::kMaterialize) {
+    return Status::Unimplemented(
+        "partitioned materialize: run per-fragment RunSelect instead");
+  }
   CRACK_ASSIGN_OR_RETURN(
       std::vector<FragmentInfo> fragments,
       catalog_.FragmentsIntersecting(base, column, range.lo, range.hi));
@@ -240,19 +233,7 @@ Result<RunResult> RowEngine::RunSelectPartitioned(const std::string& base,
   IoStats before = TotalStats();
   WallTimer timer;
 
-  std::unique_ptr<ResultSink> sink;
-  switch (mode) {
-    case DeliveryMode::kCount:
-      sink = std::make_unique<CountSink>();
-      break;
-    case DeliveryMode::kPrint:
-      sink = std::make_unique<FrontendSink>();
-      break;
-    case DeliveryMode::kMaterialize:
-      return Status::Unimplemented(
-          "partitioned materialize: run per-fragment RunSelect instead");
-  }
-
+  std::unique_ptr<ResultSink> sink = StreamSink(delivery);
   for (const FragmentInfo& frag : fragments) {
     auto table = catalog_.GetRowTable(frag.fragment_table);
     if (!table.ok()) return table.status();
@@ -268,17 +249,14 @@ Result<RunResult> RowEngine::RunSelectPartitioned(const std::string& base,
     run.truncated |= truncated;
   }
   run.seconds = timer.ElapsedSeconds();
-  run.io = StatsDelta(TotalStats(), before);
-  if (mode == DeliveryMode::kPrint) {
-    run.bytes_shipped =
-        static_cast<FrontendSink*>(sink.get())->bytes_shipped();
-  }
+  run.io = TotalStats() - before;
+  run.bytes_shipped = BytesShipped(delivery, *sink);
   return run;
 }
 
 Result<RunResult> RowEngine::RunChainJoin(
     const std::vector<std::string>& tables, const std::string& out_col,
-    const std::string& in_col, DeliveryMode mode) {
+    const std::string& in_col) {
   if (tables.size() < 2) {
     return Status::InvalidArgument("chain join needs at least two tables");
   }
@@ -325,26 +303,10 @@ Result<RunResult> RowEngine::RunChainJoin(
     width += schema.num_columns();
   }
 
-  std::unique_ptr<ResultSink> sink;
-  switch (mode) {
-    case DeliveryMode::kCount:
-      sink = std::make_unique<CountSink>();
-      break;
-    case DeliveryMode::kPrint:
-      sink = std::make_unique<FrontendSink>();
-      break;
-    case DeliveryMode::kMaterialize:
-      return Status::Unimplemented("chain join materialize not supported");
-  }
-
-  CRACK_ASSIGN_OR_RETURN(run.count,
-                         Drain(tree.get(), sink.get(), &run.truncated));
+  CountSink sink;
+  CRACK_ASSIGN_OR_RETURN(run.count, Drain(tree.get(), &sink, &run.truncated));
   run.seconds = timer.ElapsedSeconds();
-  run.io = StatsDelta(TotalStats(), before);
-  if (mode == DeliveryMode::kPrint) {
-    run.bytes_shipped =
-        static_cast<FrontendSink*>(sink.get())->bytes_shipped();
-  }
+  run.io = TotalStats() - before;
   return run;
 }
 

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "catalog/catalog.h"
+#include "core/access_path.h"  // Delivery
 #include "core/range_bounds.h"
 #include "engine/plan_optimizer.h"
 #include "engine/sinks.h"
@@ -28,7 +29,7 @@ struct RunResult {
   uint64_t count = 0;        ///< result tuples
   double seconds = 0.0;      ///< wall clock
   IoStats io;                ///< deterministic cost delta
-  uint64_t bytes_shipped = 0;  ///< kPrint only: wire bytes
+  uint64_t bytes_shipped = 0;  ///< kView only: wire bytes
   bool truncated = false;      ///< deadline hit before completion
   JoinAlgo join_algo = JoinAlgo::kHash;  ///< chain joins only
   uint64_t plans_considered = 0;         ///< chain joins only
@@ -52,12 +53,13 @@ class RowEngine {
   Result<std::shared_ptr<RowTable>> ImportRelation(const Relation& relation,
                                                    std::string table_name = "");
 
-  /// SELECT <*> FROM `table` WHERE `column` IN range, delivered per `mode`
-  /// (Fig. 1). For kMaterialize, `result_name` names the new table (dropped
-  /// and recreated when it exists).
+  /// SELECT <*> FROM `table` WHERE `column` IN range, delivered per
+  /// `delivery` (Fig. 1): kCount counts, kView prints (ships every row
+  /// through a FrontendSink), kMaterialize inserts into a new table named
+  /// `result_name` (dropped and recreated when it exists).
   Result<RunResult> RunSelect(const std::string& table,
                               const std::string& column,
-                              const RangeBounds& range, DeliveryMode mode,
+                              const RangeBounds& range, Delivery delivery,
                               const std::string& result_name = "tmp_result");
 
   /// The §5.1 SQL-level Ξ cracker: two full scans split `table` into
@@ -70,18 +72,20 @@ class RowEngine {
 
   /// SELECT over a partitioned table: prunes fragments via catalog bounds,
   /// scans only intersecting fragments (the post-crack fast path of §5.1).
+  /// Counts or prints; kMaterialize is Unimplemented (run RunSelect per
+  /// fragment instead).
   Result<RunResult> RunSelectPartitioned(const std::string& base,
                                          const std::string& column,
                                          const RangeBounds& range,
-                                         DeliveryMode mode);
+                                         Delivery delivery);
 
-  /// k-way linear chain join (Fig. 9): tables[0] ⋈ tables[1] ⋈ ... with
-  /// join condition left.`out_col` == right.`in_col`. The optimizer picks
-  /// hash joins while its plan budget lasts and nested loops beyond it.
+  /// k-way linear chain join (Fig. 9): counts tables[0] ⋈ tables[1] ⋈ ...
+  /// with join condition left.`out_col` == right.`in_col`. The optimizer
+  /// picks hash joins while its plan budget lasts and nested loops beyond
+  /// it.
   Result<RunResult> RunChainJoin(const std::vector<std::string>& tables,
                                  const std::string& out_col,
-                                 const std::string& in_col,
-                                 DeliveryMode mode = DeliveryMode::kCount);
+                                 const std::string& in_col);
 
   Catalog& catalog() { return catalog_; }
   const RowEngineOptions& options() const { return options_; }

@@ -6,18 +6,6 @@
 
 namespace crackstore {
 
-const char* DeliveryModeName(DeliveryMode mode) {
-  switch (mode) {
-    case DeliveryMode::kMaterialize:
-      return "materialize";
-    case DeliveryMode::kPrint:
-      return "print";
-    case DeliveryMode::kCount:
-      return "count";
-  }
-  return "?";
-}
-
 namespace {
 
 template <typename T>
@@ -53,23 +41,14 @@ void PutBinaryValue(std::string* out, const Value& v) {
 
 Status FrontendSink::Consume(const std::vector<Value>& row) {
   ++count_;
-  size_t before = buffer_.size();
-  if (format_ == WireFormat::kText) {
-    for (size_t i = 0; i < row.size(); ++i) {
-      if (i > 0) buffer_ += '\t';
-      buffer_ += row[i].ToString();
-    }
-    buffer_ += '\n';
-  } else {
-    // Row frame: [u32 length][tagged values...], patched after encoding.
-    size_t frame_start = buffer_.size();
-    PutRaw<uint32_t>(&buffer_, 0);
-    for (const Value& v : row) PutBinaryValue(&buffer_, v);
-    uint32_t frame_len =
-        static_cast<uint32_t>(buffer_.size() - frame_start - sizeof(uint32_t));
-    std::memcpy(buffer_.data() + frame_start, &frame_len, sizeof(uint32_t));
-  }
-  bytes_shipped_ += buffer_.size() - before;
+  // Row frame: [u32 length][tagged values...], patched after encoding.
+  const size_t frame_start = buffer_.size();
+  PutRaw<uint32_t>(&buffer_, 0);
+  for (const Value& v : row) PutBinaryValue(&buffer_, v);
+  uint32_t frame_len =
+      static_cast<uint32_t>(buffer_.size() - frame_start - sizeof(uint32_t));
+  std::memcpy(buffer_.data() + frame_start, &frame_len, sizeof(uint32_t));
+  bytes_shipped_ += buffer_.size() - frame_start;
   if (buffer_.size() >= flush_bytes_) {
     buffer_.clear();  // wire flush; the bytes were already accounted
   }

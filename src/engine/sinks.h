@@ -2,7 +2,8 @@
 //
 // Result delivery sinks (paper §2.1, Fig. 1): the cost of a query depends
 // heavily on where its answer goes — (a) materialized into a new table,
-// (b) shipped to the front-end, or (c) merely counted. Each sink performs
+// (b) shipped to the front-end, or (c) merely counted: `Delivery`'s
+// kMaterialize, kView and kCount (core/access_path.h). Each sink performs
 // the real work of its mode (journaled inserts, wire formatting, nothing)
 // so the benchmarked spread is genuine, not simulated.
 
@@ -15,20 +16,10 @@
 #include <vector>
 
 #include "rowstore/row_table.h"
-#include "storage/relation.h"
 #include "storage/types.h"
 #include "util/status.h"
 
 namespace crackstore {
-
-/// Delivery modes of Fig. 1.
-enum class DeliveryMode : uint8_t {
-  kMaterialize = 0,  ///< (a) INSERT INTO newR SELECT ...
-  kPrint = 1,        ///< (b) ship formatted tuples to the front-end
-  kCount = 2,        ///< (c) SELECT COUNT(*)
-};
-
-const char* DeliveryModeName(DeliveryMode mode);
 
 /// Consumer of result tuples.
 class ResultSink {
@@ -58,20 +49,13 @@ class CountSink : public ResultSink {
   }
 };
 
-/// Result-set wire encodings for FrontendSink.
-enum class WireFormat : uint8_t {
-  kBinary = 0,  ///< length-framed tagged binary rows (DB wire protocols)
-  kText = 1,    ///< tab-separated text (CLI front-ends)
-};
-
-/// Mode (b): encodes every tuple into a wire buffer and periodically
-/// "flushes" by recycling the buffer. The encoding cost is real; nothing
-/// reaches stdout.
+/// Mode (b): encodes every tuple as a length-framed tagged binary row (as
+/// DB wire protocols do) into a wire buffer and periodically "flushes" by
+/// recycling the buffer. The encoding cost is real; nothing reaches stdout.
 class FrontendSink : public ResultSink {
  public:
-  explicit FrontendSink(WireFormat format = WireFormat::kBinary,
-                        size_t flush_bytes = 64 * 1024)
-      : format_(format), flush_bytes_(flush_bytes) {}
+  explicit FrontendSink(size_t flush_bytes = 64 * 1024)
+      : flush_bytes_(flush_bytes) {}
 
   Status Consume(const std::vector<Value>& row) override;
 
@@ -79,14 +63,13 @@ class FrontendSink : public ResultSink {
   uint64_t bytes_shipped() const { return bytes_shipped_; }
 
  private:
-  WireFormat format_;
   size_t flush_bytes_;
   std::string buffer_;
   uint64_t bytes_shipped_ = 0;
 };
 
-/// Mode (a) for the row engine: inserts every tuple into a fresh RowTable
-/// (with its journal), then commits.
+/// Mode (a): inserts every tuple into a fresh RowTable (with its journal),
+/// then commits.
 class RowMaterializeSink : public ResultSink {
  public:
   explicit RowMaterializeSink(std::shared_ptr<RowTable> target)
@@ -102,27 +85,8 @@ class RowMaterializeSink : public ResultSink {
     return Status::OK();
   }
 
-  const std::shared_ptr<RowTable>& target() const { return target_; }
-
  private:
   std::shared_ptr<RowTable> target_;
-};
-
-/// Mode (a) for the column engine: appends every tuple to a Relation.
-class ColumnMaterializeSink : public ResultSink {
- public:
-  explicit ColumnMaterializeSink(std::shared_ptr<Relation> target)
-      : target_(std::move(target)) {}
-
-  Status Consume(const std::vector<Value>& row) override {
-    ++count_;
-    return target_->AppendRow(row);
-  }
-
-  const std::shared_ptr<Relation>& target() const { return target_; }
-
- private:
-  std::shared_ptr<Relation> target_;
 };
 
 }  // namespace crackstore

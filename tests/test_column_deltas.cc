@@ -62,7 +62,7 @@ std::multiset<int64_t> Values(const std::shared_ptr<Bat>& col,
   return out;
 }
 
-TEST(UpdatableIndexTest, SelectWithoutUpdatesMatchesPlainIndex) {
+TEST(ColumnDeltasTest, SelectWithoutUpdatesMatchesPlainIndex) {
   auto col = I64({5, 1, 9, 3, 7});
   auto path = BuiltCrackPath(col);
   AccessSelection sel = Select(path.get(), 3, 7);
@@ -70,7 +70,7 @@ TEST(UpdatableIndexTest, SelectWithoutUpdatesMatchesPlainIndex) {
   EXPECT_EQ(Values(col, sel), (std::multiset<int64_t>{3, 5, 7}));
 }
 
-TEST(UpdatableIndexTest, InsertVisibleImmediately) {
+TEST(ColumnDeltasTest, InsertVisibleImmediately) {
   auto col = I64({10, 20, 30});
   auto path = BuiltCrackPath(col);
   Append(col, path.get(), 15);
@@ -83,7 +83,7 @@ TEST(UpdatableIndexTest, InsertVisibleImmediately) {
   EXPECT_EQ(path->accel_tuples(), 3u);
 }
 
-TEST(UpdatableIndexTest, InsertRejectsStaleOids) {
+TEST(ColumnDeltasTest, InsertRejectsStaleOids) {
   auto col = I64({10, 20, 30});
   ColumnDeltas<int64_t> deltas(col);
   deltas.Start();
@@ -96,7 +96,7 @@ TEST(UpdatableIndexTest, InsertRejectsStaleOids) {
   EXPECT_TRUE(path->Insert(Value(int64_t{5}), 2).IsInvalidArgument());
 }
 
-TEST(UpdatableIndexTest, DeleteHidesTuples) {
+TEST(ColumnDeltasTest, DeleteHidesTuples) {
   auto col = I64({10, 20, 30, 40});
   auto path = BuiltCrackPath(col);
   ASSERT_TRUE(path->Delete(1).ok());
@@ -106,7 +106,7 @@ TEST(UpdatableIndexTest, DeleteHidesTuples) {
   EXPECT_EQ(path->pending_deletes(), 1u);
 }
 
-TEST(UpdatableIndexTest, DeleteValidation) {
+TEST(ColumnDeltasTest, DeleteValidation) {
   // Before and after the build alike.
   for (bool built : {false, true}) {
     SCOPED_TRACE(built ? "built" : "not built");
@@ -125,7 +125,7 @@ TEST(UpdatableIndexTest, DeleteValidation) {
   }
 }
 
-TEST(UpdatableIndexTest, DeleteBeforeBuildTakesTheBaseValue) {
+TEST(ColumnDeltasTest, DeleteBeforeBuildTakesTheBaseValue) {
   auto col = I64({10, 20, 30});
   auto path = CreateColumnAccessPath(col, AccessPathConfig{});
   ASSERT_TRUE(path.ok());
@@ -138,7 +138,7 @@ TEST(UpdatableIndexTest, DeleteBeforeBuildTakesTheBaseValue) {
   EXPECT_EQ((*path)->accel_tuples(), 2u);
 }
 
-TEST(UpdatableIndexTest, DeletePendingInsertCancelsIt) {
+TEST(ColumnDeltasTest, DeletePendingInsertCancelsIt) {
   auto col = I64({10});
   auto path = BuiltCrackPath(col);
   const Oid oid = Append(col, path.get(), 50);
@@ -147,7 +147,7 @@ TEST(UpdatableIndexTest, DeletePendingInsertCancelsIt) {
   EXPECT_EQ(Select(path.get(), 0, 100).count, 1u);
 }
 
-TEST(UpdatableIndexTest, CancelledPendingInsertStaysDead) {
+TEST(ColumnDeltasTest, CancelledPendingInsertStaysDead) {
   // Regression: a Delete() that cancels a pending insert must leave the oid
   // dead — a later Update() used to fall through the held-row branch and
   // resurrect the row; a second Delete() used to report OK.
@@ -161,7 +161,7 @@ TEST(UpdatableIndexTest, CancelledPendingInsertStaysDead) {
   EXPECT_EQ(Select(path.get(), 0, 100).count, 1u);  // only oid 0
 }
 
-TEST(UpdatableIndexTest, MergeFoldsDeltasAndPreservesBounds) {
+TEST(ColumnDeltasTest, MergeFoldsDeltasAndPreservesBounds) {
   auto col = BuildPermutationColumn(1000, 3, "perm");
   const int64_t deleted_value = col->Get<int64_t>(0);
   auto path = BuiltCrackPath(col);
@@ -191,7 +191,7 @@ TEST(UpdatableIndexTest, MergeFoldsDeltasAndPreservesBounds) {
   EXPECT_EQ(sel.count, expected);
 }
 
-TEST(UpdatableIndexTest, OidsStableAcrossMerge) {
+TEST(ColumnDeltasTest, OidsStableAcrossMerge) {
   auto col = I64({10, 20, 30});
   auto path = BuiltCrackPath(col);
   const Oid oid = Append(col, path.get(), 25);
@@ -202,7 +202,7 @@ TEST(UpdatableIndexTest, OidsStableAcrossMerge) {
   EXPECT_EQ(sel.span_set.ToOids(), std::vector<Oid>{oid});
 }
 
-TEST(UpdatableIndexTest, DeleteAfterMergeOfThatOidFails) {
+TEST(ColumnDeltasTest, DeleteAfterMergeOfThatOidFails) {
   auto col = I64({10, 20});
   auto path = BuiltCrackPath(col);
   ASSERT_TRUE(path->Delete(1).ok());
@@ -210,7 +210,7 @@ TEST(UpdatableIndexTest, DeleteAfterMergeOfThatOidFails) {
   EXPECT_TRUE(path->Delete(1).IsAlreadyExists());  // physically gone
 }
 
-TEST(UpdatableIndexTest, StatsChargedForDeltaWork) {
+TEST(ColumnDeltasTest, StatsChargedForDeltaWork) {
   auto col = BuildPermutationColumn(1000, 9, "perm");
   auto path = BuiltCrackPath(col);
   for (int i = 0; i < 20; ++i) Append(col, path.get(), i);
@@ -225,7 +225,7 @@ TEST(UpdatableIndexTest, StatsChargedForDeltaWork) {
 // The fold at the index level: survivors first, then the added rows, every
 // learned boundary re-cracked; a tombstone of a row the column does not
 // hold fails it.
-TEST(UpdatableIndexTest, FoldKeepsBoundsAndChecksTombstones) {
+TEST(ColumnDeltasTest, FoldKeepsBoundsAndChecksTombstones) {
   auto col = BuildPermutationColumn(1000, 5, "perm");
   CrackerIndex<int64_t> index(col);
   (void)index.Select(100, true, 200, true);
@@ -258,10 +258,10 @@ TEST(UpdatableIndexTest, FoldKeepsBoundsAndChecksTombstones) {
 
 // Randomized interleaving of inserts, deletes, updates, folds and queries
 // against a naive map-based reference.
-class UpdatableIndexPropertyTest : public ::testing::TestWithParam<uint64_t> {
+class ColumnDeltasPropertyTest : public ::testing::TestWithParam<uint64_t> {
 };
 
-TEST_P(UpdatableIndexPropertyTest, MatchesNaiveReference) {
+TEST_P(ColumnDeltasPropertyTest, MatchesNaiveReference) {
   uint64_t seed = GetParam();
   Pcg32 rng(seed);
   const int64_t kDomain = 500;
@@ -338,7 +338,7 @@ TEST_P(UpdatableIndexPropertyTest, MatchesNaiveReference) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, UpdatableIndexPropertyTest,
+INSTANTIATE_TEST_SUITE_P(Seeds, ColumnDeltasPropertyTest,
                          ::testing::Values(1, 2, 3, 20040901));
 
 }  // namespace

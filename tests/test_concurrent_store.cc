@@ -26,7 +26,6 @@
 #include "core/adaptive_store.h"
 #include "core/latch.h"
 #include "core/task_pool.h"
-#include "engine/colstore_engine.h"
 #include "sql/executor.h"
 #include "storage/relation.h"
 #include "util/rng.h"
@@ -823,51 +822,6 @@ TEST(ConcurrentStore, ParallelConjunctionMatchesSerial) {
   for (auto& t : threads) t.join();
   TaskPool::SetGlobalThreads(0);
   (void)failed;
-}
-
-// ---------------------------------------------------------------------------
-// The engine's batched count-selects fan legs over the task pool; answers
-// must match the one-at-a-time API.
-// ---------------------------------------------------------------------------
-
-TEST(ColumnEngineBatch, MatchesSequentialCounts) {
-  const uint64_t seed = TestSeed(66601);
-  SCOPED_TRACE("seed=" + std::to_string(seed));
-  TapestryOptions topts;
-  topts.num_rows = 2000;
-  topts.num_columns = 3;
-  topts.seed = seed;
-
-  ColumnEngineOptions opts;
-  opts.strategy = AccessStrategy::kCrack;
-  ColumnEngine engine(opts);
-  ASSERT_TRUE(engine.AddTable(*BuildTapestry("R", topts)).ok());
-
-  const int64_t n = static_cast<int64_t>(topts.num_rows);
-  Pcg32 rng(seed + 3);
-  std::vector<ColumnEngine::SelectSpec> specs;
-  for (int i = 0; i < 18; ++i) {
-    int64_t lo = rng.NextInRange(1, n);
-    int64_t hi = lo + rng.NextInRange(0, n / 2);
-    specs.push_back({"R", "c" + std::to_string(i % 3),
-                     TypedRange(RangeBounds::Closed(lo, hi))});
-  }
-  // Expected counts from a second engine driven one select at a time.
-  ColumnEngine oracle(opts);
-  ASSERT_TRUE(oracle.AddTable(*BuildTapestry("R", topts)).ok());
-  std::vector<uint64_t> want;
-  for (const auto& spec : specs) {
-    auto r = oracle.RunSelect(spec.table, spec.column, spec.range,
-                              DeliveryMode::kCount);
-    ASSERT_TRUE(r.ok());
-    want.push_back(r->count);
-  }
-
-  TaskPool::SetGlobalThreads(4);
-  auto got = engine.RunSelectCountBatch(specs);
-  TaskPool::SetGlobalThreads(0);
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(*got, want);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 // Copyright 2026 The CrackStore Authors
 //
-// Tests for the row and column engine facades: delivery-mode cost spread,
-// SQL-level cracking, partitioned selects, chain joins and the plan-budget
-// optimizer.
+// Tests for the row-store reference engine: delivery cost spread, SQL-level
+// cracking, partitioned selects, chain joins and the plan-budget optimizer,
+// with its selects and chain joins checked against the adaptive store.
 
 #include <gtest/gtest.h>
 
-#include "engine/colstore_engine.h"
+#include <map>
+
+#include "core/adaptive_store.h"
 #include "engine/plan_optimizer.h"
 #include "engine/rowstore_engine.h"
 #include "workload/tapestry.h"
@@ -70,20 +72,20 @@ TEST(RowEngineTest, SelectCountCorrect) {
   RowEngine engine;
   ASSERT_TRUE(engine.ImportRelation(*Tapestry("R", 1000)).ok());
   auto run = engine.RunSelect("R", "c0", RangeBounds::Closed(1, 100),
-                              DeliveryMode::kCount);
+                              Delivery::kCount);
   ASSERT_TRUE(run.ok());
   EXPECT_EQ(run->count, 100u);
 }
 
-TEST(RowEngineTest, DeliveryModeCostSpread) {
+TEST(RowEngineTest, DeliveryCostSpread) {
   // The Fig. 1 anatomy: materialize must cost more than print, print more
   // than count (in deterministic I/O units).
   RowEngine engine;
   ASSERT_TRUE(engine.ImportRelation(*Tapestry("R", 5000)).ok());
   RangeBounds range = RangeBounds::Closed(1, 2500);  // 50% selectivity
-  auto count = engine.RunSelect("R", "c0", range, DeliveryMode::kCount);
-  auto print = engine.RunSelect("R", "c0", range, DeliveryMode::kPrint);
-  auto mat = engine.RunSelect("R", "c0", range, DeliveryMode::kMaterialize);
+  auto count = engine.RunSelect("R", "c0", range, Delivery::kCount);
+  auto print = engine.RunSelect("R", "c0", range, Delivery::kView);
+  auto mat = engine.RunSelect("R", "c0", range, Delivery::kMaterialize);
   ASSERT_TRUE(count.ok() && print.ok() && mat.ok());
   EXPECT_EQ(count->count, print->count);
   EXPECT_EQ(count->count, mat->count);
@@ -100,7 +102,7 @@ TEST(RowEngineTest, MaterializeRegistersResultTable) {
   ASSERT_TRUE(engine.ImportRelation(*Tapestry("R", 100)).ok());
   ASSERT_TRUE(engine
                   .RunSelect("R", "c0", RangeBounds::Closed(1, 10),
-                             DeliveryMode::kMaterialize, "newR")
+                             Delivery::kMaterialize, "newR")
                   .ok());
   auto result = engine.catalog().GetRowTable("newR");
   ASSERT_TRUE(result.ok());
@@ -108,7 +110,7 @@ TEST(RowEngineTest, MaterializeRegistersResultTable) {
   // Re-running with the same result name replaces the table.
   ASSERT_TRUE(engine
                   .RunSelect("R", "c0", RangeBounds::Closed(1, 20),
-                             DeliveryMode::kMaterialize, "newR")
+                             Delivery::kMaterialize, "newR")
                   .ok());
   EXPECT_EQ((*engine.catalog().GetRowTable("newR"))->num_rows(), 20u);
 }
@@ -139,7 +141,7 @@ TEST(RowEngineTest, PartitionedSelectPrunesFragments) {
   // A query inside the in-fragment's bounds touches only 300 tuples.
   auto pruned = engine.RunSelectPartitioned("Rp", "c0",
                                             RangeBounds::Closed(100, 200),
-                                            DeliveryMode::kCount);
+                                            Delivery::kCount);
   ASSERT_TRUE(pruned.ok());
   EXPECT_EQ(pruned->count, 101u);
   EXPECT_LE(pruned->io.tuples_read, 300u);
@@ -147,9 +149,23 @@ TEST(RowEngineTest, PartitionedSelectPrunesFragments) {
   // A straddling query touches both fragments but still answers correctly.
   auto both = engine.RunSelectPartitioned("Rp", "c0",
                                           RangeBounds::Closed(250, 350),
-                                          DeliveryMode::kCount);
+                                          Delivery::kCount);
   ASSERT_TRUE(both.ok());
   EXPECT_EQ(both->count, 101u);
+
+  // Printing streams the surviving rows; materializing is refused.
+  auto print = engine.RunSelectPartitioned("Rp", "c0",
+                                           RangeBounds::Closed(250, 350),
+                                           Delivery::kView);
+  ASSERT_TRUE(print.ok());
+  EXPECT_EQ(print->count, 101u);
+  EXPECT_GT(print->bytes_shipped, 0u);
+  EXPECT_TRUE(engine
+                  .RunSelectPartitioned("Rp", "c0",
+                                        RangeBounds::Closed(250, 350),
+                                        Delivery::kMaterialize)
+                  .status()
+                  .IsUnimplemented());
 }
 
 TEST(RowEngineTest, ChainJoinHashCountsPaths) {
@@ -165,6 +181,8 @@ TEST(RowEngineTest, ChainJoinHashCountsPaths) {
   EXPECT_EQ(run->join_algo, JoinAlgo::kHash);
   // Permutation chains: every tuple continues exactly once.
   EXPECT_EQ(run->count, 200u);
+  EXPECT_TRUE(engine.RunChainJoin({"T0"}, "c1", "c0").status()
+                  .IsInvalidArgument());
 }
 
 TEST(RowEngineTest, ChainJoinNestedLoopAgrees) {
@@ -202,77 +220,73 @@ TEST(RowEngineTest, DeadlineTruncatesRunaways) {
   EXPECT_LT(run->count, 2000u);  // stopped before completing
 }
 
-TEST(ColumnEngineTest, SelectAgreesWithRowEngine) {
+// Fig. 1's column line is the scan store: every delivery counts the rows
+// the row engine counts.
+TEST(RowEngineTest, SelectAgreesWithScanStore) {
   auto rel = Tapestry("R", 2000, /*seed=*/5);
   RowEngine row_engine;
   ASSERT_TRUE(row_engine.ImportRelation(*rel).ok());
-  ColumnEngine col_engine;
-  ASSERT_TRUE(col_engine.AddTable(rel).ok());
+  DbOptions opts;
+  opts.strategy = AccessStrategy::kScan;
+  auto store = *AdaptiveStore::Open(opts);
+  ASSERT_TRUE(store->AddTable(rel).ok());
 
-  for (auto mode : {DeliveryMode::kCount, DeliveryMode::kPrint,
-                    DeliveryMode::kMaterialize}) {
-    auto row_run =
-        row_engine.RunSelect("R", "c0", RangeBounds::Closed(100, 600), mode);
-    auto col_run =
-        col_engine.RunSelect("R", "c0", RangeBounds::Closed(100, 600), mode);
+  const RangeBounds range = RangeBounds::Closed(100, 600);
+  for (Delivery delivery :
+       {Delivery::kCount, Delivery::kView, Delivery::kMaterialize}) {
+    auto row_run = row_engine.RunSelect("R", "c0", range, delivery);
+    auto col_run = store->SelectRange("R", "c0", range, delivery);
     ASSERT_TRUE(row_run.ok() && col_run.ok());
     EXPECT_EQ(row_run->count, col_run->count);
   }
 }
 
-TEST(ColumnEngineTest, MaterializeProducesRelation) {
-  ColumnEngine engine;
-  ASSERT_TRUE(engine.AddTable(Tapestry("R", 500)).ok());
-  auto run = engine.RunSelect("R", "c0", RangeBounds::Closed(1, 50),
-                              DeliveryMode::kMaterialize, "result");
-  ASSERT_TRUE(run.ok());
-  ASSERT_NE(engine.last_result(), nullptr);
-  EXPECT_EQ(engine.last_result()->num_rows(), 50u);
-  EXPECT_EQ(engine.last_result()->name(), "result");
+/// The number of join paths through the chain tables[0] ⋈ tables[1] ⋈ ...
+/// on c1 = c0, composed from the store's pairwise joins: paths[oid] counts
+/// the paths ending at that row of the current table.
+Result<uint64_t> StoreChainPaths(AdaptiveStore* store,
+                                 const std::vector<std::string>& tables) {
+  CRACK_ASSIGN_OR_RETURN(std::vector<Oid> first, store->LiveOids(tables[0]));
+  std::map<Oid, uint64_t> paths;
+  for (Oid oid : first) paths[oid] = 1;
+  for (size_t t = 1; t < tables.size(); ++t) {
+    CRACK_ASSIGN_OR_RETURN(
+        std::vector<OidPair> pairs,
+        store->JoinOids(tables[t - 1], "c1", tables[t], "c0"));
+    std::map<Oid, uint64_t> next;
+    for (const OidPair& p : pairs) next[p.right] += paths[p.left];
+    paths = std::move(next);
+  }
+  uint64_t total = 0;
+  for (const auto& [oid, n] : paths) total += n;
+  return total;
 }
 
-TEST(ColumnEngineTest, ChainJoinMatchesRowEngine) {
+// Fig. 9's chain, through the row engine and composed from the store's
+// joins: both count one path per row, since tapestry columns are
+// permutations, and a long chain keeps every path.
+TEST(RowEngineTest, ChainJoinMatchesStoreJoins) {
   RowEngine row_engine;
-  ColumnEngine col_engine;
+  auto store = *AdaptiveStore::Open(DbOptions{});
   std::vector<std::string> tables;
   for (int i = 0; i < 4; ++i) {
     auto rel = Tapestry("T" + std::to_string(i), 150, /*seed=*/40 + i);
     ASSERT_TRUE(row_engine.ImportRelation(*rel).ok());
-    ASSERT_TRUE(col_engine.AddTable(rel).ok());
+    ASSERT_TRUE(store->AddTable(rel).ok());
     tables.push_back(rel->name());
   }
   auto row_run = row_engine.RunChainJoin(tables, "c1", "c0");
-  auto col_run = col_engine.RunChainJoin(tables, "c1", "c0");
-  ASSERT_TRUE(row_run.ok() && col_run.ok());
-  EXPECT_EQ(row_run->count, col_run->count);
-  EXPECT_EQ(col_run->count, 150u);
-}
+  ASSERT_TRUE(row_run.ok());
+  EXPECT_EQ(row_run->count, 150u);
+  auto chain = StoreChainPaths(store.get(), tables);
+  ASSERT_TRUE(chain.ok()) << chain.status().ToString();
+  EXPECT_EQ(*chain, 150u);
 
-TEST(ColumnEngineTest, LongChainStaysCheap) {
-  ColumnEngine engine;
-  std::vector<std::string> tables;
-  for (int i = 0; i < 32; ++i) {
-    auto rel = Tapestry("T" + std::to_string(i), 500, /*seed=*/100 + i);
-    ASSERT_TRUE(engine.AddTable(rel).ok());
-    tables.push_back(rel->name());
-  }
-  auto run = engine.RunChainJoin(tables, "c1", "c0");
-  ASSERT_TRUE(run.ok());
-  EXPECT_EQ(run->count, 500u);
-  EXPECT_FALSE(run->truncated);
-}
-
-TEST(ColumnEngineTest, ValidatesInputs) {
-  ColumnEngine engine;
-  ASSERT_TRUE(engine.AddTable(Tapestry("R", 10)).ok());
-  EXPECT_TRUE(engine.AddTable(Tapestry("R", 10)).IsAlreadyExists());
-  EXPECT_TRUE(engine
-                  .RunSelect("X", "c0", RangeBounds::All(),
-                             DeliveryMode::kCount)
-                  .status()
-                  .IsNotFound());
-  EXPECT_TRUE(engine.RunChainJoin({"R"}, "c1", "c0").status()
-                  .IsInvalidArgument());
+  ASSERT_TRUE(store->AddTable(Tapestry("R", 500, /*seed=*/100)).ok());
+  auto long_chain =
+      StoreChainPaths(store.get(), std::vector<std::string>(33, "R"));
+  ASSERT_TRUE(long_chain.ok()) << long_chain.status().ToString();
+  EXPECT_EQ(*long_chain, 500u);
 }
 
 }  // namespace

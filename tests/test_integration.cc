@@ -15,7 +15,6 @@
 #include "core/access_path.h"
 #include "core/adaptive_store.h"
 #include "util/rng.h"
-#include "engine/colstore_engine.h"
 #include "engine/rowstore_engine.h"
 #include "sim/crack_sim.h"
 #include "workload/sequence.h"
@@ -152,16 +151,16 @@ TEST(IntegrationTest, SqlLevelCrackingRoundTrip) {
   for (auto [lo, hi] : std::vector<std::pair<int64_t, int64_t>>{
            {1, 100}, {700, 900}, {900, 2000}, {1, 2000}}) {
     auto direct = engine.RunSelect("R", "c0", RangeBounds::Closed(lo, hi),
-                                   DeliveryMode::kCount);
+                                   Delivery::kCount);
     auto partitioned = engine.RunSelectPartitioned(
-        "Rp", "c0", RangeBounds::Closed(lo, hi), DeliveryMode::kCount);
+        "Rp", "c0", RangeBounds::Closed(lo, hi), Delivery::kCount);
     ASSERT_TRUE(direct.ok() && partitioned.ok());
     EXPECT_EQ(direct->count, partitioned->count) << lo << ".." << hi;
   }
 
   // Pruned query reads fewer tuples than the monolithic scan.
   auto pruned = engine.RunSelectPartitioned(
-      "Rp", "c0", RangeBounds::Closed(1, 100), DeliveryMode::kCount);
+      "Rp", "c0", RangeBounds::Closed(1, 100), Delivery::kCount);
   ASSERT_TRUE(pruned.ok());
   EXPECT_LT(pruned->io.tuples_read, 2000u);
 }

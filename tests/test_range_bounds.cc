@@ -98,8 +98,6 @@ TEST(UmbrellaHeaderTest, PublicTypesVisible) {
   (void)sim;
   RowEngineOptions row;
   (void)row;
-  ColumnEngineOptions col;
-  (void)col;
   SUCCEED();
 }
 

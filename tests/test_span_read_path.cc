@@ -23,6 +23,7 @@
 #include "core/adaptive_store.h"
 #include "core/oid_span_set.h"
 #include "core/simd_dispatch.h"
+#include "core/sorted_column.h"
 #include "storage/bat.h"
 #include "storage/relation.h"
 #include "util/rng.h"
@@ -578,6 +579,46 @@ TEST(SpanReadPathSnapshotTest, AggregatePushdownHonorsSnapshots) {
   EXPECT_EQ(agg_all->rows, 90u);
   EXPECT_EQ(agg_all->max, 1000);
   ASSERT_TRUE(store.Commit(old_snap).ok());
+}
+
+// A kView answer on a sort store places each hidden row in its span by one
+// binary search on the row's value and a walk of that value's run, never by
+// walking the span: it matches the scan strategy and reads at most
+// marked·(⌈log2 n⌉+1) + pending + 2⌈log2 n⌉ tuples.
+TEST(SpanReadPathSnapshotTest, SortViewFindsHiddenRowsByValue) {
+  TapestryOptions topts;
+  topts.num_rows = 50000;
+  topts.num_columns = 2;
+  topts.seed = 1;
+  DbOptions opts;
+  opts.strategy = AccessStrategy::kSort;
+  auto sort_db = *AdaptiveStore::Open(opts);
+  opts.strategy = AccessStrategy::kScan;
+  auto scan_db = *AdaptiveStore::Open(opts);
+  for (AdaptiveStore* store : {sort_db.get(), scan_db.get()}) {
+    ASSERT_TRUE(store->AddTable(*BuildTapestry("R", topts)).ok());
+    // The first select builds the sorted copy.
+    ASSERT_TRUE(
+        store->SelectRange("R", "c0", RangeBounds::Closed(1, 100)).ok());
+    ASSERT_TRUE(
+        store->Delete("R", {{"c0", RangeBounds::Closed(19000, 19009)}}).ok());
+    ASSERT_TRUE(
+        store->Insert("R", {Value(int64_t{500}), Value(int64_t{7})}).ok());
+  }
+  const RangeBounds range = RangeBounds::Closed(100, 20000);
+  auto sorted = sort_db->SelectRange("R", "c0", range, Delivery::kView);
+  auto scanned = scan_db->SelectRange("R", "c0", range, Delivery::kView);
+  ASSERT_TRUE(sorted.ok() && scanned.ok());
+  EXPECT_EQ(sorted->count, 19901u - 10 + 1);
+  EXPECT_EQ(sorted->count, scanned->count);
+  const uint64_t marked = 10;
+  const uint64_t pending =
+      (*sort_db->AccessPathFor("R", "c0"))->pending_inserts();
+  const uint64_t log2n = CeilLog2(topts.num_rows);
+  EXPECT_LE(sorted->io.tuples_read,
+            marked * (log2n + 1) + pending + 2 * log2n);
+  EXPECT_EQ(std::move(*sorted).CollectOids(),
+            std::move(*scanned).CollectOids());
 }
 
 // ---------------------------------------------------------------------------

@@ -178,7 +178,7 @@ TEST(SinksTest, CountSinkCounts) {
 }
 
 TEST(SinksTest, FrontendSinkShipsBytes) {
-  FrontendSink sink(WireFormat::kBinary, /*flush_bytes=*/16);
+  FrontendSink sink(/*flush_bytes=*/16);
   for (int i = 0; i < 100; ++i) {
     ASSERT_TRUE(
         sink.Consume({Value(int64_t{i}), Value(std::string("payload"))})
@@ -189,13 +189,6 @@ TEST(SinksTest, FrontendSinkShipsBytes) {
   EXPECT_EQ(sink.bytes_shipped(), 100u * 25);
 }
 
-TEST(SinksTest, FrontendSinkTextFormat) {
-  FrontendSink sink(WireFormat::kText);
-  ASSERT_TRUE(
-      sink.Consume({Value(int64_t{42}), Value(std::string("x"))}).ok());
-  EXPECT_EQ(sink.bytes_shipped(), 5u);  // "42\tx\n"
-}
-
 TEST(SinksTest, RowMaterializeSinkInsertsAndCommits) {
   auto target = RowTable::Create("out", PairSchema());
   RowMaterializeSink sink(target);
@@ -203,20 +196,6 @@ TEST(SinksTest, RowMaterializeSinkInsertsAndCommits) {
   ASSERT_TRUE(sink.Finish().ok());
   EXPECT_EQ(target->num_rows(), 1u);
   EXPECT_EQ(target->journal()->num_commits(), 1u);
-}
-
-TEST(SinksTest, ColumnMaterializeSinkAppends) {
-  auto target = *Relation::Create("out", PairSchema());
-  ColumnMaterializeSink sink(target);
-  ASSERT_TRUE(sink.Consume({Value(int64_t{3}), Value(int64_t{4})}).ok());
-  EXPECT_EQ(target->num_rows(), 1u);
-  EXPECT_EQ(target->GetRow(0)[1].AsInt64(), 4);
-}
-
-TEST(SinksTest, DeliveryModeNames) {
-  EXPECT_STREQ(DeliveryModeName(DeliveryMode::kMaterialize), "materialize");
-  EXPECT_STREQ(DeliveryModeName(DeliveryMode::kPrint), "print");
-  EXPECT_STREQ(DeliveryModeName(DeliveryMode::kCount), "count");
 }
 
 }  // namespace
